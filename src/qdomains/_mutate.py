@@ -18,6 +18,7 @@ MUTATION_POINTS = (
     "omega",
     "fock-generator",
     "star-phase",
+    "normal-order-phase",
 )
 
 

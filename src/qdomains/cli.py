@@ -322,9 +322,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_q_values(argv: list) -> list:
+    # argparse takes "--q -0.5,0.8" for two options; "--q=-0.5,0.8" parses
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--q" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--q={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_q_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -13,10 +13,12 @@ import cmath
 import math
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from qdomains import _mutate
 from qdomains import qcombinat as qc
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
-from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
+from qdomains.elements import PRUNE_TOL, LaurentElement, QPolynomial, qpoly_mul
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 from qdomains.qcombinat import sigma
 
@@ -205,28 +207,75 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
                 samples: Sequence[complex]) -> ScanResult:
     """Evaluate q -> ||a_q|| along a sample path and report the jumps.
 
+    One numpy pass over samples x monomials: each fiber coefficient
+    sum_p c q**p is formed for every sample at once, pruned at PRUNE_TOL
+    as QPolynomial does, and weighted in the log domain.  Per sample the
+    value matches norm(fiber_eval(a, q), NormSpec(family, rho)) to rounding.
+
     The continuity diagnostic is descriptive: the maximum adjacent-sample
     jump and its ratio to the parameter spacing."""
     if family not in (POLYDISK_L1, BALL):
         raise ValueError("scan families are polydisk-l1 and ball")
-    rows = []
-    for q in samples:
-        q = complex(q)
-        if q == 0:
-            raise ValueError("samples must be nonzero")
-        value = norm(fiber_eval(a, q), NormSpec(family, rho))
-        rows.append((q, value))
-    max_jump = 0.0
-    max_slope = 0.0
-    spacing = 0.0
-    for (q0, v0), (q1, v1) in zip(rows, rows[1:]):
-        gap = abs(q1 - q0)
-        jump = abs(v1 - v0)
-        max_jump = max(max_jump, jump)
-        spacing = max(spacing, gap)
-        if gap > 0:
-            max_slope = max(max_slope, jump / gap)
-    return ScanResult(rows, max_jump, max_slope, spacing)
+    qs = np.array([complex(q) for q in samples], dtype=complex)
+    if np.any(qs == 0):
+        raise ValueError("samples must be nonzero")
+    by_k: dict = {}
+    for (k, p), c in a.terms.items():
+        by_k.setdefault(k, []).append((p, c))
+    keys = sorted(by_k, key=lambda k: (sum(k), k))
+    moduli = np.abs(qs)
+    log_modulus = np.log(moduli)
+    log_modulus_below_one = np.where(moduli < 1.0, log_modulus, 0.0)
+    log_rho = math.log(rho)
+    values = np.zeros(len(qs))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if family == BALL:
+            log_fact = _log_q_factorials(
+                {m for k in keys for m in (*k, sum(k))}, moduli ** 2)
+        powers = {p: qs ** p for _, p in a.terms}
+        for k in keys:
+            size = np.abs(sum(c * powers[p] for p, c in by_k[k]))
+            cross = qc.cross_degree(k)
+            if family == BALL:
+                log_ratio = sum(log_fact[m] for m in k) - log_fact[sum(k)]
+                log_w = 0.5 * log_ratio + cross * log_modulus
+            else:
+                log_w = cross * log_modulus_below_one
+            log_norm = sum(k) * log_rho + log_w
+            values += np.where(size > PRUNE_TOL, size * np.exp(log_norm), 0.0)
+    if np.isinf(values).any():
+        # norm() raises here too, from math.exp
+        raise OverflowError("fiber norm exceeds the float range")
+    jumps = np.abs(np.diff(values))
+    gaps = np.abs(np.diff(qs))
+    moving = gaps > 0
+    return ScanResult(list(zip(qs.tolist(), values.tolist())),
+                      float(jumps.max(initial=0.0)),
+                      float((jumps[moving] / gaps[moving]).max(initial=0.0)),
+                      float(gaps.max(initial=0.0)))
+
+
+def _log_q_factorials(wanted: set, t: np.ndarray) -> dict:
+    """log [m]_t! for each m in wanted, vectorized over t > 0.
+
+    Mirrors qcombinat._log_q_int: [j]_t by direct summation, or the closed
+    log form once t > 2 and j log t > 60 (where t**j would overflow)."""
+    log_t = np.log(t)
+    log_t_minus_1 = np.log(t - 1.0)
+    out = {0: np.zeros_like(t)}
+    acc = np.zeros_like(t)
+    power = np.ones_like(t)
+    running = np.zeros_like(t)
+    for j in range(1, max(wanted, default=0) + 1):
+        acc = acc + power
+        power = power * t
+        closed = (t > 2.0) & (j * log_t > 60.0)
+        log_int = np.where(closed, j * log_t + np.log1p(-(t ** -j)) - log_t_minus_1,
+                           np.log(acc))
+        running = running + log_int
+        if j in wanted:
+            out[j] = running
+    return out
 
 
 def circle_path(radius: float, samples: int) -> list:

@@ -25,6 +25,11 @@ def brute_fiber(k):
     return sorted(set(itertools.permutations(word)))
 
 
+def brute_mahonian_sum(k, q):
+    """sum of q**m(alpha) over the brute-force fiber, term by term."""
+    return sum(q ** brute_inversions(word) for word in brute_fiber(k))
+
+
 def rewrite_normal_order(word, q):
     """Bubble-sort rewriting: swap adjacent descents, multiplying by 1/q
     per swap, until sorted.  Returns (coefficient, sorted word)."""

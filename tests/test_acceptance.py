@@ -168,6 +168,7 @@ MUTATION_TARGETS = [
     ("omega", "lemma-8-10"),
     ("fock-generator", "fock-lemma-5-2"),
     ("star-phase", "star-associativity"),
+    ("normal-order-phase", "quotient-contraction"),
 ]
 
 

@@ -80,6 +80,27 @@ def test_fock_norm(qpoly_doc):
     assert payload["lower"] <= payload["upper"] + 1e-12
 
 
+def test_negative_q_as_separate_argument(tmp_path, qpoly_doc):
+    # "--q -0.5,0.8" once exited 2 with "expected one argument"
+    free = write(tmp_path, "f.json", {
+        "kind": "free", "n": 2,
+        "terms": [{"alpha": [2, 1], "c": {"re": 1, "im": 0}},
+                  {"alpha": [1, 2, 2], "c": {"re": 0.5, "im": 1}}]})
+    commands = (
+        (["radius", "--tuple", "coords", "--family", "polydisk", "--rho", "1",
+          "--depth", "3", "--p", "2", "--n", "2"], "-0.5,0.8", 0),
+        (["normal-order", "--in", free], "-0.5,0.8", 0),
+        # parses, then the representation rejects q < 0 as a usage error
+        (["fock-norm", "--in", qpoly_doc, "--rho", "1", "--depth", "4"], "-5e-1", 2),
+    )
+    for argv, q, code in commands:
+        spaced = run(*argv, "--q", q)
+        joined = run(*argv, f"--q={q}")
+        assert spaced.returncode == joined.returncode == code, spaced.stderr
+        assert (spaced.stdout, spaced.stderr) == (joined.stdout, joined.stderr)
+    assert "0 < q < 1" in spaced.stderr
+
+
 def test_star(tmp_path):
     f = write(tmp_path, "f.json", {"kind": "hseries", "n": 2, "order": 2,
                                    "terms": [{"p": 0, "k": [0, 1], "c": {"re": 1, "im": 0}}]})

@@ -6,8 +6,8 @@ import pytest
 
 from qdomains import deform, qcombinat as qc, randgen
 from qdomains.deform_types import HSeriesElement
-from qdomains.elements import LaurentElement, QPolynomial, qpoly_mul
-from qdomains.norms import POLYDISK_L1, NormSpec
+from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
+from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 
 from oracles import derivative_poisson_bracket
 
@@ -197,12 +197,77 @@ def test_bundle_scan_arc_through_one():
     assert min(values) == pytest.approx(0.0, abs=1e-3)
 
 
+def _scan_values(a, family, rho, samples):
+    result = deform.bundle_scan(a, family, rho, samples)
+    assert [q for q, _ in result.rows] == [complex(q) for q in samples]
+    assert all(type(v) is float for _, v in result.rows)
+    return [v for _, v in result.rows]
+
+
+def _per_sample(a, family, rho, samples):
+    # the route the vectorized scan replaces: one QPolynomial and norm per q
+    return [norm(fiber_eval(a, q), NormSpec(family, rho)) for q in samples]
+
+
+@pytest.mark.parametrize("family", [POLYDISK_L1, BALL])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bundle_scan_matches_per_sample_norm(n, family):
+    rng = Random(f"scan:{n}:{family}")
+    samples = (deform.circle_path(0.8, 24) + deform.circle_path(1.0, 24)
+               + deform.circle_path(1.25, 24) + deform.ray_path(2.1, 24, 0.3, 2.5)
+               + [1, -1, 1j])
+    for _ in range(3):
+        a = randgen.random_laurent(rng, n, max_degree=5, max_power=3, terms=10)
+        rho = rng.uniform(0.4, 1.6)
+        assert _scan_values(a, family, rho, samples) == pytest.approx(
+            _per_sample(a, family, rho, samples), rel=1e-12, abs=0.0)
+
+
+def test_bundle_scan_large_degree_ball_branch():
+    # t = |q|^2 = 9 and |k| >= 40 put log [j]_t on its closed form for j > 27
+    rng = Random(40)
+    terms = {}
+    for k in ((14, 13, 13), (20, 21, 0), (0, 0, 44), (12, 11, 17)):
+        for p in (-2, 0, 3):
+            terms[(k, p)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    a = LaurentElement(3, terms)
+    samples = deform.circle_path(3.0, 16) + deform.ray_path(-0.7, 16, 2.5, 3.5)
+    for family in (BALL, POLYDISK_L1):
+        assert _scan_values(a, family, 0.6, samples) == pytest.approx(
+            _per_sample(a, family, 0.6, samples), rel=1e-12, abs=0.0)
+
+
+def test_bundle_scan_exact_cancellation_and_empty():
+    # x z - x z^{-1} has the zero fiber at q = 1 and q = -1
+    a = LaurentElement(1, {((1,), 1): 1.0, ((1,), -1): -1.0})
+    samples = [1, -1, 1j, 0.5, 2.0]
+    for family in (POLYDISK_L1, BALL):
+        values = _scan_values(a, family, 1.0, samples)
+        assert values[:2] == [0.0, 0.0]
+        assert values == pytest.approx(_per_sample(a, family, 1.0, samples),
+                                       rel=1e-12, abs=0.0)
+        empty = _scan_values(LaurentElement.zero(3), family, 1.0, samples)
+        assert empty == [0.0] * len(samples)
+        # |c q^2| = 5e-13 is pruned at |q| = 0.5 and kept at |q| = 1
+        tiny = LaurentElement(2, {((1, 1), 2): 2e-12})
+        tiny_samples = [0.5, -0.5, 0.5j, 1.0]
+        values = _scan_values(tiny, family, 1.0, tiny_samples)
+        assert values[:3] == [0.0, 0.0, 0.0] and values[3] > 0.0
+        assert values == pytest.approx(_per_sample(tiny, family, 1.0, tiny_samples),
+                                       rel=1e-12, abs=0.0)
+
+
 def test_bundle_scan_errors():
     one = LaurentElement.one(2)
     with pytest.raises(ValueError):
         deform.bundle_scan(one, POLYDISK_L1, 1.0, [0.5, 0.0])
     with pytest.raises(ValueError):
         deform.bundle_scan(one, "free-taylor", 1.0, [0.5])
+    huge = LaurentElement.monomial(2, (20, 20), 0)
+    with pytest.raises(OverflowError):
+        _per_sample(huge, BALL, 1e10, [1.0])
+    with pytest.raises(OverflowError):
+        deform.bundle_scan(huge, BALL, 1e10, [0.5, 1.0])
 
 
 def test_path_helpers():

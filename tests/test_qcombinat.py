@@ -7,7 +7,7 @@ from qdomains import _wordkit_py
 from qdomains import qcombinat as qc
 from qdomains.qcombinat import EnumerationCapExceeded, QParam
 
-from oracles import brute_fiber, brute_inversions
+from oracles import brute_fiber, brute_inversions, brute_mahonian_sum
 
 # mpmath-verified infinite products (30 digits), frozen
 POCH_HALF_HALF = 0.288788095086602421278899721929
@@ -209,17 +209,28 @@ def test_words_enumeration():
 
 
 def test_pure_python_kernels_match_active_implementation():
+    # without the compiled extension _kernels is the pure twin itself, so
+    # the active kernels are also held to brute-force routes
     from qdomains import _kernels
     for counts in ((2, 1), (1, 1, 1), (3, 2), (0, 2, 1)):
         assert _wordkit_py.fiber_words(counts) == _kernels.fiber_words(counts)
         assert _wordkit_py.fiber_inversions(counts) == _kernels.fiber_inversions(counts)
+        fiber = brute_fiber(counts)
+        assert _kernels.fiber_words(counts) == fiber
+        assert _kernels.fiber_inversions(counts) == [brute_inversions(w) for w in fiber]
         for q in (0.5, 1.3, cmath.exp(0.7j)):
             assert _wordkit_py.mahonian_sum(counts, q) == pytest.approx(
                 _kernels.mahonian_sum(counts, q), rel=1e-13)
+            assert _kernels.mahonian_sum(counts, q) == pytest.approx(
+                brute_mahonian_sum(counts, q), rel=1e-13)
     for alpha in qc.words(3, 5):
         assert _wordkit_py.inversions(alpha) == _kernels.inversions(alpha)
         assert _wordkit_py.switch_count(alpha) == _kernels.switch_count(alpha)
         assert _wordkit_py.word_profile(alpha, 3) == _kernels.word_profile(alpha, 3)
+        assert _kernels.inversions(alpha) == brute_inversions(alpha)
+        switches = sum(1 for a, b in zip(alpha, alpha[1:]) if a != b)
+        assert _kernels.switch_count(alpha) == (switches if len(alpha) > 1 else len(alpha) - 1)
+        assert _kernels.word_profile(alpha, 3) == tuple(alpha.count(i) for i in (1, 2, 3))
 
 
 def test_stirling_ratio_trend():
