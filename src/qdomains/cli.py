@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from qdomains import deform, fock, spectral, suites
@@ -217,9 +216,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = int(os.environ.get("QDOMAINS_JOBS", "1"))
     if args.suite == "all":
-        reports = suites.run_all(seed=args.seed, jobs=jobs)
+        reports = suites.run_all(seed=args.seed)
     else:
         try:
             reports = [suites.run_suite(args.suite, seed=args.seed)]

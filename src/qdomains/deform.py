@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import index
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from qdomains import _mutate
 from qdomains import qcombinat as qc
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
-from qdomains.elements import PRUNE_TOL, LaurentElement, QPolynomial, qpoly_mul
+from qdomains.elements import (PRUNE_TOL, LaurentElement, QPolynomial, _plain_mul,
+                               _twisted_mul, qpoly_mul)
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 from qdomains.qcombinat import sigma
 
@@ -41,11 +43,17 @@ __all__ = [
 ]
 
 
-def _phase_taylor(exponent: int, order: int) -> list:
-    # Taylor coefficients of e^{-i*exponent*h} through h^order
+def _taylor_exp(rate: complex, order: int) -> list:
+    # Taylor coefficients of e^{rate*h} through h^order
     coeffs = [1.0 + 0.0j]
     for j in range(1, order + 1):
-        coeffs.append(coeffs[-1] * (-1j * exponent) / j)
+        coeffs.append(coeffs[-1] * rate / j)
+    return coeffs
+
+
+def _phase_taylor(exponent: int, order: int) -> list:
+    # Taylor coefficients of e^{-i*exponent*h}, through the star-phase hook
+    coeffs = _taylor_exp(-1j * exponent, order)
     if exponent != 0:
         coeffs = [_mutate.scale("star-phase", c) for c in coeffs]
     return coeffs
@@ -59,22 +67,16 @@ def star_product(f: HSeriesElement, g: HSeriesElement, order: int | None = None,
         raise ValueError("dimension mismatch")
     if order is None:
         order = min(f.order, g.order)
-    out: dict = {}
-    for (p1, k), a in f.terms.items():
-        if p1 > order:
-            continue
-        for (p2, l), b in g.terms.items():
-            if p1 + p2 > order:
-                continue
-            key_k = tuple(ki + li for ki, li in zip(k, l))
-            if degree_cap is not None and sum(key_k) > degree_cap:
-                continue
-            phases = _phase_taylor(sigma(l, k), order - p1 - p2)
-            ab = a * b
-            for j, phase in enumerate(phases):
-                key = (p1 + p2 + j, key_k)
-                out[key] = out.get(key, 0.0) + ab * phase
-    return HSeriesElement(f.n, order, out)
+
+    def spread(p1, p2, s, _):
+        # h^{p1 + p2 + j} picks up the j-th Taylor coefficient of the phase
+        phases = _phase_taylor(s, order - p1 - p2) if p1 + p2 <= order else ()
+        return tuple(enumerate(phases, p1 + p2))
+
+    out = _twisted_mul([(k, p, c) for (p, k), c in f.terms.items() if p <= order],
+                       [(k, p, c) for (p, k), c in g.terms.items()],
+                       spread, degree_cap)
+    return HSeriesElement(f.n, order, {(p, k): c for (k, p), c in out.items()})
 
 
 def evaluate_h(f: HSeriesElement, h: float) -> QPolynomial:
@@ -90,23 +92,21 @@ def poisson_bracket(f: QPolynomial, g: QPolynomial) -> QPolynomial:
     f._check_compatible(g)
     if abs(f.q.value - 1.0) > 1e-12:
         raise ValueError("the Poisson bracket lives on the commutative fiber q = 1")
-    out: dict = {}
-    for k, a in f.terms.items():
-        for l, b in g.terms.items():
-            factor = sigma(k, l) - sigma(l, k)
-            if factor == 0:
-                continue
-            key = tuple(ki + li for ki, li in zip(k, l))
-            out[key] = out.get(key, 0.0) + a * b * factor
-    return QPolynomial(f.n, f.q, out)
+
+    def bracket(g1, g2, s_lk, s_kl):
+        return ((None, s_kl - s_lk),) if s_kl != s_lk else ()
+
+    return QPolynomial(f.n, f.q, _plain_mul(f, g, bracket, both_sigmas=True))
+
+
+def _phi_defect(s_kl: int, s_lk: int, h: float) -> complex:
+    return ((cmath.exp(-1j * h * s_lk) - cmath.exp(-1j * h * s_kl)) / h
+            - 1j * (s_kl - s_lk))
 
 
 def phi_defect_coefficient(k: Sequence[int], l: Sequence[int], h: float) -> complex:
     """(e^{-ih sigma(l,k)} - e^{-ih sigma(k,l)})/h - i (sigma(k,l) - sigma(l,k))."""
-    s_kl = sigma(k, l)
-    s_lk = sigma(l, k)
-    return ((cmath.exp(-1j * h * s_lk) - cmath.exp(-1j * h * s_kl)) / h
-            - 1j * (s_kl - s_lk))
+    return _phi_defect(sigma(k, l), sigma(l, k), h)
 
 
 def quantization_defect(f: QPolynomial, g: QPolynomial, h: float,
@@ -119,13 +119,9 @@ def quantization_defect(f: QPolynomial, g: QPolynomial, h: float,
     if h == 0:
         raise ValueError("the defect is a difference quotient; h must be nonzero")
     f._check_compatible(g)
-    q_h = cmath.exp(1j * h)
-    out: dict = {}
-    for k, a in f.terms.items():
-        for l, b in g.terms.items():
-            key = tuple(ki + li for ki, li in zip(k, l))
-            out[key] = out.get(key, 0.0) + a * b * phi_defect_coefficient(k, l, h)
-    defect = QPolynomial(f.n, q_h, out)
+    out = _plain_mul(f, g, lambda g1, g2, s_lk, s_kl: ((None, _phi_defect(s_kl, s_lk, h)),),
+                     both_sigmas=True)
+    defect = QPolynomial(f.n, cmath.exp(1j * h), out)
     fiber_spec = NormSpec(spec.family, spec.rho, spec.tau, spec.order, None)
     return norm(defect, fiber_spec)
 
@@ -153,7 +149,7 @@ def formal_ball_lift(k: Sequence[int], order: int, cap: int = 10 ** 6) -> Formal
 
     Its truncated normal ordering returns x^k exactly through h^order, and
     the h^s coefficient has circ norm at most |k|^{2s} (k!/|k|!)^{1/2}."""
-    k = tuple(int(m) for m in k)
+    k = tuple(map(index, k))
     n = len(k)
     words = qc.fiber_words(k, cap)
     weight = 1.0 / qc.fiber_count(k)
@@ -178,19 +174,11 @@ def normal_order_formal(u: FormalFreeElement, order: int | None = None) -> HSeri
         if p > order:
             continue
         k = qc.word_profile(alpha, u.n)
-        phases = _phase_taylor_plain(-qc.inversions(alpha), order - p)
+        phases = _taylor_exp(1j * -qc.inversions(alpha), order - p)
         for j, phase in enumerate(phases):
             key = (p + j, k)
             out[key] = out.get(key, 0.0) + c * phase
     return HSeriesElement(u.n, order, out)
-
-
-def _phase_taylor_plain(exponent: int, order: int) -> list:
-    # Taylor of e^{i*exponent*h}; separate from the star-product hook
-    coeffs = [1.0 + 0.0j]
-    for j in range(1, order + 1):
-        coeffs.append(coeffs[-1] * (1j * exponent) / j)
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

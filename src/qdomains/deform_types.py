@@ -1,54 +1,45 @@
 """Truncated formal-parameter element types used by the deformation layer.
 
-Split out so the norm module can dispatch on HSeriesElement without a
-circular import.
+They live apart from deform because deform imports norms, and norms
+dispatches on HSeriesElement.  Both build on the sparse-element base of
+elements, with keys that lead with the h-power p, 0 <= p <= order.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
+from operator import index
 from typing import Mapping, Sequence
 
-PRUNE_TOL = 1e-12
+from qdomains.elements import PRUNE_TOL, _exponents, _SparseElement, _word
 
 
-def _validate_multi_index(k, n):
-    key = tuple(int(m) for m in k)
-    if len(key) != n or any(m < 0 for m in key):
-        raise ValueError(f"bad exponent vector {k!r} for dimension {n}")
-    return key
+def _h_power(p, order: int) -> int:
+    p = index(p)
+    if not 0 <= p <= order:
+        raise ValueError(f"h-power {p} outside 0..{order}")
+    return p
 
 
-class HSeriesElement:
+class HSeriesElement(_SparseElement):
     """Polynomial coefficients with a formal parameter truncated at h^order.
 
     Terms map (h-power p, exponent vector k) to complex coefficients;
     0 <= p <= order throughout.
     """
 
-    __slots__ = ("n", "order", "terms")
+    __slots__ = ("order",)
+    _fields = ("order",)
 
     def __init__(self, n: int, order: int, terms: Mapping, tol: float = PRUNE_TOL):
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        clean = {}
-        for (p, k), c in terms.items():
-            p = int(p)
-            if not 0 <= p <= order:
-                raise ValueError(f"h-power {p} outside 0..{order}")
-            key = (p, _validate_multi_index(k, n))
-            if key in clean:
-                raise ValueError(f"duplicate term key {key!r}")
-            if abs(c) > tol:
-                clean[key] = complex(c)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        self._setup(n, terms, tol, order)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HSeriesElement is immutable")
+    def _key(self, key):
+        p, k = key
+        return (_h_power(p, self.order), _exponents(k, self.n))
+
+    _sort_key = staticmethod(lambda key: (key[0], sum(key[1]), key[1]))
 
     @classmethod
     def zero(cls, n: int, order: int) -> "HSeriesElement":
@@ -75,97 +66,27 @@ class HSeriesElement:
         """The h^p coefficient as a plain exponent-vector map."""
         return {k: c for (pp, k), c in self.terms.items() if pp == p}
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (item[0][0], sum(item[0][1]), item[0][1]))
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0.0) + c
-        return HSeriesElement(self.n, self.order, terms)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0.0) - c
-        return HSeriesElement(self.n, self.order, terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, HSeriesElement) and self.n == other.n
-                and self.order == other.order and dict(self.terms) == dict(other.terms))
-
-    def __hash__(self):
-        return hash((self.n, self.order, frozenset(self.terms.items())))
-
-    def allclose(self, other, tol: float = PRUNE_TOL) -> bool:
-        if not isinstance(other, HSeriesElement) or self.n != other.n:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(key, 0.0) - other.terms.get(key, 0.0)) <= tol
-                   for key in keys)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, HSeriesElement):
-            raise TypeError("expected an HSeriesElement")
-        if self.n != other.n or self.order != other.order:
-            raise ValueError("dimension or truncation-order mismatch")
-
-    def __repr__(self):
-        return f"HSeriesElement(n={self.n}, order={self.order}, terms={len(self.terms)})"
-
-
-class FormalFreeElement:
+class FormalFreeElement(_SparseElement):
     """Free-algebra coefficients with a truncated formal parameter.
 
     Terms map (h-power p, word alpha) to complex coefficients.  Used for
     the formal ball lift and its truncated normal ordering.
     """
 
-    __slots__ = ("n", "order", "terms")
+    __slots__ = ("order",)
+    _fields = ("order",)
 
     def __init__(self, n: int, order: int, terms: Mapping, tol: float = PRUNE_TOL):
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        clean = {}
-        for (p, alpha), c in terms.items():
-            p = int(p)
-            if not 0 <= p <= order:
-                raise ValueError(f"h-power {p} outside 0..{order}")
-            word = tuple(int(a) for a in alpha)
-            if any(a < 1 or a > n for a in word):
-                raise ValueError(f"bad word {alpha!r} for dimension {n}")
-            if abs(c) > tol:
-                clean[(p, word)] = complex(c)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        self._setup(n, terms, tol, order)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalFreeElement is immutable")
+    def _key(self, key):
+        p, alpha = key
+        return (_h_power(p, self.order), _word(alpha, self.n))
+
+    _sort_key = staticmethod(lambda key: (key[0], len(key[1]), key[1]))
 
     def coefficient(self, p: int) -> dict:
         return {alpha: c for (pp, alpha), c in self.terms.items() if pp == p}
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (item[0][0], len(item[0][1]), item[0][1]))
-
-    def __eq__(self, other):
-        return (isinstance(other, FormalFreeElement) and self.n == other.n
-                and self.order == other.order and dict(self.terms) == dict(other.terms))
-
-    def __hash__(self):
-        return hash((self.n, self.order, frozenset(self.terms.items())))
-
-    def allclose(self, other, tol: float = PRUNE_TOL) -> bool:
-        if not isinstance(other, FormalFreeElement) or self.n != other.n:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(key, 0.0) - other.terms.get(key, 0.0)) <= tol
-                   for key in keys)
-
-    def __repr__(self):
-        return f"FormalFreeElement(n={self.n}, order={self.order}, terms={len(self.terms)})"

@@ -1,16 +1,22 @@
 """Algebra elements: q-plane polynomials, free-algebra elements, and
 Laurent-deformation elements, with their products and the lift maps.
 
-All three types are immutable coefficient maps over exact combinatorial
-keys.  Coefficients are double-precision complex; terms below the pruning
-tolerance (1e-12, absolute) are dropped at construction.
+Every element type of the kit, these three and the h-series types in
+deform_types, is an immutable coefficient map over exact combinatorial
+keys built on one base, _SparseElement.  Coefficients are double-precision
+complex; terms below the pruning tolerance (1e-12, absolute) are dropped
+at construction.  The q-plane, Laurent and h-series products all follow
+one commutation rule, x^k x^l = phase(sigma(l,k)) x^{k+l}, and run
+through one pair loop, _twisted_mul.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Number
+from operator import add, index, sub
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from qdomains import _mutate
 from qdomains import qcombinat as qc
@@ -35,37 +41,133 @@ __all__ = [
 PRUNE_TOL = 1e-12
 
 
-def _prune(terms, tol):
-    return {key: complex(c) for key, c in terms.items() if abs(c) > tol}
+def _exponents(k, n: int) -> tuple:
+    """An exponent vector as a tuple of n nonnegative ints."""
+    key = tuple(map(index, k))
+    if len(key) != n or min(key) < 0:
+        raise ValueError(f"bad exponent vector {k!r} for dimension {n}")
+    return key
 
 
-class QPolynomial:
+def _word(alpha, n: int) -> tuple:
+    """A word as a tuple of letters in 1..n."""
+    word = tuple(map(index, alpha))
+    if word and (min(word) < 1 or max(word) > n):
+        raise ValueError(f"bad word {alpha!r} for dimension {n}")
+    return word
+
+
+class _SparseElement:
+    """Immutable, finitely supported coefficient map over exact keys.
+
+    A subclass names its parameters besides n in _fields, normalises and
+    validates one basis key in _key(key), orders keys with the static
+    _sort_key(key), and keeps its own __init__, which hands its arguments
+    to _setup.  Results of arithmetic are built through that __init__ too.
+    """
+
+    __slots__ = ("n", "terms")
+    _fields: tuple = ()
+
+    def _setup(self, n: int, terms: Mapping, tol: float, *params):
+        if n < 1:
+            raise ValueError("dimension must be at least 1")
+        object.__setattr__(self, "n", n)
+        for name, value in zip(self._fields, params):
+            object.__setattr__(self, name, value)
+        clean = {}
+        for key, c in terms.items():
+            norm_key = self._key(key)
+            if norm_key in clean:
+                raise ValueError(f"duplicate basis key {key!r}")
+            clean[norm_key] = c
+        object.__setattr__(self, "terms", MappingProxyType(
+            {key: complex(c) for key, c in clean.items() if abs(c) > tol}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _params(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _like(self, terms: Mapping):
+        return type(self)(self.n, *self._params(), terms)
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda item: self._sort_key(item[0]))
+
+    def _merge(self, other, op):
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = op(terms.get(key, 0.0), c)
+        return self._like(terms)
+
+    def __add__(self, other):
+        return self._merge(other, add)
+
+    def __sub__(self, other):
+        return self._merge(other, sub)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, Number):
+            return NotImplemented
+        return self._like({key: c * scalar for key, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.n == other.n
+                and self._params() == other._params()
+                and dict(self.terms) == dict(other.terms))
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.n, self._params(),
+                     frozenset(self.terms.items())))
+
+    def _params_close(self, other, tol: float) -> bool:
+        return self._params() == other._params()
+
+    def allclose(self, other, tol: float = PRUNE_TOL) -> bool:
+        if type(other) is not type(self) or self.n != other.n:
+            return False
+        if not self._params_close(other, tol):
+            return False
+        keys = set(self.terms) | set(other.terms)
+        return all(abs(self.terms.get(key, 0.0) - other.terms.get(key, 0.0)) <= tol
+                   for key in keys)
+
+    def _check_compatible(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if self.n != other.n or self._params() != other._params():
+            raise ValueError(" or ".join(("dimension",) + self._fields) + " mismatch")
+
+    def __repr__(self):
+        params = "".join(f", {name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}(n={self.n}{params}, terms={len(self.terms)})"
+
+
+class QPolynomial(_SparseElement):
     """Finitely supported element of the q-plane coordinate ring.
 
     Multiplication is determined by x_i x_j = q x_j x_i for i < j; the
     basis keys are exponent vectors k with x^k = x_1^{k_1} ... x_n^{k_n}.
     """
 
-    __slots__ = ("n", "q", "terms")
+    __slots__ = ("q",)
+    _fields = ("q",)
 
     def __init__(self, n: int, q, terms: Mapping, tol: float = PRUNE_TOL):
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        qp = as_qparam(q)
-        clean = {}
-        for k, c in terms.items():
-            key = tuple(int(m) for m in k)
-            if len(key) != n or any(m < 0 for m in key):
-                raise ValueError(f"bad exponent vector {k!r} for dimension {n}")
-            if key in clean:
-                raise ValueError(f"duplicate exponent vector {k!r}")
-            clean[key] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", qp)
-        object.__setattr__(self, "terms", MappingProxyType(_prune(clean, tol)))
+        self._setup(n, terms, tol, as_qparam(q))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QPolynomial is immutable")
+    def _key(self, k):
+        return _exponents(k, self.n)
+
+    _sort_key = staticmethod(lambda k: (sum(k), k))
+
+    def _params_close(self, other, tol: float) -> bool:
+        return self.q.isclose(other.q, tol)
 
     @classmethod
     def zero(cls, n: int, q) -> "QPolynomial":
@@ -91,73 +193,24 @@ class QPolynomial:
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0.0) + c
-        return QPolynomial(self.n, self.q, terms)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def __mul__(self, other):
         if isinstance(other, QPolynomial):
             return qpoly_mul(self, other)
-        return QPolynomial(self.n, self.q, {k: c * other for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar)
-
-    def __eq__(self, other):
-        return (isinstance(other, QPolynomial) and self.n == other.n
-                and self.q == other.q and dict(self.terms) == dict(other.terms))
-
-    def __hash__(self):
-        return hash((self.n, self.q, frozenset(self.terms.items())))
-
-    def allclose(self, other, tol: float = PRUNE_TOL) -> bool:
-        if not isinstance(other, QPolynomial) or self.n != other.n:
-            return False
-        if not self.q.isclose(other.q, tol):
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, QPolynomial):
-            raise TypeError("expected a QPolynomial")
-        if self.n != other.n or self.q != other.q:
-            raise ValueError("dimension or q mismatch")
-
-    def __repr__(self):
-        return f"QPolynomial(n={self.n}, q={self.q.value}, terms={len(self.terms)})"
+        return super().__mul__(other)
 
 
-class FreeElement:
+class FreeElement(_SparseElement):
     """Finitely supported element of the free algebra on n generators."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping, tol: float = PRUNE_TOL):
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        clean = {}
-        for alpha, c in terms.items():
-            word = tuple(int(a) for a in alpha)
-            if any(a < 1 or a > n for a in word):
-                raise ValueError(f"bad word {alpha!r} for dimension {n}")
-            if word in clean:
-                raise ValueError(f"duplicate word {alpha!r}")
-            clean[word] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", MappingProxyType(_prune(clean, tol)))
+        self._setup(n, terms, tol)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeElement is immutable")
+    def _key(self, alpha):
+        return _word(alpha, self.n)
+
+    _sort_key = staticmethod(lambda alpha: (len(alpha), alpha))
 
     @classmethod
     def zero(cls, n: int) -> "FreeElement":
@@ -178,75 +231,29 @@ class FreeElement:
     def length(self) -> int:
         return max((len(a) for a in self.terms), default=0)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            terms[a] = terms.get(a, 0.0) + c
-        return FreeElement(self.n, terms)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def __mul__(self, other):
         if isinstance(other, FreeElement):
             return free_mul(self, other)
-        return FreeElement(self.n, {a: c * other for a, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar)
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeElement) and self.n == other.n
-                and dict(self.terms) == dict(other.terms))
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def allclose(self, other, tol: float = PRUNE_TOL) -> bool:
-        if not isinstance(other, FreeElement) or self.n != other.n:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(a, 0.0) - other.terms.get(a, 0.0)) <= tol for a in keys)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, FreeElement):
-            raise TypeError("expected a FreeElement")
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-
-    def __repr__(self):
-        return f"FreeElement(n={self.n}, terms={len(self.terms)})"
+        return super().__mul__(other)
 
 
-class LaurentElement:
+class LaurentElement(_SparseElement):
     """Finitely supported element of the Laurent deformation ring.
 
     Basis keys are pairs (k, p) standing for x^k z^p, with the relations
     x_i x_j = z x_j x_i (i < j) and central invertible z.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping, tol: float = PRUNE_TOL):
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        clean = {}
-        for (k, p), c in terms.items():
-            key = (tuple(int(m) for m in k), int(p))
-            if len(key[0]) != n or any(m < 0 for m in key[0]):
-                raise ValueError(f"bad exponent vector {k!r} for dimension {n}")
-            if key in clean:
-                raise ValueError(f"duplicate basis key {(k, p)!r}")
-            clean[key] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", MappingProxyType(_prune(clean, tol)))
+        self._setup(n, terms, tol)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentElement is immutable")
+    def _key(self, key):
+        k, p = key
+        return (_exponents(k, self.n), index(p))
+
+    _sort_key = staticmethod(lambda key: (sum(key[0]), key))
 
     @classmethod
     def zero(cls, n: int) -> "LaurentElement":
@@ -270,65 +277,57 @@ class LaurentElement:
     def z_power(cls, n: int, p: int) -> "LaurentElement":
         return cls.monomial(n, (0,) * n, p)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0][0]), item[0]))
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0.0) + c
-        return LaurentElement(self.n, terms)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def __mul__(self, other):
         if isinstance(other, LaurentElement):
             return laurent_mul(self, other)
-        return LaurentElement(self.n, {key: c * other for key, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar)
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentElement) and self.n == other.n
-                and dict(self.terms) == dict(other.terms))
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def allclose(self, other, tol: float = PRUNE_TOL) -> bool:
-        if not isinstance(other, LaurentElement) or self.n != other.n:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(key, 0.0) - other.terms.get(key, 0.0)) <= tol for key in keys)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, LaurentElement):
-            raise TypeError("expected a LaurentElement")
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-
-    def __repr__(self):
-        return f"LaurentElement(n={self.n}, terms={len(self.terms)})"
+        return super().__mul__(other)
 
 
 # ---------------------------------------------------------------------------
 # products
 
+def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
+                 both_sigmas: bool = False) -> dict:
+    """Bilinear product of (k, grade, c) term lists, grade being a z- or
+    h-power or None, under x^k x^l = phase x^{k+l}.
+
+    Per pair within degree_cap, rule(grade_a, grade_b, sigma(l,k),
+    sigma(k,l) if both_sigmas else None), evaluated once per distinct
+    argument, gives the (grade, factor) pairs the product c_a c_b is
+    spread over.  Returns {(k + l, grade): coeff} in pair order."""
+    sigma = qc.sigma
+    cache: dict = {}
+    out: dict = {}
+    for k, g, ck in a:
+        for l, h, cl in b:
+            key = tuple(map(add, k, l))
+            if degree_cap is not None and sum(key) > degree_cap:
+                continue
+            args = (g, h, sigma(l, k), sigma(k, l) if both_sigmas else None)
+            spread = cache.get(args)
+            if spread is None:
+                spread = cache[args] = rule(*args)
+            ab = ck * cl
+            for grade, factor in spread:
+                slot = (key, grade)
+                out[slot] = out.get(slot, 0.0) + ab * factor
+    return out
+
+
+def _plain_mul(a: QPolynomial, b: QPolynomial, rule: Callable,
+               degree_cap: int | None = None, both_sigmas: bool = False) -> dict:
+    """_twisted_mul over the terms of two q-plane elements, keyed by k + l."""
+    out = _twisted_mul([(k, None, c) for k, c in a.terms.items()],
+                       [(k, None, c) for k, c in b.terms.items()],
+                       rule, degree_cap, both_sigmas)
+    return {k: c for (k, _), c in out.items()}
+
+
 def qpoly_mul(a: QPolynomial, b: QPolynomial, degree_cap: int | None = None) -> QPolynomial:
     """Bilinear product from the monomial rule x^k x^l = q^{-sigma(l,k)} x^{k+l}."""
     a._check_compatible(b)
     q = a.q.value
-    out: dict = {}
-    for k, ck in a.terms.items():
-        for l, cl in b.terms.items():
-            key = tuple(ki + li for ki, li in zip(k, l))
-            if degree_cap is not None and sum(key) > degree_cap:
-                continue
-            coeff = ck * cl * q ** (-qc.sigma(l, k))
-            out[key] = out.get(key, 0.0) + coeff
+    out = _plain_mul(a, b, lambda g, h, s, _: ((None, q ** (-s)),), degree_cap)
     return QPolynomial(a.n, a.q, out)
 
 
@@ -349,14 +348,9 @@ def laurent_mul(a: LaurentElement, b: LaurentElement,
                 degree_cap: int | None = None) -> LaurentElement:
     """Monomial rule x^k z^p . x^l z^s = x^{k+l} z^{p+s-sigma(l,k)}."""
     a._check_compatible(b)
-    out: dict = {}
-    for (k, p), ck in a.terms.items():
-        for (l, s), cl in b.terms.items():
-            knew = tuple(ki + li for ki, li in zip(k, l))
-            if degree_cap is not None and sum(knew) > degree_cap:
-                continue
-            key = (knew, p + s - qc.sigma(l, k))
-            out[key] = out.get(key, 0.0) + ck * cl
+    out = _twisted_mul([(k, p, c) for (k, p), c in a.terms.items()],
+                       [(k, p, c) for (k, p), c in b.terms.items()],
+                       lambda p, s, sig, _: ((p + s - sig, 1.0),), degree_cap)
     return LaurentElement(a.n, out)
 
 
@@ -422,7 +416,7 @@ def polydisk_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     and its Taylor norm at any rho equals w_q(k) rho^{|k|}.
     """
     qp = as_qparam(q)
-    k = tuple(int(m) for m in k)
+    k = tuple(map(index, k))
     n = len(k)
     words = qc.fiber_words(k, cap)
     best = None
@@ -445,7 +439,7 @@ def ball_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     to x^k and its circ norm at rho is exactly the ball monomial norm.
     """
     qp = as_qparam(q)
-    k = tuple(int(m) for m in k)
+    k = tuple(map(index, k))
     n = len(k)
     words = qc.fiber_words(k, cap)
     ms = [qc.inversions(alpha) for alpha in words]

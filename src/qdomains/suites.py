@@ -872,11 +872,5 @@ def run_suite(name: str, seed: int = 1234, overrides: dict | None = None) -> Sui
                            error=f"resource limit: {exc}")
 
 
-def run_all(seed: int = 1234, jobs: int = 1) -> list:
-    names = list(SUITE_NAMES)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = dict(zip(names, pool.map(lambda n: run_suite(n, seed), names)))
-        return [reports[n] for n in names]
-    return [run_suite(name, seed) for name in names]
+def run_all(seed: int = 1234) -> list:
+    return [run_suite(name, seed) for name in SUITE_NAMES]

@@ -3,9 +3,11 @@
 Each oracle deliberately recomputes its quantity by a different algorithm
 than the library path it checks: pair counting vs kernel loops, bubble
 sort rewriting vs inversion powers, simplex optimization vs the closed
-form, and partial derivatives vs the monomial bracket rule.
+form, partial derivatives vs the monomial bracket rule, and one
+hand-written pair loop per product vs the shared twisted-product routine.
 """
 
+import cmath
 import itertools
 import math
 
@@ -111,3 +113,89 @@ def derivative_poisson_bracket(f, g, n):
             for k, c in _comm_mul({xij: 1.0}, part).items():
                 total[k] = total.get(k, 0.0) - c
     return {k: c for k, c in total.items() if abs(c) > 0.0}
+
+
+# ---------------------------------------------------------------------------
+# reference product loops: one hand-written pair loop per product, each
+# returning the raw accumulated coefficient map (before pruning)
+
+def brute_sigma(k, l):
+    """sigma(k, l) = sum_{i<j} k_i l_j by pair counting."""
+    return sum(k[i] * l[j] for i, j in itertools.combinations(range(len(k)), 2))
+
+
+def reference_qpoly_mul(a, b, degree_cap=None):
+    q = a.q.value
+    out = {}
+    for k, ck in a.terms.items():
+        for l, cl in b.terms.items():
+            key = tuple(ki + li for ki, li in zip(k, l))
+            if degree_cap is not None and sum(key) > degree_cap:
+                continue
+            coeff = ck * cl * q ** (-brute_sigma(l, k))
+            out[key] = out.get(key, 0.0) + coeff
+    return out
+
+
+def reference_laurent_mul(a, b, degree_cap=None):
+    out = {}
+    for (k, p), ck in a.terms.items():
+        for (l, s), cl in b.terms.items():
+            knew = tuple(ki + li for ki, li in zip(k, l))
+            if degree_cap is not None and sum(knew) > degree_cap:
+                continue
+            key = (knew, p + s - brute_sigma(l, k))
+            out[key] = out.get(key, 0.0) + ck * cl
+    return out
+
+
+def _phase_taylor(exponent, order):
+    # Taylor coefficients of e^{-i*exponent*h} through h^order
+    coeffs = [1.0 + 0.0j]
+    for j in range(1, order + 1):
+        coeffs.append(coeffs[-1] * (-1j * exponent) / j)
+    return coeffs
+
+
+def reference_star_product(f, g, order, degree_cap=None):
+    out = {}
+    for (p1, k), a in f.terms.items():
+        if p1 > order:
+            continue
+        for (p2, l), b in g.terms.items():
+            if p1 + p2 > order:
+                continue
+            key_k = tuple(ki + li for ki, li in zip(k, l))
+            if degree_cap is not None and sum(key_k) > degree_cap:
+                continue
+            phases = _phase_taylor(brute_sigma(l, k), order - p1 - p2)
+            ab = a * b
+            for j, phase in enumerate(phases):
+                key = (p1 + p2 + j, key_k)
+                out[key] = out.get(key, 0.0) + ab * phase
+    return out
+
+
+def reference_poisson_bracket(f, g):
+    out = {}
+    for k, a in f.terms.items():
+        for l, b in g.terms.items():
+            factor = brute_sigma(k, l) - brute_sigma(l, k)
+            if factor == 0:
+                continue
+            key = tuple(ki + li for ki, li in zip(k, l))
+            out[key] = out.get(key, 0.0) + a * b * factor
+    return out
+
+
+def reference_defect_terms(f, g, h):
+    """The fiber element whose norm is the quantization defect."""
+    out = {}
+    for k, a in f.terms.items():
+        for l, b in g.terms.items():
+            s_kl, s_lk = brute_sigma(k, l), brute_sigma(l, k)
+            phi = ((cmath.exp(-1j * h * s_lk) - cmath.exp(-1j * h * s_kl)) / h
+                   - 1j * (s_kl - s_lk))
+            key = tuple(ki + li for ki, li in zip(k, l))
+            out[key] = out.get(key, 0.0) + a * b * phi
+    return out

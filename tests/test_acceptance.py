@@ -152,13 +152,25 @@ def test_criterion_11_formal_ball_lift():
     report(11, "truncated ordering identity through h^3 for |k|<=5, n<=3")
 
 
-def _run_cli(args, mutate=None):
+def _start_cli(args, mutate=None):
     env = dict(os.environ)
     env.pop("QDOMAINS_MUTATE", None)
     if mutate:
         env["QDOMAINS_MUTATE"] = mutate
-    return subprocess.run([sys.executable, "-m", "qdomains", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.Popen([sys.executable, "-m", "qdomains", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
+
+
+def _finish_cli(proc, timeout=300.0):
+    """(returncode, stdout, stderr) of a started run; killed on timeout."""
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        out, err = proc.communicate()
+        pytest.fail(f"{proc.args} timed out after {timeout:.0f}s:\n{out}{err}")
+    return proc.returncode, out, err
 
 
 MUTATION_TARGETS = [
@@ -173,14 +185,23 @@ MUTATION_TARGETS = [
 
 
 def test_criterion_12_verify_all_and_mutation_smoke():
+    # every run is an independent process: start them all, then collect
     start = time.perf_counter()
-    result = _run_cli(["verify", "all", "--seed", "1234"])
-    elapsed = time.perf_counter() - start
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert elapsed < 300.0
-    for mutation, suite in MUTATION_TARGETS:
-        mutated = _run_cli(["verify", suite], mutate=mutation)
-        assert mutated.returncode == 1, (
-            f"mutation {mutation} did not fail suite {suite}:\n{mutated.stdout}")
+    verify_all = _start_cli(["verify", "all", "--seed", "1234"])
+    running = [(mutation, suite, _start_cli(["verify", suite], mutate=mutation))
+               for mutation, suite in MUTATION_TARGETS]
+    try:
+        code, out, err = _finish_cli(verify_all)
+        elapsed = time.perf_counter() - start
+        assert code == 0, out + err
+        assert elapsed < 300.0
+        for mutation, suite, proc in running:
+            code, out, _ = _finish_cli(proc)
+            assert code == 1, f"mutation {mutation} did not fail suite {suite}:\n{out}"
+    finally:
+        for proc in [verify_all] + [proc for _, _, proc in running]:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
     report(12, f"verify all green in {elapsed:.0f}s < 300s; "
                f"{len(MUTATION_TARGETS)} formula mutations each fail their suite")

@@ -9,7 +9,8 @@ from qdomains.deform_types import HSeriesElement
 from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 
-from oracles import derivative_poisson_bracket
+from oracles import (derivative_poisson_bracket, reference_defect_terms,
+                     reference_poisson_bracket, reference_star_product)
 
 
 def test_sigma_examples():
@@ -71,6 +72,30 @@ def test_star_zero_order_is_commutative_product():
     for (p, k), c in prod.terms.items():
         assert p == 0
         assert c == pytest.approx(commutative.terms.get(k, 0.0), abs=1e-12)
+
+
+def test_routed_deformation_products_equal_reference_loops():
+    rng = Random("routed-deform")
+    spec = NormSpec(POLYDISK_L1, 0.9)
+    for trial in range(150):
+        n = 1 + trial % 3
+        order = trial % 4
+        f = randgen.random_hseries(rng, n, order + trial % 2, max_degree=3, terms=6)
+        g = randgen.random_hseries(rng, n, order, max_degree=3, terms=6)
+        for star_order, cap in ((None, None), (max(order - 1, 0), None), (order, 3)):
+            got = deform.star_product(f, g, order=star_order, degree_cap=cap)
+            used = order if star_order is None else star_order
+            expected = HSeriesElement(n, used, reference_star_product(f, g, used, cap))
+            assert got == expected and list(got.terms) == list(expected.terms)
+        # at q = 1 with shared supports, many pairs have a zero bracket factor
+        a = randgen.random_qpoly(rng, n, 1.0, max_degree=2, terms=6)
+        b = a + randgen.random_qpoly(rng, n, 1.0, max_degree=2, terms=2)
+        got = deform.poisson_bracket(a, b)
+        expected = QPolynomial(n, 1.0, reference_poisson_bracket(a, b))
+        assert got == expected and list(got.terms) == list(expected.terms)
+        h = (0.3, -0.05, 1.1)[trial % 3]
+        defect = QPolynomial(n, cmath.exp(1j * h), reference_defect_terms(a, b, h))
+        assert deform.quantization_defect(a, b, h, spec) == norm(defect, spec)
 
 
 def test_evaluate_h_matches_fiber_product():

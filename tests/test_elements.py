@@ -6,6 +6,7 @@ import pytest
 
 from qdomains import qcombinat as qc
 from qdomains import randgen
+from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import (
     FreeElement,
     LaurentElement,
@@ -22,7 +23,7 @@ from qdomains.elements import (
     tau_flip,
 )
 
-from oracles import rewrite_normal_order
+from oracles import reference_laurent_mul, reference_qpoly_mul, rewrite_normal_order
 
 
 def x_mono(n, q, k, c=1.0):
@@ -242,15 +243,91 @@ def test_component_of_product_identity():
             assert direct.allclose(assembled, tol=1e-10)
 
 
+def test_routed_products_equal_reference_loops():
+    rng = Random("routed-products")
+    for trial in range(200):
+        n = 1 + trial % 3
+        q = (0.5, 2.0, cmath.exp(0.7j), 1.0)[trial % 4]
+        cap = (None, 3, 5)[trial % 3]
+        a = randgen.random_qpoly(rng, n, q, max_degree=4, terms=6)
+        b = randgen.random_qpoly(rng, n, q, max_degree=4, terms=6)
+        got = qpoly_mul(a, b, degree_cap=cap)
+        expected = QPolynomial(n, q, reference_qpoly_mul(a, b, cap))
+        assert got == expected and list(got.terms) == list(expected.terms)
+        u = randgen.random_laurent(rng, n, terms=6)
+        v = randgen.random_laurent(rng, n, terms=6)
+        got = laurent_mul(u, v, degree_cap=cap)
+        expected = LaurentElement(n, reference_laurent_mul(u, v, cap))
+        assert got == expected and list(got.terms) == list(expected.terms)
+    wide_a = randgen.random_qpoly(rng, 3, 0.8, max_degree=8, terms=60)
+    wide_b = randgen.random_qpoly(rng, 3, 0.8, max_degree=8, terms=60)
+    assert qpoly_mul(wide_a, wide_b) == QPolynomial(3, 0.8, reference_qpoly_mul(wide_a, wide_b))
+
+
+class _Letter:
+    """Stands for an int through __index__ without being equal to it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# per element type: a constructor over a terms map, two valid keys in
+# sorted order, out-of-range keys, a non-integral key, and two distinct
+# keys that name the same basis element
+ELEMENT_CASES = [
+    (lambda t, **kw: QPolynomial(2, 0.5, t, **kw), [(0, 1), (2, 0)],
+     [(1,), (1, -1)], (1.5, 0), ((1, 0), (_Letter(1), 0))),
+    (lambda t, **kw: FreeElement(2, t, **kw), [(2,), (1, 1)],
+     [(3,), (0, 1)], (1.0,), ((1,), (_Letter(1),))),
+    (lambda t, **kw: LaurentElement(2, t, **kw), [((0, 1), 5), ((2, 0), -1)],
+     [((1, -1), 0), ((1,), 0)], ((1, 0), 0.9), (((1, 0), 0), ((1, 0), _Letter(0)))),
+    (lambda t, **kw: HSeriesElement(2, 2, t, **kw), [(0, (2, 0)), (1, (0, 1))],
+     [(3, (1, 0)), (-1, (1, 0)), (0, (1,))], (0, (1.5, 0)),
+     ((0, (1, 0)), (0, (_Letter(1), 0)))),
+    (lambda t, **kw: FormalFreeElement(2, 2, t, **kw), [(0, (2,)), (1, (1,))],
+     [(3, (1,)), (0, (3,))], (0.5, (1,)), ((0, (1,)), (0, (_Letter(1),)))),
+]
+
+
 def test_element_validation_and_immutability():
+    for make, (first, second), bad_keys, fractional, (key, alias) in ELEMENT_CASES:
+        e = make({second: 2.0, first: 1.0})
+        name = type(e).__name__
+        for bad in bad_keys:
+            with pytest.raises(ValueError):
+                make({bad: 1.0})
+        # non-integral keys are rejected, not truncated onto an integer key
+        with pytest.raises(TypeError):
+            make({fractional: 1.0})
+        for c in (1.0, 1e-15):   # a pruned first copy still counts
+            with pytest.raises(ValueError, match="duplicate"):
+                make({key: c, alias: 2.0})
+        with pytest.raises(AttributeError):
+            e.n = 3
+        with pytest.raises(TypeError):
+            e.terms[first] = 5.0
+        assert dict(make({first: 1e-15}, tol=0.0).terms) == {first: 1e-15}, name
+        assert dict(make({first: 1e-15, second: 1.0}).terms) == {second: 1.0}, name
+        same = make({first: 1.0, second: 2.0})
+        assert e == same and hash(e) == hash(same), name
+        assert e != make({first: 1.0}) and e != dict(e.terms), name
+        assert e.allclose(make({first: 1.0 + 1e-13, second: 2.0})), name
+        assert not e.allclose(make({first: 1.0 + 1e-6, second: 2.0})), name
+        assert e.allclose(make({first: 1.0 + 1e-6, second: 2.0}), tol=1e-5), name
+        assert [k for k, _ in e.sorted_terms()] == [first, second], name
+        assert e + e == 2.0 * e == e * 2.0, name
+        assert dict((e - e).terms) == {}, name
+        # subtraction does not prune the subtrahend first
+        tiny = make({first: 1e-13}, tol=0.0)
+        assert dict((e - tiny).terms) == {first: 1.0 - 1e-13, second: 2.0}, name
     with pytest.raises(ValueError):
-        QPolynomial(2, 0.5, {(1,): 1.0})
-    with pytest.raises(ValueError):
-        FreeElement(2, {(3,): 1.0})
-    with pytest.raises(ValueError):
-        LaurentElement(2, {((1, -1), 0): 1.0})
-    a = QPolynomial.one(2, 0.5)
-    with pytest.raises(AttributeError):
-        a.n = 3
-    pruned = QPolynomial(2, 0.5, {(1, 0): 1e-15})
-    assert dict(pruned.terms) == {}
+        QPolynomial(2, 0.5, {(1, 0): 1.0}) + QPolynomial(2, 0.7, {(1, 0): 1.0})
+    with pytest.raises(TypeError):
+        QPolynomial.one(2, 0.5) + FreeElement.one(2)
+    with pytest.raises(TypeError):
+        ball_lift((1, 0.5), 0.5)
+    with pytest.raises(TypeError):
+        polydisk_lift((1.5, 1), 0.5)
