@@ -1,24 +1,13 @@
-"""Selects the compiled word-statistics core, falling back to pure Python.
+"""The word-statistics kernels: inversion and switch counts, letter
+profiles, fiber enumeration and Mahonian sums (pure Python, _wordkit_py)."""
 
-Set QDOMAINS_PURE_PYTHON=1 to force the fallback (the benchmark and the
-fallback tests rely on this).
-"""
+from qdomains._wordkit_py import (
+    fiber_inversions,
+    fiber_words,
+    inversions,
+    mahonian_sum,
+    switch_count,
+    word_profile,
+)
 
-import os
-
-if os.environ.get("QDOMAINS_PURE_PYTHON"):
-    from qdomains import _wordkit_py as impl
-else:
-    try:
-        from qdomains import _wordkit as impl  # type: ignore[no-redef]
-    except ImportError:
-        from qdomains import _wordkit_py as impl  # type: ignore[no-redef]
-
-USING_COMPILED: bool = impl.COMPILED
-
-inversions = impl.inversions
-switch_count = impl.switch_count
-word_profile = impl.word_profile
-fiber_words = impl.fiber_words
-fiber_inversions = impl.fiber_inversions
-mahonian_sum = impl.mahonian_sum
+USING_COMPILED: bool = False

@@ -1,6 +1,4 @@
-"""Pure-Python word-statistics kernels (fallback twin of _wordkit.pyx)."""
-
-COMPILED = False
+"""Pure-Python word-statistics kernels, re-exported by qdomains._kernels."""
 
 
 def inversions(word):

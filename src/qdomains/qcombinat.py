@@ -301,21 +301,22 @@ def delta_word(k: Sequence[int]) -> tuple:
 _DEFAULT_FIBER_CAP = 10 ** 6
 
 
-def fiber_words(k: Sequence[int], cap: int = _DEFAULT_FIBER_CAP) -> list:
-    """All words alpha with p(alpha) = k, exactly once, in lexicographic order."""
+def _check_fiber_cap(k: Sequence[int], cap: int) -> None:
     count = fiber_count(k)
     if count > cap:
         raise EnumerationCapExceeded(
             f"fiber of size {count} exceeds the enumeration cap {cap}")
+
+
+def fiber_words(k: Sequence[int], cap: int = _DEFAULT_FIBER_CAP) -> list:
+    """All words alpha with p(alpha) = k, exactly once, in lexicographic order."""
+    _check_fiber_cap(k, cap)
     return _fiber_words_raw(tuple(k))
 
 
 def fiber_inversion_list(k: Sequence[int], cap: int = _DEFAULT_FIBER_CAP) -> list:
     """Inversion numbers m(alpha) over the fiber, in the fiber_words order."""
-    count = fiber_count(k)
-    if count > cap:
-        raise EnumerationCapExceeded(
-            f"fiber of size {count} exceeds the enumeration cap {cap}")
+    _check_fiber_cap(k, cap)
     return fiber_inversions(tuple(k))
 
 
@@ -329,10 +330,7 @@ def inv_distribution(k: Sequence[int], q: complex,
     """Sum of q**m(alpha) over the fiber, both by enumeration and in the
     closed Mahonian form [|k|]_q!/[k]_q!; the two agree to ~1e-10 relative.
     """
-    count = fiber_count(k)
-    if count > cap:
-        raise EnumerationCapExceeded(
-            f"fiber of size {count} exceeds the enumeration cap {cap}")
+    _check_fiber_cap(k, cap)
     brute = mahonian_sum(tuple(k), complex(q))
     closed = q_factorial(sum(k), q) / q_factorial(k, q)
     closed = _mutate.scale("mahonian-closed-form", closed)

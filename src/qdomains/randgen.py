@@ -9,6 +9,7 @@ through random.Random, so a fixed seed replays exactly.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from random import Random
 
 from qdomains import qcombinat as qc
@@ -39,8 +40,9 @@ def random_qpoly(rng: Random, n: int, q, max_degree: int = 4, terms: int = 6) ->
     return QPolynomial(n, q, chosen)
 
 
-def _word_pool(n: int, max_len: int) -> list:
-    return list(qc.words(n, max_len))
+@lru_cache(maxsize=None)
+def _word_pool(n: int, max_len: int) -> tuple:
+    return tuple(qc.words(n, max_len))
 
 
 def random_free(rng: Random, n: int, max_len: int = 4, terms: int = 6) -> FreeElement:
