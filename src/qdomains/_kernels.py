@@ -1,5 +1,6 @@
 """The word-statistics kernels: inversion and switch counts, letter
-profiles, fiber enumeration and Mahonian sums (pure Python, _wordkit_py)."""
+profiles, batched word statistics, fiber enumeration and Mahonian sums
+(Python and numpy, _wordkit_py)."""
 
 from qdomains._wordkit_py import (
     fiber_inversions,
@@ -8,6 +9,7 @@ from qdomains._wordkit_py import (
     mahonian_sum,
     switch_count,
     word_profile,
+    word_stats,
 )
 
 USING_COMPILED: bool = False

@@ -1,4 +1,12 @@
-"""Pure-Python word-statistics kernels, re-exported by qdomains._kernels."""
+"""Word-statistics kernels, re-exported by qdomains._kernels.
+
+Scalar statistics of one word are plain Python loops; the statistics of a
+batch of words (word_stats, and through it the fiber inversion lists and
+Mahonian sums) are one numpy pass over the batch."""
+
+from itertools import chain
+
+import numpy as np
 
 
 def inversions(word):
@@ -24,6 +32,30 @@ def word_profile(word, n):
     for a in word:
         counts[a - 1] += 1
     return tuple(counts)
+
+
+def word_stats(words, n):
+    """(profiles, inversions) of every word in words, over letters 1..n.
+
+    The words are left-padded with 0 into one integer array; 0 is below
+    every letter, so padding adds no inversion, and it is not counted in
+    any profile.  Letters outside 1..n are left out of the profiles.
+    Returns a list of n-tuples and a list of ints, in the order of words."""
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    d = int(lengths.max(initial=0))
+    padded = np.zeros((len(words), d), dtype=np.int64)
+    padded[np.arange(d) >= d - lengths[:, None]] = np.fromiter(
+        chain.from_iterable(words), dtype=np.int64, count=int(lengths.sum()))
+    ms = np.zeros(len(words), dtype=np.int64)
+    for j in range(1, d):
+        ms += (padded[:, :j] > padded[:, j:j + 1]).sum(axis=1)
+    # one bincount over (row, letter) bins; bin 0 takes the padding and
+    # bin n + 1 every letter outside 1..n
+    bins = n + 2
+    flat = np.minimum(np.maximum(padded, 0), n + 1) + bins * np.arange(len(words))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=bins * len(words))
+    profiles = counts.reshape(len(words), bins)[:, 1:n + 1]
+    return list(map(tuple, profiles.tolist())), ms.tolist()
 
 
 def _start_word(counts):
@@ -57,11 +89,7 @@ def fiber_words(counts):
 
 
 def fiber_inversions(counts):
-    word = _start_word(counts)
-    out = [0]
-    while _next_permutation(word):
-        out.append(inversions(word))
-    return out
+    return word_stats(fiber_words(counts), len(counts))[1]
 
 
 def mahonian_sum(counts, q):
@@ -74,8 +102,8 @@ def mahonian_sum(counts, q):
     powers = [1.0 + 0.0j] * (max_m + 1)
     for m in range(1, max_m + 1):
         powers[m] = powers[m - 1] * q
-    word = _start_word(counts)
-    acc = powers[0]
-    while _next_permutation(word):
-        acc += powers[inversions(word)]
+    ms = fiber_inversions(counts)
+    acc = powers[ms[0]]
+    for m in ms[1:]:
+        acc += powers[m]
     return acc

@@ -154,8 +154,7 @@ def formal_ball_lift(k: Sequence[int], order: int, cap: int = 10 ** 6) -> Formal
     words = qc.fiber_words(k, cap)
     weight = 1.0 / qc.fiber_count(k)
     terms: dict = {}
-    for alpha in words:
-        m = qc.inversions(alpha)
+    for alpha, m in zip(words, qc.word_stats(words, n)[1]):
         coeff = complex(weight)
         terms[(0, alpha)] = coeff
         for p in range(1, order + 1):
@@ -170,11 +169,16 @@ def normal_order_formal(u: FormalFreeElement, order: int | None = None) -> HSeri
     if order is None:
         order = u.order
     out: dict = {}
+    words = list(dict.fromkeys(alpha for _, alpha in u.terms))
+    stats = dict(zip(words, zip(*qc.word_stats(words, u.n))))
+    taylor: dict = {}   # (m, order - p) -> Taylor coefficients of e^{-imh}
     for (p, alpha), c in u.terms.items():
         if p > order:
             continue
-        k = qc.word_profile(alpha, u.n)
-        phases = _taylor_exp(1j * -qc.inversions(alpha), order - p)
+        k, m = stats[alpha]
+        phases = taylor.get((m, order - p))
+        if phases is None:
+            phases = taylor[m, order - p] = _taylor_exp(1j * -m, order - p)
         for j, phase in enumerate(phases):
             key = (p + j, k)
             out[key] = out.get(key, 0.0) + c * phase

@@ -361,9 +361,9 @@ def normal_order(f: FreeElement, q) -> QPolynomial:
     """Push a free element onto the q-plane: zeta_alpha -> q^{-m(alpha)} x^{p(alpha)}."""
     qp = as_qparam(q)
     out: dict = {}
-    for alpha, c in f.terms.items():
-        k = qc.word_profile(alpha, f.n)
-        phase = _mutate.scale("normal-order-phase", qp.value ** (-qc.inversions(alpha)))
+    profiles, ms = qc.word_stats(f.terms, f.n)
+    for c, k, m in zip(f.terms.values(), profiles, ms):
+        phase = _mutate.scale("normal-order-phase", qp.value ** (-m))
         out[k] = out.get(k, 0.0) + c * phase
     return QPolynomial(f.n, qp, out)
 
@@ -421,8 +421,7 @@ def polydisk_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     words = qc.fiber_words(k, cap)
     best = None
     best_m = 0
-    for alpha in words:
-        m = qc.inversions(alpha)
+    for alpha, m in zip(words, qc.word_stats(words, n)[1]):
         value = m * qp.log_modulus
         if best is None or value < best[0] - 1e-15:
             best = (value, alpha)
@@ -442,7 +441,7 @@ def ball_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     k = tuple(map(index, k))
     n = len(k)
     words = qc.fiber_words(k, cap)
-    ms = [qc.inversions(alpha) for alpha in words]
+    ms = qc.word_stats(words, n)[1]
     logs = [-2.0 * m * qp.log_modulus for m in ms]
     shift = max(logs)
     raw = [math.exp(v - shift) for v in logs]

@@ -136,8 +136,7 @@ def _free_norm(a: FreeElement, spec: NormSpec) -> float:
         return sum(math.sqrt(by_degree[d]) * rho ** d for d in sorted(by_degree))
     if spec.family == FREE_BALL_CIRC:
         by_profile: dict = {}
-        for alpha, c in a.terms.items():
-            k = qc.word_profile(alpha, a.n)
+        for k, c in zip(qc.word_stats(a.terms, a.n)[0], a.terms.values()):
             by_profile[k] = by_profile.get(k, 0.0) + abs(c) ** 2
         return sum(math.sqrt(by_profile[k]) * rho ** sum(k)
                    for k in sorted(by_profile, key=lambda k: (sum(k), k)))

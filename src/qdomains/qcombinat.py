@@ -21,6 +21,7 @@ from qdomains._kernels import (
     mahonian_sum,
     switch_count as _switch_count,
     word_profile as _word_profile,
+    word_stats as _word_stats,
 )
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "weight_ball_alt",
     "weight_ball_alt_log",
     "word_profile",
+    "word_stats",
     "fiber_count",
     "inversions",
     "switch_count",
@@ -259,6 +261,17 @@ def word_profile(alpha: Sequence[int], n: int | None = None) -> tuple:
     if any(a < 1 or a > n for a in alpha):
         raise ValueError("letters must lie in 1..n")
     return _word_profile(tuple(alpha), n)
+
+
+def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
+    """(profiles, inversions) of a batch of words over letters 1..n.
+
+    One numpy pass over all the words, whatever their lengths: profiles[i]
+    is word_profile(words[i], n) and inversions[i] is inversions(words[i])."""
+    profiles, ms = _word_stats(words, n)
+    if list(map(sum, profiles)) != list(map(len, words)):
+        raise ValueError("letters must lie in 1..n")
+    return profiles, ms
 
 
 _DEFAULT_TOTAL_CAP = 1000

@@ -3,8 +3,9 @@
 Each oracle deliberately recomputes its quantity by a different algorithm
 than the library path it checks: pair counting vs kernel loops, bubble
 sort rewriting vs inversion powers, simplex optimization vs the closed
-form, partial derivatives vs the monomial bracket rule, and one
-hand-written pair loop per product vs the shared twisted-product routine.
+form, partial derivatives vs the monomial bracket rule, one hand-written
+pair loop per product vs the shared twisted-product routine, and one
+word-at-a-time loop per lift and normal ordering vs the batched word kernel.
 """
 
 import cmath
@@ -199,3 +200,81 @@ def reference_defect_terms(f, g, h):
             key = tuple(ki + li for ki, li in zip(k, l))
             out[key] = out.get(key, 0.0) + a * b * phi
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference word loops: the per-word statistics loops that the batched word
+# kernel replaced, one word at a time through brute_inversions and letter
+# counts; each returns the raw coefficient map (before pruning)
+
+def brute_profile(word, n):
+    return tuple(word.count(letter) for letter in range(1, n + 1))
+
+
+def reference_normal_order(f, q):
+    q = complex(q)
+    out = {}
+    for alpha, c in f.terms.items():
+        k = brute_profile(alpha, f.n)
+        out[k] = out.get(k, 0.0) + c * q ** (-brute_inversions(alpha))
+    return out
+
+
+def _exp_taylor(rate, order):
+    # Taylor coefficients of e^{rate*h} through h^order
+    coeffs = [1.0 + 0.0j]
+    for j in range(1, order + 1):
+        coeffs.append(coeffs[-1] * rate / j)
+    return coeffs
+
+
+def reference_normal_order_formal(u, order=None):
+    if order is None:
+        order = u.order
+    out = {}
+    for (p, alpha), c in u.terms.items():
+        if p > order:
+            continue
+        k = brute_profile(alpha, u.n)
+        for j, phase in enumerate(_exp_taylor(1j * -brute_inversions(alpha), order - p)):
+            key = (p + j, k)
+            out[key] = out.get(key, 0.0) + c * phase
+    return out
+
+
+def reference_polydisk_lift(k, q):
+    """{a*: q**m(a*)} for the first word a* of least |q|**m(alpha)."""
+    q = complex(q)
+    log_modulus = math.log(abs(q))
+    best = None
+    for alpha in brute_fiber(k):
+        m = brute_inversions(alpha)
+        if best is None or m * log_modulus < best[0] - 1e-15:
+            best = (m * log_modulus, alpha, m)
+    return {best[1]: q ** best[2]}
+
+
+def reference_ball_lift(k, q):
+    q = complex(q)
+    log_modulus = math.log(abs(q))
+    words = brute_fiber(k)
+    ms = [brute_inversions(alpha) for alpha in words]
+    logs = [-2.0 * m * log_modulus for m in ms]
+    shift = max(logs)
+    raw = [math.exp(v - shift) for v in logs]
+    total = sum(raw)
+    return {alpha: (w / total) * q ** m for alpha, m, w in zip(words, ms, raw)}
+
+
+def reference_formal_ball_lift(k, order):
+    words = brute_fiber(k)
+    weight = 1.0 / len(words)
+    terms = {}
+    for alpha in words:
+        m = brute_inversions(alpha)
+        coeff = complex(weight)
+        terms[(0, alpha)] = coeff
+        for p in range(1, order + 1):
+            coeff = coeff * (1j * m) / p
+            terms[(p, alpha)] = coeff
+    return terms

@@ -5,11 +5,12 @@ from random import Random
 import pytest
 
 from qdomains import deform, qcombinat as qc, randgen
-from qdomains.deform_types import HSeriesElement
+from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 
 from oracles import (derivative_poisson_bracket, reference_defect_terms,
+                     reference_formal_ball_lift, reference_normal_order_formal,
                      reference_poisson_bracket, reference_star_product)
 
 
@@ -96,6 +97,32 @@ def test_routed_deformation_products_equal_reference_loops():
         h = (0.3, -0.05, 1.1)[trial % 3]
         defect = QPolynomial(n, cmath.exp(1j * h), reference_defect_terms(a, b, h))
         assert deform.quantization_defect(a, b, h, spec) == norm(defect, spec)
+
+
+def test_formal_lift_and_ordering_equal_reference_loops():
+    rng = Random("formal-words")
+    for trial in range(100):
+        n = 1 + trial % 4
+        order = trial % 4
+        pool = list(qc.words(n, (3, 5)[trial % 2]))
+        terms = {}
+        for _ in range(1 + trial % 12):
+            key = (rng.randrange(order + 1), pool[rng.randrange(len(pool))])
+            terms[key] = terms.get(key, 0.0) + randgen.unit_disk(rng)
+        u = FormalFreeElement(n, order, terms)
+        for truncate in (None, max(order - 1, 0)):
+            got = deform.normal_order_formal(u, truncate)
+            used = order if truncate is None else truncate
+            expected = HSeriesElement(n, used, reference_normal_order_formal(u, truncate))
+            assert got == expected and list(got.terms) == list(expected.terms)
+    for k in ((2, 1), (1, 1, 1), (0, 3, 2), (2, 2, 1), (1, 2, 1, 1), (3, 3, 3)):
+        for order in (0, 2, 4):
+            got = deform.formal_ball_lift(k, order)
+            expected = FormalFreeElement(len(k), order, reference_formal_ball_lift(k, order))
+            assert got == expected and list(got.terms) == list(expected.terms)
+            ordered = deform.normal_order_formal(got)
+            reference = HSeriesElement(len(k), order, reference_normal_order_formal(got))
+            assert ordered == reference and list(ordered.terms) == list(reference.terms)
 
 
 def test_evaluate_h_matches_fiber_product():

@@ -23,7 +23,8 @@ from qdomains.elements import (
     tau_flip,
 )
 
-from oracles import reference_laurent_mul, reference_qpoly_mul, rewrite_normal_order
+from oracles import (reference_ball_lift, reference_laurent_mul, reference_normal_order,
+                     reference_polydisk_lift, reference_qpoly_mul, rewrite_normal_order)
 
 
 def x_mono(n, q, k, c=1.0):
@@ -262,6 +263,27 @@ def test_routed_products_equal_reference_loops():
     wide_a = randgen.random_qpoly(rng, 3, 0.8, max_degree=8, terms=60)
     wide_b = randgen.random_qpoly(rng, 3, 0.8, max_degree=8, terms=60)
     assert qpoly_mul(wide_a, wide_b) == QPolynomial(3, 0.8, reference_qpoly_mul(wide_a, wide_b))
+
+
+def test_batched_word_statistics_equal_reference_loops():
+    rng = Random("batched-words")
+    qs = (0.5, cmath.exp(0.7j), 2.0)
+    for trial in range(150):
+        n = 1 + trial % 4
+        q = qs[trial % 3]
+        f = randgen.random_free(rng, n, max_len=(3, 5, 6)[trial % 3], terms=1 + trial % 9)
+        got = normal_order(f, q)
+        expected = QPolynomial(n, q, reference_normal_order(f, q))
+        assert got == expected and list(got.terms) == list(expected.terms)
+    for k in ((2, 1), (1, 1, 1), (0, 3, 2), (2, 2, 1), (1, 2, 1, 1), (3, 3, 3)):
+        for q in qs:
+            lifts = ((ball_lift(k, q), FreeElement(len(k), reference_ball_lift(k, q))),
+                     (polydisk_lift(k, q), FreeElement(len(k), reference_polydisk_lift(k, q))))
+            for got, expected in lifts:
+                assert got == expected and list(got.terms) == list(expected.terms)
+                ordered = normal_order(got, q)
+                reference = QPolynomial(len(k), q, reference_normal_order(got, q))
+                assert ordered == reference and list(ordered.terms) == list(reference.terms)
 
 
 class _Letter:

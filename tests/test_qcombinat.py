@@ -209,7 +209,7 @@ def test_words_enumeration():
 
 
 def test_word_kernels_match_brute_force():
-    for counts in ((2, 1), (1, 1, 1), (3, 2), (0, 2, 1), (0, 0), (3,)):
+    for counts in ((2, 1), (1, 1, 1), (3, 2), (0, 2, 1), (0, 0), (3,), (3, 3, 3)):
         fiber = brute_fiber(counts)
         assert _kernels.fiber_words(counts) == fiber
         assert _kernels.fiber_inversions(counts) == [brute_inversions(w) for w in fiber]
@@ -222,6 +222,29 @@ def test_word_kernels_match_brute_force():
         switches = sum(1 for a, b in zip(alpha, alpha[1:]) if a != b)
         assert _kernels.switch_count(alpha) == (switches if len(alpha) > 1 else len(alpha) - 1)
         assert _kernels.word_profile(alpha, 3) == tuple(alpha.count(i) for i in (1, 2, 3))
+
+
+def test_word_stats_matches_brute_force():
+    # mixed lengths in one call: the empty word, one-letter words, all-equal
+    # letters, and a longest word that forces padding of all the others
+    for n in range(1, 5):
+        batch = [(), (1,), (n,), (n,) * 4, (1,) * 3, tuple(range(n, 0, -1)) * 2,
+                 tuple(range(1, n + 1))]
+        batch += list(qc.words(n, 3)) + [(n, 1, n, 1, n, 1, n, 1, n)]
+        profiles, ms = qc.word_stats(batch, n)
+        assert ms == [brute_inversions(w) for w in batch]
+        assert profiles == [tuple(w.count(i) for i in range(1, n + 1)) for w in batch]
+        assert all(isinstance(m, int) for m in ms)
+        assert all(isinstance(c, int) for p in profiles for c in p)
+        assert _kernels.word_stats(batch, n) == (profiles, ms)
+    assert qc.word_stats([], 3) == ([], [])
+    assert qc.word_stats([()], 2) == ([(0, 0)], [0])
+    assert qc.word_stats([(2, 2, 2)], 2) == ([(0, 3)], [0])
+    # letters far above int8; lists as well as tuples
+    assert qc.word_stats([[300, 2], (1,)], 300)[1] == [1, 0]
+    for bad in ([(0, 1)], [(3,)], [(1,), (-1, 2)], [(1, 2), (2, 2, 3)]):
+        with pytest.raises(ValueError):
+            qc.word_stats(bad, 2)
 
 
 def test_stirling_ratio_trend():
