@@ -1,8 +1,14 @@
 """Word-statistics kernels, re-exported by qdomains._kernels.
 
-Scalar statistics of one word are plain Python loops; the statistics of a
-batch of words (word_stats, and through it the fiber inversion lists and
-Mahonian sums) are one numpy pass over the batch."""
+Scalar statistics of one word are plain Python loops.  The statistics of
+a batch of words (word_stats, and through it the fiber inversion lists and
+Mahonian sums) are one numpy pass over the batch, unless the batch has
+fewer than _SCALAR_BATCH words: then they are the scalar loops, word by
+word.  A numpy pass has a fixed cost of about 30-60 us, while the scalar
+loops take 3-6 us per word of 4-12 letters, so they are faster up to
+about 16-20 words (timeit, 2-letter to 6-letter alphabets); the normal
+orderings and norms of the 4-6 term elements that the suites check make
+tens of thousands of such calls, and a fiber has 90 words or more."""
 
 from itertools import chain
 
@@ -28,19 +34,24 @@ def switch_count(word):
 
 
 def word_profile(word, n):
-    counts = [0] * n
-    for a in word:
-        counts[a - 1] += 1
-    return tuple(counts)
+    # letters outside 1..n are left out
+    return tuple(map(word.count, range(1, n + 1)))
+
+
+_SCALAR_BATCH = 20
 
 
 def word_stats(words, n):
     """(profiles, inversions) of every word in words, over letters 1..n.
 
-    The words are left-padded with 0 into one integer array; 0 is below
-    every letter, so padding adds no inversion, and it is not counted in
-    any profile.  Letters outside 1..n are left out of the profiles.
-    Returns a list of n-tuples and a list of ints, in the order of words."""
+    Letters outside 1..n are left out of the profiles on both routes.
+    Returns a list of n-tuples and a list of ints, in the order of words.
+    A batch of _SCALAR_BATCH words or more is left-padded with 0 into one
+    integer array; 0 is below every letter, so padding adds no inversion,
+    and it is not counted in any profile."""
+    if len(words) < _SCALAR_BATCH:
+        return ([word_profile(word, n) for word in words],
+                [inversions(word) for word in words])
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
     d = int(lengths.max(initial=0))
     padded = np.zeros((len(words), d), dtype=np.int64)

@@ -8,13 +8,22 @@ complex; terms below the pruning tolerance (1e-12, absolute) are dropped
 at construction.  The q-plane, Laurent and h-series products all follow
 one commutation rule, x^k x^l = phase(sigma(l,k)) x^{k+l}, and run
 through one pair loop, _twisted_mul.
+
+Public constructors validate every key.  Results that this module builds
+from keys it already holds skip that per-key check: the products
+(qpoly_mul, laurent_mul, free_mul and the _twisted_mul pair loop), +, -
+and scalar *, normal_order (letter profiles), tau_flip, fiber_eval,
+homogeneous_component, and the fiber words of polydisk_lift and
+ball_lift.  They hand their terms over as a _Checked mapping; construction
+still runs through each class's __init__ and prunes as usual.
 """
 
 from __future__ import annotations
 
 import math
 from numbers import Number
-from operator import add, index, sub
+from itertools import accumulate
+from operator import add, index, mul, sub
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -41,6 +50,13 @@ __all__ = [
 PRUNE_TOL = 1e-12
 
 
+class _Checked(dict):
+    """Terms whose keys were built from keys already checked, as tuples of
+    ints of the right shape and range; _setup takes them as they are."""
+
+    __slots__ = ()
+
+
 def _exponents(k, n: int) -> tuple:
     """An exponent vector as a tuple of n nonnegative ints."""
     key = tuple(map(index, k))
@@ -63,7 +79,8 @@ class _SparseElement:
     A subclass names its parameters besides n in _fields, normalises and
     validates one basis key in _key(key), orders keys with the static
     _sort_key(key), and keeps its own __init__, which hands its arguments
-    to _setup.  Results of arithmetic are built through that __init__ too.
+    to _setup.  Results of arithmetic are built through that __init__ too,
+    with their terms as a _Checked mapping.
     """
 
     __slots__ = ("n", "terms")
@@ -75,12 +92,15 @@ class _SparseElement:
         object.__setattr__(self, "n", n)
         for name, value in zip(self._fields, params):
             object.__setattr__(self, name, value)
-        clean = {}
-        for key, c in terms.items():
-            norm_key = self._key(key)
-            if norm_key in clean:
-                raise ValueError(f"duplicate basis key {key!r}")
-            clean[norm_key] = c
+        if type(terms) is _Checked:
+            clean = terms
+        else:
+            clean = {}
+            for key, c in terms.items():
+                norm_key = self._key(key)
+                if norm_key in clean:
+                    raise ValueError(f"duplicate basis key {key!r}")
+                clean[norm_key] = c
         object.__setattr__(self, "terms", MappingProxyType(
             {key: complex(c) for key, c in clean.items() if abs(c) > tol}))
 
@@ -98,7 +118,7 @@ class _SparseElement:
 
     def _merge(self, other, op):
         self._check_compatible(other)
-        terms = dict(self.terms)
+        terms = _Checked(self.terms)
         for key, c in other.terms.items():
             terms[key] = op(terms.get(key, 0.0), c)
         return self._like(terms)
@@ -112,7 +132,7 @@ class _SparseElement:
     def __mul__(self, scalar):
         if not isinstance(scalar, Number):
             return NotImplemented
-        return self._like({key: c * scalar for key, c in self.terms.items()})
+        return self._like(_Checked({key: c * scalar for key, c in self.terms.items()}))
 
     __rmul__ = __mul__
 
@@ -286,24 +306,32 @@ class LaurentElement(_SparseElement):
 # ---------------------------------------------------------------------------
 # products
 
+def _suffix_sums(k) -> list:
+    """s[i] = k_{i+1} + ... + k_{n-1}, so that sigma(l, k) = sum_i l_i s[i]."""
+    return list(accumulate(reversed(k[1:]), initial=0))[::-1]
+
+
 def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
-                 both_sigmas: bool = False) -> dict:
+                 both_sigmas: bool = False) -> _Checked:
     """Bilinear product of (k, grade, c) term lists, grade being a z- or
     h-power or None, under x^k x^l = phase x^{k+l}.
 
     Per pair within degree_cap, rule(grade_a, grade_b, sigma(l,k),
     sigma(k,l) if both_sigmas else None), evaluated once per distinct
     argument, gives the (grade, factor) pairs the product c_a c_b is
-    spread over.  Returns {(k + l, grade): coeff} in pair order."""
-    sigma = qc.sigma
+    spread over.  Returns {(k + l, grade): coeff} in pair order.  Each
+    term's suffix sums are formed once, so a sigma is one dot product."""
+    b = [(l, h, cl, _suffix_sums(l) if both_sigmas else None) for l, h, cl in b]
     cache: dict = {}
-    out: dict = {}
+    out = _Checked()
     for k, g, ck in a:
-        for l, h, cl in b:
+        suffix_k = _suffix_sums(k)
+        for l, h, cl, suffix_l in b:
             key = tuple(map(add, k, l))
             if degree_cap is not None and sum(key) > degree_cap:
                 continue
-            args = (g, h, sigma(l, k), sigma(k, l) if both_sigmas else None)
+            args = (g, h, sum(map(mul, l, suffix_k)),
+                    sum(map(mul, k, suffix_l)) if both_sigmas else None)
             spread = cache.get(args)
             if spread is None:
                 spread = cache[args] = rule(*args)
@@ -320,7 +348,7 @@ def _plain_mul(a: QPolynomial, b: QPolynomial, rule: Callable,
     out = _twisted_mul([(k, None, c) for k, c in a.terms.items()],
                        [(k, None, c) for k, c in b.terms.items()],
                        rule, degree_cap, both_sigmas)
-    return {k: c for (k, _), c in out.items()}
+    return _Checked({k: c for (k, _), c in out.items()})
 
 
 def qpoly_mul(a: QPolynomial, b: QPolynomial, degree_cap: int | None = None) -> QPolynomial:
@@ -334,7 +362,7 @@ def qpoly_mul(a: QPolynomial, b: QPolynomial, degree_cap: int | None = None) -> 
 def free_mul(a: FreeElement, b: FreeElement, length_cap: int | None = None) -> FreeElement:
     """Concatenation product."""
     a._check_compatible(b)
-    out: dict = {}
+    out = _Checked()
     for alpha, ca in a.terms.items():
         for beta, cb in b.terms.items():
             word = alpha + beta
@@ -360,7 +388,7 @@ def laurent_mul(a: LaurentElement, b: LaurentElement,
 def normal_order(f: FreeElement, q) -> QPolynomial:
     """Push a free element onto the q-plane: zeta_alpha -> q^{-m(alpha)} x^{p(alpha)}."""
     qp = as_qparam(q)
-    out: dict = {}
+    out = _Checked()
     profiles, ms = qc.word_stats(f.terms, f.n)
     for c, k, m in zip(f.terms.values(), profiles, ms):
         phase = _mutate.scale("normal-order-phase", qp.value ** (-m))
@@ -375,7 +403,7 @@ def tau_flip(a: QPolynomial) -> QPolynomial:
     twice returns the original element.
     """
     q = a.q.value
-    out: dict = {}
+    out = _Checked()
     for k, c in a.terms.items():
         out[tuple(reversed(k))] = c * q ** qc.cross_degree(k)
     return QPolynomial(a.n, a.q.inverse(), out)
@@ -385,13 +413,13 @@ def homogeneous_component(a: QPolynomial, i: int) -> QPolynomial:
     """The degree-i part: sum of c_k x^k over |k| = i."""
     if i < 0:
         raise ValueError("component index must be nonnegative")
-    return QPolynomial(a.n, a.q, {k: c for k, c in a.terms.items() if sum(k) == i})
+    return QPolynomial(a.n, a.q, _Checked({k: c for k, c in a.terms.items() if sum(k) == i}))
 
 
 def fiber_eval(a: LaurentElement, q) -> QPolynomial:
     """Evaluate z -> q, landing in the q-plane algebra at parameter q."""
     qp = as_qparam(q)
-    out: dict = {}
+    out = _Checked()
     for (k, p), c in a.terms.items():
         out[k] = out.get(k, 0.0) + c * qp.value ** p
     return QPolynomial(a.n, qp, out)
@@ -427,7 +455,7 @@ def polydisk_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
             best = (value, alpha)
             best_m = m
     assert best is not None
-    return FreeElement.word(n, best[1], qp.value ** best_m)
+    return FreeElement(n, _Checked({best[1]: qp.value ** best_m}))
 
 
 def ball_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
@@ -446,7 +474,7 @@ def ball_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     shift = max(logs)
     raw = [math.exp(v - shift) for v in logs]
     total = sum(raw)
-    terms = {}
+    terms = _Checked()
     for alpha, m, w in zip(words, ms, raw):
         terms[alpha] = (w / total) * qp.value ** m
     return FreeElement(n, terms)

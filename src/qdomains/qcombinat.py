@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import index, mul
 from typing import NamedTuple, Sequence
 
 from qdomains import _mutate
@@ -112,10 +113,10 @@ def q_int(k: int, q: complex) -> complex:
 
 
 def q_factorial(k, q: complex) -> complex:
-    """[k]_q! for a scalar k, or prod_i [k_i]_q! for an exponent vector."""
-    if isinstance(k, (int,)):
-        entries: Sequence[int] = (k,)
-    else:
+    """[k]_q! for an integral scalar k, or prod_i [k_i]_q! for an exponent vector."""
+    try:
+        entries: Sequence[int] = (index(k),)
+    except TypeError:
         entries = tuple(k)
     acc = 1.0 + 0.0j
     for m in entries:
@@ -191,17 +192,19 @@ def sigma(k: Sequence[int], ell: Sequence[int]) -> int:
     """sigma(k, ell) = sum_{i<j} k_i * ell_j."""
     if len(k) != len(ell):
         raise ValueError("exponent vectors must share dimension")
+    # one pass: ell_j meets the prefix sum k_0 + ... + k_{j-1}
     total = 0
-    suffix = sum(ell)
-    for i in range(len(k)):
-        suffix -= ell[i]
-        total += k[i] * suffix
+    prefix = 0
+    for ki, lj in zip(k, ell):
+        total += prefix * lj
+        prefix += ki
     return total
 
 
 def cross_degree(k: Sequence[int]) -> int:
-    """sum_{i<j} k_i * k_j."""
-    return sigma(k, k)
+    """sum_{i<j} k_i * k_j, as ((sum k)^2 - sum k^2) / 2."""
+    total = sum(k)
+    return (total * total - sum(map(mul, k, k))) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +235,7 @@ def weight_ball_log(k: Sequence[int], q) -> float:
     qp = as_qparam(q)
     t = qp.modulus * qp.modulus
     log_ratio = sum(log_q_factorial(m, t) for m in k) - log_q_factorial(sum(k), t)
-    return 0.5 * log_ratio + weight_u_log(k, qp)
+    return 0.5 * log_ratio + cross_degree(k) * qp.log_modulus
 
 
 def weight_ball(k: Sequence[int], q) -> float:
@@ -266,8 +269,10 @@ def word_profile(alpha: Sequence[int], n: int | None = None) -> tuple:
 def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
     """(profiles, inversions) of a batch of words over letters 1..n.
 
-    One numpy pass over all the words, whatever their lengths: profiles[i]
-    is word_profile(words[i], n) and inversions[i] is inversions(words[i])."""
+    profiles[i] is word_profile(words[i], n) and inversions[i] is
+    inversions(words[i]).  A batch of a few words runs the scalar loops,
+    a larger one is one numpy pass over all the words, whatever their
+    lengths (see _wordkit_py)."""
     profiles, ms = _word_stats(words, n)
     if list(map(sum, profiles)) != list(map(len, words)):
         raise ValueError("letters must lie in 1..n")

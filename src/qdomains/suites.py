@@ -110,30 +110,32 @@ def _phase(rng: Random) -> complex:
 # q-number and weight suites
 
 def _suite_chu_vandermonde(rng: Random, p: dict) -> list:
+    # one numpy pass over all pairs (k, l) per (q, n); every product and
+    # quotient is formed in the order of the scalar pair loop
     worst = -math.inf
     for q in p["qs"]:
         cap = 2 * p["max_total"]
         fact = [1.0]
         for m in range(1, cap + 1):
             fact.append(fact[-1] * qc.q_int(m, q).real)
+        fact = np.array(fact)
         for n in range(1, p["max_n"] + 1):
-            idxs = qc.multi_indices(n, p["max_total"])
-            prods = {}
-            for k in idxs:
-                acc = 1.0
-                for m in k:
-                    acc *= fact[m]
-                prods[k] = acc
-            for k in idxs:
-                fk, dk, sk = prods[k], fact[sum(k)], sum(k)
-                for l in idxs:
-                    acc = 1.0
-                    for km, lm in zip(k, l):
-                        acc *= fact[km + lm]
-                    # [|k+l|]!/[k+l]! >= ([|k|]!/[k]!)([|l|]!/[l]!) q^{sigma(k,l)}
-                    lhs = fact[sk + sum(l)] / acc
-                    rhs = (dk / fk) * (fact[sum(l)] / prods[l]) * q ** qc.sigma(k, l)
-                    worst = max(worst, (rhs - lhs) / lhs)
+            idxs = np.array(qc.multi_indices(n, p["max_total"]))
+            # sigma(k, l) = k U l^T, U strictly upper triangular
+            sig = idxs @ np.triu(np.ones((n, n), dtype=idxs.dtype), 1) @ idxs.T
+            # Python's float power, as the pair loop took q ** sigma
+            powers = np.array([q ** s for s in range(int(sig.max()) + 1)])
+            prods = np.ones(len(idxs))
+            pair = np.ones(sig.shape)
+            for j in range(n):
+                prods *= fact[idxs[:, j]]
+                pair *= fact[idxs[:, j, None] + idxs[None, :, j]]
+            total = idxs.sum(axis=1)
+            ratio = fact[total] / prods
+            # [|k+l|]!/[k+l]! >= ([|k|]!/[k]!)([|l|]!/[l]!) q^{sigma(k,l)}
+            lhs = fact[total[:, None] + total[None, :]] / pair
+            rhs = ratio[:, None] * ratio[None, :] * powers[sig]
+            worst = max(worst, float(((rhs - lhs) / lhs).max()))
     return [CheckResult("mahonian-ratio-supermultiplicative", worst, p["tol"])]
 
 

@@ -15,6 +15,8 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from qdomains.qcombinat import q_int
+
 
 def brute_inversions(word):
     return sum(1 for i, j in itertools.combinations(range(len(word)), 2)
@@ -123,6 +125,37 @@ def derivative_poisson_bracket(f, g, n):
 def brute_sigma(k, l):
     """sigma(k, l) = sum_{i<j} k_i l_j by pair counting."""
     return sum(k[i] * l[j] for i, j in itertools.combinations(range(len(k)), 2))
+
+
+def reference_chu_vandermonde_worst(params):
+    """Worst (rhs - lhs) / lhs of the Mahonian-ratio supermultiplicativity
+    [|k+l|]!/[k+l]! >= ([|k|]!/[k]!)([|l|]!/[l]!) q^{sigma(k,l)}, one
+    pair (k, l) at a time, with every product formed in the same order
+    as the chu-vandermonde suite."""
+    worst = -math.inf
+    for q in params["qs"]:
+        fact = [1.0]
+        for m in range(1, 2 * params["max_total"] + 1):
+            fact.append(fact[-1] * q_int(m, q).real)
+        for n in range(1, params["max_n"] + 1):
+            idxs = [k for k in itertools.product(range(params["max_total"] + 1), repeat=n)
+                    if sum(k) <= params["max_total"]]
+            prods = {}
+            for k in idxs:
+                acc = 1.0
+                for m in k:
+                    acc *= fact[m]
+                prods[k] = acc
+            for k in idxs:
+                fk, dk, sk = prods[k], fact[sum(k)], sum(k)
+                for l in idxs:
+                    acc = 1.0
+                    for km, lm in zip(k, l):
+                        acc *= fact[km + lm]
+                    lhs = fact[sk + sum(l)] / acc
+                    rhs = (dk / fk) * (fact[sum(l)] / prods[l]) * q ** brute_sigma(k, l)
+                    worst = max(worst, (rhs - lhs) / lhs)
+    return worst
 
 
 def reference_qpoly_mul(a, b, degree_cap=None):

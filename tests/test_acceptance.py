@@ -14,7 +14,7 @@ from qdomains import qcombinat as qc, spectral, suites
 from qdomains.elements import FreeElement, normal_order
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec
 
-from oracles import bubble_swap_count
+from oracles import bubble_swap_count, reference_chu_vandermonde_worst
 
 # mpmath-verified (0.25; 0.25)_infty, 30 digits
 POCH_QUARTER = 0.688537537120339715456514357294
@@ -42,6 +42,13 @@ def test_criterion_01_chu_vandermonde():
     assert elapsed < 30.0
     report(1, f"q-Chu-Vandermonde exhaustive, worst={result.worst_violation:.2e}, "
               f"{elapsed:.1f}s < 30s")
+
+
+def test_chu_vandermonde_suite_equals_pair_loop():
+    # the suite's one numpy pass per (q, n) against the scalar pair loop
+    result, _ = run_suite_timed("chu-vandermonde")
+    [check] = result.checks
+    assert check.worst == reference_chu_vandermonde_worst(result.params)
 
 
 def test_criterion_02_fiber_norm_formula():

@@ -2,6 +2,7 @@ import cmath
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from qdomains import qcombinat as qc
@@ -353,3 +354,49 @@ def test_element_validation_and_immutability():
         ball_lift((1, 0.5), 0.5)
     with pytest.raises(TypeError):
         polydisk_lift((1.5, 1), 0.5)
+
+
+def _key_parts(key):
+    for part in key:
+        if isinstance(part, tuple):
+            yield from _key_parts(part)
+        else:
+            yield part
+
+
+def test_built_results_hold_plain_keys_and_public_constructors_validate():
+    # results built from checked keys skip revalidation: their keys must
+    # still be tuples of Python ints and their coefficients complex, and
+    # equal the element the validating public constructor builds
+    i64 = np.int64
+    a = QPolynomial(2, 0.5, {(i64(1), i64(0)): 2, (0, i64(2)): i64(3)})
+    b = QPolynomial(2, 0.5, {(_Letter(0), 1): 1.5, (2, 1): -1})
+    u = LaurentElement(2, {((i64(1), 0), i64(-2)): 1, ((0, 1), 3): 2.5})
+    v = LaurentElement(2, {((1, 1), _Letter(0)): -1})
+    f = FreeElement(2, {(i64(2), 1): 2, (1,): 0.5, (): 1})
+    g = FreeElement(2, {(_Letter(2),): 3})
+    results = [qpoly_mul(a, b), qpoly_mul(a, b, degree_cap=3), laurent_mul(u, v),
+               free_mul(f, g), normal_order(f, 0.5), normal_order(free_mul(f, g), 2.0),
+               polydisk_lift((i64(2), 1), 0.5), ball_lift((2, i64(1)), cmath.exp(0.3j)),
+               ball_lift((3, 3, 3), 0.5), a + b, a - b, 2 * a, a * 1j, u + v, f - g,
+               tau_flip(a), fiber_eval(u, 0.5), homogeneous_component(a, 2),
+               laurent_word(2, (2, 1, 2))]
+    for e in results:
+        assert e.terms
+        for key, c in e.terms.items():
+            assert all(type(x) is int for x in _key_parts(key)), (type(e).__name__, key)
+            assert type(c) is complex, (type(e).__name__, c)
+        assert e._like(dict(e.terms)) == e
+    # public constructors validate every key, whatever the mapping type
+    class Terms(dict):
+        pass
+
+    for make, _, bad_keys, fractional, (key, alias) in ELEMENT_CASES[:3]:
+        for mapping in (dict, Terms):
+            for bad in bad_keys:
+                with pytest.raises(ValueError):
+                    make(mapping({bad: 1.0}))
+            with pytest.raises(TypeError):
+                make(mapping({fractional: 1.0}))
+            with pytest.raises(ValueError, match="duplicate"):
+                make(mapping({key: 1.0, alias: 2.0}))

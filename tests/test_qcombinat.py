@@ -1,13 +1,16 @@
 import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from qdomains import _kernels
 from qdomains import qcombinat as qc
+from qdomains._wordkit_py import _SCALAR_BATCH
 from qdomains.qcombinat import EnumerationCapExceeded, QParam
 
-from oracles import brute_fiber, brute_inversions, brute_mahonian_sum
+from oracles import brute_fiber, brute_inversions, brute_mahonian_sum, brute_sigma
 
 # mpmath-verified infinite products (30 digits), frozen
 POCH_HALF_HALF = 0.288788095086602421278899721929
@@ -43,6 +46,17 @@ def test_q_factorial_matches_scalar_product():
     q = 0.7
     value = qc.q_factorial((2, 3), q)
     assert value == pytest.approx(qc.q_factorial(2, q) * qc.q_factorial(3, q), rel=1e-14)
+
+
+def test_q_factorial_takes_any_integral_scalar():
+    q = cmath.exp(0.4j)
+    for k in (np.int64(3), np.int32(3)):
+        assert qc.q_factorial(k, q) == qc.q_factorial(int(k), q)
+    assert qc.q_factorial(np.array([2, 3]), q) == qc.q_factorial((2, 3), q)
+    with pytest.raises(ValueError):
+        qc.q_factorial(np.int64(-1), q)
+    with pytest.raises(TypeError):
+        qc.q_factorial(2.0, q)
 
 
 def test_log_q_factorial_matches_direct_product():
@@ -196,6 +210,19 @@ def test_sigma_and_cross_degree():
         qc.sigma((1,), (1, 2))
 
 
+def test_sigma_and_cross_degree_closed_forms_match_pair_counting():
+    for n in range(1, 5):
+        idxs = qc.multi_indices(n, 6)
+        for k, l in itertools.product(idxs, repeat=2):
+            assert qc.sigma(k, l) == brute_sigma(k, l)
+        for k in idxs:
+            assert qc.cross_degree(k) == brute_sigma(k, k)
+    assert qc.sigma((), ()) == 0 and qc.cross_degree(()) == 0
+    for k, l in (((1,), (1, 2)), ((), (0,)), ((1, 2, 3), (1, 2))):
+        with pytest.raises(ValueError):
+            qc.sigma(k, l)
+
+
 def test_multi_index_enumeration_counts():
     assert len(qc.multi_indices(3, 4)) == math.comb(7, 3)
     assert len(qc.multi_indices_exact(4, 6)) == math.comb(9, 3)
@@ -224,27 +251,46 @@ def test_word_kernels_match_brute_force():
         assert _kernels.word_profile(alpha, 3) == tuple(alpha.count(i) for i in (1, 2, 3))
 
 
+def _word_stats_both_routes(batch, n):
+    """qc.word_stats of batch on the scalar route (chunks below the batch
+    cutoff) and on the numpy route (the batch repeated past it)."""
+    step = _SCALAR_BATCH - 1
+    chunks = [qc.word_stats(batch[i:i + step], n) for i in range(0, len(batch), step)]
+    scalar = ([p for c in chunks for p in c[0]], [m for c in chunks for m in c[1]])
+    profiles, ms = qc.word_stats(batch * _SCALAR_BATCH, n)
+    return scalar, (profiles[:len(batch)], ms[:len(batch)])
+
+
 def test_word_stats_matches_brute_force():
     # mixed lengths in one call: the empty word, one-letter words, all-equal
-    # letters, and a longest word that forces padding of all the others
+    # letters, and a longest word that forces padding of all the others;
+    # every case runs on a batch below the cutoff and on one above it
     for n in range(1, 5):
         batch = [(), (1,), (n,), (n,) * 4, (1,) * 3, tuple(range(n, 0, -1)) * 2,
                  tuple(range(1, n + 1))]
         batch += list(qc.words(n, 3)) + [(n, 1, n, 1, n, 1, n, 1, n)]
-        profiles, ms = qc.word_stats(batch, n)
-        assert ms == [brute_inversions(w) for w in batch]
-        assert profiles == [tuple(w.count(i) for i in range(1, n + 1)) for w in batch]
-        assert all(isinstance(m, int) for m in ms)
-        assert all(isinstance(c, int) for p in profiles for c in p)
-        assert _kernels.word_stats(batch, n) == (profiles, ms)
+        routes = _word_stats_both_routes(batch, n)
+        assert routes[0] == routes[1] == qc.word_stats(batch, n)
+        for profiles, ms in routes:
+            assert ms == [brute_inversions(w) for w in batch]
+            assert profiles == [tuple(w.count(i) for i in range(1, n + 1)) for w in batch]
+            assert all(isinstance(m, int) for m in ms)
+            assert all(isinstance(c, int) for p in profiles for c in p)
+        for chunk in (batch, batch[:_SCALAR_BATCH - 1], batch * _SCALAR_BATCH):
+            assert _kernels.word_stats(chunk, n) == qc.word_stats(chunk, n)
     assert qc.word_stats([], 3) == ([], [])
-    assert qc.word_stats([()], 2) == ([(0, 0)], [0])
-    assert qc.word_stats([(2, 2, 2)], 2) == ([(0, 3)], [0])
+    for batch, n, expected in (([()], 2, ([(0, 0)], [0])),
+                               ([(2, 2, 2)], 2, ([(0, 3)], [0]))):
+        for got in _word_stats_both_routes(batch, n):
+            assert got == expected
     # letters far above int8; lists as well as tuples
-    assert qc.word_stats([[300, 2], (1,)], 300)[1] == [1, 0]
+    for got in _word_stats_both_routes([[300, 2], (1,)], 300):
+        assert got[1] == [1, 0]
+    # letters 0, n + 1 and -1 are rejected on both routes
     for bad in ([(0, 1)], [(3,)], [(1,), (-1, 2)], [(1, 2), (2, 2, 3)]):
-        with pytest.raises(ValueError):
-            qc.word_stats(bad, 2)
+        for batch in (bad, bad * _SCALAR_BATCH):
+            with pytest.raises(ValueError):
+                qc.word_stats(batch, 2)
 
 
 def test_stirling_ratio_trend():
