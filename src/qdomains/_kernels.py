@@ -1,8 +1,9 @@
 """The word-statistics kernels: inversion and switch counts, letter
-profiles, batched word statistics, fiber enumeration and Mahonian sums
+profiles, batched word statistics, the cached fiber record and Mahonian sums
 (Python and numpy, _wordkit_py)."""
 
 from qdomains._wordkit_py import (
+    fiber,
     fiber_inversions,
     fiber_words,
     inversions,

@@ -8,8 +8,16 @@ word.  A numpy pass has a fixed cost of about 30-60 us, while the scalar
 loops take 3-6 us per word of 4-12 letters, so they are faster up to
 about 16-20 words (timeit, 2-letter to 6-letter alphabets); the normal
 orderings and norms of the 4-6 term elements that the suites check make
-tens of thousands of such calls, and a fiber has 90 words or more."""
+tens of thousands of such calls, and a fiber has 90 words or more.
 
+A fiber p^{-1}(k) is enumerated into one record, fiber(counts): its words
+in lexicographic order and their inversion numbers, as tuples.  Only the
+record of the last profile asked for is cached (_FIBER_CACHE), so the
+lifts of one x^k, its fiber lists and its Mahonian sum share a single
+enumeration and a single word_stats pass, while at most one fiber is held
+between calls.  fiber_words and fiber_inversions return fresh lists."""
+
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -91,16 +99,26 @@ def _next_permutation(a):
     return True
 
 
-def fiber_words(counts):
+_FIBER_CACHE = 1
+
+
+@lru_cache(maxsize=_FIBER_CACHE)
+def fiber(counts):
+    """(words, inversions) of the fiber with the given letter counts: every
+    word once, in lexicographic order, and the inversion number of each."""
     word = _start_word(counts)
-    out = [tuple(word)]
+    words = [tuple(word)]
     while _next_permutation(word):
-        out.append(tuple(word))
-    return out
+        words.append(tuple(word))
+    return tuple(words), tuple(word_stats(words, len(counts))[1])
+
+
+def fiber_words(counts):
+    return list(fiber(counts)[0])
 
 
 def fiber_inversions(counts):
-    return word_stats(fiber_words(counts), len(counts))[1]
+    return list(fiber(counts)[1])
 
 
 def mahonian_sum(counts, q):
@@ -113,7 +131,7 @@ def mahonian_sum(counts, q):
     powers = [1.0 + 0.0j] * (max_m + 1)
     for m in range(1, max_m + 1):
         powers[m] = powers[m - 1] * q
-    ms = fiber_inversions(counts)
+    ms = fiber(counts)[1]
     acc = powers[ms[0]]
     for m in ms[1:]:
         acc += powers[m]

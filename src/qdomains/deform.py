@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import index
+from operator import index, itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 from qdomains import _mutate
 from qdomains import qcombinat as qc
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
-from qdomains.elements import (PRUNE_TOL, LaurentElement, QPolynomial, _plain_mul,
-                               _twisted_mul, qpoly_mul)
+from qdomains.elements import (PRUNE_TOL, LaurentElement, QPolynomial, _Checked,
+                               _plain_mul, _twisted_mul, qpoly_mul)
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 from qdomains.qcombinat import sigma
 
@@ -151,14 +151,17 @@ def formal_ball_lift(k: Sequence[int], order: int, cap: int = 10 ** 6) -> Formal
     the h^s coefficient has circ norm at most |k|^{2s} (k!/|k|!)^{1/2}."""
     k = tuple(map(index, k))
     n = len(k)
-    words = qc.fiber_words(k, cap)
-    weight = 1.0 / qc.fiber_count(k)
-    terms: dict = {}
-    for alpha, m in zip(words, qc.word_stats(words, n)[1]):
-        coeff = complex(weight)
-        terms[(0, alpha)] = coeff
-        for p in range(1, order + 1):
-            coeff = coeff * (1j * m) / p
+    words, ms = qc.fiber(k, cap)
+    weight = 1.0 / len(words)
+    series: dict = {}   # m -> coefficients of h^0 .. h^order
+    terms = _Checked()
+    for alpha, m in zip(words, ms):
+        coeffs = series.get(m)
+        if coeffs is None:
+            coeffs = series[m] = [complex(weight)]
+            for p in range(1, order + 1):
+                coeffs.append(coeffs[-1] * (1j * m) / p)
+        for p, coeff in enumerate(coeffs):
             terms[(p, alpha)] = coeff
     return FormalFreeElement(n, order, terms)
 
@@ -168,21 +171,30 @@ def normal_order_formal(u: FormalFreeElement, order: int | None = None) -> HSeri
     Taylor expansion of e^{-i m(alpha) h}."""
     if order is None:
         order = u.order
-    out: dict = {}
-    words = list(dict.fromkeys(alpha for _, alpha in u.terms))
-    stats = dict(zip(words, zip(*qc.word_stats(words, u.n))))
-    taylor: dict = {}   # (m, order - p) -> Taylor coefficients of e^{-imh}
+    words = list(dict.fromkeys(map(itemgetter(1), u.terms)))
+    profiles, ms = qc.word_stats(words, u.n)
+    # profile k -> running sums of its h^0 .. h^order terms, then the lowest
+    # h-power added to them so far (order + 1 while none is)
+    rows: dict = {}
+    for k in profiles:
+        if k not in rows:
+            rows[k] = [0.0] * (order + 1) + [order + 1]
+    stats = {alpha: (rows[k], k, m) for alpha, k, m in zip(words, profiles, ms)}
+    taylor: dict = {}   # (m, p) -> Taylor coefficients of e^{-imh} through h^(order - p)
+    touched = []        # (h-power, k) in the order each sum is first added to
     for (p, alpha), c in u.terms.items():
         if p > order:
             continue
-        k, m = stats[alpha]
-        phases = taylor.get((m, order - p))
+        row, k, m = stats[alpha]
+        phases = taylor.get((m, p))
         if phases is None:
-            phases = taylor[m, order - p] = _taylor_exp(1j * -m, order - p)
-        for j, phase in enumerate(phases):
-            key = (p + j, k)
-            out[key] = out.get(key, 0.0) + c * phase
-    return HSeriesElement(u.n, order, out)
+            phases = taylor[m, p] = _taylor_exp(1j * -m, order - p)
+        if p < row[-1]:
+            touched.extend((h, k) for h in range(p, row[-1]))
+            row[-1] = p
+        for h, phase in enumerate(phases, p):
+            row[h] += c * phase
+    return HSeriesElement(u.n, order, _Checked({(h, k): rows[k][h] for h, k in touched}))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ at construction.  The q-plane, Laurent and h-series products all follow
 one commutation rule, x^k x^l = phase(sigma(l,k)) x^{k+l}, and run
 through one pair loop, _twisted_mul.
 
-Public constructors validate every key.  Results that this module builds
+Public constructors validate every key.  Results that the kit builds
 from keys it already holds skip that per-key check: the products
 (qpoly_mul, laurent_mul, free_mul and the _twisted_mul pair loop), +, -
 and scalar *, normal_order (letter profiles), tau_flip, fiber_eval,
-homogeneous_component, and the fiber words of polydisk_lift and
-ball_lift.  They hand their terms over as a _Checked mapping; construction
-still runs through each class's __init__ and prunes as usual.
+homogeneous_component, the generators of laurent_word, the fiber words
+of polydisk_lift and ball_lift, and in deform the (h-power, fiber word)
+keys of formal_ball_lift and the (h-power, profile) keys of
+normal_order_formal.  They hand their terms over as a _Checked mapping;
+construction still runs through each class's __init__ and prunes as
+usual.
 """
 
 from __future__ import annotations
@@ -427,9 +430,12 @@ def fiber_eval(a: LaurentElement, q) -> QPolynomial:
 
 def laurent_word(n: int, alpha: Sequence[int]) -> LaurentElement:
     """x_alpha built by multiplying Laurent generators; equals x^{p(alpha)} z^{-m(alpha)}."""
+    alpha = _word(alpha, n)
+    generators = [LaurentElement(n, _Checked({(tuple(int(i == a) for i in range(n)), 0): 1.0}))
+                  for a in range(n)]
     acc = LaurentElement.one(n)
     for a in alpha:
-        acc = laurent_mul(acc, LaurentElement.generator(n, a))
+        acc = laurent_mul(acc, generators[a - 1])
     return acc
 
 
@@ -446,10 +452,9 @@ def polydisk_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     qp = as_qparam(q)
     k = tuple(map(index, k))
     n = len(k)
-    words = qc.fiber_words(k, cap)
     best = None
     best_m = 0
-    for alpha, m in zip(words, qc.word_stats(words, n)[1]):
+    for alpha, m in zip(*qc.fiber(k, cap)):
         value = m * qp.log_modulus
         if best is None or value < best[0] - 1e-15:
             best = (value, alpha)
@@ -468,8 +473,7 @@ def ball_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     qp = as_qparam(q)
     k = tuple(map(index, k))
     n = len(k)
-    words = qc.fiber_words(k, cap)
-    ms = qc.word_stats(words, n)[1]
+    words, ms = qc.fiber(k, cap)
     logs = [-2.0 * m * qp.log_modulus for m in ms]
     shift = max(logs)
     raw = [math.exp(v - shift) for v in logs]

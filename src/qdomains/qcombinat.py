@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 from qdomains import _mutate
 from qdomains._kernels import (
+    fiber as _fiber,
     fiber_inversions,
     fiber_words as _fiber_words_raw,
     inversions as _inversions,
@@ -48,6 +49,7 @@ __all__ = [
     "inversions",
     "switch_count",
     "delta_word",
+    "fiber",
     "fiber_words",
     "fiber_inversion_list",
     "inv_distribution",
@@ -324,6 +326,15 @@ def _check_fiber_cap(k: Sequence[int], cap: int) -> None:
     if count > cap:
         raise EnumerationCapExceeded(
             f"fiber of size {count} exceeds the enumeration cap {cap}")
+
+
+def fiber(k: Sequence[int], cap: int = _DEFAULT_FIBER_CAP) -> tuple:
+    """The fiber record (words, inversions) of p^{-1}(k), both tuples: every
+    word alpha with p(alpha) = k once, in lexicographic order, and m(alpha)
+    of each.  The record of the last profile is cached (see _wordkit_py);
+    the cap is checked on every call."""
+    _check_fiber_cap(k, cap)
+    return _fiber(tuple(k))
 
 
 def fiber_words(k: Sequence[int], cap: int = _DEFAULT_FIBER_CAP) -> list:

@@ -142,10 +142,10 @@ def _suite_chu_vandermonde(rng: Random, p: dict) -> list:
 def _suite_lemma_3_13(rng: Random, p: dict) -> list:
     worst = 0.0
     for modulus in p["moduli"]:
+        q = qc.as_qparam(modulus)
         for n in range(1, p["max_n"] + 1):
             for k in qc.multi_indices(n, p["max_total"]):
-                worst = max(worst, _rel(qc.weight_ball(k, modulus),
-                                        qc.weight_ball_alt(k, modulus)))
+                worst = max(worst, _rel(qc.weight_ball(k, q), qc.weight_ball_alt(k, q)))
     return [CheckResult("ball-weight-two-forms", worst, p["tol"])]
 
 

@@ -115,7 +115,8 @@ def test_formal_lift_and_ordering_equal_reference_loops():
             used = order if truncate is None else truncate
             expected = HSeriesElement(n, used, reference_normal_order_formal(u, truncate))
             assert got == expected and list(got.terms) == list(expected.terms)
-    for k in ((2, 1), (1, 1, 1), (0, 3, 2), (2, 2, 1), (1, 2, 1, 1), (3, 3, 3)):
+    for k in ((2, 1), (1, 1, 1), (0, 3, 2), (2, 2, 1), (1, 2, 1, 1), (3, 3, 3),
+              (2, 3, 3)):
         for order in (0, 2, 4):
             got = deform.formal_ball_lift(k, order)
             expected = FormalFreeElement(len(k), order, reference_formal_ball_lift(k, order))
@@ -123,6 +124,23 @@ def test_formal_lift_and_ordering_equal_reference_loops():
             ordered = deform.normal_order_formal(got)
             reference = HSeriesElement(len(k), order, reference_normal_order_formal(got))
             assert ordered == reference and list(ordered.terms) == list(reference.terms)
+    # two profiles mixed, h-powers in scrambled order, truncated below the
+    # order: each profile's running sums start at different h-powers, and
+    # some sums are first reached from a lower h-power than they started at
+    n, order = 3, 4
+    pool = qc.fiber_words((2, 1, 1)) + qc.fiber_words((1, 1, 2))
+    for trial in range(20):
+        terms = {}
+        for _ in range(10 + trial):
+            key = (rng.randrange(order + 1), pool[rng.randrange(len(pool))])
+            terms[key] = terms.get(key, 0.0) + randgen.unit_disk(rng)
+        u = FormalFreeElement(n, order, terms)
+        assert len({qc.word_profile(alpha, n) for _, alpha in u.terms}) == 2
+        for truncate in (None, 0, 1, 2, 3):
+            got = deform.normal_order_formal(u, truncate)
+            used = order if truncate is None else truncate
+            expected = HSeriesElement(n, used, reference_normal_order_formal(u, truncate))
+            assert got == expected and list(got.terms) == list(expected.terms)
 
 
 def test_evaluate_h_matches_fiber_product():

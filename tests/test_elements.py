@@ -191,6 +191,9 @@ def test_laurent_word_identity():
             expected = LaurentElement.monomial(n, qc.word_profile(alpha, n),
                                                -qc.inversions(alpha))
             assert built == expected
+    for bad in ((0,), (1, 3), (-1,)):
+        with pytest.raises(ValueError):
+            laurent_word(2, bad)
 
 
 def test_fiber_eval_examples():

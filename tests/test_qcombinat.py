@@ -159,6 +159,46 @@ def test_delta_and_fiber_words():
         qc.fiber_words((8, 8, 8), cap=10)
 
 
+def test_fiber_record_matches_brute_force():
+    for k in ((0, 0), (3,), (2, 1), (1, 1, 1), (0, 2, 1), (3, 3, 2), (2, 3, 3), (2, 2, 1, 1)):
+        fiber = brute_fiber(k)
+        words, ms = qc.fiber(k)
+        assert type(words) is tuple and type(ms) is tuple
+        assert list(words) == fiber
+        assert list(ms) == [brute_inversions(w) for w in fiber]
+        assert qc.fiber_words(k) == fiber
+        assert qc.fiber_inversion_list(k) == list(ms)
+        assert _kernels.fiber_inversions(k) == list(ms)
+
+
+def test_fiber_cap_holds_for_a_cached_record():
+    k = (3, 3, 3)
+    record = qc.fiber(k)
+    assert len(record[0]) == 1680
+    assert qc.fiber(k) is record   # cached
+    for route in (qc.fiber, qc.fiber_words, qc.fiber_inversion_list):
+        with pytest.raises(EnumerationCapExceeded):
+            route(k, cap=100)
+    with pytest.raises(EnumerationCapExceeded):
+        qc.inv_distribution(k, 0.5, cap=100)
+    assert qc.fiber(k, cap=1680) is record
+
+
+def test_fiber_lists_are_fresh_copies():
+    k = (2, 2, 1)
+    words, ms = qc.fiber_words(k), qc.fiber_inversion_list(k)
+    expected_words, expected_ms = list(words), list(ms)
+    for got in (words, ms, _kernels.fiber_words(k), _kernels.fiber_inversions(k)):
+        got.reverse()
+        got[0] = None
+        got.append(None)
+    assert qc.fiber_words(k) == expected_words
+    assert qc.fiber_inversion_list(k) == expected_ms
+    assert _kernels.fiber_words(k) == expected_words
+    assert _kernels.fiber_inversions(k) == expected_ms
+    assert qc.fiber(k) == (tuple(expected_words), tuple(expected_ms))
+
+
 def test_inv_distribution_examples():
     for q in (0.3, 2.0, cmath.exp(1j * math.pi / 5)):
         brute, closed = qc.inv_distribution((1, 1), q)
