@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: mul, normal-order, norm, radius, fock-norm, star, scan, and
-verify.  Output goes to stdout as JSON unless --out is given; exit codes
-are 0 (success), 1 (check failure), 2 (usage or resource error).
+verify.  Output goes to stdout as indent-2 JSON unless --out is given;
+element results are written by serialize.element_text.  Exit codes are 0
+(success), 1 (check failure), 2 (usage or resource error).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 from qdomains import deform, fock, spectral, suites
 from qdomains.deform_types import HSeriesElement
@@ -42,7 +44,7 @@ from qdomains.serialize import (
     SchemaError,
     document_q,
     document_to_element,
-    element_to_document,
+    element_text,
 )
 
 FAMILY_ALIASES = {
@@ -89,13 +91,26 @@ def _load_element(path: str):
     return document_to_element(doc), doc
 
 
-def _emit(payload, out_path: str | None):
-    text = json.dumps(payload, indent=2)
+@contextmanager
+def _writing(path: str, **kwargs):
+    try:
+        with open(path, "w", encoding="utf-8", **kwargs) as handle:
+            yield handle
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _emit_text(text: str, out_path: str | None):
+    # print writes the text and then "\n", with no joined copy of a large text
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        with _writing(out_path) as handle:
+            print(text, file=handle)
     else:
         print(text)
+
+
+def _emit(payload, out_path: str | None):
+    _emit_text(json.dumps(payload, indent=2), out_path)
 
 
 def _family(name: str) -> str:
@@ -119,7 +134,7 @@ def _cmd_mul(args) -> int:
         result = laurent_mul(a, b, degree_cap=args.degree_cap)
     else:
         raise UsageError("mul supports qpoly, free, and laurent documents")
-    _emit(element_to_document(result), args.out)
+    _emit_text(element_text(result), args.out)
     return 0
 
 
@@ -130,7 +145,7 @@ def _cmd_normal_order(args) -> int:
     q = _parse_q(args.q) if args.q else document_q(doc)
     if q is None:
         raise UsageError("normal-order needs q (document field or --q)")
-    _emit(element_to_document(normal_order(element, q)), args.out)
+    _emit_text(element_text(normal_order(element, q)), args.out)
     return 0
 
 
@@ -175,7 +190,7 @@ def _cmd_star(args) -> int:
     if not isinstance(f, HSeriesElement) or not isinstance(g, HSeriesElement):
         raise UsageError("star expects hseries documents")
     result = deform.star_product(f, g, order=args.order)
-    _emit(element_to_document(result), args.out)
+    _emit_text(element_text(result), args.out)
     return 0
 
 
@@ -204,7 +219,7 @@ def _cmd_scan(args) -> int:
     diagnostic = {"max_jump": result.max_jump, "max_slope": result.max_slope,
                   "spacing": result.spacing}
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        with _writing(args.out, newline="") as handle:
             handle.write("q_re,q_im,norm\n")
             for q, value in result.rows:
                 handle.write(f"{q.real:.17g},{q.imag:.17g},{value:.17g}\n")

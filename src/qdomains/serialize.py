@@ -3,14 +3,21 @@
 Documents carry a kind tag (qpoly, free, laurent, hseries), the dimension
 n, an optional parameter q (required for qpoly, allowed for free where a
 consumer needs it, rejected elsewhere), and a list of term records.
-Parsing is strict: unknown fields, wrong shapes, and out-of-range letters
-are rejected with a path diagnostic.  parse(serialize(e)) reproduces e
-bit for bit.
+Parsing is strict: unknown fields, wrong shapes, out-of-range letters and
+numbers that are not finite doubles are rejected with a path diagnostic.
+parse(serialize(e)) reproduces e bit for bit.
+
+serialize_element writes the compact form.  element_text writes the
+indent-2 form that the CLI prints, the same bytes as
+json.dumps(element_to_document(e), indent=2), straight from each kind's
+fixed term layout: with any indent, json.dumps runs its pure-Python
+encoder over every intermediate dict and list.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from qdomains.deform_types import HSeriesElement
@@ -22,6 +29,7 @@ __all__ = [
     "document_to_element",
     "document_q",
     "serialize_element",
+    "element_text",
     "parse_element",
 ]
 
@@ -45,7 +53,13 @@ def _require_int(value, path):
 def _require_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(path, "number outside the double range") from None
+    if not math.isfinite(number):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_complex(value, path) -> complex:
@@ -217,6 +231,56 @@ def document_q(doc: Any) -> complex | None:
 
 def serialize_element(e) -> str:
     return json.dumps(element_to_document(e), indent=None, separators=(",", ":"))
+
+
+# element_text layouts: the indent-2 nesting of a document is fixed, with
+# term fields at depth 3 and their list items and c parts at depth 4
+_I2, _I4, _I6, _I8 = "\n  ", "\n    ", "\n      ", "\n        "
+_C = '"c": {' + _I8 + '"re": %s,' + _I8 + '"im": %s' + _I6 + "}" + _I4 + "}"
+_QPOLY_TERM = "{" + _I6 + '"k": %s,' + _I6 + _C
+_FREE_TERM = "{" + _I6 + '"alpha": %s,' + _I6 + _C
+_LAURENT_TERM = "{" + _I6 + '"k": %s,' + _I6 + '"p": %d,' + _I6 + _C
+_HSERIES_TERM = "{" + _I6 + '"p": %d,' + _I6 + '"k": %s,' + _I6 + _C
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(x: float) -> str:
+    """A float as json spells it; only the reprs of nan and +-inf end in n or f."""
+    text = float.__repr__(x)
+    return _NON_FINITE[text] if text[-1] in "nf" else text
+
+
+def _int_list(values) -> str:
+    """An exponent vector or word as a term field; [] when empty."""
+    if not values:
+        return "[]"
+    return "[" + _I8 + ("," + _I8).join(map(str, values)) + _I6 + "]"
+
+
+def element_text(e) -> str:
+    """json.dumps(element_to_document(e), indent=2), byte for byte."""
+    if isinstance(e, QPolynomial):
+        q = e.q.value
+        head = (f'"kind": "qpoly",{_I2}"n": {e.n},{_I2}"q": {{{_I4}"re": '
+                f'{_number(q.real)},{_I4}"im": {_number(q.imag)}{_I2}}}')
+        terms = [_QPOLY_TERM % (_int_list(k), _number(c.real), _number(c.imag))
+                 for k, c in e.sorted_terms()]
+    elif isinstance(e, FreeElement):
+        head = f'"kind": "free",{_I2}"n": {e.n}'
+        terms = [_FREE_TERM % (_int_list(a), _number(c.real), _number(c.imag))
+                 for a, c in e.sorted_terms()]
+    elif isinstance(e, LaurentElement):
+        head = f'"kind": "laurent",{_I2}"n": {e.n}'
+        terms = [_LAURENT_TERM % (_int_list(k), p, _number(c.real), _number(c.imag))
+                 for (k, p), c in e.sorted_terms()]
+    elif isinstance(e, HSeriesElement):
+        head = f'"kind": "hseries",{_I2}"n": {e.n},{_I2}"order": {e.order}'
+        terms = [_HSERIES_TERM % (p, _int_list(k), _number(c.real), _number(c.imag))
+                 for (p, k), c in e.sorted_terms()]
+    else:
+        raise TypeError(f"cannot serialize {type(e).__name__}")
+    body = "[" + _I4 + ("," + _I4).join(terms) + _I2 + "]" if terms else "[]"
+    return "{" + _I2 + head + "," + _I2 + '"terms": ' + body + "\n}"
 
 
 def parse_element(text: str):

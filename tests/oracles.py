@@ -4,18 +4,22 @@ Each oracle deliberately recomputes its quantity by a different algorithm
 than the library path it checks: pair counting vs kernel loops, bubble
 sort rewriting vs inversion powers, simplex optimization vs the closed
 form, partial derivatives vs the monomial bracket rule, one hand-written
-pair loop per product vs the shared twisted-product routine, and one
-word-at-a-time loop per lift and normal ordering vs the batched word kernel.
+pair loop per product vs the shared twisted-product routine, one
+word-at-a-time loop per lift and normal ordering vs the batched word
+kernel, and json's encoder over the document dict vs the direct
+element-text writer.
 """
 
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
 from scipy.optimize import minimize
 
 from qdomains.qcombinat import q_int
+from qdomains.serialize import element_to_document
 
 
 def brute_inversions(word):
@@ -311,3 +315,8 @@ def reference_formal_ball_lift(k, order):
             coeff = coeff * (1j * m) / p
             terms[(p, alpha)] = coeff
     return terms
+
+
+def reference_element_text(e):
+    """The CLI's indent-2 element document, through json's own encoder."""
+    return json.dumps(element_to_document(e), indent=2)

@@ -2,8 +2,15 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
+from random import Random
 
 import pytest
+from oracles import reference_element_text
+
+from qdomains import cli, deform, randgen
+from qdomains.elements import free_mul, laurent_mul, normal_order, qpoly_mul
+from qdomains.serialize import element_to_document, parse_element
 
 QD = [sys.executable, "-m", "qdomains"]
 
@@ -171,3 +178,76 @@ def test_verify_fixed_seed_reproducible():
     a = json.loads(first.stdout)["suites"][0]
     b = json.loads(second.stdout)["suites"][0]
     assert a["checks"] == b["checks"]
+
+
+def test_element_outputs_are_reference_text(tmp_path, capsys):
+    # stdout and --out both carry the indent-2 document and one "\n"
+    rng = Random("cli-element-text")
+    q = complex(0.6, -0.3)
+    drawn = {
+        "qpoly": [randgen.random_qpoly(rng, 3, q, max_degree=6, terms=30) for _ in "ab"],
+        "free": [randgen.random_free(rng, 2, max_len=5, terms=30) for _ in "ab"],
+        "laurent": [randgen.random_laurent(rng, 2, terms=20) for _ in "ab"],
+        "hseries": [randgen.random_hseries(rng, 2, 3, terms=20) for _ in "ab"],
+    }
+    # the expected results come from the parsed documents, whose terms
+    # are in document order, as the CLI's are
+    paths, pairs = {}, {}
+    for kind, elements in drawn.items():
+        paths[kind] = [write(tmp_path, f"{kind}-{i}.json", element_to_document(e))
+                       for i, e in enumerate(elements)]
+        pairs[kind] = [parse_element(Path(path).read_text()) for path in paths[kind]]
+    free_doc = dict(element_to_document(pairs["free"][0]), q={"re": q.real, "im": q.imag})
+    free_q = write(tmp_path, "free-q.json", free_doc)
+    cases = [
+        (["mul", "--in", paths["qpoly"][0], "--in", paths["qpoly"][1]],
+         qpoly_mul(*pairs["qpoly"])),
+        (["mul", "--in", paths["free"][0], "--in", paths["free"][1]],
+         free_mul(*pairs["free"])),
+        (["mul", "--in", paths["laurent"][0], "--in", paths["laurent"][1], "--degree-cap", "4"],
+         laurent_mul(*pairs["laurent"], degree_cap=4)),
+        (["normal-order", "--in", free_q], normal_order(pairs["free"][0], q)),
+        (["star", "--in", paths["hseries"][0], "--in", paths["hseries"][1], "--order", "3"],
+         deform.star_product(*pairs["hseries"], order=3)),
+    ]
+    out = tmp_path / "out.json"
+    for argv, expected in cases:
+        reference = reference_element_text(expected) + "\n"
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == reference
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == reference.encode("utf-8")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "1e400", "1" + "0" * 400],
+                         ids=["nan", "1e400", "401-digit-int"])
+def test_non_finite_input_numbers_exit_two(tmp_path, capsys, literal):
+    # NaN was dropped and the rest multiplied with exit 0, 1e400 gave
+    # "terms": [] with exit 0, and a 401-digit integer a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "qpoly", "n": 1, "q": {"re": 0.5},'
+                   ' "terms": [{"k": [0], "c": {"re": %s}}, {"k": [1], "c": {"re": 1}}]}'
+                   % literal)
+    x1 = write(tmp_path, "x1.json", {"kind": "qpoly", "n": 1, "q": {"re": 0.5},
+                                     "terms": [{"k": [1], "c": {"re": 1}}]})
+    for argv in (["mul", "--in", str(bad), "--in", x1],
+                 ["norm", "--in", str(bad), "--family", "polydisk", "--rho", "1"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid document: $.terms[0].c.re:" in captured.err
+
+
+def test_unwritable_out_exits_two(tmp_path, qpoly_doc, capsys):
+    laurent = write(tmp_path, "l.json", {"kind": "laurent", "n": 1,
+                                         "terms": [{"k": [1], "p": 0, "c": {"re": 1}}]})
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    for argv in (["mul", "--in", qpoly_doc, "--in", qpoly_doc],
+                 ["norm", "--in", qpoly_doc, "--family", "polydisk", "--rho", "1"],
+                 ["scan", "--in", laurent, "--path", "circle:0.5", "--samples", "4",
+                  "--family", "polydisk", "--rho", "1"]):
+        assert cli.main(argv + ["--out", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {missing}: " in captured.err

@@ -3,13 +3,16 @@ from random import Random
 
 import pytest
 
+from oracles import reference_element_text
+
 from qdomains import randgen
 from qdomains.deform_types import HSeriesElement
-from qdomains.elements import FreeElement, LaurentElement, QPolynomial
+from qdomains.elements import FreeElement, LaurentElement, QPolynomial, qpoly_mul
 from qdomains.serialize import (
     SchemaError,
     document_q,
     document_to_element,
+    element_text,
     parse_element,
     serialize_element,
 )
@@ -113,3 +116,64 @@ def test_serialized_form_is_compact_json():
     payload = json.loads(serialize_element(element))
     assert payload["kind"] == "laurent"
     assert payload["terms"] == [{"k": [1, 0], "p": -2, "c": {"re": 0.25, "im": 0.5}}]
+
+
+def test_element_text_equals_json_encoder_on_random_elements():
+    rng = Random("element-text")
+    for terms in (1, 2, 7, 60, 500):
+        for n in (1, 2, 3):
+            q = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            elements = (
+                randgen.random_qpoly(rng, n, q, max_degree=12, terms=terms),
+                randgen.random_free(rng, n, max_len=6, terms=terms),
+                randgen.random_laurent(rng, n, max_degree=8, max_power=6, terms=terms),
+                randgen.random_hseries(rng, n, 4, max_degree=8, terms=terms),
+            )
+            for element in elements:
+                assert element.terms
+                assert element_text(element) == reference_element_text(element)
+
+
+def test_element_text_edge_cases():
+    huge = QPolynomial(2, 0.5, {(1, 0): 1e300})
+    overflow = (qpoly_mul(huge, QPolynomial(2, 0.5, {(0, 1): -1e300}))  # -inf + nan i
+                + huge * 1e300)                                          # inf + inf i
+    odd = {(): complex(1.0, -0.0), (1,): complex(-0.0, 2.0), (1, 1): 5e-324,
+           (1, 1, 1): 1e300, (1, 1, 1, 1): -1e-300}
+    cases = [
+        QPolynomial.zero(3, complex(0.5, -0.25)),
+        FreeElement(1, {}),
+        LaurentElement(2, {}),
+        HSeriesElement(1, 0, {}),
+        HSeriesElement(2, 5, {}),
+        HSeriesElement(1, 3, {(3, (2,)): -0.5j}),
+        FreeElement(1, {(): 1.0}),
+        FreeElement(1, odd, tol=0.0),
+        QPolynomial(1, -2.0, {(0,): complex(-0.0, 1.0), (4,): 5e-324}, tol=0.0),
+        LaurentElement(1, {((0,), -3): 1e300, ((2,), 0): complex(1.0, -0.0)}),
+        overflow,
+    ]
+    for element in cases:
+        assert element_text(element) == reference_element_text(element)
+    assert element_text(FreeElement(1, {})).endswith('"terms": []\n}')
+    assert '"alpha": [],' in element_text(FreeElement(1, {(): 1.0}))
+    text = element_text(overflow)
+    assert all(word in text for word in ("NaN", "-Infinity", " Infinity"))
+    with pytest.raises(TypeError):
+        element_text({"kind": "free"})
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("NaN", "expected a finite number"),
+    ("1e400", "expected a finite number"),  # json reads it as inf
+    ("1" + "0" * 400, "number outside the double range"),
+], ids=["nan", "1e400", "401-digit-int"])
+def test_non_finite_or_out_of_range_numbers_rejected(literal, message):
+    # NaN once vanished at parse, inf emptied a product, and a 401-digit
+    # integer raised OverflowError from float()
+    term = '{"kind": "free", "n": 1, "terms": [{"alpha": [1], "c": {"re": %s}}]}'
+    with pytest.raises(SchemaError, match=r"^\$\.terms\[0\]\.c\.re: " + message):
+        parse_element(term % literal)
+    head = '{"kind": "qpoly", "n": 1, "q": {"re": 0.5, "im": %s}, "terms": []}'
+    with pytest.raises(SchemaError, match=r"^\$\.q\.im: " + message):
+        parse_element(head % literal)
