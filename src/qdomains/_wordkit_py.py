@@ -11,14 +11,21 @@ orderings and norms of the 4-6 term elements that the suites check make
 tens of thousands of such calls, and a fiber has 90 words or more.
 
 A fiber p^{-1}(k) is enumerated into one record, fiber(counts): its words
-in lexicographic order and their inversion numbers, as tuples.  Only the
-record of the last profile asked for is cached (_FIBER_CACHE), so the
+in lexicographic order and their inversion numbers, as tuples.  One slot,
+_fiber_record, holds the record of the last profile asked for, so the
 lifts of one x^k, its fiber lists and its Mahonian sum share a single
-enumeration and a single word_stats pass, while at most one fiber is held
-between calls.  fiber_words and fiber_inversions return fresh lists."""
+enumeration and a single statistics pass, while at most one fiber is held
+between calls.  fiber_words and fiber_inversions return fresh lists.
 
-from functools import lru_cache
+The slot also answers word_stats: a batch of words of that fiber (the
+words of a lift of x^k, in any order and any number) has profile k and the
+recorded inversion numbers, so fiber_stats reads them from the record's
+word -> inversions map and no statistics pass runs.  Any other batch (a
+foreign word anywhere in it, an unhashable word, an empty batch, another
+n, or no record) takes the scalar or numpy route."""
+
 from itertools import chain
+from operator import index
 
 import numpy as np
 
@@ -48,15 +55,47 @@ def word_profile(word, n):
 
 _SCALAR_BATCH = 20
 
+# (counts, (words, inversions), word -> inversion number) of the last fiber
+_fiber_record = None
+
+
+def fiber_stats(words, n):
+    """(profiles, inversions) of words over letters 1..n read from the
+    cached fiber record, or None unless every word is a word of that fiber
+    and the fiber has n letters.  words may be any sized iterable of words,
+    a mapping keyed by words among them."""
+    if _fiber_record is None:
+        return None
+    counts, _, inversions_of = _fiber_record
+    if len(counts) != n:
+        return None
+    try:
+        if next(iter(words), None) not in inversions_of:
+            return None
+        ms = list(map(inversions_of.__getitem__, words))
+    except (KeyError, TypeError):   # a foreign word partway, or an unhashable one
+        return None
+    return [counts] * len(ms), ms
+
 
 def word_stats(words, n):
     """(profiles, inversions) of every word in words, over letters 1..n.
 
-    Letters outside 1..n are left out of the profiles on both routes.
+    Letters outside 1..n are left out of the profiles on every route.
     Returns a list of n-tuples and a list of ints, in the order of words.
-    A batch of _SCALAR_BATCH words or more is left-padded with 0 into one
-    integer array; 0 is below every letter, so padding adds no inversion,
-    and it is not counted in any profile."""
+    A batch of words of the cached fiber is read from its record
+    (fiber_stats), any other is computed (_scan_stats)."""
+    stats = fiber_stats(words, n)
+    if stats is not None:
+        return stats
+    return _scan_stats(words, n)
+
+
+def _scan_stats(words, n):
+    """word_stats computed from the letters: the scalar loops below
+    _SCALAR_BATCH words, else one numpy pass.  That pass left-pads the
+    words with 0 into one integer array; 0 is below every letter, so
+    padding adds no inversion, and it is not counted in any profile."""
     if len(words) < _SCALAR_BATCH:
         return ([word_profile(word, n) for word in words],
                 [inversions(word) for word in words])
@@ -99,18 +138,23 @@ def _next_permutation(a):
     return True
 
 
-_FIBER_CACHE = 1
-
-
-@lru_cache(maxsize=_FIBER_CACHE)
 def fiber(counts):
     """(words, inversions) of the fiber with the given letter counts: every
-    word once, in lexicographic order, and the inversion number of each."""
+    word once, in lexicographic order, and the inversion number of each.
+    A call for the profile of the record in the slot returns that record."""
+    global _fiber_record
+    record = _fiber_record
+    if record is not None and record[0] == counts:
+        return record[1]
+    counts = tuple(map(index, counts))
     word = _start_word(counts)
     words = [tuple(word)]
     while _next_permutation(word):
         words.append(tuple(word))
-    return tuple(words), tuple(word_stats(words, len(counts))[1])
+    words = tuple(words)
+    ms = tuple(_scan_stats(words, len(counts))[1])
+    _fiber_record = (counts, (words, ms), dict(zip(words, ms)))
+    return _fiber_record[1]
 
 
 def fiber_words(counts):

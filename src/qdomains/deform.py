@@ -180,15 +180,22 @@ def normal_order_formal(u: FormalFreeElement, order: int | None = None) -> HSeri
         if k not in rows:
             rows[k] = [0.0] * (order + 1) + [order + 1]
     stats = {alpha: (rows[k], k, m) for alpha, k, m in zip(words, profiles, ms)}
-    taylor: dict = {}   # (m, p) -> Taylor coefficients of e^{-imh} through h^(order - p)
+    # m -> [p] -> Taylor coefficients of e^{-imh} through h^(order - p)
+    taylor: dict = {}
     touched = []        # (h-power, k) in the order each sum is first added to
+    last = None         # a lift lists each word's terms together, p = 0 .. order
     for (p, alpha), c in u.terms.items():
         if p > order:
             continue
-        row, k, m = stats[alpha]
-        phases = taylor.get((m, p))
+        if alpha is not last:
+            last = alpha
+            row, k, m = stats[alpha]
+            by_p = taylor.get(m)
+            if by_p is None:
+                by_p = taylor[m] = [None] * (order + 1)
+        phases = by_p[p]
         if phases is None:
-            phases = taylor[m, p] = _taylor_exp(1j * -m, order - p)
+            phases = by_p[p] = _taylor_exp(1j * -m, order - p)
         if p < row[-1]:
             touched.extend((h, k) for h in range(p, row[-1]))
             row[-1] = p

@@ -4,10 +4,13 @@ Laurent-deformation elements, with their products and the lift maps.
 Every element type of the kit, these three and the h-series types in
 deform_types, is an immutable coefficient map over exact combinatorial
 keys built on one base, _SparseElement.  Coefficients are double-precision
-complex; terms below the pruning tolerance (1e-12, absolute) are dropped
-at construction.  The q-plane, Laurent and h-series products all follow
-one commutation rule, x^k x^l = phase(sigma(l,k)) x^{k+l}, and run
-through one pair loop, _twisted_mul.
+complex; terms at or below the pruning tolerance (1e-12, absolute) are
+dropped at construction, while a term whose modulus is NaN (as from an
+overflowing product) or infinite is kept, so an overflow shows in the
+result instead of emptying it.  The q-plane, Laurent and h-series
+products all follow one commutation rule,
+x^k x^l = phase(sigma(l,k)) x^{k+l}, and run through one pair loop,
+_twisted_mul.
 
 Public constructors validate every key.  Results that the kit builds
 from keys it already holds skip that per-key check: the products
@@ -105,7 +108,7 @@ class _SparseElement:
                     raise ValueError(f"duplicate basis key {key!r}")
                 clean[norm_key] = c
         object.__setattr__(self, "terms", MappingProxyType(
-            {key: complex(c) for key, c in clean.items() if abs(c) > tol}))
+            {key: complex(c) for key, c in clean.items() if not abs(c) <= tol}))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -393,8 +396,11 @@ def normal_order(f: FreeElement, q) -> QPolynomial:
     qp = as_qparam(q)
     out = _Checked()
     profiles, ms = qc.word_stats(f.terms, f.n)
+    phases: dict = {}   # m -> q^{-m}: a lift's thousands of words share few m
     for c, k, m in zip(f.terms.values(), profiles, ms):
-        phase = _mutate.scale("normal-order-phase", qp.value ** (-m))
+        phase = phases.get(m)
+        if phase is None:
+            phase = phases[m] = _mutate.scale("normal-order-phase", qp.value ** (-m))
         out[k] = out.get(k, 0.0) + c * phase
     return QPolynomial(f.n, qp, out)
 
@@ -478,7 +484,8 @@ def ball_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     shift = max(logs)
     raw = [math.exp(v - shift) for v in logs]
     total = sum(raw)
+    powers = [qp.value ** m for m in range(max(ms) + 1)]   # every m occurs in a fiber
     terms = _Checked()
     for alpha, m, w in zip(words, ms, raw):
-        terms[alpha] = (w / total) * qp.value ** m
+        terms[alpha] = (w / total) * powers[m]
     return FreeElement(n, terms)

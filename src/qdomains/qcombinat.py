@@ -18,6 +18,7 @@ from qdomains import _mutate
 from qdomains._kernels import (
     fiber as _fiber,
     fiber_inversions,
+    fiber_stats as _fiber_stats,
     fiber_words as _fiber_words_raw,
     inversions as _inversions,
     mahonian_sum,
@@ -272,10 +273,17 @@ def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
     """(profiles, inversions) of a batch of words over letters 1..n.
 
     profiles[i] is word_profile(words[i], n) and inversions[i] is
-    inversions(words[i]).  A batch of a few words runs the scalar loops,
-    a larger one is one numpy pass over all the words, whatever their
+    inversions(words[i]); words may also be a mapping keyed by words, such
+    as an element's terms.  A batch made of words of the cached fiber
+    record (the words of a lift) is read from that record; membership in
+    the fiber already fixes every profile, so those letters are not checked
+    again.  Otherwise a batch of a few words runs the scalar loops, a
+    larger one is one numpy pass over all the words, whatever their
     lengths (see _wordkit_py)."""
-    profiles, ms = _word_stats(words, n)
+    stats = _fiber_stats(words, n)
+    if stats is not None:
+        return stats
+    profiles, ms = _word_stats(words, n)   # its own record probe misses too
     if list(map(sum, profiles)) != list(map(len, words)):
         raise ValueError("letters must lie in 1..n")
     return profiles, ms
@@ -331,8 +339,10 @@ def _check_fiber_cap(k: Sequence[int], cap: int) -> None:
 def fiber(k: Sequence[int], cap: int = _DEFAULT_FIBER_CAP) -> tuple:
     """The fiber record (words, inversions) of p^{-1}(k), both tuples: every
     word alpha with p(alpha) = k once, in lexicographic order, and m(alpha)
-    of each.  The record of the last profile is cached (see _wordkit_py);
-    the cap is checked on every call."""
+    of each.  The record of the last profile is held in one slot (see
+    _wordkit_py), and a later call for that profile returns the same
+    record; while it is held, word_stats reads batches of its words from
+    it.  The cap is checked on every call."""
     _check_fiber_cap(k, cap)
     return _fiber(tuple(k))
 

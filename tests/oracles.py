@@ -257,6 +257,17 @@ def reference_normal_order(f, q):
     return out
 
 
+def reference_circ_norm(f, rho):
+    """The free-ball-circ norm: sum over profiles k, in (|k|, k) order, of
+    (sum of |c|^2 over the words of profile k)^(1/2) rho^|k|."""
+    by_profile = {}
+    for alpha, c in f.terms.items():
+        k = brute_profile(alpha, f.n)
+        by_profile[k] = by_profile.get(k, 0.0) + abs(c) ** 2
+    return sum(math.sqrt(by_profile[k]) * rho ** sum(k)
+               for k in sorted(by_profile, key=lambda k: (sum(k), k)))
+
+
 def _exp_taylor(rate, order):
     # Taylor coefficients of e^{rate*h} through h^order
     coeffs = [1.0 + 0.0j]

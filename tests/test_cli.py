@@ -239,6 +239,24 @@ def test_non_finite_input_numbers_exit_two(tmp_path, capsys, literal):
         assert "invalid document: $.terms[0].c.re:" in captured.err
 
 
+def test_mul_prints_overflowing_terms(tmp_path, capsys):
+    # finite inputs whose products overflow: the NaN terms used to be pruned,
+    # leaving only the (inf + nan i) term of x1^2
+    doc = write(tmp_path, "big.json", {
+        "kind": "qpoly", "n": 2, "q": {"re": 0.5, "im": 0},
+        "terms": [{"k": [0, 0], "c": {"re": 1e300, "im": 1e300}},
+                  {"k": [1, 0], "c": {"re": 1e300, "im": 0}}]})
+    assert cli.main(["mul", "--in", doc, "--in", doc]) == 0
+    out = capsys.readouterr().out
+    a = parse_element(Path(doc).read_text())
+    assert out == reference_element_text(qpoly_mul(a, a)) + "\n"
+    terms = json.loads(out)["terms"]
+    assert [t["k"] for t in terms] == [[0, 0], [1, 0], [2, 0]]
+    assert all(math.isnan(t["c"]["im"]) for t in terms)
+    assert terms[2]["c"]["re"] == math.inf
+    assert '"re": NaN' in out and '"re": Infinity' in out
+
+
 def test_unwritable_out_exits_two(tmp_path, qpoly_doc, capsys):
     laurent = write(tmp_path, "l.json", {"kind": "laurent", "n": 1,
                                          "terms": [{"k": [1], "p": 0, "c": {"re": 1}}]})

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from qdomains import deform, qcombinat as qc, randgen
+from qdomains._wordkit_py import fiber_stats
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
@@ -141,6 +142,26 @@ def test_formal_lift_and_ordering_equal_reference_loops():
             used = order if truncate is None else truncate
             expected = HSeriesElement(n, used, reference_normal_order_formal(u, truncate))
             assert got == expected and list(got.terms) == list(expected.terms)
+
+
+def test_formal_ordering_reads_the_fiber_record():
+    # the formal lift's words are the cached fiber record's; its ordering
+    # reads their statistics from the record, or computes them once another
+    # fiber evicts it, and equals the per-word loop bit for bit, in the
+    # same key order, also truncated below the lift's order
+    for k in ((2, 1), (0, 3, 2), (3, 2, 2), (2, 2, 1, 1), (3, 3, 3)):
+        n = len(k)
+        for order in (0, 3):
+            u = deform.formal_ball_lift(k, order)
+            words = [alpha for p, alpha in u.terms if p == 0]
+            for truncate in (None, order // 2):
+                used = order if truncate is None else truncate
+                expected = HSeriesElement(n, used, reference_normal_order_formal(u, truncate))
+                for evict in (False, True):
+                    qc.fiber((1,) * n if evict else k)
+                    assert (fiber_stats(words, n) is None) == evict
+                    got = deform.normal_order_formal(u, truncate)
+                    assert got == expected and list(got.terms) == list(expected.terms)
 
 
 def test_evaluate_h_matches_fiber_product():

@@ -7,6 +7,7 @@ import pytest
 
 from qdomains import qcombinat as qc
 from qdomains import randgen
+from qdomains._wordkit_py import fiber_stats
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import (
     FreeElement,
@@ -23,9 +24,11 @@ from qdomains.elements import (
     qpoly_mul,
     tau_flip,
 )
+from qdomains.norms import FREE_BALL_CIRC, NormSpec, norm
 
-from oracles import (reference_ball_lift, reference_laurent_mul, reference_normal_order,
-                     reference_polydisk_lift, reference_qpoly_mul, rewrite_normal_order)
+from oracles import (reference_ball_lift, reference_circ_norm, reference_laurent_mul,
+                     reference_normal_order, reference_polydisk_lift, reference_qpoly_mul,
+                     rewrite_normal_order)
 
 
 def x_mono(n, q, k, c=1.0):
@@ -288,6 +291,39 @@ def test_batched_word_statistics_equal_reference_loops():
                 ordered = normal_order(got, q)
                 reference = QPolynomial(len(k), q, reference_normal_order(got, q))
                 assert ordered == reference and list(ordered.terms) == list(reference.terms)
+
+
+def test_lift_orderings_and_circ_norm_read_the_fiber_record():
+    # a lift's words are the cached fiber record's words, so normal_order and
+    # the circ norm read their statistics from the record; once another
+    # fiber evicts it they compute them.  Both routes give the per-word
+    # loops' results, bit for bit and in the same key order.
+    for k in ((2, 1), (0, 3, 2), (3, 2, 2), (2, 2, 1, 1), (3, 3, 3)):
+        n = len(k)
+        for q in (0.85, cmath.exp(0.7j), 1.3 - 0.4j):
+            for f in (ball_lift(k, q), polydisk_lift(k, q)):
+                expected = QPolynomial(n, q, reference_normal_order(f, q))
+                circ = reference_circ_norm(f, 0.8)
+                for evict in (False, True):
+                    qc.fiber((1,) * n if evict else k)
+                    assert (fiber_stats(f.terms, n) is None) == evict
+                    got = normal_order(f, q)
+                    assert got == expected and list(got.terms) == list(expected.terms)
+                    assert norm(f, NormSpec(FREE_BALL_CIRC, 0.8)) == circ
+
+
+def test_overflowing_terms_are_kept():
+    # (1e300 + 1e300i)^2 overflows to nan + nan i, whose modulus compares
+    # false with the pruning tolerance: the product used to drop the term
+    # and come out as the zero element
+    a = QPolynomial(2, 0.5, {(0, 0): 1e300 + 1e300j})
+    square = qpoly_mul(a, a)
+    assert list(square.terms) == [(0, 0)]
+    c = square.terms[0, 0]
+    assert math.isnan(c.real) and math.isnan(c.imag)
+    for c in (complex("nan"), complex("inf"), complex(-math.inf, math.nan)):
+        assert list(FreeElement(2, {(1, 2): c}).terms) == [(1, 2)]
+    assert dict(FreeElement(2, {(1, 2): 1e-12, (2,): 0.0}).terms) == {}
 
 
 class _Letter:

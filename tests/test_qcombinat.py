@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from qdomains import _kernels
+from qdomains import _kernels, _wordkit_py
 from qdomains import qcombinat as qc
 from qdomains._wordkit_py import _SCALAR_BATCH
 from qdomains.qcombinat import EnumerationCapExceeded, QParam
 
-from oracles import brute_fiber, brute_inversions, brute_mahonian_sum, brute_sigma
+from oracles import (brute_fiber, brute_inversions, brute_mahonian_sum, brute_profile,
+                     brute_sigma)
 
 # mpmath-verified infinite products (30 digits), frozen
 POCH_HALF_HALF = 0.288788095086602421278899721929
@@ -323,6 +324,13 @@ def test_word_stats_matches_brute_force():
                                ([(2, 2, 2)], 2, ([(0, 3)], [0]))):
         for got in _word_stats_both_routes(batch, n):
             assert got == expected
+    # a batch of fiber words, in reverse, read from the cached record
+    for k in ((4,), (2, 3), (1, 2, 2), (2, 0, 1, 2)):
+        n = len(k)
+        batch = list(qc.fiber(k)[0])[::-1]
+        assert _wordkit_py.fiber_stats(batch, n) is not None
+        assert qc.word_stats(batch, n) == ([brute_profile(w, n) for w in batch],
+                                           [brute_inversions(w) for w in batch])
     # letters far above int8; lists as well as tuples
     for got in _word_stats_both_routes([[300, 2], (1,)], 300):
         assert got[1] == [1, 0]
@@ -331,6 +339,77 @@ def test_word_stats_matches_brute_force():
         for batch in (bad, bad * _SCALAR_BATCH):
             with pytest.raises(ValueError):
                 qc.word_stats(batch, 2)
+
+
+def _counted_scans(monkeypatch):
+    """Record the size of every batch whose statistics are computed, not
+    read from the fiber record."""
+    sizes = []
+    scan = _wordkit_py._scan_stats
+
+    def counted(words, n):
+        sizes.append(len(words))
+        return scan(words, n)
+
+    monkeypatch.setattr(_wordkit_py, "_scan_stats", counted)
+    return sizes
+
+
+def _brute_stats(batch, n):
+    return ([brute_profile(tuple(w), n) for w in batch],
+            [brute_inversions(tuple(w)) for w in batch])
+
+
+def test_word_stats_reads_the_cached_fiber_record(monkeypatch):
+    k = (2, 1, 2)
+    words, ms = qc.fiber(k)
+    scans = _counted_scans(monkeypatch)
+    # the whole fiber, a reversed stride of it, one word, and a mapping
+    # keyed by fiber words, as an element's terms are
+    for batch in (words, list(words[::-3]), [words[7]], dict.fromkeys(words[5:40], 1.0)):
+        profiles, got = qc.word_stats(batch, 3)
+        assert (profiles, got) == _brute_stats(batch, 3)
+        assert all(type(c) is int for c in profiles[0]) and all(type(m) is int for m in got)
+    assert _kernels.word_stats(words, 3) == ([k] * len(words), list(ms))
+    assert scans == []
+    # another fiber evicts the record: the same batch is computed again
+    qc.fiber((1, 1, 1))
+    scans.clear()   # that record's own statistics pass
+    assert qc.word_stats(words, 3) == ([k] * len(words), list(ms))
+    assert scans == [len(words)]
+
+
+def test_word_stats_falls_back_off_the_record(monkeypatch):
+    k = (2, 1, 2)
+    words = list(qc.fiber(k)[0])
+    foreign = (3, 3, 1)
+    cases = [
+        (words + [foreign], 3),                     # a foreign word at the end
+        (words[:30] + [foreign] + words[30:], 3),   # ... partway
+        ([foreign] + words, 3),                     # ... first
+        ([list(w) for w in words], 3),              # unhashable words
+        (words[:5] + [list(words[5])], 3),          # one unhashable word partway
+        (words, 4),                                 # another alphabet size
+        ([], 3),
+    ]
+    scans = _counted_scans(monkeypatch)
+    for batch, n in cases:
+        assert _wordkit_py.fiber_stats(batch, n) is None
+        assert qc.word_stats(batch, n) == _brute_stats(batch, n)
+    assert scans == [len(batch) for batch, _ in cases]
+    # a foreign word with letters outside 1..n is still rejected
+    with pytest.raises(ValueError):
+        qc.word_stats(words + [(4, 1)], 3)
+
+
+def test_fiber_record_of_numpy_counts_gives_int_profiles():
+    qc.fiber((1, 1))   # so that the record below is built, not found
+    k = np.array([2, 0, 1], dtype=np.int64)
+    words, ms = qc.fiber(k)
+    profiles, got = qc.word_stats(words, 3)
+    assert profiles == [(2, 0, 1)] * len(words) and got == list(ms)
+    assert all(type(c) is int for p in profiles for c in p)
+    assert all(type(m) is int for m in got)
 
 
 def test_stirling_ratio_trend():
