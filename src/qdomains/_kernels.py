@@ -6,7 +6,6 @@ _wordkit_py)."""
 from qdomains._wordkit_py import (
     fiber,
     fiber_inversions,
-    fiber_stats,
     fiber_words,
     inversions,
     mahonian_sum,

@@ -22,7 +22,8 @@ words of a lift of x^k, in any order and any number) has profile k and the
 recorded inversion numbers, so fiber_stats reads them from the record's
 word -> inversions map and no statistics pass runs.  Any other batch (a
 foreign word anywhere in it, an unhashable word, an empty batch, another
-n, or no record) takes the scalar or numpy route."""
+n, or no record) takes the scalar or numpy route, and must have every
+letter in 1..n."""
 
 from itertools import chain
 from operator import index
@@ -81,19 +82,24 @@ def fiber_stats(words, n):
 def word_stats(words, n):
     """(profiles, inversions) of every word in words, over letters 1..n.
 
-    Letters outside 1..n are left out of the profiles on every route.
     Returns a list of n-tuples and a list of ints, in the order of words.
     A batch of words of the cached fiber is read from its record
-    (fiber_stats), any other is computed (_scan_stats)."""
+    (fiber_stats), any other is computed (_scan_stats).  A computed batch
+    with a letter outside 1..n raises ValueError; membership in the fiber
+    already fixes every letter of a batch read from the record."""
     stats = fiber_stats(words, n)
     if stats is not None:
         return stats
-    return _scan_stats(words, n)
+    profiles, ms = _scan_stats(words, n)
+    if list(map(sum, profiles)) != list(map(len, words)):
+        raise ValueError("letters must lie in 1..n")
+    return profiles, ms
 
 
 def _scan_stats(words, n):
     """word_stats computed from the letters: the scalar loops below
-    _SCALAR_BATCH words, else one numpy pass.  That pass left-pads the
+    _SCALAR_BATCH words, else one numpy pass.  Letters outside 1..n are
+    left out of the profiles on both routes.  The numpy pass left-pads the
     words with 0 into one integer array; 0 is below every letter, so
     padding adds no inversion, and it is not counted in any profile."""
     if len(words) < _SCALAR_BATCH:

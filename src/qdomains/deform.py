@@ -19,8 +19,8 @@ import numpy as np
 from qdomains import _mutate
 from qdomains import qcombinat as qc
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
-from qdomains.elements import (PRUNE_TOL, LaurentElement, QPolynomial, _Checked,
-                               _plain_mul, _twisted_mul, qpoly_mul)
+from qdomains.elements import (LaurentElement, QPolynomial, _Checked, _plain_mul,
+                               _twisted_mul, qpoly_mul)
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 from qdomains.qcombinat import sigma
 
@@ -87,11 +87,15 @@ def evaluate_h(f: HSeriesElement, h: float) -> QPolynomial:
     return QPolynomial(f.n, cmath.exp(1j * h), out)
 
 
-def poisson_bracket(f: QPolynomial, g: QPolynomial) -> QPolynomial:
-    """{x^k, x^l} = (sigma(k,l) - sigma(l,k)) x^{k+l} on commutative inputs."""
+def _check_commutative(f: QPolynomial, g: QPolynomial):
     f._check_compatible(g)
     if abs(f.q.value - 1.0) > 1e-12:
         raise ValueError("the Poisson bracket lives on the commutative fiber q = 1")
+
+
+def poisson_bracket(f: QPolynomial, g: QPolynomial) -> QPolynomial:
+    """{x^k, x^l} = (sigma(k,l) - sigma(l,k)) x^{k+l} on commutative inputs."""
+    _check_commutative(f, g)
 
     def bracket(g1, g2, s_lk, s_kl):
         return ((None, s_kl - s_lk),) if s_kl != s_lk else ()
@@ -118,7 +122,7 @@ def quantization_defect(f: QPolynomial, g: QPolynomial, h: float,
     """
     if h == 0:
         raise ValueError("the defect is a difference quotient; h must be nonzero")
-    f._check_compatible(g)
+    _check_commutative(f, g)
     out = _plain_mul(f, g, lambda g1, g2, s_lk, s_kl: ((None, _phi_defect(s_kl, s_lk, h)),),
                      both_sigmas=True)
     defect = QPolynomial(f.n, cmath.exp(1j * h), out)
@@ -219,14 +223,18 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
     """Evaluate q -> ||a_q|| along a sample path and report the jumps.
 
     One numpy pass over samples x monomials: each fiber coefficient
-    sum_p c q**p is formed for every sample at once, pruned at PRUNE_TOL
-    as QPolynomial does, and weighted in the log domain.  Per sample the
-    value matches norm(fiber_eval(a, q), NormSpec(family, rho)) to rounding.
+    sum_p c q**p is formed for every sample at once and weighted in the log
+    domain.  A coefficient that is exactly 0 is dropped, as QPolynomial
+    drops it, so that a zero coefficient times an infinite weight adds 0
+    rather than NaN.  Per sample the value matches
+    norm(fiber_eval(a, q), NormSpec(family, rho)) to rounding.
 
     The continuity diagnostic is descriptive: the maximum adjacent-sample
     jump and its ratio to the parameter spacing."""
     if family not in (POLYDISK_L1, BALL):
         raise ValueError("scan families are polydisk-l1 and ball")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and positive")
     qs = np.array([complex(q) for q in samples], dtype=complex)
     if np.any(qs == 0):
         raise ValueError("samples must be nonzero")
@@ -253,7 +261,7 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
             else:
                 log_w = cross * log_modulus_below_one
             log_norm = sum(k) * log_rho + log_w
-            values += np.where(size > PRUNE_TOL, size * np.exp(log_norm), 0.0)
+            values += np.where(size > 0.0, size * np.exp(log_norm), 0.0)
     if np.isinf(values).any():
         # norm() raises here too, from math.exp
         raise OverflowError("fiber norm exceeds the float range")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import index
 from typing import Mapping, Sequence
 
-from qdomains.elements import PRUNE_TOL, _exponents, _SparseElement, _word
+from qdomains.elements import _exponents, _SparseElement, _word
 
 
 def _h_power(p, order: int) -> int:
@@ -30,10 +30,10 @@ class HSeriesElement(_SparseElement):
     __slots__ = ("order",)
     _fields = ("order",)
 
-    def __init__(self, n: int, order: int, terms: Mapping, tol: float = PRUNE_TOL):
+    def __init__(self, n: int, order: int, terms: Mapping):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        self._setup(n, terms, tol, order)
+        self._setup(n, terms, order)
 
     def _key(self, key):
         p, k = key
@@ -77,10 +77,10 @@ class FormalFreeElement(_SparseElement):
     __slots__ = ("order",)
     _fields = ("order",)
 
-    def __init__(self, n: int, order: int, terms: Mapping, tol: float = PRUNE_TOL):
+    def __init__(self, n: int, order: int, terms: Mapping):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        self._setup(n, terms, tol, order)
+        self._setup(n, terms, order)
 
     def _key(self, key):
         p, alpha = key

@@ -4,10 +4,11 @@ Laurent-deformation elements, with their products and the lift maps.
 Every element type of the kit, these three and the h-series types in
 deform_types, is an immutable coefficient map over exact combinatorial
 keys built on one base, _SparseElement.  Coefficients are double-precision
-complex; terms at or below the pruning tolerance (1e-12, absolute) are
-dropped at construction, while a term whose modulus is NaN (as from an
-overflowing product) or infinite is kept, so an overflow shows in the
-result instead of emptying it.  The q-plane, Laurent and h-series
+complex; construction drops a term only when its coefficient is exactly
+zero (0, -0.0, 0j).  Every other term is kept: a tiny one, as the
+coefficients |q|^m of a lift at small |q| are, and a NaN or infinite one
+(as from an overflowing product), so an overflow shows in the result
+instead of emptying it.  The q-plane, Laurent and h-series
 products all follow one commutation rule,
 x^k x^l = phase(sigma(l,k)) x^{k+l}, and run through one pair loop,
 _twisted_mul.
@@ -20,8 +21,8 @@ homogeneous_component, the generators of laurent_word, the fiber words
 of polydisk_lift and ball_lift, and in deform the (h-power, fiber word)
 keys of formal_ball_lift and the (h-power, profile) keys of
 normal_order_formal.  They hand their terms over as a _Checked mapping;
-construction still runs through each class's __init__ and prunes as
-usual.
+construction still runs through each class's __init__ and drops exact
+zeros as usual.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "QPolynomial",
     "FreeElement",
     "LaurentElement",
-    "PRUNE_TOL",
     "qpoly_mul",
     "free_mul",
     "normal_order",
@@ -52,9 +52,6 @@ __all__ = [
     "fiber_eval",
     "homogeneous_component",
 ]
-
-PRUNE_TOL = 1e-12
-
 
 class _Checked(dict):
     """Terms whose keys were built from keys already checked, as tuples of
@@ -92,7 +89,7 @@ class _SparseElement:
     __slots__ = ("n", "terms")
     _fields: tuple = ()
 
-    def _setup(self, n: int, terms: Mapping, tol: float, *params):
+    def _setup(self, n: int, terms: Mapping, *params):
         if n < 1:
             raise ValueError("dimension must be at least 1")
         object.__setattr__(self, "n", n)
@@ -108,7 +105,7 @@ class _SparseElement:
                     raise ValueError(f"duplicate basis key {key!r}")
                 clean[norm_key] = c
         object.__setattr__(self, "terms", MappingProxyType(
-            {key: complex(c) for key, c in clean.items() if not abs(c) <= tol}))
+            {key: complex(c) for key, c in clean.items() if c}))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -154,7 +151,7 @@ class _SparseElement:
     def _params_close(self, other, tol: float) -> bool:
         return self._params() == other._params()
 
-    def allclose(self, other, tol: float = PRUNE_TOL) -> bool:
+    def allclose(self, other, tol: float = 1e-12) -> bool:
         if type(other) is not type(self) or self.n != other.n:
             return False
         if not self._params_close(other, tol):
@@ -184,8 +181,8 @@ class QPolynomial(_SparseElement):
     __slots__ = ("q",)
     _fields = ("q",)
 
-    def __init__(self, n: int, q, terms: Mapping, tol: float = PRUNE_TOL):
-        self._setup(n, terms, tol, as_qparam(q))
+    def __init__(self, n: int, q, terms: Mapping):
+        self._setup(n, terms, as_qparam(q))
 
     def _key(self, k):
         return _exponents(k, self.n)
@@ -230,8 +227,8 @@ class FreeElement(_SparseElement):
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: Mapping, tol: float = PRUNE_TOL):
-        self._setup(n, terms, tol)
+    def __init__(self, n: int, terms: Mapping):
+        self._setup(n, terms)
 
     def _key(self, alpha):
         return _word(alpha, self.n)
@@ -272,8 +269,8 @@ class LaurentElement(_SparseElement):
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: Mapping, tol: float = PRUNE_TOL):
-        self._setup(n, terms, tol)
+    def __init__(self, n: int, terms: Mapping):
+        self._setup(n, terms)
 
     def _key(self, key):
         k, p = key

@@ -152,11 +152,12 @@ def op_norm_bounds(a: QPolynomial, q: float, rho: float, degree: int) -> OpNormB
     """
     if not 0.0 < q < 1.0:
         raise ValueError("the representation needs 0 < q < 1")
+    spec = NormSpec(POLYDISK_L1, rho)   # rejects a rho that is not finite and positive
     mat = _operator_matrix(a, q, rho, degree)
     normal = mat.conj().T @ mat
     top = float(np.linalg.eigvalsh(normal)[-1])
     lower = math.sqrt(max(top, 0.0))
-    upper = norm(a, NormSpec(POLYDISK_L1, rho))
+    upper = norm(a, spec)
     vac = vacuum_vector_image(a, q, rho)
     vacuum = math.sqrt(sum(abs(c) ** 2 for c in vac.values()))
     return OpNormBounds(lower, upper, vacuum)

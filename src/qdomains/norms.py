@@ -78,10 +78,10 @@ class NormSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown norm family {self.family!r}")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if self.tau < 1:
-            raise ValueError("tau must be at least 1")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
+        if not (math.isfinite(self.tau) and self.tau >= 1):
+            raise ValueError(f"tau must be finite and at least 1, got {self.tau!r}")
         if self.order < 0:
             raise ValueError("truncation order must be nonnegative")
         if self.q is not None and not isinstance(self.q, QParam):

@@ -8,6 +8,7 @@ the log domain so weights stay finite for N up to ~1e5.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,7 +19,6 @@ from qdomains import _mutate
 from qdomains._kernels import (
     fiber as _fiber,
     fiber_inversions,
-    fiber_stats as _fiber_stats,
     fiber_words as _fiber_words_raw,
     inversions as _inversions,
     mahonian_sum,
@@ -71,7 +71,7 @@ class EnumerationCapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class QParam:
-    """Nonzero deformation parameter with cached |q| and log|q|.
+    """Nonzero, finite deformation parameter with cached |q| and log|q|.
 
     Magnitude-dependent weights use modulus only; the phase enters the
     algebra through integer powers q**N.
@@ -85,6 +85,8 @@ class QParam:
         value = complex(self.value)
         if value == 0:
             raise ValueError("deformation parameter q must be nonzero")
+        if not cmath.isfinite(value):
+            raise ValueError(f"deformation parameter q must be finite, got {value!r}")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "modulus", abs(value))
         object.__setattr__(self, "log_modulus", math.log(abs(value)))
@@ -279,14 +281,9 @@ def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
     the fiber already fixes every profile, so those letters are not checked
     again.  Otherwise a batch of a few words runs the scalar loops, a
     larger one is one numpy pass over all the words, whatever their
-    lengths (see _wordkit_py)."""
-    stats = _fiber_stats(words, n)
-    if stats is not None:
-        return stats
-    profiles, ms = _word_stats(words, n)   # its own record probe misses too
-    if list(map(sum, profiles)) != list(map(len, words)):
-        raise ValueError("letters must lie in 1..n")
-    return profiles, ms
+    lengths (see _wordkit_py); it raises ValueError unless every letter
+    lies in 1..n."""
+    return _word_stats(words, n)
 
 
 _DEFAULT_TOTAL_CAP = 1000

@@ -5,7 +5,9 @@ n, an optional parameter q (required for qpoly, allowed for free where a
 consumer needs it, rejected elsewhere), and a list of term records.
 Parsing is strict: unknown fields, wrong shapes, out-of-range letters and
 numbers that are not finite doubles are rejected with a path diagnostic.
-parse(serialize(e)) reproduces e bit for bit.
+A parsed term is kept unless its coefficient is exactly zero, the one rule
+every element constructor applies, so parse(serialize(e)) reproduces e
+bit for bit, subnormal coefficients included.
 
 serialize_element writes the compact form.  element_text writes the
 indent-2 form that the CLI prints, the same bytes as
@@ -176,7 +178,7 @@ def document_to_element(doc: Any):
             if k in terms:
                 raise SchemaError(f"{path}.k", "duplicate exponent vector")
             terms[k] = _parse_complex(record["c"], f"{path}.c")
-        return QPolynomial(n, q, terms, tol=0.0)
+        return QPolynomial(n, q, terms)
 
     if kind == "free":
         if "q" in doc:
@@ -188,7 +190,7 @@ def document_to_element(doc: Any):
             if alpha in terms:
                 raise SchemaError(f"{path}.alpha", "duplicate word")
             terms[alpha] = _parse_complex(record["c"], f"{path}.c")
-        return FreeElement(n, terms, tol=0.0)
+        return FreeElement(n, terms)
 
     if kind == "laurent":
         terms = {}
@@ -199,7 +201,7 @@ def document_to_element(doc: Any):
             if (k, p) in terms:
                 raise SchemaError(path, "duplicate basis key")
             terms[(k, p)] = _parse_complex(record["c"], f"{path}.c")
-        return LaurentElement(n, terms, tol=0.0)
+        return LaurentElement(n, terms)
 
     # hseries
     powers = []
@@ -219,7 +221,7 @@ def document_to_element(doc: Any):
         raise SchemaError("$.order", "order must be nonnegative")
     if powers and order < max(powers):
         raise SchemaError("$.order", "order is smaller than the largest h-power")
-    return HSeriesElement(n, order, terms, tol=0.0)
+    return HSeriesElement(n, order, terms)
 
 
 def document_q(doc: Any) -> complex | None:

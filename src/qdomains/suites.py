@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 from random import Random
+from typing import Mapping
 
 import numpy as np
 
@@ -94,12 +95,15 @@ class SuiteReport:
         }
 
 
-def _rel(a: float, b: float) -> float:
+def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _crel(a: complex, b: complex) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+def _max_diff(a: Mapping, b: Mapping) -> float:
+    """max |a_key - b_key| over the union of the keys, a missing key
+    reading 0; 0.0 when both are empty."""
+    return max((abs(a.get(key, 0.0) - b.get(key, 0.0)) for key in set(a) | set(b)),
+               default=0.0)
 
 
 def _phase(rng: Random) -> complex:
@@ -201,10 +205,7 @@ def _suite_prop_3_15_isometry(rng: Random, p: dict) -> list:
         n = 2 + i % 2
         q = (0.5, 2.0, 1.0)[i % 3] * _phase(rng)
         a = randgen.random_qpoly(rng, n, q, max_degree=4, terms=5)
-        twice = tau_flip(tau_flip(a))
-        keys = set(a.terms) | set(twice.terms)
-        worst_inv = max(worst_inv, max(abs(a.terms.get(k, 0.0) - twice.terms.get(k, 0.0))
-                                       for k in keys))
+        worst_inv = max(worst_inv, _max_diff(a.terms, tau_flip(tau_flip(a)).terms))
     return [CheckResult("flip-isometry", worst, p["tol"]),
             CheckResult("flip-involution", worst_inv, 1e-10)]
 
@@ -302,7 +303,7 @@ def _suite_lift_attainment(rng: Random, p: dict) -> list:
     for n in range(1, 4):
         for k in qc.multi_indices(n, 7):
             profiles.append((n, k))
-    for modulus in (0.5, 1.0, 2.0):
+    for modulus in (0.05, 0.3, 0.5, 1.0, 2.0):
         q = modulus if modulus != 1.0 else cmath.exp(0.4j)
         for n, k in profiles:
             lift = polydisk_lift(k, q)
@@ -312,11 +313,8 @@ def _suite_lift_attainment(rng: Random, p: dict) -> list:
             btarget = qc.weight_ball(k, q) * rho ** sum(k)
             worst_ball = max(worst_ball, _rel(norm(blift, NormSpec(FREE_BALL_CIRC, rho)), btarget))
             for lifted in (lift, blift):
-                image = normal_order(lifted, q)
-                keys = set(image.terms) | {tuple(k)}
                 worst_order = max(worst_order,
-                                  max(abs(image.terms.get(kk, 0.0) - (1.0 if kk == tuple(k) else 0.0))
-                                      for kk in keys))
+                                  _max_diff(normal_order(lifted, q).terms, {tuple(k): 1.0}))
     # random feasible perturbations of the minimizing coefficients
     worst_pert = -math.inf
     candidates = [(n, k) for n, k in profiles if qc.fiber_count(k) >= 2]
@@ -336,8 +334,7 @@ def _suite_lift_attainment(rng: Random, p: dict) -> list:
         mean = sum(delta) / len(delta)
         eps = (1e-3, 0.1, 1.0)[i % 3]
         coeffs = [c + eps * (d - mean) for c, d in zip(c0, delta)]
-        perturbed = FreeElement(n, {a: c * q ** m for a, c, m in zip(words, coeffs, ms)},
-                                tol=0.0)
+        perturbed = FreeElement(n, {a: c * q ** m for a, c, m in zip(words, coeffs, ms)})
         worst_pert = max(worst_pert, base_norm - norm(perturbed, NormSpec(FREE_BALL_CIRC, 1.0)))
     return [CheckResult("polydisk-lift-norm", worst_poly, p["tol"]),
             CheckResult("ball-lift-norm", worst_ball, p["tol"]),
@@ -352,7 +349,7 @@ def _suite_lemma_7_9(rng: Random, p: dict) -> list:
         for k in qc.multi_indices(n, p["max_total"]):
             for q in qs:
                 brute, closed = qc.inv_distribution(k, q)
-                worst_dist = max(worst_dist, _crel(brute, closed))
+                worst_dist = max(worst_dist, _rel(brute, closed))
     worst_norm = 0.0
     for modulus in (0.5, 2.0):
         for n in range(1, 4):
@@ -430,9 +427,7 @@ def _suite_laurent_word_identity(rng: Random, p: dict) -> list:
             built = laurent_word(n, alpha)
             expected = LaurentElement.monomial(
                 n, qc.word_profile(alpha, n), -qc.inversions(alpha))
-            keys = set(built.terms) | set(expected.terms)
-            worst = max(worst, max(abs(built.terms.get(key, 0.0) - expected.terms.get(key, 0.0))
-                                   for key in keys))
+            worst = max(worst, _max_diff(built.terms, expected.terms))
     return [CheckResult("generator-word-is-flat-monomial", worst, 1e-12)]
 
 
@@ -448,7 +443,7 @@ def _suite_fock_lemma_5_2(rng: Random, p: dict) -> list:
                 mono = QPolynomial.monomial(n, q, k)
                 image = fock.fock_apply(mono, {(0,) * n: 1.0}, trunc)
                 composed = image.get(tuple(k), 0.0)
-                worst = max(worst, _crel(composed, fock.vacuum_image(k, q)))
+                worst = max(worst, _rel(composed, fock.vacuum_image(k, q)))
     return [CheckResult("vacuum-image-closed-form", worst, p["tol"])]
 
 
@@ -632,7 +627,7 @@ def _suite_star_associativity(rng: Random, p: dict) -> list:
         if any(key[1] != target for key in support):
             worst_mono = max(worst_mono, 1.0)
         for power, ref in enumerate(expected):
-            worst_mono = max(worst_mono, _crel(prod.terms.get((power, target), 0.0), ref))
+            worst_mono = max(worst_mono, _rel(prod.terms.get((power, target), 0.0), ref))
 
     worst_assoc = 0.0
     for i in range(p["triples"]):
@@ -642,11 +637,7 @@ def _suite_star_associativity(rng: Random, p: dict) -> list:
         u = randgen.random_hseries(rng, 2, order, max_degree=4, terms=4)
         left = deform.star_product(deform.star_product(f, g), u)
         right = deform.star_product(f, deform.star_product(g, u))
-        keys = set(left.terms) | set(right.terms)
-        if keys:
-            worst_assoc = max(worst_assoc,
-                              max(abs(left.terms.get(key, 0.0) - right.terms.get(key, 0.0))
-                                  for key in keys))
+        worst_assoc = max(worst_assoc, _max_diff(left.terms, right.terms))
 
     worst_fiber = -math.inf
     for i in range(50):
@@ -660,9 +651,7 @@ def _suite_star_associativity(rng: Random, p: dict) -> list:
         q_h = cmath.exp(1j * h0)
         direct = qpoly_mul(QPolynomial(2, q_h, dict(fq.terms)),
                            QPolynomial(2, q_h, dict(gq.terms)))
-        keys = set(star_eval.terms) | set(direct.terms)
-        diff = max(abs(star_eval.terms.get(key, 0.0) - direct.terms.get(key, 0.0))
-                   for key in keys)
+        diff = _max_diff(star_eval.terms, direct.terms)
         sig_max = max((qc.sigma(l, k) for k in fq.terms for l in gq.terms), default=0)
         mass = sum(abs(c) for c in fq.terms.values()) * sum(abs(c) for c in gq.terms.values())
         bound = 2.0 * mass * (sig_max * h0) ** (order + 1) / math.factorial(order + 1) + 1e-12
@@ -672,10 +661,7 @@ def _suite_star_associativity(rng: Random, p: dict) -> list:
     for _ in range(50):
         f = randgen.random_hseries(rng, 2, 3, max_degree=3, terms=4)
         prod = deform.star_product(f, HSeriesElement.one(2, 3))
-        keys = set(prod.terms) | set(f.terms)
-        worst_unit = max(worst_unit,
-                         max(abs(prod.terms.get(key, 0.0) - f.terms.get(key, 0.0))
-                             for key in keys))
+        worst_unit = max(worst_unit, _max_diff(prod.terms, f.terms))
 
     return [CheckResult("generator-rule", worst_gen, 1e-14),
             CheckResult("monomial-phase", worst_mono, 1e-13),
@@ -732,11 +718,7 @@ def _suite_star_defect(rng: Random, p: dict) -> list:
                            max((abs(c) for c in jac.terms.values()), default=0.0))
         lhs = deform.poisson_bracket(f, qpoly_mul(g, u))
         rhs = qpoly_mul(deform.poisson_bracket(f, g), u) + qpoly_mul(g, deform.poisson_bracket(f, u))
-        keys = set(lhs.terms) | set(rhs.terms)
-        if keys:
-            worst_leibniz = max(worst_leibniz,
-                                max(abs(lhs.terms.get(key, 0.0) - rhs.terms.get(key, 0.0))
-                                    for key in keys))
+        worst_leibniz = max(worst_leibniz, _max_diff(lhs.terms, rhs.terms))
 
     return [CheckResult("coordinate-defect-value", worst_example, 1e-12),
             CheckResult("phi-vs-commutator-route", worst_two_routes, 1e-10),
@@ -756,22 +738,16 @@ def _suite_formal_lift(rng: Random, p: dict) -> list:
             u = deform.formal_ball_lift(k, order)
             pushed = deform.normal_order_formal(u)
             expected = HSeriesElement.monomial(n, order, k)
-            keys = set(pushed.terms) | set(expected.terms)
-            worst_identity = max(worst_identity,
-                                 max(abs(pushed.terms.get(key, 0.0) - expected.terms.get(key, 0.0))
-                                     for key in keys))
+            worst_identity = max(worst_identity, _max_diff(pushed.terms, expected.terms))
             log_half = 0.5 * (sum(math.lgamma(m + 1) for m in k) - math.lgamma(sum(k) + 1))
             for s in range(order + 1):
-                coeff = FreeElement(n, u.coefficient(s), tol=0.0)
+                coeff = FreeElement(n, u.coefficient(s))
                 bound = sum(k) ** (2 * s) * math.exp(log_half) if sum(k) else (1.0 if s == 0 else 0.0)
                 worst_bound = max(worst_bound,
                                   norm(coeff, NormSpec(FREE_BALL_CIRC, 1.0)) - bound - 1e-12)
     for m in range(1, 6):
         u = deform.formal_ball_lift((m, 0), order)
-        expected = {(0, (1,) * m): 1.0}
-        keys = set(u.terms) | set(expected)
-        worst_axis = max(worst_axis,
-                         max(abs(u.terms.get(key, 0.0) - expected.get(key, 0.0)) for key in keys))
+        worst_axis = max(worst_axis, _max_diff(u.terms, {(0, (1,) * m): 1.0}))
     return [CheckResult("truncated-ordering-identity", worst_identity, p["tol"]),
             CheckResult("axis-profile-exact", worst_axis, 0.0),
             CheckResult("coefficient-norm-bound", worst_bound, 0.0)]

@@ -269,3 +269,35 @@ def test_unwritable_out_exits_two(tmp_path, qpoly_doc, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: cannot write {missing}: " in captured.err
+
+
+@pytest.mark.parametrize("command, value, message", [
+    ("norm-tau", "nan", "tau must be finite"),
+    ("norm-rho", "inf", "rho must be finite"),
+    ("normal-order", "nan", "q must be finite"),
+    ("normal-order", "1,inf", "q must be finite"),
+    ("scan", "nan", "rho must be finite"),
+    ("scan", "inf", "rho must be finite"),
+    ("fock-norm", "nan", "rho must be finite"),
+])
+def test_non_finite_option_numbers_exit_two(tmp_path, qpoly_doc, capsys, command, value,
+                                            message):
+    # each of these exited 0 and printed NaN or Infinity
+    free = write(tmp_path, "f.json", {"kind": "free", "n": 2,
+                                      "terms": [{"alpha": [2, 1], "c": {"re": 1}}]})
+    laurent = write(tmp_path, "l.json", {"kind": "laurent", "n": 1,
+                                         "terms": [{"k": [1], "p": 1, "c": {"re": 1}}]})
+    argv = {
+        "norm-tau": ["norm", "--in", free, "--family", "free-polydisk", "--rho", "1",
+                     "--tau", value],
+        "norm-rho": ["norm", "--in", qpoly_doc, "--family", "polydisk", "--rho", value],
+        "normal-order": ["normal-order", "--in", free, "--q", value],
+        "scan": ["scan", "--in", laurent, "--path", "circle:0.5", "--samples", "4",
+                 "--family", "polydisk", "--rho", value],
+        "fock-norm": ["fock-norm", "--in", qpoly_doc, "--q", "0.5", "--rho", value,
+                      "--depth", "3"],
+    }[command]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err

@@ -228,6 +228,18 @@ def test_quantization_defect_examples():
         deform.quantization_defect(x1, x2, 0.0, spec)
 
 
+def test_quantization_defect_takes_commutative_inputs():
+    # q != 1 inputs used to be multiplied as if commutative
+    spec = NormSpec(POLYDISK_L1, 1.0)
+    for q in (0.5, cmath.exp(0.3j)):
+        x1 = QPolynomial.monomial(2, q, (1, 0))
+        x2 = QPolynomial.monomial(2, q, (0, 1))
+        with pytest.raises(ValueError, match="commutative"):
+            deform.quantization_defect(x1, x2, 0.01, spec)
+        with pytest.raises(ValueError, match="commutative"):
+            deform.poisson_bracket(x1, x2)
+
+
 def test_defect_halving_ratio():
     rng = Random("halving")
     spec = NormSpec(POLYDISK_L1, 1.0)
@@ -339,11 +351,12 @@ def test_bundle_scan_exact_cancellation_and_empty():
                                        rel=1e-12, abs=0.0)
         empty = _scan_values(LaurentElement.zero(3), family, 1.0, samples)
         assert empty == [0.0] * len(samples)
-        # |c q^2| = 5e-13 is pruned at |q| = 0.5 and kept at |q| = 1
+        # |c q^2| = 5e-13 at |q| = 0.5 is not zero, so it is kept, as
+        # QPolynomial keeps it
         tiny = LaurentElement(2, {((1, 1), 2): 2e-12})
         tiny_samples = [0.5, -0.5, 0.5j, 1.0]
         values = _scan_values(tiny, family, 1.0, tiny_samples)
-        assert values[:3] == [0.0, 0.0, 0.0] and values[3] > 0.0
+        assert all(value > 0.0 for value in values)
         assert values == pytest.approx(_per_sample(tiny, family, 1.0, tiny_samples),
                                        rel=1e-12, abs=0.0)
 
@@ -354,6 +367,9 @@ def test_bundle_scan_errors():
         deform.bundle_scan(one, POLYDISK_L1, 1.0, [0.5, 0.0])
     with pytest.raises(ValueError):
         deform.bundle_scan(one, "free-taylor", 1.0, [0.5])
+    for rho in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="rho"):
+            deform.bundle_scan(one, POLYDISK_L1, rho, [0.5])
     huge = LaurentElement.monomial(2, (20, 20), 0)
     with pytest.raises(OverflowError):
         _per_sample(huge, BALL, 1e10, [1.0])

@@ -313,9 +313,9 @@ def test_lift_orderings_and_circ_norm_read_the_fiber_record():
 
 
 def test_overflowing_terms_are_kept():
-    # (1e300 + 1e300i)^2 overflows to nan + nan i, whose modulus compares
-    # false with the pruning tolerance: the product used to drop the term
-    # and come out as the zero element
+    # (1e300 + 1e300i)^2 overflows to nan + nan i, whose modulus compared
+    # false with the old absolute pruning tolerance: the product used to
+    # drop the term and come out as the zero element
     a = QPolynomial(2, 0.5, {(0, 0): 1e300 + 1e300j})
     square = qpoly_mul(a, a)
     assert list(square.terms) == [(0, 0)]
@@ -323,7 +323,30 @@ def test_overflowing_terms_are_kept():
     assert math.isnan(c.real) and math.isnan(c.imag)
     for c in (complex("nan"), complex("inf"), complex(-math.inf, math.nan)):
         assert list(FreeElement(2, {(1, 2): c}).terms) == [(1, 2)]
-    assert dict(FreeElement(2, {(1, 2): 1e-12, (2,): 0.0}).terms) == {}
+    assert dict(FreeElement(2, {(1, 2): 1e-12, (2,): 0.0}).terms) == {(1, 2): 1e-12}
+
+
+def test_tiny_terms_are_kept():
+    # an absolute cutoff of 1e-12 used to drop these terms: the product's
+    # 1e-14 term, the smallest |q|^m coefficients of the ball lifts, and
+    # the one coefficient 0.3^27 = 7.6e-15 of polydisk_lift((3, 3, 3), 0.3)
+    a = QPolynomial(2, 0.5, {(1, 0): 1e-7})
+    b = QPolynomial(2, 0.5, {(0, 1): 1e-7})
+    assert (a * b).terms[1, 1] == pytest.approx(1e-14, rel=1e-15)
+    for k, q, words in (((3, 3), 0.05, 20), ((3, 3, 3), 0.3, 1680),
+                        ((2, 2, 2, 2), 0.3, 2520)):
+        lift = ball_lift(k, q)
+        assert len(lift.terms) == words == qc.fiber_count(k)
+        assert dict(lift.terms) == reference_ball_lift(k, q)
+    poly = polydisk_lift((3, 3, 3), 0.3)
+    assert dict(poly.terms) == {(3, 3, 3, 2, 2, 2, 1, 1, 1): pytest.approx(0.3 ** 27,
+                                                                          rel=1e-14)}
+    assert dict(poly.terms) == reference_polydisk_lift((3, 3, 3), 0.3)
+    for k, q in (((3, 3), 0.05), ((3, 3, 3), 0.3), ((2, 2, 2, 2), 0.3)):
+        for lift in (ball_lift(k, q), polydisk_lift(k, q)):
+            image = normal_order(lift, q)
+            assert list(image.terms) == [k]
+            assert abs(image.terms[k] - 1.0) <= 1e-15
 
 
 class _Letter:
@@ -340,16 +363,16 @@ class _Letter:
 # sorted order, out-of-range keys, a non-integral key, and two distinct
 # keys that name the same basis element
 ELEMENT_CASES = [
-    (lambda t, **kw: QPolynomial(2, 0.5, t, **kw), [(0, 1), (2, 0)],
+    (lambda t: QPolynomial(2, 0.5, t), [(0, 1), (2, 0)],
      [(1,), (1, -1)], (1.5, 0), ((1, 0), (_Letter(1), 0))),
-    (lambda t, **kw: FreeElement(2, t, **kw), [(2,), (1, 1)],
+    (lambda t: FreeElement(2, t), [(2,), (1, 1)],
      [(3,), (0, 1)], (1.0,), ((1,), (_Letter(1),))),
-    (lambda t, **kw: LaurentElement(2, t, **kw), [((0, 1), 5), ((2, 0), -1)],
+    (lambda t: LaurentElement(2, t), [((0, 1), 5), ((2, 0), -1)],
      [((1, -1), 0), ((1,), 0)], ((1, 0), 0.9), (((1, 0), 0), ((1, 0), _Letter(0)))),
-    (lambda t, **kw: HSeriesElement(2, 2, t, **kw), [(0, (2, 0)), (1, (0, 1))],
+    (lambda t: HSeriesElement(2, 2, t), [(0, (2, 0)), (1, (0, 1))],
      [(3, (1, 0)), (-1, (1, 0)), (0, (1,))], (0, (1.5, 0)),
      ((0, (1, 0)), (0, (_Letter(1), 0)))),
-    (lambda t, **kw: FormalFreeElement(2, 2, t, **kw), [(0, (2,)), (1, (1,))],
+    (lambda t: FormalFreeElement(2, 2, t), [(0, (2,)), (1, (1,))],
      [(3, (1,)), (0, (3,))], (0.5, (1,)), ((0, (1,)), (0, (_Letter(1),)))),
 ]
 
@@ -364,15 +387,18 @@ def test_element_validation_and_immutability():
         # non-integral keys are rejected, not truncated onto an integer key
         with pytest.raises(TypeError):
             make({fractional: 1.0})
-        for c in (1.0, 1e-15):   # a pruned first copy still counts
+        for c in (1.0, 0.0):   # a dropped zero first copy still counts
             with pytest.raises(ValueError, match="duplicate"):
                 make({key: c, alias: 2.0})
         with pytest.raises(AttributeError):
             e.n = 3
         with pytest.raises(TypeError):
             e.terms[first] = 5.0
-        assert dict(make({first: 1e-15}, tol=0.0).terms) == {first: 1e-15}, name
-        assert dict(make({first: 1e-15, second: 1.0}).terms) == {second: 1.0}, name
+        # only exact zeros are dropped: a tiny term is kept
+        assert dict(make({first: 1e-15, second: 1.0}).terms) == {first: 1e-15,
+                                                                  second: 1.0}, name
+        for zero in (0, 0.0, -0.0, 0j, complex(-0.0, -0.0)):
+            assert dict(make({first: zero, second: 1.0}).terms) == {second: 1.0}, name
         same = make({first: 1.0, second: 2.0})
         assert e == same and hash(e) == hash(same), name
         assert e != make({first: 1.0}) and e != dict(e.terms), name
@@ -383,7 +409,7 @@ def test_element_validation_and_immutability():
         assert e + e == 2.0 * e == e * 2.0, name
         assert dict((e - e).terms) == {}, name
         # subtraction does not prune the subtrahend first
-        tiny = make({first: 1e-13}, tol=0.0)
+        tiny = make({first: 1e-13})
         assert dict((e - tiny).terms) == {first: 1.0 - 1e-13, second: 2.0}, name
     with pytest.raises(ValueError):
         QPolynomial(2, 0.5, {(1, 0): 1.0}) + QPolynomial(2, 0.7, {(1, 0): 1.0})

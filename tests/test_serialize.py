@@ -148,8 +148,8 @@ def test_element_text_edge_cases():
         HSeriesElement(2, 5, {}),
         HSeriesElement(1, 3, {(3, (2,)): -0.5j}),
         FreeElement(1, {(): 1.0}),
-        FreeElement(1, odd, tol=0.0),
-        QPolynomial(1, -2.0, {(0,): complex(-0.0, 1.0), (4,): 5e-324}, tol=0.0),
+        FreeElement(1, odd),
+        QPolynomial(1, -2.0, {(0,): complex(-0.0, 1.0), (4,): 5e-324}),
         LaurentElement(1, {((0,), -3): 1e300, ((2,), 0): complex(1.0, -0.0)}),
         overflow,
     ]
