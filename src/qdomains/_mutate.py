@@ -27,9 +27,3 @@ def scale(name, value):
     if name == _active:
         return value * _BUMP
     return value
-
-
-def _refresh():
-    # test helper; production code reads the env var once at import
-    global _active
-    _active = os.environ.get("QDOMAINS_MUTATE", "")

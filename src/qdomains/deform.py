@@ -31,7 +31,6 @@ __all__ = [
     "star_product",
     "evaluate_h",
     "poisson_bracket",
-    "phi_defect_coefficient",
     "quantization_defect",
     "commutator_defect",
     "formal_ball_lift",
@@ -59,8 +58,8 @@ def _phase_taylor(exponent: int, order: int) -> list:
     return coeffs
 
 
-def star_product(f: HSeriesElement, g: HSeriesElement, order: int | None = None,
-                 degree_cap: int | None = None) -> HSeriesElement:
+def star_product(f: HSeriesElement, g: HSeriesElement,
+                 order: int | None = None) -> HSeriesElement:
     """Monomial rule x^k * x^l = Taylor_N(e^{-ih sigma(l,k)}) x^{k+l},
     extended bilinearly over the h-truncated coefficients."""
     if f.n != g.n:
@@ -75,7 +74,7 @@ def star_product(f: HSeriesElement, g: HSeriesElement, order: int | None = None,
 
     out = _twisted_mul([(k, p, c) for (p, k), c in f.terms.items() if p <= order],
                        [(k, p, c) for (p, k), c in g.terms.items()],
-                       spread, degree_cap)
+                       spread)
     return HSeriesElement(f.n, order, {(p, k): c for (k, p), c in out.items()})
 
 
@@ -106,11 +105,6 @@ def poisson_bracket(f: QPolynomial, g: QPolynomial) -> QPolynomial:
 def _phi_defect(s_kl: int, s_lk: int, h: float) -> complex:
     return ((cmath.exp(-1j * h * s_lk) - cmath.exp(-1j * h * s_kl)) / h
             - 1j * (s_kl - s_lk))
-
-
-def phi_defect_coefficient(k: Sequence[int], l: Sequence[int], h: float) -> complex:
-    """(e^{-ih sigma(l,k)} - e^{-ih sigma(k,l)})/h - i (sigma(k,l) - sigma(l,k))."""
-    return _phi_defect(sigma(k, l), sigma(l, k), h)
 
 
 def quantization_defect(f: QPolynomial, g: QPolynomial, h: float,
@@ -148,14 +142,14 @@ def commutator_defect(f: QPolynomial, g: QPolynomial, h: float,
 # ---------------------------------------------------------------------------
 # the formal ball lift
 
-def formal_ball_lift(k: Sequence[int], order: int, cap: int = 10 ** 6) -> FormalFreeElement:
+def formal_ball_lift(k: Sequence[int], order: int) -> FormalFreeElement:
     """u_k = (k!/|k|!) sum_alpha e^{i m(alpha) h} zeta_alpha, Taylor-truncated.
 
     Its truncated normal ordering returns x^k exactly through h^order, and
     the h^s coefficient has circ norm at most |k|^{2s} (k!/|k|!)^{1/2}."""
     k = tuple(map(index, k))
     n = len(k)
-    words, ms = qc.fiber(k, cap)
+    words, ms = qc.fiber(k)
     weight = 1.0 / len(words)
     series: dict = {}   # m -> coefficients of h^0 .. h^order
     terms = _Checked()
@@ -170,11 +164,10 @@ def formal_ball_lift(k: Sequence[int], order: int, cap: int = 10 ** 6) -> Formal
     return FormalFreeElement(n, order, terms)
 
 
-def normal_order_formal(u: FormalFreeElement, order: int | None = None) -> HSeriesElement:
-    """Truncated normal ordering at q = e^{ih}: each word picks up the
-    Taylor expansion of e^{-i m(alpha) h}."""
-    if order is None:
-        order = u.order
+def normal_order_formal(u: FormalFreeElement) -> HSeriesElement:
+    """Truncated normal ordering at q = e^{ih}, through h^u.order: each word
+    picks up the Taylor expansion of e^{-i m(alpha) h}."""
+    order = u.order
     words = list(dict.fromkeys(map(itemgetter(1), u.terms)))
     profiles, ms = qc.word_stats(words, u.n)
     # profile k -> running sums of its h^0 .. h^order terms, then the lowest
@@ -189,8 +182,6 @@ def normal_order_formal(u: FormalFreeElement, order: int | None = None) -> HSeri
     touched = []        # (h-power, k) in the order each sum is first added to
     last = None         # a lift lists each word's terms together, p = 0 .. order
     for (p, alpha), c in u.terms.items():
-        if p > order:
-            continue
         if alpha is not last:
             last = alpha
             row, k, m = stats[alpha]

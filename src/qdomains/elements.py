@@ -103,6 +103,8 @@ class _SparseElement:
                 norm_key = self._key(key)
                 if norm_key in clean:
                     raise ValueError(f"duplicate basis key {key!r}")
+                if not isinstance(c, Number):
+                    raise TypeError(f"coefficient {c!r} of {key!r} is not a number")
                 clean[norm_key] = c
         object.__setattr__(self, "terms", MappingProxyType(
             {key: complex(c) for key, c in clean.items() if c}))
@@ -445,7 +447,7 @@ def laurent_word(n: int, alpha: Sequence[int]) -> LaurentElement:
 # ---------------------------------------------------------------------------
 # optimal lifts
 
-def polydisk_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
+def polydisk_lift(k: Sequence[int], q) -> FreeElement:
     """Single-word lift of x^k minimizing the Taylor free norm.
 
     Returns q^{m(a*)} zeta_{a*} where a* minimizes |q|^{m(alpha)} over the
@@ -457,7 +459,7 @@ def polydisk_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     n = len(k)
     best = None
     best_m = 0
-    for alpha, m in zip(*qc.fiber(k, cap)):
+    for alpha, m in zip(*qc.fiber(k)):
         value = m * qp.log_modulus
         if best is None or value < best[0] - 1e-15:
             best = (value, alpha)
@@ -466,7 +468,7 @@ def polydisk_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     return FreeElement(n, _Checked({best[1]: qp.value ** best_m}))
 
 
-def ball_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
+def ball_lift(k: Sequence[int], q) -> FreeElement:
     """Minimal-circ-norm lift a_k of x^k across the whole fiber.
 
     Coefficients c^0_alpha = |q|^{-2m(alpha)} / sum_beta |q|^{-2m(beta)};
@@ -476,7 +478,7 @@ def ball_lift(k: Sequence[int], q, cap: int = 10 ** 6) -> FreeElement:
     qp = as_qparam(q)
     k = tuple(map(index, k))
     n = len(k)
-    words, ms = qc.fiber(k, cap)
+    words, ms = qc.fiber(k)
     logs = [-2.0 * m * qp.log_modulus for m in ms]
     shift = max(logs)
     raw = [math.exp(v - shift) for v in logs]

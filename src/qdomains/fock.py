@@ -133,6 +133,10 @@ class OpNormBounds(NamedTuple):
 def _operator_matrix(a: QPolynomial, q: float, rho: float, degree: int) -> np.ndarray:
     domain = qc.multi_indices(a.n, degree)
     codomain = qc.multi_indices(a.n, degree + a.degree())
+    if len(codomain) * len(domain) > qc.ENUMERATION_CAP:
+        raise qc.EnumerationCapExceeded(
+            f"a {len(codomain)} x {len(domain)} operator matrix exceeds the "
+            f"enumeration cap {qc.ENUMERATION_CAP}")
     index = {k: i for i, k in enumerate(codomain)}
     mat = np.zeros((len(codomain), len(domain)), dtype=np.complex128)
     for col, k in enumerate(domain):
@@ -148,10 +152,14 @@ def op_norm_bounds(a: QPolynomial, q: float, rho: float, degree: int) -> OpNormB
     lower: largest singular value of the truncated operator (domain
     |k| <= degree), nondecreasing in the truncation degree.  upper: the
     l^1 polydisk norm at rho, which dominates the operator norm.  vacuum:
-    ||pi(gamma_rho(a)) e_0||, a second lower bound.
+    ||pi(gamma_rho(a)) e_0||, a second lower bound.  A negative degree
+    raises ValueError, and a matrix of more than qcombinat.ENUMERATION_CAP
+    entries raises EnumerationCapExceeded before it is allocated.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("the representation needs 0 < q < 1")
+    if degree < 0:
+        raise ValueError("truncation degree must be nonnegative")
     spec = NormSpec(POLYDISK_L1, rho)   # rejects a rho that is not finite and positive
     mat = _operator_matrix(a, q, rho, degree)
     normal = mat.conj().T @ mat

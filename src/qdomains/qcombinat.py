@@ -29,6 +29,7 @@ from qdomains._kernels import (
 
 __all__ = [
     "QParam",
+    "ENUMERATION_CAP",
     "EnumerationCapExceeded",
     "as_qparam",
     "q_int",
@@ -65,8 +66,15 @@ __all__ = [
 ]
 
 
+# The one limit on every enumeration of the kit: the words of a fiber
+# p^{-1}(k) (the lifts, the fiber lists, the Mahonian sum), the words of a
+# spectral-radius depth, the multi-indices up to a total degree, and the
+# entries of a truncated Fock matrix.
+ENUMERATION_CAP = 10 ** 6
+
+
 class EnumerationCapExceeded(ValueError):
-    """A fiber or word enumeration would exceed the configured cap."""
+    """An enumeration would exceed ENUMERATION_CAP."""
 
 
 @dataclass(frozen=True)
@@ -163,24 +171,19 @@ class PochhammerValue(NamedTuple):
     factors: int
 
 
-_POCHHAMMER_HARD_CAP = 10 ** 6
-
-
-def q_pochhammer_inf(a: complex, q: complex, tol: float = 1e-12) -> PochhammerValue:
+def q_pochhammer_inf(a: complex, q: complex) -> PochhammerValue:
     """(a; q)_infty = prod_{j>=0} (1 - a q**j), truncated deterministically.
 
-    Stops once the factor differs from 1 by less than tol (safe for
-    |q| <= 1 - 1e-6 by geometric decay); hard cap of 1e6 factors.
+    Stops once the factor differs from 1 by less than 1e-12 (safe for
+    |q| <= 1 - 1e-6 by geometric decay); at most ENUMERATION_CAP factors.
     """
     if abs(q) >= 1:
         raise ValueError("q-Pochhammer infinite product needs |q| < 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     value = 1.0 + 0.0j
     term = complex(a)
     j = 0
-    while j < _POCHHAMMER_HARD_CAP:
-        if abs(term) < tol:
+    while j < ENUMERATION_CAP:
+        if abs(term) < 1e-12:
             break
         value *= 1.0 - term
         term *= q
@@ -262,10 +265,8 @@ def weight_ball_alt(k: Sequence[int], q) -> float:
 # ---------------------------------------------------------------------------
 # word statistics
 
-def word_profile(alpha: Sequence[int], n: int | None = None) -> tuple:
+def word_profile(alpha: Sequence[int], n: int) -> tuple:
     """Letter-count profile p(alpha); p_i = number of occurrences of i."""
-    if n is None:
-        n = max(alpha) if alpha else 0
     if any(a < 1 or a > n for a in alpha):
         raise ValueError("letters must lie in 1..n")
     return _word_profile(tuple(alpha), n)
@@ -286,17 +287,17 @@ def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
     return _word_stats(words, n)
 
 
-_DEFAULT_TOTAL_CAP = 1000
+_MAX_FIBER_DEGREE = 1000   # bounds the factorials fiber_count computes
 
 
-def fiber_count(k: Sequence[int], max_total: int = _DEFAULT_TOTAL_CAP) -> int:
-    """|p^{-1}(k)| = |k|!/k! as an exact integer."""
+def fiber_count(k: Sequence[int]) -> int:
+    """|p^{-1}(k)| = |k|!/k! as an exact integer, for |k| <= 1000."""
     if any(m < 0 for m in k):
         raise ValueError("exponents must be nonnegative")
     total = sum(k)
-    if total > max_total:
+    if total > _MAX_FIBER_DEGREE:
         raise EnumerationCapExceeded(
-            f"total degree {total} exceeds the configured cap {max_total}")
+            f"total degree {total} exceeds the cap {_MAX_FIBER_DEGREE}")
     count = math.factorial(total)
     for m in k:
         count //= math.factorial(m)
@@ -323,36 +324,34 @@ def delta_word(k: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-_DEFAULT_FIBER_CAP = 10 ** 6
-
-
-def _check_fiber_cap(k: Sequence[int], cap: int) -> None:
+def _check_fiber_cap(k: Sequence[int]) -> None:
     count = fiber_count(k)
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"fiber of size {count} exceeds the enumeration cap {cap}")
+            f"fiber of size {count} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
-def fiber(k: Sequence[int], cap: int = _DEFAULT_FIBER_CAP) -> tuple:
+def fiber(k: Sequence[int]) -> tuple:
     """The fiber record (words, inversions) of p^{-1}(k), both tuples: every
     word alpha with p(alpha) = k once, in lexicographic order, and m(alpha)
     of each.  The record of the last profile is held in one slot (see
     _wordkit_py), and a later call for that profile returns the same
     record; while it is held, word_stats reads batches of its words from
-    it.  The cap is checked on every call."""
-    _check_fiber_cap(k, cap)
+    it.  Every call, cached or not, raises EnumerationCapExceeded for a
+    fiber of more than ENUMERATION_CAP words, before it enumerates."""
+    _check_fiber_cap(k)
     return _fiber(tuple(k))
 
 
-def fiber_words(k: Sequence[int], cap: int = _DEFAULT_FIBER_CAP) -> list:
+def fiber_words(k: Sequence[int]) -> list:
     """All words alpha with p(alpha) = k, exactly once, in lexicographic order."""
-    _check_fiber_cap(k, cap)
+    _check_fiber_cap(k)
     return _fiber_words_raw(tuple(k))
 
 
-def fiber_inversion_list(k: Sequence[int], cap: int = _DEFAULT_FIBER_CAP) -> list:
+def fiber_inversion_list(k: Sequence[int]) -> list:
     """Inversion numbers m(alpha) over the fiber, in the fiber_words order."""
-    _check_fiber_cap(k, cap)
+    _check_fiber_cap(k)
     return fiber_inversions(tuple(k))
 
 
@@ -361,12 +360,11 @@ class InvDistribution(NamedTuple):
     closed: complex
 
 
-def inv_distribution(k: Sequence[int], q: complex,
-                     cap: int = _DEFAULT_FIBER_CAP) -> InvDistribution:
+def inv_distribution(k: Sequence[int], q: complex) -> InvDistribution:
     """Sum of q**m(alpha) over the fiber, both by enumeration and in the
     closed Mahonian form [|k|]_q!/[k]_q!; the two agree to ~1e-10 relative.
     """
-    _check_fiber_cap(k, cap)
+    _check_fiber_cap(k)
     brute = mahonian_sum(tuple(k), complex(q))
     closed = q_factorial(sum(k), q) / q_factorial(k, q)
     closed = _mutate.scale("mahonian-closed-form", closed)
@@ -405,9 +403,14 @@ def word_with_inversions(k: Sequence[int], m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def multi_indices(n: int, max_total: int) -> tuple:
-    """All k in Z_+^n with |k| <= max_total, lexicographically sorted."""
+    """All k in Z_+^n with |k| <= max_total, lexicographically sorted, if
+    there are at most ENUMERATION_CAP of them (checked before enumerating)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
+    count = math.comb(max_total + n, n) if max_total >= 0 else 0
+    if count > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"{count} multi-indices exceed the enumeration cap {ENUMERATION_CAP}")
     return tuple(sorted(_compositions_upto(n, max_total)))
 
 

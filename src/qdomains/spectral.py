@@ -4,8 +4,8 @@ spectral contractivity test.
 Coordinate tuples are summed in closed form: since x_alpha is a scalar
 multiple q^{-m(alpha)} of x^{p(alpha)}, the word sum over W_{n,d} groups
 by exponent vector with the Mahonian factor [|k|]_t!/[k]_t!, t = |q|^{-p}
-(the multinomial |k|!/k! at |q| = 1).  Generic tuples enumerate words up
-to a cap.
+(the multinomial |k|!/k! at |q| = 1).  Generic tuples enumerate the n**d
+words of depth d, up to qcombinat.ENUMERATION_CAP of them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from qdomains.norms import (
     monomial_log_norm,
     norm,
 )
-from qdomains.qcombinat import EnumerationCapExceeded
+from qdomains.qcombinat import ENUMERATION_CAP, EnumerationCapExceeded
 
 __all__ = [
     "TupleSpec",
@@ -44,7 +44,6 @@ __all__ = [
     "PoincareGap",
 ]
 
-_WORD_CAP = 10 ** 6
 _UNIMODULAR_TOL = 1e-13
 
 
@@ -162,12 +161,12 @@ def _free_coordinate_estimate(spec: NormSpec, n: int, d: int, p) -> float:
     raise ValueError(f"{spec.family!r} is not a free-algebra family")
 
 
-def _enumerated_estimate(ts: TupleSpec, d: int, cap: int) -> float:
+def _enumerated_estimate(ts: TupleSpec, d: int) -> float:
     gens = ts.generators
     n = len(gens)
-    if n ** d > cap:
+    if n ** d > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"{n}**{d} words exceed the enumeration cap {cap}")
+            f"{n}**{d} words exceed the enumeration cap {ENUMERATION_CAP}")
     if isinstance(gens[0], QPolynomial):
         unit = QPolynomial.one(gens[0].n, gens[0].q)
         mul = qpoly_mul
@@ -190,20 +189,17 @@ def _enumerated_estimate(ts: TupleSpec, d: int, cap: int) -> float:
     return sum(v ** p for v in values) ** (1.0 / (p * d))
 
 
-def radius_estimate(ts: TupleSpec, d: int, force_enumeration: bool = False,
-                    cap: int = _WORD_CAP) -> float:
+def radius_estimate(ts: TupleSpec, d: int, force_enumeration: bool = False) -> float:
     """The depth-d value (sum over W_{n,d} of ||a_alpha||^p)^(1/(pd))."""
     if not 1 <= d <= ts.max_depth:
         raise ValueError("depth must lie in 1..max_depth")
     if not force_enumeration and is_coordinate_tuple(ts.generators):
         return _coordinate_estimate(ts, d)
-    return _enumerated_estimate(ts, d, cap)
+    return _enumerated_estimate(ts, d)
 
 
-def radius_sequence(ts: TupleSpec, force_enumeration: bool = False,
-                    cap: int = _WORD_CAP) -> list:
-    return [radius_estimate(ts, d, force_enumeration, cap)
-            for d in range(1, ts.max_depth + 1)]
+def radius_sequence(ts: TupleSpec) -> list:
+    return [radius_estimate(ts, d) for d in range(1, ts.max_depth + 1)]
 
 
 def rho_grid(r: float, points: int = 8) -> list:
@@ -245,11 +241,11 @@ class ContractiveVerdict(NamedTuple):
     values: list
 
 
-def contractive_check(ts: TupleSpec, r: float, margin: float = 0.02) -> ContractiveVerdict:
+def contractive_check(ts: TupleSpec, r: float) -> ContractiveVerdict:
     """Finite-depth heuristic for strict spectral r-contractivity.
 
     Computes the p = inf sequence up to max_depth; passes when the last
-    three values sit below r (1 - margin), fails when some value exceeds r
+    three values sit below 0.98 r, fails when some value exceeds r
     and the tail is nondecreasing, and is inconclusive otherwise.
     """
     if not r > 0:
@@ -257,7 +253,7 @@ def contractive_check(ts: TupleSpec, r: float, margin: float = 0.02) -> Contract
     sup_ts = TupleSpec(ts.generators, ts.norm, math.inf, ts.max_depth)
     values = radius_sequence(sup_ts)
     tail = values[-3:]
-    if all(v < r * (1.0 - margin) for v in tail):
+    if all(v < r * 0.98 for v in tail):
         depth = len(values) - tail[::-1].index(max(tail))
         return ContractiveVerdict("pass", depth, max(tail), values)
     nondecreasing = all(tail[i] <= tail[i + 1] + 1e-12 for i in range(len(tail) - 1))

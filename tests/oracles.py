@@ -195,7 +195,7 @@ def _phase_taylor(exponent, order):
     return coeffs
 
 
-def reference_star_product(f, g, order, degree_cap=None):
+def reference_star_product(f, g, order):
     out = {}
     for (p1, k), a in f.terms.items():
         if p1 > order:
@@ -204,8 +204,6 @@ def reference_star_product(f, g, order, degree_cap=None):
             if p1 + p2 > order:
                 continue
             key_k = tuple(ki + li for ki, li in zip(k, l))
-            if degree_cap is not None and sum(key_k) > degree_cap:
-                continue
             phases = _phase_taylor(brute_sigma(l, k), order - p1 - p2)
             ab = a * b
             for j, phase in enumerate(phases):
@@ -276,15 +274,11 @@ def _exp_taylor(rate, order):
     return coeffs
 
 
-def reference_normal_order_formal(u, order=None):
-    if order is None:
-        order = u.order
+def reference_normal_order_formal(u):
     out = {}
     for (p, alpha), c in u.terms.items():
-        if p > order:
-            continue
         k = brute_profile(alpha, u.n)
-        for j, phase in enumerate(_exp_taylor(1j * -brute_inversions(alpha), order - p)):
+        for j, phase in enumerate(_exp_taylor(1j * -brute_inversions(alpha), u.order - p)):
             key = (p + j, k)
             out[key] = out.get(key, 0.0) + c * phase
     return out

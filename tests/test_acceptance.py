@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from qdomains import qcombinat as qc, spectral, suites
+from qdomains import _mutate, qcombinat as qc, spectral, suites
 from qdomains.elements import FreeElement, normal_order
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec
 
@@ -94,7 +94,7 @@ def test_criterion_04_submultiplicativity():
 def test_criterion_05_norm_sandwich():
     result, _ = run_suite_timed("theorem-4-2")
     assert_suite_passes(result)
-    constant = qc.q_pochhammer_inf(0.25, 0.25, tol=1e-12).value
+    constant = qc.q_pochhammer_inf(0.25, 0.25).value
     assert constant == pytest.approx(POCH_QUARTER, rel=2e-12)
     assert constant == pytest.approx(0.68854, abs=5e-6)
     report(5, f"two-sided sandwich on 500 elements/cell; constant(|q|=2,n=2)={constant:.5f}")
@@ -189,6 +189,13 @@ MUTATION_TARGETS = [
     ("star-phase", "star-associativity"),
     ("normal-order-phase", "quotient-contraction"),
 ]
+
+
+def test_mutation_targets_cover_every_mutation_point():
+    # each registered point has exactly one row, and each row a registered point
+    mutations = [mutation for mutation, _ in MUTATION_TARGETS]
+    assert sorted(mutations) == sorted(set(mutations)) == sorted(_mutate.MUTATION_POINTS)
+    assert set(suite for _, suite in MUTATION_TARGETS) <= set(suites.SUITE_NAMES)
 
 
 def test_criterion_12_verify_all_and_mutation_smoke():

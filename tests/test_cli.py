@@ -301,3 +301,32 @@ def test_non_finite_option_numbers_exit_two(tmp_path, qpoly_doc, capsys, command
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_fock_norm_depth_is_validated(tmp_path, qpoly_doc, capsys):
+    # a negative depth once exited 1 with an IndexError traceback, and a
+    # depth whose matrix could not be allocated with a numpy memory error
+    q = {"re": 0.5}
+    three = write(tmp_path, "three.json", {"kind": "qpoly", "n": 3, "q": q,
+                                           "terms": [{"k": [1, 0, 1], "c": {"re": 1}}]})
+    line = write(tmp_path, "line.json", {"kind": "qpoly", "n": 1, "q": q,
+                                         "terms": [{"k": [1], "c": {"re": 1}}]})
+    for doc, depth, message in (
+            (qpoly_doc, "-1", "error: truncation degree must be nonnegative"),
+            (three, "200", "error: resource limit: 1373701 multi-indices exceed"),
+            (line, "1000", "error: resource limit: a 1002 x 1001 operator matrix exceeds")):
+        argv = ["fock-norm", "--in", doc, "--q", "0.5", "--rho", "1", "--depth", depth]
+        assert cli.main(argv) == 2, depth
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message), captured.err
+
+
+def test_radius_enumeration_is_bounded(capsys):
+    # the coordinate sum enumerates the multi-indices of each depth, and
+    # once ran on without bound; depth 3 of n = 200 has 1373701 of them
+    argv = ["radius", "--family", "polydisk", "--rho", "1", "--depth", "40",
+            "--p", "2", "--n", "200", "--q", "0.5"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: resource limit: 1373701 multi-indices exceed")

@@ -84,10 +84,10 @@ def test_routed_deformation_products_equal_reference_loops():
         order = trial % 4
         f = randgen.random_hseries(rng, n, order + trial % 2, max_degree=3, terms=6)
         g = randgen.random_hseries(rng, n, order, max_degree=3, terms=6)
-        for star_order, cap in ((None, None), (max(order - 1, 0), None), (order, 3)):
-            got = deform.star_product(f, g, order=star_order, degree_cap=cap)
+        for star_order in (None, max(order - 1, 0)):
+            got = deform.star_product(f, g, order=star_order)
             used = order if star_order is None else star_order
-            expected = HSeriesElement(n, used, reference_star_product(f, g, used, cap))
+            expected = HSeriesElement(n, used, reference_star_product(f, g, used))
             assert got == expected and list(got.terms) == list(expected.terms)
         # at q = 1 with shared supports, many pairs have a zero bracket factor
         a = randgen.random_qpoly(rng, n, 1.0, max_degree=2, terms=6)
@@ -111,11 +111,9 @@ def test_formal_lift_and_ordering_equal_reference_loops():
             key = (rng.randrange(order + 1), pool[rng.randrange(len(pool))])
             terms[key] = terms.get(key, 0.0) + randgen.unit_disk(rng)
         u = FormalFreeElement(n, order, terms)
-        for truncate in (None, max(order - 1, 0)):
-            got = deform.normal_order_formal(u, truncate)
-            used = order if truncate is None else truncate
-            expected = HSeriesElement(n, used, reference_normal_order_formal(u, truncate))
-            assert got == expected and list(got.terms) == list(expected.terms)
+        got = deform.normal_order_formal(u)
+        expected = HSeriesElement(n, order, reference_normal_order_formal(u))
+        assert got == expected and list(got.terms) == list(expected.terms)
     for k in ((2, 1), (1, 1, 1), (0, 3, 2), (2, 2, 1), (1, 2, 1, 1), (3, 3, 3),
               (2, 3, 3)):
         for order in (0, 2, 4):
@@ -125,9 +123,9 @@ def test_formal_lift_and_ordering_equal_reference_loops():
             ordered = deform.normal_order_formal(got)
             reference = HSeriesElement(len(k), order, reference_normal_order_formal(got))
             assert ordered == reference and list(ordered.terms) == list(reference.terms)
-    # two profiles mixed, h-powers in scrambled order, truncated below the
-    # order: each profile's running sums start at different h-powers, and
-    # some sums are first reached from a lower h-power than they started at
+    # two profiles mixed, h-powers in scrambled order: each profile's
+    # running sums start at different h-powers, and some sums are first
+    # reached from a lower h-power than they started at
     n, order = 3, 4
     pool = qc.fiber_words((2, 1, 1)) + qc.fiber_words((1, 1, 2))
     for trial in range(20):
@@ -137,31 +135,27 @@ def test_formal_lift_and_ordering_equal_reference_loops():
             terms[key] = terms.get(key, 0.0) + randgen.unit_disk(rng)
         u = FormalFreeElement(n, order, terms)
         assert len({qc.word_profile(alpha, n) for _, alpha in u.terms}) == 2
-        for truncate in (None, 0, 1, 2, 3):
-            got = deform.normal_order_formal(u, truncate)
-            used = order if truncate is None else truncate
-            expected = HSeriesElement(n, used, reference_normal_order_formal(u, truncate))
-            assert got == expected and list(got.terms) == list(expected.terms)
+        got = deform.normal_order_formal(u)
+        expected = HSeriesElement(n, order, reference_normal_order_formal(u))
+        assert got == expected and list(got.terms) == list(expected.terms)
 
 
 def test_formal_ordering_reads_the_fiber_record():
     # the formal lift's words are the cached fiber record's; its ordering
     # reads their statistics from the record, or computes them once another
     # fiber evicts it, and equals the per-word loop bit for bit, in the
-    # same key order, also truncated below the lift's order
+    # same key order
     for k in ((2, 1), (0, 3, 2), (3, 2, 2), (2, 2, 1, 1), (3, 3, 3)):
         n = len(k)
         for order in (0, 3):
             u = deform.formal_ball_lift(k, order)
             words = [alpha for p, alpha in u.terms if p == 0]
-            for truncate in (None, order // 2):
-                used = order if truncate is None else truncate
-                expected = HSeriesElement(n, used, reference_normal_order_formal(u, truncate))
-                for evict in (False, True):
-                    qc.fiber((1,) * n if evict else k)
-                    assert (fiber_stats(words, n) is None) == evict
-                    got = deform.normal_order_formal(u, truncate)
-                    assert got == expected and list(got.terms) == list(expected.terms)
+            expected = HSeriesElement(n, order, reference_normal_order_formal(u))
+            for evict in (False, True):
+                qc.fiber((1,) * n if evict else k)
+                assert (fiber_stats(words, n) is None) == evict
+                got = deform.normal_order_formal(u)
+                assert got == expected and list(got.terms) == list(expected.terms)
 
 
 def test_evaluate_h_matches_fiber_product():

@@ -13,6 +13,7 @@ from qdomains.elements import (
     FreeElement,
     LaurentElement,
     QPolynomial,
+    _Checked,
     ball_lift,
     fiber_eval,
     free_mul,
@@ -465,3 +466,15 @@ def test_built_results_hold_plain_keys_and_public_constructors_validate():
                 make(mapping({fractional: 1.0}))
             with pytest.raises(ValueError, match="duplicate"):
                 make(mapping({key: 1.0, alias: 2.0}))
+
+
+def test_public_construction_rejects_non_number_coefficients():
+    # complex() parses a string, so "2" was once held as 2+0j
+    for make, (first, second), *_ in ELEMENT_CASES:
+        for bad in ("2", "0", b"1", None, [1.0], (1.0,)):
+            with pytest.raises(TypeError, match="not a number"):
+                make({first: bad, second: 1.0})
+        for good in (True, 2, 2.5, 1j, np.int64(2), np.float64(2.5), np.complex128(1j)):
+            assert dict(make({first: good}).terms) == {first: complex(good)}
+    # results built from checked keys take their coefficients as they are
+    assert dict(QPolynomial(1, 0.5, _Checked({(0,): 2})).terms) == {(0,): 2 + 0j}

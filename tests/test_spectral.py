@@ -7,7 +7,7 @@ import pytest
 from qdomains import randgen, spectral
 from qdomains.elements import FreeElement, QPolynomial
 from qdomains.norms import BALL, FREE_POLYDISK, FREE_TAYLOR, POLYDISK_L1, NormSpec
-from qdomains.qcombinat import EnumerationCapExceeded
+from qdomains.qcombinat import ENUMERATION_CAP, EnumerationCapExceeded
 
 UNIMODULAR = cmath.exp(1j * math.pi / 4)
 
@@ -79,9 +79,10 @@ def test_lp_ordering_random_tuples():
 def test_enumeration_cap():
     gens = tuple(randgen.random_qpoly(Random("cap"), 2, 0.5, max_degree=1, terms=2)
                  for _ in range(2))
-    ts = spectral.TupleSpec(gens, NormSpec(POLYDISK_L1, 0.8), 2, 12)
+    ts = spectral.TupleSpec(gens, NormSpec(POLYDISK_L1, 0.8), 2, 20)
+    assert 2 ** 20 > ENUMERATION_CAP
     with pytest.raises(EnumerationCapExceeded):
-        spectral.radius_estimate(ts, 12, cap=100)
+        spectral.radius_estimate(ts, 20)
 
 
 def test_contractive_check_pass_and_fail():
