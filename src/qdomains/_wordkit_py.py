@@ -1,21 +1,24 @@
 """Word-statistics kernels, re-exported by qdomains._kernels.
 
 Scalar statistics of one word are plain Python loops.  The statistics of
-a batch of words (word_stats, and through it the fiber inversion lists and
-Mahonian sums) are one numpy pass over the batch, unless the batch has
-fewer than _SCALAR_BATCH words: then they are the scalar loops, word by
-word.  A numpy pass has a fixed cost of about 30-60 us, while the scalar
-loops take 3-6 us per word of 4-12 letters, so they are faster up to
-about 16-20 words (timeit, 2-letter to 6-letter alphabets); the normal
-orderings and norms of the 4-6 term elements that the suites check make
-tens of thousands of such calls, and a fiber has 90 words or more.
+a batch of words off the fiber record (word_stats) are one numpy pass over
+the batch, unless the batch has fewer than _SCALAR_BATCH words: then they
+are the scalar loops, word by word.  A numpy pass has a fixed cost of
+about 30-60 us, while the scalar loops take 3-6 us per word of 4-12
+letters, so they are faster up to about 16-20 words (timeit, 2-letter to
+6-letter alphabets); the normal orderings and norms of the 4-6 term
+elements that the suites check make tens of thousands of such calls.
 
 A fiber p^{-1}(k) is enumerated into one record, fiber(counts): its words
-in lexicographic order and their inversion numbers, as tuples.  One slot,
+in lexicographic order and their inversion numbers, as tuples.  Both come
+from one recursion on the first letter, built level by level over the
+sub-profiles of k: the words of k are i + w for each word w of k - e_i,
+and such a word has the inversions of w plus one per letter of k below i
+(_enumerate_fiber); no statistics pass runs over the words.  One slot,
 _fiber_record, holds the record of the last profile asked for, so the
 lifts of one x^k, its fiber lists and its Mahonian sum share a single
-enumeration and a single statistics pass, while at most one fiber is held
-between calls.  fiber_words and fiber_inversions return fresh lists.
+enumeration, while at most one fiber is held between calls.  fiber_words
+and fiber_inversions return fresh lists.
 
 The slot also answers word_stats: a batch of words of that fiber (the
 words of a lift of x^k, in any order and any number) has profile k and the
@@ -122,26 +125,36 @@ def _scan_stats(words, n):
     return list(map(tuple, profiles.tolist())), ms.tolist()
 
 
-def _start_word(counts):
-    word = []
-    for letter, c in enumerate(counts, start=1):
-        word.extend([letter] * c)
-    return word
-
-
-def _next_permutation(a):
-    # lexicographic successor in place; False once a is the last (descending) arrangement
-    i = len(a) - 2
-    while i >= 0 and a[i] >= a[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(a) - 1
-    while a[j] <= a[i]:
-        j -= 1
-    a[i], a[j] = a[j], a[i]
-    a[i + 1:] = a[:i:-1]
-    return True
+def _enumerate_fiber(counts):
+    """(words, inversions) of the fiber, as tuples, by the first-letter
+    recursion: the words of b are (i,) + w for each word w of b - e_i, with
+    the letters i of b ascending, which keeps them in lexicographic order,
+    and the leading i adds one inversion per letter below i.  The records
+    of every b <= counts with |b| = size are built level by level over
+    size, and only two levels are held at once."""
+    n = len(counts)
+    level = {(0,) * n: ([()], [0])}
+    for _ in range(sum(counts)):
+        below_level = level
+        level = {}
+        for b in below_level:
+            for i in range(n):
+                if b[i] < counts[i]:
+                    level.setdefault(b[:i] + (b[i] + 1,) + b[i + 1:], None)
+        for b in level:
+            words = []
+            ms = []
+            below = 0   # letters of b below i + 1
+            for i, bi in enumerate(b):
+                if bi:
+                    sub_words, sub_ms = below_level[b[:i] + (bi - 1,) + b[i + 1:]]
+                    head = (i + 1,)
+                    words += [head + w for w in sub_words]
+                    ms += [m + below for m in sub_ms]
+                    below += bi
+            level[b] = (words, ms)
+    words, ms = level[counts]
+    return tuple(words), tuple(ms)
 
 
 def fiber(counts):
@@ -153,12 +166,7 @@ def fiber(counts):
     if record is not None and record[0] == counts:
         return record[1]
     counts = tuple(map(index, counts))
-    word = _start_word(counts)
-    words = [tuple(word)]
-    while _next_permutation(word):
-        words.append(tuple(word))
-    words = tuple(words)
-    ms = tuple(_scan_stats(words, len(counts))[1])
+    words, ms = _enumerate_fiber(counts)
     _fiber_record = (counts, (words, ms), dict(zip(words, ms)))
     return _fiber_record[1]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import islice
 from operator import index, itemgetter
 from typing import NamedTuple, Sequence
 
@@ -151,52 +152,79 @@ def formal_ball_lift(k: Sequence[int], order: int) -> FormalFreeElement:
     n = len(k)
     words, ms = qc.fiber(k)
     weight = 1.0 / len(words)
-    series: dict = {}   # m -> coefficients of h^0 .. h^order
+    series: dict = {}   # m -> the nonzero coefficients of h^0, h^1, ...
     terms = _Checked()
     for alpha, m in zip(words, ms):
         coeffs = series.get(m)
         if coeffs is None:
-            coeffs = series[m] = [complex(weight)]
+            coeffs = [complex(weight)]
             for p in range(1, order + 1):
                 coeffs.append(coeffs[-1] * (1j * m) / p)
+            # m = 0 leaves h^1 .. h^order at exactly 0, and every coefficient
+            # after a 0 is 0: leaving them out here spares construction a copy
+            series[m] = coeffs = coeffs[:coeffs.index(0)] if 0 in coeffs else coeffs
         for p, coeff in enumerate(coeffs):
             terms[(p, alpha)] = coeff
     return FormalFreeElement(n, order, terms)
 
 
+_ORDERING_CHUNK = 2048   # terms per array pass; bounds the temporaries of a large lift
+
+
 def normal_order_formal(u: FormalFreeElement) -> HSeriesElement:
     """Truncated normal ordering at q = e^{ih}, through h^u.order: each word
-    picks up the Taylor expansion of e^{-i m(alpha) h}."""
+    picks up the Taylor expansion of e^{-i m(alpha) h}.
+
+    Each (h-power, profile) sum adds the products c * phase of its terms in
+    term order, from 0.0, as a term-by-term loop would: the products are
+    formed with split real arithmetic, as Python's complex * forms them,
+    and added by a sequential cumulative sum, chunk by chunk, carrying the
+    running sum.  The keys come in the order a term-by-term loop first
+    reaches them."""
     order = u.order
-    words = list(dict.fromkeys(map(itemgetter(1), u.terms)))
-    profiles, ms = qc.word_stats(words, u.n)
-    # profile k -> running sums of its h^0 .. h^order terms, then the lowest
-    # h-power added to them so far (order + 1 while none is)
-    rows: dict = {}
-    for k in profiles:
-        if k not in rows:
-            rows[k] = [0.0] * (order + 1) + [order + 1]
-    stats = {alpha: (rows[k], k, m) for alpha, k, m in zip(words, profiles, ms)}
-    # m -> [p] -> Taylor coefficients of e^{-imh} through h^(order - p)
-    taylor: dict = {}
-    touched = []        # (h-power, k) in the order each sum is first added to
-    last = None         # a lift lists each word's terms together, p = 0 .. order
-    for (p, alpha), c in u.terms.items():
-        if alpha is not last:
-            last = alpha
-            row, k, m = stats[alpha]
-            by_p = taylor.get(m)
-            if by_p is None:
-                by_p = taylor[m] = [None] * (order + 1)
-        phases = by_p[p]
-        if phases is None:
-            phases = by_p[p] = _taylor_exp(1j * -m, order - p)
-        if p < row[-1]:
-            touched.extend((h, k) for h in range(p, row[-1]))
-            row[-1] = p
-        for h, phase in enumerate(phases, p):
-            row[h] += c * phase
-    return HSeriesElement(u.n, order, _Checked({(h, k): rows[k][h] for h, k in touched}))
+    taylor: list = []   # [m] -> Taylor coefficients of e^{-imh} through h^order
+    sums: dict = {}     # (h, k) -> its running (real, imaginary) sum
+    first: dict = {}    # (h, k) -> index of the first term added to it
+    keys, values = iter(u.terms), iter(u.terms.values())
+    for start in range(0, len(u.terms), _ORDERING_CHUNK):
+        size = min(_ORDERING_CHUNK, len(u.terms) - start)
+        chunk = list(islice(keys, size))
+        ps = np.fromiter(map(itemgetter(0), chunk), dtype=np.intp, count=size)
+        coeffs = np.fromiter(islice(values, size), dtype=complex, count=size)
+        profiles, ms = qc.word_stats(list(map(itemgetter(1), chunk)), u.n)
+        rows = np.fromiter(ms, dtype=np.intp, count=size)
+        top = int(rows.max())
+        if top >= len(taylor):
+            taylor += [_taylor_exp(1j * -m, order) for m in range(len(taylor), top + 1)]
+            phases = np.array(taylor)
+        if profiles.count(profiles[0]) == size:   # one profile, as in a lift
+            masks = ((profiles[0], None),)
+        else:
+            masks = [(k, np.fromiter(map(k.__eq__, profiles), dtype=bool, count=size))
+                     for k in dict.fromkeys(profiles)]
+        for k, in_profile in masks:
+            for h in range(order + 1):
+                live = ps <= h
+                if in_profile is not None:
+                    live &= in_profile
+                live = np.flatnonzero(live)
+                if not len(live):
+                    continue
+                if (h, k) not in sums:
+                    sums[(h, k)] = (0.0, 0.0)
+                    first[(h, k)] = start + int(live[0])
+                a_re, a_im = coeffs.real[live], coeffs.imag[live]
+                t = phases[rows[live], h - ps[live]]
+                # row 0 the real parts, row 1 the imaginary parts, each led
+                # by the running sum
+                acc = np.empty((2, len(live) + 1))
+                acc[:, 0] = sums[(h, k)]
+                np.subtract(a_re * t.real, a_im * t.imag, out=acc[0, 1:])
+                np.add(a_re * t.imag, a_im * t.real, out=acc[1, 1:])
+                sums[(h, k)] = np.cumsum(acc, axis=1)[:, -1].tolist()
+    touched = sorted(first, key=lambda slot: (first[slot], slot[0]))
+    return HSeriesElement(u.n, order, _Checked(
+        {slot: complex(*sums[slot]) for slot in touched}))
 
 
 # ---------------------------------------------------------------------------

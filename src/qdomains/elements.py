@@ -22,7 +22,10 @@ of polydisk_lift and ball_lift, and in deform the (h-power, fiber word)
 keys of formal_ball_lift and the (h-power, profile) keys of
 normal_order_formal.  They hand their terms over as a _Checked mapping;
 construction still runs through each class's __init__ and drops exact
-zeros as usual.
+zeros as usual.  Construction takes ownership of a _Checked map: when
+all its values are nonzero complex numbers it becomes the element's
+terms, behind a read-only view, without a copy, so each builder makes a
+fresh map and does not touch it after construction.
 """
 
 from __future__ import annotations
@@ -55,7 +58,13 @@ __all__ = [
 
 class _Checked(dict):
     """Terms whose keys were built from keys already checked, as tuples of
-    ints of the right shape and range; _setup takes them as they are."""
+    ints of the right shape and range; _setup takes the keys as they are.
+
+    Construction takes ownership of the map: when every value is a nonzero
+    complex, the element's terms are a read-only view of this very dict,
+    so its builder makes a fresh one and never touches it afterwards.  Any
+    other map is copied, with its numbers made complex and exact zeros
+    dropped."""
 
     __slots__ = ()
 
@@ -96,6 +105,10 @@ class _SparseElement:
         for name, value in zip(self._fields, params):
             object.__setattr__(self, name, value)
         if type(terms) is _Checked:
+            if all(terms.values()) and set(map(type, terms.values())) <= {complex}:
+                # already clean: adopted as it is, not copied
+                object.__setattr__(self, "terms", MappingProxyType(terms))
+                return
             clean = terms
         else:
             clean = {}

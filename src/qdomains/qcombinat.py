@@ -401,16 +401,20 @@ def word_with_inversions(k: Sequence[int], m: int) -> tuple:
 # ---------------------------------------------------------------------------
 # index and word enumeration
 
-@lru_cache(maxsize=None)
-def multi_indices(n: int, max_total: int) -> tuple:
-    """All k in Z_+^n with |k| <= max_total, lexicographically sorted, if
-    there are at most ENUMERATION_CAP of them (checked before enumerating)."""
+def _check_multi_index_cap(n: int, max_total: int) -> None:
     if n < 1:
         raise ValueError("dimension must be at least 1")
     count = math.comb(max_total + n, n) if max_total >= 0 else 0
     if count > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"{count} multi-indices exceed the enumeration cap {ENUMERATION_CAP}")
+
+
+@lru_cache(maxsize=None)
+def multi_indices(n: int, max_total: int) -> tuple:
+    """All k in Z_+^n with |k| <= max_total, lexicographically sorted, if
+    there are at most ENUMERATION_CAP of them (checked before enumerating)."""
+    _check_multi_index_cap(n, max_total)
     return tuple(sorted(_compositions_upto(n, max_total)))
 
 
@@ -426,8 +430,28 @@ def _compositions_upto(n, max_total):
 
 @lru_cache(maxsize=None)
 def multi_indices_exact(n: int, total: int) -> tuple:
-    """All k in Z_+^n with |k| = total ((Z_+^n)_d), lexicographically sorted."""
-    return tuple(k for k in multi_indices(n, total) if sum(k) == total)
+    """All k in Z_+^n with |k| = total ((Z_+^n)_d), lexicographically sorted.
+
+    They are enumerated directly, not filtered from multi_indices(n, total),
+    under the same limit: a total whose multi_indices table would pass
+    ENUMERATION_CAP is refused before enumerating."""
+    _check_multi_index_cap(n, total)
+    if total < 0:
+        return ()
+    if n == 1:
+        return ((total,),)
+
+    def prepend(tails, t):
+        # the compositions of t with one more leading part, sorted
+        return [(head,) + tail for head in range(t + 1) for tail in tails[t - head]]
+
+    tails = [[()]] + [[]] * total    # tails[t]: the compositions of t into 0 parts
+    for _ in range(n - 2):
+        tails = [prepend(tails, t) for t in range(total + 1)]
+    # the first two parts are prepended one first part at a time, so that
+    # beside the result only the table of n - 2 parts is held
+    return tuple((head,) + tail for head in range(total + 1)
+                 for tail in prepend(tails, total - head))
 
 
 def words_exact(n: int, d: int):

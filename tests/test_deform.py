@@ -140,6 +140,29 @@ def test_formal_lift_and_ordering_equal_reference_loops():
         assert got == expected and list(got.terms) == list(expected.terms)
 
 
+def _bits(e):
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in e.terms.items()]
+
+
+def test_formal_ordering_array_pass_equals_reference_loop_bit_for_bit():
+    # the largest lift: its 30,237 terms span many array chunks, and each
+    # sum carries on from one chunk to the next
+    u = deform.formal_ball_lift((3, 2, 2, 2), 3)
+    assert len(u.terms) == 30237
+    got = deform.normal_order_formal(u)
+    assert _bits(got) == _bits(HSeriesElement(4, 3, reference_normal_order_formal(u)))
+    # products with a -0.0 part: the reference adds them to a sum that
+    # starts at 0.0, so (h = 0, (1, 1)) has imaginary part 0.0 and
+    # (h = 1, (2, 0)) real part 0.0, not -0.0
+    u = FormalFreeElement(2, 2, {(0, (1, 2)): complex(-1.0, -0.0),
+                                 (1, (1, 1)): complex(-0.0, 1.0),
+                                 (0, (2, 1)): 0.5 - 0.25j})
+    got = deform.normal_order_formal(u)
+    expected = HSeriesElement(2, 2, reference_normal_order_formal(u))
+    assert _bits(got) == _bits(expected)
+    assert math.copysign(1.0, got.terms[(1, (2, 0))].real) == 1.0
+
+
 def test_formal_ordering_reads_the_fiber_record():
     # the formal lift's words are the cached fiber record's; its ordering
     # reads their statistics from the record, or computes them once another

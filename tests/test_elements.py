@@ -478,3 +478,27 @@ def test_public_construction_rejects_non_number_coefficients():
             assert dict(make({first: good}).terms) == {first: complex(good)}
     # results built from checked keys take their coefficients as they are
     assert dict(QPolynomial(1, 0.5, _Checked({(0,): 2})).terms) == {(0,): 2 + 0j}
+
+
+def test_checked_terms_are_adopted_only_when_clean():
+    # a _Checked map of mixed numbers is copied as the public route copies
+    # it: numbers become complex, exact zeros go and a NaN stays
+    mixed = {(0,): 2, (1,): 2.5, (2,): 0, (3,): -0.0, (4,): 0j, (5,): math.nan}
+    e = QPolynomial(1, 0.5, _Checked(mixed))
+    public = QPolynomial(1, 0.5, dict(mixed))
+    assert repr(list(e.terms.items())) == repr(list(public.terms.items()))
+    assert list(e.terms) == [(0,), (1,), (5,)]
+    assert all(type(c) is complex for c in e.terms.values())
+    assert cmath.isnan(e.terms[(5,)])
+    # a map of nonzero complex numbers is adopted as it is: construction
+    # takes ownership, which is why no builder touches its map afterwards
+    clean = _Checked({(0,): 1j, (2,): complex(math.nan, 0.0)})
+    e = QPolynomial(1, 0.5, clean)
+    clean[(1,)] = 2j
+    assert (1,) in e.terms
+    for terms in (e.terms, public.terms):
+        with pytest.raises(TypeError):
+            terms[(0,)] = 1j
+    # a complex subclass is made a plain complex, as on the public route
+    e = QPolynomial(1, 0.5, _Checked({(0,): np.complex128(1j)}))
+    assert type(e.terms[(0,)]) is complex

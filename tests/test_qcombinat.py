@@ -160,7 +160,10 @@ def test_delta_and_fiber_words():
 
 
 def test_fiber_record_matches_brute_force():
-    for k in ((0, 0), (3,), (2, 1), (1, 1, 1), (0, 2, 1), (3, 3, 2), (2, 3, 3), (2, 2, 1, 1)):
+    assert qc.fiber((0, 0, 0)) == (((),), (0,))
+    for k in ((0,), (0, 0), (0, 0, 0), (3,), (4,), (2, 1), (1, 1, 1), (0, 2, 1), (2, 0, 1),
+              (0, 3, 2), (3, 3, 2), (2, 3, 3), (2, 2, 1, 1), (3, 2, 2, 2)):
+        qc.fiber((1,) * (len(k) + 1))   # so that the record below is built, not found
         fiber = brute_fiber(k)
         words, ms = qc.fiber(k)
         assert type(words) is tuple and type(ms) is tuple
@@ -273,6 +276,14 @@ def test_multi_index_enumeration_counts():
     assert len(qc.multi_indices(3, 4)) == math.comb(7, 3)
     assert len(qc.multi_indices_exact(4, 6)) == math.comb(9, 3)
     assert qc.multi_indices(2, 1) == ((0, 0), (0, 1), (1, 0))
+    # the direct enumeration of |k| = d is the |k| <= d table filtered, in order
+    for n in range(1, 5):
+        for d in range(-1, 7):
+            assert qc.multi_indices_exact(n, d) == tuple(
+                k for k in qc.multi_indices(n, d) if sum(k) == d)
+    # and it is refused where that table is, before enumerating
+    with pytest.raises(EnumerationCapExceeded, match="1373701 multi-indices"):
+        qc.multi_indices_exact(200, 3)
 
 
 def test_words_enumeration():
@@ -379,7 +390,7 @@ def test_word_stats_reads_the_cached_fiber_record(monkeypatch):
     assert scans == []
     # another fiber evicts the record: the same batch is computed again
     qc.fiber((1, 1, 1))
-    scans.clear()   # that record's own statistics pass
+    assert scans == []   # the record is enumerated with its statistics
     assert qc.word_stats(words, 3) == ([k] * len(words), list(ms))
     assert scans == [len(words)]
 
