@@ -25,20 +25,7 @@ from qdomains.elements import (
     normal_order,
     qpoly_mul,
 )
-from qdomains.norms import (
-    BALL,
-    CLASSICAL_BALL,
-    FORMAL,
-    FREE_BALL_BULLET,
-    FREE_BALL_CIRC,
-    FREE_POLYDISK,
-    FREE_TAYLOR,
-    LAURENT,
-    POLYDISK_L1,
-    POLYDISK_L2,
-    NormSpec,
-    norm,
-)
+from qdomains.norms import FAMILIES, POLYDISK_L1, NormSpec, norm
 from qdomains.qcombinat import EnumerationCapExceeded
 from qdomains.serialize import (
     SchemaError,
@@ -47,19 +34,7 @@ from qdomains.serialize import (
     element_text,
 )
 
-FAMILY_ALIASES = {
-    "polydisk": POLYDISK_L1,
-    "polydisk-l1": POLYDISK_L1,
-    "polydisk-l2": POLYDISK_L2,
-    "ball": BALL,
-    "classical-ball": CLASSICAL_BALL,
-    "free-taylor": FREE_TAYLOR,
-    "free-polydisk": FREE_POLYDISK,
-    "free-ball-bullet": FREE_BALL_BULLET,
-    "free-ball-circ": FREE_BALL_CIRC,
-    "laurent": LAURENT,
-    "formal": FORMAL,
-}
+FAMILY_ALIASES = {"polydisk": POLYDISK_L1, **{family: family for family in FAMILIES}}
 
 
 class UsageError(Exception):

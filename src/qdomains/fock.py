@@ -52,12 +52,6 @@ class FockTruncation:
         if self.degree < 0 or self.reach < 0:
             raise ValueError("degree and reach must be nonnegative")
 
-    def domain(self) -> tuple:
-        return qc.multi_indices(self.n, self.degree)
-
-    def codomain(self) -> tuple:
-        return qc.multi_indices(self.n, self.degree + self.reach)
-
 
 def _generator_coefficient(j: int, k: Sequence[int], q: float) -> float:
     # sqrt(1 - q^{2(k_j+1)}) * q^{sum_{i>j} k_i}

@@ -21,6 +21,7 @@ from qdomains.qcombinat import QParam, as_qparam
 
 __all__ = [
     "FAMILIES",
+    "FAMILY_TYPES",
     "POLYDISK_L1",
     "POLYDISK_L2",
     "BALL",
@@ -50,14 +51,14 @@ FREE_BALL_CIRC = "free-ball-circ"
 LAURENT = "laurent"
 FORMAL = "formal"
 
-FAMILIES = frozenset({
-    POLYDISK_L1, POLYDISK_L2, BALL, CLASSICAL_BALL,
-    FREE_TAYLOR, FREE_POLYDISK, FREE_BALL_BULLET, FREE_BALL_CIRC,
-    LAURENT, FORMAL,
-})
-
-_QPOLY_FAMILIES = frozenset({POLYDISK_L1, POLYDISK_L2, BALL, CLASSICAL_BALL})
-_FREE_FAMILIES = frozenset({FREE_TAYLOR, FREE_POLYDISK, FREE_BALL_BULLET, FREE_BALL_CIRC})
+# the element type each norm family measures
+FAMILY_TYPES = {
+    **dict.fromkeys((POLYDISK_L1, POLYDISK_L2, BALL, CLASSICAL_BALL), QPolynomial),
+    **dict.fromkeys((FREE_TAYLOR, FREE_POLYDISK, FREE_BALL_BULLET, FREE_BALL_CIRC), FreeElement),
+    LAURENT: LaurentElement,
+    FORMAL: HSeriesElement,
+}
+FAMILIES = frozenset(FAMILY_TYPES)
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,12 @@ def _free_norm(a: FreeElement, spec: NormSpec) -> float:
             d = len(alpha)
             by_degree[d] = by_degree.get(d, 0.0) + abs(c) ** 2
         return sum(math.sqrt(by_degree[d]) * rho ** d for d in sorted(by_degree))
-    if spec.family == FREE_BALL_CIRC:
-        by_profile: dict = {}
-        for k, c in zip(qc.word_stats(a.terms, a.n)[0], a.terms.values()):
-            by_profile[k] = by_profile.get(k, 0.0) + abs(c) ** 2
-        return sum(math.sqrt(by_profile[k]) * rho ** sum(k)
-                   for k in sorted(by_profile, key=lambda k: (sum(k), k)))
-    raise ValueError(f"{spec.family!r} is not a free-algebra family")
+    # the one free family left, FREE_BALL_CIRC
+    by_profile: dict = {}
+    for k, c in zip(qc.word_stats(a.terms, a.n)[0], a.terms.values()):
+        by_profile[k] = by_profile.get(k, 0.0) + abs(c) ** 2
+    return sum(math.sqrt(by_profile[k]) * rho ** sum(k)
+               for k in sorted(by_profile, key=lambda k: (sum(k), k)))
 
 
 def _laurent_norm(a: LaurentElement, spec: NormSpec) -> float:
@@ -157,25 +157,16 @@ def _hseries_norm(a: HSeriesElement, spec: NormSpec) -> float:
     return acc
 
 
+_NORMS = {QPolynomial: _qpoly_norm, FreeElement: _free_norm,
+          LaurentElement: _laurent_norm, HSeriesElement: _hseries_norm}
+
+
 def norm(a, spec: NormSpec) -> float:
     """Evaluate the selected norm; the element type must match the family."""
-    if isinstance(a, QPolynomial):
-        if spec.family not in _QPOLY_FAMILIES:
-            raise TypeError(f"family {spec.family!r} does not apply to QPolynomial")
-        return _qpoly_norm(a, spec)
-    if isinstance(a, FreeElement):
-        if spec.family not in _FREE_FAMILIES:
-            raise TypeError(f"family {spec.family!r} does not apply to FreeElement")
-        return _free_norm(a, spec)
-    if isinstance(a, LaurentElement):
-        if spec.family != LAURENT:
-            raise TypeError(f"family {spec.family!r} does not apply to LaurentElement")
-        return _laurent_norm(a, spec)
-    if isinstance(a, HSeriesElement):
-        if spec.family != FORMAL:
-            raise TypeError(f"family {spec.family!r} does not apply to HSeriesElement")
-        return _hseries_norm(a, spec)
-    raise TypeError(f"cannot take a norm of {type(a).__name__}")
+    cls = FAMILY_TYPES[spec.family]
+    if not isinstance(a, cls):
+        raise TypeError(f"family {spec.family!r} does not apply to {type(a).__name__}")
+    return _NORMS[cls](a, spec)
 
 
 # ---------------------------------------------------------------------------

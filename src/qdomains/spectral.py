@@ -18,10 +18,8 @@ from qdomains import qcombinat as qc
 from qdomains.elements import FreeElement, QPolynomial, free_mul, qpoly_mul
 from qdomains.norms import (
     BALL,
-    FREE_BALL_BULLET,
-    FREE_BALL_CIRC,
+    FAMILY_TYPES,
     FREE_POLYDISK,
-    FREE_TAYLOR,
     POLYDISK_L1,
     NormSpec,
     monomial_log_norm,
@@ -64,6 +62,9 @@ class TupleSpec:
         first = gens[0]
         if not isinstance(first, (QPolynomial, FreeElement)):
             raise TypeError("generators must be QPolynomial or FreeElement")
+        if not isinstance(first, FAMILY_TYPES[self.norm.family]):
+            raise TypeError(f"family {self.norm.family!r} does not apply to "
+                            f"{type(first).__name__} generators")
         for g in gens[1:]:
             if type(g) is not type(first) or g.n != first.n:
                 raise ValueError("generators must share type and dimension")
@@ -77,7 +78,7 @@ class TupleSpec:
 
 def coordinate_tuple(n: int, spec: NormSpec, p, max_depth: int = 8, q=None) -> TupleSpec:
     """The tuple (x_1 .. x_n) or (zeta_1 .. zeta_n), per the norm family."""
-    if spec.family in (FREE_TAYLOR, FREE_POLYDISK, FREE_BALL_BULLET, FREE_BALL_CIRC):
+    if FAMILY_TYPES[spec.family] is FreeElement:
         gens = FreeElement.generators(n)
     else:
         qq = q if q is not None else (spec.q.value if spec.q is not None else None)
@@ -144,10 +145,6 @@ def _coordinate_estimate(ts: TupleSpec, d: int) -> float:
 
 def _free_coordinate_estimate(spec: NormSpec, n: int, d: int, p) -> float:
     rho, tau = spec.rho, spec.tau
-    if spec.family in (FREE_TAYLOR, FREE_BALL_BULLET, FREE_BALL_CIRC):
-        if p == math.inf:
-            return rho
-        return rho * n ** (1.0 / float(p))
     if spec.family == FREE_POLYDISK:
         if p == math.inf:
             # s_max = d - 1 for n >= 2, 0 for a single letter
@@ -158,7 +155,10 @@ def _free_coordinate_estimate(spec: NormSpec, n: int, d: int, p) -> float:
                    + (d - 1) * math.log1p((n - 1) * tau ** pf)
                    + pf * d * math.log(rho))
         return math.exp(log_sum / (pf * d))
-    raise ValueError(f"{spec.family!r} is not a free-algebra family")
+    # free-taylor and the two free ball norms weigh each word by rho^|alpha|
+    if p == math.inf:
+        return rho
+    return rho * n ** (1.0 / float(p))
 
 
 def _enumerated_estimate(ts: TupleSpec, d: int) -> float:

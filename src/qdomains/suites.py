@@ -838,16 +838,11 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, seed: int = 1234, overrides: dict | None = None) -> SuiteReport:
+def run_suite(name: str, seed: int = 1234) -> SuiteReport:
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
     fn, defaults = _SUITES[name]
     params = dict(defaults)
-    if overrides:
-        unknown = set(overrides) - set(defaults)
-        if unknown:
-            raise KeyError(f"unknown overrides {sorted(unknown)} for suite {name!r}")
-        params.update(overrides)
     rng = Random(f"{name}:{seed}")
     start = time.perf_counter()
     try:

@@ -24,9 +24,9 @@ def report(number: int, detail: str):
     print(f"acceptance {number:2d}: PASS  {detail}")
 
 
-def run_suite_timed(name: str, **overrides):
+def run_suite_timed(name: str):
     start = time.perf_counter()
-    result = suites.run_suite(name, overrides=overrides or None)
+    result = suites.run_suite(name)
     return result, time.perf_counter() - start
 
 

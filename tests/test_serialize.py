@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from oracles import reference_element_text
+from oracles import reference_document, reference_element_text
 
 from qdomains import randgen
 from qdomains.deform_types import HSeriesElement
@@ -13,6 +13,7 @@ from qdomains.serialize import (
     document_q,
     document_to_element,
     element_text,
+    element_to_document,
     parse_element,
     serialize_element,
 )
@@ -70,10 +71,20 @@ def test_shape_violations_have_paths():
         document_to_element({"kind": "free", "n": 2,
                              "terms": [{"alpha": [1], "c": {"re": 1.0}},
                                        {"alpha": [5], "c": {"re": 1.0}}]})
-    with pytest.raises(SchemaError, match="duplicate"):
-        document_to_element({"kind": "qpoly", "n": 1, "q": {"re": 1.0},
-                             "terms": [{"k": [1], "c": {"re": 1.0}},
-                                       {"k": [1], "c": {"re": 2.0}}]})
+
+
+@pytest.mark.parametrize("head, key, other", [
+    ({"kind": "qpoly", "q": {"re": 1.0}}, {"k": [1, 0]}, {"k": [0, 1]}),
+    ({"kind": "free"}, {"alpha": [2, 1]}, {"alpha": [1, 2]}),
+    ({"kind": "laurent"}, {"k": [1, 0], "p": -1}, {"k": [1, 0], "p": 1}),
+    ({"kind": "hseries", "order": 2}, {"p": 1, "k": [1, 0]}, {"p": 0, "k": [1, 0]}),
+], ids=["qpoly", "free", "laurent", "hseries"])
+def test_duplicate_term_keys_rejected_with_path(head, key, other):
+    # other shares a key field with key, so only the repeat at [2] is a duplicate
+    terms = [{**key, "c": {"re": 1.0}}, {**other, "c": {"re": 3.0}},
+             {**key, "c": {"re": 2.0}}]
+    with pytest.raises(SchemaError, match=r"^\$\.terms\[2\]: duplicate term key$"):
+        document_to_element({**head, "n": 2, "terms": terms})
 
 
 def test_q_field_rules():
@@ -118,6 +129,11 @@ def test_serialized_form_is_compact_json():
     assert payload["terms"] == [{"k": [1, 0], "p": -2, "c": {"re": 0.25, "im": 0.5}}]
 
 
+def assert_document_matches(element):
+    # repr compares nan fields, -0.0, int against float and list against tuple
+    assert repr(element_to_document(element)) == repr(reference_document(element))
+
+
 def test_element_text_equals_json_encoder_on_random_elements():
     rng = Random("element-text")
     for terms in (1, 2, 7, 60, 500):
@@ -132,6 +148,7 @@ def test_element_text_equals_json_encoder_on_random_elements():
             for element in elements:
                 assert element.terms
                 assert element_text(element) == reference_element_text(element)
+                assert_document_matches(element)
 
 
 def test_element_text_edge_cases():
@@ -155,6 +172,7 @@ def test_element_text_edge_cases():
     ]
     for element in cases:
         assert element_text(element) == reference_element_text(element)
+        assert_document_matches(element)
     assert element_text(FreeElement(1, {})).endswith('"terms": []\n}')
     assert '"alpha": [],' in element_text(FreeElement(1, {(): 1.0}))
     text = element_text(overflow)

@@ -23,6 +23,16 @@ def test_tuple_spec_validation():
         spectral.TupleSpec(mixed, NormSpec(POLYDISK_L1, 1.0), 2, 5)
 
 
+@pytest.mark.parametrize("gens, family", [
+    (tuple(FreeElement.generators(2)), BALL),
+    (tuple(QPolynomial.coordinates(2, 0.5)), FREE_TAYLOR),
+], ids=["free-generators-ball", "qpoly-generators-free-taylor"])
+def test_tuple_spec_rejects_a_family_of_the_other_generator_type(gens, family):
+    # the closed-form route once raised ValueError and the enumerated one TypeError
+    with pytest.raises(TypeError, match=f"family {family!r} does not apply"):
+        spectral.TupleSpec(gens, NormSpec(family, 0.9), 2, 3)
+
+
 def test_single_generator_depth_values():
     ts = spectral.coordinate_tuple(1, NormSpec(POLYDISK_L1, 0.6), 2, 6, q=1.0)
     for d in range(1, 7):
