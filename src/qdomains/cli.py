@@ -150,8 +150,10 @@ def _cmd_fock_norm(args) -> int:
     element, _ = _load_element(args.input)
     if not isinstance(element, QPolynomial):
         raise UsageError("fock-norm expects a qpoly document")
-    q = float(args.q)
-    bounds = fock.op_norm_bounds(element, q, args.rho, args.depth)
+    q = _parse_q(args.q)
+    if q.imag != 0.0:
+        raise UsageError(f"fock-norm needs a real q, got {args.q!r}")
+    bounds = fock.op_norm_bounds(element, q.real, args.rho, args.depth)
     _emit({"lower": bounds.lower, "upper": bounds.upper, "vacuum": bounds.vacuum},
           args.out)
     return 0

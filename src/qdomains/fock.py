@@ -4,13 +4,29 @@
 The generator x_j raises e_k to e_{k+e_j} with coefficient
 sqrt(1-q^2) sqrt([k_j+1]_{q^2}) q^{sum_{i>j} k_i}; a monomial x^k acts as
 the operator product x_1^{k_1} ... x_n^{k_n} applied right to left, so
-the x_n factors hit the vector first.
+the x_n factors hit the vector first.  Composed, the letters give the
+closed form
+
+    x^m e_k = c_m(k) e_{k+m},
+    c_m(k) = prod_j (1-q^2)^{m_j/2} ([k_j+m_j]_{q^2}! / [k_j]_{q^2}!)^{1/2}
+             q^{m_j sum_{i>j} (k_i+m_i)}.
+
+Two routes compute it.  The step route (fock_apply_generator, fock_apply,
+vacuum_vector_image) composes one generator step per letter; it is the
+independent side of the fock-lemma-5-2 suite and of the vacuum identity.
+op_norm_bounds ships the closed form: c_m over the whole truncated domain
+in one array pass, from tables of the one-letter factors sqrt(1-q^{2s})
+and of the powers of q, multiplied in the step route's order.  It forms
+the normal matrix M^H M of the truncated operator M from M's shift
+structure, with no dense matrix product.  The tests hold it to the
+letter-by-letter matrix of tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -53,11 +69,14 @@ class FockTruncation:
             raise ValueError("degree and reach must be nonnegative")
 
 
+def _letter_step(s: int, q: float) -> float:
+    # sqrt((1 - q^2) [s]_{q^2}) = sqrt(1 - q^{2s}): x_j's factor from k_j = s - 1 to s
+    return math.sqrt((1.0 - q * q) * qc.q_int(s, q * q).real)
+
+
 def _generator_coefficient(j: int, k: Sequence[int], q: float) -> float:
     # sqrt(1 - q^{2(k_j+1)}) * q^{sum_{i>j} k_i}
-    step = math.sqrt((1.0 - q * q) * qc.q_int(k[j - 1] + 1, q * q).real)
-    tail = sum(k[j:])
-    return _mutate.scale("fock-generator", step * q ** tail)
+    return _mutate.scale("fock-generator", _letter_step(k[j - 1] + 1, q) * q ** sum(k[j:]))
 
 
 def fock_apply_generator(j: int, k: Sequence[int], trunc: FockTruncation):
@@ -124,20 +143,127 @@ class OpNormBounds(NamedTuple):
     vacuum: float
 
 
-def _operator_matrix(a: QPolynomial, q: float, rho: float, degree: int) -> np.ndarray:
-    domain = qc.multi_indices(a.n, degree)
-    codomain = qc.multi_indices(a.n, degree + a.degree())
-    if len(codomain) * len(domain) > qc.ENUMERATION_CAP:
+def _frozen(array: np.ndarray) -> np.ndarray:
+    # cached arrays are shared by every caller
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=64)
+def _letter_tables(q: float, top: int) -> tuple:
+    # the one-letter factors sqrt(1 - q^{2s}) and the powers q^e, for s, e <= top
+    steps = [0.0] + [_mutate.scale("fock-generator", _letter_step(s, q))
+                     for s in range(1, top + 1)]
+    return _frozen(np.array(steps)), _frozen(np.array([q ** e for e in range(top + 1)]))
+
+
+@lru_cache(maxsize=64)
+def _domain(n: int, degree: int) -> tuple:
+    # the domain {|k| <= degree} as an index array, and the position of each k
+    table = qc.multi_indices(n, degree)
+    ks = np.array(table, dtype=np.int64).reshape(len(table), n)
+    return _frozen(ks), {k: i for i, k in enumerate(table)}
+
+
+@lru_cache(maxsize=256)
+def _monomial_column(m: tuple, q: float, degree: int) -> np.ndarray:
+    """c_m(k) for every k of the domain {|k| <= degree}, in its order."""
+    ks = _domain(len(m), degree)[0]
+    steps, powers = _letter_tables(q, degree + sum(m))
+    coeff = np.ones(len(ks))
+    tail = np.zeros(len(ks), dtype=np.int64)   # sum_{i>j} (k_i + m_i)
+    for j in range(len(m) - 1, -1, -1):
+        for r in range(1, m[j] + 1):
+            coeff *= steps[ks[:, j] + r] * powers[tail]
+        tail += ks[:, j] + m[j]
+    return _frozen(coeff)
+
+
+@lru_cache(maxsize=512)
+def _shift_pairs(n: int, degree: int, shift: tuple) -> tuple:
+    # the domain positions (i, j) with k_i + shift = k_j
+    ks, where = _domain(n, degree)
+    pairs = [(i, where[k]) for i, k in enumerate(map(tuple, (ks + shift).tolist()))
+             if k in where]
+    src, dst = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
+    return _frozen(src), _frozen(dst)
+
+
+@lru_cache(maxsize=8)
+def _pair_plan(exponents: tuple, degree: int) -> tuple:
+    # for each term pair i < j of the sorted exponents and each k' of the
+    # domain with k = k' + m_j - m_i in it: the flat positions of w_i(k) and
+    # w_j(k') in the (terms x domain) array of weighted columns, and of
+    # N[k, k'] in the (domain x domain) matrix.  A plan can hold
+    # (#terms choose 2) x (domain size) entries, so few are kept: the
+    # sandwich suite asks for each element at two scales in a row.
+    n = len(exponents[0])
+    size = len(_domain(n, degree)[0])
+    pairs = [(i, j) for i in range(len(exponents)) for j in range(i + 1, len(exponents))]
+    found = [_shift_pairs(n, degree, tuple(y - x for x, y in zip(exponents[i], exponents[j])))
+             for i, j in pairs]
+    sizes = [len(src) for src, _ in found]
+    first = np.repeat(np.array([i for i, _ in pairs], dtype=np.intp), sizes)
+    second = np.repeat(np.array([j for _, j in pairs], dtype=np.intp), sizes)
+    empty = np.array([], dtype=np.intp)
+    rows = np.concatenate([empty] + [dst for _, dst in found])    # positions of k
+    cols = np.concatenate([empty] + [src for src, _ in found])    # positions of k'
+    return (_frozen(first * size + rows), _frozen(second * size + cols),
+            _frozen(rows * size + cols))
+
+
+def _domain_size(a: QPolynomial, degree: int) -> int:
+    # the number of columns, once the truncated operator is known to fit the cap
+    size = len(qc.multi_indices(a.n, degree))
+    rows = math.comb(degree + a.degree() + a.n, a.n)
+    if rows * size > qc.ENUMERATION_CAP:
         raise qc.EnumerationCapExceeded(
-            f"a {len(codomain)} x {len(domain)} operator matrix exceeds the "
+            f"a {rows} x {size} operator matrix exceeds the "
             f"enumeration cap {qc.ENUMERATION_CAP}")
-    index = {k: i for i, k in enumerate(codomain)}
-    mat = np.zeros((len(codomain), len(domain)), dtype=np.complex128)
-    for col, k in enumerate(domain):
-        for m, c in a.terms.items():
-            coeff, target = _apply_monomial(m, k, q)
-            mat[index[target], col] += c * rho ** sum(m) * coeff
-    return mat
+    return size
+
+
+def _normal_lower(a: QPolynomial, q: float, rho: float, degree: int) -> np.ndarray:
+    """The lower triangle, diagonal included, of N = M^H M for the truncated
+    operator M of gamma_rho(a) (domain |k| <= degree); eigvalsh reads no more.
+
+    Column k of M holds w_m(k) = a_m rho^{|m|} c_m(k) at row k + m for each
+    term m, and distinct terms land on distinct rows.  So N[k, k] is
+    sum_m |w_m(k)|^2, and every other entry is a sum of conj(w_m(k)) w_m'(k')
+    over the term pairs with k + m = k' + m'.  The domain is in lexicographic
+    order, so the entry lies below the diagonal exactly when m < m'.
+    """
+    size = _domain_size(a, degree)
+    lower = np.zeros((size, size), dtype=np.complex128)
+    if not a.terms:
+        return lower
+    exponents = tuple(sorted(a.terms))
+    scale = np.array([a.terms[m] * rho ** sum(m) for m in exponents])
+    w = scale[:, None] * np.array([_monomial_column(m, q, degree) for m in exponents])
+    left, right, entries = _pair_plan(exponents, degree)
+    flat, weights = lower.reshape(-1), w.reshape(-1)   # views
+    np.add.at(flat, entries, weights[left].conj() * weights[right])
+    flat[::size + 1] = (w.conj() * w).real.sum(axis=0)
+    return lower
+
+
+def _top_singular_value(lower: np.ndarray) -> float:
+    return math.sqrt(max(float(np.linalg.eigvalsh(lower, UPLO="L")[-1]), 0.0))
+
+
+def _lower_bounds(a: QPolynomial, q: float, rho: float, degrees: Sequence[int]) -> list:
+    """op_norm_bounds(a, q, rho, d).lower for each d in degrees, from one
+    normal matrix at the largest d.  The columns |k| <= d map into the rows
+    |k| <= d + deg a, so the truncation at d has as its normal matrix the
+    principal sub-block of N on those columns."""
+    top = max(degrees)
+    lower = _normal_lower(a, q, rho, top)
+    totals = _domain(a.n, top)[0].sum(axis=1)
+    lowers = []
+    for d in degrees:
+        keep = np.flatnonzero(totals <= d)
+        lowers.append(_top_singular_value(lower[np.ix_(keep, keep)]))
+    return lowers
 
 
 def op_norm_bounds(a: QPolynomial, q: float, rho: float, degree: int) -> OpNormBounds:
@@ -147,18 +273,16 @@ def op_norm_bounds(a: QPolynomial, q: float, rho: float, degree: int) -> OpNormB
     |k| <= degree), nondecreasing in the truncation degree.  upper: the
     l^1 polydisk norm at rho, which dominates the operator norm.  vacuum:
     ||pi(gamma_rho(a)) e_0||, a second lower bound.  A negative degree
-    raises ValueError, and a matrix of more than qcombinat.ENUMERATION_CAP
-    entries raises EnumerationCapExceeded before it is allocated.
+    raises ValueError, and a truncated operator of more than
+    qcombinat.ENUMERATION_CAP entries raises EnumerationCapExceeded before
+    anything is allocated.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("the representation needs 0 < q < 1")
     if degree < 0:
         raise ValueError("truncation degree must be nonnegative")
     spec = NormSpec(POLYDISK_L1, rho)   # rejects a rho that is not finite and positive
-    mat = _operator_matrix(a, q, rho, degree)
-    normal = mat.conj().T @ mat
-    top = float(np.linalg.eigvalsh(normal)[-1])
-    lower = math.sqrt(max(top, 0.0))
+    lower = _top_singular_value(_normal_lower(a, q, rho, degree))
     upper = norm(a, spec)
     vac = vacuum_vector_image(a, q, rho)
     vacuum = math.sqrt(sum(abs(c) ** 2 for c in vac.values()))

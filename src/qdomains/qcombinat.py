@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import index, mul
 from typing import NamedTuple, Sequence
 
@@ -171,6 +172,7 @@ class PochhammerValue(NamedTuple):
     factors: int
 
 
+@lru_cache(maxsize=64)
 def q_pochhammer_inf(a: complex, q: complex) -> PochhammerValue:
     """(a; q)_infty = prod_{j>=0} (1 - a q**j), truncated deterministically.
 
@@ -410,7 +412,33 @@ def _check_multi_index_cap(n: int, max_total: int) -> None:
             f"{count} multi-indices exceed the enumeration cap {ENUMERATION_CAP}")
 
 
-@lru_cache(maxsize=None)
+_HELD_TABLE_ENTRIES = 2 ** 16
+
+
+def _table_cache(build):
+    """Memoize build(n, total) while the tables held add up to at most
+    _HELD_TABLE_ENTRIES entries, dropping the oldest first.  A larger table
+    is returned without being held.  verify all needs about 20,000 entries
+    of multi_indices tables and 1,400 of exact ones."""
+    held: dict = {}
+    lock = threading.Lock()   # writers only; a lookup is one dict read
+
+    @wraps(build)
+    def lookup(n: int, total: int) -> tuple:
+        table = held.get((n, total))
+        if table is None:
+            table = build(n, total)
+            if len(table) <= _HELD_TABLE_ENTRIES:
+                with lock:
+                    held[(n, total)] = table
+                    while sum(map(len, held.values())) > _HELD_TABLE_ENTRIES:
+                        del held[next(iter(held))]
+        return table
+
+    return lookup
+
+
+@_table_cache
 def multi_indices(n: int, max_total: int) -> tuple:
     """All k in Z_+^n with |k| <= max_total, lexicographically sorted, if
     there are at most ENUMERATION_CAP of them (checked before enumerating)."""
@@ -428,7 +456,7 @@ def _compositions_upto(n, max_total):
     return out
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def multi_indices_exact(n: int, total: int) -> tuple:
     """All k in Z_+^n with |k| = total ((Z_+^n)_d), lexicographically sorted.
 

@@ -6,7 +6,8 @@ sort rewriting vs inversion powers, simplex optimization vs the closed
 form, partial derivatives vs the monomial bracket rule, one hand-written
 pair loop per product vs the shared twisted-product routine, one
 word-at-a-time loop per lift and normal ordering vs the batched word
-kernel, and json's encoder over a document built here from the README's
+kernel, one generator letter at a time vs the closed-form Fock columns,
+and json's encoder over a document built here from the README's
 layout of each kind vs the table-driven element-text writer.
 """
 
@@ -321,6 +322,32 @@ def reference_formal_ball_lift(k, order):
             coeff = coeff * (1j * m) / p
             terms[(p, alpha)] = coeff
     return terms
+
+
+def reference_operator_matrix(a, q, rho, degree):
+    """The truncated Fock operator of gamma_rho(a) as a dense matrix: rows
+    |k| <= degree + deg a, columns |k| <= degree, both in lexicographic
+    order.  Each entry is composed one generator letter at a time, the x_n
+    letters first; x_j takes e_s to e_{s+e_j} with the factor
+    sqrt((1-q^2) [s_j+1]_{q^2}) q^{s_{j+1}+...+s_n}."""
+    def indices(top):
+        return sorted(k for k in itertools.product(range(top + 1), repeat=a.n)
+                      if sum(k) <= top)
+
+    domain = indices(degree)
+    codomain = indices(degree + max((sum(m) for m in a.terms), default=0))
+    row = {k: i for i, k in enumerate(codomain)}
+    mat = np.zeros((len(codomain), len(domain)), dtype=complex)
+    for col, k in enumerate(domain):
+        for m, c in a.terms.items():
+            coeff, current = 1.0, list(k)
+            for j in range(a.n - 1, -1, -1):
+                for _ in range(m[j]):
+                    step = math.sqrt((1.0 - q * q) * q_int(current[j] + 1, q * q).real)
+                    coeff *= step * q ** sum(current[j + 1:])
+                    current[j] += 1
+            mat[row[tuple(current)], col] += c * rho ** sum(m) * coeff
+    return mat
 
 
 def reference_document(e):

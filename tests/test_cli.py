@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -319,6 +320,39 @@ def test_fock_norm_depth_is_validated(tmp_path, qpoly_doc, capsys):
         assert cli.main(argv) == 2, depth
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(message), captured.err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0.5,0.1", "error: fock-norm needs a real q, got '0.5,0.1'"),
+    ("abc", "error: cannot parse q from 'abc' (use RE or RE,IM)"),
+    ("0.5,", "error: cannot parse q from '0.5,' (use RE or RE,IM)"),
+])
+def test_fock_norm_q_is_parsed_like_the_other_commands(qpoly_doc, capsys, value, message):
+    # both exited 2 with a bare "could not convert string to float"
+    argv = ["fock-norm", "--in", qpoly_doc, "--rho", "1", "--depth", "3"]
+    for spelling in (["--q", value], [f"--q={value}"]):
+        assert cli.main(argv + spelling) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.strip() == message
+    assert cli.main(argv + ["--q", "0.5,0"]) == 0
+    real_part_only = capsys.readouterr().out
+    assert cli.main(argv + ["--q", "0.5"]) == 0
+    assert capsys.readouterr().out == real_part_only
+
+
+def test_fock_generator_mutation_reaches_the_lower_bound(tmp_path):
+    # lower comes from the closed-form columns alone, so it moves only if the
+    # mutation hook sits on their one-letter factor
+    doc = write(tmp_path, "a.json", {"kind": "qpoly", "n": 2, "q": {"re": 0.5},
+                                     "terms": [{"k": [1, 0], "c": {"re": 1}},
+                                               {"k": [0, 2], "c": {"re": 0.5}}]})
+    argv = ["fock-norm", "--in", doc, "--q", "0.5", "--rho", "1", "--depth", "4"]
+    env = {key: value for key, value in os.environ.items() if key != "QDOMAINS_MUTATE"}
+    plain = run(*argv, env=env)
+    mutated = run(*argv, env={**env, "QDOMAINS_MUTATE": "fock-generator"})
+    assert plain.returncode == mutated.returncode == 0, plain.stderr + mutated.stderr
+    lower, bumped = (json.loads(result.stdout)["lower"] for result in (plain, mutated))
+    assert abs(bumped / lower - 1.0) > 1e-7
 
 
 def test_radius_enumeration_is_bounded(capsys):

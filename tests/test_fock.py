@@ -1,7 +1,9 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
+from oracles import reference_operator_matrix
 
 from qdomains import fock, qcombinat as qc, randgen
 from qdomains.elements import QPolynomial
@@ -128,3 +130,55 @@ def test_q_outside_range_rejected():
     a = QPolynomial.monomial(1, 0.5, (1,))
     with pytest.raises(ValueError):
         fock.op_norm_bounds(a, 1.5, 1.0, 4)
+
+
+def _fock_cases():
+    # n = 1..3, q in {0.3, 0.5, 0.7, 0.95}, |m| <= 4, degree <= 5, and one
+    # n = 3, degree-12 element
+    rng = Random("fock-closed-form")
+    for n in (1, 2, 3):
+        for q in (0.3, 0.5, 0.7, 0.95):
+            for degree in (0, 2, 5):
+                a = randgen.random_qpoly(rng, n, q, max_degree=4, terms=5)
+                yield a, q, rng.choice((0.5, 1.0, 1.7)), degree
+    yield randgen.random_qpoly(rng, 3, 0.6, max_degree=3, terms=6), 0.6, 0.8, 12
+
+
+def _relative(got, want):
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+
+def test_closed_form_columns_match_letter_by_letter_reference():
+    for n in (1, 2, 3):
+        for q in (0.3, 0.5, 0.7, 0.95):
+            domain = qc.multi_indices(n, 5)
+            for m in qc.multi_indices(n, 4):
+                ref = reference_operator_matrix(QPolynomial.monomial(n, q, m), q, 1.0, 5)
+                codomain = qc.multi_indices(n, 5 + sum(m))
+                rows = [codomain.index(tuple(x + y for x, y in zip(k, m))) for k in domain]
+                want = ref[rows, range(len(domain))].real
+                # the same factors multiplied in the same order: equal bit for bit
+                assert np.array_equal(fock._monomial_column(m, q, 5), want), (m, q)
+
+
+def test_normal_matrix_and_lower_bound_match_letter_by_letter_reference():
+    for a, q, rho, degree in _fock_cases():
+        ref = reference_operator_matrix(a, q, rho, degree)
+        normal = ref.conj().T @ ref
+        lower = fock._normal_lower(a, q, rho, degree)
+        assert _relative(lower, np.tril(normal)) <= 1e-14, (a.n, q, degree)
+        want = math.sqrt(max(float(np.linalg.eigvalsh(normal)[-1]), 0.0))
+        got = fock.op_norm_bounds(a, q, rho, degree).lower
+        assert abs(got - want) <= 1e-14 * want, (a.n, q, degree)
+
+
+def test_lower_bounds_by_degree_are_sub_blocks_of_one_build():
+    rng = Random("fock-sub-blocks")
+    for i in range(12):
+        n, q = 1 + i % 3, (0.3, 0.7, 0.95)[i % 3]
+        a = randgen.random_qpoly(rng, n, q, max_degree=2, terms=4)
+        degrees = range(2, 11 if n < 3 else 8)
+        fresh = [fock.op_norm_bounds(a, q, 1.0, d).lower for d in degrees]
+        shared = fock._lower_bounds(a, q, 1.0, degrees)
+        for d, got, want in zip(degrees, shared, fresh):
+            assert abs(got - want) <= 1e-14 * want, (n, q, d)

@@ -286,6 +286,25 @@ def test_multi_index_enumeration_counts():
         qc.multi_indices_exact(200, 3)
 
 
+def test_multi_index_tables_are_held_within_a_budget():
+    # radius --n 10 --depth 12 once kept its 646,646 exact tuples for the
+    # life of the process
+    small = qc.multi_indices(2, 5)
+    assert qc.multi_indices(2, 5) is small
+    for table, total in ((qc.multi_indices, 80), (qc.multi_indices_exact, 21)):
+        n = 3 if table is qc.multi_indices else 6
+        big = table(n, total)
+        assert len(big) > qc._HELD_TABLE_ENTRIES
+        again = table(n, total)
+        assert again == big and again is not big
+    # tables that fit are dropped oldest first once they overflow
+    first = qc.multi_indices(3, 55)
+    assert qc.multi_indices(3, 55) is first
+    later = [qc.multi_indices(3, total) for total in (56, 57)]
+    assert len(first) + sum(map(len, later)) > qc._HELD_TABLE_ENTRIES
+    assert qc.multi_indices(3, 55) is not first
+
+
 def test_words_enumeration():
     all_words = list(qc.words(2, 3))
     assert len(all_words) == 1 + 2 + 4 + 8
