@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from qdomains import deform, fock, spectral, suites
 from qdomains.deform_types import HSeriesElement
@@ -323,9 +324,15 @@ def _glue_q_values(argv: list) -> list:
     return out
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it found it, so one per process serves
+    # every main call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_q_values(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_glue_q_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except UsageError as exc:

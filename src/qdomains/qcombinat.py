@@ -155,6 +155,9 @@ def _log_q_int(j: int, t: float) -> float:
     return math.log(acc)
 
 
+_FACTORIAL_STEP = 64
+
+
 @lru_cache(maxsize=None)
 def log_q_factorial(m: int, t: float) -> float:
     """log([m]_t!) for real t > 0 (log-domain; never overflows)."""
@@ -164,6 +167,10 @@ def log_q_factorial(m: int, t: float) -> float:
         raise ValueError("log-domain base must be positive")
     if m == 0:
         return 0.0
+    # fill the cache upward first, so the recursion below stops within
+    # _FACTORIAL_STEP levels; each value is the same left-to-right sum
+    for j in range(_FACTORIAL_STEP, m, _FACTORIAL_STEP):
+        log_q_factorial(j, t)
     return log_q_factorial(m - 1, t) + _log_q_int(m, t)
 
 

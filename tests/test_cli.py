@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -364,3 +365,85 @@ def test_radius_enumeration_is_bounded(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: resource limit: 1373701 multi-indices exceed")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main reuses one parser per process: options that one call sets must not
+    # reach a later call, after an argparse error either
+    qpoly = write(tmp_path, "q.json", {"kind": "qpoly", "n": 2, "q": {"re": 0.5},
+                                       "terms": [{"k": [1, 1], "c": {"re": 1}},
+                                                 {"k": [2, 0], "c": {"re": 0.5, "im": 1}}]})
+    free = write(tmp_path, "f.json", {"kind": "free", "n": 2, "q": {"re": 0.7},
+                                      "terms": [{"alpha": [2, 1], "c": {"re": 1}},
+                                                {"alpha": [1, 2, 2], "c": {"re": -2}}]})
+    laurent = write(tmp_path, "l.json", {"kind": "laurent", "n": 2,
+                                         "terms": [{"k": [1, 0], "p": 1, "c": {"re": 1}},
+                                                   {"k": [0, 2], "p": -1, "c": {"re": 2}}]})
+    hseries = write(tmp_path, "h.json", {"kind": "hseries", "n": 2, "order": 2,
+                                         "terms": [{"p": 0, "k": [1, 0], "c": {"re": 1}},
+                                                   {"p": 1, "k": [0, 1], "c": {"re": 3}}]})
+    out = tmp_path / "out.txt"
+    options = [
+        ["mul", "--in", qpoly, "--in", qpoly, "--degree-cap", "3"],
+        ["normal-order", "--in", free, "--q", "0.3,0.4"],
+        ["norm", "--in", free, "--family", "free-polydisk", "--rho", "0.8", "--tau", "2"],
+        ["norm", "--in", hseries, "--family", "formal", "--rho", "0.8", "--bign", "2"],
+        ["radius", "--tuple", "coords", "--family", "ball", "--rho", "0.9", "--depth", "3",
+         "--p", "1", "--n", "2", "--q", "0.6,0.8", "--tau", "1.5"],
+        ["fock-norm", "--in", qpoly, "--q", "0.5", "--rho", "0.9", "--depth", "4",
+         "--out", str(out)],
+        ["star", "--in", hseries, "--in", hseries, "--order", "1"],
+        ["scan", "--in", laurent, "--path", "ray:0.5:0.6:1.2", "--samples", "8",
+         "--family", "ball", "--rho", "0.7", "--out", str(out)],
+        ["verify", "stirling-3-4", "--seed", "7", "--json", "--verbose"],
+    ]
+    defaults = [
+        ["mul", "--in", qpoly, "--in", qpoly],
+        ["normal-order", "--in", free],
+        ["norm", "--in", free, "--family", "free-polydisk", "--rho", "0.8"],
+        ["norm", "--in", hseries, "--family", "formal", "--rho", "0.8"],
+        ["radius", "--family", "ball", "--rho", "0.9", "--depth", "3", "--p", "1", "--n", "2"],
+        ["fock-norm", "--in", qpoly, "--q", "0.5", "--rho", "0.9", "--depth", "4"],
+        ["star", "--in", hseries, "--in", hseries, "--order", "2"],
+        ["scan", "--in", laurent, "--path", "circle:0.9", "--family", "polydisk",
+         "--rho", "0.7"],
+        ["verify", "stirling-3-4"],
+    ]
+    calls = options + defaults + [["norm", "--in", free, "--family", "nope", "--rho", "1"],
+                                  defaults[0]]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        # a suite's wall time is the one field that may differ between runs
+        text = re.sub(r'("wall_time": )[-+.e0-9]+|\(\d+\.\d\ds\)', r"\1", captured.out)
+        return code, text, captured.err, written
+
+    assert cli._parser() is cli._parser()
+    reused = [outcome(argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [outcome(argv) for argv in calls]
+    assert [code for code, *_ in reused] == [0] * (len(calls) - 2) + [2, 0]
+    assert "invalid choice: 'nope'" in reused[-2][2]
+    for argv, a, b in zip(calls, reused, fresh):
+        assert a == b, argv
+
+
+@pytest.mark.parametrize("degree", [1000, 2200])
+def test_ball_norm_of_a_high_degree_monomial(tmp_path, degree):
+    # log_q_factorial recursed once per degree, so a fresh process exited 1
+    # with a RecursionError here
+    doc = write(tmp_path, "deep.json", {"kind": "qpoly", "n": 1, "q": {"re": 0.5},
+                                        "terms": [{"k": [degree], "c": {"re": 1}}]})
+    result = run("norm", "--in", doc, "--family", "ball", "--rho", "0.9")
+    assert result.returncode in (0, 2), result.stderr
+    if result.returncode == 0:
+        # one variable: the ball weight is 1, so the norm is rho ** degree
+        assert json.loads(result.stdout)["norm"] == pytest.approx(0.9 ** degree, rel=1e-9)
+    else:
+        assert result.stderr.startswith("error: ")

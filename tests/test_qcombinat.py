@@ -71,6 +71,18 @@ def test_log_q_factorial_matches_direct_product():
                                                              abs=1e-12)
 
 
+def test_log_q_factorial_deep_in_a_fresh_cache():
+    # one recursion level per m overflowed Python's stack past m ~ 500; the
+    # value must stay the left-to-right sum the recursion adds
+    qc.log_q_factorial.cache_clear()
+    for t in (0.25, 1.0, 3.0):
+        for m in (1200, 600):
+            total = 0.0
+            for j in range(1, m + 1):
+                total += qc._log_q_int(j, t)
+            assert qc.log_q_factorial(m, t) == total, (m, t)
+
+
 def test_pochhammer_values():
     half = qc.q_pochhammer_inf(0.5, 0.5)
     assert half.value == pytest.approx(POCH_HALF_HALF, rel=2e-12)
