@@ -1,8 +1,9 @@
 """The word-statistics kernels: inversion and switch counts, letter
-profiles, batched word statistics (a numpy pass, or scalar loops for a few
-words), the cached fiber record (words and inversion numbers from one
-first-letter recursion), the statistics of its words read from it, and
-Mahonian sums (Python and numpy, _wordkit_py)."""
+profiles, batched word statistics and profiles (a numpy pass, or scalar
+loops for a few words), the fiber records (words and inversion numbers
+from one first-letter recursion, held in a bounded store), the statistics
+of their words read from them, and Mahonian sums (Python and numpy,
+_wordkit_py)."""
 
 from qdomains._wordkit_py import (
     fiber,
@@ -12,6 +13,7 @@ from qdomains._wordkit_py import (
     mahonian_sum,
     switch_count,
     word_profile,
+    word_profiles,
     word_stats,
 )
 

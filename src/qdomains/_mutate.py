@@ -5,9 +5,11 @@ one named formula by a relative 1e-6; the matching verification suite must
 then fail.  Inactive (the default) every call is the identity.
 """
 
+import math
 import os
 
 _BUMP = 1.0 + 1e-6
+_LOG_BUMP = math.log(_BUMP)
 
 _active = os.environ.get("QDOMAINS_MUTATE", "")
 
@@ -27,3 +29,11 @@ def scale(name, value):
     if name == _active:
         return value * _BUMP
     return value
+
+
+def shift_logs(name, logs):
+    """Add log(1 + 1e-6) to every log value in the list logs when the named
+    mutation is active, which scales each value they stand for by 1 + 1e-6."""
+    if name == _active:
+        return [v + _LOG_BUMP for v in logs]
+    return logs

@@ -14,19 +14,24 @@ in lexicographic order and their inversion numbers, as tuples.  Both come
 from one recursion on the first letter, built level by level over the
 sub-profiles of k: the words of k are i + w for each word w of k - e_i,
 and such a word has the inversions of w plus one per letter of k below i
-(_enumerate_fiber); no statistics pass runs over the words.  One slot,
-_fiber_record, holds the record of the last profile asked for, so the
-lifts of one x^k, its fiber lists and its Mahonian sum share a single
-enumeration, while at most one fiber is held between calls.  fiber_words
-and fiber_inversions return fresh lists.
+(_enumerate_fiber); no statistics pass runs over the words.  The records
+are held in a store keyed by profile, oldest first, while they add up to
+at most _HELD_FIBER_WORDS words; a new record drops the oldest ones first,
+and a fiber of more words is not held there.  Besides, the record of the
+profile asked for last is kept, held or not, until another profile is
+asked for.  So the lifts of one x^k, its fiber lists and its Mahonian sum
+share a single enumeration, and a suite that comes back to a small
+profile finds its record.  fiber_words and fiber_inversions return fresh
+lists.
 
-The slot also answers word_stats: a batch of words of that fiber (the
-words of a lift of x^k, in any order and any number) has profile k and the
-recorded inversion numbers, so fiber_stats reads them from the record's
-word -> inversions map and no statistics pass runs.  Any other batch (a
-foreign word anywhere in it, an unhashable word, an empty batch, another
-n, or no record) takes the scalar or numpy route, and must have every
-letter in 1..n."""
+The record of the profile asked for last also answers word_stats: a batch
+of words of that fiber (the words of a lift of x^k, in any order and any
+number) has profile k and the recorded inversion numbers, so fiber_stats
+reads them from the record's word -> inversions map, built the first time
+it is needed and then kept with the record, and no statistics pass runs.
+Any other batch (a foreign word anywhere in it, an unhashable word, an
+empty batch, another n, or no record) takes the scalar or numpy route,
+and must have every letter in 1..n."""
 
 from itertools import chain
 from operator import index
@@ -59,20 +64,32 @@ def word_profile(word, n):
 
 _SCALAR_BATCH = 20
 
-# (counts, (words, inversions), word -> inversion number) of the last fiber
-_fiber_record = None
+# The fiber records held, counts -> [counts, (words, inversions), word ->
+# inversion number or None until fiber_stats needs it], oldest first, with
+# the number of words they hold in all; and the record of the profile asked
+# for last.  verify all asks for 219 fibers of 10,361 words in all: this
+# bound keeps the 3,543 words of the 120 profiles that three suites come
+# back to, for 772 enumerations in place of 2,256 with one slot.  Holding
+# every fiber made 219 enumerations but raised the run's peak RSS by about
+# 2.4 MB, against 1 MB with this bound.
+_HELD_FIBER_WORDS = 2 ** 12
+_fiber_records: dict = {}
+_held_words = 0
+_last_record = None
 
 
 def fiber_stats(words, n):
     """(profiles, inversions) of words over letters 1..n read from the
-    cached fiber record, or None unless every word is a word of that fiber
-    and the fiber has n letters.  words may be any sized iterable of words,
-    a mapping keyed by words among them."""
-    if _fiber_record is None:
+    record of the fiber asked for last, or None unless there is one, every
+    word is a word of that fiber and the fiber has n letters.  words
+    may be any sized iterable of words, a mapping keyed by words among
+    them."""
+    record = _last_record
+    if record is None or len(record[0]) != n:
         return None
-    counts, _, inversions_of = _fiber_record
-    if len(counts) != n:
-        return None
+    counts, (record_words, record_ms), inversions_of = record
+    if inversions_of is None:
+        inversions_of = record[2] = dict(zip(record_words, record_ms))
     try:
         if next(iter(words), None) not in inversions_of:
             return None
@@ -99,30 +116,54 @@ def word_stats(words, n):
     return profiles, ms
 
 
+def word_profiles(words, n):
+    """The profiles of word_stats(words, n) alone: read from the fiber
+    record as there, else computed without the inversion numbers."""
+    stats = fiber_stats(words, n)
+    if stats is not None:
+        return stats[0]
+    if len(words) < _SCALAR_BATCH:
+        profiles = [word_profile(word, n) for word in words]
+    else:
+        profiles = _padded_profiles(_padded(words), n)
+    if list(map(sum, profiles)) != list(map(len, words)):
+        raise ValueError("letters must lie in 1..n")
+    return profiles
+
+
 def _scan_stats(words, n):
     """word_stats computed from the letters: the scalar loops below
     _SCALAR_BATCH words, else one numpy pass.  Letters outside 1..n are
-    left out of the profiles on both routes.  The numpy pass left-pads the
-    words with 0 into one integer array; 0 is below every letter, so
-    padding adds no inversion, and it is not counted in any profile."""
+    left out of the profiles on both routes."""
     if len(words) < _SCALAR_BATCH:
         return ([word_profile(word, n) for word in words],
                 [inversions(word) for word in words])
+    padded = _padded(words)
+    ms = np.zeros(len(words), dtype=np.int64)
+    for j in range(1, padded.shape[1]):
+        ms += (padded[:, :j] > padded[:, j:j + 1]).sum(axis=1)
+    return _padded_profiles(padded, n), ms.tolist()
+
+
+def _padded(words):
+    """The words left-padded with 0 into one integer array; 0 is below every
+    letter, so padding adds no inversion, and no profile counts it."""
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
     d = int(lengths.max(initial=0))
     padded = np.zeros((len(words), d), dtype=np.int64)
     padded[np.arange(d) >= d - lengths[:, None]] = np.fromiter(
         chain.from_iterable(words), dtype=np.int64, count=int(lengths.sum()))
-    ms = np.zeros(len(words), dtype=np.int64)
-    for j in range(1, d):
-        ms += (padded[:, :j] > padded[:, j:j + 1]).sum(axis=1)
+    return padded
+
+
+def _padded_profiles(padded, n):
     # one bincount over (row, letter) bins; bin 0 takes the padding and
     # bin n + 1 every letter outside 1..n
+    rows = len(padded)
     bins = n + 2
-    flat = np.minimum(np.maximum(padded, 0), n + 1) + bins * np.arange(len(words))[:, None]
-    counts = np.bincount(flat.ravel(), minlength=bins * len(words))
-    profiles = counts.reshape(len(words), bins)[:, 1:n + 1]
-    return list(map(tuple, profiles.tolist())), ms.tolist()
+    flat = np.minimum(np.maximum(padded, 0), n + 1) + bins * np.arange(rows)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=bins * rows)
+    return list(map(tuple, counts.reshape(rows, bins)[:, 1:n + 1].tolist()))
 
 
 def _enumerate_fiber(counts):
@@ -160,15 +201,31 @@ def _enumerate_fiber(counts):
 def fiber(counts):
     """(words, inversions) of the fiber with the given letter counts: every
     word once, in lexicographic order, and the inversion number of each.
-    A call for the profile of the record in the slot returns that record."""
-    global _fiber_record
-    record = _fiber_record
-    if record is not None and record[0] == counts:
-        return record[1]
+    A call for a profile whose record is held, or for the profile asked
+    for last, returns that record."""
+    global _last_record
     counts = tuple(map(index, counts))
-    words, ms = _enumerate_fiber(counts)
-    _fiber_record = (counts, (words, ms), dict(zip(words, ms)))
-    return _fiber_record[1]
+    record = _fiber_records.get(counts)
+    if record is None and _last_record is not None and _last_record[0] == counts:
+        record = _last_record
+    if record is None:
+        words, ms = _enumerate_fiber(counts)
+        record = [counts, (words, ms), None]
+        if len(words) <= _HELD_FIBER_WORDS:
+            _hold(record)
+    _last_record = record
+    return record[1]
+
+
+def _hold(record):
+    """Hold a new record, dropping the oldest ones first while the records
+    held would pass _HELD_FIBER_WORDS words."""
+    global _held_words
+    size = len(record[1][0])
+    while _held_words + size > _HELD_FIBER_WORDS:
+        _held_words -= len(_fiber_records.pop(next(iter(_fiber_records)))[1][0])
+    _fiber_records[record[0]] = record
+    _held_words += size
 
 
 def fiber_words(counts):

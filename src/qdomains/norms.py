@@ -97,28 +97,40 @@ def _check_q(spec: NormSpec, q: QParam):
         raise ValueError("norm spec q does not match the element's q")
 
 
+def _monomial_log_norms(keys: Sequence[Sequence[int]], family: str, rho: float, q) -> list:
+    """log ||x^k|| for each exponent vector k in keys, for a q-polynomial
+    family: |k| log rho plus the family's log weight, the weights of all
+    keys from one batch route (one factorial table, one mutation hook)."""
+    log_rho = math.log(rho)
+    if family in (POLYDISK_L1, POLYDISK_L2):
+        weights = qc.weight_polydisk_logs(keys, q)
+    elif family == BALL:
+        weights = qc.weight_ball_logs(keys, q)
+    elif family == CLASSICAL_BALL:
+        weights = [0.5 * (sum(math.lgamma(m + 1) for m in k) - math.lgamma(sum(k) + 1))
+                   for k in keys]
+    else:
+        raise ValueError(f"{family!r} is not a q-polynomial family")
+    return [sum(k) * log_rho + w for k, w in zip(keys, weights)]
+
+
 def monomial_log_norm(k: Sequence[int], family: str, rho: float, q) -> float:
     """log of the monomial norm ||x^k|| for the q-polynomial families."""
-    base = sum(k) * math.log(rho)
-    if family in (POLYDISK_L1, POLYDISK_L2):
-        return base + qc.weight_polydisk_log(k, q)
-    if family == BALL:
-        return base + qc.weight_ball_log(k, q)
-    if family == CLASSICAL_BALL:
-        return base + 0.5 * (sum(math.lgamma(m + 1) for m in k) - math.lgamma(sum(k) + 1))
-    raise ValueError(f"{family!r} is not a q-polynomial family")
+    return _monomial_log_norms((k,), family, rho, q)[0]
 
 
 def _qpoly_norm(a: QPolynomial, spec: NormSpec) -> float:
     _check_q(spec, a.q)
-    if spec.family == POLYDISK_L2:
-        acc = 0.0
-        for k, c in a.sorted_terms():
-            acc += abs(c) ** 2 * math.exp(2.0 * monomial_log_norm(k, spec.family, spec.rho, a.q))
-        return math.sqrt(acc)
+    keys = sorted(a.terms, key=a._sort_key)   # the sorted_terms order
+    pairs = zip(map(a.terms.__getitem__, keys),
+                _monomial_log_norms(keys, spec.family, spec.rho, a.q))
     acc = 0.0
-    for k, c in a.sorted_terms():
-        acc += abs(c) * math.exp(monomial_log_norm(k, spec.family, spec.rho, a.q))
+    if spec.family == POLYDISK_L2:
+        for c, log_norm in pairs:
+            acc += abs(c) ** 2 * math.exp(2.0 * log_norm)
+        return math.sqrt(acc)
+    for c, log_norm in pairs:
+        acc += abs(c) * math.exp(log_norm)
     return acc
 
 
@@ -137,7 +149,7 @@ def _free_norm(a: FreeElement, spec: NormSpec) -> float:
         return sum(math.sqrt(by_degree[d]) * rho ** d for d in sorted(by_degree))
     # the one free family left, FREE_BALL_CIRC
     by_profile: dict = {}
-    for k, c in zip(qc.word_stats(a.terms, a.n)[0], a.terms.values()):
+    for k, c in zip(qc.word_profiles(a.terms, a.n), a.terms.values()):
         by_profile[k] = by_profile.get(k, 0.0) + abs(c) ** 2
     return sum(math.sqrt(by_profile[k]) * rho ** sum(k)
                for k in sorted(by_profile, key=lambda k: (sum(k), k)))

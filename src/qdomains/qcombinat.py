@@ -13,6 +13,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from itertools import chain
 from operator import index, mul
 from typing import NamedTuple, Sequence
 
@@ -25,6 +26,7 @@ from qdomains._kernels import (
     mahonian_sum,
     switch_count as _switch_count,
     word_profile as _word_profile,
+    word_profiles as _word_profiles,
     word_stats as _word_stats,
 )
 
@@ -36,18 +38,23 @@ __all__ = [
     "q_int",
     "q_factorial",
     "log_q_factorial",
+    "log_q_factorial_table",
     "q_pochhammer_inf",
     "PochhammerValue",
     "weight_polydisk",
     "weight_polydisk_log",
+    "weight_polydisk_logs",
     "weight_u",
     "weight_u_log",
     "weight_ball",
     "weight_ball_log",
+    "weight_ball_logs",
     "weight_ball_alt",
     "weight_ball_alt_log",
+    "weight_ball_alt_logs",
     "word_profile",
     "word_stats",
+    "word_profiles",
     "fiber_count",
     "inversions",
     "switch_count",
@@ -141,37 +148,75 @@ def q_factorial(k, q: complex) -> complex:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _log_q_int(j: int, t: float) -> float:
-    # log [j]_t for real t > 0; direct summation keeps full accuracy near
-    # t = 1, the closed log form takes over once t**j would overflow
-    if t > 2.0 and j * math.log(t) > 60.0:
-        return j * math.log(t) + math.log1p(-(t ** -j)) - math.log(t - 1.0)
-    acc = 0.0
-    power = 1.0
-    for _ in range(j):
-        acc += power
-        power *= t
-    return math.log(acc)
+# The log [j]_t! tables held, one per modulus t, oldest first: they add up
+# to at most _HELD_FACTORIAL_ENTRIES entries.  verify all holds a few
+# hundred entries over a few dozen moduli.
+_HELD_FACTORIAL_ENTRIES = 2 ** 16
+_factorial_tables: dict = {}
 
 
-_FACTORIAL_STEP = 64
+class _LogFactorials(list):
+    """log [j]_t! for j = 0, 1, ..., len - 1, for one real t > 0, built
+    upward as log [j-1]_t! + log [j]_t and grown in place by extend_to.
+
+    [j]_t = 1 + t + ... + t**(j-1) is the running sum of the powers of t,
+    each the one before times t: the partial sums that summing [j]_t
+    directly adds, so every entry is bit for bit that of the direct loop.
+    Once t > 2 and j log t > 60, where t**j would soon overflow, log [j]_t
+    takes the closed form j log t + log1p(-t**-j) - log(t - 1)."""
+
+    __slots__ = ("t", "_acc", "_power")
+
+    def __init__(self, t: float):
+        super().__init__((0.0,))
+        self.t = t
+        self._acc = 0.0     # [j]_t of the last entry j
+        self._power = 1.0   # t**j of the last entry j
+
+    def extend_to(self, m: int) -> None:
+        t, acc, power, total = self.t, self._acc, self._power, self[-1]
+        for j in range(len(self), m + 1):
+            acc += power
+            power *= t
+            if t > 2.0 and j * math.log(t) > 60.0:
+                total += j * math.log(t) + math.log1p(-(t ** -j)) - math.log(t - 1.0)
+            else:
+                total += math.log(acc)
+            self.append(total)
+        self._acc, self._power = acc, power
 
 
-@lru_cache(maxsize=None)
-def log_q_factorial(m: int, t: float) -> float:
-    """log([m]_t!) for real t > 0 (log-domain; never overflows)."""
-    if m < 0:
-        raise ValueError("q-factorial index must be nonnegative")
+def log_q_factorial_table(m: int, t: float) -> list:
+    """The shared table of log([j]_t!) for j = 0..m at least, for real t > 0;
+    callers read it and never change it.
+
+    One table per t is held, grown in place when a larger m is asked for,
+    while the tables held add up to at most _HELD_FACTORIAL_ENTRIES entries,
+    dropping the oldest first; a longer table is returned without being
+    held."""
     if t <= 0:
         raise ValueError("log-domain base must be positive")
-    if m == 0:
-        return 0.0
-    # fill the cache upward first, so the recursion below stops within
-    # _FACTORIAL_STEP levels; each value is the same left-to-right sum
-    for j in range(_FACTORIAL_STEP, m, _FACTORIAL_STEP):
-        log_q_factorial(j, t)
-    return log_q_factorial(m - 1, t) + _log_q_int(m, t)
+    table = _factorial_tables.get(t)
+    if table is not None and m < len(table):
+        return table
+    if table is None:
+        table = _LogFactorials(t)
+    else:
+        del _factorial_tables[t]
+    table.extend_to(m)
+    if len(table) <= _HELD_FACTORIAL_ENTRIES:
+        _factorial_tables[t] = table
+        while sum(map(len, _factorial_tables.values())) > _HELD_FACTORIAL_ENTRIES:
+            del _factorial_tables[next(iter(_factorial_tables))]
+    return table
+
+
+def log_q_factorial(m: int, t: float) -> float:
+    """log([m]_t!) for real t > 0 (log-domain; never overflows), read from
+    the shared table of t."""
+    if m < 0:
+        raise ValueError("q-factorial index must be nonnegative")
+    return log_q_factorial_table(m, t)[m]
 
 
 class PochhammerValue(NamedTuple):
@@ -227,16 +272,29 @@ def cross_degree(k: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # weight functions
 
-def weight_polydisk(k: Sequence[int], q) -> float:
-    """w_q(k): 1 for |q| >= 1, else |q|**cross_degree(k)."""
-    return _mutate.scale("weight-polydisk", math.exp(weight_polydisk_log(k, q)))
+# Every polydisk and ball weight is read through the batch routes
+# weight_polydisk_logs and weight_ball_logs, which the q-plane norms call
+# once per element; the scalar forms are their one-key case.  Each batch
+# makes one call to its mutation hook.
+
+def weight_polydisk_logs(keys: Sequence[Sequence[int]], q) -> list:
+    """log w_q(k) for each exponent vector k in keys: 0 for |q| >= 1,
+    else cross_degree(k) log|q|."""
+    qp = as_qparam(q)
+    if qp.modulus >= 1.0:
+        logs = [0.0] * len(keys)
+    else:
+        logs = [cross_degree(k) * qp.log_modulus for k in keys]
+    return _mutate.shift_logs("weight-polydisk", logs)
 
 
 def weight_polydisk_log(k: Sequence[int], q) -> float:
-    qp = as_qparam(q)
-    if qp.modulus >= 1.0:
-        return 0.0
-    return cross_degree(k) * qp.log_modulus
+    return weight_polydisk_logs((k,), q)[0]
+
+
+def weight_polydisk(k: Sequence[int], q) -> float:
+    """w_q(k): 1 for |q| >= 1, else |q|**cross_degree(k)."""
+    return math.exp(weight_polydisk_log(k, q))
 
 
 def weight_u(k: Sequence[int], q) -> float:
@@ -248,22 +306,48 @@ def weight_u_log(k: Sequence[int], q) -> float:
     return cross_degree(k) * as_qparam(q).log_modulus
 
 
-def weight_ball_log(k: Sequence[int], q) -> float:
+def _ball_table(keys, t: float) -> tuple:
+    """The log [j]_t! table for the exponent vectors keys, with their totals."""
+    # a negative entry would read the table from its end
+    if min(chain.from_iterable(keys), default=0) < 0:
+        raise ValueError("q-factorial index must be nonnegative")
+    totals = list(map(sum, keys))
+    return log_q_factorial_table(max(totals, default=0), t), totals
+
+
+def weight_ball_logs(keys: Sequence[Sequence[int]], q) -> list:
+    """log of the ball weight ([k]_t! / [|k|]_t!)**(1/2) u_q(k), t = |q|**2,
+    for each exponent vector k in keys, read from the shared log [j]_t!
+    table of t."""
     qp = as_qparam(q)
-    t = qp.modulus * qp.modulus
-    log_ratio = sum(log_q_factorial(m, t) for m in k) - log_q_factorial(sum(k), t)
-    return 0.5 * log_ratio + cross_degree(k) * qp.log_modulus
+    log_modulus = qp.log_modulus
+    table, totals = _ball_table(keys, qp.modulus * qp.modulus)
+    at = table.__getitem__
+    return _mutate.shift_logs("weight-ball", [
+        0.5 * (sum(map(at, k)) - at(total))
+        + (total * total - sum(map(mul, k, k))) // 2 * log_modulus
+        for k, total in zip(keys, totals)])
+
+
+def weight_ball_log(k: Sequence[int], q) -> float:
+    return weight_ball_logs((k,), q)[0]
 
 
 def weight_ball(k: Sequence[int], q) -> float:
     """([k]_{|q|^2}! / [|k|]_{|q|^2}!)**(1/2) * u_q(k); equals (k!/|k|!)**(1/2) at |q| = 1."""
-    return _mutate.scale("weight-ball", math.exp(weight_ball_log(k, q)))
+    return math.exp(weight_ball_log(k, q))
+
+
+def weight_ball_alt_logs(keys: Sequence[Sequence[int]], q) -> list:
+    """log of the alternate form ([k]_s! / [|k|]_s!)**(1/2), s = |q|**-2, of
+    the ball weight for each exponent vector k in keys."""
+    table, totals = _ball_table(keys, as_qparam(q).modulus ** -2)
+    at = table.__getitem__
+    return [0.5 * (sum(map(at, k)) - at(total)) for k, total in zip(keys, totals)]
 
 
 def weight_ball_alt_log(k: Sequence[int], q) -> float:
-    qp = as_qparam(q)
-    t = qp.modulus ** -2
-    return 0.5 * (sum(log_q_factorial(m, t) for m in k) - log_q_factorial(sum(k), t))
+    return weight_ball_alt_logs((k,), q)[0]
 
 
 def weight_ball_alt(k: Sequence[int], q) -> float:
@@ -286,14 +370,19 @@ def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
 
     profiles[i] is word_profile(words[i], n) and inversions[i] is
     inversions(words[i]); words may also be a mapping keyed by words, such
-    as an element's terms.  A batch made of words of the cached fiber
-    record (the words of a lift) is read from that record; membership in
-    the fiber already fixes every profile, so those letters are not checked
-    again.  Otherwise a batch of a few words runs the scalar loops, a
-    larger one is one numpy pass over all the words, whatever their
-    lengths (see _wordkit_py); it raises ValueError unless every letter
-    lies in 1..n."""
+    as an element's terms.  A batch made of words of the fiber asked for
+    last (the words of a lift) is read from its record; membership in the fiber already fixes every profile, so those
+    letters are not checked again.  Otherwise a batch of a few words runs
+    the scalar loops, a larger one is one numpy pass over all the words,
+    whatever their lengths (see _wordkit_py); it raises ValueError unless
+    every letter lies in 1..n."""
     return _word_stats(words, n)
+
+
+def word_profiles(words: Sequence[Sequence[int]], n: int) -> list:
+    """The profiles of word_stats(words, n), read from the fiber record as
+    there; a batch off the record is not counted for inversions."""
+    return _word_profiles(words, n)
 
 
 _MAX_FIBER_DEGREE = 1000   # bounds the factorials fiber_count computes
@@ -343,11 +432,13 @@ def _check_fiber_cap(k: Sequence[int]) -> None:
 def fiber(k: Sequence[int]) -> tuple:
     """The fiber record (words, inversions) of p^{-1}(k), both tuples: every
     word alpha with p(alpha) = k once, in lexicographic order, and m(alpha)
-    of each.  The record of the last profile is held in one slot (see
-    _wordkit_py), and a later call for that profile returns the same
-    record; while it is held, word_stats reads batches of its words from
-    it.  Every call, cached or not, raises EnumerationCapExceeded for a
-    fiber of more than ENUMERATION_CAP words, before it enumerates."""
+    of each.  Records are held in a store keyed by profile, up to a bound
+    on the words held in all, dropping the oldest first, and the record of
+    the profile asked for last is kept whatever its size (see _wordkit_py);
+    a later call for either returns the same record.  word_stats reads
+    batches of words of the profile asked for last from its record.
+    Every call, held or not, raises EnumerationCapExceeded for a fiber of
+    more than ENUMERATION_CAP words, before any lookup or enumeration."""
     _check_fiber_cap(k)
     return _fiber(tuple(k))
 

@@ -3,7 +3,9 @@
 Coefficients are uniform on the complex unit disk (sqrt(u) e^{2 pi i v}
 with u, v uniform on [0,1)); supports are drawn uniformly from the set of
 multi-indices or words of degree at most the cap.  Everything goes
-through random.Random, so a fixed seed replays exactly.
+through random.Random, so a fixed seed replays exactly.  The keys come
+from the kit's own tables (qcombinat.multi_indices and _word_pool), so the
+terms go to the constructors as _Checked maps, without a per-key check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from random import Random
 
 from qdomains import qcombinat as qc
 from qdomains.deform_types import HSeriesElement
-from qdomains.elements import FreeElement, LaurentElement, QPolynomial
+from qdomains.elements import FreeElement, LaurentElement, QPolynomial, _Checked
 
 __all__ = [
     "unit_disk",
@@ -33,9 +35,9 @@ def unit_disk(rng: Random) -> complex:
 
 def random_qpoly(rng: Random, n: int, q, max_degree: int = 4, terms: int = 6) -> QPolynomial:
     pool = qc.multi_indices(n, max_degree)
-    chosen: dict = {}
+    chosen = _Checked()
     for _ in range(terms):
-        k = pool[rng.randrange(len(pool))]
+        k = rng.choice(pool)
         chosen[k] = chosen.get(k, 0.0) + unit_disk(rng)
     return QPolynomial(n, q, chosen)
 
@@ -47,9 +49,9 @@ def _word_pool(n: int, max_len: int) -> tuple:
 
 def random_free(rng: Random, n: int, max_len: int = 4, terms: int = 6) -> FreeElement:
     pool = _word_pool(n, max_len)
-    chosen: dict = {}
+    chosen = _Checked()
     for _ in range(terms):
-        alpha = pool[rng.randrange(len(pool))]
+        alpha = rng.choice(pool)
         chosen[alpha] = chosen.get(alpha, 0.0) + unit_disk(rng)
     return FreeElement(n, chosen)
 
@@ -57,9 +59,9 @@ def random_free(rng: Random, n: int, max_len: int = 4, terms: int = 6) -> FreeEl
 def random_laurent(rng: Random, n: int, max_degree: int = 3, max_power: int = 4,
                    terms: int = 6) -> LaurentElement:
     pool = qc.multi_indices(n, max_degree)
-    chosen: dict = {}
+    chosen = _Checked()
     for _ in range(terms):
-        k = pool[rng.randrange(len(pool))]
+        k = rng.choice(pool)
         p = rng.randint(-max_power, max_power)
         chosen[(k, p)] = chosen.get((k, p), 0.0) + unit_disk(rng)
     return LaurentElement(n, chosen)
@@ -68,9 +70,9 @@ def random_laurent(rng: Random, n: int, max_degree: int = 3, max_power: int = 4,
 def random_hseries(rng: Random, n: int, order: int, max_degree: int = 3,
                    terms: int = 6) -> HSeriesElement:
     pool = qc.multi_indices(n, max_degree)
-    chosen: dict = {}
+    chosen = _Checked()
     for _ in range(terms):
-        k = pool[rng.randrange(len(pool))]
+        k = rng.choice(pool)
         p = rng.randint(0, order)
         chosen[(p, k)] = chosen.get((p, k), 0.0) + unit_disk(rng)
     return HSeriesElement(n, order, chosen)

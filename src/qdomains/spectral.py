@@ -22,7 +22,7 @@ from qdomains.norms import (
     FREE_POLYDISK,
     POLYDISK_L1,
     NormSpec,
-    monomial_log_norm,
+    _monomial_log_norms,
     norm,
 )
 from qdomains.qcombinat import ENUMERATION_CAP, EnumerationCapExceeded
@@ -120,7 +120,9 @@ def _log_mahonian(k, t: float) -> float:
     # log sum over the fiber of t**m(alpha); exact multinomial at t = 1
     if abs(t - 1.0) <= _UNIMODULAR_TOL:
         return math.log(qc.fiber_count(k))
-    return qc.log_q_factorial(sum(k), t) - sum(qc.log_q_factorial(m, t) for m in k)
+    total = sum(k)
+    table = qc.log_q_factorial_table(total, t)
+    return table[total] - sum(map(table.__getitem__, k))
 
 
 def _coordinate_estimate(ts: TupleSpec, d: int) -> float:
@@ -130,16 +132,17 @@ def _coordinate_estimate(ts: TupleSpec, d: int) -> float:
     if isinstance(first, FreeElement):
         return _free_coordinate_estimate(spec, n, d, ts.p)
     qp = first.q
+    keys = qc.multi_indices_exact(n, d)
+    log_norms = _monomial_log_norms(keys, spec.family, spec.rho, qp)
     if ts.p == math.inf:
         best = -math.inf
-        for k in qc.multi_indices_exact(n, d):
+        for k, log_norm in zip(keys, log_norms):
             bump = max(0.0, -qc.cross_degree(k) * qp.log_modulus)
-            best = max(best, bump + monomial_log_norm(k, spec.family, spec.rho, qp))
+            best = max(best, bump + log_norm)
         return math.exp(best / d)
     p = float(ts.p)
     t = qp.modulus ** (-p)
-    logs = [_log_mahonian(k, t) + p * monomial_log_norm(k, spec.family, spec.rho, qp)
-            for k in qc.multi_indices_exact(n, d)]
+    logs = [_log_mahonian(k, t) + p * log_norm for k, log_norm in zip(keys, log_norms)]
     return math.exp(_logsumexp(logs) / (p * d))
 
 

@@ -148,8 +148,10 @@ def _suite_lemma_3_13(rng: Random, p: dict) -> list:
     for modulus in p["moduli"]:
         q = qc.as_qparam(modulus)
         for n in range(1, p["max_n"] + 1):
-            for k in qc.multi_indices(n, p["max_total"]):
-                worst = max(worst, _rel(qc.weight_ball(k, q), qc.weight_ball_alt(k, q)))
+            keys = qc.multi_indices(n, p["max_total"])
+            for log_w, log_alt in zip(qc.weight_ball_logs(keys, q),
+                                      qc.weight_ball_alt_logs(keys, q)):
+                worst = max(worst, _rel(math.exp(log_w), math.exp(log_alt)))
     return [CheckResult("ball-weight-two-forms", worst, p["tol"])]
 
 
@@ -160,9 +162,9 @@ def _suite_lemma_4_1(rng: Random, p: dict) -> list:
         lower = qc.q_pochhammer_inf(q, q).value
         for n in range(1, p["max_n"] + 1):
             bound = lower ** n
+            table = qc.log_q_factorial_table(p["max_total"], q)
             for k in qc.multi_indices(n, p["max_total"]):
-                ratio = math.exp(sum(qc.log_q_factorial(m, q) for m in k)
-                                 - qc.log_q_factorial(sum(k), q))
+                ratio = math.exp(sum(map(table.__getitem__, k)) - table[sum(k)])
                 worst_hi = max(worst_hi, ratio - 1.0)
                 worst_lo = max(worst_lo, (bound - ratio) / bound)
     return [CheckResult("ratio-at-most-one", worst_hi, p["tol"]),

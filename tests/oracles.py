@@ -375,3 +375,83 @@ def reference_document(e):
 def reference_element_text(e):
     """The CLI's indent-2 element document, through json's own encoder."""
     return json.dumps(reference_document(e), indent=2)
+
+
+# ---------------------------------------------------------------------------
+# q-factorials, the fiber store and the random elements
+
+def direct_log_q_int(j, t):
+    """log [j]_t with [j]_t summed from scratch, j powers of t, each the one
+    before times t; once t > 2 and j log t > 60 the closed log form."""
+    if t > 2.0 and j * math.log(t) > 60.0:
+        return j * math.log(t) + math.log1p(-(t ** -j)) - math.log(t - 1.0)
+    acc = 0.0
+    power = 1.0
+    for _ in range(j):
+        acc += power
+        power *= t
+    return math.log(acc)
+
+
+def reference_fiber_store(sizes, bound):
+    """The profiles held, oldest first, after asking for the fibers of the
+    given (profile, size) pairs in turn: a profile not held is added at the
+    end after dropping the oldest ones while the sizes held would pass
+    bound, unless its own size passes bound."""
+    held = []
+    for profile, size in sizes:
+        if profile in dict(held) or size > bound:
+            continue
+        while sum(s for _, s in held) + size > bound:
+            held.pop(0)
+        held.append((profile, size))
+    return [profile for profile, _ in held]
+
+
+def _unit_disk_draw(rng):
+    r = math.sqrt(rng.random())
+    theta = 2.0 * math.pi * rng.random()
+    return complex(r * math.cos(theta), r * math.sin(theta))
+
+
+def reference_random_terms(rng, pool, terms, power=None):
+    """The draws of a randgen generator through randrange: each term takes a
+    key from pool, then for the Laurent and h-series kinds an exponent
+    power(rng), then a unit-disk coefficient; a repeated key adds up.
+    Returns a plain dict of (key, exponent or None) -> coefficient."""
+    out = {}
+    for _ in range(terms):
+        key = pool[rng.randrange(len(pool))]
+        p = None if power is None else power(rng)
+        out[(key, p)] = out.get((key, p), 0.0) + _unit_disk_draw(rng)
+    return out
+
+
+def _direct_log_q_factorial(m, t):
+    total = 0.0
+    for j in range(1, m + 1):
+        total += direct_log_q_int(j, t)
+    return total
+
+
+def reference_qpoly_norm(a, family, rho):
+    """A q-plane norm term by term, in the (|k|, k) order of the terms:
+    each monomial's log norm |k| log rho + log weight from scratch, the
+    ball weight from q-factorials summed directly."""
+    modulus = abs(a.q.value)
+    acc = 0.0
+    for k in sorted(a.terms, key=lambda k: (sum(k), k)):
+        cross = sum(k[i] * k[j] for i in range(len(k)) for j in range(i + 1, len(k)))
+        if family == "ball":
+            t = modulus * modulus
+            log_w = (0.5 * (sum(_direct_log_q_factorial(m, t) for m in k)
+                            - _direct_log_q_factorial(sum(k), t))
+                     + cross * math.log(modulus))
+        else:
+            log_w = 0.0 if modulus >= 1.0 else cross * math.log(modulus)
+        log_norm = sum(k) * math.log(rho) + log_w
+        if family == "polydisk-l2":
+            acc += abs(a.terms[k]) ** 2 * math.exp(2.0 * log_norm)
+        else:
+            acc += abs(a.terms[k]) * math.exp(log_norm)
+    return math.sqrt(acc) if family == "polydisk-l2" else acc

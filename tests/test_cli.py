@@ -356,6 +356,24 @@ def test_fock_generator_mutation_reaches_the_lower_bound(tmp_path):
     assert abs(bumped / lower - 1.0) > 1e-7
 
 
+@pytest.mark.parametrize("family, mutation", [("ball", "weight-ball"),
+                                               ("polydisk-l1", "weight-polydisk")])
+def test_weight_mutations_reach_the_norm(tmp_path, family, mutation):
+    # the weight hooks sit on the batch weight route that norm reads, so a
+    # mutated weight moves the norm of every element by its relative 1e-6
+    doc = write(tmp_path, "a.json", {"kind": "qpoly", "n": 3, "q": {"re": 0.5, "im": 0.2},
+                                     "terms": [{"k": [1, 2, 0], "c": {"re": 1}},
+                                               {"k": [0, 2, 3], "c": {"re": 0.5, "im": -1}},
+                                               {"k": [4, 0, 1], "c": {"re": -2}}]})
+    argv = ["norm", "--in", doc, "--family", family, "--rho", "0.8"]
+    env = {key: value for key, value in os.environ.items() if key != "QDOMAINS_MUTATE"}
+    plain = run(*argv, env=env)
+    mutated = run(*argv, env={**env, "QDOMAINS_MUTATE": mutation})
+    assert plain.returncode == mutated.returncode == 0, plain.stderr + mutated.stderr
+    value, bumped = (json.loads(result.stdout)["norm"] for result in (plain, mutated))
+    assert bumped / value - 1.0 == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_radius_enumeration_is_bounded(capsys):
     # the coordinate sum enumerates the multi-indices of each depth, and
     # once ran on without bound; depth 3 of n = 200 has 1373701 of them

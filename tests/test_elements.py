@@ -29,7 +29,7 @@ from qdomains.norms import FREE_BALL_CIRC, NormSpec, norm
 
 from oracles import (reference_ball_lift, reference_circ_norm, reference_laurent_mul,
                      reference_normal_order, reference_polydisk_lift, reference_qpoly_mul,
-                     rewrite_normal_order)
+                     reference_random_terms, rewrite_normal_order)
 
 
 def x_mono(n, q, k, c=1.0):
@@ -502,3 +502,42 @@ def test_checked_terms_are_adopted_only_when_clean():
     # a complex subclass is made a plain complex, as on the public route
     e = QPolynomial(1, 0.5, _Checked({(0,): np.complex128(1j)}))
     assert type(e.terms[(0,)]) is complex
+
+
+def test_random_elements_are_the_checked_draws():
+    # randgen hands its terms over unchecked, drawn with rng.choice; each
+    # element must be the one the same draws, taken with randrange, give
+    # through the validating constructor: keys, values, key order and types
+    def laurent_power(rng):
+        return rng.randint(-4, 4)
+
+    def hseries_power(rng):
+        return rng.randint(0, 2)
+
+    for seed in range(40):
+        n = 1 + seed % 3
+        q = (0.5, 1.0, 2.0)[seed % 3] * cmath.exp(0.3j * seed)
+        terms = 1 + seed % 9
+        pool = qc.multi_indices(n, 4)
+        words = tuple(qc.words(n, 4))
+        cases = [
+            (lambda rng: randgen.random_qpoly(rng, n, q, max_degree=4, terms=terms),
+             lambda d: QPolynomial(n, q, {k: c for (k, _), c in d.items()}), pool, None),
+            (lambda rng: randgen.random_free(rng, n, max_len=4, terms=terms),
+             lambda d: FreeElement(n, {a: c for (a, _), c in d.items()}), words, None),
+            (lambda rng: randgen.random_laurent(rng, n, max_degree=4, max_power=4, terms=terms),
+             lambda d: LaurentElement(n, {(k, p): c for (k, p), c in d.items()}), pool,
+             laurent_power),
+            (lambda rng: randgen.random_hseries(rng, n, 2, max_degree=4, terms=terms),
+             lambda d: HSeriesElement(n, 2, {(p, k): c for (k, p), c in d.items()}), pool,
+             hseries_power),
+        ]
+        for generate, build, keys, power in cases:
+            rng, reference_rng = Random(seed), Random(seed)
+            got = generate(rng)
+            expected = build(reference_random_terms(reference_rng, keys, terms, power))
+            assert got == expected
+            assert list(got.terms) == list(expected.terms)
+            assert [type(c) for c in got.terms.values()] == [complex] * len(got.terms)
+            assert repr(list(got.terms)) == repr(list(expected.terms))   # int entries
+            assert rng.getstate() == reference_rng.getstate()

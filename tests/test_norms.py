@@ -22,11 +22,15 @@ from qdomains.norms import (
     NormSpec,
     classical_ball_sup_coeff,
     lambda_p_compare,
+    monomial_log_norm,
     norm,
     omega,
 )
 
-from oracles import simplex_monomial_max
+from qdomains import _wordkit_py
+from qdomains._wordkit_py import _SCALAR_BATCH
+
+from oracles import reference_circ_norm, reference_qpoly_norm, simplex_monomial_max
 
 
 def test_norm_spec_validation():
@@ -216,3 +220,47 @@ def test_blowup_sequence():
         assert norm(classical, NormSpec(POLYDISK_L1, 1.0)) == pytest.approx(
             2.0 ** (m * m), rel=1e-12)
     assert 2.0 ** 25 > 1e6
+
+
+def test_qpoly_norms_are_the_term_by_term_sums():
+    # the weights of an element come from one batch route and one factorial
+    # table; the sum is the per-term formula, bit for bit
+    rng = Random("qpoly-norm-route")
+    for i in range(60):
+        n = 1 + i % 3
+        q = (0.3, 0.9, 1.0, 1.6)[i % 4] * cmath.exp(1j * rng.uniform(-3.0, 3.0))
+        a = randgen.random_qpoly(rng, n, q, max_degree=(4, 9, 30)[i % 3], terms=1 + i % 7)
+        rho = rng.uniform(0.2, 1.5)
+        for family in (POLYDISK_L1, POLYDISK_L2, BALL):
+            assert norm(a, NormSpec(family, rho)) == reference_qpoly_norm(a, family, rho)
+        for k in a.terms:
+            for family in (POLYDISK_L1, BALL, CLASSICAL_BALL):
+                single = QPolynomial(n, q, {k: 1.0})
+                assert math.exp(monomial_log_norm(k, family, rho, q)) == norm(
+                    single, NormSpec(family, rho))
+    with pytest.raises(ValueError):
+        monomial_log_norm((2, -1), BALL, 0.5, 0.5)
+    with pytest.raises(ValueError):
+        monomial_log_norm((2, 1), FREE_TAYLOR, 0.5, 0.5)
+
+
+def test_circ_norm_off_the_record_counts_profiles_only(monkeypatch):
+    # off the fiber record the circ norm needs the letter profiles alone:
+    # no inversion count runs, on the scalar route or the numpy one
+    def no_inversions(*args):
+        raise AssertionError("inversions counted for a norm")
+
+    monkeypatch.setattr(_wordkit_py, "_scan_stats", no_inversions)
+    monkeypatch.setattr(_wordkit_py, "inversions", no_inversions)
+    rng = Random("circ-off-record")
+    for size in (1, _SCALAR_BATCH - 1, _SCALAR_BATCH, 3 * _SCALAR_BATCH):
+        for n in (1, 2, 3):
+            f = randgen.random_free(rng, n, max_len=6, terms=size)
+            qc.fiber((1,) * (n + 1))   # a record of another alphabet size
+            assert _wordkit_py.fiber_stats(f.terms, n) is None
+            for rho in (0.4, 1.3):
+                assert norm(f, NormSpec(FREE_BALL_CIRC, rho)) == reference_circ_norm(f, rho)
+    for bad in ([(0, 1)], [(3,)], [(1,), (-1, 2)]):
+        for batch in (bad, bad * _SCALAR_BATCH):
+            with pytest.raises(ValueError):
+                qc.word_profiles(batch, 2)

@@ -12,7 +12,7 @@ from qdomains.elements import ball_lift, polydisk_lift
 from qdomains.qcombinat import EnumerationCapExceeded, QParam
 
 from oracles import (brute_fiber, brute_inversions, brute_mahonian_sum, brute_profile,
-                     brute_sigma)
+                     brute_sigma, direct_log_q_int, reference_fiber_store)
 
 # mpmath-verified infinite products (30 digits), frozen
 POCH_HALF_HALF = 0.288788095086602421278899721929
@@ -71,16 +71,73 @@ def test_log_q_factorial_matches_direct_product():
                                                              abs=1e-12)
 
 
-def test_log_q_factorial_deep_in_a_fresh_cache():
+def test_log_q_factorial_deep_in_a_fresh_cache(monkeypatch):
     # one recursion level per m overflowed Python's stack past m ~ 500; the
-    # value must stay the left-to-right sum the recursion adds
-    qc.log_q_factorial.cache_clear()
+    # value must stay the left-to-right sum the recursion added
+    monkeypatch.setattr(qc, "_factorial_tables", {})
     for t in (0.25, 1.0, 3.0):
         for m in (1200, 600):
             total = 0.0
             for j in range(1, m + 1):
-                total += qc._log_q_int(j, t)
+                total += direct_log_q_int(j, t)
             assert qc.log_q_factorial(m, t) == total, (m, t)
+
+
+def test_log_q_factorial_table_is_the_direct_loop_bit_for_bit(monkeypatch):
+    # the table builds [j]_t from [j-1]_t's running sum and power; summing
+    # every [j]_t from scratch must give the same bits, through the
+    # switch to the closed form at t > 2
+    monkeypatch.setattr(qc, "_factorial_tables", {})
+    for t in (0.25, 0.81, 1.0, 1.21, 4.0, 9.0):
+        # grown in three steps, and built in one
+        for m in (37, 120, 400):
+            grown = qc.log_q_factorial_table(m, t)
+        assert qc.log_q_factorial_table(5, t) is grown
+        fresh = qc._LogFactorials(t)
+        fresh.extend_to(400)
+        total = 0.0
+        expected = [total]
+        for j in range(1, 401):
+            total += direct_log_q_int(j, t)
+            expected.append(total)
+        assert grown[:401] == fresh == expected, t
+        assert [qc.log_q_factorial(m, t) for m in range(401)] == expected
+    with pytest.raises(ValueError):
+        qc.log_q_factorial_table(3, 0.0)
+    with pytest.raises(ValueError):
+        qc.log_q_factorial(-1, 0.5)
+
+
+def test_log_q_factorial_tables_are_bounded(monkeypatch):
+    monkeypatch.setattr(qc, "_factorial_tables", {})
+    monkeypatch.setattr(qc, "_HELD_FACTORIAL_ENTRIES", 100)
+    held = qc._factorial_tables
+    for t in (0.3, 0.4, 0.5, 0.6):
+        qc.log_q_factorial_table(29, t)   # 30 entries each
+        assert sum(map(len, held.values())) <= 100
+    # the oldest table went first
+    assert list(held) == [0.4, 0.5, 0.6]
+    # a table grown in place moves to the end, and drops the oldest again
+    qc.log_q_factorial_table(49, 0.5)
+    assert list(held) == [0.6, 0.5] and len(held[0.5]) == 50
+    # a table longer than the bound is returned, not held
+    long = qc.log_q_factorial_table(150, 0.7)
+    assert len(long) == 151 and 0.7 not in held
+    assert long[:30] == qc.log_q_factorial_table(29, 0.7)[:30]
+
+
+def test_scan_factorials_hold_to_the_shared_table():
+    # bundle_scan keeps a numpy copy of the table over its samples; it
+    # agrees bit for bit where numpy's log is math.log's, and within a few
+    # ulps of the sum anywhere
+    ts = np.array([0.25, 0.81, 1.0, 1.21, 2.5, 4.0, 9.0, 1e-3, 30.0])
+    wanted = set(range(0, 301, 7)) | {300}
+    with np.errstate(all="ignore"):
+        got = deform._log_q_factorials(wanted, ts)
+    for i, t in enumerate(ts.tolist()):
+        table = qc.log_q_factorial_table(300, t)
+        for m in wanted:
+            assert got[m][i] == pytest.approx(table[m], rel=1e-13, abs=1e-13), (t, m)
 
 
 def test_pochhammer_values():
@@ -171,11 +228,11 @@ def test_delta_and_fiber_words():
         qc.fiber_words((8, 8, 8))
 
 
-def test_fiber_record_matches_brute_force():
+def test_fiber_record_matches_brute_force(monkeypatch):
     assert qc.fiber((0, 0, 0)) == (((),), (0,))
+    _fresh_fiber_store(monkeypatch, 10 ** 4)   # so that each record below is built, not found
     for k in ((0,), (0, 0), (0, 0, 0), (3,), (4,), (2, 1), (1, 1, 1), (0, 2, 1), (2, 0, 1),
               (0, 3, 2), (3, 3, 2), (2, 3, 3), (2, 2, 1, 1), (3, 2, 2, 2)):
-        qc.fiber((1,) * (len(k) + 1))   # so that the record below is built, not found
         fiber = brute_fiber(k)
         words, ms = qc.fiber(k)
         assert type(words) is tuple and type(ms) is tuple
@@ -203,6 +260,95 @@ def test_fiber_cap_holds_for_a_cached_record():
         with pytest.raises(EnumerationCapExceeded):
             route(over)
     assert qc.fiber(k) is record
+
+
+def _fresh_fiber_store(monkeypatch, bound):
+    """An empty fiber store with the given bound, restored after the test."""
+    monkeypatch.setattr(_wordkit_py, "_HELD_FIBER_WORDS", bound)
+    monkeypatch.setattr(_wordkit_py, "_fiber_records", {})
+    monkeypatch.setattr(_wordkit_py, "_held_words", 0)
+    monkeypatch.setattr(_wordkit_py, "_last_record", None)
+    return _wordkit_py._fiber_records
+
+
+def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
+    store = _fresh_fiber_store(monkeypatch, 400)
+    # fibers of 90 to 560 words against a bound of 400: the 560 one passes
+    # the bound, and (2, 2, 2) comes back once after it was dropped and
+    # once while it is held
+    asked = [(2, 2, 2), (5, 4), (3, 2, 2), (2, 2), (3, 3, 2), (2, 3), (2, 2, 2),
+             (4, 5), (1, 1, 1), (2, 2, 2), (0, 3, 2)]
+    sizes = []
+    for k in asked:
+        words, ms = qc.fiber(k)
+        sizes.append((k, len(words)))
+        assert list(store) == reference_fiber_store(sizes, 400), k
+        assert _wordkit_py._held_words == sum(len(r[1][0]) for r in store.values()) <= 400
+        # the record returned is the fiber, held or not
+        assert list(words) == brute_fiber(k)
+        assert list(ms) == [brute_inversions(w) for w in words]
+    # the 560-word fiber is not held; as the profile asked for last it is
+    # kept, found again without enumerating and read by word_stats, until
+    # another profile is asked for
+    record = qc.fiber((3, 3, 2))
+    assert (3, 3, 2) not in store
+    enumerated = []
+    enumerate_fiber = _wordkit_py._enumerate_fiber
+    monkeypatch.setattr(_wordkit_py, "_enumerate_fiber",
+                        lambda counts: enumerated.append(counts) or enumerate_fiber(counts))
+    assert qc.fiber((3, 3, 2)) is record and enumerated == []
+    assert _wordkit_py.fiber_stats(record[0], 3) == ([(3, 3, 2)] * 560, list(record[1]))
+    qc.fiber((2, 2, 2))
+    assert _wordkit_py.fiber_stats(record[0], 3) is None
+    assert qc.fiber((3, 3, 2)) == record and enumerated == [(3, 3, 2)]
+    assert (3, 3, 2) not in store
+
+
+def test_fiber_store_records_are_fresh_enumerations():
+    profiles = [k for n in (1, 2, 3, 4) for k in qc.multi_indices(n, 5)]
+    for k in profiles:
+        qc.fiber(k)
+    for k in profiles:
+        held = _wordkit_py._fiber_records.get(k)
+        if held is not None:
+            assert held[0] == k and held[1] == _wordkit_py._enumerate_fiber(k)
+            assert qc.fiber(k) is held[1]
+
+
+def test_fiber_stats_answers_only_for_the_profile_asked_last(monkeypatch):
+    store = _fresh_fiber_store(monkeypatch, 10 ** 4)
+    first, second = (2, 1, 2), (1, 2, 2)
+    words = qc.fiber(first)[0]
+    assert _wordkit_py.fiber_stats(words, 3) == ([first] * len(words), list(qc.fiber(first)[1]))
+    qc.fiber(second)
+    assert first in store and _wordkit_py.fiber_stats(words, 3) is None
+    qc.fiber(first)   # found in the store, not enumerated again
+    assert _wordkit_py.fiber_stats(words, 3) is not None
+
+
+def test_fiber_cap_is_checked_before_the_store(monkeypatch):
+    _fresh_fiber_store(monkeypatch, 10 ** 4)
+    k = (5, 4)
+    record = qc.fiber(k)
+    qc.fiber((1, 1))
+    enumerated = []
+    enumerate_fiber = _wordkit_py._enumerate_fiber
+    monkeypatch.setattr(_wordkit_py, "_enumerate_fiber",
+                        lambda counts: enumerated.append(counts) or enumerate_fiber(counts))
+    monkeypatch.setattr(qc, "ENUMERATION_CAP", 100)   # below the 126 words held
+    last = _wordkit_py._last_record
+    routes = (qc.fiber, qc.fiber_words, qc.fiber_inversion_list,
+              lambda k: qc.inv_distribution(k, 0.5),
+              lambda k: polydisk_lift(k, 0.5), lambda k: ball_lift(k, 0.5),
+              lambda k: deform.formal_ball_lift(k, 2))
+    for route in routes:
+        for _ in range(2):
+            with pytest.raises(EnumerationCapExceeded):
+                route(k)
+    # refused before any lookup: the record asked for last is still (1, 1)'s
+    assert _wordkit_py._last_record is last and last[0] == (1, 1) and enumerated == []
+    monkeypatch.setattr(qc, "ENUMERATION_CAP", 10 ** 6)
+    assert qc.fiber(k) is record and enumerated == []
 
 
 def test_fiber_lists_are_fresh_copies():
@@ -449,8 +595,8 @@ def test_word_stats_falls_back_off_the_record(monkeypatch):
         qc.word_stats(words + [(4, 1)], 3)
 
 
-def test_fiber_record_of_numpy_counts_gives_int_profiles():
-    qc.fiber((1, 1))   # so that the record below is built, not found
+def test_fiber_record_of_numpy_counts_gives_int_profiles(monkeypatch):
+    _fresh_fiber_store(monkeypatch, 10 ** 4)   # so that the record below is built, not found
     k = np.array([2, 0, 1], dtype=np.int64)
     words, ms = qc.fiber(k)
     profiles, got = qc.word_stats(words, 3)
