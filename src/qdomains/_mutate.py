@@ -21,6 +21,7 @@ MUTATION_POINTS = (
     "fock-generator",
     "star-phase",
     "normal-order-phase",
+    "qpoly-phase",
 )
 
 

@@ -98,7 +98,7 @@ def poisson_bracket(f: QPolynomial, g: QPolynomial) -> QPolynomial:
     _check_commutative(f, g)
 
     def bracket(g1, g2, s_lk, s_kl):
-        return ((None, s_kl - s_lk),) if s_kl != s_lk else ()
+        return ((None, complex(s_kl - s_lk)),) if s_kl != s_lk else ()
 
     return QPolynomial(f.n, f.q, _plain_mul(f, g, bracket, both_sigmas=True))
 

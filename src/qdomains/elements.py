@@ -10,12 +10,23 @@ coefficients |q|^m of a lift at small |q| are, and a NaN or infinite one
 (as from an overflowing product), so an overflow shows in the result
 instead of emptying it.  The q-plane, Laurent and h-series
 products all follow one commutation rule,
-x^k x^l = phase(sigma(l,k)) x^{k+l}, and run through one pair loop,
-_twisted_mul.
+x^k x^l = phase(sigma(l,k)) x^{k+l}, and run through one routine,
+_twisted_mul, which has two routes that give the same bits:
+- below _ARRAY_PAIRS = 256 term pairs, a pair loop;
+- from 256 pairs on, the same sums over numpy arrays.  Its products are
+  formed with real ufuncs as CPython forms a complex product (numpy's
+  complex multiply can differ from it in the last bit), and np.bincount
+  adds each slot's products in pair order, starting each part from 0.0
+  as the loop's sums start from 0j.
+  Exponents, sigmas or slot codes too large for int64 (exponents from
+  2^62 on, for one) send the product back to the loop.
+free_mul stays a loop: its products have nearly as many distinct words
+as pairs, so building the output tuples is most of its cost, and an
+array route with words coded in base n + 1 was slower.
 
 Public constructors validate every key.  Results that the kit builds
 from keys it already holds skip that per-key check: the products
-(qpoly_mul, laurent_mul, free_mul and the _twisted_mul pair loop), +, -
+(qpoly_mul, laurent_mul, free_mul and both routes of _twisted_mul), +, -
 and scalar *, normal_order (letter profiles), tau_flip, fiber_eval,
 homogeneous_component, the generators of laurent_word, the fiber words
 of polydisk_lift and ball_lift, and in deform the (h-power, fiber word)
@@ -34,10 +45,12 @@ from __future__ import annotations
 
 import math
 from numbers import Number
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, index, mul, sub
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from qdomains import _mutate
 from qdomains import qcombinat as qc
@@ -326,6 +339,18 @@ class LaurentElement(_SparseElement):
 # ---------------------------------------------------------------------------
 # products
 
+# Operands of at least this many pairs, len(a) * len(b), take the array
+# route of _twisted_mul.  Median q-plane product times on a 2-core x86_64
+# box (Python 3.11, numpy 2.4), loop against arrays: 64 pairs 183 and
+# 339 us, 120 pairs 328 and 453 us, 256 pairs 693 and 638 us, 400 pairs
+# 821 and 730 us, 2500 pairs 4.1 and 1.5 ms.  Below the cutoff numpy's
+# fixed cost per call outweighs what it saves.
+_ARRAY_PAIRS = 256
+# exponent sums, sigmas and codes of the array route stay below this, so
+# that no int64 sum or product of them can wrap; larger ones take the loop
+_INT64_ROOM = 2 ** 62
+
+
 def _suffix_sums(k) -> list:
     """s[i] = k_{i+1} + ... + k_{n-1}, so that sigma(l, k) = sum_i l_i s[i]."""
     return list(accumulate(reversed(k[1:]), initial=0))[::-1]
@@ -339,8 +364,20 @@ def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
     Per pair within degree_cap, rule(grade_a, grade_b, sigma(l,k),
     sigma(k,l) if both_sigmas else None), evaluated once per distinct
     argument, gives the (grade, factor) pairs the product c_a c_b is
-    spread over.  Returns {(k + l, grade): coeff} in pair order.  Each
-    term's suffix sums are formed once, so a sigma is one dot product."""
+    spread over, each factor a complex number (so that c_a c_b factor is a
+    complex-by-complex product under every Python version's mixed-type
+    rules).  Returns {(k + l, grade): coeff}, its slots in the order the
+    pairs first reach them, each coeff 0j + c_a c_b factor + ... summed in
+    pair order.
+
+    Below _ARRAY_PAIRS pairs this is a pair loop, in which each term's
+    suffix sums are formed once, so a sigma is one dot product.  From
+    _ARRAY_PAIRS on, _twisted_mul_arrays forms the same map with numpy,
+    bit for bit, unless a number it codes would not fit int64."""
+    if len(a) * len(b) >= _ARRAY_PAIRS:
+        out = _twisted_mul_arrays(a, b, rule, degree_cap, both_sigmas)
+        if out is not None:
+            return out
     b = [(l, h, cl, _suffix_sums(l) if both_sigmas else None) for l, h, cl in b]
     cache: dict = {}
     out = _Checked()
@@ -358,8 +395,108 @@ def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
             ab = ck * cl
             for grade, factor in spread:
                 slot = (key, grade)
-                out[slot] = out.get(slot, 0.0) + ab * factor
+                out[slot] = out.get(slot, 0j) + ab * factor
     return out
+
+
+def _ids(values) -> tuple:
+    """(index of each value among the distinct values, number distinct)."""
+    seen: dict = {}
+    return np.array([seen.setdefault(v, len(seen)) for v in values]), len(seen)
+
+
+def _twisted_mul_arrays(a, b, rule: Callable, degree_cap: int | None,
+                        both_sigmas: bool) -> _Checked | None:
+    """The map of the _twisted_mul pair loop, formed with numpy; None when
+    an exponent sum, a sigma, a grade or a slot code would not fit int64.
+
+    Every step keeps the loop's bits:
+    - sigma(l,k) = suffix(K) @ L^T and sigma(k,l) = K @ suffix(L)^T are
+      exact int64 matrix products.
+    - rule runs once per distinct argument, with Python ints, as in the
+      loop (complex ** np.int64 can differ from complex ** int).
+    - c_a c_b, then times the factor, is formed from the real and imaginary
+      parts as CPython forms a complex product, re = ar br - ai bi and
+      im = ar bi + ai br, one real ufunc at a time.  numpy's complex
+      multiply is not used: it can differ from Python's in the last bit.
+    - Each slot (k + l, grade) is one mixed-radix int64 code.  np.unique
+      gives the first occurrence of each code, which orders the slots as
+      the loop's dict does, and np.bincount sums each slot's products in
+      index order starting from 0.0, as the loop adds them to 0j, once for
+      the real parts and once for the imaginary parts.
+    """
+    keys_a = [k for k, _, _ in a]
+    keys_b = [l for l, _, _ in b]
+    top = [x + y for x, y in zip(map(max, zip(*keys_a)), map(max, zip(*keys_b)))]
+    key_radix = math.prod(t + 1 for t in top)   # each k + l lies in this box
+    sigma_radix = max(map(sum, keys_a)) * max(map(sum, keys_b)) + 1   # sigma <= |k| |l|
+    grade_a, distinct_a = _ids(g for _, g, _ in a)
+    grade_b, distinct_b = _ids(h for _, h, _ in b)
+    if (key_radix >= _INT64_ROOM or distinct_a * distinct_b
+            * sigma_radix ** (2 if both_sigmas else 1) >= _INT64_ROOM):
+        return None
+    K = np.array(keys_a, dtype=np.int64)
+    L = np.array(keys_b, dtype=np.int64)
+    deg_k, deg_l = K.sum(axis=1), L.sum(axis=1)
+    pairs = np.arange(len(a) * len(b))
+    if degree_cap is not None:
+        pairs = pairs[(deg_k[:, None] + deg_l <= degree_cap).ravel()]
+    i, j = np.divmod(pairs, len(b))
+    # Each stage drops the pair-sized arrays it is done with (del), so that
+    # a few of them are held at a time, not all.
+
+    # the distinct rule arguments, and each pair's index among them
+    s_lk = ((deg_k[:, None] - np.cumsum(K, axis=1)) @ L.T).ravel()[pairs]
+    code = (grade_a[i] * distinct_b + grade_b[j]) * sigma_radix + s_lk
+    s_kl = None
+    if both_sigmas:
+        s_kl = (K @ (deg_l[:, None] - np.cumsum(L, axis=1)).T).ravel()[pairs]
+        code = code * sigma_radix + s_kl
+    _, once, arg = np.unique(code, return_index=True, return_inverse=True)
+    spreads = [rule(a[x][1], b[y][1], s, t) for x, y, s, t in zip(
+        i[once].tolist(), j[once].tolist(), s_lk[once].tolist(),
+        s_kl[once].tolist() if both_sigmas else repeat(None))]
+    del pairs, s_lk, s_kl, code
+
+    # one entry per (pair, term of its spread), in the loop's order
+    sizes = np.array([len(spread) for spread in spreads], dtype=np.int64)
+    run = sizes[arg]
+    entry_pair = np.repeat(np.arange(len(run)), run)
+    entry = (np.repeat((np.cumsum(sizes) - sizes)[arg] - (np.cumsum(run) - run), run)
+             + np.arange(len(entry_pair)))
+    del arg, run
+    grades = [grade for spread in spreads for grade, _ in spread]
+    factors = np.array([factor for spread in spreads for _, factor in spread], dtype=complex)
+
+    # each entry's slot, and the slots in the order they are first reached
+    place = np.cumprod([1] + [t + 1 for t in top[:0:-1]])[::-1]
+    slot = ((K @ place)[i] + (L @ place)[j])[entry_pair]
+    if any(grade is not None for grade in grades):
+        if not all(type(grade) is int for grade in grades):
+            return None
+        low = min(grades)
+        grade_radix = max(grades) - low + 1
+        if key_radix * grade_radix >= _INT64_ROOM or low <= -_INT64_ROOM:
+            return None
+        slot = slot * grade_radix + (np.array(grades, dtype=np.int64) - low)[entry]
+    _, first, slot = np.unique(slot, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+
+    ca = np.array([c for _, _, c in a], dtype=complex)
+    cb = np.array([c for _, _, c in b], dtype=complex)
+    with np.errstate(all="ignore"):   # as Python's floats, overflow to inf or NaN silently
+        ab_re = (ca.real[i] * cb.real[j] - ca.imag[i] * cb.imag[j])[entry_pair]
+        ab_im = (ca.real[i] * cb.imag[j] + ca.imag[i] * cb.real[j])[entry_pair]
+        f_re, f_im = factors.real[entry], factors.imag[entry]
+        re = np.bincount(slot, ab_re * f_re - ab_im * f_im)[order].tolist()
+        im = np.bincount(slot, ab_re * f_im + ab_im * f_re)[order].tolist()
+    del ab_re, ab_im, f_re, f_im, slot
+
+    first = first[order]
+    pair = entry_pair[first]
+    keys = zip(*(K[i[pair]] + L[j[pair]]).T.tolist())
+    slots = zip(keys, map(grades.__getitem__, entry[first].tolist()))
+    return _Checked(zip(slots, map(complex, re, im)))
 
 
 def _plain_mul(a: QPolynomial, b: QPolynomial, rule: Callable,
@@ -375,7 +512,8 @@ def qpoly_mul(a: QPolynomial, b: QPolynomial, degree_cap: int | None = None) -> 
     """Bilinear product from the monomial rule x^k x^l = q^{-sigma(l,k)} x^{k+l}."""
     a._check_compatible(b)
     q = a.q.value
-    out = _plain_mul(a, b, lambda g, h, s, _: ((None, q ** (-s)),), degree_cap)
+    out = _plain_mul(a, b, lambda g, h, s, _: ((None, _mutate.scale("qpoly-phase", q ** (-s))),),
+                     degree_cap)
     return QPolynomial(a.n, a.q, out)
 
 
@@ -398,7 +536,7 @@ def laurent_mul(a: LaurentElement, b: LaurentElement,
     a._check_compatible(b)
     out = _twisted_mul([(k, p, c) for (k, p), c in a.terms.items()],
                        [(k, p, c) for (k, p), c in b.terms.items()],
-                       lambda p, s, sig, _: ((p + s - sig, 1.0),), degree_cap)
+                       lambda p, s, sig, _: ((p + s - sig, 1 + 0j),), degree_cap)
     return LaurentElement(a.n, out)
 
 

@@ -455,3 +455,49 @@ def reference_qpoly_norm(a, family, rho):
         else:
             acc += abs(a.terms[k]) * math.exp(log_norm)
     return math.sqrt(acc) if family == "polydisk-l2" else acc
+
+
+# ---------------------------------------------------------------------------
+# the twisted product's pair loop as the reference of its array route
+
+def on_each_route(monkeypatch, product):
+    """(pair-loop result, array-route result, array-route outcomes) of
+    product(): the cutoff is raised past every operand for the first call
+    and lowered to one pair for the second.  The outcomes list holds, per
+    array-route call of the second run, whether it formed the product
+    (False where it handed the operands back to the loop)."""
+    from qdomains import elements
+    cutoff = elements._ARRAY_PAIRS
+    monkeypatch.setattr(elements, "_ARRAY_PAIRS", math.inf)
+    loop = product()
+    monkeypatch.setattr(elements, "_ARRAY_PAIRS", 1)
+    outcomes = array_route_outcomes(monkeypatch)
+    arrays = product()
+    monkeypatch.setattr(elements, "_ARRAY_PAIRS", cutoff)
+    return loop, arrays, outcomes
+
+
+def array_route_outcomes(monkeypatch):
+    """A list that records, per later call of the array route, whether it
+    formed the product."""
+    from qdomains import elements
+    outcomes = []
+    route = elements._twisted_mul_arrays
+
+    def spy(*args):
+        out = route(*args)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(elements, "_twisted_mul_arrays", spy)
+    return outcomes
+
+
+def same_bits(got, expected) -> bool:
+    """The same element type and parameters, the same keys in the same
+    order, and the same repr of every coefficient (so 0.0 and -0.0 differ,
+    and NaN matches NaN)."""
+    return (type(got) is type(expected) and got.n == expected.n
+            and repr(got._params()) == repr(expected._params())
+            and list(got.terms) == list(expected.terms)
+            and list(map(repr, got.terms.values())) == list(map(repr, expected.terms.values())))

@@ -188,6 +188,7 @@ MUTATION_TARGETS = [
     ("fock-generator", "fock-lemma-5-2"),
     ("star-phase", "star-associativity"),
     ("normal-order-phase", "quotient-contraction"),
+    ("qpoly-phase", "remark-3-12-blowup"),
 ]
 
 

@@ -4,15 +4,16 @@ from random import Random
 
 import pytest
 
-from qdomains import deform, qcombinat as qc, randgen
+from qdomains import deform, elements, qcombinat as qc, randgen
 from qdomains._wordkit_py import fiber_stats
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 
-from oracles import (derivative_poisson_bracket, reference_defect_terms,
-                     reference_formal_ball_lift, reference_normal_order_formal,
-                     reference_poisson_bracket, reference_star_product)
+from oracles import (array_route_outcomes, derivative_poisson_bracket, on_each_route,
+                     reference_defect_terms, reference_formal_ball_lift,
+                     reference_normal_order_formal, reference_poisson_bracket,
+                     reference_star_product, same_bits)
 
 
 def test_sigma_examples():
@@ -98,6 +99,68 @@ def test_routed_deformation_products_equal_reference_loops():
         h = (0.3, -0.05, 1.1)[trial % 3]
         defect = QPolynomial(n, cmath.exp(1j * h), reference_defect_terms(a, b, h))
         assert deform.quantization_defect(a, b, h, spec) == norm(defect, spec)
+    # 500 x 50 terms, as the cli-mix star documents are: the array route
+    f, g = (HSeriesElement(3, 3, _sampled_terms(rng, 3, 3, size)) for size in (500, 50))
+    for star_order in (None, 2):
+        got = deform.star_product(f, g, order=star_order)
+        used = 3 if star_order is None else star_order
+        expected = HSeriesElement(3, used, reference_star_product(f, g, used))
+        assert got == expected and list(got.terms) == list(expected.terms)
+
+
+def _sampled_terms(rng, n, order, size, nan=False):
+    """size distinct (h-power, exponent vector) keys of h-power at most
+    order and the least degree that has that many, with coefficients in
+    the unit disk; with nan, the first coefficient is NaN."""
+    degree = 0
+    while (order + 1) * len(qc.multi_indices(n, degree)) < size:
+        degree += 1
+    keys = rng.sample([(p, k) for p in range(order + 1)
+                       for k in qc.multi_indices(n, degree)], size)
+    values = [randgen.unit_disk(rng) for _ in keys]
+    if nan:
+        values[0] = complex(math.nan, 1.0)
+    return dict(zip(keys, values))
+
+
+# (n, terms of f, terms of g): around the cutoff, n = 1, and wider
+ROUTE_CASES = {
+    "below-cutoff": (3, 17, 15),
+    "at-cutoff": (3, 16, 16),
+    "one-variable": (1, 30, 20),
+    "wide": (2, 60, 25),
+}
+
+
+@pytest.mark.parametrize("n, size_f, size_g", ROUTE_CASES.values(), ids=ROUTE_CASES)
+def test_deformation_array_routes_are_the_pair_loop_bit_for_bit(monkeypatch, n, size_f,
+                                                                size_g):
+    rng = Random(f"deform-routes-{n}-{size_f}-{size_g}")
+    spec = NormSpec(POLYDISK_L1, 0.9)
+    for nan in (False, True):
+        f = HSeriesElement(n, 3, _sampled_terms(rng, n, 3, size_f, nan))
+        g = HSeriesElement(n, 3, _sampled_terms(rng, n, 3, size_g, nan))
+        # q = 1 elements, the second sharing part of the first's support, so
+        # that many pairs have a zero bracket
+        a = QPolynomial(n, 1.0, {k: c for (p, k), c in f.terms.items() if p == 0}
+                        | {k: c for (p, k), c in g.terms.items()})
+        b = QPolynomial(n, 1.0, {k: -c for (p, k), c in f.terms.items() if p == 1}
+                        | {k: c for (p, k), c in g.terms.items() if p > 1})
+        star_1_pairs = sum(p <= 1 for p, _ in f.terms) * len(g.terms)
+        plain_pairs = len(a.terms) * len(b.terms)
+        products = [(lambda: deform.star_product(f, g), len(f.terms) * len(g.terms)),
+                    (lambda: deform.star_product(f, g, order=1), star_1_pairs),
+                    (lambda: deform.poisson_bracket(a, b), plain_pairs),
+                    (lambda: deform.quantization_defect(a, b, 0.3, spec), plain_pairs)]
+        # the defect's product itself, as the norm would receive it
+        monkeypatch.setattr(deform, "norm", lambda element, spec: element)
+        for product, pairs in products:
+            loop, arrays, outcomes = on_each_route(monkeypatch, product)
+            assert outcomes == [True] and same_bits(arrays, loop), nan
+            # at the shipped cutoff, the route follows the pair count
+            taken = array_route_outcomes(monkeypatch)
+            assert same_bits(product(), loop), nan
+            assert taken == [True] * (pairs >= elements._ARRAY_PAIRS)
 
 
 def test_formal_lift_and_ordering_equal_reference_loops():

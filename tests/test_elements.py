@@ -1,12 +1,14 @@
 import cmath
 import math
+from itertools import count
+from operator import add
 from random import Random
 
 import numpy as np
 import pytest
 
+from qdomains import _mutate, elements, randgen
 from qdomains import qcombinat as qc
-from qdomains import randgen
 from qdomains._wordkit_py import fiber_stats
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import (
@@ -27,9 +29,10 @@ from qdomains.elements import (
 )
 from qdomains.norms import FREE_BALL_CIRC, NormSpec, norm
 
-from oracles import (reference_ball_lift, reference_circ_norm, reference_laurent_mul,
-                     reference_normal_order, reference_polydisk_lift, reference_qpoly_mul,
-                     reference_random_terms, rewrite_normal_order)
+from oracles import (array_route_outcomes, on_each_route, reference_ball_lift,
+                     reference_circ_norm, reference_laurent_mul, reference_normal_order,
+                     reference_polydisk_lift, reference_qpoly_mul, reference_random_terms,
+                     rewrite_normal_order, same_bits)
 
 
 def x_mono(n, q, k, c=1.0):
@@ -271,6 +274,124 @@ def test_routed_products_equal_reference_loops():
     wide_a = randgen.random_qpoly(rng, 3, 0.8, max_degree=8, terms=60)
     wide_b = randgen.random_qpoly(rng, 3, 0.8, max_degree=8, terms=60)
     assert qpoly_mul(wide_a, wide_b) == QPolynomial(3, 0.8, reference_qpoly_mul(wide_a, wide_b))
+    # 500 x 50 terms, as the cli-mix documents are: the array route
+    q = 0.95 * cmath.exp(0.4j)
+    a = QPolynomial(3, q, _sampled_terms(rng, 3, 500, 13))
+    b = QPolynomial(3, q, _sampled_terms(rng, 3, 50, 6))
+    got = qpoly_mul(a, b)
+    expected = QPolynomial(3, q, reference_qpoly_mul(a, b))
+    assert got == expected and list(got.terms) == list(expected.terms)
+    u = LaurentElement(3, _sampled_terms(rng, 3, 500, 13, powers=8))
+    v = LaurentElement(3, _sampled_terms(rng, 3, 50, 6, powers=4))
+    got = laurent_mul(u, v)
+    expected = LaurentElement(3, reference_laurent_mul(u, v))
+    assert got == expected and list(got.terms) == list(expected.terms)
+
+
+def _sampled_terms(rng, n, size, max_degree=None, powers=None, style="unit-disk"):
+    """size distinct exponent vectors of degree at most max_degree (by
+    default the least degree that has size of them), each with a z-power
+    in -powers..powers when powers is given.  Coefficients by style: in the
+    unit disk; negative reals with imaginary part -0.0, whose products
+    carry signed zeros; or in the unit disk with a NaN, an infinity and a
+    complex infinity among them."""
+    if max_degree is None:
+        max_degree = next(d for d in count() if len(qc.multi_indices(n, d)) >= size)
+    keys = rng.sample(qc.multi_indices(n, max_degree), size)
+    if powers is not None:
+        keys = [(k, rng.randint(-powers, powers)) for k in keys]
+    if style == "signed-zeros":
+        values = [complex(-rng.random(), -0.0) for _ in keys]
+    else:
+        values = [randgen.unit_disk(rng) for _ in keys]
+    if style == "nan-inf":
+        values[:3] = [complex(math.nan, 0.5), complex(math.inf, 0.0), complex(-math.inf, 1.0)]
+    return dict(zip(keys, values))
+
+
+# (n, terms of a, terms of b, degree_cap): around the cutoff, n = 1, under
+# a degree cap, under a cap that no pair meets, and the cli-mix 500 x 50
+ROUTE_CASES = {
+    "below-cutoff": (3, 17, 15, None),
+    "at-cutoff": (3, 16, 16, None),
+    "one-variable": (1, 40, 12, None),
+    "degree-cap": (2, 30, 20, 7),
+    "cap-below-every-pair": (4, 20, 20, -1),
+    "cli-mix-500x50": (3, 500, 50, None),
+}
+
+
+@pytest.mark.parametrize("n, size_a, size_b, cap", ROUTE_CASES.values(), ids=ROUTE_CASES)
+def test_array_route_is_the_pair_loop_bit_for_bit(monkeypatch, n, size_a, size_b, cap):
+    rng = Random(f"routes-{n}-{size_a}-{size_b}")
+    q = 0.95 * cmath.exp(0.8j)
+    for style in ("unit-disk", "signed-zeros", "nan-inf"):
+        a = QPolynomial(n, q, _sampled_terms(rng, n, size_a, style=style))
+        b = QPolynomial(n, q, _sampled_terms(rng, n, size_b, style=style))
+        u = LaurentElement(n, _sampled_terms(rng, n, size_a, powers=4, style=style))
+        v = LaurentElement(n, _sampled_terms(rng, n, size_b, powers=4, style=style))
+        for product in (lambda: qpoly_mul(a, b, degree_cap=cap),
+                        lambda: laurent_mul(u, v, degree_cap=cap)):
+            loop, arrays, outcomes = on_each_route(monkeypatch, product)
+            assert outcomes == [True] and same_bits(arrays, loop), style
+            # at the shipped cutoff, the route follows the pair count
+            taken = array_route_outcomes(monkeypatch)
+            assert same_bits(product(), loop), style
+            assert taken == [True] * (size_a * size_b >= elements._ARRAY_PAIRS)
+
+
+def test_sums_that_cancel_are_dropped_and_empty_operands_give_zero(monkeypatch):
+    # (1 + x + ... + x^255)(x - 1) = x^256 - 1 on 512 pairs: every middle
+    # coefficient sums to exactly 0 on both routes, and construction drops it
+    u = LaurentElement(1, {((j,), 2): 1.0 for j in range(256)})
+    v = LaurentElement(1, {((1,), 0): 1.0, ((0,), 0): -1.0})
+    cases = [(lambda: laurent_mul(u, v), {((0,), 2): -1.0, ((256,), 2): 1.0})]
+    for q in (0.7, cmath.exp(0.2j)):
+        geometric = QPolynomial(1, q, {(j,): 1.0 for j in range(256)})
+        difference = QPolynomial(1, q, {(1,): 1.0, (0,): -1.0})
+        cases.append((lambda a=geometric, b=difference: qpoly_mul(a, b),
+                      {(0,): -1.0, (256,): 1.0}))
+    for product, expected in cases:
+        loop, arrays, outcomes = on_each_route(monkeypatch, product)
+        assert outcomes == [True] and same_bits(arrays, loop)
+        assert dict(arrays.terms) == expected
+    wide = QPolynomial(2, 0.5, _sampled_terms(Random("empty"), 2, 300))
+    for left, right in ((wide, QPolynomial.zero(2, 0.5)), (QPolynomial.zero(2, 0.5), wide)):
+        assert dict(qpoly_mul(left, right).terms) == {}
+
+
+def test_array_route_hands_exponents_past_int64_room_to_the_loop(monkeypatch):
+    # an exponent of 2^62 overflows the slot codes, one of 2^40 times one of
+    # 2^30 the sigma codes: the loop forms both products, with Python ints
+    rng = Random("int64-room")
+    for big_a, big_b in (((2 ** 62, 1), (0, 3)), ((0, 2 ** 40), (2 ** 30, 0))):
+        u = LaurentElement(2, {(big_a, 5): 1.5j} | _sampled_terms(rng, 2, 20, powers=3))
+        v = LaurentElement(2, {(big_b, -1): 0.5} | _sampled_terms(rng, 2, 20, powers=3))
+        taken = array_route_outcomes(monkeypatch)
+        got = laurent_mul(u, v)
+        expected = LaurentElement(2, reference_laurent_mul(u, v))
+        assert taken == [False]
+        assert got == expected and list(got.terms) == list(expected.terms)
+        assert ((tuple(map(add, big_a, big_b)), 4 - qc.sigma(big_b, big_a))
+                in got.terms)
+
+
+def test_qpoly_phase_mutation_moves_both_routes(monkeypatch):
+    rng = Random("qpoly-phase")
+    q = cmath.exp(0.3j)   # unimodular phases: each sum is of terms of modulus <= 1
+    for size in (4, 20):  # 16 pairs on the loop, 400 on the array route
+        a = QPolynomial(3, q, _sampled_terms(rng, 3, size))
+        b = QPolynomial(3, q, _sampled_terms(rng, 3, size))
+        taken = array_route_outcomes(monkeypatch)
+        monkeypatch.setattr(_mutate, "_active", "")
+        base = qpoly_mul(a, b)
+        monkeypatch.setattr(_mutate, "_active", "qpoly-phase")
+        bumped = qpoly_mul(a, b)
+        assert taken == [True, True] * (size * size >= elements._ARRAY_PAIRS)
+        assert list(bumped.terms) == list(base.terms)
+        for k, c in base.terms.items():
+            assert bumped.terms[k] != c
+            assert abs(bumped.terms[k] - c * (1 + 1e-6)) <= 1e-13
 
 
 def test_batched_word_statistics_equal_reference_loops():
@@ -407,11 +528,15 @@ def test_element_validation_and_immutability():
         assert not e.allclose(make({first: 1.0 + 1e-6, second: 2.0})), name
         assert e.allclose(make({first: 1.0 + 1e-6, second: 2.0}), tol=1e-5), name
         assert [k for k, _ in e.sorted_terms()] == [first, second], name
+        assert repr(e).startswith(f"{name}(n=2") and repr(e).endswith(", terms=2)"), name
         assert e + e == 2.0 * e == e * 2.0, name
         assert dict((e - e).terms) == {}, name
         # subtraction does not prune the subtrahend first
         tiny = make({first: 1e-13})
         assert dict((e - tiny).terms) == {first: 1.0 - 1e-13, second: 2.0}, name
+    assert repr(LaurentElement.one(3)) == "LaurentElement(n=3, terms=1)"
+    assert repr(HSeriesElement(2, 3, {})) == "HSeriesElement(n=2, order=3, terms=0)"
+    assert repr(QPolynomial.zero(1, 0.5)) == f"QPolynomial(n=1, q={qc.as_qparam(0.5)!r}, terms=0)"
     with pytest.raises(ValueError):
         QPolynomial(2, 0.5, {(1, 0): 1.0}) + QPolynomial(2, 0.7, {(1, 0): 1.0})
     with pytest.raises(TypeError):

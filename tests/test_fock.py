@@ -172,6 +172,14 @@ def test_normal_matrix_and_lower_bound_match_letter_by_letter_reference():
         assert abs(got - want) <= 1e-14 * want, (a.n, q, degree)
 
 
+def test_normal_matrix_of_the_zero_element_is_zero():
+    for n, degree in ((1, 4), (2, 3), (3, 0)):
+        lower = fock._normal_lower(QPolynomial.zero(n, 0.5), 0.5, 0.8, degree)
+        size = len(qc.multi_indices(n, degree))
+        assert lower.shape == (size, size) and not lower.any()
+        assert fock.op_norm_bounds(QPolynomial.zero(n, 0.5), 0.5, 0.8, degree).lower == 0.0
+
+
 def test_lower_bounds_by_degree_are_sub_blocks_of_one_build():
     rng = Random("fock-sub-blocks")
     for i in range(12):

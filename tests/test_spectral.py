@@ -73,6 +73,20 @@ def test_grouping_matches_enumeration():
                     assert fast == pytest.approx(slow, rel=1e-12)
 
 
+def test_free_coordinate_values_match_enumeration():
+    # the closed forms of the free coordinate tuples, among them the
+    # free-polydisk finite-p and free-taylor p = inf branches, against the
+    # word-by-word enumeration
+    for family, tau in ((FREE_POLYDISK, 1.0), (FREE_POLYDISK, 1.5), (FREE_TAYLOR, 1.0)):
+        for n in (1, 2, 3):
+            for p in (1, 2, math.inf):
+                ts = spectral.coordinate_tuple(n, NormSpec(family, 0.9, tau=tau), p, 4)
+                for d in range(1, 5):
+                    fast = spectral.radius_estimate(ts, d)
+                    slow = spectral.radius_estimate(ts, d, force_enumeration=True)
+                    assert fast == pytest.approx(slow, rel=1e-12), (family, tau, n, p, d)
+
+
 def test_lp_ordering_random_tuples():
     rng = Random("lp")
     for _ in range(40):
