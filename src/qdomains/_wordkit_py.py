@@ -15,20 +15,18 @@ from one recursion on the first letter, built level by level over the
 sub-profiles of k: the words of k are i + w for each word w of k - e_i,
 and such a word has the inversions of w plus one per letter of k below i
 (_enumerate_fiber); no statistics pass runs over the words.  The records
-are held in a store keyed by profile, oldest first, while they add up to
-at most _HELD_FIBER_WORDS words; a new record drops the oldest ones first,
-and a fiber of more words is not held there.  Besides, the record of the
-profile asked for last is kept, held or not, until another profile is
-asked for.  So the lifts of one x^k, its fiber lists and its Mahonian sum
-share a single enumeration, and a suite that comes back to a small
-profile finds its record.  fiber_words and fiber_inversions return fresh
-lists.
+are held by profile under _held.held while they add up to at most 2**12
+words (_fiber_record).  Besides, the record of the profile asked for last
+is kept, held or not, until another profile is asked for.  So the lifts
+of one x^k, its fiber lists and its Mahonian sum share a single
+enumeration, and a suite that comes back to a small profile finds its
+record.  fiber_words and fiber_inversions return fresh lists.
 
 The record of the profile asked for last also answers word_stats: a batch
 of words of that fiber (the words of a lift of x^k, in any order and any
 number) has profile k and the recorded inversion numbers, so fiber_stats
-reads them from the record's word -> inversions map, built the first time
-it is needed and then kept with the record, and no statistics pass runs.
+reads them from the record's word -> inversions map, built when first
+needed after that profile was asked for, and no statistics pass runs.
 Any other batch (a foreign word anywhere in it, an unhashable word, an
 empty batch, another n, or no record) takes the scalar or numpy route,
 and must have every letter in 1..n."""
@@ -37,6 +35,8 @@ from itertools import chain
 from operator import index
 
 import numpy as np
+
+from qdomains._held import held
 
 
 def inversions(word):
@@ -64,17 +64,8 @@ def word_profile(word, n):
 
 _SCALAR_BATCH = 20
 
-# The fiber records held, counts -> [counts, (words, inversions), word ->
-# inversion number or None until fiber_stats needs it], oldest first, with
-# the number of words they hold in all; and the record of the profile asked
-# for last.  verify all asks for 219 fibers of 10,361 words in all: this
-# bound keeps the 3,543 words of the 120 profiles that three suites come
-# back to, for 772 enumerations in place of 2,256 with one slot.  Holding
-# every fiber made 219 enumerations but raised the run's peak RSS by about
-# 2.4 MB, against 1 MB with this bound.
-_HELD_FIBER_WORDS = 2 ** 12
-_fiber_records: dict = {}
-_held_words = 0
+# The record of the profile asked for last: [counts, (words, inversions),
+# word -> inversion number or None until fiber_stats needs it].
 _last_record = None
 
 
@@ -198,6 +189,16 @@ def _enumerate_fiber(counts):
     return tuple(words), tuple(ms)
 
 
+# verify all asks for 219 fibers of 10,361 words in all: this budget keeps
+# the 3,543 words of the 120 profiles that three suites come back to, for
+# 772 enumerations in place of 2,256 with one slot.  Holding every fiber
+# made 219 enumerations but raised the run's peak RSS by about 2.4 MB,
+# against 1 MB with this budget.
+@held(2 ** 12, size=lambda record: len(record[0]))
+def _fiber_record(counts):
+    return _enumerate_fiber(counts)
+
+
 def fiber(counts):
     """(words, inversions) of the fiber with the given letter counts: every
     word once, in lexicographic order, and the inversion number of each.
@@ -205,27 +206,9 @@ def fiber(counts):
     for last, returns that record."""
     global _last_record
     counts = tuple(map(index, counts))
-    record = _fiber_records.get(counts)
-    if record is None and _last_record is not None and _last_record[0] == counts:
-        record = _last_record
-    if record is None:
-        words, ms = _enumerate_fiber(counts)
-        record = [counts, (words, ms), None]
-        if len(words) <= _HELD_FIBER_WORDS:
-            _hold(record)
-    _last_record = record
-    return record[1]
-
-
-def _hold(record):
-    """Hold a new record, dropping the oldest ones first while the records
-    held would pass _HELD_FIBER_WORDS words."""
-    global _held_words
-    size = len(record[1][0])
-    while _held_words + size > _HELD_FIBER_WORDS:
-        _held_words -= len(_fiber_records.pop(next(iter(_fiber_records)))[1][0])
-    _fiber_records[record[0]] = record
-    _held_words += size
+    if _last_record is None or _last_record[0] != counts:
+        _last_record = [counts, _fiber_record(counts), None]
+    return _last_record[1]
 
 
 def fiber_words(counts):

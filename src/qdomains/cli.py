@@ -3,7 +3,7 @@
 Subcommands: mul, normal-order, norm, radius, fock-norm, star, scan, and
 verify.  Output goes to stdout as indent-2 JSON unless --out is given;
 element results are written by serialize.element_text.  Exit codes are 0
-(success), 1 (check failure), 2 (usage or resource error).
+(success), 1 (check failure), 2 (usage, resource or float overflow error).
 """
 
 from __future__ import annotations
@@ -173,17 +173,15 @@ def _cmd_star(args) -> int:
 
 
 def _parse_path(text: str, samples: int):
-    parts = text.split(":")
+    kind, *parts = text.split(":")
     try:
-        if parts[0] == "circle" and len(parts) == 2:
-            return deform.circle_path(float(parts[1]), samples)
-        if parts[0] == "ray" and len(parts) in (2, 4):
-            theta = float(parts[1])
-            if len(parts) == 4:
-                return deform.ray_path(theta, samples, float(parts[2]), float(parts[3]))
-            return deform.ray_path(theta, samples)
+        numbers = list(map(float, parts))
     except ValueError:
-        pass
+        numbers = []
+    if kind == "circle" and len(numbers) == 1:
+        return deform.circle_path(numbers[0], samples)
+    if kind == "ray" and len(numbers) in (1, 3):
+        return deform.ray_path(numbers[0], samples, *numbers[1:])
     raise UsageError(f"cannot parse path {text!r} (use circle:C or ray:THETA[:RMIN:RMAX])")
 
 
@@ -343,6 +341,9 @@ def main(argv=None) -> int:
         return 2
     except EnumerationCapExceeded as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: overflow: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -246,7 +246,8 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
     domain.  A coefficient that is exactly 0 is dropped, as QPolynomial
     drops it, so that a zero coefficient times an infinite weight adds 0
     rather than NaN.  Per sample the value matches
-    norm(fiber_eval(a, q), NormSpec(family, rho)) to rounding.
+    norm(fiber_eval(a, q), NormSpec(family, rho)) to rounding; a value that
+    is not finite raises OverflowError, as norm() does.
 
     The continuity diagnostic is descriptive: the maximum adjacent-sample
     jump and its ratio to the parameter spacing."""
@@ -255,6 +256,8 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and positive")
     qs = np.array([complex(q) for q in samples], dtype=complex)
+    if not np.isfinite(qs).all():
+        raise ValueError("samples must be finite")
     if np.any(qs == 0):
         raise ValueError("samples must be nonzero")
     by_k: dict = {}
@@ -280,9 +283,8 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
             else:
                 log_w = cross * log_modulus_below_one
             log_norm = sum(k) * log_rho + log_w
-            values += np.where(size > 0.0, size * np.exp(log_norm), 0.0)
-    if np.isinf(values).any():
-        # norm() raises here too, from math.exp
+            values += np.where(size == 0.0, 0.0, size * np.exp(log_norm))
+    if not np.isfinite(values).all():
         raise OverflowError("fiber norm exceeds the float range")
     jumps = np.abs(np.diff(values))
     gaps = np.abs(np.diff(qs))
@@ -296,8 +298,9 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
 def _log_q_factorials(wanted: set, t: np.ndarray) -> dict:
     """log [m]_t! for each m in wanted, vectorized over t > 0.
 
-    Mirrors qcombinat._log_q_int: [j]_t by direct summation, or the closed
-    log form once t > 2 and j log t > 60 (where t**j would overflow)."""
+    Mirrors qcombinat._factorial_table: [j]_t as a running sum of powers
+    of t, or the closed log form once t > 2 and j log t > 60 (where t**j
+    would overflow)."""
     log_t = np.log(t)
     log_t_minus_1 = np.log(t - 1.0)
     out = {0: np.zeros_like(t)}
@@ -316,16 +319,23 @@ def _log_q_factorials(wanted: set, t: np.ndarray) -> dict:
     return out
 
 
+def _check_samples(samples: int) -> None:
+    if not 1 <= samples <= qc.ENUMERATION_CAP:
+        raise ValueError(f"need 1 to {qc.ENUMERATION_CAP} samples, got {samples}")
+
+
 def circle_path(radius: float, samples: int) -> list:
     """samples points on |q| = radius, full turn, starting at arg 0."""
-    if radius <= 0:
-        raise ValueError("circle radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("circle radius must be finite and positive")
+    _check_samples(samples)
     return [radius * cmath.exp(2j * math.pi * i / samples) for i in range(samples)]
 
 
 def ray_path(theta: float, samples: int, r_min: float = 0.5, r_max: float = 2.0) -> list:
     """samples points on arg q = theta, geometric radii from r_min to r_max."""
-    if not 0 < r_min < r_max:
-        raise ValueError("need 0 < r_min < r_max")
+    if not (math.isfinite(theta) and 0 < r_min < r_max < math.inf):
+        raise ValueError("need a finite theta and 0 < r_min < r_max < inf")
+    _check_samples(samples)
     step = (r_max / r_min) ** (1.0 / (samples - 1)) if samples > 1 else 1.0
     return [r_min * step ** i * cmath.exp(1j * theta) for i in range(samples)]

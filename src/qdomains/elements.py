@@ -366,9 +366,9 @@ def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
     argument, gives the (grade, factor) pairs the product c_a c_b is
     spread over, each factor a complex number (so that c_a c_b factor is a
     complex-by-complex product under every Python version's mixed-type
-    rules).  Returns {(k + l, grade): coeff}, its slots in the order the
-    pairs first reach them, each coeff 0j + c_a c_b factor + ... summed in
-    pair order.
+    rules).  Returns {(k + l, grade): coeff}, or {k + l: coeff} where the
+    grade is None, its slots in the order the pairs first reach them, each
+    coeff 0j + c_a c_b factor + ... summed in pair order.
 
     Below _ARRAY_PAIRS pairs this is a pair loop, in which each term's
     suffix sums are formed once, so a sigma is one dot product.  From
@@ -394,7 +394,7 @@ def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
                 spread = cache[args] = rule(*args)
             ab = ck * cl
             for grade, factor in spread:
-                slot = (key, grade)
+                slot = key if grade is None else (key, grade)
                 out[slot] = out.get(slot, 0j) + ab * factor
     return out
 
@@ -471,7 +471,8 @@ def _twisted_mul_arrays(a, b, rule: Callable, degree_cap: int | None,
     # each entry's slot, and the slots in the order they are first reached
     place = np.cumprod([1] + [t + 1 for t in top[:0:-1]])[::-1]
     slot = ((K @ place)[i] + (L @ place)[j])[entry_pair]
-    if any(grade is not None for grade in grades):
+    graded = any(grade is not None for grade in grades)
+    if graded:
         if not all(type(grade) is int for grade in grades):
             return None
         low = min(grades)
@@ -495,17 +496,17 @@ def _twisted_mul_arrays(a, b, rule: Callable, degree_cap: int | None,
     first = first[order]
     pair = entry_pair[first]
     keys = zip(*(K[i[pair]] + L[j[pair]]).T.tolist())
-    slots = zip(keys, map(grades.__getitem__, entry[first].tolist()))
-    return _Checked(zip(slots, map(complex, re, im)))
+    if graded:
+        keys = zip(keys, map(grades.__getitem__, entry[first].tolist()))
+    return _Checked(zip(keys, map(complex, re, im)))
 
 
 def _plain_mul(a: QPolynomial, b: QPolynomial, rule: Callable,
                degree_cap: int | None = None, both_sigmas: bool = False) -> dict:
     """_twisted_mul over the terms of two q-plane elements, keyed by k + l."""
-    out = _twisted_mul([(k, None, c) for k, c in a.terms.items()],
-                       [(k, None, c) for k, c in b.terms.items()],
-                       rule, degree_cap, both_sigmas)
-    return _Checked({k: c for (k, _), c in out.items()})
+    return _twisted_mul([(k, None, c) for k, c in a.terms.items()],
+                        [(k, None, c) for k, c in b.terms.items()],
+                        rule, degree_cap, both_sigmas)
 
 
 def qpoly_mul(a: QPolynomial, b: QPolynomial, degree_cap: int | None = None) -> QPolynomial:

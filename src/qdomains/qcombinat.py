@@ -3,21 +3,22 @@
 Scalar layer shared by every other module.  Conventions fixed here:
 [0]_q = 0 and [0]_q! = 1; exponents such as sum_{i<j} k_i*k_j and the
 inversion number m(alpha) are exact integers, and |q|**N is evaluated in
-the log domain so weights stay finite for N up to ~1e5.
+the log domain so weights stay finite for N up to ~1e5.  The log
+q-factorial and multi-index tables are held between calls by _held.held.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import chain
 from operator import index, mul
 from typing import NamedTuple, Sequence
 
 from qdomains import _mutate
+from qdomains._held import held
 from qdomains._kernels import (
     fiber as _fiber,
     fiber_inversions,
@@ -42,15 +43,11 @@ __all__ = [
     "q_pochhammer_inf",
     "PochhammerValue",
     "weight_polydisk",
-    "weight_polydisk_log",
     "weight_polydisk_logs",
     "weight_u",
-    "weight_u_log",
     "weight_ball",
-    "weight_ball_log",
     "weight_ball_logs",
     "weight_ball_alt",
-    "weight_ball_alt_log",
     "weight_ball_alt_logs",
     "word_profile",
     "word_stats",
@@ -148,72 +145,44 @@ def q_factorial(k, q: complex) -> complex:
     return acc
 
 
-# The log [j]_t! tables held, one per modulus t, oldest first: they add up
-# to at most _HELD_FACTORIAL_ENTRIES entries.  verify all holds a few
-# hundred entries over a few dozen moduli.
-_HELD_FACTORIAL_ENTRIES = 2 ** 16
-_factorial_tables: dict = {}
-
-
-class _LogFactorials(list):
-    """log [j]_t! for j = 0, 1, ..., len - 1, for one real t > 0, built
-    upward as log [j-1]_t! + log [j]_t and grown in place by extend_to.
+@held(2 ** 16)
+def _factorial_table(t: float, size: int) -> tuple:
+    """log [j]_t! for j = 0, 1, ..., size - 1, for one real t > 0, built
+    upward as log [j-1]_t! + log [j]_t.
 
     [j]_t = 1 + t + ... + t**(j-1) is the running sum of the powers of t,
     each the one before times t: the partial sums that summing [j]_t
     directly adds, so every entry is bit for bit that of the direct loop.
     Once t > 2 and j log t > 60, where t**j would soon overflow, log [j]_t
-    takes the closed form j log t + log1p(-t**-j) - log(t - 1)."""
-
-    __slots__ = ("t", "_acc", "_power")
-
-    def __init__(self, t: float):
-        super().__init__((0.0,))
-        self.t = t
-        self._acc = 0.0     # [j]_t of the last entry j
-        self._power = 1.0   # t**j of the last entry j
-
-    def extend_to(self, m: int) -> None:
-        t, acc, power, total = self.t, self._acc, self._power, self[-1]
-        for j in range(len(self), m + 1):
-            acc += power
-            power *= t
-            if t > 2.0 and j * math.log(t) > 60.0:
-                total += j * math.log(t) + math.log1p(-(t ** -j)) - math.log(t - 1.0)
-            else:
-                total += math.log(acc)
-            self.append(total)
-        self._acc, self._power = acc, power
+    takes the closed form j log t + log1p(-t**-j) - log(t - 1).  verify
+    all holds about 750 entries in 61 tables."""
+    log_t = math.log(t)
+    acc, power = 0.0, 1.0   # [j]_t and t**j
+    table = [0.0]
+    for j in range(1, size):
+        acc += power
+        power *= t
+        if t > 2.0 and j * log_t > 60.0:
+            log_int = j * log_t + math.log1p(-(t ** -j)) - math.log(t - 1.0)
+        else:
+            log_int = math.log(acc)
+        table.append(table[-1] + log_int)
+    return tuple(table)
 
 
-def log_q_factorial_table(m: int, t: float) -> list:
-    """The shared table of log([j]_t!) for j = 0..m at least, for real t > 0;
-    callers read it and never change it.
+def log_q_factorial_table(m: int, t: float) -> tuple:
+    """The shared table of log([j]_t!) for j = 0..m at least, for real t > 0.
 
-    One table per t is held, grown in place when a larger m is asked for,
-    while the tables held add up to at most _HELD_FACTORIAL_ENTRIES entries,
-    dropping the oldest first; a longer table is returned without being
-    held."""
+    Its length is the power of two above m, so a few lengths per t serve
+    every m; the tables are held as _held.held holds them."""
     if t <= 0:
         raise ValueError("log-domain base must be positive")
-    table = _factorial_tables.get(t)
-    if table is not None and m < len(table):
-        return table
-    if table is None:
-        table = _LogFactorials(t)
-    else:
-        del _factorial_tables[t]
-    table.extend_to(m)
-    if len(table) <= _HELD_FACTORIAL_ENTRIES:
-        _factorial_tables[t] = table
-        while sum(map(len, _factorial_tables.values())) > _HELD_FACTORIAL_ENTRIES:
-            del _factorial_tables[next(iter(_factorial_tables))]
-    return table
+    return _factorial_table(t, 1 << index(m).bit_length())
 
 
 def log_q_factorial(m: int, t: float) -> float:
     """log([m]_t!) for real t > 0 (log-domain; never overflows), read from
-    the shared table of t."""
+    a shared table of t."""
     if m < 0:
         raise ValueError("q-factorial index must be nonnegative")
     return log_q_factorial_table(m, t)[m]
@@ -288,22 +257,14 @@ def weight_polydisk_logs(keys: Sequence[Sequence[int]], q) -> list:
     return _mutate.shift_logs("weight-polydisk", logs)
 
 
-def weight_polydisk_log(k: Sequence[int], q) -> float:
-    return weight_polydisk_logs((k,), q)[0]
-
-
 def weight_polydisk(k: Sequence[int], q) -> float:
     """w_q(k): 1 for |q| >= 1, else |q|**cross_degree(k)."""
-    return math.exp(weight_polydisk_log(k, q))
+    return math.exp(weight_polydisk_logs((k,), q)[0])
 
 
 def weight_u(k: Sequence[int], q) -> float:
     """u_q(k) = |q|**cross_degree(k), with no piecewise branch."""
-    return math.exp(weight_u_log(k, q))
-
-
-def weight_u_log(k: Sequence[int], q) -> float:
-    return cross_degree(k) * as_qparam(q).log_modulus
+    return math.exp(cross_degree(k) * as_qparam(q).log_modulus)
 
 
 def _ball_table(keys, t: float) -> tuple:
@@ -329,13 +290,9 @@ def weight_ball_logs(keys: Sequence[Sequence[int]], q) -> list:
         for k, total in zip(keys, totals)])
 
 
-def weight_ball_log(k: Sequence[int], q) -> float:
-    return weight_ball_logs((k,), q)[0]
-
-
 def weight_ball(k: Sequence[int], q) -> float:
     """([k]_{|q|^2}! / [|k|]_{|q|^2}!)**(1/2) * u_q(k); equals (k!/|k|!)**(1/2) at |q| = 1."""
-    return math.exp(weight_ball_log(k, q))
+    return math.exp(weight_ball_logs((k,), q)[0])
 
 
 def weight_ball_alt_logs(keys: Sequence[Sequence[int]], q) -> list:
@@ -346,13 +303,9 @@ def weight_ball_alt_logs(keys: Sequence[Sequence[int]], q) -> list:
     return [0.5 * (sum(map(at, k)) - at(total)) for k, total in zip(keys, totals)]
 
 
-def weight_ball_alt_log(k: Sequence[int], q) -> float:
-    return weight_ball_alt_logs((k,), q)[0]
-
-
 def weight_ball_alt(k: Sequence[int], q) -> float:
     """Alternate form ([k]_{|q|^{-2}}! / [|k|]_{|q|^{-2}}!)**(1/2) of the ball weight."""
-    return math.exp(weight_ball_alt_log(k, q))
+    return math.exp(weight_ball_alt_logs((k,), q)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +385,9 @@ def _check_fiber_cap(k: Sequence[int]) -> None:
 def fiber(k: Sequence[int]) -> tuple:
     """The fiber record (words, inversions) of p^{-1}(k), both tuples: every
     word alpha with p(alpha) = k once, in lexicographic order, and m(alpha)
-    of each.  Records are held in a store keyed by profile, up to a bound
-    on the words held in all, dropping the oldest first, and the record of
-    the profile asked for last is kept whatever its size (see _wordkit_py);
-    a later call for either returns the same record.  word_stats reads
+    of each.  Records are held under _held.held, up to 2**12 words in all,
+    and the record of the profile asked for last is kept whatever its size
+    (see _wordkit_py); a later call for either returns the same record.  word_stats reads
     batches of words of the profile asked for last from its record.
     Every call, held or not, raises EnumerationCapExceeded for a fiber of
     more than ENUMERATION_CAP words, before any lookup or enumeration."""
@@ -510,33 +462,9 @@ def _check_multi_index_cap(n: int, max_total: int) -> None:
             f"{count} multi-indices exceed the enumeration cap {ENUMERATION_CAP}")
 
 
-_HELD_TABLE_ENTRIES = 2 ** 16
-
-
-def _table_cache(build):
-    """Memoize build(n, total) while the tables held add up to at most
-    _HELD_TABLE_ENTRIES entries, dropping the oldest first.  A larger table
-    is returned without being held.  verify all needs about 20,000 entries
-    of multi_indices tables and 1,400 of exact ones."""
-    held: dict = {}
-    lock = threading.Lock()   # writers only; a lookup is one dict read
-
-    @wraps(build)
-    def lookup(n: int, total: int) -> tuple:
-        table = held.get((n, total))
-        if table is None:
-            table = build(n, total)
-            if len(table) <= _HELD_TABLE_ENTRIES:
-                with lock:
-                    held[(n, total)] = table
-                    while sum(map(len, held.values())) > _HELD_TABLE_ENTRIES:
-                        del held[next(iter(held))]
-        return table
-
-    return lookup
-
-
-@_table_cache
+# verify all needs about 20,000 entries of multi_indices tables and 1,400
+# of exact ones
+@held(2 ** 16)
 def multi_indices(n: int, max_total: int) -> tuple:
     """All k in Z_+^n with |k| <= max_total, lexicographically sorted, if
     there are at most ENUMERATION_CAP of them (checked before enumerating)."""
@@ -554,7 +482,7 @@ def _compositions_upto(n, max_total):
     return out
 
 
-@_table_cache
+@held(2 ** 16)
 def multi_indices_exact(n: int, total: int) -> tuple:
     """All k in Z_+^n with |k| = total ((Z_+^n)_d), lexicographically sorted.
 

@@ -11,10 +11,10 @@ terms go to the constructors as _Checked maps, without a per-key check.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from random import Random
 
 from qdomains import qcombinat as qc
+from qdomains._held import held
 from qdomains.deform_types import HSeriesElement
 from qdomains.elements import FreeElement, LaurentElement, QPolynomial, _Checked
 
@@ -42,8 +42,15 @@ def random_qpoly(rng: Random, n: int, q, max_degree: int = 4, terms: int = 6) ->
     return QPolynomial(n, q, chosen)
 
 
-@lru_cache(maxsize=None)
+@held(2 ** 16)
 def _word_pool(n: int, max_len: int) -> tuple:
+    """The 1 + n + ... + n**max_len words of length at most max_len over
+    letters 1..n, if there are at most ENUMERATION_CAP of them (checked
+    before enumerating)."""
+    count = max_len + 1 if n == 1 else (n ** (max_len + 1) - 1) // (n - 1)
+    if count > qc.ENUMERATION_CAP:
+        raise qc.EnumerationCapExceeded(
+            f"{count} words exceed the enumeration cap {qc.ENUMERATION_CAP}")
     return tuple(qc.words(n, max_len))
 
 

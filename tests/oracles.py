@@ -378,7 +378,7 @@ def reference_element_text(e):
 
 
 # ---------------------------------------------------------------------------
-# q-factorials, the fiber store and the random elements
+# q-factorials, the held stores and the random elements
 
 def direct_log_q_int(j, t):
     """log [j]_t with [j]_t summed from scratch, j powers of t, each the one
@@ -393,19 +393,19 @@ def direct_log_q_int(j, t):
     return math.log(acc)
 
 
-def reference_fiber_store(sizes, bound):
-    """The profiles held, oldest first, after asking for the fibers of the
-    given (profile, size) pairs in turn: a profile not held is added at the
-    end after dropping the oldest ones while the sizes held would pass
-    bound, unless its own size passes bound."""
+def reference_held_store(sizes, budget):
+    """The keys a _held.held store holds, oldest first, after asking for
+    the tables of the given (key, size) pairs in turn: a key not held is
+    added at the end after dropping the oldest ones while the sizes held
+    would pass budget, unless its own size passes budget."""
     held = []
-    for profile, size in sizes:
-        if profile in dict(held) or size > bound:
+    for key, size in sizes:
+        if key in dict(held) or size > budget:
             continue
-        while sum(s for _, s in held) + size > bound:
+        while sum(s for _, s in held) + size > budget:
             held.pop(0)
-        held.append((profile, size))
-    return [profile for profile, _ in held]
+        held.append((key, size))
+    return [key for key, _ in held]
 
 
 def _unit_disk_draw(rng):

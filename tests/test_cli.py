@@ -11,6 +11,7 @@ import pytest
 from oracles import reference_element_text
 
 from qdomains import cli, deform, randgen
+from qdomains import qcombinat as qc
 from qdomains.elements import free_mul, laurent_mul, normal_order, qpoly_mul
 from qdomains.serialize import element_to_document, parse_element
 
@@ -321,6 +322,40 @@ def test_fock_norm_depth_is_validated(tmp_path, qpoly_doc, capsys):
         assert cli.main(argv) == 2, depth
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(message), captured.err
+
+
+@pytest.mark.parametrize("path, samples, message", [
+    ("circle:nan", "4", "error: circle radius must be finite and positive"),
+    ("circle:inf", "4", "error: circle radius must be finite and positive"),
+    ("ray:nan", "4", "error: need a finite theta and 0 < r_min < r_max < inf"),
+    ("ray:0.5:0.5:inf", "4", "error: need a finite theta and 0 < r_min < r_max < inf"),
+    ("circle:0.5", "0", "error: need 1 to 8 samples, got 0"),
+    ("ray:0.5", "-3", "error: need 1 to 8 samples, got -3"),
+    ("circle:0.5", "9", "error: need 1 to 8 samples, got 9"),
+    ("circle:2", "4", "error: overflow: fiber norm exceeds the float range"),
+    ("circle", "4", "error: cannot parse path 'circle'"),
+    ("ray:0.5:1", "4", "error: cannot parse path 'ray:0.5:1'"),
+])
+def test_scan_paths_and_overflow_exit_two(tmp_path, capsys, monkeypatch, path, samples,
+                                          message):
+    # each of these exited 0, with NaN, infinite or zero norms or no rows
+    monkeypatch.setattr(qc, "ENUMERATION_CAP", 8)
+    # x z^1100 - x z^1101: at |q| = 2 both powers overflow
+    laurent = write(tmp_path, "l.json", {"kind": "laurent", "n": 1, "terms": [
+        {"k": [1], "p": 1100, "c": {"re": 1}}, {"k": [1], "p": 1101, "c": {"re": -1}}]})
+    assert cli.main(["scan", "--in", laurent, "--path", path, "--samples", samples,
+                     "--family", "polydisk", "--rho", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message), captured.err
+
+
+def test_norm_overflow_exits_two(tmp_path, capsys):
+    # an OverflowError once ended main with a traceback and exit 1
+    doc = write(tmp_path, "x.json", {"kind": "qpoly", "n": 1, "q": {"re": 0.5},
+                                     "terms": [{"k": [400], "c": {"re": 1}}]})
+    assert cli.main(["norm", "--in", doc, "--family", "polydisk", "--rho", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: overflow: "), captured.err
 
 
 @pytest.mark.parametrize("value, message", [

@@ -450,11 +450,46 @@ def test_bundle_scan_errors():
     for rho in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="rho"):
             deform.bundle_scan(one, POLYDISK_L1, rho, [0.5])
+    for bad in (math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            deform.bundle_scan(one, POLYDISK_L1, 1.0, [0.5, bad])
     huge = LaurentElement.monomial(2, (20, 20), 0)
     with pytest.raises(OverflowError):
         _per_sample(huge, BALL, 1e10, [1.0])
     with pytest.raises(OverflowError):
         deform.bundle_scan(huge, BALL, 1e10, [0.5, 1.0])
+
+
+def test_bundle_scan_reads_any_non_finite_value_as_overflow():
+    # x z^1100 - x z^1101 at |q| = 2: both powers overflow, and their
+    # difference, a NaN, was dropped as if it were 0, so the scan read 0.0
+    a = LaurentElement(1, {((1,), 1100): 1.0, ((1,), 1101): -1.0})
+    with pytest.raises(OverflowError):
+        _per_sample(a, POLYDISK_L1, 1.0, [2.0])
+    for family in (POLYDISK_L1, BALL):
+        with pytest.raises(OverflowError):
+            deform.bundle_scan(a, family, 1.0, deform.circle_path(2.0, 4))
+    # an exact zero is still dropped, even against an infinite weight
+    b = LaurentElement(1, {((2,), 1): 1.0, ((2,), -1): -1.0})
+    assert _scan_values(b, POLYDISK_L1, 1e300, [1, -1]) == [0.0, 0.0]
+
+
+def test_path_helpers_reject_non_finite_numbers_and_bad_sample_counts(monkeypatch):
+    for radius in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="circle radius"):
+            deform.circle_path(radius, 4)
+    for theta, r_min, r_max in ((math.nan, 0.5, 2.0), (math.inf, 0.5, 2.0), (0.5, 0.5, math.inf),
+                                (0.5, math.nan, 2.0), (0.5, 0.5, math.nan), (0.5, 2.0, 0.5),
+                                (0.5, 0.0, 2.0)):
+        with pytest.raises(ValueError, match="finite theta"):
+            deform.ray_path(theta, 4, r_min, r_max)
+    monkeypatch.setattr(qc, "ENUMERATION_CAP", 8)
+    for path in (lambda samples: deform.circle_path(1.0, samples),
+                 lambda samples: deform.ray_path(0.5, samples)):
+        for samples in (0, -3, 9):
+            with pytest.raises(ValueError, match=f"need 1 to 8 samples, got {samples}"):
+                path(samples)
+        assert len(path(8)) == 8 and len(path(1)) == 1
 
 
 def test_path_helpers():

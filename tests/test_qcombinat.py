@@ -1,18 +1,23 @@
 import cmath
 import itertools
 import math
+import sys
+import threading
+import time
+from random import Random
 
 import numpy as np
 import pytest
 
-from qdomains import _kernels, _wordkit_py, deform
+from qdomains import _kernels, _wordkit_py, deform, randgen
 from qdomains import qcombinat as qc
+from qdomains._held import held
 from qdomains._wordkit_py import _SCALAR_BATCH
 from qdomains.elements import ball_lift, polydisk_lift
 from qdomains.qcombinat import EnumerationCapExceeded, QParam
 
 from oracles import (brute_fiber, brute_inversions, brute_mahonian_sum, brute_profile,
-                     brute_sigma, direct_log_q_int, reference_fiber_store)
+                     brute_sigma, direct_log_q_int, reference_held_store)
 
 # mpmath-verified infinite products (30 digits), frozen
 POCH_HALF_HALF = 0.288788095086602421278899721929
@@ -71,10 +76,85 @@ def test_log_q_factorial_matches_direct_product():
                                                              abs=1e-12)
 
 
+def _fresh_store(monkeypatch, table, budget):
+    """An empty store with the given budget for the held builder table,
+    restored after the test."""
+    monkeypatch.setattr(table, "budget", budget)
+    monkeypatch.setattr(table, "store", {})
+    monkeypatch.setattr(table, "total", 0)
+    return table.store
+
+
+def test_held_keeps_the_newest_tables_within_its_budget():
+    built = []
+
+    @held(10)
+    def table(key, size):
+        built.append(key)
+        return (key,) * size
+
+    # a table passes the budget, one fills it exactly, an empty one costs
+    # nothing, and keys come back while held and after they were dropped
+    asks = [("a", 4), ("b", 3), ("a", 4), ("c", 5), ("d", 11), ("b", 3), ("e", 10),
+            ("f", 0), ("e", 10), ("a", 4), ("d", 11), ("g", 2)]
+    sizes = []
+    for key, size in asks:
+        was_held = (key, size) in reference_held_store(sizes, 10)
+        before, builds = table.store.get((key, size)), len(built)
+        got = table(key, size)
+        sizes.append(((key, size), size))
+        assert got == (key,) * size
+        assert list(table.store) == reference_held_store(sizes, 10), key
+        assert table.total == sum(map(len, table.store.values())) <= 10
+        # a held table is found, not built, and is the same object
+        assert built[builds:] == ([] if was_held else [key])
+        assert (got is before) == was_held
+
+
+def test_held_reads_its_budget_at_each_insertion(monkeypatch):
+    @held(100)
+    def table(size):
+        return (0,) * size
+
+    for size in (10, 20, 30):
+        table(size)
+    monkeypatch.setattr(table, "budget", 45)
+    assert list(table.store) == [(10,), (20,), (30,)]   # nothing inserted yet
+    table(5)
+    assert list(table.store) == [(30,), (5,)] and table.total == 35
+    assert table(50) is not table(50) and (50,) not in table.store
+
+
+def test_held_stores_stay_consistent_under_threads():
+    # one writer at a time: a lost update would leave the running total
+    # apart from the tables held, or above the budget.  size yields to the
+    # other threads, in the middle of each update of the total.
+    @held(50, size=lambda table: time.sleep(0) or len(table))
+    def table(size):
+        return (0,) * size
+
+    def work(offset):
+        for i in range(2000):
+            table(1 + (i * 7 + offset) % 13)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert table.total == sum(map(len, table.store.values())) <= 50
+
+
 def test_log_q_factorial_deep_in_a_fresh_cache(monkeypatch):
     # one recursion level per m overflowed Python's stack past m ~ 500; the
     # value must stay the left-to-right sum the recursion added
-    monkeypatch.setattr(qc, "_factorial_tables", {})
+    _fresh_store(monkeypatch, qc._factorial_table, 2 ** 16)
     for t in (0.25, 1.0, 3.0):
         for m in (1200, 600):
             total = 0.0
@@ -87,21 +167,19 @@ def test_log_q_factorial_table_is_the_direct_loop_bit_for_bit(monkeypatch):
     # the table builds [j]_t from [j-1]_t's running sum and power; summing
     # every [j]_t from scratch must give the same bits, through the
     # switch to the closed form at t > 2
-    monkeypatch.setattr(qc, "_factorial_tables", {})
+    _fresh_store(monkeypatch, qc._factorial_table, 2 ** 16)
     for t in (0.25, 0.81, 1.0, 1.21, 4.0, 9.0):
-        # grown in three steps, and built in one
-        for m in (37, 120, 400):
-            grown = qc.log_q_factorial_table(m, t)
-        assert qc.log_q_factorial_table(5, t) is grown
-        fresh = qc._LogFactorials(t)
-        fresh.extend_to(400)
         total = 0.0
         expected = [total]
-        for j in range(1, 401):
+        for j in range(1, 512):
             total += direct_log_q_int(j, t)
             expected.append(total)
-        assert grown[:401] == fresh == expected, t
-        assert [qc.log_q_factorial(m, t) for m in range(401)] == expected
+        # one table per power-of-two length, the shorter ones its prefixes
+        for m, length in ((0, 1), (1, 2), (5, 8), (37, 64), (120, 128), (400, 512)):
+            table = qc.log_q_factorial_table(m, t)
+            assert type(table) is tuple and list(table) == expected[:length], (t, m)
+            assert qc.log_q_factorial_table(length - 1, t) is table
+        assert [qc.log_q_factorial(m, t) for m in range(512)] == expected
     with pytest.raises(ValueError):
         qc.log_q_factorial_table(3, 0.0)
     with pytest.raises(ValueError):
@@ -109,21 +187,19 @@ def test_log_q_factorial_table_is_the_direct_loop_bit_for_bit(monkeypatch):
 
 
 def test_log_q_factorial_tables_are_bounded(monkeypatch):
-    monkeypatch.setattr(qc, "_factorial_tables", {})
-    monkeypatch.setattr(qc, "_HELD_FACTORIAL_ENTRIES", 100)
-    held = qc._factorial_tables
+    held = _fresh_store(monkeypatch, qc._factorial_table, 100)
     for t in (0.3, 0.4, 0.5, 0.6):
-        qc.log_q_factorial_table(29, t)   # 30 entries each
-        assert sum(map(len, held.values())) <= 100
+        qc.log_q_factorial_table(29, t)   # 32 entries each
+        assert qc._factorial_table.total == sum(map(len, held.values())) <= 100
     # the oldest table went first
-    assert list(held) == [0.4, 0.5, 0.6]
-    # a table grown in place moves to the end, and drops the oldest again
+    assert list(held) == [(0.4, 32), (0.5, 32), (0.6, 32)]
+    # a longer table of a held t is one more table, and drops the oldest
     qc.log_q_factorial_table(49, 0.5)
-    assert list(held) == [0.6, 0.5] and len(held[0.5]) == 50
+    assert list(held) == [(0.6, 32), (0.5, 64)]
     # a table longer than the bound is returned, not held
     long = qc.log_q_factorial_table(150, 0.7)
-    assert len(long) == 151 and 0.7 not in held
-    assert long[:30] == qc.log_q_factorial_table(29, 0.7)[:30]
+    assert len(long) == 256 and all(t != 0.7 for t, _ in held)
+    assert long[:32] == qc.log_q_factorial_table(29, 0.7)
 
 
 def test_scan_factorials_hold_to_the_shared_table():
@@ -263,12 +339,10 @@ def test_fiber_cap_holds_for_a_cached_record():
 
 
 def _fresh_fiber_store(monkeypatch, bound):
-    """An empty fiber store with the given bound, restored after the test."""
-    monkeypatch.setattr(_wordkit_py, "_HELD_FIBER_WORDS", bound)
-    monkeypatch.setattr(_wordkit_py, "_fiber_records", {})
-    monkeypatch.setattr(_wordkit_py, "_held_words", 0)
+    """An empty fiber store with the given bound and no record asked for
+    last, restored after the test."""
     monkeypatch.setattr(_wordkit_py, "_last_record", None)
-    return _wordkit_py._fiber_records
+    return _fresh_store(monkeypatch, _wordkit_py._fiber_record, bound)
 
 
 def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
@@ -281,9 +355,9 @@ def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
     sizes = []
     for k in asked:
         words, ms = qc.fiber(k)
-        sizes.append((k, len(words)))
-        assert list(store) == reference_fiber_store(sizes, 400), k
-        assert _wordkit_py._held_words == sum(len(r[1][0]) for r in store.values()) <= 400
+        sizes.append(((k,), len(words)))
+        assert list(store) == reference_held_store(sizes, 400), k
+        assert _wordkit_py._fiber_record.total == sum(len(r[0]) for r in store.values()) <= 400
         # the record returned is the fiber, held or not
         assert list(words) == brute_fiber(k)
         assert list(ms) == [brute_inversions(w) for w in words]
@@ -291,7 +365,7 @@ def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
     # kept, found again without enumerating and read by word_stats, until
     # another profile is asked for
     record = qc.fiber((3, 3, 2))
-    assert (3, 3, 2) not in store
+    assert ((3, 3, 2),) not in store
     enumerated = []
     enumerate_fiber = _wordkit_py._enumerate_fiber
     monkeypatch.setattr(_wordkit_py, "_enumerate_fiber",
@@ -301,7 +375,7 @@ def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
     qc.fiber((2, 2, 2))
     assert _wordkit_py.fiber_stats(record[0], 3) is None
     assert qc.fiber((3, 3, 2)) == record and enumerated == [(3, 3, 2)]
-    assert (3, 3, 2) not in store
+    assert ((3, 3, 2),) not in store
 
 
 def test_fiber_store_records_are_fresh_enumerations():
@@ -309,10 +383,10 @@ def test_fiber_store_records_are_fresh_enumerations():
     for k in profiles:
         qc.fiber(k)
     for k in profiles:
-        held = _wordkit_py._fiber_records.get(k)
+        held = _wordkit_py._fiber_record.store.get((k,))
         if held is not None:
-            assert held[0] == k and held[1] == _wordkit_py._enumerate_fiber(k)
-            assert qc.fiber(k) is held[1]
+            assert held == _wordkit_py._enumerate_fiber(k)
+            assert qc.fiber(k) is held
 
 
 def test_fiber_stats_answers_only_for_the_profile_asked_last(monkeypatch):
@@ -321,7 +395,7 @@ def test_fiber_stats_answers_only_for_the_profile_asked_last(monkeypatch):
     words = qc.fiber(first)[0]
     assert _wordkit_py.fiber_stats(words, 3) == ([first] * len(words), list(qc.fiber(first)[1]))
     qc.fiber(second)
-    assert first in store and _wordkit_py.fiber_stats(words, 3) is None
+    assert (first,) in store and _wordkit_py.fiber_stats(words, 3) is None
     qc.fiber(first)   # found in the store, not enumerated again
     assert _wordkit_py.fiber_stats(words, 3) is not None
 
@@ -452,15 +526,34 @@ def test_multi_index_tables_are_held_within_a_budget():
     for table, total in ((qc.multi_indices, 80), (qc.multi_indices_exact, 21)):
         n = 3 if table is qc.multi_indices else 6
         big = table(n, total)
-        assert len(big) > qc._HELD_TABLE_ENTRIES
+        assert len(big) > table.budget
         again = table(n, total)
         assert again == big and again is not big
     # tables that fit are dropped oldest first once they overflow
     first = qc.multi_indices(3, 55)
     assert qc.multi_indices(3, 55) is first
     later = [qc.multi_indices(3, total) for total in (56, 57)]
-    assert len(first) + sum(map(len, later)) > qc._HELD_TABLE_ENTRIES
+    assert len(first) + sum(map(len, later)) > qc.multi_indices.budget
     assert qc.multi_indices(3, 55) is not first
+
+
+def test_word_pools_are_refused_past_the_cap_before_enumerating(monkeypatch):
+    # random_free(rng, 10, 9) once built its 1.1e9 words
+    _fresh_store(monkeypatch, randgen._word_pool, 2 ** 16)
+    enumerated = []
+    words = qc.words
+    monkeypatch.setattr(qc, "words", lambda n, d: enumerated.append((n, d)) or words(n, d))
+    for n, max_len in ((1, 0), (1, 6), (2, 3), (3, 4), (4, 2)):
+        count = len(list(words(n, max_len)))
+        monkeypatch.setattr(qc, "ENUMERATION_CAP", count - 1)
+        with pytest.raises(EnumerationCapExceeded, match=f"{count} words"):
+            randgen.random_free(Random(0), n, max_len)
+        assert enumerated == []
+        monkeypatch.setattr(qc, "ENUMERATION_CAP", count)
+        pool = randgen._word_pool(n, max_len)
+        assert pool == tuple(words(n, max_len)) and enumerated == [(n, max_len)]
+        assert randgen._word_pool(n, max_len) is pool
+        enumerated.clear()
 
 
 def test_words_enumeration():
