@@ -11,7 +11,8 @@ def held(budget: int, size=len):
     tables oldest first while their sizes add up to at most the budget: a
     new table drops the oldest ones, and one over the budget is returned
     unheld.  The memo reads its budget attribute at each insertion, keeps
-    the tables in its store attribute and their sizes' sum in total."""
+    the tables in its store attribute and their sizes' sum in total, and
+    shows the size function as size."""
     def decorate(build):
         @wraps(build)
         def lookup(*args):
@@ -28,7 +29,7 @@ def held(budget: int, size=len):
                                 lookup.total -= size(lookup.store.pop(next(iter(lookup.store))))
             return table
 
-        lookup.budget, lookup.store, lookup.total = budget, {}, 0
+        lookup.budget, lookup.store, lookup.total, lookup.size = budget, {}, 0, size
         return lookup
 
     return decorate

@@ -76,12 +76,12 @@ def star_product(f: HSeriesElement, g: HSeriesElement,
     out = _twisted_mul([(k, p, c) for (p, k), c in f.terms.items() if p <= order],
                        [(k, p, c) for (p, k), c in g.terms.items()],
                        spread)
-    return HSeriesElement(f.n, order, {(p, k): c for (k, p), c in out.items()})
+    return HSeriesElement(f.n, order, _Checked({(p, k): c for (k, p), c in out.items()}))
 
 
 def evaluate_h(f: HSeriesElement, h: float) -> QPolynomial:
     """Substitute the numeric h, landing in the fiber algebra at q = exp(ih)."""
-    out: dict = {}
+    out = _Checked()
     for (p, k), c in f.terms.items():
         out[k] = out.get(k, 0.0) + c * h ** p
     return QPolynomial(f.n, cmath.exp(1j * h), out)
@@ -131,10 +131,10 @@ def commutator_defect(f: QPolynomial, g: QPolynomial, h: float,
     if h == 0:
         raise ValueError("h must be nonzero")
     q_h = cmath.exp(1j * h)
-    f_h = QPolynomial(f.n, q_h, dict(f.terms))
-    g_h = QPolynomial(g.n, q_h, dict(g.terms))
+    f_h = QPolynomial(f.n, q_h, _Checked(f.terms))
+    g_h = QPolynomial(g.n, q_h, _Checked(g.terms))
     bracket = poisson_bracket(f, g)
-    bracket_h = QPolynomial(f.n, q_h, dict(bracket.terms))
+    bracket_h = QPolynomial(f.n, q_h, _Checked(bracket.terms))
     diff = (1.0 / h) * (qpoly_mul(f_h, g_h) - qpoly_mul(g_h, f_h)) - 1j * bracket_h
     fiber_spec = NormSpec(spec.family, spec.rho, spec.tau, spec.order, None)
     return norm(diff, fiber_spec)
@@ -269,6 +269,7 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
     log_modulus_below_one = np.where(moduli < 1.0, log_modulus, 0.0)
     log_rho = math.log(rho)
     values = np.zeros(len(qs))
+    hook = "weight-ball" if family == BALL else "weight-polydisk"   # the norm's weight hook
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if family == BALL:
             log_fact = _log_q_factorials(
@@ -282,6 +283,7 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
                 log_w = 0.5 * log_ratio + cross * log_modulus
             else:
                 log_w = cross * log_modulus_below_one
+            log_w, = _mutate.shift_logs(hook, (log_w,))   # once per key, over every sample
             log_norm = sum(k) * log_rho + log_w
             values += np.where(size == 0.0, 0.0, size * np.exp(log_norm))
     if not np.isfinite(values).all():

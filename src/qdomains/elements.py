@@ -29,16 +29,14 @@ from keys it already holds skip that per-key check: the products
 (qpoly_mul, laurent_mul, free_mul and both routes of _twisted_mul), +, -
 and scalar *, normal_order (letter profiles), tau_flip, fiber_eval,
 homogeneous_component, the generators of laurent_word, the fiber words
-of polydisk_lift and ball_lift, and in deform the (h-power, fiber word)
-keys of formal_ball_lift and the (h-power, profile) keys of
-normal_order_formal; serialize.document_to_element, which checked
-each key as it read it; and the randgen generators, which draw their
-keys from qcombinat.multi_indices and their own word pool.  They hand
-their terms over as a _Checked mapping; construction still runs through
-each class's __init__ and drops exact zeros as usual.  Construction takes ownership of a _Checked map: when
-all its values are nonzero complex numbers it becomes the element's
-terms, behind a read-only view, without a copy, so each builder makes a
-fresh map and does not touch it after construction.
+of polydisk_lift and ball_lift; in deform the (h-power, fiber word) keys
+of formal_ball_lift, the (h-power, profile) keys of normal_order_formal
+and star_product, the profiles of evaluate_h and the fiber copies of
+commutator_defect; serialize.document_to_element, which checked each key
+as it read it; and the randgen generators, which draw their keys from
+qcombinat.multi_indices and their own word pool.  They hand their terms
+over as a _Checked mapping, which construction takes over (see _Checked);
+it still runs through each class's __init__ and drops exact zeros.
 """
 
 from __future__ import annotations

@@ -20,19 +20,23 @@ and of the powers of q, multiplied in the step route's order.  It forms
 the normal matrix M^H M of the truncated operator M from M's shift
 structure, with no dense matrix product.  The tests hold it to the
 letter-by-letter matrix of tests/oracles.py.
+
+The closed form's letter tables, domains, columns c_m, shift pairs and
+pair plans are read-only arrays held under _held.held, up to 2**16 entries
+(array entries and position-map keys) of each kind; a larger one is not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from qdomains import _mutate
 from qdomains import qcombinat as qc
+from qdomains._held import held
 from qdomains.elements import QPolynomial
 from qdomains.norms import POLYDISK_L1, POLYDISK_L2, NormSpec, norm
 
@@ -144,12 +148,18 @@ class OpNormBounds(NamedTuple):
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    # cached arrays are shared by every caller
+    # held arrays are shared by every caller
     array.flags.writeable = False
     return array
 
 
-@lru_cache(maxsize=64)
+def _entries(table) -> int:
+    # a held table's size: the entries of its arrays and the keys of its position map
+    parts = (table,) if isinstance(table, np.ndarray) else table
+    return sum(len(part) if isinstance(part, dict) else part.size for part in parts)
+
+
+@held(2 ** 16, size=_entries)
 def _letter_tables(q: float, top: int) -> tuple:
     # the one-letter factors sqrt(1 - q^{2s}) and the powers q^e, for s, e <= top
     steps = [0.0] + [_mutate.scale("fock-generator", _letter_step(s, q))
@@ -157,7 +167,7 @@ def _letter_tables(q: float, top: int) -> tuple:
     return _frozen(np.array(steps)), _frozen(np.array([q ** e for e in range(top + 1)]))
 
 
-@lru_cache(maxsize=64)
+@held(2 ** 16, size=_entries)
 def _domain(n: int, degree: int) -> tuple:
     # the domain {|k| <= degree} as an index array, and the position of each k
     table = qc.multi_indices(n, degree)
@@ -165,7 +175,7 @@ def _domain(n: int, degree: int) -> tuple:
     return _frozen(ks), {k: i for i, k in enumerate(table)}
 
 
-@lru_cache(maxsize=256)
+@held(2 ** 16, size=_entries)
 def _monomial_column(m: tuple, q: float, degree: int) -> np.ndarray:
     """c_m(k) for every k of the domain {|k| <= degree}, in its order."""
     ks = _domain(len(m), degree)[0]
@@ -179,7 +189,7 @@ def _monomial_column(m: tuple, q: float, degree: int) -> np.ndarray:
     return _frozen(coeff)
 
 
-@lru_cache(maxsize=512)
+@held(2 ** 16, size=_entries)
 def _shift_pairs(n: int, degree: int, shift: tuple) -> tuple:
     # the domain positions (i, j) with k_i + shift = k_j
     ks, where = _domain(n, degree)
@@ -189,14 +199,14 @@ def _shift_pairs(n: int, degree: int, shift: tuple) -> tuple:
     return _frozen(src), _frozen(dst)
 
 
-@lru_cache(maxsize=8)
+@held(2 ** 16, size=_entries)
 def _pair_plan(exponents: tuple, degree: int) -> tuple:
     # for each term pair i < j of the sorted exponents and each k' of the
     # domain with k = k' + m_j - m_i in it: the flat positions of w_i(k) and
     # w_j(k') in the (terms x domain) array of weighted columns, and of
-    # N[k, k'] in the (domain x domain) matrix.  A plan can hold
-    # (#terms choose 2) x (domain size) entries, so few are kept: the
-    # sandwich suite asks for each element at two scales in a row.
+    # N[k, k'] in the (domain x domain) matrix: up to (#terms choose 2) x
+    # (domain size) entries.  The sandwich suite asks for each element at two
+    # scales in a row.
     n = len(exponents[0])
     size = len(_domain(n, degree)[0])
     pairs = [(i, j) for i in range(len(exponents)) for j in range(i + 1, len(exponents))]

@@ -3,8 +3,8 @@
 Scalar layer shared by every other module.  Conventions fixed here:
 [0]_q = 0 and [0]_q! = 1; exponents such as sum_{i<j} k_i*k_j and the
 inversion number m(alpha) are exact integers, and |q|**N is evaluated in
-the log domain so weights stay finite for N up to ~1e5.  The log
-q-factorial and multi-index tables are held between calls by _held.held.
+the log domain so weights stay finite for N up to ~1e5.  _held.held holds
+the log q-factorial, q-Pochhammer and multi-index tables between calls.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from operator import index, mul
 from typing import NamedTuple, Sequence
 
@@ -175,8 +174,8 @@ def log_q_factorial_table(m: int, t: float) -> tuple:
 
     Its length is the power of two above m, so a few lengths per t serve
     every m; the tables are held as _held.held holds them."""
-    if t <= 0:
-        raise ValueError("log-domain base must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"log-domain base must be positive and finite, got {t!r}")
     return _factorial_table(t, 1 << index(m).bit_length())
 
 
@@ -193,7 +192,7 @@ class PochhammerValue(NamedTuple):
     factors: int
 
 
-@lru_cache(maxsize=64)
+@held(2 ** 16)   # two entries a value
 def q_pochhammer_inf(a: complex, q: complex) -> PochhammerValue:
     """(a; q)_infty = prod_{j>=0} (1 - a q**j), truncated deterministically.
 
@@ -267,6 +266,18 @@ def weight_u(k: Sequence[int], q) -> float:
     return math.exp(cross_degree(k) * as_qparam(q).log_modulus)
 
 
+def _weight_base(modulus: float, power) -> float:
+    """t = |q|**power (modulus * modulus for power 2), the base of a log
+    [j]_t! table; a t that floats make 0 or inf raises ValueError naming |q|."""
+    try:
+        t = modulus * modulus if power == 2 else modulus ** power
+    except OverflowError:   # a negative power of a tiny modulus
+        t = math.inf
+    if 0.0 < t < math.inf:
+        return t
+    raise ValueError(f"|q| = {modulus!r} puts the base |q|**{power:g} out of the float range")
+
+
 def _ball_table(keys, t: float) -> tuple:
     """The log [j]_t! table for the exponent vectors keys, with their totals."""
     # a negative entry would read the table from its end
@@ -282,7 +293,7 @@ def weight_ball_logs(keys: Sequence[Sequence[int]], q) -> list:
     table of t."""
     qp = as_qparam(q)
     log_modulus = qp.log_modulus
-    table, totals = _ball_table(keys, qp.modulus * qp.modulus)
+    table, totals = _ball_table(keys, _weight_base(qp.modulus, 2))
     at = table.__getitem__
     return _mutate.shift_logs("weight-ball", [
         0.5 * (sum(map(at, k)) - at(total))
@@ -298,7 +309,7 @@ def weight_ball(k: Sequence[int], q) -> float:
 def weight_ball_alt_logs(keys: Sequence[Sequence[int]], q) -> list:
     """log of the alternate form ([k]_s! / [|k|]_s!)**(1/2), s = |q|**-2, of
     the ball weight for each exponent vector k in keys."""
-    table, totals = _ball_table(keys, as_qparam(q).modulus ** -2)
+    table, totals = _ball_table(keys, _weight_base(as_qparam(q).modulus, -2))
     at = table.__getitem__
     return [0.5 * (sum(map(at, k)) - at(total)) for k, total in zip(keys, totals)]
 
@@ -469,17 +480,15 @@ def multi_indices(n: int, max_total: int) -> tuple:
     """All k in Z_+^n with |k| <= max_total, lexicographically sorted, if
     there are at most ENUMERATION_CAP of them (checked before enumerating)."""
     _check_multi_index_cap(n, max_total)
-    return tuple(sorted(_compositions_upto(n, max_total)))
+    return tuple(_compositions_upto(n, max_total))
 
 
 def _compositions_upto(n, max_total):
+    # in lexicographic order: heads ascending, each followed by its sorted tails
     if n == 1:
         return [(m,) for m in range(max_total + 1)]
-    out = []
-    for head in range(max_total + 1):
-        for tail in _compositions_upto(n - 1, max_total - head):
-            out.append((head,) + tail)
-    return out
+    return [(head,) + tail for head in range(max_total + 1)
+            for tail in _compositions_upto(n - 1, max_total - head)]
 
 
 @held(2 ** 16)
@@ -509,21 +518,10 @@ def multi_indices_exact(n: int, total: int) -> tuple:
 
 
 def words_exact(n: int, d: int):
-    """Iterator over W_{n,d}."""
-    if d == 0:
-        yield ()
-        return
-    stack = [()]
-    while stack:
-        w = stack.pop()
-        if len(w) == d:
-            yield w
-            continue
-        for a in range(n, 0, -1):
-            stack.append(w + (a,))
+    """Iterator over W_{n,d}, in lexicographic order."""
+    return product(range(1, n + 1), repeat=d)
 
 
 def words(n: int, max_len: int):
-    """Iterator over all words of length <= max_len over {1..n}."""
-    for d in range(max_len + 1):
-        yield from words_exact(n, d)
+    """Iterator over all words of length <= max_len over {1..n}, by length."""
+    return chain.from_iterable(words_exact(n, d) for d in range(max_len + 1))

@@ -90,21 +90,12 @@ def coordinate_tuple(n: int, spec: NormSpec, p, max_depth: int = 8, q=None) -> T
 
 def is_coordinate_tuple(generators: Sequence) -> bool:
     n = len(generators)
-    first = generators[0]
-    if getattr(first, "n", None) != n:
+    if getattr(generators[0], "n", None) != n:
         return False
     for i, g in enumerate(generators):
-        terms = dict(g.terms)
-        if len(terms) != 1:
-            return False
-        (key, c), = terms.items()
-        if abs(c - 1.0) > 1e-15:
-            return False
-        if isinstance(g, QPolynomial):
-            expected = tuple(1 if j == i else 0 for j in range(n))
-        else:
-            expected = (i + 1,)
-        if key != expected:
+        # the one term of g: x_{i+1} or the letter i + 1, with coefficient 1
+        key = tuple(int(j == i) for j in range(n)) if isinstance(g, QPolynomial) else (i + 1,)
+        if len(g.terms) != 1 or abs(g.terms.get(key, 0.0) - 1.0) > 1e-15:
             return False
     return True
 
@@ -141,7 +132,7 @@ def _coordinate_estimate(ts: TupleSpec, d: int) -> float:
             best = max(best, bump + log_norm)
         return math.exp(best / d)
     p = float(ts.p)
-    t = qp.modulus ** (-p)
+    t = qc._weight_base(qp.modulus, -p)
     logs = [_log_mahonian(k, t) + p * log_norm for k, log_norm in zip(keys, log_norms)]
     return math.exp(_logsumexp(logs) / (p * d))
 

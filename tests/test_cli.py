@@ -409,6 +409,47 @@ def test_weight_mutations_reach_the_norm(tmp_path, family, mutation):
     assert bumped / value - 1.0 == pytest.approx(1e-6, rel=1e-6)
 
 
+@pytest.mark.parametrize("family, mutation", [("ball", "weight-ball"),
+                                               ("polydisk", "weight-polydisk")])
+def test_weight_mutations_reach_the_scan(tmp_path, family, mutation):
+    # bundle_scan passes each key's log weights through the family's hook,
+    # so a mutated weight moves every nonzero row by its relative 1e-6
+    terms = [([1, 2, 0], 1, {"re": 1}), ([0, 2, 3], -2, {"re": 0.5, "im": -1}),
+             ([4, 0, 1], 0, {"re": -2}), ([0, 0, 0], 3, {"re": 0, "im": 0.3})]
+    doc = write(tmp_path, "l.json", {"kind": "laurent", "n": 3, "terms": [
+        {"k": k, "p": p, "c": c} for k, p, c in terms]})
+    argv = ["scan", "--in", doc, "--path", "ray:0.4:0.5:2.0", "--samples", "16",
+            "--family", family, "--rho", "0.8"]
+    env = {key: value for key, value in os.environ.items() if key != "QDOMAINS_MUTATE"}
+    plain = run(*argv, env=env)
+    mutated = run(*argv, env={**env, "QDOMAINS_MUTATE": mutation})
+    assert plain.returncode == mutated.returncode == 0, plain.stderr + mutated.stderr
+    rows, bumped = (json.loads(result.stdout)["rows"] for result in (plain, mutated))
+    assert len(rows) == len(bumped) == 16 and all(row[2] > 0.0 for row in rows)
+    for row, moved in zip(rows, bumped):
+        assert moved[:2] == row[:2]
+        assert moved[2] / row[2] - 1.0 == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("q", ["1e200", "1e-200"])
+def test_weights_refuse_a_modulus_past_the_float_range(tmp_path, capsys, q):
+    # t = |q|**2 (or |q|**-2) overflows to inf or underflows to 0 here: the
+    # ball norm once printed NaN with exit 0, and both commands once named
+    # only a "log-domain base"
+    doc = write(tmp_path, "a.json", {"kind": "qpoly", "n": 2, "q": {"re": float(q)},
+                                     "terms": [{"k": [1, 1], "c": {"re": 1}},
+                                               {"k": [2, 0], "c": {"re": 1}}]})
+    for argv in (["norm", "--in", doc, "--family", "ball", "--rho", "1"],
+                 ["radius", "--family", "ball", "--rho", "1", "--depth", "2",
+                  "--p", "2", "--n", "2", "--q", q],
+                 ["radius", "--family", "polydisk", "--rho", "1", "--depth", "2",
+                  "--p", "2", "--n", "2", "--q", q]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: |q| = {float(q)!r} puts the base"), argv
+
+
 def test_radius_enumeration_is_bounded(capsys):
     # the coordinate sum enumerates the multi-indices of each depth, and
     # once ran on without bound; depth 3 of n = 200 has 1373701 of them

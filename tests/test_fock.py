@@ -190,3 +190,59 @@ def test_lower_bounds_by_degree_are_sub_blocks_of_one_build():
         shared = fock._lower_bounds(a, q, 1.0, degrees)
         for d, got, want in zip(degrees, shared, fresh):
             assert abs(got - want) <= 1e-14 * want, (n, q, d)
+
+
+_FOCK_MEMOS = (fock._letter_tables, fock._domain, fock._monomial_column,
+               fock._shift_pairs, fock._pair_plan)
+
+
+def _fresh_fock_stores(monkeypatch, budget):
+    for memo in _FOCK_MEMOS:
+        monkeypatch.setattr(memo, "budget", budget)
+        monkeypatch.setattr(memo, "store", {})
+        monkeypatch.setattr(memo, "total", 0)
+
+
+def _cli_mix_shapes():
+    # the fock-norm shapes of the cli-mix benchmark: n = 3, 6 terms of
+    # degree <= 3, truncation degrees 8 and 12
+    rng = Random("fock-held")
+    return [(randgen.random_qpoly(rng, 3, q, max_degree=3, terms=6), q, rho, degree)
+            for q, rho, degree in ((0.45, 0.7, 8), (0.62, 0.9, 12))]
+
+
+def test_fock_tables_are_held_once_within_their_budget(monkeypatch):
+    _fresh_fock_stores(monkeypatch, 2 ** 16)
+    shapes = _cli_mix_shapes()
+    first = [fock.op_norm_bounds(*shape) for shape in shapes]
+    held = [dict(memo.store) for memo in _FOCK_MEMOS]
+    # every table built passes through _frozen; the second calls build none
+    frozen = []
+    monkeypatch.setattr(fock, "_frozen", frozen.append)
+    assert [fock.op_norm_bounds(*shape) for shape in shapes] == first
+    assert frozen == []
+    for memo, tables in zip(_FOCK_MEMOS, held):
+        assert memo.store.keys() == tables.keys() and tables, memo.__name__
+        assert all(memo.store[key] is table for key, table in tables.items())
+        assert memo.total == sum(map(fock._entries, tables.values())) <= memo.budget
+        # every held array is read-only, shared by every caller
+        for table in tables.values():
+            for part in (table,) if isinstance(table, np.ndarray) else table:
+                assert isinstance(part, dict) or not part.flags.writeable, memo.__name__
+
+
+def test_fock_tables_over_the_budget_are_returned_unheld(monkeypatch):
+    shapes = _cli_mix_shapes()
+    _fresh_fock_stores(monkeypatch, 2 ** 16)
+    want = [fock.op_norm_bounds(*shape) for shape in shapes]
+    _fresh_fock_stores(monkeypatch, 0)
+    assert [fock.op_norm_bounds(*shape) for shape in shapes] == want
+    assert all(memo.store == {} and memo.total == 0 for memo in _FOCK_MEMOS)
+
+
+def test_fock_table_sizes_count_array_entries_and_map_keys():
+    ks, where = fock._domain(2, 3)
+    assert fock._entries((ks, where)) == ks.size + len(where) == 2 * 10 + 10
+    column = fock._monomial_column((1, 0), 0.5, 3)
+    assert fock._entries(column) == len(column) == 10
+    assert fock._entries(fock._letter_tables(0.5, 4)) == 10

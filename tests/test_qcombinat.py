@@ -1,6 +1,8 @@
 import cmath
+import importlib
 import itertools
 import math
+import pkgutil
 import sys
 import threading
 import time
@@ -9,7 +11,8 @@ from random import Random
 import numpy as np
 import pytest
 
-from qdomains import _kernels, _wordkit_py, deform, randgen
+import qdomains
+from qdomains import _kernels, _wordkit_py, deform, randgen, suites
 from qdomains import qcombinat as qc
 from qdomains._held import held
 from qdomains._wordkit_py import _SCALAR_BATCH
@@ -151,6 +154,37 @@ def test_held_stores_stay_consistent_under_threads():
     assert table.total == sum(map(len, table.store.values())) <= 50
 
 
+def _package_members():
+    """Every top-level value of each qdomains module, and the attributes of
+    the classes it defines, with their qualified names; __main__, which runs
+    the CLI on import, defines none."""
+    for info in pkgutil.iter_modules(qdomains.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"qdomains.{info.name}")
+        for name, value in vars(module).items():
+            yield f"{info.name}.{name}", value
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                for attr, member in vars(value).items():
+                    yield f"{info.name}.{name}.{attr}", member
+
+
+def test_every_table_kept_between_calls_is_held_under_one_policy():
+    # functools caches bound neither entries nor bytes; the one such wrapper
+    # left holds the CLI's argument parser, which is not a table
+    cached = {name for name, value in _package_members() if hasattr(value, "cache_info")}
+    assert cached == {"cli._parser"}
+    memos = {id(value): value for _, value in _package_members()
+             if getattr(value, "store", None) is not None and hasattr(value, "__wrapped__")}
+    names = {memo.__name__ for memo in memos.values()}
+    assert {"_letter_tables", "_domain", "_monomial_column", "_shift_pairs", "_pair_plan",
+            "q_pochhammer_inf", "_factorial_table", "multi_indices", "multi_indices_exact",
+            "_fiber_record", "_word_pool"} <= names
+    suites.run_all(seed=1234)
+    for memo in memos.values():
+        assert memo.total == sum(map(memo.size, memo.store.values())) <= memo.budget, memo
+
+
 def test_log_q_factorial_deep_in_a_fresh_cache(monkeypatch):
     # one recursion level per m overflowed Python's stack past m ~ 500; the
     # value must stay the left-to-right sum the recursion added
@@ -180,8 +214,9 @@ def test_log_q_factorial_table_is_the_direct_loop_bit_for_bit(monkeypatch):
             assert type(table) is tuple and list(table) == expected[:length], (t, m)
             assert qc.log_q_factorial_table(length - 1, t) is table
         assert [qc.log_q_factorial(m, t) for m in range(512)] == expected
-    with pytest.raises(ValueError):
-        qc.log_q_factorial_table(3, 0.0)
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            qc.log_q_factorial_table(3, t)
     with pytest.raises(ValueError):
         qc.log_q_factorial(-1, 0.5)
 
@@ -254,6 +289,19 @@ def test_weight_ball_two_forms_agree():
             for k in qc.multi_indices(n, 10):
                 assert qc.weight_ball(k, modulus) == pytest.approx(
                     qc.weight_ball_alt(k, modulus), rel=1e-10)
+
+
+def test_ball_weights_refuse_a_base_of_zero_or_inf():
+    # |q|**2 or |q|**-2 is inf or 0 in floats at these moduli, where the
+    # closed form of the table once gave inf - inf
+    for modulus in (1e200, 1e-200, 1e-170):
+        for logs in (qc.weight_ball_logs, qc.weight_ball_alt_logs):
+            with pytest.raises(ValueError, match=r"^\|q\| = .* out of the float range"):
+                logs([(1, 1), (2, 0)], modulus)
+    # near those ends, but with a finite, nonzero base, the two forms agree
+    for modulus in (1e150, 1e-150):
+        assert qc.weight_ball_logs([(1, 1), (2, 0)], modulus) == pytest.approx(
+            qc.weight_ball_alt_logs([(1, 1), (2, 0)], modulus), rel=1e-12)
 
 
 def test_weight_ball_matches_fiber_enumeration():
@@ -516,6 +564,11 @@ def test_multi_index_enumeration_counts():
     # and it is refused where that table is, before enumerating
     with pytest.raises(EnumerationCapExceeded, match="1373701 multi-indices"):
         qc.multi_indices_exact(200, 3)
+    # the |k| <= d table comes in lexicographic order as enumerated, unsorted
+    for n in range(1, 6):
+        for d in range(-1, 9):
+            assert qc.multi_indices(n, d) == tuple(
+                k for k in itertools.product(range(d + 1), repeat=n) if sum(k) <= d)
 
 
 def test_multi_index_tables_are_held_within_a_budget():
@@ -560,6 +613,12 @@ def test_words_enumeration():
     all_words = list(qc.words(2, 3))
     assert len(all_words) == 1 + 2 + 4 + 8
     assert list(qc.words_exact(2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    # every word once, shortest first, each length in lexicographic order
+    for n in range(1, 4):
+        for max_len in range(5):
+            got = list(qc.words(n, max_len))
+            assert got == sorted(set(got), key=lambda w: (len(w), w))
+            assert len(got) == sum(n ** d for d in range(max_len + 1))
 
 
 def test_word_kernels_match_brute_force():
