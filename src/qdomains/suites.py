@@ -12,6 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import islice
+from operator import add, sub
 from random import Random
 from typing import Mapping
 
@@ -174,6 +175,7 @@ def _suite_lemma_4_1(rng: Random, p: dict) -> list:
 def _suite_theorem_4_2(rng: Random, p: dict) -> list:
     worst_low = -math.inf
     worst_high = -math.inf
+    specs = [(NormSpec(POLYDISK_L1, rho), NormSpec(BALL, rho)) for rho in (0.3, 1.0)]
     for modulus in (0.5, 2.0):
         base = modulus ** -2 if modulus > 1 else modulus ** 2
         for n in (2, 3):
@@ -181,9 +183,9 @@ def _suite_theorem_4_2(rng: Random, p: dict) -> list:
             for _ in range(p["samples"]):
                 q = modulus * _phase(rng)
                 a = randgen.random_qpoly(rng, n, q, max_degree=5, terms=6)
-                for rho in (0.3, 1.0):
-                    nd = norm(a, NormSpec(POLYDISK_L1, rho))
-                    nb = norm(a, NormSpec(BALL, rho))
+                for polydisk, ball in specs:
+                    nd = norm(a, polydisk)
+                    nb = norm(a, ball)
                     worst_low = max(worst_low, (const * nd - nb) / max(nb, 1e-300))
                     worst_high = max(worst_high, (nb - nd) / max(nd, 1e-300))
     return [CheckResult("lower-sandwich", worst_low, p["tol"]),
@@ -238,23 +240,26 @@ def _suite_eq_6_10(rng: Random, p: dict) -> list:
 # norm suites
 
 def _submult_pairs(rng: Random, family: str, count: int):
+    # pair i is measured at rho = (0.3, 1.0)[i % 2], and tau = (1.0, 2.0)[i % 2]
+    # in the families with a tau
+    taus = (1.0, 2.0) if family in (LAURENT, FREE_POLYDISK) else (1.0, 1.0)
+    specs = [NormSpec(family, rho, tau=tau) for rho, tau in zip((0.3, 1.0), taus)]
     for i in range(count):
         n = 2 + i % 2
-        rho = (0.3, 1.0)[i % 2]
+        spec = specs[i % 2]
         if family in (POLYDISK_L1, BALL):
             q = (0.5, 2.0, 1.0)[i % 3] * _phase(rng)
             a = randgen.random_qpoly(rng, n, q, max_degree=4, terms=5)
             b = randgen.random_qpoly(rng, n, q, max_degree=4, terms=5)
-            yield a, b, qpoly_mul, NormSpec(family, rho)
+            yield a, b, qpoly_mul, spec
         elif family == LAURENT:
             a = randgen.random_laurent(rng, n, terms=5)
             b = randgen.random_laurent(rng, n, terms=5)
-            yield a, b, laurent_mul, NormSpec(family, rho, tau=(1.0, 2.0)[i % 2])
+            yield a, b, laurent_mul, spec
         else:
             a = randgen.random_free(rng, n, max_len=4, terms=5)
             b = randgen.random_free(rng, n, max_len=4, terms=5)
-            tau = (1.0, 2.0)[i % 2] if family == FREE_POLYDISK else 1.0
-            yield a, b, free_mul, NormSpec(family, rho, tau=tau)
+            yield a, b, free_mul, spec
 
 
 def _suite_submult_all(rng: Random, p: dict) -> list:
@@ -277,20 +282,20 @@ def _suite_quotient_contraction(rng: Random, p: dict) -> list:
     worst_poly = -math.inf
     worst_ball = -math.inf
     rho = 0.7
+    polydisk, ball, taylor, circ = (NormSpec(family, rho) for family in
+                                    (POLYDISK_L1, BALL, FREE_TAYLOR, FREE_BALL_CIRC))
+    free_polydisks = [NormSpec(FREE_POLYDISK, rho, tau=tau) for tau in (1.0, 2.0)]
     for i in range(p["samples"]):
         n = 2 + i % 2
         q = (0.5, 2.0, 1.0)[i % 3] * _phase(rng)
         f = randgen.random_free(rng, n, max_len=4, terms=6)
         image = normal_order(f, q)
-        nd = norm(image, NormSpec(POLYDISK_L1, rho))
-        nb = norm(image, NormSpec(BALL, rho))
-        worst_taylor = max(worst_taylor,
-                           nd / max(norm(f, NormSpec(FREE_TAYLOR, rho)), 1e-300) - 1.0)
-        for tau in (1.0, 2.0):
-            worst_poly = max(worst_poly,
-                             nd / max(norm(f, NormSpec(FREE_POLYDISK, rho, tau=tau)), 1e-300) - 1.0)
-        worst_ball = max(worst_ball,
-                         nb / max(norm(f, NormSpec(FREE_BALL_CIRC, rho)), 1e-300) - 1.0)
+        nd = norm(image, polydisk)
+        nb = norm(image, ball)
+        worst_taylor = max(worst_taylor, nd / max(norm(f, taylor), 1e-300) - 1.0)
+        for spec in free_polydisks:
+            worst_poly = max(worst_poly, nd / max(norm(f, spec), 1e-300) - 1.0)
+        worst_ball = max(worst_ball, nb / max(norm(f, circ), 1e-300) - 1.0)
     return [CheckResult("taylor-quotient", worst_taylor, p["tol"]),
             CheckResult("free-polydisk-quotient", worst_poly, p["tol"]),
             CheckResult("ball-circ-quotient", worst_ball, p["tol"])]
@@ -378,18 +383,21 @@ def _suite_lemma_8_5(rng: Random, p: dict) -> list:
 
 
 def _suite_lemma_8_6(rng: Random, p: dict) -> list:
-    worst = -math.inf
+    """Every word of length <= max_len over 4 letters has at most
+    cross_degree(p(alpha)) inversions.
+
+    The cross degree of each of the profiles those words reach is formed
+    once, before the walk; each batch's worst m - cross is an exact integer,
+    so its max over the batch is the max the per-word loop took."""
     n = 4
-    cross: dict = {}
+    cross = {k: qc.cross_degree(k) for k in qc.multi_indices(n, p["max_len"])}
+    worst = -math.inf
     words = qc.words(n, p["max_len"])
     # batches of mixed lengths; all 4^8 words of length 8 at once would
     # raise the peak memory of `verify all` by about 40 MB
     while batch := list(islice(words, 4096)):
         profiles, ms = qc.word_stats(batch, n)
-        for prof, m in zip(profiles, ms):
-            if prof not in cross:
-                cross[prof] = qc.cross_degree(prof)
-            worst = max(worst, float(m - cross[prof]))
+        worst = max(worst, float(max(map(sub, ms, map(cross.__getitem__, profiles)))))
     return [CheckResult("inversions-at-most-cross-degree", worst, 0.0)]
 
 
@@ -398,13 +406,25 @@ def _abs_omega_grid(s: int, parr: np.ndarray) -> np.ndarray:
 
 
 def _suite_lemma_8_10(rng: Random, p: dict) -> list:
+    """|omega(k, p)| is the distance from p to [-cross_degree(k), 0], and it
+    is subadditive: |omega(k+l, p+s-sigma(l,k))| <= |omega(k, p)| +
+    |omega(l, s)| over the grid p, s in [-30, 30].
+
+    The subadditivity grids hold exact integers.  Each side depends on
+    (k, l) only through cross_degree(k+l) and sigma(l, k) (left) and
+    cross_degree(k), cross_degree(l) (right), so each distinct left grid is
+    built once, one at a time, against each distinct right grid of its
+    pairs: the max over them is the max over all pairs."""
     span = np.arange(-30, 31)
     worst_identity = 0.0
     worst_subadd = -math.inf
+    rights: dict = {}   # (cross(k+l), sigma(l, k)) -> {(cross(k), cross(l))}
+    vecs: dict = {}     # cross(k) -> |omega(k, span)|
     for n in range(1, 4):
         idxs = qc.multi_indices(n, 5)
         cross = {k: qc.cross_degree(k) for k in idxs}
-        vecs = {k: _abs_omega_grid(cross[k], span) for k in idxs}
+        for s in set(cross.values()) - set(vecs):
+            vecs[s] = _abs_omega_grid(s, span)
         for k in idxs:
             for pp in span:
                 s = cross[k]
@@ -412,21 +432,42 @@ def _suite_lemma_8_10(rng: Random, p: dict) -> list:
                 worst_identity = max(worst_identity, abs(abs(omega(k, int(pp))) - oracle))
         for k in idxs:
             for l in idxs:
-                ksum = tuple(a + b for a, b in zip(k, l))
-                shift = qc.sigma(l, k)
-                lhs = _abs_omega_grid(qc.cross_degree(ksum),
-                                      span[:, None] + span[None, :] - shift)
-                rhs = vecs[k][:, None] + vecs[l][None, :]
-                worst_subadd = max(worst_subadd, float((lhs - rhs).max()))
+                key = (qc.cross_degree(tuple(map(add, k, l))), qc.sigma(l, k))
+                rights.setdefault(key, set()).add((cross[k], cross[l]))
+    for (s, shift), pairs in rights.items():
+        lhs = _abs_omega_grid(s, span[:, None] + span[None, :] - shift)
+        for sk, sl in pairs:
+            rhs = vecs[sk][:, None] + vecs[sl][None, :]
+            worst_subadd = max(worst_subadd, float((lhs - rhs).max()))
     return [CheckResult("clipped-exponent-interval-identity", worst_identity, 0.0),
             CheckResult("clipped-exponent-subadditive", worst_subadd, 0.0)]
 
 
+def _generator_words(n: int, max_len: int):
+    """(alpha, x_alpha) for every word alpha of length <= max_len over 1..n,
+    depth first.
+
+    Each x_alpha is laurent_mul(x_{alpha[:-1]}, x_a), the product
+    laurent_word(n, alpha) takes at its last letter a, so it is that
+    element bit for bit, built once from its prefix.  Only the current path
+    and its pending siblings are held."""
+    generators = [laurent_word(n, (a,)) for a in range(1, n + 1)]
+    stack = [((), laurent_word(n, ()))]
+    while stack:
+        alpha, built = stack.pop()
+        yield alpha, built
+        if len(alpha) < max_len:
+            stack.extend((alpha + (a,), laurent_mul(built, x_a))
+                         for a, x_a in enumerate(generators, 1))
+
+
 def _suite_laurent_word_identity(rng: Random, p: dict) -> list:
+    """Each generator word x_alpha of length <= max_len is the flat
+    monomial x^{p(alpha)} z^{-m(alpha)}; the words come from
+    _generator_words, which builds every x_alpha laurent_word builds."""
     worst = 0.0
     for n in range(1, 4):
-        for alpha in qc.words(n, p["max_len"]):
-            built = laurent_word(n, alpha)
+        for alpha, built in _generator_words(n, p["max_len"]):
             expected = LaurentElement.monomial(
                 n, qc.word_profile(alpha, n), -qc.inversions(alpha))
             worst = max(worst, _max_diff(built.terms, expected.terms))

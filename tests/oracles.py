@@ -7,8 +7,10 @@ form, partial derivatives vs the monomial bracket rule, one hand-written
 pair loop per product vs the shared twisted-product routine, one
 word-at-a-time loop per lift and normal ordering vs the batched word
 kernel, one generator letter at a time vs the closed-form Fock columns,
-and json's encoder over a document built here from the README's
-layout of each kind vs the table-driven element-text writer.
+one word, grid pair and profile at a time vs the deformation suites'
+shared prefixes, grids and cross-degree table, and json's encoder over a
+document built here from the README's layout of each kind vs the
+table-driven element-text writer.
 """
 
 import cmath
@@ -20,7 +22,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from qdomains.deform_types import HSeriesElement
-from qdomains.elements import FreeElement, LaurentElement, QPolynomial
+from qdomains.elements import FreeElement, LaurentElement, QPolynomial, laurent_word
+from qdomains.norms import omega
 from qdomains.qcombinat import q_int
 
 
@@ -161,6 +164,70 @@ def reference_chu_vandermonde_worst(params):
                     lhs = fact[sk + sum(l)] / acc
                     rhs = (dk / fk) * (fact[sum(l)] / prods[l]) * q ** brute_sigma(k, l)
                     worst = max(worst, (rhs - lhs) / lhs)
+    return worst
+
+
+def reference_laurent_word_identity_worst(params):
+    """Worst |x_alpha - x^{p(alpha)} z^{-m(alpha)}| over the words of length
+    <= max_len, n = 1..3, each x_alpha built by laurent_word from the empty
+    word, one word at a time."""
+    worst = 0.0
+    for n in range(1, 4):
+        for d in range(params["max_len"] + 1):
+            for alpha in itertools.product(range(1, n + 1), repeat=d):
+                built = laurent_word(n, alpha)
+                key = (brute_profile(alpha, n), -brute_inversions(alpha))
+                for slot in set(built.terms) | {key}:
+                    expected = 1.0 if slot == key else 0.0
+                    worst = max(worst, abs(built.terms.get(slot, 0.0) - expected))
+    return worst
+
+
+def _clipped_grid(s, p):
+    """|omega| on the integer array p for the interval [-s, 0]: 0 inside
+    it, else the distance to it."""
+    return np.where((p <= 0) & (p + s >= 0), 0, np.minimum(np.abs(p), np.abs(p + s)))
+
+
+def reference_lemma_8_10_worsts():
+    """(worst | |omega(k, p)| - distance of p to [-cross(k), 0] |, worst
+    |omega(k+l, p+s-sigma(l,k))| - |omega(k, p)| - |omega(l, s)|) over
+    |k|, |l| <= 5, n = 1..3, p, s in [-30, 30]: one left grid per pair
+    (k, l), with cross(k) = brute_sigma(k, k)."""
+    span = np.arange(-30, 31)
+    worst_identity = 0.0
+    worst_subadd = -math.inf
+    for n in range(1, 4):
+        idxs = [k for k in itertools.product(range(6), repeat=n) if sum(k) <= 5]
+        for k in idxs:
+            s = brute_sigma(k, k)
+            for p in range(-30, 31):
+                oracle = 0 if -s <= p <= 0 else min(abs(p), abs(p + s))
+                worst_identity = max(worst_identity, abs(abs(omega(k, p)) - oracle))
+        vecs = {k: _clipped_grid(brute_sigma(k, k), span) for k in idxs}
+        for k in idxs:
+            for l in idxs:
+                ksum = tuple(a + b for a, b in zip(k, l))
+                lhs = _clipped_grid(brute_sigma(ksum, ksum),
+                                    span[:, None] + span[None, :] - brute_sigma(l, k))
+                excess = lhs - vecs[k][:, None] - vecs[l][None, :]
+                worst_subadd = max(worst_subadd, float(excess.max()))
+    return worst_identity, worst_subadd
+
+
+def reference_lemma_8_6_worst(params):
+    """Worst m(alpha) - cross(p(alpha)) over the words of length <=
+    max_len over 4 letters, one word at a time, each profile's cross
+    degree brute_sigma(k, k) formed when the profile is first met."""
+    n = 4
+    worst = -math.inf
+    cross = {}
+    for d in range(params["max_len"] + 1):
+        for alpha in itertools.product(range(1, n + 1), repeat=d):
+            k = brute_profile(alpha, n)
+            if k not in cross:
+                cross[k] = brute_sigma(k, k)
+            worst = max(worst, float(brute_inversions(alpha) - cross[k]))
     return worst
 
 

@@ -11,10 +11,12 @@ import time
 import pytest
 
 from qdomains import _mutate, qcombinat as qc, spectral, suites
-from qdomains.elements import FreeElement, normal_order
+from qdomains.elements import FreeElement, laurent_word, normal_order
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec
 
-from oracles import bubble_swap_count, reference_chu_vandermonde_worst
+from oracles import (bubble_swap_count, reference_chu_vandermonde_worst,
+                     reference_laurent_word_identity_worst, reference_lemma_8_10_worsts,
+                     reference_lemma_8_6_worst, same_bits)
 
 # mpmath-verified (0.25; 0.25)_infty, 30 digits
 POCH_QUARTER = 0.688537537120339715456514357294
@@ -142,6 +144,26 @@ def test_criterion_09_deformation_combinatorics():
         assert_suite_passes(result)
     report(9, "moving-letter procedure, inversion bound, clipped-exponent grid, "
               "flat word identity: all exhaustive grids pass")
+
+
+def test_deformation_suites_equal_one_at_a_time_loops():
+    # the suites share prefixes, grids and cross degrees; the loops do not
+    words = suites.run_suite("laurent-word-identity")
+    assert [c.worst for c in words.checks] == [
+        reference_laurent_word_identity_worst(words.params)]
+    omega_grid = suites.run_suite("lemma-8-10")
+    assert [c.worst for c in omega_grid.checks] == list(reference_lemma_8_10_worsts())
+    inversions = suites.run_suite("lemma-8-6")
+    assert [c.worst for c in inversions.checks] == [reference_lemma_8_6_worst(inversions.params)]
+
+
+def test_generator_words_are_laurent_word_bit_for_bit():
+    for n in (1, 2, 3):
+        built = dict(suites._generator_words(n, 4))
+        assert len(built) == sum(n ** d for d in range(5))
+        assert sorted(built) == sorted(qc.words(n, 4))
+        for alpha, x_alpha in built.items():
+            assert same_bits(x_alpha, laurent_word(n, alpha)), alpha
 
 
 def test_criterion_10_star_product():

@@ -150,6 +150,13 @@ def test_scan_ray_path(tmp_path):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert len(payload["rows"]) == 16
+    # r_max / r_min = 1e400 leaves the float range, though both radii are finite
+    wide = run("scan", "--in", doc, "--path", "ray:0:1e-200:1e200", "--samples", "5",
+               "--family", "polydisk-l1", "--rho", "0.5")
+    assert wide.returncode == 0, wide.stderr
+    rows = json.loads(wide.stdout)["rows"]
+    assert len(rows) == 5
+    assert all(math.isfinite(value) for row in rows for value in row)
 
 
 def test_verify_single_suite_and_json():

@@ -501,3 +501,8 @@ def test_path_helpers():
     assert abs(ray[0]) == pytest.approx(0.5)
     assert abs(ray[-1]) == pytest.approx(2.0)
     assert all(abs(cmath.phase(q) - 0.5) < 1e-12 for q in ray)
+    # r_max / r_min = 1e400 is past the float range; the radii step in log space
+    wide = deform.ray_path(0.0, 5, 1e-200, 1e200)
+    assert all(map(cmath.isfinite, wide))
+    assert [abs(q) for q in wide] == pytest.approx([1e-200, 1e-100, 1.0, 1e100, 1e200],
+                                                   rel=1e-12, abs=0.0)
