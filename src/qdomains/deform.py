@@ -339,10 +339,9 @@ def ray_path(theta: float, samples: int, r_min: float = 0.5, r_max: float = 2.0)
     if not (math.isfinite(theta) and 0 < r_min < r_max < math.inf):
         raise ValueError("need a finite theta and 0 < r_min < r_max < inf")
     _check_samples(samples)
-    if samples > 1 and math.isinf(r_max / r_min):
-        # the ratio leaves the float range, its logarithm does not
-        lo, hi = math.log(r_min), math.log(r_max)
-        return [math.exp(lo + i * (hi - lo) / (samples - 1)) * cmath.exp(1j * theta)
-                for i in range(samples)]
-    step = (r_max / r_min) ** (1.0 / (samples - 1)) if samples > 1 else 1.0
-    return [r_min * step ** i * cmath.exp(1j * theta) for i in range(samples)]
+    phase = cmath.exp(1j * theta)
+    if samples == 1:
+        return [r_min * phase]
+    # step in log space: r_max / r_min may leave the float range, its logarithm does not
+    lo, hi = math.log(r_min), math.log(r_max)
+    return [math.exp(lo + i * (hi - lo) / (samples - 1)) * phase for i in range(samples)]

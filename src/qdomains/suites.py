@@ -240,26 +240,28 @@ def _suite_eq_6_10(rng: Random, p: dict) -> list:
 # norm suites
 
 def _submult_pairs(rng: Random, family: str, count: int):
-    # pair i is measured at rho = (0.3, 1.0)[i % 2], and tau = (1.0, 2.0)[i % 2]
-    # in the families with a tau
-    taus = (1.0, 2.0) if family in (LAURENT, FREE_POLYDISK) else (1.0, 1.0)
-    specs = [NormSpec(family, rho, tau=tau) for rho, tau in zip((0.3, 1.0), taus)]
-    for i in range(count):
-        n = 2 + i % 2
-        spec = specs[i % 2]
-        if family in (POLYDISK_L1, BALL):
+    # pair i is measured at rho = (0.3, 1.0)[i % 2]
+    rhos = (0.3, 1.0)
+    if family in (POLYDISK_L1, BALL):
+        specs = [NormSpec(family, rho) for rho in rhos]
+        for i in range(count):
             q = (0.5, 2.0, 1.0)[i % 3] * _phase(rng)
-            a = randgen.random_qpoly(rng, n, q, max_degree=4, terms=5)
-            b = randgen.random_qpoly(rng, n, q, max_degree=4, terms=5)
-            yield a, b, qpoly_mul, spec
-        elif family == LAURENT:
-            a = randgen.random_laurent(rng, n, terms=5)
-            b = randgen.random_laurent(rng, n, terms=5)
-            yield a, b, laurent_mul, spec
-        else:
-            a = randgen.random_free(rng, n, max_len=4, terms=5)
-            b = randgen.random_free(rng, n, max_len=4, terms=5)
-            yield a, b, free_mul, spec
+            a = randgen.random_qpoly(rng, 2 + i % 2, q, max_degree=4, terms=5)
+            b = randgen.random_qpoly(rng, 2 + i % 2, q, max_degree=4, terms=5)
+            yield a, b, qpoly_mul, specs[i % 2]
+    elif family == LAURENT:
+        specs = [NormSpec(family, rho, tau=tau) for rho, tau in zip(rhos, (1.0, 2.0))]
+        for i in range(count):
+            a = randgen.random_laurent(rng, 2 + i % 2, terms=5)
+            b = randgen.random_laurent(rng, 2 + i % 2, terms=5)
+            yield a, b, laurent_mul, specs[i % 2]
+    else:
+        taus = (1.0, 2.0) if family == FREE_POLYDISK else (1.0, 1.0)
+        specs = [NormSpec(family, rho, tau=tau) for rho, tau in zip(rhos, taus)]
+        for i in range(count):
+            a = randgen.random_free(rng, 2 + i % 2, max_len=4, terms=5)
+            b = randgen.random_free(rng, 2 + i % 2, max_len=4, terms=5)
+            yield a, b, free_mul, specs[i % 2]
 
 
 def _suite_submult_all(rng: Random, p: dict) -> list:
