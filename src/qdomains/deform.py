@@ -265,24 +265,21 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
         by_k.setdefault(k, []).append((p, c))
     keys = sorted(by_k, key=lambda k: (sum(k), k))
     moduli = np.abs(qs)
-    log_modulus = np.log(moduli)
-    log_modulus_below_one = np.where(moduli < 1.0, log_modulus, 0.0)
+    log_modulus_below_one = np.minimum(np.log(moduli), 0.0)
     log_rho = math.log(rho)
     values = np.zeros(len(qs))
     hook = "weight-ball" if family == BALL else "weight-polydisk"   # the norm's weight hook
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if family == BALL:
-            log_fact = _log_q_factorials(
-                {m for k in keys for m in (*k, sum(k))}, moduli ** 2)
+            # the folded base s = min(|q|**2, |q|**-2), as weight_ball_logs reads it
+            log_fact = _log_q_factorials({m for k in keys for m in (*k, sum(k))},
+                                         np.where(moduli < 1.0, moduli ** 2, moduli ** -2.0))
         powers = {p: qs ** p for _, p in a.terms}
         for k in keys:
             size = np.abs(sum(c * powers[p] for p, c in by_k[k]))
-            cross = qc.cross_degree(k)
+            log_w = qc.cross_degree(k) * log_modulus_below_one
             if family == BALL:
-                log_ratio = sum(log_fact[m] for m in k) - log_fact[sum(k)]
-                log_w = 0.5 * log_ratio + cross * log_modulus
-            else:
-                log_w = cross * log_modulus_below_one
+                log_w = 0.5 * (sum(log_fact[m] for m in k) - log_fact[sum(k)]) + log_w
             log_w, = _mutate.shift_logs(hook, (log_w,))   # once per key, over every sample
             log_norm = sum(k) * log_rho + log_w
             values += np.where(size == 0.0, 0.0, size * np.exp(log_norm))
@@ -297,25 +294,22 @@ def bundle_scan(a: LaurentElement, family: str, rho: float,
                       float(gaps.max(initial=0.0)))
 
 
-def _log_q_factorials(wanted: set, t: np.ndarray) -> dict:
-    """log [m]_t! for each m in wanted, vectorized over t > 0.
+def _log_q_factorials(wanted: set, s: np.ndarray) -> dict:
+    """log [m]_s! for each m in wanted, vectorized over s in [0, 1]; any
+    other s raises ValueError.
 
-    Mirrors qcombinat._factorial_table: [j]_t as a running sum of powers
-    of t, or the closed log form once t > 2 and j log t > 60 (where t**j
-    would overflow)."""
-    log_t = np.log(t)
-    log_t_minus_1 = np.log(t - 1.0)
-    out = {0: np.zeros_like(t)}
-    acc = np.zeros_like(t)
-    power = np.ones_like(t)
-    running = np.zeros_like(t)
+    Mirrors qcombinat._factorial_table: [j]_s as a running sum of powers
+    of s, which lies in [1, j], so s = 0 gives log [j]_0! = 0."""
+    if not ((s >= 0.0) & (s <= 1.0)).all():
+        raise ValueError("log-domain bases must lie in [0, 1]")
+    out = {0: np.zeros_like(s)}
+    acc = np.zeros_like(s)
+    power = np.ones_like(s)
+    running = np.zeros_like(s)
     for j in range(1, max(wanted, default=0) + 1):
         acc = acc + power
-        power = power * t
-        closed = (t > 2.0) & (j * log_t > 60.0)
-        log_int = np.where(closed, j * log_t + np.log1p(-(t ** -j)) - log_t_minus_1,
-                           np.log(acc))
-        running = running + log_int
+        power = power * s
+        running = running + np.log(acc)
         if j in wanted:
             out[j] = running
     return out

@@ -46,8 +46,6 @@ __all__ = [
     "weight_u",
     "weight_ball",
     "weight_ball_logs",
-    "weight_ball_alt",
-    "weight_ball_alt_logs",
     "word_profile",
     "word_stats",
     "word_profiles",
@@ -146,42 +144,39 @@ def q_factorial(k, q: complex) -> complex:
 
 @held(2 ** 16)
 def _factorial_table(t: float, size: int) -> tuple:
-    """log [j]_t! for j = 0, 1, ..., size - 1, for one real t > 0, built
-    upward as log [j-1]_t! + log [j]_t.
+    """log [j]_t! for j = 0, 1, ..., size - 1, for one real t in [0, 1],
+    built upward as log [j-1]_t! + log [j]_t.
 
     [j]_t = 1 + t + ... + t**(j-1) is the running sum of the powers of t,
     each the one before times t: the partial sums that summing [j]_t
     directly adds, so every entry is bit for bit that of the direct loop.
-    Once t > 2 and j log t > 60, where t**j would soon overflow, log [j]_t
-    takes the closed form j log t + log1p(-t**-j) - log(t - 1).  verify
-    all holds about 750 entries in 61 tables."""
-    log_t = math.log(t)
+    On [0, 1], [j]_t lies in [1, j], so no entry overflows, and t = 0
+    gives log [j]_0! = 0.  A base above 1 is folded onto 1/t by the
+    callers ([j]_t = t**(j-1) [j]_{1/t}).  verify all holds about 750
+    entries in 61 tables."""
     acc, power = 0.0, 1.0   # [j]_t and t**j
     table = [0.0]
     for j in range(1, size):
         acc += power
         power *= t
-        if t > 2.0 and j * log_t > 60.0:
-            log_int = j * log_t + math.log1p(-(t ** -j)) - math.log(t - 1.0)
-        else:
-            log_int = math.log(acc)
-        table.append(table[-1] + log_int)
+        table.append(table[-1] + math.log(acc))
     return tuple(table)
 
 
 def log_q_factorial_table(m: int, t: float) -> tuple:
-    """The shared table of log([j]_t!) for j = 0..m at least, for real t > 0.
+    """The shared table of log([j]_t!) for j = 0..m at least, for real t
+    in [0, 1]; any other t raises ValueError.
 
     Its length is the power of two above m, so a few lengths per t serve
     every m; the tables are held as _held.held holds them."""
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"log-domain base must be positive and finite, got {t!r}")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"log-domain base must lie in [0, 1], got {t!r}")
     return _factorial_table(t, 1 << index(m).bit_length())
 
 
 def log_q_factorial(m: int, t: float) -> float:
-    """log([m]_t!) for real t > 0 (log-domain; never overflows), read from
-    a shared table of t."""
+    """log([m]_t!) for real t in [0, 1] (log-domain; never overflows), read
+    from a shared table of t."""
     if m < 0:
         raise ValueError("q-factorial index must be nonnegative")
     return log_q_factorial_table(m, t)[m]
@@ -266,34 +261,28 @@ def weight_u(k: Sequence[int], q) -> float:
     return math.exp(cross_degree(k) * as_qparam(q).log_modulus)
 
 
-def _weight_base(modulus: float, power) -> float:
-    """t = |q|**power (modulus * modulus for power 2), the base of a log
-    [j]_t! table; a t that floats make 0 or inf raises ValueError naming |q|."""
-    try:
-        t = modulus * modulus if power == 2 else modulus ** power
-    except OverflowError:   # a negative power of a tiny modulus
-        t = math.inf
-    if 0.0 < t < math.inf:
-        return t
-    raise ValueError(f"|q| = {modulus!r} puts the base |q|**{power:g} out of the float range")
-
-
-def _ball_table(keys, t: float) -> tuple:
-    """The log [j]_t! table for the exponent vectors keys, with their totals."""
-    # a negative entry would read the table from its end
-    if min(chain.from_iterable(keys), default=0) < 0:
-        raise ValueError("q-factorial index must be nonnegative")
-    totals = list(map(sum, keys))
-    return log_q_factorial_table(max(totals, default=0), t), totals
+def _folded_base(modulus: float, power: float) -> float:
+    """s = min(t, 1/t) for t = modulus**power, the base of a log [j]_s!
+    table, formed as modulus**(+-power) so that no t out of the float range
+    is formed; an s that underflows to 0 is a valid base."""
+    if (modulus > 1.0) == (power > 0):
+        power = -power
+    return modulus * modulus if power == 2 else modulus ** power
 
 
 def weight_ball_logs(keys: Sequence[Sequence[int]], q) -> list:
     """log of the ball weight ([k]_t! / [|k|]_t!)**(1/2) u_q(k), t = |q|**2,
-    for each exponent vector k in keys, read from the shared log [j]_t!
-    table of t."""
+    for each exponent vector k in keys, read from the shared log [j]_s!
+    table of s = min(t, 1/t).  At |q| > 1 the fold [j]_t = t**(j-1) [j]_s
+    gives the paper's second form ([k]_s! / [|k|]_s!)**(1/2): its factor
+    t**(-cross(k)/2) cancels u_q(k), so only |q| < 1 adds cross(k) log|q|."""
     qp = as_qparam(q)
-    log_modulus = qp.log_modulus
-    table, totals = _ball_table(keys, _weight_base(qp.modulus, 2))
+    log_modulus = min(qp.log_modulus, 0.0)
+    # a negative entry would read the table from its end
+    if min(chain.from_iterable(keys), default=0) < 0:
+        raise ValueError("q-factorial index must be nonnegative")
+    totals = list(map(sum, keys))
+    table = log_q_factorial_table(max(totals, default=0), _folded_base(qp.modulus, 2))
     at = table.__getitem__
     return _mutate.shift_logs("weight-ball", [
         0.5 * (sum(map(at, k)) - at(total))
@@ -304,19 +293,6 @@ def weight_ball_logs(keys: Sequence[Sequence[int]], q) -> list:
 def weight_ball(k: Sequence[int], q) -> float:
     """([k]_{|q|^2}! / [|k|]_{|q|^2}!)**(1/2) * u_q(k); equals (k!/|k|!)**(1/2) at |q| = 1."""
     return math.exp(weight_ball_logs((k,), q)[0])
-
-
-def weight_ball_alt_logs(keys: Sequence[Sequence[int]], q) -> list:
-    """log of the alternate form ([k]_s! / [|k|]_s!)**(1/2), s = |q|**-2, of
-    the ball weight for each exponent vector k in keys."""
-    table, totals = _ball_table(keys, _weight_base(as_qparam(q).modulus, -2))
-    at = table.__getitem__
-    return [0.5 * (sum(map(at, k)) - at(total)) for k, total in zip(keys, totals)]
-
-
-def weight_ball_alt(k: Sequence[int], q) -> float:
-    """Alternate form ([k]_{|q|^{-2}}! / [|k|]_{|q|^{-2}}!)**(1/2) of the ball weight."""
-    return math.exp(weight_ball_alt_logs((k,), q)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ spectral contractivity test.
 Coordinate tuples are summed in closed form: since x_alpha is a scalar
 multiple q^{-m(alpha)} of x^{p(alpha)}, the word sum over W_{n,d} groups
 by exponent vector with the Mahonian factor [|k|]_t!/[k]_t!, t = |q|^{-p}
-(the multinomial |k|!/k! at |q| = 1).  Generic tuples enumerate the n**d
-words of depth d, up to qcombinat.ENUMERATION_CAP of them.
+(the multinomial |k|!/k! at |q| = 1), read from the log-factorial table of
+s = min(t, 1/t): where t > 1, [j]_t = t^{j-1} [j]_s turns the factor into
+t^{cross(k)} [|k|]_s!/[k]_s!, so no table leaves the float range.  Generic
+tuples enumerate the n**d words of depth d, up to
+qcombinat.ENUMERATION_CAP of them.
 """
 
 from __future__ import annotations
@@ -107,13 +110,16 @@ def _logsumexp(values):
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
-def _log_mahonian(k, t: float) -> float:
-    # log sum over the fiber of t**m(alpha); exact multinomial at t = 1
-    if abs(t - 1.0) <= _UNIMODULAR_TOL:
+def _log_mahonian(k, s: float, log_t: float) -> float:
+    # log sum over the fiber of t**m(alpha), read from the log [j]_s! table
+    # of s = min(t, 1/t): where t > 1 the fold [j]_t = t**(j-1) [j]_s adds
+    # cross(k) log t.  Exact multinomial at t = 1
+    if abs(s - 1.0) <= _UNIMODULAR_TOL:
         return math.log(qc.fiber_count(k))
     total = sum(k)
-    table = qc.log_q_factorial_table(total, t)
-    return table[total] - sum(map(table.__getitem__, k))
+    table = qc.log_q_factorial_table(total, s)
+    return (table[total] - sum(map(table.__getitem__, k))
+            + qc.cross_degree(k) * max(log_t, 0.0))
 
 
 def _coordinate_estimate(ts: TupleSpec, d: int) -> float:
@@ -132,8 +138,8 @@ def _coordinate_estimate(ts: TupleSpec, d: int) -> float:
             best = max(best, bump + log_norm)
         return math.exp(best / d)
     p = float(ts.p)
-    t = qc._weight_base(qp.modulus, -p)
-    logs = [_log_mahonian(k, t) + p * log_norm for k, log_norm in zip(keys, log_norms)]
+    s, log_t = qc._folded_base(qp.modulus, -p), -p * qp.log_modulus   # t = |q|**-p
+    logs = [_log_mahonian(k, s, log_t) + p * log_norm for k, log_norm in zip(keys, log_norms)]
     return math.exp(_logsumexp(logs) / (p * d))
 
 

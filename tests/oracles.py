@@ -10,13 +10,17 @@ kernel, one generator letter at a time vs the closed-form Fock columns,
 one word, grid pair and profile at a time vs the deformation suites'
 shared prefixes, grids and cross-degree table, and json's encoder over a
 document built here from the README's layout of each kind vs the
-table-driven element-text writer.
+table-driven element-text writer.  The exact_* oracles compute at a
+rational q with fractions.Fraction and ints, so they give the true value
+that a float route rounds.
 """
 
 import cmath
+import decimal
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
@@ -449,9 +453,7 @@ def reference_element_text(e):
 
 def direct_log_q_int(j, t):
     """log [j]_t with [j]_t summed from scratch, j powers of t, each the one
-    before times t; once t > 2 and j log t > 60 the closed log form."""
-    if t > 2.0 and j * math.log(t) > 60.0:
-        return j * math.log(t) + math.log1p(-(t ** -j)) - math.log(t - 1.0)
+    before times t."""
     acc = 0.0
     power = 1.0
     for _ in range(j):
@@ -504,16 +506,18 @@ def _direct_log_q_factorial(m, t):
 def reference_qpoly_norm(a, family, rho):
     """A q-plane norm term by term, in the (|k|, k) order of the terms:
     each monomial's log norm |k| log rho + log weight from scratch, the
-    ball weight from q-factorials summed directly."""
+    ball weight from q-factorials summed directly at the folded base
+    s = min(|q|**2, |q|**-2), with cross(k) log|q| only at |q| < 1.  This
+    checks the batching; exact_ball_weight_sq checks the formula."""
     modulus = abs(a.q.value)
     acc = 0.0
     for k in sorted(a.terms, key=lambda k: (sum(k), k)):
         cross = sum(k[i] * k[j] for i in range(len(k)) for j in range(i + 1, len(k)))
         if family == "ball":
-            t = modulus * modulus
-            log_w = (0.5 * (sum(_direct_log_q_factorial(m, t) for m in k)
-                            - _direct_log_q_factorial(sum(k), t))
-                     + cross * math.log(modulus))
+            s = modulus * modulus if modulus <= 1.0 else modulus ** -2
+            log_w = (0.5 * (sum(_direct_log_q_factorial(m, s) for m in k)
+                            - _direct_log_q_factorial(sum(k), s))
+                     + cross * min(math.log(modulus), 0.0))
         else:
             log_w = 0.0 if modulus >= 1.0 else cross * math.log(modulus)
         log_norm = sum(k) * math.log(rho) + log_w
@@ -522,6 +526,46 @@ def reference_qpoly_norm(a, family, rho):
         else:
             acc += abs(a.terms[k]) * math.exp(log_norm)
     return math.sqrt(acc) if family == "polydisk-l2" else acc
+
+
+# ---------------------------------------------------------------------------
+# exact weights at rational q
+
+def exact_mahonian_sum(k, t):
+    """The sum over the fiber p^{-1}(k) of t**m(alpha), exactly, at a
+    rational t: the q-multinomial [|k|]_t! / [k]_t!.  With t = a/b each
+    [j]_t is J_j / b**(j-1), J_j = a**(j-1) + a**(j-2) b + ... + b**(j-1)
+    in ints, so the sum is the int quotient of the products of the J_j
+    over b**cross(k)."""
+    t = Fraction(t)
+    a, b = t.numerator, t.denominator
+
+    def factorial(m):   # [m]_t! b**(m (m - 1) / 2)
+        return math.prod(sum(a ** i * b ** (j - 1 - i) for i in range(j))
+                         for j in range(1, m + 1))
+
+    multinomial, rest = divmod(factorial(sum(k)), math.prod(map(factorial, k)))
+    assert rest == 0
+    return Fraction(multinomial, b ** brute_sigma(k, k))
+
+
+def exact_ball_weight_sq(k, modulus: Fraction):
+    """The squared ball weight ([k]_t! / [|k|]_t!) |q|**(2 cross(k)),
+    t = |q|**2, exactly, at a rational |q|: |q|**(2 cross(k)) over the
+    Mahonian sum at t, the paper's first form, with no fold."""
+    t = Fraction(modulus) ** 2
+    return t ** brute_sigma(k, k) / exact_mahonian_sum(k, t)
+
+
+def exact_log(r):
+    """log r for a positive rational r, from 50-digit decimal logarithms of
+    its numerator and denominator: exact to far below a float's last bit,
+    whatever the size of r, where math.log(float(r)) needs r in the float
+    range and rounds r first."""
+    r = Fraction(r)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return float(decimal.Decimal(r.numerator).ln() - decimal.Decimal(r.denominator).ln())
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,19 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
-from oracles import reference_element_text
+from oracles import (brute_sigma, exact_ball_weight_sq, exact_log, exact_mahonian_sum,
+                     reference_element_text)
 
 from qdomains import cli, deform, randgen
 from qdomains import qcombinat as qc
-from qdomains.elements import free_mul, laurent_mul, normal_order, qpoly_mul
+from qdomains.elements import (LaurentElement, fiber_eval, free_mul, laurent_mul, normal_order,
+                               qpoly_mul)
+from qdomains.norms import NormSpec, norm
 from qdomains.serialize import element_to_document, parse_element
 
 QD = [sys.executable, "-m", "qdomains"]
@@ -157,6 +161,19 @@ def test_scan_ray_path(tmp_path):
     rows = json.loads(wide.stdout)["rows"]
     assert len(rows) == 5
     assert all(math.isfinite(value) for row in rows for value in row)
+    # on x1 x2 + z x1^2 out to |q| = 1e300, where |q|**2 leaves the float
+    # range, each row of either family is the norm of the fiber at its q
+    a = LaurentElement(2, {((1, 1), 0): 1.0, ((2, 0), 1): 1.0})
+    two_terms = write(tmp_path, "m.json", element_to_document(a))
+    for family in ("ball", "polydisk-l1"):
+        wide = run("scan", "--in", two_terms, "--path", "ray:0:1e-300:1e300", "--samples", "7",
+                   "--family", family, "--rho", "0.5")
+        assert wide.returncode == 0, wide.stderr
+        rows = json.loads(wide.stdout)["rows"]
+        assert len(rows) == 7
+        for re, im, value in rows:
+            want = norm(fiber_eval(a, complex(re, im)), NormSpec(family, 0.5))
+            assert value == pytest.approx(want, rel=1e-15, abs=0.0), (re, value, want)
 
 
 def test_verify_single_suite_and_json():
@@ -438,23 +455,72 @@ def test_weight_mutations_reach_the_scan(tmp_path, family, mutation):
         assert moved[2] / row[2] - 1.0 == pytest.approx(1e-6, rel=1e-6)
 
 
-@pytest.mark.parametrize("q", ["1e200", "1e-200"])
-def test_weights_refuse_a_modulus_past_the_float_range(tmp_path, capsys, q):
-    # t = |q|**2 (or |q|**-2) overflows to inf or underflows to 0 here: the
-    # ball norm once printed NaN with exit 0, and both commands once named
-    # only a "log-domain base"
-    doc = write(tmp_path, "a.json", {"kind": "qpoly", "n": 2, "q": {"re": float(q)},
-                                     "terms": [{"k": [1, 1], "c": {"re": 1}},
-                                               {"k": [2, 0], "c": {"re": 1}}]})
-    for argv in (["norm", "--in", doc, "--family", "ball", "--rho", "1"],
-                 ["radius", "--family", "ball", "--rho", "1", "--depth", "2",
-                  "--p", "2", "--n", "2", "--q", q],
-                 ["radius", "--family", "polydisk", "--rho", "1", "--depth", "2",
-                  "--p", "2", "--n", "2", "--q", q]):
-        assert cli.main(argv) == 2, argv
+def _log_sum(logs):
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def _exact_log_weight_sq(k, modulus, family):
+    """log w(k)**2 of x^k, exactly at the rational |q|, for the ball or a
+    polydisk family."""
+    if family == "ball":
+        return exact_log(exact_ball_weight_sq(k, modulus))
+    return exact_log(min(modulus, 1) ** (2 * brute_sigma(k, k)))
+
+
+@pytest.mark.parametrize("q", [f"1e{sign}{e}" for e in (10, 40, 100, 150, 200, 300)
+                               for sign in ("", "-")])
+def test_weights_answer_at_a_modulus_far_from_one(tmp_path, capsys, q):
+    # every weight reads its table at s = min(t, 1/t), so norm, radius and
+    # scan answer wherever the true result is a float, and match the exact
+    # oracle at the rational value of the float q; they exit 2 with an
+    # overflow only where the true result leaves the float range
+    modulus = Fraction(float(q))
+    qpoly = write(tmp_path, "a.json", {"kind": "qpoly", "n": 2, "q": {"re": float(q)},
+                                       "terms": [{"k": [1, 1], "c": {"re": 1}},
+                                                 {"k": [2, 0], "c": {"re": 1}}]})
+    laurent = write(tmp_path, "l.json", {"kind": "laurent", "n": 2,
+                                         "terms": [{"k": [1, 1], "p": 0, "c": {"re": 1}},
+                                                   {"k": [2, 0], "p": 1, "c": {"re": 1}}]})
+
+    def answer(argv, key):
+        code = cli.main(argv)
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: |q| = {float(q)!r} puts the base"), argv
+        assert code == 0 and captured.err == "", (argv, captured.err)
+        return json.loads(captured.out)[key]
+
+    # norm of x1 x2 + x1^2 at rho = 1: w(1, 1) + w(2, 0), or its l2 form
+    for family in ("ball", "polydisk-l1", "polydisk-l2"):
+        power = 2 if family == "polydisk-l2" else 1
+        log_norm = _log_sum([0.5 * power * _exact_log_weight_sq(k, modulus, family)
+                             for k in ((1, 1), (2, 0))]) / power
+        argv = ["norm", "--in", qpoly, "--family", family, "--rho", "1"]
+        assert answer(argv, "norm") == pytest.approx(math.exp(log_norm), rel=1e-14)
+        # at rho = 1e160 the true norm is past rho^2 w(2, 0) = 1e320
+        assert cli.main(argv[:-1] + ["1e160"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: overflow: "), family
+    # scan of x1 x2 + z x1^2 at three radii from |q| on the positive ray:
+    # the fiber at q is x1 x2 + q x1^2, of norm w(1, 1) + |q| w(2, 0)
+    for family in ("ball", "polydisk-l1"):
+        argv = ["scan", "--in", laurent, "--path", f"ray:0:{q}:{10 * float(q)!r}",
+                "--samples", "3", "--family", family, "--rho", "1"]
+        rows = answer(argv, "rows")
+        assert len(rows) == 3 and all(row[1] == 0.0 for row in rows)
+        for re, _, value in rows:
+            want = _log_sum([0.5 * _exact_log_weight_sq((1, 1), Fraction(re), family),
+                             math.log(re)])
+            assert value == pytest.approx(math.exp(want), rel=1e-14), (re, value)
+    # radius at p = 2, depth <= 3: (sum over |k| = d of the Mahonian sum
+    # at |q|^-2 times w(k)^2)^(1/2d)
+    for family in ("ball", "polydisk"):
+        argv = ["radius", "--family", family, "--rho", "1", "--depth", "3",
+                "--p", "2", "--n", "2", "--q", q]
+        for d, value in zip((1, 2, 3), answer(argv, "values")):
+            logs = [exact_log(exact_mahonian_sum((i, d - i), modulus ** -2))
+                    + _exact_log_weight_sq((i, d - i), modulus, family)
+                    for i in range(d + 1)]
+            assert value == pytest.approx(math.exp(_log_sum(logs) / (2 * d)), rel=1e-14), d
 
 
 def test_radius_enumeration_is_bounded(capsys):

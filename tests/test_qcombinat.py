@@ -6,13 +6,14 @@ import pkgutil
 import sys
 import threading
 import time
+from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
 
 import qdomains
-from qdomains import _kernels, _wordkit_py, deform, randgen, suites
+from qdomains import _kernels, _mutate, _wordkit_py, deform, randgen, spectral, suites
 from qdomains import qcombinat as qc
 from qdomains._held import held
 from qdomains._wordkit_py import _SCALAR_BATCH
@@ -20,7 +21,8 @@ from qdomains.elements import ball_lift, polydisk_lift
 from qdomains.qcombinat import EnumerationCapExceeded, QParam
 
 from oracles import (brute_fiber, brute_inversions, brute_mahonian_sum, brute_profile,
-                     brute_sigma, direct_log_q_int, reference_held_store)
+                     brute_sigma, direct_log_q_int, exact_ball_weight_sq, exact_log,
+                     exact_mahonian_sum, reference_held_store)
 
 # mpmath-verified infinite products (30 digits), frozen
 POCH_HALF_HALF = 0.288788095086602421278899721929
@@ -70,13 +72,18 @@ def test_q_factorial_takes_any_integral_scalar():
 
 
 def test_log_q_factorial_matches_direct_product():
-    for t in (0.25, 0.5, 0.999999999, 1.0, 1.5, 9.0):
+    # the tables live on [0, 1]; a base t > 1 is read at 1/t by its callers
+    for t in (0.0, 0.25, 0.5, 0.999999999, 1.0, 1 / 1.5, 1 / 9.0):
         for m in range(0, 12):
             direct = 1.0
             for j in range(1, m + 1):
                 direct *= sum(t ** i for i in range(j))
             assert qc.log_q_factorial(m, t) == pytest.approx(math.log(direct) if m else 0.0,
                                                              abs=1e-12)
+    assert qc.log_q_factorial(11, 0.0) == 0.0
+    for t in (1.5, 9.0):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            qc.log_q_factorial(5, t)
 
 
 def _fresh_store(monkeypatch, table, budget):
@@ -183,26 +190,31 @@ def test_every_table_kept_between_calls_is_held_under_one_policy():
     suites.run_all(seed=1234)
     for memo in memos.values():
         assert memo.total == sum(map(memo.size, memo.store.values())) <= memo.budget, memo
+    # every weight reads its log-factorial table at a base folded into [0, 1]
+    assert qc._factorial_table.store
+    assert all(0.0 <= t <= 1.0 for t, _ in qc._factorial_table.store)
 
 
 def test_log_q_factorial_deep_in_a_fresh_cache(monkeypatch):
     # one recursion level per m overflowed Python's stack past m ~ 500; the
     # value must stay the left-to-right sum the recursion added
     _fresh_store(monkeypatch, qc._factorial_table, 2 ** 16)
-    for t in (0.25, 1.0, 3.0):
+    for t in (0.25, 1.0, 1 / 3.0):
         for m in (1200, 600):
             total = 0.0
             for j in range(1, m + 1):
                 total += direct_log_q_int(j, t)
             assert qc.log_q_factorial(m, t) == total, (m, t)
+    assert qc.log_q_factorial_table(1200, 0.0) == (0.0,) * 2048
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        qc.log_q_factorial(1200, 3.0)
 
 
 def test_log_q_factorial_table_is_the_direct_loop_bit_for_bit(monkeypatch):
     # the table builds [j]_t from [j-1]_t's running sum and power; summing
-    # every [j]_t from scratch must give the same bits, through the
-    # switch to the closed form at t > 2
+    # every [j]_t from scratch must give the same bits
     _fresh_store(monkeypatch, qc._factorial_table, 2 ** 16)
-    for t in (0.25, 0.81, 1.0, 1.21, 4.0, 9.0):
+    for t in (0.0, 0.25, 0.81, 1.0, 1 / 1.21, 1 / 4.0, 1 / 9.0):
         total = 0.0
         expected = [total]
         for j in range(1, 512):
@@ -214,8 +226,9 @@ def test_log_q_factorial_table_is_the_direct_loop_bit_for_bit(monkeypatch):
             assert type(table) is tuple and list(table) == expected[:length], (t, m)
             assert qc.log_q_factorial_table(length - 1, t) is table
         assert [qc.log_q_factorial(m, t) for m in range(512)] == expected
-    for t in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
+    assert qc.log_q_factorial_table(400, 0.0) == (0.0,) * 512
+    for t in (1.21, 4.0, 9.0, -0.25, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             qc.log_q_factorial_table(3, t)
     with pytest.raises(ValueError):
         qc.log_q_factorial(-1, 0.5)
@@ -241,7 +254,7 @@ def test_scan_factorials_hold_to_the_shared_table():
     # bundle_scan keeps a numpy copy of the table over its samples; it
     # agrees bit for bit where numpy's log is math.log's, and within a few
     # ulps of the sum anywhere
-    ts = np.array([0.25, 0.81, 1.0, 1.21, 2.5, 4.0, 9.0, 1e-3, 30.0])
+    ts = np.array([0.0, 0.25, 0.81, 1.0, 1 / 1.21, 1 / 2.5, 1 / 4.0, 1 / 9.0, 1e-3, 1 / 30.0])
     wanted = set(range(0, 301, 7)) | {300}
     with np.errstate(all="ignore"):
         got = deform._log_q_factorials(wanted, ts)
@@ -249,6 +262,10 @@ def test_scan_factorials_hold_to_the_shared_table():
         table = qc.log_q_factorial_table(300, t)
         for m in wanted:
             assert got[m][i] == pytest.approx(table[m], rel=1e-13, abs=1e-13), (t, m)
+    assert all(got[m][0] == 0.0 for m in wanted)
+    for t in (1.21, 30.0, math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            deform._log_q_factorials(wanted, np.array([0.5, t]))
 
 
 def test_pochhammer_values():
@@ -283,25 +300,69 @@ def test_weight_ball_examples():
     assert qc.weight_ball((1, 1), 0.5) == pytest.approx(5 ** -0.5, rel=1e-12)
 
 
-def test_weight_ball_two_forms_agree():
-    for modulus in (0.5, 0.9, 1.0, 1.3, 3.0):
-        for n in (1, 2, 3):
-            for k in qc.multi_indices(n, 10):
-                assert qc.weight_ball(k, modulus) == pytest.approx(
-                    qc.weight_ball_alt(k, modulus), rel=1e-10)
+def _exact_weight_cases():
+    """Per |q| = 1/2, 3/4, 2, 10, 1000 and 10**100: 200 random exponent
+    vectors (n = 2-4, entries up to 12; up to 3 at 10**100, where the
+    exact ints have about 200 cross(k) digits), with the exact log ball
+    weight of each and its exact log Mahonian sums at t = |q|**-1 and
+    |q|**-2."""
+    rng = Random("exact-weights")
+    cases = []
+    for modulus in (Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(10),
+                    Fraction(1000), Fraction(10) ** 100):
+        top = 3 if modulus > 1000 else 12
+        keys = [tuple(rng.randint(0, top) for _ in range(rng.randint(2, 4)))
+                for _ in range(200)]
+        ball = [exact_log(exact_ball_weight_sq(k, modulus)) / 2 for k in keys]
+        mahonian = {p: [exact_log(exact_mahonian_sum(k, modulus ** -p)) for k in keys]
+                    for p in (1, 2)}
+        cases.append((modulus, keys, ball, mahonian))
+    return cases
 
 
-def test_ball_weights_refuse_a_base_of_zero_or_inf():
-    # |q|**2 or |q|**-2 is inf or 0 in floats at these moduli, where the
-    # closed form of the table once gave inf - inf
-    for modulus in (1e200, 1e-200, 1e-170):
-        for logs in (qc.weight_ball_logs, qc.weight_ball_alt_logs):
-            with pytest.raises(ValueError, match=r"^\|q\| = .* out of the float range"):
-                logs([(1, 1), (2, 0)], modulus)
-    # near those ends, but with a finite, nonzero base, the two forms agree
-    for modulus in (1e150, 1e-150):
-        assert qc.weight_ball_logs([(1, 1), (2, 0)], modulus) == pytest.approx(
-            qc.weight_ball_alt_logs([(1, 1), (2, 0)], modulus), rel=1e-12)
+def test_ball_and_mahonian_weights_hold_to_the_exact_oracle(monkeypatch):
+    # the exact Mahonian sum is the fiber sum of t**m(alpha)
+    for k in ((2, 1), (1, 2, 1), (0, 3, 2)):
+        for t in (Fraction(1, 3), Fraction(5, 2)):
+            assert exact_mahonian_sum(k, t) == sum(t ** brute_inversions(alpha)
+                                                   for alpha in brute_fiber(k))
+    cases = _exact_weight_cases()
+    for modulus, keys, ball, mahonian in cases:
+        for k, got, want in zip(keys, qc.weight_ball_logs(keys, float(modulus)), ball):
+            # |q| > 1 reads the paper's second form at s = |q|**-2, where the
+            # t = |q|**2 table erred by up to 2.9e-11; at |q| < 1,
+            # cross(k) log|q| is most of the log, up to about 600
+            assert abs(got - want) <= (1e-14 if modulus > 1 else 2 * math.ulp(want)), (
+                modulus, k, got, want)
+        for p, sums in mahonian.items():
+            s, log_t = qc._folded_base(float(modulus), -p), -p * math.log(modulus)
+            for k, want in zip(keys, sums):
+                got = spectral._log_mahonian(k, s, log_t)
+                if modulus > 1:
+                    # t < 1: the sum lies in [1, |k|!/k!]; the running sums of
+                    # the t = 1/2 table err by up to 2.6e-14
+                    assert abs(got - want) <= (1e-14 if p == 2 else 3e-14), (modulus, p, k)
+                else:
+                    # t > 1 adds cross(k) log t, up to about 1200
+                    assert abs(got - want) <= 2 * math.ulp(want), (modulus, p, k)
+    # a weight bumped by 1e-6 is far off at every |q|
+    monkeypatch.setattr(_mutate, "_active", "weight-ball")
+    for modulus, keys, ball, _ in cases:
+        got = qc.weight_ball_logs(keys, float(modulus))
+        assert min(abs(g - w) for g, w in zip(got, ball)) > 1e-7, modulus
+
+
+@pytest.mark.parametrize("modulus", [f"1e{sign}{e}" for e in (10, 40, 100, 150, 200, 300)
+                                     for sign in ("", "-")])
+def test_ball_weights_answer_at_any_modulus(modulus):
+    # |q|**2 or |q|**-2 leaves the float range at most of these moduli, where
+    # the weights once raised or gave inf - inf; the folded base is 0 or
+    # tiny there, and the weight is still the exact one, at the rational
+    # value of the float |q|
+    keys = [(1, 1), (2, 0), (3, 2, 1)]
+    for k, log_w in zip(keys, qc.weight_ball_logs(keys, float(modulus))):
+        want = exact_log(exact_ball_weight_sq(k, Fraction(float(modulus)))) / 2
+        assert abs(log_w - want) <= max(1e-15, 2 * math.ulp(want)), (k, log_w, want)
 
 
 def test_weight_ball_matches_fiber_enumeration():
