@@ -22,6 +22,7 @@ MUTATION_POINTS = (
     "star-phase",
     "normal-order-phase",
     "qpoly-phase",
+    "formal-order-phase",
 )
 
 

@@ -8,6 +8,9 @@ about 30-60 us, while the scalar loops take 3-6 us per word of 4-12
 letters, so they are faster up to about 16-20 words (timeit, 2-letter to
 6-letter alphabets); the normal orderings and norms of the 4-6 term
 elements that the suites check make tens of thousands of such calls.
+The profiles alone (word_profiles, for the circ norm) have their own
+cutoff, _SCALAR_PROFILES, since without the inversion counts the scalar
+loop is cheaper per word.
 
 A fiber p^{-1}(k) is enumerated into one record, fiber(counts): its words
 in lexicographic order and their inversion numbers, as tuples.  Both come
@@ -17,7 +20,9 @@ and such a word has the inversions of w plus one per letter of k below i
 (_enumerate_fiber); no statistics pass runs over the words.  The records
 are held by profile under _held.held while they add up to at most 2**12
 words (_fiber_record).  Besides, the record of the profile asked for last
-is kept, held or not, until another profile is asked for.  So the lifts
+is kept, held or not, until another profile is asked for; it is let go
+before the next one is enumerated, so the two are not alive at once
+unless the store holds the old one.  So the lifts
 of one x^k, its fiber lists and its Mahonian sum share a single
 enumeration, and a suite that comes back to a small profile finds its
 record.  fiber_words and fiber_inversions return fresh lists.
@@ -25,12 +30,29 @@ record.  fiber_words and fiber_inversions return fresh lists.
 The record of the profile asked for last also answers word_stats: a batch
 of words of that fiber (the words of a lift of x^k, in any order and any
 number) has profile k and the recorded inversion numbers, so fiber_stats
-reads them from the record's word -> inversions map, built when first
-needed after that profile was asked for, and no statistics pass runs.
-Any other batch (a foreign word anywhere in it, an unhashable word, an
-empty batch, another n, or no record) takes the scalar or numpy route,
-and must have every letter in 1..n."""
+reads them from the record and no statistics pass runs.  It looks them up
+in one of three ways:
+- a batch that is the record's own word sequence (same length, same words,
+  same order, as the terms of a ball lift are) takes the record's
+  inversion numbers as they are, after one C-level comparison;
+- a batch of fewer than _BISECT_BATCH words (a polydisk lift's one word)
+  finds each word by bisection, as the record is in lexicographic order;
+- any other batch reads the record's word -> inversions map, built when
+  first needed after that profile was asked for.
+A batch off the record (a foreign word anywhere in it, an unhashable
+word, an empty batch, another n, or no record) takes the scalar or numpy
+route, and must have every letter in 1..n.
 
+The record asked for last also keeps the layout of the formal lift of
+its fiber built last (keep_layout; a lift too small for the ordering's
+array pass keeps none): the lift's term keys (h-power, word) in order,
+with the h-power and the inversion number of each key as small-dtype
+arrays.  deform.normal_order_formal reads p and m from it for each chunk
+of an element whose keys equal that layout's (fiber_layout), and computes
+them otherwise.  The next formal lift of the fiber replaces the layout,
+and asking for another profile drops it with the record."""
+
+from bisect import bisect_left
 from itertools import chain
 from operator import index
 
@@ -63,9 +85,21 @@ def word_profile(word, n):
 
 
 _SCALAR_BATCH = 20
+# word_profiles' own cutoff: without the inversion counts the scalar loop
+# costs about 0.6-1 us per word against 17-35 us for a bincount pass of
+# 10-50 words, so it wins up to about 50 words (timeit, n = 2-4, words of
+# 4-9 letters: 40 words 25-32 us against 29 us, 60 words 36-49 against
+# 36-44 us)
+_SCALAR_PROFILES = 50
+# batches below this many words find their words in the record by
+# bisection, at 0.6-1.0 us a word, where building the record's word ->
+# inversions map costs about 0.13 us per record word (timeit, fibers of 90
+# to 7,560 words): a polydisk lift's one word no longer builds the map
+_BISECT_BATCH = 20
 
 # The record of the profile asked for last: [counts, (words, inversions),
-# word -> inversion number or None until fiber_stats needs it].
+# word -> inversion number or None until fiber_stats needs it,
+# the layout of a formal lift of it or None].
 _last_record = None
 
 
@@ -74,18 +108,35 @@ def fiber_stats(words, n):
     record of the fiber asked for last, or None unless there is one, every
     word is a word of that fiber and the fiber has n letters.  words
     may be any sized iterable of words, a mapping keyed by words among
-    them."""
+    them.  The record's own word sequence is answered as it is, a batch of
+    fewer than _BISECT_BATCH words by bisection, and any other batch
+    through the record's word -> inversions map."""
     record = _last_record
     if record is None or len(record[0]) != n:
         return None
-    counts, (record_words, record_ms), inversions_of = record
-    if inversions_of is None:
-        inversions_of = record[2] = dict(zip(record_words, record_ms))
+    counts, (record_words, record_ms), inversions_of, _ = record
+    size = len(words)
     try:
-        if next(iter(words), None) not in inversions_of:
-            return None
-        ms = list(map(inversions_of.__getitem__, words))
-    except (KeyError, TypeError):   # a foreign word partway, or an unhashable one
+        if size == len(record_words) and tuple(words) == record_words:
+            return [counts] * size, list(record_ms)
+        if inversions_of is None and size < _BISECT_BATCH:
+            ms = []
+            for word in words:
+                i = bisect_left(record_words, word)
+                if i == len(record_words) or record_words[i] != word:
+                    return None
+                ms.append(record_ms[i])
+        else:
+            if inversions_of is None:
+                inversions_of = record[2] = dict(zip(record_words, record_ms))
+            if next(iter(words), None) not in inversions_of:
+                return None
+            ms = list(map(inversions_of.__getitem__, words))
+    # a foreign word partway, an unhashable one, or one that does not
+    # compare with a tuple
+    except (KeyError, TypeError, ValueError):
+        return None
+    if not ms:
         return None
     return [counts] * len(ms), ms
 
@@ -113,7 +164,7 @@ def word_profiles(words, n):
     stats = fiber_stats(words, n)
     if stats is not None:
         return stats[0]
-    if len(words) < _SCALAR_BATCH:
+    if len(words) < _SCALAR_PROFILES:
         profiles = [word_profile(word, n) for word in words]
     else:
         profiles = _padded_profiles(_padded(words), n)
@@ -207,8 +258,30 @@ def fiber(counts):
     global _last_record
     counts = tuple(map(index, counts))
     if _last_record is None or _last_record[0] != counts:
-        _last_record = [counts, _fiber_record(counts), None]
+        # let the last record, its map and layout go before enumerating
+        _last_record = None
+        _last_record = [counts, _fiber_record(counts), None, None]
     return _last_record[1]
+
+
+def keep_layout(counts, layout):
+    """Keep layout, the layout of a formal lift of the fiber of counts, on
+    its record if that is the record asked for last: (keys, ps, ms), the
+    lift's term keys in order and the h-power and inversion number of each
+    key as integer arrays.  It replaces the layout kept before; None drops
+    it."""
+    record = _last_record
+    if record is not None and record[0] == tuple(counts):
+        record[3] = layout
+
+
+def fiber_layout(n):
+    """(counts, keys, ps, ms) of the layout kept on the record asked for
+    last (keep_layout), or None unless there is one over n letters."""
+    record = _last_record
+    if record is None or record[3] is None or len(record[0]) != n:
+        return None
+    return (record[0],) + record[3]
 
 
 def fiber_words(counts):

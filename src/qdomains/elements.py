@@ -42,6 +42,7 @@ it still runs through each class's __init__ and drops exact zeros.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from numbers import Number
 from itertools import accumulate, repeat
 from operator import add, index, mul, sub
@@ -548,6 +549,14 @@ def normal_order(f: FreeElement, q) -> QPolynomial:
     out = _Checked()
     profiles, ms = qc.word_stats(f.terms, f.n)
     phases: dict = {}   # m -> q^{-m}: a lift's thousands of words share few m
+    if profiles and profiles.count(profiles[0]) == len(profiles):
+        # one profile, as in a lift: the loop's sum in one C-level reduction,
+        # 0.0 + c * phase + ..., in term order (builtin sum would compensate)
+        for m in set(ms):
+            phases[m] = _mutate.scale("normal-order-phase", qp.value ** (-m))
+        out[profiles[0]] = reduce(add, map(mul, f.terms.values(), map(phases.__getitem__, ms)),
+                                  0.0)
+        return QPolynomial(f.n, qp, out)
     for c, k, m in zip(f.terms.values(), profiles, ms):
         phase = phases.get(m)
         if phase is None:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Mapping, Sequence
 
 from qdomains import _mutate
@@ -127,10 +130,16 @@ def _qpoly_norm(a: QPolynomial, spec: NormSpec) -> float:
     acc = 0.0
     if spec.family == POLYDISK_L2:
         for c, log_norm in pairs:
-            acc += abs(c) ** 2 * math.exp(2.0 * log_norm)
+            try:
+                acc += abs(c) ** 2 * math.exp(2.0 * log_norm)
+            except OverflowError:   # |c|**2 or ||x^k||**2 alone leaves the float range
+                acc += math.exp(2.0 * (math.log(abs(c)) + log_norm))
         return math.sqrt(acc)
     for c, log_norm in pairs:
-        acc += abs(c) * math.exp(log_norm)
+        try:
+            acc += abs(c) * math.exp(log_norm)
+        except OverflowError:   # ||x^k|| alone leaves the float range
+            acc += math.exp(math.log(abs(c)) + log_norm)
     return acc
 
 
@@ -149,8 +158,15 @@ def _free_norm(a: FreeElement, spec: NormSpec) -> float:
         return sum(math.sqrt(by_degree[d]) * rho ** d for d in sorted(by_degree))
     # the one free family left, FREE_BALL_CIRC
     by_profile: dict = {}
-    for k, c in zip(qc.word_profiles(a.terms, a.n), a.terms.values()):
-        by_profile[k] = by_profile.get(k, 0.0) + abs(c) ** 2
+    profiles = qc.word_profiles(a.terms, a.n)
+    if profiles and profiles.count(profiles[0]) == len(profiles):
+        # one profile, as in a lift: the loop's sum 0.0 + |c|**2 + ... in
+        # one C-level reduction, in term order (builtin sum would compensate)
+        by_profile[profiles[0]] = reduce(add, map(pow, map(abs, a.terms.values()), repeat(2)),
+                                         0.0)
+    else:
+        for k, c in zip(profiles, a.terms.values()):
+            by_profile[k] = by_profile.get(k, 0.0) + abs(c) ** 2
     return sum(math.sqrt(by_profile[k]) * rho ** sum(k)
                for k in sorted(by_profile, key=lambda k: (sum(k), k)))
 

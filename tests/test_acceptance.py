@@ -211,6 +211,7 @@ MUTATION_TARGETS = [
     ("star-phase", "star-associativity"),
     ("normal-order-phase", "quotient-contraction"),
     ("qpoly-phase", "remark-3-12-blowup"),
+    ("formal-order-phase", "formal-lift-8-39"),
 ]
 
 

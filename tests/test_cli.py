@@ -523,6 +523,45 @@ def test_weights_answer_at_a_modulus_far_from_one(tmp_path, capsys, q):
             assert value == pytest.approx(math.exp(_log_sum(logs) / (2 * d)), rel=1e-14), d
 
 
+def test_norm_and_scan_answer_where_a_monomial_norm_alone_overflows(tmp_path, capsys):
+    # x1 x2 + z x1^2 at q = 1e-300 is x1 x2 + q x1^2; at rho = 1e160 the
+    # monomial norm ||x1^2|| = rho^2 = 1e320 leaves the float range, but
+    # each term, and the norm (about 2e20), is a float: both norm and scan
+    # answer and match the exact oracle at the rational values of the floats.
+    # Each term is exp of a sum of logs near +-737, whose rounding (an ulp
+    # of 737 is 1.1e-13) bounds the agreement at a few 1e-13.
+    a = LaurentElement(2, {((1, 1), 0): 1.0, ((2, 0), 1): 1.0})
+    q, rho = 1e-300, 1e160
+    log_rho_sq = 2 * exact_log(Fraction(rho))
+
+    def exact(family, modulus):
+        power = 2 if family == "polydisk-l2" else 1
+        logs = [power * 0.5 * _exact_log_weight_sq((1, 1), modulus, family),
+                power * (exact_log(modulus) + 0.5 * _exact_log_weight_sq((2, 0), modulus, family))]
+        return math.exp(log_rho_sq + _log_sum(logs) / power)
+
+    for family in ("polydisk-l1", "polydisk-l2", "ball"):
+        got = norm(fiber_eval(a, q), NormSpec(family, rho))
+        assert 1e20 < got < 3e20
+        assert got == pytest.approx(exact(family, Fraction(q)), rel=3e-13), family
+    laurent = write(tmp_path, "l.json", {"kind": "laurent", "n": 2,
+                                         "terms": [{"k": [1, 1], "p": 0, "c": {"re": 1}},
+                                                   {"k": [2, 0], "p": 1, "c": {"re": 1}}]})
+    for family in ("polydisk-l1", "ball"):
+        argv = ["scan", "--in", laurent, "--path", "ray:0:1e-300:1e-299", "--samples", "3",
+                "--family", family, "--rho", "1e160"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = json.loads(captured.out)["rows"]
+        assert len(rows) == 3
+        for re, im, value in rows:
+            assert im == 0.0
+            assert value == pytest.approx(exact(family, Fraction(re)), rel=3e-13), (re, value)
+            assert value == pytest.approx(norm(fiber_eval(a, re), NormSpec(family, rho)),
+                                          rel=1e-15)
+
+
 def test_radius_enumeration_is_bounded(capsys):
     # the coordinate sum enumerates the multi-indices of each depth, and
     # once ran on without bound; depth 3 of n = 200 has 1373701 of them

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from qdomains import deform, elements, qcombinat as qc, randgen
+from qdomains import _mutate, deform, elements, qcombinat as qc, randgen, suites
 from qdomains._wordkit_py import fiber_stats
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
@@ -242,6 +242,107 @@ def test_formal_ordering_reads_the_fiber_record():
                 assert (fiber_stats(words, n) is None) == evict
                 got = deform.normal_order_formal(u)
                 assert got == expected and list(got.terms) == list(expected.terms)
+
+
+def _counted_word_stats(monkeypatch):
+    """A list that grows by one per word_stats call the ordering makes."""
+    calls = []
+    word_stats = qc.word_stats
+    monkeypatch.setattr(qc, "word_stats", lambda words, n: calls.append(len(words))
+                        or word_stats(words, n))
+    return calls
+
+
+def _ordered_bits(u):
+    """(bits of normal_order_formal(u), bits of the reference loop)."""
+    return (_bits(deform.normal_order_formal(u)),
+            _bits(HSeriesElement(u.n, u.order, reference_normal_order_formal(u))))
+
+
+def test_formal_ordering_reads_p_and_m_from_the_lift_layout(monkeypatch):
+    # the lift built last keeps its layout on the fiber record: its ordering
+    # reads each term's p and m from it, chunk by chunk, and asks word_stats
+    # for nothing; look-alikes of the lift take the keys' route.  Both
+    # equal the reference loop bit for bit.
+    calls = _counted_word_stats(monkeypatch)
+    monkeypatch.setattr(deform, "_SCALAR_ORDERING", 0)   # every lift takes the array pass
+    inf, nan = math.inf, math.nan
+    for chunk in (deform._ORDERING_CHUNK, 7):
+        monkeypatch.setattr(deform, "_ORDERING_CHUNK", chunk)
+        for k in ((2, 1), (0, 3, 2), (3, 2, 2), (2, 2, 1, 1)):
+            n = len(k)
+            u = deform.formal_ball_lift(k, 3)
+            got, expected = _ordered_bits(u)
+            assert got == expected and calls == []
+            # the same keys, rebuilt by the public constructor, with odd values:
+            # -0.0 parts, inf and NaN (a product with 0 would give NaN)
+            odd = [complex(-0.0, 1.0), complex(inf, 0.0), complex(1.0, -0.0),
+                   complex(nan, -1.0), complex(0.0, -inf), 0.25 - 0.5j]
+            same_keys = FormalFreeElement(n, 3, {key: odd[i % len(odd)]
+                                                 for i, key in enumerate(u.terms)})
+            got, expected = _ordered_bits(same_keys)
+            assert got == expected and calls == []
+            # look-alikes: a reordered copy, one foreign word in place of the
+            # last, and the lift before the record's last one, here at
+            # another order
+            items = list(u.terms.items())
+            (p, alpha), c = items[-1]
+            foreign = (p, (alpha[0] % n + 1,) + alpha[1:])   # a word of another profile
+            look_alikes = [FormalFreeElement(n, 3, dict(items[::-1])),
+                           FormalFreeElement(n, 3, dict(items[:-1] + [(foreign, c)]))]
+            assert len(look_alikes[1].terms) == len(u.terms)
+            for copy in look_alikes:
+                got, expected = _ordered_bits(copy)
+                assert got == expected and calls, k
+                calls.clear()
+            other = deform.formal_ball_lift(k, 1)
+            got, expected = _ordered_bits(u)
+            assert got == expected and calls
+            calls.clear()
+            got, expected = _ordered_bits(other)
+            assert got == expected and calls == []
+            # another fiber evicts the record and its layout
+            qc.fiber((1,) * (n + 1))
+            got, expected = _ordered_bits(other)
+            assert got == expected and calls
+            calls.clear()
+
+
+def test_formal_ordering_loop_and_array_pass_agree_bit_for_bit(monkeypatch):
+    # below _SCALAR_ORDERING terms the ordering is the term loop, from it on
+    # the array pass: on either side of the cutoff, and with the cutoff moved
+    # past every element or to none, both give the reference loop's bits
+    rng = Random("formal-routes")
+    inf, nan = math.inf, math.nan
+    odd = [complex(-0.0, 1.0), complex(inf, 0.0), complex(1.0, -0.0), complex(nan, -1.0),
+           complex(-1.0, -0.0), 0.25 - 0.5j]
+    cases = [FormalFreeElement(2, 2, {}), FormalFreeElement(1, 0, {(0, ()): 2.0})]
+    for trial in range(30):
+        n, order = 1 + trial % 3, trial % 4
+        pool = list(qc.words(n, 4))
+        size = (1, deform._SCALAR_ORDERING - 1, deform._SCALAR_ORDERING, 90)[trial % 4]
+        terms = {(rng.randrange(order + 1), pool[rng.randrange(len(pool))]): odd[i % len(odd)]
+                 if trial % 3 == 0 else randgen.unit_disk(rng) for i in range(size)}
+        cases.append(FormalFreeElement(n, order, terms))
+    for k in ((2, 1), (1, 1, 1), (2, 2, 1), (3, 2, 2)):
+        cases.append(deform.formal_ball_lift(k, 3))
+    for u in cases:
+        expected = _bits(HSeriesElement(u.n, u.order, reference_normal_order_formal(u)))
+        for cutoff, chunk in ((deform._SCALAR_ORDERING, deform._ORDERING_CHUNK),
+                              (math.inf, deform._ORDERING_CHUNK), (0, 5), (0, 2048)):
+            monkeypatch.setattr(deform, "_SCALAR_ORDERING", cutoff)
+            monkeypatch.setattr(deform, "_ORDERING_CHUNK", chunk)
+            assert _bits(deform.normal_order_formal(u)) == expected, (len(u.terms), cutoff)
+
+
+def test_formal_ordering_phase_table_is_a_mutation_point(monkeypatch):
+    u = deform.formal_ball_lift((2, 1), 2)
+    good = deform.normal_order_formal(u)
+    monkeypatch.setattr(_mutate, "_active", "formal-order-phase")
+    bumped = deform.normal_order_formal(u)
+    assert bumped.terms[(0, (2, 1))] == pytest.approx(good.terms[(0, (2, 1))] * (1 + 1e-6),
+                                                       rel=1e-12)
+    assert suites.run_suite("formal-lift-8-39").status == "fail"
 
 
 def test_evaluate_h_matches_fiber_product():

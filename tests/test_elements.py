@@ -7,7 +7,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from qdomains import _mutate, elements, randgen
+from qdomains import _mutate, _wordkit_py, elements, randgen
 from qdomains import qcombinat as qc
 from qdomains._wordkit_py import fiber_stats
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
@@ -417,9 +417,12 @@ def test_batched_word_statistics_equal_reference_loops():
 
 def test_lift_orderings_and_circ_norm_read_the_fiber_record():
     # a lift's words are the cached fiber record's words, so normal_order and
-    # the circ norm read their statistics from the record; once another
-    # fiber evicts it they compute them.  Both routes give the per-word
-    # loops' results, bit for bit and in the same key order.
+    # the circ norm read their statistics from the record: a ball lift's
+    # terms are the record's own word sequence and a polydisk lift's one
+    # word is found by bisection, so neither builds the record's
+    # word -> inversions map.  Once another fiber evicts the record they
+    # compute them.  Both routes give the per-word loops' results, bit for
+    # bit and in the same key order.
     for k in ((2, 1), (0, 3, 2), (3, 2, 2), (2, 2, 1, 1), (3, 3, 3)):
         n = len(k)
         for q in (0.85, cmath.exp(0.7j), 1.3 - 0.4j):
@@ -430,8 +433,48 @@ def test_lift_orderings_and_circ_norm_read_the_fiber_record():
                     qc.fiber((1,) * n if evict else k)
                     assert (fiber_stats(f.terms, n) is None) == evict
                     got = normal_order(f, q)
-                    assert got == expected and list(got.terms) == list(expected.terms)
+                    assert same_bits(got, expected)
                     assert norm(f, NormSpec(FREE_BALL_CIRC, 0.8)) == circ
+                    if not evict:
+                        assert _wordkit_py._last_record[2] is None
+
+
+def _circ_bits(value):
+    return repr(value)   # tells 0.0 from -0.0 and shows NaN and inf
+
+
+def test_single_profile_sums_equal_the_reference_loops_bit_for_bit():
+    # normal_order and the circ norm sum a batch of one profile in one
+    # reduction from 0.0, in term order: the bits of the per-word loops,
+    # for coefficients with -0.0 parts, infinite and NaN ones, whether the
+    # batch is a lift read off the record, a reordered copy of it, a few of
+    # its words, or off the record altogether
+    inf, nan = math.inf, math.nan
+    odd = [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -1e-300), complex(inf, 0.0),
+           complex(0.0, -inf), complex(nan, 1.0), complex(inf, -inf), -1.5 + 0.25j]
+    for k in ((2, 1), (2, 2, 1), (3, 2, 2)):
+        n = len(k)
+        for q in (0.85, cmath.exp(0.7j), 1.3 - 0.4j):
+            words = qc.fiber(k)[0]
+            for values in (odd, [complex(-0.0, 1.0)], [complex(-1.0, -0.0)] * 3):
+                coeffs = [values[i % len(values)] for i in range(len(words))]
+                lift = FreeElement(n, dict(zip(words, coeffs)))
+                elements_ = (lift, FreeElement(n, dict(reversed(lift.terms.items()))),
+                             FreeElement(n, dict(list(lift.terms.items())[:3])))
+                for f in elements_:
+                    for evict in (False, True):
+                        qc.fiber((1,) * n if evict else k)
+                        got = normal_order(f, q)
+                        assert same_bits(got, QPolynomial(n, q, reference_normal_order(f, q)))
+                        assert (_circ_bits(norm(f, NormSpec(FREE_BALL_CIRC, 0.8)))
+                                == _circ_bits(reference_circ_norm(f, 0.8)))
+    # a lone term whose product c * q**0 is -1 - 0j: the sum starts at 0.0,
+    # so the reference's imaginary part is 0.0, not -0.0
+    f = FreeElement(2, {(1, 2): complex(-1.0, -0.0)})
+    assert math.copysign(1.0, (complex(-1.0, -0.0) * (1.0 + 0j)).imag) == -1.0
+    got = normal_order(f, 1.0)
+    assert same_bits(got, QPolynomial(2, 1.0, reference_normal_order(f, 1.0)))
+    assert math.copysign(1.0, got.terms[(1, 1)].imag) == 1.0
 
 
 def test_overflowing_terms_are_kept():

@@ -28,7 +28,7 @@ from qdomains.norms import (
 )
 
 from qdomains import _wordkit_py
-from qdomains._wordkit_py import _SCALAR_BATCH
+from qdomains._wordkit_py import _SCALAR_BATCH, _SCALAR_PROFILES
 
 from oracles import reference_circ_norm, reference_qpoly_norm, simplex_monomial_max
 
@@ -253,13 +253,21 @@ def test_circ_norm_off_the_record_counts_profiles_only(monkeypatch):
     monkeypatch.setattr(_wordkit_py, "_scan_stats", no_inversions)
     monkeypatch.setattr(_wordkit_py, "inversions", no_inversions)
     rng = Random("circ-off-record")
-    for size in (1, _SCALAR_BATCH - 1, _SCALAR_BATCH, 3 * _SCALAR_BATCH):
+    padded = []   # the batch size of each numpy profile pass
+    padded_profiles = _wordkit_py._padded_profiles
+    monkeypatch.setattr(_wordkit_py, "_padded_profiles",
+                        lambda rows, n: padded.append(len(rows)) or padded_profiles(rows, n))
+    for size in (1, _SCALAR_BATCH - 1, _SCALAR_BATCH, 3 * _SCALAR_BATCH,
+                 _SCALAR_PROFILES - 1, _SCALAR_PROFILES):
         for n in (1, 2, 3):
             f = randgen.random_free(rng, n, max_len=6, terms=size)
             qc.fiber((1,) * (n + 1))   # a record of another alphabet size
             assert _wordkit_py.fiber_stats(f.terms, n) is None
             for rho in (0.4, 1.3):
+                padded.clear()
                 assert norm(f, NormSpec(FREE_BALL_CIRC, rho)) == reference_circ_norm(f, rho)
+                # the scalar loop below the profiles' own cutoff, one pass from it on
+                assert padded == ([len(f.terms)] if len(f.terms) >= _SCALAR_PROFILES else [])
     for bad in ([(0, 1)], [(3,)], [(1,), (-1, 2)]):
         for batch in (bad, bad * _SCALAR_BATCH):
             with pytest.raises(ValueError):

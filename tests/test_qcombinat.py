@@ -808,6 +808,59 @@ def test_word_stats_falls_back_off_the_record(monkeypatch):
         qc.word_stats(words + [(4, 1)], 3)
 
 
+def test_fiber_stats_reads_the_record_by_layout_or_bisection(monkeypatch):
+    # the record's own word sequence takes its inversion numbers as they
+    # are, and a batch of a few words finds them by bisection: neither
+    # builds the word -> inversions map, and both equal the brute counts
+    _fresh_fiber_store(monkeypatch, 10 ** 4)
+    for k in ((4,), (2, 3), (1, 2, 2), (2, 0, 1, 2), (3, 2, 2)):
+        n = len(k)
+        words, ms = qc.fiber(k)
+        last = _wordkit_py._last_record
+        batches = (words, list(words), dict.fromkeys(words, 1.0), [words[-1]], [words[0]],
+                   list(words[::7][:_wordkit_py._BISECT_BATCH - 1]))
+        for batch in batches:
+            got = _wordkit_py.fiber_stats(batch, n)
+            assert got == ([k] * len(batch), [brute_inversions(w) for w in batch])
+            assert type(got[1]) is list and all(type(m) is int for m in got[1])
+            assert last[2] is None, (k, len(batch))
+        # a reordered copy of the same length is read through the map
+        assert _wordkit_py.fiber_stats(words[::-1], n) == (
+            [k] * len(words), [brute_inversions(w) for w in words[::-1]])
+
+
+def test_fiber_stats_refuses_look_alikes_of_the_record(monkeypatch):
+    _fresh_fiber_store(monkeypatch, 10 ** 4)
+    k = (2, 1, 2)
+    words = list(qc.fiber(k)[0])
+    foreign = (3, 3, 1)
+    look_alikes = [
+        words[:-1] + [foreign],                  # same length, one foreign word
+        words[:7] + [foreign] + words[8:],
+        [foreign] + words[1:],
+        words[:-1] + [words[-1] + (1,)],         # same length, one longer word
+        [words[3], foreign],                     # a few words: bisection
+        [foreign],
+        [words[2] + (1,)],
+        [words[0][:-1]],
+        [list(words[4])],                        # a list does not compare with a tuple
+        [np.array(words[4])],                    # nor does an array
+        words[:-1] + [list(words[-1])],
+        [],
+    ]
+    for batch in look_alikes:
+        assert _wordkit_py.fiber_stats(batch, 3) is None
+        if all(isinstance(w, tuple) for w in batch):
+            assert qc.word_stats(batch, 3) == ([brute_profile(w, 3) for w in batch],
+                                               [brute_inversions(w) for w in batch])
+    # the same words, once another fiber is asked for, or at another n
+    qc.fiber((1, 1, 1))
+    for batch in (words, words[:1]):
+        assert _wordkit_py.fiber_stats(batch, 3) is None
+    qc.fiber(k)
+    assert _wordkit_py.fiber_stats(words, 4) is None
+
+
 def test_fiber_record_of_numpy_counts_gives_int_profiles(monkeypatch):
     _fresh_fiber_store(monkeypatch, 10 ** 4)   # so that the record below is built, not found
     k = np.array([2, 0, 1], dtype=np.int64)
