@@ -10,7 +10,6 @@ product, Poisson bracket, quantization defect, formal ball lift, fiber
 scans), JSON interchange, a CLI, and named verification suites.
 """
 
-from qdomains._kernels import USING_COMPILED
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import (
     FreeElement,
@@ -48,6 +47,10 @@ from qdomains.qcombinat import (
 from qdomains.spectral import TupleSpec, contractive_check, poincare_gap, radius_estimate
 
 __version__ = "0.1.0"
+
+# the word kernels are the pure-Python _wordkit_py; the flag stays for
+# readers of qdomains.USING_COMPILED, such as perfbench/run.py
+USING_COMPILED = False
 
 __all__ = [
     "USING_COMPILED",

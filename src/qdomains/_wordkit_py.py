@@ -1,4 +1,4 @@
-"""Word-statistics kernels, re-exported by qdomains._kernels.
+"""Word-statistics kernels, imported by qdomains.qcombinat.
 
 Scalar statistics of one word are plain Python loops.  The statistics of
 a batch of words off the fiber record (word_stats) are one numpy pass over
@@ -30,18 +30,14 @@ record.  fiber_words and fiber_inversions return fresh lists.
 The record of the profile asked for last also answers word_stats: a batch
 of words of that fiber (the words of a lift of x^k, in any order and any
 number) has profile k and the recorded inversion numbers, so fiber_stats
-reads them from the record and no statistics pass runs.  It looks them up
-in one of three ways:
-- a batch that is the record's own word sequence (same length, same words,
-  same order, as the terms of a ball lift are) takes the record's
-  inversion numbers as they are, after one C-level comparison;
-- a batch of fewer than _BISECT_BATCH words (a polydisk lift's one word)
-  finds each word by bisection, as the record is in lexicographic order;
-- any other batch reads the record's word -> inversions map, built when
-  first needed after that profile was asked for.
-A batch off the record (a foreign word anywhere in it, an unhashable
-word, an empty batch, another n, or no record) takes the scalar or numpy
-route, and must have every letter in 1..n.
+reads them from the record and no statistics pass runs.  A batch that is
+the record's own word sequence (same length, same words, same order, as
+the terms of a ball lift are) takes the record's inversion numbers as they
+are, after one C-level comparison; any other batch (a polydisk lift's one
+word, a reordered copy) finds each word by bisection, as the record is in
+lexicographic order.  A batch off the record (a foreign word anywhere in
+it, a word that is not a tuple, an empty batch, another n, or no record)
+takes the scalar or numpy route, and must have every letter in 1..n.
 
 The record asked for last also keeps the layout of the formal lift of
 its fiber built last (keep_layout; a lift too small for the ordering's
@@ -91,14 +87,8 @@ _SCALAR_BATCH = 20
 # 4-9 letters: 40 words 25-32 us against 29 us, 60 words 36-49 against
 # 36-44 us)
 _SCALAR_PROFILES = 50
-# batches below this many words find their words in the record by
-# bisection, at 0.6-1.0 us a word, where building the record's word ->
-# inversions map costs about 0.13 us per record word (timeit, fibers of 90
-# to 7,560 words): a polydisk lift's one word no longer builds the map
-_BISECT_BATCH = 20
 
 # The record of the profile asked for last: [counts, (words, inversions),
-# word -> inversion number or None until fiber_stats needs it,
 # the layout of a formal lift of it or None].
 _last_record = None
 
@@ -108,33 +98,24 @@ def fiber_stats(words, n):
     record of the fiber asked for last, or None unless there is one, every
     word is a word of that fiber and the fiber has n letters.  words
     may be any sized iterable of words, a mapping keyed by words among
-    them.  The record's own word sequence is answered as it is, a batch of
-    fewer than _BISECT_BATCH words by bisection, and any other batch
-    through the record's word -> inversions map."""
+    them.  The record's own word sequence is answered as it is, and any
+    other batch word by word, by bisection."""
     record = _last_record
     if record is None or len(record[0]) != n:
         return None
-    counts, (record_words, record_ms), inversions_of, _ = record
+    counts, (record_words, record_ms), _ = record
     size = len(words)
     try:
         if size == len(record_words) and tuple(words) == record_words:
             return [counts] * size, list(record_ms)
-        if inversions_of is None and size < _BISECT_BATCH:
-            ms = []
-            for word in words:
-                i = bisect_left(record_words, word)
-                if i == len(record_words) or record_words[i] != word:
-                    return None
-                ms.append(record_ms[i])
-        else:
-            if inversions_of is None:
-                inversions_of = record[2] = dict(zip(record_words, record_ms))
-            if next(iter(words), None) not in inversions_of:
+        ms = []
+        for word in words:
+            i = bisect_left(record_words, word)
+            if i == len(record_words) or record_words[i] != word:
                 return None
-            ms = list(map(inversions_of.__getitem__, words))
-    # a foreign word partway, an unhashable one, or one that does not
-    # compare with a tuple
-    except (KeyError, TypeError, ValueError):
+            ms.append(record_ms[i])
+    # a word that does not compare with a tuple (a list, an array)
+    except (TypeError, ValueError):
         return None
     if not ms:
         return None
@@ -258,9 +239,9 @@ def fiber(counts):
     global _last_record
     counts = tuple(map(index, counts))
     if _last_record is None or _last_record[0] != counts:
-        # let the last record, its map and layout go before enumerating
+        # let the last record and its layout go before enumerating
         _last_record = None
-        _last_record = [counts, _fiber_record(counts), None, None]
+        _last_record = [counts, _fiber_record(counts), None]
     return _last_record[1]
 
 
@@ -272,16 +253,16 @@ def keep_layout(counts, layout):
     it."""
     record = _last_record
     if record is not None and record[0] == tuple(counts):
-        record[3] = layout
+        record[2] = layout
 
 
 def fiber_layout(n):
     """(counts, keys, ps, ms) of the layout kept on the record asked for
     last (keep_layout), or None unless there is one over n letters."""
     record = _last_record
-    if record is None or record[3] is None or len(record[0]) != n:
+    if record is None or record[2] is None or len(record[0]) != n:
         return None
-    return (record[0],) + record[3]
+    return (record[0],) + record[2]
 
 
 def fiber_words(counts):

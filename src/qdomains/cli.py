@@ -192,8 +192,12 @@ def _cmd_scan(args) -> int:
     family = _family(args.family)
     samples = _parse_path(args.path, args.samples)
     result = deform.bundle_scan(element, family, args.rho, samples)
-    diagnostic = {"max_jump": result.max_jump, "max_slope": result.max_slope,
-                  "spacing": result.spacing}
+    # a diagnostic past the float range (a slope between tiny samples) is
+    # written as null, as JSON has no infinity
+    diagnostic = {key: value if math.isfinite(value) else None
+                  for key, value in (("max_jump", result.max_jump),
+                                     ("max_slope", result.max_slope),
+                                     ("spacing", result.spacing))}
     if args.out:
         with _writing(args.out, newline="") as handle:
             handle.write("q_re,q_im,norm\n")
@@ -291,7 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     star.add_argument("--out")
     star.set_defaults(fn=_cmd_star)
 
-    scan = sub.add_parser("scan", help="fiber-norm field along a parameter path")
+    scan = sub.add_parser(
+        "scan", help="fiber-norm field along a parameter path",
+        description="Fiber-norm field along a parameter path, with a continuity "
+                    "diagnostic (max_jump, max_slope, spacing); a diagnostic past the "
+                    "float range is written as null.")
     scan.add_argument("--in", dest="input", required=True)
     scan.add_argument("--path", required=True)
     scan.add_argument("--samples", type=int, default=256)

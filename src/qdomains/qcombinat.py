@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from qdomains import _mutate
 from qdomains._held import held
-from qdomains._kernels import (
+from qdomains._wordkit_py import (
     fiber as _fiber,
     fiber_inversions,
     fiber_words as _fiber_words_raw,
@@ -62,7 +62,6 @@ __all__ = [
     "sigma",
     "cross_degree",
     "multi_indices",
-    "multi_indices_exact",
     "words",
     "words_exact",
 ]
@@ -70,8 +69,9 @@ __all__ = [
 
 # The one limit on every enumeration of the kit: the words of a fiber
 # p^{-1}(k) (the lifts, the fiber lists, the Mahonian sum), the words of a
-# spectral-radius depth, the multi-indices up to a total degree, and the
-# entries of a truncated Fock matrix.
+# spectral-radius depth, the key entries and steps of the coordinate radius
+# recursion, the multi-indices up to a total degree, and the entries of a
+# truncated Fock matrix.
 ENUMERATION_CAP = 10 ** 6
 
 
@@ -449,8 +449,7 @@ def _check_multi_index_cap(n: int, max_total: int) -> None:
             f"{count} multi-indices exceed the enumeration cap {ENUMERATION_CAP}")
 
 
-# verify all needs about 20,000 entries of multi_indices tables and 1,400
-# of exact ones
+# verify all needs about 20,000 entries of multi_indices tables
 @held(2 ** 16)
 def multi_indices(n: int, max_total: int) -> tuple:
     """All k in Z_+^n with |k| <= max_total, lexicographically sorted, if
@@ -465,32 +464,6 @@ def _compositions_upto(n, max_total):
         return [(m,) for m in range(max_total + 1)]
     return [(head,) + tail for head in range(max_total + 1)
             for tail in _compositions_upto(n - 1, max_total - head)]
-
-
-@held(2 ** 16)
-def multi_indices_exact(n: int, total: int) -> tuple:
-    """All k in Z_+^n with |k| = total ((Z_+^n)_d), lexicographically sorted.
-
-    They are enumerated directly, not filtered from multi_indices(n, total),
-    under the same limit: a total whose multi_indices table would pass
-    ENUMERATION_CAP is refused before enumerating."""
-    _check_multi_index_cap(n, total)
-    if total < 0:
-        return ()
-    if n == 1:
-        return ((total,),)
-
-    def prepend(tails, t):
-        # the compositions of t with one more leading part, sorted
-        return [(head,) + tail for head in range(t + 1) for tail in tails[t - head]]
-
-    tails = [[()]] + [[]] * total    # tails[t]: the compositions of t into 0 parts
-    for _ in range(n - 2):
-        tails = [prepend(tails, t) for t in range(total + 1)]
-    # the first two parts are prepended one first part at a time, so that
-    # beside the result only the table of n - 2 parts is held
-    return tuple((head,) + tail for head in range(total + 1)
-                 for tail in prepend(tails, total - head))
 
 
 def words_exact(n: int, d: int):

@@ -1,14 +1,17 @@
 """Finite-depth joint l^p spectral-radius estimation and the strict
 spectral contractivity test.
 
-Coordinate tuples are summed in closed form: since x_alpha is a scalar
-multiple q^{-m(alpha)} of x^{p(alpha)}, the word sum over W_{n,d} groups
-by exponent vector with the Mahonian factor [|k|]_t!/[k]_t!, t = |q|^{-p}
-(the multinomial |k|!/k! at |q| = 1), read from the log-factorial table of
-s = min(t, 1/t): where t > 1, [j]_t = t^{j-1} [j]_s turns the factor into
-t^{cross(k)} [|k|]_s!/[k]_s!, so no table leaves the float range.  Generic
-tuples enumerate the n**d words of depth d, up to
-qcombinat.ENUMERATION_CAP of them.
+The q-plane coordinate tuples group the word sum over W_{n,d} by exponent
+vector k, |k| = d: x_alpha is q^{-m(alpha)} x^{p(alpha)}, so the fiber of
+k adds ||x^k||^p times the Mahonian factor [d]_t!/[k]_t!, t = |q|^{-p},
+read from the log-factorial table of s = min(t, 1/t) (where t > 1,
+[j]_t = t^{j-1} [j]_s adds cross(k) log t).  The log of each summand is a
+per-depth constant, a term per part and c cross(k); a part r after parts
+with partial sum s adds its term and c r s, so one recursion over (part,
+partial sum) gives the sums (maxima at p = inf) of every depth up to d in
+about n d^2 / 2 steps, with rho^(pd) taken out.  The free coordinate tuples have closed forms, and
+other tuples enumerate the n**d words of depth d; the recursion and the
+enumeration are held to qcombinat.ENUMERATION_CAP.
 """
 
 from __future__ import annotations
@@ -17,15 +20,16 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from qdomains import _mutate
 from qdomains import qcombinat as qc
 from qdomains.elements import FreeElement, QPolynomial, free_mul, qpoly_mul
 from qdomains.norms import (
     BALL,
+    CLASSICAL_BALL,
     FAMILY_TYPES,
     FREE_POLYDISK,
     POLYDISK_L1,
     NormSpec,
-    _monomial_log_norms,
     norm,
 )
 from qdomains.qcombinat import ENUMERATION_CAP, EnumerationCapExceeded
@@ -44,9 +48,6 @@ __all__ = [
     "poincare_gap",
     "PoincareGap",
 ]
-
-_UNIMODULAR_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class TupleSpec:
@@ -87,6 +88,7 @@ def coordinate_tuple(n: int, spec: NormSpec, p, max_depth: int = 8, q=None) -> T
         qq = q if q is not None else (spec.q.value if spec.q is not None else None)
         if qq is None:
             raise ValueError("coordinate tuple in a q-polynomial family needs q")
+        _check_coordinate_cap(n, max_depth)
         gens = QPolynomial.coordinates(n, qq)
     return TupleSpec(tuple(gens), spec, p, max_depth)
 
@@ -103,44 +105,79 @@ def is_coordinate_tuple(generators: Sequence) -> bool:
     return True
 
 
+def _check_coordinate_cap(n: int, depth: int) -> None:
+    # the n**2 key entries of the q-plane coordinate tuple and the about
+    # n depth**2 steps of the recursion up to that depth
+    count = n * n + n * depth * depth
+    if count > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"{n} coordinates to depth {depth} take {count} steps, past the enumeration "
+            f"cap {ENUMERATION_CAP}")
+
+
 def _logsumexp(values):
     top = max(values)
-    if top == -math.inf:
-        return -math.inf
-    return top + math.log(sum(math.exp(v - top) for v in values))
+    return top + math.log(sum([math.exp(v - top) for v in values]))
 
 
-def _log_mahonian(k, s: float, log_t: float) -> float:
-    # log sum over the fiber of t**m(alpha), read from the log [j]_s! table
-    # of s = min(t, 1/t): where t > 1 the fold [j]_t = t**(j-1) [j]_s adds
-    # cross(k) log t.  Exact multinomial at t = 1
-    if abs(s - 1.0) <= _UNIMODULAR_TOL:
-        return math.log(qc.fiber_count(k))
-    total = sum(k)
-    table = qc.log_q_factorial_table(total, s)
-    return (table[total] - sum(map(table.__getitem__, k))
-            + qc.cross_degree(k) * max(log_t, 0.0))
+def _partial_sums(f, c: float, n: int, top: int, combine) -> list:
+    """For each d = 0..top, combine (a log-sum-exp or max), over the k in
+    Z_+^n with |k| = d, of sum_j f[k_j] + c cross(k): the parts are added
+    one at a time, and a part r after parts with partial sum s adds
+    f[r] + c r s.  The value at d reads no entry above d, so every depth up
+    to top comes from one pass."""
+    row = f[:top + 1]   # one part: its value at each partial sum
+    for _ in range(n - 1):
+        row = [combine([row[s] + f[t - s] + c * (s * (t - s)) for s in range(t + 1)])
+               for t in range(top + 1)]
+    return row
 
 
-def _coordinate_estimate(ts: TupleSpec, d: int) -> float:
-    spec = ts.norm
+def _weight_parts(family: str, qp, top: int) -> tuple:
+    """(g, c, hook) with log w(k) = sum_j g[k_j] - g[|k|] + c cross(k) for
+    the weight w of a q-plane family and every k with |k| <= top, and the
+    name of the family's mutation hook, or None.  The ball table is read at
+    s = min(|q|**2, |q|**-2), as weight_ball_logs reads it."""
+    if family == CLASSICAL_BALL:
+        return [0.5 * math.lgamma(r + 1) for r in range(top + 1)], 0.0, None
+    c = min(qp.log_modulus, 0.0)
+    if family == BALL:
+        table = qc.log_q_factorial_table(top, qc._folded_base(qp.modulus, 2))
+        return [0.5 * v for v in table[:top + 1]], c, "weight-ball"
+    return [0.0] * (top + 1), c, "weight-polydisk"
+
+
+def _coordinate_estimates(ts: TupleSpec, top: int) -> list:
+    """The estimates of a coordinate tuple at depths 1..top."""
     n = len(ts.generators)
     first = ts.generators[0]
     if isinstance(first, FreeElement):
-        return _free_coordinate_estimate(spec, n, d, ts.p)
+        return [_free_coordinate_estimate(ts.norm, n, d, ts.p) for d in range(1, top + 1)]
+    _check_coordinate_cap(n, top)
     qp = first.q
-    keys = qc.multi_indices_exact(n, d)
-    log_norms = _monomial_log_norms(keys, spec.family, spec.rho, qp)
+    g, c, hook = _weight_parts(ts.norm.family, qp, top)
+    # the per-depth constant of the log weights; the hook moves every
+    # weight of a depth through it
+    w0 = [-g[d] for d in range(1, top + 1)]
+    w0 = _mutate.shift_logs(hook, w0) if hook else w0
+    # every summand has the factor rho**(p d): the roots are taken without it
     if ts.p == math.inf:
-        best = -math.inf
-        for k, log_norm in zip(keys, log_norms):
-            bump = max(0.0, -qc.cross_degree(k) * qp.log_modulus)
-            best = max(best, bump + log_norm)
-        return math.exp(best / d)
-    p = float(ts.p)
-    s, log_t = qc._folded_base(qp.modulus, -p), -p * qp.log_modulus   # t = |q|**-p
-    logs = [_log_mahonian(k, s, log_t) + p * log_norm for k, log_norm in zip(keys, log_norms)]
-    return math.exp(_logsumexp(logs) / (p * d))
+        # the sup of |q|**-m(alpha) over the fiber is |q|**-cross(k) at
+        # |q| < 1 and 1 otherwise
+        sums = _partial_sums(g, c - min(qp.log_modulus, 0.0), n, top, max)
+        log_roots = [(w + sums[d]) / d for d, w in enumerate(w0, start=1)]
+    else:
+        p = float(ts.p)
+        # the Mahonian factor at t = |q|**-p: log [d]_s! - sum_j log [k_j]_s!
+        # + cross(k) max(log t, 0)
+        table = qc.log_q_factorial_table(top, qc._folded_base(qp.modulus, -p))
+        f = [p * g_r - table[r] for r, g_r in enumerate(g)]
+        sums = _partial_sums(f, p * c + max(-p * qp.log_modulus, 0.0), n, top, _logsumexp)
+        log_roots = [(p * w + table[d] + sums[d]) / (p * d) for d, w in enumerate(w0, start=1)]
+    values = [ts.norm.rho * math.exp(log_root) for log_root in log_roots]
+    if math.inf in values:
+        raise OverflowError("the radius estimate exceeds the float range")
+    return values
 
 
 def _free_coordinate_estimate(spec: NormSpec, n: int, d: int, p) -> float:
@@ -194,11 +231,15 @@ def radius_estimate(ts: TupleSpec, d: int, force_enumeration: bool = False) -> f
     if not 1 <= d <= ts.max_depth:
         raise ValueError("depth must lie in 1..max_depth")
     if not force_enumeration and is_coordinate_tuple(ts.generators):
-        return _coordinate_estimate(ts, d)
+        return _coordinate_estimates(ts, d)[-1]
     return _enumerated_estimate(ts, d)
 
 
 def radius_sequence(ts: TupleSpec) -> list:
+    """The values at depths 1..max_depth; a coordinate tuple's come from
+    one recursion, each equal to its radius_estimate."""
+    if is_coordinate_tuple(ts.generators):
+        return _coordinate_estimates(ts, ts.max_depth)
     return [radius_estimate(ts, d) for d in range(1, ts.max_depth + 1)]
 
 

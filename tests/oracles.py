@@ -8,8 +8,9 @@ pair loop per product vs the shared twisted-product routine, one
 word-at-a-time loop per lift and normal ordering vs the batched word
 kernel, one generator letter at a time vs the closed-form Fock columns,
 one word, grid pair and profile at a time vs the deformation suites'
-shared prefixes, grids and cross-degree table, and json's encoder over a
-document built here from the README's layout of each kind vs the
+shared prefixes, grids and cross-degree table, one multi-index at a time
+vs the coordinate radius recursion over partial sums, and json's encoder
+over a document built here from the README's layout of each kind vs the
 table-driven element-text writer.  The exact_* oracles compute at a
 rational q with fractions.Fraction and ints, so they give the true value
 that a float route rounds.
@@ -17,6 +18,7 @@ that a float route rounds.
 
 import cmath
 import decimal
+import functools
 import itertools
 import json
 import math
@@ -25,9 +27,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
+from qdomains import qcombinat as qc
 from qdomains.deform_types import HSeriesElement
 from qdomains.elements import FreeElement, LaurentElement, QPolynomial, laurent_word
-from qdomains.norms import omega
+from qdomains.norms import monomial_log_norm, omega
 from qdomains.qcombinat import q_int
 
 
@@ -526,6 +529,44 @@ def reference_qpoly_norm(a, family, rho):
         else:
             acc += abs(a.terms[k]) * math.exp(log_norm)
     return math.sqrt(acc) if family == "polydisk-l2" else acc
+
+
+def total_degree_indices(n, d):
+    """The k in Z_+^n with |k| = d, in lexicographic order: the |k| <= d
+    table of qcombinat.multi_indices, filtered."""
+    return tuple(k for k in qc.multi_indices(n, d) if sum(k) == d)
+
+
+@functools.cache
+def _log_mahonian_sum(k, modulus, p):
+    # log of the sum over the fiber of t**m(alpha), t = modulus**-p, from
+    # q-factorials summed directly at s = min(t, 1/t), plus cross(k) log t
+    # where t > 1; the multinomial at t = 1.  Kept per (k, modulus, p), as
+    # every family and rho of a grid reads the same sums
+    log_t = -p * math.log(modulus)
+    if log_t == 0.0:
+        return math.log(qc.fiber_count(k))
+    s = math.exp(-abs(log_t))
+    return (_direct_log_q_factorial(sum(k), s) - sum(_direct_log_q_factorial(m, s) for m in k)
+            + brute_sigma(k, k) * max(log_t, 0.0))
+
+
+def reference_coordinate_sum(n, family, rho, q, p, d):
+    """The depth-d radius estimate of the q-plane coordinate tuple
+    (x_1, ..., x_n), summed key by key over the k with |k| = d: the word
+    sum grouped by exponent vector, ||x^k||**p times the Mahonian sum over
+    the fiber of k at t = |q|**-p, each key's log norm from
+    monomial_log_norm on its own; at p = inf the max of ||x^k|| times the
+    fiber's largest |q|**-m(alpha), |q|**-cross(k) at |q| < 1, else 1."""
+    modulus = abs(q)
+    keys = total_degree_indices(n, d)
+    logs = [monomial_log_norm(k, family, rho, q) for k in keys]
+    if p == math.inf:
+        return math.exp(max(log + max(0.0, -brute_sigma(k, k) * math.log(modulus))
+                            for k, log in zip(keys, logs)) / d)
+    terms = [_log_mahonian_sum(k, modulus, p) + p * log for k, log in zip(keys, logs)]
+    top = max(terms)
+    return math.exp((top + math.log(sum(math.exp(v - top) for v in terms))) / (p * d))
 
 
 # ---------------------------------------------------------------------------

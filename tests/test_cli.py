@@ -4,18 +4,19 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
 from oracles import (brute_sigma, exact_ball_weight_sq, exact_log, exact_mahonian_sum,
-                     reference_element_text)
+                     reference_coordinate_sum, reference_element_text)
 
 from qdomains import cli, deform, randgen
 from qdomains import qcombinat as qc
-from qdomains.elements import (LaurentElement, fiber_eval, free_mul, laurent_mul, normal_order,
-                               qpoly_mul)
+from qdomains.elements import (LaurentElement, QPolynomial, fiber_eval, free_mul, laurent_mul,
+                               normal_order, qpoly_mul)
 from qdomains.norms import NormSpec, norm
 from qdomains.serialize import element_to_document, parse_element
 
@@ -562,15 +563,91 @@ def test_norm_and_scan_answer_where_a_monomial_norm_alone_overflows(tmp_path, ca
                                           rel=1e-15)
 
 
-def test_radius_enumeration_is_bounded(capsys):
-    # the coordinate sum enumerates the multi-indices of each depth, and
-    # once ran on without bound; depth 3 of n = 200 has 1373701 of them
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"not valid JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_scan_writes_a_diagnostic_past_the_float_range_as_null(tmp_path, capsys):
+    # between samples near 1e-300 the slope (about 2e320) leaves the float
+    # range; it was printed as the non-JSON token Infinity.  The rows stay,
+    # and so does exit 0
+    laurent = write(tmp_path, "l.json", {"kind": "laurent", "n": 2,
+                                         "terms": [{"k": [1, 1], "p": 0, "c": {"re": 1}},
+                                                   {"k": [2, 0], "p": 1, "c": {"re": 1}}]})
+    argv = ["scan", "--in", laurent, "--path", "ray:0:1e-300:1e-299", "--samples", "3",
+            "--family", "ball", "--rho", "1e160"]
+    for out in (None, str(tmp_path / "field.csv")):
+        assert cli.main(argv + (["--out", out] if out else [])) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = _strict_json(captured.out)
+        diagnostic = payload["diagnostic"]
+        assert diagnostic["max_slope"] is None
+        assert math.isfinite(diagnostic["max_jump"]) and 0 < diagnostic["spacing"] < 1e-298
+        assert payload["rows"] == 3 if out else len(payload["rows"]) == 3
+    # a finite slope is still a number
+    argv = ["scan", "--in", laurent, "--path", "ray:0:0.5:2", "--samples", "3",
+            "--family", "ball", "--rho", "1"]
+    assert cli.main(argv) == 0
+    assert math.isfinite(_strict_json(capsys.readouterr().out)["diagnostic"]["max_slope"])
+
+
+def test_radius_answers_two_hundred_coordinates(capsys):
+    # the coordinate sum once enumerated the multi-indices of each depth and
+    # exited 2 here at the cap (1373701 of them at depth 3); the recursion
+    # over partial sums answers every depth
     argv = ["radius", "--family", "polydisk", "--rho", "1", "--depth", "40",
             "--p", "2", "--n", "200", "--q", "0.5"]
-    assert cli.main(argv) == 2
+    assert cli.main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: resource limit: 1373701 multi-indices exceed")
+    assert captured.err == ""
+    values = json.loads(captured.out)["values"]
+    assert len(values) == 40 and all(map(math.isfinite, values))
+    assert values[0] == pytest.approx(reference_coordinate_sum(200, "polydisk-l1", 1.0, 0.5, 2, 1),
+                                      rel=1e-13)
+    # depth 2 by hand (the oracle's |k| <= 2 table of n = 200 takes seconds):
+    # 200 keys 2 e_i of weight 1 and Mahonian sum 1, and C(200, 2) keys
+    # e_i + e_j of weight |q| and Mahonian sum 1 + t at t = |q|**-2 = 4
+    assert values[1] == pytest.approx((200 + math.comb(200, 2) * 0.25 * 5) ** 0.25, rel=1e-13)
+
+
+def test_radius_past_the_bound_is_refused_before_building(capsys, monkeypatch):
+    # the tuple's n**2 key entries and the n depth**2 steps of the deepest
+    # recursion are counted against the cap before the tuple is built
+    built = []
+    coordinates = QPolynomial.coordinates
+    monkeypatch.setattr(QPolynomial, "coordinates",
+                        lambda *args: built.append(args) or coordinates(*args))
+    for n, depth, count in (("2000", "3", 4018000), ("10", "400", 1600100)):
+        argv = ["radius", "--family", "ball", "--rho", "1", "--depth", depth,
+                "--p", "2", "--n", n, "--q", "0.5"]
+        start = time.perf_counter()
+        assert cli.main(argv) == 2
+        assert time.perf_counter() - start < 0.1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: resource limit: {n} coordinates to depth {depth} take "
+                                f"{count} steps, past the enumeration cap 1000000\n")
+    assert built == []
+
+
+def test_radius_takes_rho_out_of_the_sum(capsys):
+    # rho**(p d) is a factor of every summand, taken out before the root:
+    # with log rho inside each summand's log, rho = 1e160 once cost 5.0e-14
+    # (1.2599210498948102e+160 at depth 3).  The exact value is the float
+    # rho times the root of the exact sum of Mahonian sums times squared
+    # ball weights at the rational value of the float q
+    modulus, rho = Fraction(1e10), 1e160
+    argv = ["radius", "--family", "ball", "--rho", "1e160", "--depth", "3",
+            "--p", "2", "--n", "2", "--q", "1e10"]
+    assert cli.main(argv) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    for d, value in zip((1, 2, 3), values):
+        logs = [exact_log(exact_mahonian_sum((i, d - i), modulus ** -2)
+                          * exact_ball_weight_sq((i, d - i), modulus)) for i in range(d + 1)]
+        assert value == pytest.approx(rho * math.exp(_log_sum(logs) / (2 * d)), rel=1e-14), d
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):

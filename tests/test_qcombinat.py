@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 
 import qdomains
-from qdomains import _kernels, _mutate, _wordkit_py, deform, randgen, spectral, suites
+from qdomains import _mutate, _wordkit_py, deform, randgen, spectral, suites
 from qdomains import qcombinat as qc
 from qdomains._held import held
 from qdomains._wordkit_py import _SCALAR_BATCH
 from qdomains.elements import ball_lift, polydisk_lift
+from qdomains.norms import POLYDISK_L1, NormSpec
 from qdomains.qcombinat import EnumerationCapExceeded, QParam
 
 from oracles import (brute_fiber, brute_inversions, brute_mahonian_sum, brute_profile,
                      brute_sigma, direct_log_q_int, exact_ball_weight_sq, exact_log,
-                     exact_mahonian_sum, reference_held_store)
+                     exact_mahonian_sum, reference_held_store, total_degree_indices)
 
 # mpmath-verified infinite products (30 digits), frozen
 POCH_HALF_HALF = 0.288788095086602421278899721929
@@ -185,8 +186,8 @@ def test_every_table_kept_between_calls_is_held_under_one_policy():
              if getattr(value, "store", None) is not None and hasattr(value, "__wrapped__")}
     names = {memo.__name__ for memo in memos.values()}
     assert {"_letter_tables", "_domain", "_monomial_column", "_shift_pairs", "_pair_plan",
-            "q_pochhammer_inf", "_factorial_table", "multi_indices", "multi_indices_exact",
-            "_fiber_record", "_word_pool"} <= names
+            "q_pochhammer_inf", "_factorial_table", "multi_indices", "_fiber_record",
+            "_word_pool"} <= names
     suites.run_all(seed=1234)
     for memo in memos.values():
         assert memo.total == sum(map(memo.size, memo.store.values())) <= memo.budget, memo
@@ -304,8 +305,7 @@ def _exact_weight_cases():
     """Per |q| = 1/2, 3/4, 2, 10, 1000 and 10**100: 200 random exponent
     vectors (n = 2-4, entries up to 12; up to 3 at 10**100, where the
     exact ints have about 200 cross(k) digits), with the exact log ball
-    weight of each and its exact log Mahonian sums at t = |q|**-1 and
-    |q|**-2."""
+    weight of each."""
     rng = Random("exact-weights")
     cases = []
     for modulus in (Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(10),
@@ -313,10 +313,8 @@ def _exact_weight_cases():
         top = 3 if modulus > 1000 else 12
         keys = [tuple(rng.randint(0, top) for _ in range(rng.randint(2, 4)))
                 for _ in range(200)]
-        ball = [exact_log(exact_ball_weight_sq(k, modulus)) / 2 for k in keys]
-        mahonian = {p: [exact_log(exact_mahonian_sum(k, modulus ** -p)) for k in keys]
-                    for p in (1, 2)}
-        cases.append((modulus, keys, ball, mahonian))
+        cases.append((modulus, keys, [exact_log(exact_ball_weight_sq(k, modulus)) / 2
+                                      for k in keys]))
     return cases
 
 
@@ -327,27 +325,34 @@ def test_ball_and_mahonian_weights_hold_to_the_exact_oracle(monkeypatch):
             assert exact_mahonian_sum(k, t) == sum(t ** brute_inversions(alpha)
                                                    for alpha in brute_fiber(k))
     cases = _exact_weight_cases()
-    for modulus, keys, ball, mahonian in cases:
+    for modulus, keys, ball in cases:
         for k, got, want in zip(keys, qc.weight_ball_logs(keys, float(modulus)), ball):
             # |q| > 1 reads the paper's second form at s = |q|**-2, where the
             # t = |q|**2 table erred by up to 2.9e-11; at |q| < 1,
             # cross(k) log|q| is most of the log, up to about 600
             assert abs(got - want) <= (1e-14 if modulus > 1 else 2 * math.ulp(want)), (
                 modulus, k, got, want)
-        for p, sums in mahonian.items():
-            s, log_t = qc._folded_base(float(modulus), -p), -p * math.log(modulus)
-            for k, want in zip(keys, sums):
-                got = spectral._log_mahonian(k, s, log_t)
-                if modulus > 1:
-                    # t < 1: the sum lies in [1, |k|!/k!]; the running sums of
-                    # the t = 1/2 table err by up to 2.6e-14
-                    assert abs(got - want) <= (1e-14 if p == 2 else 3e-14), (modulus, p, k)
-                else:
-                    # t > 1 adds cross(k) log t, up to about 1200
-                    assert abs(got - want) <= 2 * math.ulp(want), (modulus, p, k)
+    # the coordinate radius reads the Mahonian factor at t = |q|**-p from the
+    # table of s = min(t, 1/t).  The polydisk weight is 1 at |q| > 1 and
+    # |q|**cross(k) at |q| < 1, so (d p) log radius at rho = 1 is the log of
+    # the sum over |k| = d of the Mahonian sums at t, times |q|**(p cross(k))
+    # at |q| < 1 (which the fold's t**cross(k) cancels): each term lies in
+    # [1, |k|!/k!], and the running sums of the t = 1/2 table err by up to
+    # 2.6e-14
+    for modulus, _, _ in cases:
+        for n in (2, 3, 4):
+            for p in (1, 2):
+                ts = spectral.coordinate_tuple(n, NormSpec(POLYDISK_L1, 1.0), p, 8,
+                                               q=float(modulus))
+                for d in range(1, 9):
+                    want = exact_log(sum(exact_mahonian_sum(k, modulus ** -p)
+                                         * min(modulus, 1) ** (p * brute_sigma(k, k))
+                                         for k in total_degree_indices(n, d)))
+                    got = p * d * math.log(spectral.radius_estimate(ts, d))
+                    assert abs(got - want) <= (1e-14 if p == 2 else 3e-14), (modulus, n, p, d)
     # a weight bumped by 1e-6 is far off at every |q|
     monkeypatch.setattr(_mutate, "_active", "weight-ball")
-    for modulus, keys, ball, _ in cases:
+    for modulus, keys, ball in cases:
         got = qc.weight_ball_logs(keys, float(modulus))
         assert min(abs(g - w) for g, w in zip(got, ball)) > 1e-7, modulus
 
@@ -425,7 +430,7 @@ def test_fiber_record_matches_brute_force(monkeypatch):
         assert list(ms) == [brute_inversions(w) for w in fiber]
         assert qc.fiber_words(k) == fiber
         assert qc.fiber_inversion_list(k) == list(ms)
-        assert _kernels.fiber_inversions(k) == list(ms)
+        assert _wordkit_py.fiber_inversions(k) == list(ms)
 
 
 def test_fiber_cap_holds_for_a_cached_record():
@@ -538,14 +543,14 @@ def test_fiber_lists_are_fresh_copies():
     k = (2, 2, 1)
     words, ms = qc.fiber_words(k), qc.fiber_inversion_list(k)
     expected_words, expected_ms = list(words), list(ms)
-    for got in (words, ms, _kernels.fiber_words(k), _kernels.fiber_inversions(k)):
+    for got in (words, ms, _wordkit_py.fiber_words(k), _wordkit_py.fiber_inversions(k)):
         got.reverse()
         got[0] = None
         got.append(None)
     assert qc.fiber_words(k) == expected_words
     assert qc.fiber_inversion_list(k) == expected_ms
-    assert _kernels.fiber_words(k) == expected_words
-    assert _kernels.fiber_inversions(k) == expected_ms
+    assert _wordkit_py.fiber_words(k) == expected_words
+    assert _wordkit_py.fiber_inversions(k) == expected_ms
     assert qc.fiber(k) == (tuple(expected_words), tuple(expected_ms))
 
 
@@ -615,16 +620,16 @@ def test_sigma_and_cross_degree_closed_forms_match_pair_counting():
 
 def test_multi_index_enumeration_counts():
     assert len(qc.multi_indices(3, 4)) == math.comb(7, 3)
-    assert len(qc.multi_indices_exact(4, 6)) == math.comb(9, 3)
+    assert len(total_degree_indices(4, 6)) == math.comb(9, 3)
     assert qc.multi_indices(2, 1) == ((0, 0), (0, 1), (1, 0))
-    # the direct enumeration of |k| = d is the |k| <= d table filtered, in order
+    # the oracle's |k| = d enumeration is every composition of d, in order
     for n in range(1, 5):
         for d in range(-1, 7):
-            assert qc.multi_indices_exact(n, d) == tuple(
-                k for k in qc.multi_indices(n, d) if sum(k) == d)
-    # and it is refused where that table is, before enumerating
+            assert total_degree_indices(n, d) == tuple(
+                k for k in itertools.product(range(max(d, 0) + 1), repeat=n) if sum(k) == d)
+    # the table is refused past the cap, before enumerating
     with pytest.raises(EnumerationCapExceeded, match="1373701 multi-indices"):
-        qc.multi_indices_exact(200, 3)
+        qc.multi_indices(200, 3)
     # the |k| <= d table comes in lexicographic order as enumerated, unsorted
     for n in range(1, 6):
         for d in range(-1, 9):
@@ -637,12 +642,10 @@ def test_multi_index_tables_are_held_within_a_budget():
     # life of the process
     small = qc.multi_indices(2, 5)
     assert qc.multi_indices(2, 5) is small
-    for table, total in ((qc.multi_indices, 80), (qc.multi_indices_exact, 21)):
-        n = 3 if table is qc.multi_indices else 6
-        big = table(n, total)
-        assert len(big) > table.budget
-        again = table(n, total)
-        assert again == big and again is not big
+    big = qc.multi_indices(3, 80)
+    assert len(big) > qc.multi_indices.budget
+    again = qc.multi_indices(3, 80)
+    assert again == big and again is not big
     # tables that fit are dropped oldest first once they overflow
     first = qc.multi_indices(3, 55)
     assert qc.multi_indices(3, 55) is first
@@ -685,17 +688,17 @@ def test_words_enumeration():
 def test_word_kernels_match_brute_force():
     for counts in ((2, 1), (1, 1, 1), (3, 2), (0, 2, 1), (0, 0), (3,), (3, 3, 3)):
         fiber = brute_fiber(counts)
-        assert _kernels.fiber_words(counts) == fiber
-        assert _kernels.fiber_inversions(counts) == [brute_inversions(w) for w in fiber]
+        assert _wordkit_py.fiber_words(counts) == fiber
+        assert _wordkit_py.fiber_inversions(counts) == [brute_inversions(w) for w in fiber]
         for q in (0.5, 1.3, cmath.exp(0.7j)):
-            assert _kernels.mahonian_sum(counts, q) == pytest.approx(
+            assert _wordkit_py.mahonian_sum(counts, q) == pytest.approx(
                 brute_mahonian_sum(counts, q), rel=1e-13)
-    assert _kernels.mahonian_sum((0, 0), 0.5) == 1
+    assert _wordkit_py.mahonian_sum((0, 0), 0.5) == 1
     for alpha in qc.words(3, 5):
-        assert _kernels.inversions(alpha) == brute_inversions(alpha)
+        assert _wordkit_py.inversions(alpha) == brute_inversions(alpha)
         switches = sum(1 for a, b in zip(alpha, alpha[1:]) if a != b)
-        assert _kernels.switch_count(alpha) == (switches if len(alpha) > 1 else len(alpha) - 1)
-        assert _kernels.word_profile(alpha, 3) == tuple(alpha.count(i) for i in (1, 2, 3))
+        assert _wordkit_py.switch_count(alpha) == (switches if len(alpha) > 1 else len(alpha) - 1)
+        assert _wordkit_py.word_profile(alpha, 3) == tuple(alpha.count(i) for i in (1, 2, 3))
 
 
 def _word_stats_both_routes(batch, n):
@@ -724,7 +727,7 @@ def test_word_stats_matches_brute_force():
             assert all(isinstance(m, int) for m in ms)
             assert all(isinstance(c, int) for p in profiles for c in p)
         for chunk in (batch, batch[:_SCALAR_BATCH - 1], batch * _SCALAR_BATCH):
-            assert _kernels.word_stats(chunk, n) == qc.word_stats(chunk, n)
+            assert _wordkit_py.word_stats(chunk, n) == qc.word_stats(chunk, n)
     assert qc.word_stats([], 3) == ([], [])
     for batch, n, expected in (([()], 2, ([(0, 0)], [0])),
                                ([(2, 2, 2)], 2, ([(0, 3)], [0]))):
@@ -776,7 +779,7 @@ def test_word_stats_reads_the_cached_fiber_record(monkeypatch):
         profiles, got = qc.word_stats(batch, 3)
         assert (profiles, got) == _brute_stats(batch, 3)
         assert all(type(c) is int for c in profiles[0]) and all(type(m) is int for m in got)
-    assert _kernels.word_stats(words, 3) == ([k] * len(words), list(ms))
+    assert _wordkit_py.word_stats(words, 3) == ([k] * len(words), list(ms))
     assert scans == []
     # another fiber evicts the record: the same batch is computed again
     qc.fiber((1, 1, 1))
@@ -810,23 +813,18 @@ def test_word_stats_falls_back_off_the_record(monkeypatch):
 
 def test_fiber_stats_reads_the_record_by_layout_or_bisection(monkeypatch):
     # the record's own word sequence takes its inversion numbers as they
-    # are, and a batch of a few words finds them by bisection: neither
-    # builds the word -> inversions map, and both equal the brute counts
+    # are, and any other batch finds them word by word by bisection; both
+    # equal the brute counts
     _fresh_fiber_store(monkeypatch, 10 ** 4)
     for k in ((4,), (2, 3), (1, 2, 2), (2, 0, 1, 2), (3, 2, 2)):
         n = len(k)
         words, ms = qc.fiber(k)
-        last = _wordkit_py._last_record
         batches = (words, list(words), dict.fromkeys(words, 1.0), [words[-1]], [words[0]],
-                   list(words[::7][:_wordkit_py._BISECT_BATCH - 1]))
+                   list(words[::7]), words[::-1], words[1:] + words[:1])
         for batch in batches:
             got = _wordkit_py.fiber_stats(batch, n)
             assert got == ([k] * len(batch), [brute_inversions(w) for w in batch])
             assert type(got[1]) is list and all(type(m) is int for m in got[1])
-            assert last[2] is None, (k, len(batch))
-        # a reordered copy of the same length is read through the map
-        assert _wordkit_py.fiber_stats(words[::-1], n) == (
-            [k] * len(words), [brute_inversions(w) for w in words[::-1]])
 
 
 def test_fiber_stats_refuses_look_alikes_of_the_record(monkeypatch):

@@ -3,10 +3,12 @@ import math
 from random import Random
 
 import pytest
+from oracles import reference_coordinate_sum
 
-from qdomains import randgen, spectral
+from qdomains import _mutate, randgen, spectral
 from qdomains.elements import FreeElement, QPolynomial
-from qdomains.norms import BALL, FREE_POLYDISK, FREE_TAYLOR, POLYDISK_L1, NormSpec
+from qdomains.norms import (BALL, CLASSICAL_BALL, FREE_POLYDISK, FREE_TAYLOR, POLYDISK_L1,
+                            POLYDISK_L2, NormSpec)
 from qdomains.qcombinat import ENUMERATION_CAP, EnumerationCapExceeded
 
 UNIMODULAR = cmath.exp(1j * math.pi / 4)
@@ -71,6 +73,71 @@ def test_grouping_matches_enumeration():
                     fast = spectral.radius_estimate(ts, d)
                     slow = spectral.radius_estimate(ts, d, force_enumeration=True)
                     assert fast == pytest.approx(slow, rel=1e-12)
+
+
+def test_coordinate_recursion_holds_to_the_multi_index_sum():
+    # the recursion over (part, partial sum) against the sum over the
+    # multi-indices of each depth, key by key, and each value of a sequence
+    # against the estimate at its own depth; the oracle's own logs carry
+    # p d log rho and cross(k) log t terms up to about 1100, which bound the
+    # agreement (2.1e-14 seen)
+    for family in (POLYDISK_L1, POLYDISK_L2, BALL, CLASSICAL_BALL):
+        for p in (1, 2, math.inf):
+            for q in (0.5, 0.8, 1.7, UNIMODULAR, 2.0, 1e10, 1e-10):
+                for rho in (0.9, 1e-3):
+                    for n in range(1, 5):
+                        ts = spectral.coordinate_tuple(n, NormSpec(family, rho), p, 8, q=q)
+                        values = spectral.radius_sequence(ts)
+                        for d, value in enumerate(values, start=1):
+                            want = reference_coordinate_sum(n, family, rho, q, p, d)
+                            assert value == pytest.approx(want, rel=1e-13), (
+                                family, p, q, rho, n, d)
+                            # one pass to depth 8 gives each depth's own value
+                            assert value == spectral.radius_estimate(ts, d)
+
+
+@pytest.mark.parametrize("family, mutation", [(BALL, "weight-ball"),
+                                              (POLYDISK_L1, "weight-polydisk"),
+                                              (POLYDISK_L2, "weight-polydisk")])
+def test_weight_mutations_reach_the_coordinate_radius(monkeypatch, family, mutation):
+    # the hook scales every weight of a depth by 1 + 1e-6, so each
+    # estimate by (1 + 1e-6)**(1/d), for every p and |q|
+    for p in (1, 2, math.inf):
+        for q in (0.5, UNIMODULAR, 2.0):
+            ts = spectral.coordinate_tuple(3, NormSpec(family, 0.9), p, 4, q=q)
+            plain = spectral.radius_sequence(ts)
+            monkeypatch.setattr(_mutate, "_active", mutation)
+            bumped = spectral.radius_sequence(ts)
+            monkeypatch.setattr(_mutate, "_active", "")
+            for d, (a, b) in enumerate(zip(plain, bumped), start=1):
+                assert b / a - 1 == pytest.approx(1e-6 / d, rel=1e-3), (p, q, d)
+
+
+def test_coordinate_recursion_is_bounded():
+    # n**2 + n d**2 past the cap is refused before the tuple is built, and
+    # at the depth asked for on a tuple built by hand
+    with pytest.raises(EnumerationCapExceeded, match="1001 coordinates to depth 1 take"):
+        spectral.coordinate_tuple(1001, NormSpec(BALL, 0.9), 2, 1, q=0.5)
+    with pytest.raises(EnumerationCapExceeded, match="10 coordinates to depth 317 take"):
+        spectral.coordinate_tuple(10, NormSpec(BALL, 0.9), 2, 317, q=0.5)
+    ts = spectral.TupleSpec(tuple(QPolynomial.coordinates(10, 0.5)), NormSpec(BALL, 0.9), 2, 400)
+    assert spectral.radius_estimate(ts, 316) > 0
+    with pytest.raises(EnumerationCapExceeded, match="10 coordinates to depth 317 take"):
+        spectral.radius_estimate(ts, 317)
+    # the free closed forms are not bounded by it
+    free = spectral.coordinate_tuple(2000, NormSpec(FREE_TAYLOR, 0.9), 2, 400)
+    assert spectral.radius_estimate(free, 400) == pytest.approx(0.9 * math.sqrt(2000))
+
+
+def test_coordinate_estimate_past_the_float_range_raises():
+    # rho times the root (10 rho at depth 1, p = 1) passes the float range
+    # only once rho is multiplied back in; it raises as exp of the whole
+    # log did
+    ts = spectral.coordinate_tuple(10, NormSpec(POLYDISK_L1, 1e308), 1, 2, q=0.5)
+    with pytest.raises(OverflowError, match="exceeds the float range"):
+        spectral.radius_estimate(ts, 1)
+    smaller = spectral.TupleSpec(ts.generators, NormSpec(POLYDISK_L1, 1e307), 1, 2)
+    assert spectral.radius_estimate(smaller, 1) == pytest.approx(1e308)
 
 
 def test_free_coordinate_values_match_enumeration():
