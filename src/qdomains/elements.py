@@ -509,10 +509,12 @@ def _plain_mul(a: QPolynomial, b: QPolynomial, rule: Callable,
 
 
 def qpoly_mul(a: QPolynomial, b: QPolynomial, degree_cap: int | None = None) -> QPolynomial:
-    """Bilinear product from the monomial rule x^k x^l = q^{-sigma(l,k)} x^{k+l}."""
+    """Bilinear product from the monomial rule x^k x^l = q^{-sigma(l,k)} x^{k+l},
+    each phase from QParam.power (OverflowError where |q|^{-sigma} leaves
+    the float range)."""
     a._check_compatible(b)
-    q = a.q.value
-    out = _plain_mul(a, b, lambda g, h, s, _: ((None, _mutate.scale("qpoly-phase", q ** (-s))),),
+    q = a.q
+    out = _plain_mul(a, b, lambda g, h, s, _: ((None, _mutate.scale("qpoly-phase", q.power(-s))),),
                      degree_cap)
     return QPolynomial(a.n, a.q, out)
 
@@ -544,7 +546,8 @@ def laurent_mul(a: LaurentElement, b: LaurentElement,
 # structure maps
 
 def normal_order(f: FreeElement, q) -> QPolynomial:
-    """Push a free element onto the q-plane: zeta_alpha -> q^{-m(alpha)} x^{p(alpha)}."""
+    """Push a free element onto the q-plane: zeta_alpha -> q^{-m(alpha)} x^{p(alpha)},
+    each phase from QParam.power, as in qpoly_mul."""
     qp = as_qparam(q)
     out = _Checked()
     profiles, ms = qc.word_stats(f.terms, f.n)
@@ -553,14 +556,14 @@ def normal_order(f: FreeElement, q) -> QPolynomial:
         # one profile, as in a lift: the loop's sum in one C-level reduction,
         # 0.0 + c * phase + ..., in term order (builtin sum would compensate)
         for m in set(ms):
-            phases[m] = _mutate.scale("normal-order-phase", qp.value ** (-m))
+            phases[m] = _mutate.scale("normal-order-phase", qp.power(-m))
         out[profiles[0]] = reduce(add, map(mul, f.terms.values(), map(phases.__getitem__, ms)),
                                   0.0)
         return QPolynomial(f.n, qp, out)
     for c, k, m in zip(f.terms.values(), profiles, ms):
         phase = phases.get(m)
         if phase is None:
-            phase = phases[m] = _mutate.scale("normal-order-phase", qp.value ** (-m))
+            phase = phases[m] = _mutate.scale("normal-order-phase", qp.power(-m))
         out[k] = out.get(k, 0.0) + c * phase
     return QPolynomial(f.n, qp, out)
 
@@ -608,6 +611,10 @@ def laurent_word(n: int, alpha: Sequence[int]) -> LaurentElement:
 # ---------------------------------------------------------------------------
 # optimal lifts
 
+# Outside |log|q|| <= _TIE_BAND the values m log|q| of distinct integers m
+# differ by far more than polydisk_lift's 1e-15 tie, so no tie can chain
+_TIE_BAND = 1e-14
+
 def polydisk_lift(k: Sequence[int], q) -> FreeElement:
     """Single-word lift of x^k minimizing the Taylor free norm.
 
@@ -617,16 +624,21 @@ def polydisk_lift(k: Sequence[int], q) -> FreeElement:
     """
     qp = as_qparam(q)
     k = tuple(map(index, k))
-    n = len(k)
-    best = None
-    best_m = 0
-    for alpha, m in zip(*qc.fiber(k)):
-        value = m * qp.log_modulus
-        if best is None or value < best[0] - 1e-15:
-            best = (value, alpha)
-            best_m = m
-    assert best is not None
-    return FreeElement(n, _Checked({best[1]: qp.value ** best_m}))
+    words, ms = qc.fiber(k)
+    log_modulus = qp.log_modulus
+    if log_modulus == 0.0:
+        best = 0
+    elif abs(log_modulus) <= _TIE_BAND:
+        # m log|q| of different m can lie within the 1e-15 tie of each other
+        best, least = 0, ms[0] * log_modulus
+        for i, m in enumerate(ms):
+            if m * log_modulus < least - 1e-15:
+                best, least = i, m * log_modulus
+    else:
+        # distinct m lie more than 1e-15 apart: the first word of least
+        # m log|q|, of least m for |q| > 1 and of greatest m for |q| < 1
+        best = ms.index(min(ms) if log_modulus > 0.0 else max(ms))
+    return FreeElement(len(k), _Checked({words[best]: qp.value ** ms[best]}))
 
 
 def ball_lift(k: Sequence[int], q) -> FreeElement:

@@ -5,19 +5,33 @@ ball sup coefficients.
 Norms are exact finite sums over term supports.  Weights are produced in
 the log domain and the terms are accumulated in a fixed sorted order so
 reports are reproducible bit for bit.
+
+The q-plane and Laurent norms find each term's key in a pool: every
+exponent vector of the element's dimension up to a total degree
+2**b - 1, the least such at or above the element's top degree, held
+under _held.held and ordered as sorted_terms orders keys, so sorting the
+terms' places in it puts them in that order.  A q-plane norm reads each
+||x^k|| from one table per family, rho, |q|, mutation in force and pool,
+built in one batch over the pool and held too: one float per key, exp of
+its log norm, or inf where that leaves the float range; such a term is
+exp(log |c| + log ||x^k||).  The Laurent norm reads each key's total and
+cross degree from the pool.  An element whose pool would pass _POOL_CAP
+keys gets a pool of its own keys, built for the one call.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import add
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from qdomains import _mutate
 from qdomains import qcombinat as qc
+from qdomains._held import held
 from qdomains.deform_types import HSeriesElement
 from qdomains.elements import FreeElement, LaurentElement, QPolynomial
 from qdomains.qcombinat import QParam, as_qparam
@@ -122,24 +136,102 @@ def monomial_log_norm(k: Sequence[int], family: str, rho: float, q) -> float:
     return _monomial_log_norms((k,), family, rho, q)[0]
 
 
+# ---------------------------------------------------------------------------
+# the held key pools and monomial factor tables
+
+# A pool holds every exponent vector of one dimension up to a total degree
+# top = 2**b - 1; the norms use one when it has at most this many keys
+_POOL_CAP = 2 ** 12
+
+
+class _Pool(NamedTuple):
+    """Exponent vectors in the sorted_terms order (|k|, k), with the index,
+    total degree and cross degree of each."""
+    keys: tuple
+    position: dict
+    degree: tuple
+    cross: tuple
+
+
+def _make_pool(keys) -> _Pool:
+    keys = tuple(sorted(keys, key=QPolynomial._sort_key))
+    return _Pool(keys, {k: i for i, k in enumerate(keys)},
+                 tuple(map(sum, keys)), tuple(map(qc.cross_degree, keys)))
+
+
+@held(2 ** 14, size=lambda pool: len(pool.keys))
+def _held_pool(n: int, top: int) -> _Pool:
+    """The pool of every k in Z_+^n with |k| <= top; verify all holds
+    about 1,150 keys in 10 pools."""
+    return _make_pool(qc.multi_indices(n, top))
+
+
+def _pool(n: int, keys) -> tuple:
+    """(pool, top) for a set of n-dimensional exponent vectors: the held
+    pool of every k with |k| <= top, top = 2**b - 1 the least such at or
+    above their largest total degree, or, where that pool would pass
+    _POOL_CAP keys, a pool of the vectors themselves and top None."""
+    top = (1 << max(map(sum, keys), default=0).bit_length()) - 1
+    if math.comb(n + top, n) <= _POOL_CAP:
+        return _held_pool(n, top), top
+    return _make_pool(set(keys)), None
+
+
+def _monomial_factors(keys, family: str, rho: float, q) -> array:
+    """||x^k|| (||x^k||**2 for polydisk-l2) for each k in keys, as exp of
+    the log norm, with inf where that exp leaves the float range."""
+    power = 2.0 if family == POLYDISK_L2 else 1.0
+    factors = array("d")
+    for log_norm in _monomial_log_norms(keys, family, rho, q):
+        try:
+            factors.append(math.exp(power * log_norm))
+        except OverflowError:
+            factors.append(math.inf)
+    return factors
+
+
+@held(2 ** 16)
+def _held_factors(family: str, rho: float, modulus: float, mutation: str,
+                  n: int, top: int) -> array:
+    """The monomial factors of every key of the held pool (n, top), one
+    float each, for one q-plane norm family at rho and |q| = modulus (the
+    weights read |q| alone).  mutation is the name of the _mutate point in
+    force, so that a table built under one is never read under another.
+    verify all holds about 21,000 entries in 220 tables."""
+    return _monomial_factors(_held_pool(n, top).keys, family, rho, modulus)
+
+
 def _qpoly_norm(a: QPolynomial, spec: NormSpec) -> float:
     _check_q(spec, a.q)
-    keys = sorted(a.terms, key=a._sort_key)   # the sorted_terms order
-    pairs = zip(map(a.terms.__getitem__, keys),
-                _monomial_log_norms(keys, spec.family, spec.rho, a.q))
+    family, rho, modulus = spec.family, spec.rho, a.q.modulus
+    pool, top = _pool(a.n, a.terms)
+    if top is None:
+        factors = _monomial_factors(pool.keys, family, rho, modulus)
+    else:
+        factors = _held_factors(family, rho, modulus, _mutate._active, a.n, top)
+    # the sorted_terms order, as the pool's order
+    items = sorted(zip(map(pool.position.__getitem__, a.terms), a.terms.values()))
+
+    def log_form(i, c, power):
+        # |c|**power ||x^k||**power where one factor alone leaves the float range
+        log_norm = monomial_log_norm(pool.keys[i], family, rho, modulus)
+        return math.exp(power * (math.log(abs(c)) + log_norm))
+
     acc = 0.0
-    if spec.family == POLYDISK_L2:
-        for c, log_norm in pairs:
+    if family == POLYDISK_L2:
+        for i, c in items:
+            factor = factors[i]
+            if factor == math.inf:
+                acc += log_form(i, c, 2.0)
+                continue
             try:
-                acc += abs(c) ** 2 * math.exp(2.0 * log_norm)
-            except OverflowError:   # |c|**2 or ||x^k||**2 alone leaves the float range
-                acc += math.exp(2.0 * (math.log(abs(c)) + log_norm))
+                acc += abs(c) ** 2 * factor
+            except OverflowError:
+                acc += log_form(i, c, 2.0)
         return math.sqrt(acc)
-    for c, log_norm in pairs:
-        try:
-            acc += abs(c) * math.exp(log_norm)
-        except OverflowError:   # ||x^k|| alone leaves the float range
-            acc += math.exp(math.log(abs(c)) + log_norm)
+    for i, c in items:
+        factor = factors[i]
+        acc += log_form(i, c, 1.0) if factor == math.inf else abs(c) * factor
     return acc
 
 
@@ -173,8 +265,11 @@ def _free_norm(a: FreeElement, spec: NormSpec) -> float:
 
 def _laurent_norm(a: LaurentElement, spec: NormSpec) -> float:
     rho, tau = spec.rho, spec.tau
-    return sum(abs(c) * rho ** sum(k) * tau ** abs(omega(k, p))
-               for (k, p), c in a.sorted_terms())
+    pool, _ = _pool(a.n, [k for k, _ in a.terms])
+    # the sorted_terms order, as the pool's order and then p
+    items = sorted((pool.position[k], p, c) for (k, p), c in a.terms.items())
+    return sum(abs(c) * rho ** pool.degree[i] * tau ** abs(_clip(p, pool.cross[i]))
+               for i, p, c in items)
 
 
 def _hseries_norm(a: HSeriesElement, spec: NormSpec) -> float:
@@ -206,13 +301,17 @@ def omega(k: Sequence[int], p: int):
     |omega(k, p)| equals the distance from 0 to the integer interval
     [p, p + cross_degree(k)].
     """
-    s = qc.cross_degree(k)
+    return _clip(p, qc.cross_degree(k))
+
+
+def _clip(p: int, cross: int):
+    """omega(k, p) for a k of cross degree cross."""
     if p >= 0:
         value = p
-    elif p + s >= 0:
+    elif p + cross >= 0:
         value = 0
     else:
-        value = p + s
+        value = p + cross
     return _mutate.scale("omega", value)
 
 

@@ -107,6 +107,25 @@ class QParam:
     def isclose(self, other: "QParam", tol: float = 1e-12) -> bool:
         return abs(self.value - other.value) <= tol * max(1.0, abs(self.value))
 
+    def power(self, e: int) -> complex:
+        """q**e: the complex power where that is finite and nonzero, else
+        |q|**e times the unit phase (q/|q|)**e.  Raises OverflowError, naming
+        q and e, where |q|**e itself leaves the float range or is below the
+        smallest subnormal."""
+        try:
+            value = self.value ** e
+        except (OverflowError, ZeroDivisionError):   # q**|e| left the float range
+            value = 0j
+        if value and cmath.isfinite(value):
+            return value
+        try:
+            value = self.modulus ** e * (self.value / self.modulus) ** e
+        except OverflowError:
+            value = 0j
+        if value and cmath.isfinite(value):
+            return value
+        raise OverflowError(f"q**{e} at q = {self.value!r} leaves the float range")
+
 
 def as_qparam(q) -> QParam:
     if isinstance(q, QParam):
@@ -459,11 +478,28 @@ def multi_indices(n: int, max_total: int) -> tuple:
 
 
 def _compositions_upto(n, max_total):
-    # in lexicographic order: heads ascending, each followed by its sorted tails
-    if n == 1:
-        return [(m,) for m in range(max_total + 1)]
-    return [(head,) + tail for head in range(max_total + 1)
-            for tail in _compositions_upto(n - 1, max_total - head)]
+    """Every k in Z_+^n with |k| <= max_total, in lexicographic order, one
+    successor step per key: below the total the last entry grows by one;
+    at it, the rightmost nonzero entry k_j (j > 0) drops to 0 and k_{j-1}
+    grows by one, and the walk ends when only k_0 is left nonzero."""
+    if max_total < 0:
+        return []
+    k, total, last = [0] * n, 0, n - 1
+    out = [tuple(k)]
+    while True:
+        if total < max_total:
+            k[last] += 1
+            total += 1
+        else:
+            j = last
+            while j and not k[j]:
+                j -= 1
+            if j == 0:
+                return out
+            total -= k[j] - 1
+            k[j] = 0
+            k[j - 1] += 1
+        out.append(tuple(k))
 
 
 def words_exact(n: int, d: int):

@@ -531,6 +531,12 @@ def reference_qpoly_norm(a, family, rho):
     return math.sqrt(acc) if family == "polydisk-l2" else acc
 
 
+def reference_laurent_norm(a, rho, tau):
+    """The Laurent norm term by term, in the sorted_terms order: |c| times
+    rho**|k| times tau**|omega(k, p)|, omega from cross(k) on the spot."""
+    return sum(abs(c) * rho ** sum(k) * tau ** abs(omega(k, p)) for (k, p), c in a.sorted_terms())
+
+
 def total_degree_indices(n, d):
     """The k in Z_+^n with |k| = d, in lexicographic order: the |k| <= d
     table of qcombinat.multi_indices, filtered."""

@@ -730,3 +730,23 @@ def test_ball_norm_of_a_high_degree_monomial(tmp_path, degree):
         assert json.loads(result.stdout)["norm"] == pytest.approx(0.9 ** degree, rel=1e-9)
     else:
         assert result.stderr.startswith("error: ")
+
+
+def test_phase_powers_past_the_float_range_exit_2(tmp_path):
+    # x2^2 . x1^2 = q^-4 x1^2 x2^2: at q = 1e200 and 1e-200 the true
+    # coefficient leaves the float range, and mul exits 2 naming q and the
+    # power; x2^4 . x1^2 at q = 1e40 is the subnormal 1e-320
+    def doc(name, q, k):
+        return write(tmp_path, name, {"kind": "qpoly", "n": 2, "q": {"re": q, "im": 0},
+                                      "terms": [{"k": k, "c": {"re": 1, "im": 0}}]})
+
+    for q in (1e200, 1e-200):
+        result = run("mul", "--in", doc("a.json", q, [0, 2]), "--in", doc("b.json", q, [2, 0]))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: overflow: q**-4 at q = ")
+        assert repr(complex(q)) in result.stderr and "Traceback" not in result.stderr
+    result = run("mul", "--in", doc("a.json", 1e150, [0, 3]), "--in", doc("b.json", 1e150, [1, 0]))
+    assert result.returncode == 2 and "q**-3" in result.stderr
+    result = run("mul", "--in", doc("a.json", 1e40, [0, 4]), "--in", doc("b.json", 1e40, [2, 0]))
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["terms"] == [{"k": [2, 4], "c": {"re": 1e-320, "im": 0.0}}]

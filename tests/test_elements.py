@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from itertools import count
 from operator import add
 from random import Random
@@ -706,3 +707,89 @@ def test_random_elements_are_the_checked_draws():
             assert [type(c) for c in got.terms.values()] == [complex] * len(got.terms)
             assert repr(list(got.terms)) == repr(list(expected.terms))   # int entries
             assert rng.getstate() == reference_rng.getstate()
+
+
+def test_polydisk_lift_picks_the_loop_minimiser():
+    # outside |log|q|| <= 1e-14 the minimiser is read off the fiber record:
+    # the first word of least m for |q| > 1, of greatest m for |q| < 1; inside
+    # it the 1e-15 tie rule can chain and the loop runs; at |q| = 1 it is the
+    # first word.  Each route gives the reference loop's word and coefficient.
+    band = elements._TIE_BAND
+    logs = (0.0, 1e-16, -1e-16, 6e-16, -6e-16, 1e-15, -1e-15, 3e-15, -3e-15,
+            band, -band, 2 * band, -2 * band, 1e-6, -1e-6, 0.7, -0.7, 30.0, -30.0)
+    chained = 0
+    for k in ((2, 1), (1, 1, 1), (0, 3, 2), (2, 2, 1), (1, 2, 1, 1), (3, 3), (2, 2, 2)):
+        words, ms = qc.fiber(k)
+        for log_modulus in logs:
+            for phase in (1.0, cmath.exp(0.4j), -1.0):
+                q = math.exp(log_modulus) * phase
+                got = polydisk_lift(k, q)
+                expected = FreeElement(len(k), reference_polydisk_lift(k, q))
+                assert same_bits(got, expected), (k, q)
+                word, = got.terms
+                log_q = math.log(abs(q))
+                if log_q == 0.0:
+                    assert word == words[0]
+                elif abs(log_q) > band:
+                    assert word == words[ms.index(min(ms) if log_q > 0 else max(ms))]
+                else:
+                    extreme = min(ms) if log_q > 0 else max(ms)
+                    chained += ms[words.index(word)] != extreme
+    # the tie rule does stop short of the extreme m inside the band
+    assert chained > 0
+
+
+def test_phase_powers_stay_in_the_float_range_or_raise():
+    # x2^a x1^b = q^{-ab} x1^b x2^a: a phase power whose complex power is
+    # finite and nonzero keeps its bits; else it is |q|^e times the unit
+    # phase, or OverflowError naming q and e where |q|^e leaves the float
+    # range (a true coefficient below the smallest subnormal is not dropped)
+    def mul(q, k, l):
+        return qpoly_mul(x_mono(2, q, k), x_mono(2, q, l))
+
+    for q, k, l, e in ((1e200, (0, 2), (2, 0), -4), (1e-200, (0, 2), (2, 0), -4),
+                       (1e150, (0, 3), (1, 0), -3), (1e200j, (0, 2), (2, 0), -4)):
+        with pytest.raises(OverflowError, match=re.escape(f"q**{e} at q = {complex(q)!r}")):
+            mul(q, k, l)
+    product = mul(1e40, (0, 4), (2, 0))
+    assert dict(product.terms) == {(2, 4): 1e-320 + 0j}
+    # a non-real q: |q|^-8 = 1e-320 times the unit phase i^-8 = 1
+    coeff = mul(1e40j, (0, 4), (2, 0)).terms[2, 4]
+    assert abs(coeff - 1e-320) <= 1e-323
+    # the same phases through normal_order, q^{-m(alpha)}
+    word = (2, 2, 2, 2, 1, 1)   # m = 8
+    assert dict(normal_order(FreeElement.word(2, word), 1e40).terms) == {(2, 4): 1e-320 + 0j}
+    with pytest.raises(OverflowError, match=r"q\*\*-8 at q"):
+        normal_order(FreeElement.word(2, word), 1e200)
+    with pytest.raises(OverflowError, match=r"q\*\*-8 at q"):
+        normal_order(FreeElement.word(2, word), 1e-200)
+    # in range, every power keeps the complex power's bits
+    for value in (0.5, 2.0, 0.3 + 0.4j, cmath.exp(0.7j), -1.5, 1e10, 1e-10j):
+        q = qc.QParam(value)
+        for e in list(range(-120, 121)) + [-2000, 2000, 10 ** 5]:
+            try:
+                power = q.value ** e
+            except (OverflowError, ZeroDivisionError):
+                power = 0j
+            if power and cmath.isfinite(power):
+                assert q.power(e) == power and repr(q.power(e)) == repr(power)
+                continue
+            try:
+                got = q.power(e)
+            except OverflowError as exc:
+                assert f"q**{e}" in str(exc)
+                continue
+            assert got and cmath.isfinite(got)
+            expected = cmath.exp(e * cmath.log(q.value))
+            assert abs(got - expected) <= 1e-9 * abs(expected)
+
+
+def test_phase_products_on_each_route_raise_alike(monkeypatch):
+    # the array route calls the rule once per distinct sigma, as the loop does
+    for q in (1e200, 1e-200):
+        a = QPolynomial(2, q, {(0, j): 1.0 for j in range(1, 17)})
+        b = QPolynomial(2, q, {(j, 0): 1.0 for j in range(1, 17)})
+        for cutoff in (math.inf, 1):
+            monkeypatch.setattr(elements, "_ARRAY_PAIRS", cutoff)
+            with pytest.raises(OverflowError, match=r"at q = "):
+                qpoly_mul(a, b)

@@ -4,8 +4,8 @@ from random import Random
 
 import pytest
 
+from qdomains import _mutate, norms, randgen
 from qdomains import qcombinat as qc
-from qdomains import randgen
 from qdomains.deform_types import HSeriesElement
 from qdomains.elements import FreeElement, LaurentElement, QPolynomial, normal_order, qpoly_mul
 from qdomains.norms import (
@@ -30,7 +30,8 @@ from qdomains.norms import (
 from qdomains import _wordkit_py
 from qdomains._wordkit_py import _SCALAR_BATCH, _SCALAR_PROFILES
 
-from oracles import reference_circ_norm, reference_qpoly_norm, simplex_monomial_max
+from oracles import (reference_circ_norm, reference_laurent_norm, reference_qpoly_norm,
+                     simplex_monomial_max)
 
 
 def test_norm_spec_validation():
@@ -272,3 +273,118 @@ def test_circ_norm_off_the_record_counts_profiles_only(monkeypatch):
         for batch in (bad, bad * _SCALAR_BATCH):
             with pytest.raises(ValueError):
                 qc.word_profiles(batch, 2)
+
+
+def _fresh_norm_tables(monkeypatch):
+    for memo in (norms._held_pool, norms._held_factors):
+        monkeypatch.setattr(memo, "store", {})
+        monkeypatch.setattr(memo, "total", 0)
+
+
+def _odd_coefficients(a, rng):
+    """a with NaN, infinite and signed-zero-part coefficients swapped in."""
+    odd = [math.nan, math.inf, complex(-0.0, 1.5), complex(0.25, -0.0), complex(-math.inf, 1.0)]
+    terms = dict(a.terms)
+    for key in rng.sample(sorted(terms, key=repr), min(3, len(terms))):
+        terms[key] = rng.choice(odd)
+    return type(a)(a.n, *a._params(), terms)
+
+
+def _table_cases():
+    rng = Random("norm-tables")
+    cases = []
+    for i, modulus in enumerate((0.5, 2.0, 1.0, 1e300, 1e-300)):
+        q = modulus * cmath.exp(0.4j * i)
+        for n in (1, 2, 3):
+            for top in (3, 8):
+                a = _odd_coefficients(randgen.random_qpoly(rng, n, q, max_degree=top, terms=7), rng)
+                for family in (POLYDISK_L1, POLYDISK_L2, BALL, CLASSICAL_BALL):
+                    for rho in (0.5, 1.3, 1e160):
+                        cases.append((a, NormSpec(family, rho)))
+    # ||x1 x2|| alone leaves the float range, |c| ||x1 x2|| does not
+    far = QPolynomial(2, 1e-300, {(1, 1): 1.0, (0, 0): 1.0, (2, 1): 0.5j})
+    cases += [(far, NormSpec(family, 1e160)) for family in (POLYDISK_L1, POLYDISK_L2, BALL)]
+    for n in (2, 3):
+        for top in (3, 8):
+            a = randgen.random_laurent(rng, n, max_degree=top, max_power=5, terms=8)
+            for tau in (1.0, 1.7):
+                cases.append((_odd_coefficients(a, rng), NormSpec(LAURENT, 0.8, tau=tau)))
+                cases.append((a, NormSpec(LAURENT, 0.8, tau=tau)))
+    return cases
+
+
+def _outcome(a, spec) -> str:
+    try:
+        return repr(norm(a, spec))
+    except OverflowError:   # the norm itself leaves the float range
+        return "OverflowError"
+
+
+def test_warm_norm_tables_give_the_cold_bits(monkeypatch):
+    # each norm reads its monomial factors from a table held per parameter
+    # set; a table read warm, after the other cases, gives the bits of a
+    # norm from an empty store, NaN, inf and -0.0 parts included
+    cases = _table_cases()
+    cold = []
+    for a, spec in cases:
+        _fresh_norm_tables(monkeypatch)
+        cold.append(_outcome(a, spec))
+    for (a, spec), expected in reversed(list(zip(cases, cold))):
+        assert _outcome(a, spec) == expected, (a, spec)
+    assert cold.count("OverflowError") < len(cold) // 2
+    assert any(spec.rho == 1e160 and value not in ("OverflowError", "inf", "nan")
+               for (_, spec), value in zip(cases, cold))
+    for memo in (norms._held_pool, norms._held_factors):
+        assert memo.store and memo.total == sum(map(memo.size, memo.store.values()))
+    # the clean elements against the per-term formulas
+    for (a, spec), expected in zip(cases, cold):
+        if all(map(cmath.isfinite, a.terms.values())) and spec.rho < 1e100:
+            if spec.family == LAURENT:
+                assert expected == repr(reference_laurent_norm(a, spec.rho, spec.tau))
+            elif spec.family != CLASSICAL_BALL:
+                assert expected == repr(reference_qpoly_norm(a, spec.family, spec.rho))
+
+
+def test_norm_tables_follow_the_mutation_in_force(monkeypatch):
+    # a table is keyed by the mutation in force: set in process, each weight
+    # mutation moves the warm norms of its families by 1e-6, omega moves the
+    # Laurent norms, and the others keep their bits; reset, every norm reads
+    # its old bits again
+    cases = [(a, spec) for a, spec in _table_cases()
+             if all(map(cmath.isfinite, a.terms.values())) and spec.rho < 1e100]
+    warm = [norm(a, spec) for a, spec in cases]
+    for mutation, moved in (("weight-ball", {BALL}), ("omega", {LAURENT}),
+                            ("weight-polydisk", {POLYDISK_L1, POLYDISK_L2})):
+        monkeypatch.setattr(_mutate, "_active", mutation)
+        for (a, spec), value in zip(cases, warm):
+            mutated = norm(a, spec)
+            if spec.family not in moved or value == 0.0:
+                assert repr(mutated) == repr(value), (mutation, spec)
+            elif spec.family != LAURENT:
+                assert mutated / value - 1.0 == pytest.approx(1e-6, rel=1e-6), (mutation, spec)
+            elif spec.tau > 1.0 and any(p for _, p in a.terms):
+                assert mutated != value
+        monkeypatch.setattr(_mutate, "_active", "")
+        assert [repr(norm(a, spec)) for a, spec in cases] == list(map(repr, warm))
+
+
+def test_norm_pools_past_the_cap_are_the_element_keys(monkeypatch):
+    # where the held pool would pass _POOL_CAP keys the norm indexes the
+    # element's own keys: the per-term formulas' bits, and the held route's
+    rng = Random("norm-pool-cap")
+    for n, top in ((2, 140), (3, 40)):
+        a = randgen.random_qpoly(rng, n, 0.7, max_degree=top, terms=12)
+        b = randgen.random_laurent(rng, n, max_degree=top, max_power=5, terms=12)
+        assert norms._pool(n, a.terms)[1] is None
+        assert norms._pool(n, [k for k, _ in b.terms])[1] is None
+        for family in (POLYDISK_L1, POLYDISK_L2, BALL):
+            expected = reference_qpoly_norm(a, family, 0.9)
+            assert repr(norm(a, NormSpec(family, 0.9))) == repr(expected)
+        assert repr(norm(b, NormSpec(LAURENT, 0.9, tau=1.3))) == repr(
+            reference_laurent_norm(b, 0.9, 1.3))
+    cases = _table_cases()
+    held = [_outcome(a, spec) for a, spec in cases]
+    monkeypatch.setattr(norms, "_POOL_CAP", 0)
+    _fresh_norm_tables(monkeypatch)
+    assert [_outcome(a, spec) for a, spec in cases] == held
+    assert not norms._held_factors.store and not norms._held_pool.store

@@ -177,6 +177,23 @@ def _package_members():
                     yield f"{info.name}.{name}.{attr}", member
 
 
+def _containers():
+    """Every dict, list and set the package reaches from its modules: the
+    top-level values and class attributes, and the attributes and default
+    arguments of its functions, except the stores of the held memos."""
+    for name, value in _package_members():
+        if isinstance(value, (dict, list, set)) and not name.endswith(".__builtins__"):
+            yield name, value
+        if callable(value):
+            for attr, member in vars(value).items() if hasattr(value, "__dict__") else ():
+                held_store = attr == "store" and hasattr(value, "__wrapped__")
+                if isinstance(member, (dict, list, set)) and not held_store:
+                    yield f"{name}.{attr}", member
+            for i, default in enumerate(getattr(value, "__defaults__", None) or ()):
+                if isinstance(default, (dict, list, set)):
+                    yield f"{name}.<default {i}>", default
+
+
 def test_every_table_kept_between_calls_is_held_under_one_policy():
     # functools caches bound neither entries nor bytes; the one such wrapper
     # left holds the CLI's argument parser, which is not a table
@@ -187,8 +204,15 @@ def test_every_table_kept_between_calls_is_held_under_one_policy():
     names = {memo.__name__ for memo in memos.values()}
     assert {"_letter_tables", "_domain", "_monomial_column", "_shift_pairs", "_pair_plan",
             "q_pochhammer_inf", "_factorial_table", "multi_indices", "_fiber_record",
-            "_word_pool"} <= names
-    suites.run_all(seed=1234)
+            "_word_pool", "_held_pool", "_held_factors"} <= names
+    # no other container grows: a table kept in a plain dict, list or set
+    # would.  The seed is one no other test runs in process, so such a table
+    # would meet new parameter sets here even after the other tests.
+    sizes = {name: len(value) for name, value in _containers()}
+    suites.run_all(seed=4321)
+    grown = {name for name, value in _containers() if len(value) > sizes.get(name, 0)}
+    # the one record of the fiber asked for last: three slots, replaced whole
+    assert grown <= {"_wordkit_py._last_record"} and len(_wordkit_py._last_record) == 3
     for memo in memos.values():
         assert memo.total == sum(map(memo.size, memo.store.values())) <= memo.budget, memo
     # every weight reads its log-factorial table at a base folded into [0, 1]
@@ -635,6 +659,23 @@ def test_multi_index_enumeration_counts():
         for d in range(-1, 9):
             assert qc.multi_indices(n, d) == tuple(
                 k for k in itertools.product(range(d + 1), repeat=n) if sum(k) <= d)
+
+
+def test_compositions_walk_one_step_per_key():
+    # the successor walk gives the filtered product, in its order, from a
+    # fresh call (no held table in between)
+    for n in range(1, 6):
+        for d in range(-1, 8):
+            assert qc._compositions_upto(n, d) == [
+                k for k in itertools.product(range(d + 1), repeat=n) if sum(k) <= d]
+    # and at n = 150, d = 2, where the old recursion rebuilt every tail,
+    # every vector of at most two unit steps, sorted
+    n = 150
+    expected = set()
+    for total in range(3):
+        for places in itertools.combinations_with_replacement(range(n), total):
+            expected.add(tuple(places.count(i) for i in range(n)))
+    assert qc._compositions_upto(n, 2) == sorted(expected)
 
 
 def test_multi_index_tables_are_held_within_a_budget():
