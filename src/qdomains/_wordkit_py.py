@@ -10,7 +10,8 @@ letters, so they are faster up to about 16-20 words (timeit, 2-letter to
 elements that the suites check make tens of thousands of such calls.
 The profiles alone (word_profiles, for the circ norm) have their own
 cutoff, _SCALAR_PROFILES, since without the inversion counts the scalar
-loop is cheaper per word.
+loop is cheaper per word.  numpy is imported on the first numpy pass, not
+with the module.
 
 A fiber p^{-1}(k) is enumerated into one record, fiber(counts): its words
 in lexicographic order and their inversion numbers, as tuples.  Both come
@@ -51,8 +52,6 @@ and asking for another profile drops it with the record."""
 from bisect import bisect_left
 from itertools import chain
 from operator import index
-
-import numpy as np
 
 from qdomains._held import held
 
@@ -161,6 +160,7 @@ def _scan_stats(words, n):
     if len(words) < _SCALAR_BATCH:
         return ([word_profile(word, n) for word in words],
                 [inversions(word) for word in words])
+    import numpy as np
     padded = _padded(words)
     ms = np.zeros(len(words), dtype=np.int64)
     for j in range(1, padded.shape[1]):
@@ -171,6 +171,7 @@ def _scan_stats(words, n):
 def _padded(words):
     """The words left-padded with 0 into one integer array; 0 is below every
     letter, so padding adds no inversion, and no profile counts it."""
+    import numpy as np
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
     d = int(lengths.max(initial=0))
     padded = np.zeros((len(words), d), dtype=np.int64)
@@ -182,6 +183,7 @@ def _padded(words):
 def _padded_profiles(padded, n):
     # one bincount over (row, letter) bins; bin 0 takes the padding and
     # bin n + 1 every letter outside 1..n
+    import numpy as np
     rows = len(padded)
     bins = n + 2
     flat = np.minimum(np.maximum(padded, 0), n + 1) + bins * np.arange(rows)[:, None]

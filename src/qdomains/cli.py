@@ -4,6 +4,8 @@ Subcommands: mul, normal-order, norm, radius, fock-norm, star, scan, and
 verify.  Output goes to stdout as indent-2 JSON unless --out is given;
 element results are written by serialize.element_text.  Exit codes are 0
 (success), 1 (check failure), 2 (usage, resource or float overflow error).
+numpy loads only in fock-norm, star, scan and verify, products of 256 pairs
+or more, and word batches of 20 words or more (50 for profiles alone).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from functools import cache
 
-from qdomains import deform, fock, spectral, suites
+from qdomains import spectral
 from qdomains.deform_types import HSeriesElement
 from qdomains.elements import (
     FreeElement,
@@ -154,6 +156,7 @@ def _cmd_fock_norm(args) -> int:
     q = _parse_q(args.q)
     if q.imag != 0.0:
         raise UsageError(f"fock-norm needs a real q, got {args.q!r}")
+    from qdomains import fock
     bounds = fock.op_norm_bounds(element, q.real, args.rho, args.depth)
     _emit({"lower": bounds.lower, "upper": bounds.upper, "vacuum": bounds.vacuum},
           args.out)
@@ -167,12 +170,14 @@ def _cmd_star(args) -> int:
     g, _ = _load_element(args.inputs[1])
     if not isinstance(f, HSeriesElement) or not isinstance(g, HSeriesElement):
         raise UsageError("star expects hseries documents")
+    from qdomains import deform
     result = deform.star_product(f, g, order=args.order)
     _emit_text(element_text(result), args.out)
     return 0
 
 
 def _parse_path(text: str, samples: int):
+    from qdomains import deform
     kind, *parts = text.split(":")
     try:
         numbers = list(map(float, parts))
@@ -191,6 +196,7 @@ def _cmd_scan(args) -> int:
         raise UsageError("scan expects a laurent document")
     family = _family(args.family)
     samples = _parse_path(args.path, args.samples)
+    from qdomains import deform
     result = deform.bundle_scan(element, family, args.rho, samples)
     # a diagnostic past the float range (a slope between tiny samples) is
     # written as null, as JSON has no infinity
@@ -211,6 +217,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from qdomains import suites
     if args.suite == "all":
         reports = suites.run_all(seed=args.seed)
     else:

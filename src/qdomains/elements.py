@@ -13,7 +13,8 @@ products all follow one commutation rule,
 x^k x^l = phase(sigma(l,k)) x^{k+l}, and run through one routine,
 _twisted_mul, which has two routes that give the same bits:
 - below _ARRAY_PAIRS = 256 term pairs, a pair loop;
-- from 256 pairs on, the same sums over numpy arrays.  Its products are
+- from 256 pairs on, the same sums over numpy arrays, numpy being
+  imported on the first such product, not with the module.  Its products are
   formed with real ufuncs as CPython forms a complex product (numpy's
   complex multiply can differ from it in the last bit), and np.bincount
   adds each slot's products in pair order, starting each part from 0.0
@@ -48,8 +49,6 @@ from itertools import accumulate, repeat
 from operator import add, index, mul, sub
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from qdomains import _mutate
 from qdomains import qcombinat as qc
@@ -400,6 +399,7 @@ def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
 
 def _ids(values) -> tuple:
     """(index of each value among the distinct values, number distinct)."""
+    import numpy as np
     seen: dict = {}
     return np.array([seen.setdefault(v, len(seen)) for v in values]), len(seen)
 
@@ -424,6 +424,7 @@ def _twisted_mul_arrays(a, b, rule: Callable, degree_cap: int | None,
       index order starting from 0.0, as the loop adds them to 0j, once for
       the real parts and once for the imaginary parts.
     """
+    import numpy as np
     keys_a = [k for k, _, _ in a]
     keys_b = [l for l, _, _ in b]
     top = [x + y for x, y in zip(map(max, zip(*keys_a)), map(max, zip(*keys_b)))]
@@ -572,12 +573,11 @@ def tau_flip(a: QPolynomial) -> QPolynomial:
     """Letter-reversal isomorphism onto the algebra with parameter 1/q.
 
     On monomials: x^k -> q^{cross_degree(k)} x^{reverse(k)}; applying it
-    twice returns the original element.
+    twice returns the original element.  Each power is QParam.power's.
     """
-    q = a.q.value
     out = _Checked()
     for k, c in a.terms.items():
-        out[tuple(reversed(k))] = c * q ** qc.cross_degree(k)
+        out[tuple(reversed(k))] = c * a.q.power(qc.cross_degree(k))
     return QPolynomial(a.n, a.q.inverse(), out)
 
 
@@ -589,11 +589,12 @@ def homogeneous_component(a: QPolynomial, i: int) -> QPolynomial:
 
 
 def fiber_eval(a: LaurentElement, q) -> QPolynomial:
-    """Evaluate z -> q, landing in the q-plane algebra at parameter q."""
+    """Evaluate z -> q, landing in the q-plane algebra at parameter q; each
+    power of q is QParam.power's."""
     qp = as_qparam(q)
     out = _Checked()
     for (k, p), c in a.terms.items():
-        out[k] = out.get(k, 0.0) + c * qp.value ** p
+        out[k] = out.get(k, 0.0) + c * qp.power(p)
     return QPolynomial(a.n, qp, out)
 
 

@@ -1,3 +1,5 @@
+import ast
+import io
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -13,7 +16,7 @@ import pytest
 from oracles import (brute_sigma, exact_ball_weight_sq, exact_log, exact_mahonian_sum,
                      reference_coordinate_sum, reference_element_text)
 
-from qdomains import cli, deform, randgen
+from qdomains import _wordkit_py, cli, deform, elements, randgen
 from qdomains import qcombinat as qc
 from qdomains.elements import (LaurentElement, QPolynomial, fiber_eval, free_mul, laurent_mul,
                                normal_order, qpoly_mul)
@@ -750,3 +753,122 @@ def test_phase_powers_past_the_float_range_exit_2(tmp_path):
     result = run("mul", "--in", doc("a.json", 1e40, [0, 4]), "--in", doc("b.json", 1e40, [2, 0]))
     assert result.returncode == 0
     assert json.loads(result.stdout)["terms"] == [{"k": [2, 4], "c": {"re": 1e-320, "im": 0.0}}]
+
+
+# One fresh interpreter: import the package and the CLI, then run each argv
+# of sys.argv[1] through cli.main; print, per step, whether numpy is loaded
+# after it, and each call's exit code and stdout.
+_FRESH_CLI = r"""
+import io, json, sys
+from contextlib import redirect_stdout
+steps = []
+import qdomains
+steps.append(["import qdomains", "numpy" in sys.modules])
+from qdomains import cli
+steps.append(["import qdomains.cli", "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    steps.append([argv, "numpy" in sys.modules, code, out.getvalue()])
+print(json.dumps(steps))
+"""
+
+
+def _fresh_cli(requests):
+    result = subprocess.run([sys.executable, "-c", _FRESH_CLI, json.dumps(requests)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def _module_level_imports(tree):
+    """The names a module imports when it is imported: every import
+    statement outside a function body (the package imports absolutely)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_small_commands_start_without_numpy(tmp_path):
+    # numpy is most of the package's import time; only the array modules
+    # (deform, fock, suites) load it when imported, and a small request
+    # never reaches an array route
+    rng = Random("cli-start-up")
+    one_term = write(tmp_path, "one.json", {
+        "kind": "qpoly", "n": 2, "q": {"re": 0.5, "im": 0},
+        "terms": [{"k": [1, 1], "c": {"re": 1, "im": 0}}]})
+    five = [write(tmp_path, f"five-{i}.json", element_to_document(
+        randgen.random_qpoly(rng, 3, 0.7, max_degree=3, terms=5))) for i in range(2)]
+    words = randgen.random_free(rng, 3, max_len=4, terms=19)
+    assert len(words.terms) < _wordkit_py._SCALAR_BATCH
+    free = write(tmp_path, "free.json", dict(element_to_document(words), q={"re": 0.8, "im": 0.1}))
+    requests = [
+        ["norm", "--in", one_term, "--family", "polydisk", "--rho", "1"],
+        ["mul", "--in", five[0], "--in", five[1]],
+        ["normal-order", "--in", free],
+        ["radius", "--family", "ball", "--rho", "1", "--depth", "4", "--p", "2", "--n", "2",
+         "--q", "0.6,0.8"],
+    ]
+    steps = _fresh_cli(requests)
+    assert [step[1] for step in steps] == [False] * (2 + len(requests)), steps
+    assert [step[2] for step in steps[2:]] == [0] * len(requests)
+
+    # no module but the array modules imports numpy, or an array module,
+    # when it is imported
+    array_modules = ("numpy", "qdomains.deform", "qdomains.fock", "qdomains.suites")
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.stem in ("deform", "fock", "suites"):
+            continue
+        loaders = {name for name in _module_level_imports(ast.parse(path.read_text()))
+                   if any(name == m or name.startswith(m + ".") for m in array_modules)}
+        assert not loaders, (path.name, loaders)
+
+
+def test_array_routes_give_the_same_bytes_when_they_load_numpy(tmp_path):
+    # each array route, first run in an interpreter that has not loaded
+    # numpy, against the same call here, where numpy is loaded
+    rng = Random("cli-cold-array-routes")
+    q = complex(0.9, 0.3)
+
+    def doc(name, element, **extra):
+        return write(tmp_path, name, dict(element_to_document(element), **extra))
+
+    qpoly = [randgen.random_qpoly(rng, 3, q, max_degree=5, terms=24) for _ in "ab"]
+    laurent = [randgen.random_laurent(rng, 2, max_degree=4, terms=24) for _ in "ab"]
+    for a, b in (qpoly, laurent):
+        assert len(a.terms) * len(b.terms) >= elements._ARRAY_PAIRS
+    batch = randgen.random_free(rng, 3, max_len=5, terms=60)
+    assert len(batch.terms) >= max(_wordkit_py._SCALAR_BATCH, _wordkit_py._SCALAR_PROFILES)
+    hseries = [doc(f"h-{i}.json", randgen.random_hseries(rng, 2, 2, terms=6)) for i in range(2)]
+    requests = [
+        ["mul", "--in", doc("qa.json", qpoly[0]), "--in", doc("qb.json", qpoly[1])],
+        ["mul", "--in", doc("la.json", laurent[0]), "--in", doc("lb.json", laurent[1])],
+        ["normal-order", "--in", doc("free.json", batch, q={"re": q.real, "im": q.imag})],
+        ["norm", "--in", doc("circ.json", batch), "--family", "free-ball-circ", "--rho", "0.7"],
+        ["fock-norm", "--in", doc("fock.json", qpoly[0]), "--q", "0.6", "--rho", "0.8",
+         "--depth", "3"],
+        ["star", "--in", hseries[0], "--in", hseries[1], "--order", "2"],
+        ["scan", "--in", doc("scan.json", laurent[0]), "--path", "circle:0.8", "--samples", "32",
+         "--family", "ball", "--rho", "0.7"],
+        ["verify", "chu-vandermonde", "--seed", "1", "--json"],
+    ]
+    steps = _fresh_cli(requests)
+    assert [step[1] for step in steps[:3]] == [False, False, True], steps[:3]
+    for argv, _, code, text in steps[2:]:
+        sink = io.StringIO()
+        with redirect_stdout(sink):
+            assert cli.main(argv) == code == 0
+        here = sink.getvalue()
+        if argv[0] == "verify":   # the suite's wall time is the one field that may differ
+            text, here = ([line for line in out.splitlines() if '"wall_time"' not in line]
+                          for out in (text, here))
+        assert text == here, argv

@@ -793,3 +793,26 @@ def test_phase_products_on_each_route_raise_alike(monkeypatch):
             monkeypatch.setattr(elements, "_ARRAY_PAIRS", cutoff)
             with pytest.raises(OverflowError, match=r"at q = "):
                 qpoly_mul(a, b)
+
+
+def test_tau_flip_and_fiber_eval_take_their_powers_from_qparam():
+    # tau_flip of x1^2 x2^2 is q^4 x1^2 x2^2 and fiber_eval of x1 z^-3 is
+    # q^-3 x1: at |q| = 10^+-200 both leave the float range and raise,
+    # naming q and the power, where the complex power gave a NaN coefficient
+    for q in (1e200, 1e-200, 1e200j, -1e-200):
+        with pytest.raises(OverflowError, match=re.escape(f"q**4 at q = {complex(q)!r}")):
+            tau_flip(x_mono(2, q, (2, 2)))
+        with pytest.raises(OverflowError, match=re.escape(f"q**-3 at q = {complex(q)!r}")):
+            fiber_eval(LaurentElement(2, {((1, 0), -3): 1.0}), q)
+    # in range, each coefficient is c times the complex power, bit for bit
+    rng = Random("tau-flip-fiber-eval-powers")
+    for q in (0.5, 2.0, 0.3 + 0.4j, cmath.exp(0.7j), -1.5, 1e40, 1e-40j):
+        a = randgen.random_qpoly(rng, 3, q, max_degree=5, terms=12)
+        want = QPolynomial(3, 1 / complex(q), {
+            tuple(reversed(k)): c * complex(q) ** qc.cross_degree(k) for k, c in a.terms.items()})
+        assert repr(tau_flip(a).terms) == repr(want.terms)
+        u = randgen.random_laurent(rng, 3, max_power=6, terms=12)
+        want = _Checked()
+        for (k, p), c in u.terms.items():
+            want[k] = want.get(k, 0.0) + c * complex(q) ** p
+        assert repr(fiber_eval(u, q).terms) == repr(QPolynomial(3, q, want).terms)
