@@ -130,7 +130,12 @@ def _cmd_normal_order(args) -> int:
 def _cmd_norm(args) -> int:
     element, _ = _load_element(args.input)
     spec = NormSpec(_family(args.family), args.rho, tau=args.tau, order=args.bign)
-    value = norm(element, spec)
+    try:
+        value = norm(element, spec)
+    except OverflowError:   # math.fsum's, where finite terms add up past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"the {spec.family} norm at rho = {spec.rho!r} leaves the float range")
     _emit({"family": spec.family, "rho": spec.rho, "norm": value}, args.out)
     return 0
 

@@ -554,8 +554,8 @@ def normal_order(f: FreeElement, q) -> QPolynomial:
     profiles, ms = qc.word_stats(f.terms, f.n)
     phases: dict = {}   # m -> q^{-m}: a lift's thousands of words share few m
     if profiles and profiles.count(profiles[0]) == len(profiles):
-        # one profile, as in a lift: the loop's sum in one C-level reduction,
-        # 0.0 + c * phase + ..., in term order (builtin sum would compensate)
+        # one profile, as in a lift: the loop's complex sum in one C-level
+        # fold, 0.0 + c * phase + ..., in term order
         for m in set(ms):
             phases[m] = _mutate.scale("normal-order-phase", qp.power(-m))
         out[profiles[0]] = reduce(add, map(mul, f.terms.values(), map(phases.__getitem__, ms)),
@@ -621,7 +621,8 @@ def polydisk_lift(k: Sequence[int], q) -> FreeElement:
 
     Returns q^{m(a*)} zeta_{a*} where a* minimizes |q|^{m(alpha)} over the
     fiber (lexicographically smallest on ties); its normal ordering is x^k
-    and its Taylor norm at any rho equals w_q(k) rho^{|k|}.
+    and its Taylor norm at any rho equals w_q(k) rho^{|k|}.  QParam.power
+    gives the power, or raises OverflowError naming q.
     """
     qp = as_qparam(q)
     k = tuple(map(index, k))
@@ -639,7 +640,7 @@ def polydisk_lift(k: Sequence[int], q) -> FreeElement:
         # distinct m lie more than 1e-15 apart: the first word of least
         # m log|q|, of least m for |q| > 1 and of greatest m for |q| < 1
         best = ms.index(min(ms) if log_modulus > 0.0 else max(ms))
-    return FreeElement(len(k), _Checked({words[best]: qp.value ** ms[best]}))
+    return FreeElement(len(k), _Checked({words[best]: qp.power(ms[best])}))
 
 
 def ball_lift(k: Sequence[int], q) -> FreeElement:
@@ -648,6 +649,7 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
     Coefficients c^0_alpha = |q|^{-2m(alpha)} / sum_beta |q|^{-2m(beta)};
     the element sum_alpha c^0_alpha q^{m(alpha)} zeta_alpha normal-orders
     to x^k and its circ norm at rho is exactly the ball monomial norm.
+    Each power q^m is QParam.power's, as in polydisk_lift.
     """
     qp = as_qparam(q)
     k = tuple(map(index, k))
@@ -656,8 +658,8 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
     logs = [-2.0 * m * qp.log_modulus for m in ms]
     shift = max(logs)
     raw = [math.exp(v - shift) for v in logs]
-    total = sum(raw)
-    powers = [qp.value ** m for m in range(max(ms) + 1)]   # every m occurs in a fiber
+    total = math.fsum(raw)
+    powers = [qp.power(m) for m in range(max(ms) + 1)]   # every m occurs in a fiber
     terms = _Checked()
     for alpha, m, w in zip(words, ms, raw):
         terms[alpha] = (w / total) * powers[m]

@@ -127,7 +127,7 @@ def vacuum_image(k: Sequence[int], q: float) -> float:
     """Closed-form amplitude of x^k e_0 on e_k:
     sqrt([k]_{q^2}!) (1-q^2)^{|k|/2} q^{cross_degree(k)}."""
     t = q * q
-    log_fact = sum(qc.log_q_factorial(m, t) for m in k)
+    log_fact = math.fsum(qc.log_q_factorial(m, t) for m in k)
     return math.exp(0.5 * log_fact + 0.5 * sum(k) * math.log1p(-t)
                     + qc.cross_degree(k) * math.log(q))
 
@@ -295,7 +295,7 @@ def op_norm_bounds(a: QPolynomial, q: float, rho: float, degree: int) -> OpNormB
     lower = _top_singular_value(_normal_lower(a, q, rho, degree))
     upper = norm(a, spec)
     vac = vacuum_vector_image(a, q, rho)
-    vacuum = math.sqrt(sum(abs(c) ** 2 for c in vac.values()))
+    vacuum = math.sqrt(math.fsum(abs(c) ** 2 for c in vac.values()))
     return OpNormBounds(lower, upper, vacuum)
 
 
@@ -309,11 +309,13 @@ def vaksman_sandwich_check(a: QPolynomial, q: float, rho: float, degree: int) ->
     """
     bounds = op_norm_bounds(a, q, rho, degree)
     t = q * q
-    closed_sq = 0.0
-    for k, c in a.terms.items():
-        log_w = (sum(qc.log_q_factorial(m, t) for m in k) + sum(k) * math.log1p(-t)
+
+    def closed_term(k, c):
+        log_w = (math.fsum(qc.log_q_factorial(m, t) for m in k) + sum(k) * math.log1p(-t)
                  + 2.0 * qc.cross_degree(k) * math.log(q))
-        closed_sq += abs(c) ** 2 * math.exp(log_w) * rho ** (2 * sum(k))
+        return abs(c) ** 2 * math.exp(log_w) * rho ** (2 * sum(k))
+
+    closed_sq = math.fsum(map(closed_term, a.terms, a.terms.values()))
     vacuum_sq = bounds.vacuum ** 2
     scale = max(vacuum_sq, closed_sq, 1e-300)
     identity_error = abs(vacuum_sq - closed_sq) / scale

@@ -3,17 +3,17 @@ exponent omega(k, p), the scale-comparison constants, and the classical
 ball sup coefficients.
 
 Norms are exact finite sums over term supports.  Weights are produced in
-the log domain and the terms are accumulated in a fixed sorted order so
-reports are reproducible bit for bit.
+the log domain and the terms are summed with math.fsum, which rounds
+correctly, so a norm reads neither the term order nor the interpreter's
+sum.
 
 The q-plane and Laurent norms find each term's key in a pool: every
 exponent vector of the element's dimension up to a total degree
 2**b - 1, the least such at or above the element's top degree, held
-under _held.held and ordered as sorted_terms orders keys, so sorting the
-terms' places in it puts them in that order.  A q-plane norm reads each
-||x^k|| from one table per family, rho, |q|, mutation in force and pool,
-built in one batch over the pool and held too: one float per key, exp of
-its log norm, or inf where that leaves the float range; such a term is
+under _held.held.  A q-plane norm reads each ||x^k|| from one table per
+family, rho, |q|, mutation in force and pool, built in one batch over
+the pool and held too: one float per key, exp of its log norm, or inf
+where that leaves the float range; such a term is
 exp(log |c| + log ||x^k||).  The Laurent norm reads each key's total and
 cross degree from the pool.  An element whose pool would pass _POOL_CAP
 keys gets a pool of its own keys, built for the one call.
@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
-from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 from qdomains import _mutate
@@ -124,7 +122,7 @@ def _monomial_log_norms(keys: Sequence[Sequence[int]], family: str, rho: float, 
     elif family == BALL:
         weights = qc.weight_ball_logs(keys, q)
     elif family == CLASSICAL_BALL:
-        weights = [0.5 * (sum(math.lgamma(m + 1) for m in k) - math.lgamma(sum(k) + 1))
+        weights = [0.5 * (math.fsum(math.lgamma(m + 1) for m in k) - math.lgamma(sum(k) + 1))
                    for k in keys]
     else:
         raise ValueError(f"{family!r} is not a q-polynomial family")
@@ -145,8 +143,8 @@ _POOL_CAP = 2 ** 12
 
 
 class _Pool(NamedTuple):
-    """Exponent vectors in the sorted_terms order (|k|, k), with the index,
-    total degree and cross degree of each."""
+    """Exponent vectors with the index, total degree and cross degree of
+    each."""
     keys: tuple
     position: dict
     degree: tuple
@@ -154,7 +152,7 @@ class _Pool(NamedTuple):
 
 
 def _make_pool(keys) -> _Pool:
-    keys = tuple(sorted(keys, key=QPolynomial._sort_key))
+    keys = tuple(keys)
     return _Pool(keys, {k: i for i, k in enumerate(keys)},
                  tuple(map(sum, keys)), tuple(map(qc.cross_degree, keys)))
 
@@ -209,75 +207,64 @@ def _qpoly_norm(a: QPolynomial, spec: NormSpec) -> float:
         factors = _monomial_factors(pool.keys, family, rho, modulus)
     else:
         factors = _held_factors(family, rho, modulus, _mutate._active, a.n, top)
-    # the sorted_terms order, as the pool's order
-    items = sorted(zip(map(pool.position.__getitem__, a.terms), a.terms.values()))
+    found = map(factors.__getitem__, map(pool.position.__getitem__, a.terms))
+    power = 2.0 if family == POLYDISK_L2 else 1.0
 
-    def log_form(i, c, power):
-        # |c|**power ||x^k||**power where one factor alone leaves the float range
-        log_norm = monomial_log_norm(pool.keys[i], family, rho, modulus)
-        return math.exp(power * (math.log(abs(c)) + log_norm))
-
-    acc = 0.0
-    if family == POLYDISK_L2:
-        for i, c in items:
-            factor = factors[i]
-            if factor == math.inf:
-                acc += log_form(i, c, 2.0)
-                continue
+    def term(k, c, factor):
+        # |c|**power ||x^k||**power, in log form where a factor leaves the float range
+        if factor != math.inf:
             try:
-                acc += abs(c) ** 2 * factor
+                return abs(c) ** power * factor
             except OverflowError:
-                acc += log_form(i, c, 2.0)
-        return math.sqrt(acc)
-    for i, c in items:
-        factor = factors[i]
-        acc += log_form(i, c, 1.0) if factor == math.inf else abs(c) * factor
-    return acc
+                pass
+        return math.exp(power * (math.log(abs(c)) + monomial_log_norm(k, family, rho, modulus)))
+
+    total = math.fsum(map(term, a.terms, a.terms.values(), found))
+    return math.sqrt(total) if family == POLYDISK_L2 else total
 
 
 def _free_norm(a: FreeElement, spec: NormSpec) -> float:
     rho, tau = spec.rho, spec.tau
     if spec.family == FREE_TAYLOR:
-        return sum(abs(c) * rho ** len(alpha) for alpha, c in a.sorted_terms())
+        return math.fsum(abs(c) * rho ** len(alpha) for alpha, c in a.terms.items())
     if spec.family == FREE_POLYDISK:
-        return sum(abs(c) * rho ** len(alpha) * tau ** (qc.switch_count(alpha) + 1)
-                   for alpha, c in a.sorted_terms())
+        return math.fsum(abs(c) * rho ** len(alpha) * tau ** (qc.switch_count(alpha) + 1)
+                         for alpha, c in a.terms.items())
     if spec.family == FREE_BALL_BULLET:
-        by_degree: dict = {}
-        for alpha, c in a.terms.items():
-            d = len(alpha)
-            by_degree[d] = by_degree.get(d, 0.0) + abs(c) ** 2
-        return sum(math.sqrt(by_degree[d]) * rho ** d for d in sorted(by_degree))
+        groups = _groups(map(len, a.terms), a.terms.values())
+        return math.fsum(math.sqrt(math.fsum(squares)) * rho ** d for d, squares in groups)
     # the one free family left, FREE_BALL_CIRC
-    by_profile: dict = {}
     profiles = qc.word_profiles(a.terms, a.n)
     if profiles and profiles.count(profiles[0]) == len(profiles):
-        # one profile, as in a lift: the loop's sum 0.0 + |c|**2 + ... in
-        # one C-level reduction, in term order (builtin sum would compensate)
-        by_profile[profiles[0]] = reduce(add, map(pow, map(abs, a.terms.values()), repeat(2)),
-                                         0.0)
+        # one profile, as in a lift: one C-level pass over the coefficients
+        groups = [(profiles[0], map(pow, map(abs, a.terms.values()), repeat(2)))]
     else:
-        for k, c in zip(profiles, a.terms.values()):
-            by_profile[k] = by_profile.get(k, 0.0) + abs(c) ** 2
-    return sum(math.sqrt(by_profile[k]) * rho ** sum(k)
-               for k in sorted(by_profile, key=lambda k: (sum(k), k)))
+        groups = _groups(profiles, a.terms.values())
+    return math.fsum(math.sqrt(math.fsum(squares)) * rho ** sum(k) for k, squares in groups)
+
+
+def _groups(keys, coefficients):
+    """(key, [|c|**2 of each coefficient under that key]) pairs."""
+    out: dict = {}
+    for key, c in zip(keys, coefficients):
+        out.setdefault(key, []).append(abs(c) ** 2)
+    return out.items()
 
 
 def _laurent_norm(a: LaurentElement, spec: NormSpec) -> float:
     rho, tau = spec.rho, spec.tau
     pool, _ = _pool(a.n, [k for k, _ in a.terms])
-    # the sorted_terms order, as the pool's order and then p
-    items = sorted((pool.position[k], p, c) for (k, p), c in a.terms.items())
-    return sum(abs(c) * rho ** pool.degree[i] * tau ** abs(_clip(p, pool.cross[i]))
-               for i, p, c in items)
+
+    def term(key, c):
+        i = pool.position[key[0]]
+        return abs(c) * rho ** pool.degree[i] * tau ** abs(_clip(key[1], pool.cross[i]))
+
+    return math.fsum(map(term, a.terms, a.terms.values()))
 
 
 def _hseries_norm(a: HSeriesElement, spec: NormSpec) -> float:
-    acc = 0.0
-    for (p, k), c in a.sorted_terms():
-        if p <= spec.order:
-            acc += abs(c) * spec.rho ** sum(k)
-    return acc
+    return math.fsum(abs(c) * spec.rho ** sum(k)
+                     for (p, k), c in a.terms.items() if p <= spec.order)
 
 
 _NORMS = {QPolynomial: _qpoly_norm, FreeElement: _free_norm,
@@ -321,7 +308,7 @@ def _clip(p: int, cross: int):
 def _family_lp_norm(weights: Mapping[tuple, float], p, rho: float) -> float:
     if p == math.inf:
         return max((w * rho ** sum(k) for k, w in weights.items()), default=0.0)
-    return sum((w * rho ** sum(k)) ** p for k, w in weights.items()) ** (1.0 / p)
+    return math.fsum((w * rho ** sum(k)) ** p for k, w in weights.items()) ** (1.0 / p)
 
 
 def lambda_p_compare(weights: Mapping[tuple, float], p, s, rho: float, tau: float):
@@ -368,5 +355,5 @@ def classical_ball_sup_coeff(k: Sequence[int], r: float) -> float:
     total = sum(k)
     if total == 0:
         return 1.0
-    log_val = sum(m * math.log(m) for m in k if m > 0) - total * math.log(total)
+    log_val = math.fsum(m * math.log(m) for m in k if m > 0) - total * math.log(total)
     return math.exp(0.5 * log_val + total * math.log(r))

@@ -304,7 +304,7 @@ def weight_ball_logs(keys: Sequence[Sequence[int]], q) -> list:
     table = log_q_factorial_table(max(totals, default=0), _folded_base(qp.modulus, 2))
     at = table.__getitem__
     return _mutate.shift_logs("weight-ball", [
-        0.5 * (sum(map(at, k)) - at(total))
+        0.5 * (math.fsum(map(at, k)) - at(total))
         + (total * total - sum(map(mul, k, k))) // 2 * log_modulus
         for k, total in zip(keys, totals)])
 

@@ -117,7 +117,7 @@ def _check_coordinate_cap(n: int, depth: int) -> None:
 
 def _logsumexp(values):
     top = max(values)
-    return top + math.log(sum([math.exp(v - top) for v in values]))
+    return top + math.log(math.fsum([math.exp(v - top) for v in values]))
 
 
 def _partial_sums(f, c: float, n: int, top: int, combine) -> list:
@@ -223,7 +223,7 @@ def _enumerated_estimate(ts: TupleSpec, d: int) -> float:
     if ts.p == math.inf:
         return max(values) ** (1.0 / d)
     p = float(ts.p)
-    return sum(v ** p for v in values) ** (1.0 / (p * d))
+    return math.fsum(v ** p for v in values) ** (1.0 / (p * d))
 
 
 def radius_estimate(ts: TupleSpec, d: int, force_enumeration: bool = False) -> float:

@@ -160,7 +160,7 @@ def _suite_lemma_3_13(rng: Random, p: dict) -> list:
         for n in range(1, p["max_n"] + 1):
             keys = qc.multi_indices(n, p["max_total"])
             for k, log_w in zip(keys, qc.weight_ball_logs(keys, q)):
-                log_direct = (0.5 * (sum(map(log_fact.__getitem__, k)) - log_fact[sum(k)])
+                log_direct = (0.5 * (math.fsum(map(log_fact.__getitem__, k)) - log_fact[sum(k)])
                               + qc.cross_degree(k) * q.log_modulus)
                 worst = max(worst, _rel(math.exp(log_w), math.exp(log_direct)))
     return [CheckResult("ball-weight-two-forms", worst, p["tol"])]
@@ -175,7 +175,7 @@ def _suite_lemma_4_1(rng: Random, p: dict) -> list:
             bound = lower ** n
             table = qc.log_q_factorial_table(p["max_total"], q)
             for k in qc.multi_indices(n, p["max_total"]):
-                ratio = math.exp(sum(map(table.__getitem__, k)) - table[sum(k)])
+                ratio = math.exp(math.fsum(map(table.__getitem__, k)) - table[sum(k)])
                 worst_hi = max(worst_hi, ratio - 1.0)
                 worst_lo = max(worst_lo, (bound - ratio) / bound)
     return [CheckResult("ratio-at-most-one", worst_hi, p["tol"]),
@@ -347,10 +347,10 @@ def _suite_lift_attainment(rng: Random, p: dict) -> list:
         logs = [-2.0 * m * math.log(q) for m in ms]
         shift = max(logs)
         raw = [math.exp(v - shift) for v in logs]
-        total = sum(raw)
+        total = math.fsum(raw)
         c0 = [w / total for w in raw]
         delta = [rng.gauss(0.0, 1.0) for _ in words]
-        mean = sum(delta) / len(delta)
+        mean = math.fsum(delta) / len(delta)
         eps = (1e-3, 0.1, 1.0)[i % 3]
         coeffs = [c + eps * (d - mean) for c, d in zip(c0, delta)]
         perturbed = FreeElement(n, {a: c * q ** m for a, c, m in zip(words, coeffs, ms)})
@@ -373,7 +373,7 @@ def _suite_lemma_7_9(rng: Random, p: dict) -> list:
     for modulus in (0.5, 2.0):
         for n in range(1, 4):
             for k in qc.multi_indices(n, p["max_total"]):
-                acc = sum(modulus ** (-2 * m) for m in qc.fiber_inversion_list(k))
+                acc = math.fsum(modulus ** (-2 * m) for m in qc.fiber_inversion_list(k))
                 worst_norm = max(worst_norm, _rel(acc ** -0.5, qc.weight_ball(k, modulus)))
     return [CheckResult("mahonian-distribution", worst_dist, p["tol"]),
             CheckResult("ball-monomial-norm-vs-fiber", worst_norm, p["tol"])]
@@ -707,7 +707,7 @@ def _suite_star_associativity(rng: Random, p: dict) -> list:
                            QPolynomial(2, q_h, dict(gq.terms)))
         diff = _max_diff(star_eval.terms, direct.terms)
         sig_max = max((qc.sigma(l, k) for k in fq.terms for l in gq.terms), default=0)
-        mass = sum(abs(c) for c in fq.terms.values()) * sum(abs(c) for c in gq.terms.values())
+        mass = math.fsum(map(abs, fq.terms.values())) * math.fsum(map(abs, gq.terms.values()))
         bound = 2.0 * mass * (sig_max * h0) ** (order + 1) / math.factorial(order + 1) + 1e-12
         worst_fiber = max(worst_fiber, diff - bound)
 
@@ -727,10 +727,10 @@ def _suite_star_associativity(rng: Random, p: dict) -> list:
 def _fit_slope(hs, values) -> float:
     xs = [math.log(h) for h in hs]
     ys = [math.log(v) for v in values]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    den = sum((x - mean_x) ** 2 for x in xs)
+    mean_x = math.fsum(xs) / len(xs)
+    mean_y = math.fsum(ys) / len(ys)
+    num = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    den = math.fsum((x - mean_x) ** 2 for x in xs)
     return num / den
 
 
@@ -793,7 +793,7 @@ def _suite_formal_lift(rng: Random, p: dict) -> list:
             pushed = deform.normal_order_formal(u)
             expected = HSeriesElement.monomial(n, order, k)
             worst_identity = max(worst_identity, _max_diff(pushed.terms, expected.terms))
-            log_half = 0.5 * (sum(math.lgamma(m + 1) for m in k) - math.lgamma(sum(k) + 1))
+            log_half = 0.5 * (math.fsum(math.lgamma(m + 1) for m in k) - math.lgamma(sum(k) + 1))
             for s in range(order + 1):
                 coeff = FreeElement(n, u.coefficient(s))
                 bound = sum(k) ** (2 * s) * math.exp(log_half) if sum(k) else (1.0 if s == 0 else 0.0)

@@ -332,14 +332,13 @@ def reference_normal_order(f, q):
 
 
 def reference_circ_norm(f, rho):
-    """The free-ball-circ norm: sum over profiles k, in (|k|, k) order, of
-    (sum of |c|^2 over the words of profile k)^(1/2) rho^|k|."""
+    """The free-ball-circ norm: the math.fsum over profiles k of
+    (math.fsum of |c|^2 over the words of profile k)^(1/2) rho^|k|."""
     by_profile = {}
     for alpha, c in f.terms.items():
-        k = brute_profile(alpha, f.n)
-        by_profile[k] = by_profile.get(k, 0.0) + abs(c) ** 2
-    return sum(math.sqrt(by_profile[k]) * rho ** sum(k)
-               for k in sorted(by_profile, key=lambda k: (sum(k), k)))
+        by_profile.setdefault(brute_profile(alpha, f.n), []).append(abs(c) ** 2)
+    return math.fsum(math.sqrt(math.fsum(squares)) * rho ** sum(k)
+                     for k, squares in by_profile.items())
 
 
 def _exp_taylor(rate, order):
@@ -380,7 +379,7 @@ def reference_ball_lift(k, q):
     logs = [-2.0 * m * log_modulus for m in ms]
     shift = max(logs)
     raw = [math.exp(v - shift) for v in logs]
-    total = sum(raw)
+    total = math.fsum(raw)
     return {alpha: (w / total) * q ** m for alpha, m, w in zip(words, ms, raw)}
 
 
@@ -507,34 +506,35 @@ def _direct_log_q_factorial(m, t):
 
 
 def reference_qpoly_norm(a, family, rho):
-    """A q-plane norm term by term, in the (|k|, k) order of the terms:
-    each monomial's log norm |k| log rho + log weight from scratch, the
-    ball weight from q-factorials summed directly at the folded base
+    """A q-plane norm term by term, the terms added by math.fsum: each
+    monomial's log norm |k| log rho + log weight from scratch, the ball
+    weight from q-factorials summed directly at the folded base
     s = min(|q|**2, |q|**-2), with cross(k) log|q| only at |q| < 1.  This
     checks the batching; exact_ball_weight_sq checks the formula."""
     modulus = abs(a.q.value)
-    acc = 0.0
-    for k in sorted(a.terms, key=lambda k: (sum(k), k)):
+    terms = []
+    for k in a.terms:
         cross = sum(k[i] * k[j] for i in range(len(k)) for j in range(i + 1, len(k)))
         if family == "ball":
             s = modulus * modulus if modulus <= 1.0 else modulus ** -2
-            log_w = (0.5 * (sum(_direct_log_q_factorial(m, s) for m in k)
+            log_w = (0.5 * (math.fsum(_direct_log_q_factorial(m, s) for m in k)
                             - _direct_log_q_factorial(sum(k), s))
                      + cross * min(math.log(modulus), 0.0))
         else:
             log_w = 0.0 if modulus >= 1.0 else cross * math.log(modulus)
         log_norm = sum(k) * math.log(rho) + log_w
         if family == "polydisk-l2":
-            acc += abs(a.terms[k]) ** 2 * math.exp(2.0 * log_norm)
+            terms.append(abs(a.terms[k]) ** 2 * math.exp(2.0 * log_norm))
         else:
-            acc += abs(a.terms[k]) * math.exp(log_norm)
-    return math.sqrt(acc) if family == "polydisk-l2" else acc
+            terms.append(abs(a.terms[k]) * math.exp(log_norm))
+    return math.sqrt(math.fsum(terms)) if family == "polydisk-l2" else math.fsum(terms)
 
 
 def reference_laurent_norm(a, rho, tau):
-    """The Laurent norm term by term, in the sorted_terms order: |c| times
+    """The Laurent norm term by term, added by math.fsum: |c| times
     rho**|k| times tau**|omega(k, p)|, omega from cross(k) on the spot."""
-    return sum(abs(c) * rho ** sum(k) * tau ** abs(omega(k, p)) for (k, p), c in a.sorted_terms())
+    return math.fsum(abs(c) * rho ** sum(k) * tau ** abs(omega(k, p))
+                     for (k, p), c in a.terms.items())
 
 
 def total_degree_indices(n, d):
@@ -659,3 +659,56 @@ def same_bits(got, expected) -> bool:
             and repr(got._params()) == repr(expected._params())
             and list(got.terms) == list(expected.terms)
             and list(map(repr, got.terms.values())) == list(map(repr, expected.terms.values())))
+
+
+# ---------------------------------------------------------------------------
+# Python 3.12's builtin sum, as a stand-in under any interpreter
+
+_LONG_MIN, _LONG_MAX = -2 ** 63, 2 ** 63 - 1   # a C long on a 64-bit platform
+
+
+def neumaier_sum(iterable, /, start=0):
+    """sum() as CPython 3.12 computes it (builtin_sum in bltinmodule.c).
+
+    While the running value is an int within a C long, int and bool items
+    are added exactly as long as each item and the sum stay within one.
+    Once it is a float, float items are added with Neumaier's compensation
+    and int items within a C long without it; the compensation is added to
+    the result at the end only where it is nonzero and finite.  Any other
+    item ends that phase: the value (with its compensation) and every item
+    from there on are added with +."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int and _LONG_MIN <= result <= _LONG_MAX:
+        for item in items:
+            if (type(item) in (int, bool) and _LONG_MIN <= item <= _LONG_MAX
+                    and _LONG_MIN <= result + item <= _LONG_MAX):
+                result += item
+                continue
+            result = result + item
+            break
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int) and _LONG_MIN <= item <= _LONG_MAX:
+                total += float(item)   # uncompensated
+                continue
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            result = total + item
+            break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        result = result + item
+    return result

@@ -386,6 +386,30 @@ def test_norm_overflow_exits_two(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: overflow: "), captured.err
 
 
+_OVERFLOW_KEYS = {"polydisk": ("qpoly", "k", [1, 0], [0, 1]),
+                  "ball": ("qpoly", "k", [1, 0], [0, 1]),
+                  "free-taylor": ("free", "alpha", [1], [2]),
+                  "laurent": ("laurent", "k", [1, 0], [0, 1])}
+
+
+@pytest.mark.parametrize("family", sorted(_OVERFLOW_KEYS))
+@pytest.mark.parametrize("coefficients, rho", [
+    ((1e300,), "1e100"),   # |c| rho^|k| overflows in the product
+    ((1.5e308, 1.5e308), "1"),   # two finite terms overflow in the sum
+])
+def test_norm_past_the_float_range_exits_two(tmp_path, capsys, family, coefficients, rho):
+    # both once printed the non-JSON token Infinity and exited 0
+    kind, field, *keys = _OVERFLOW_KEYS[family]
+    terms = [{field: key, "c": {"re": c}} for key, c in zip(keys, coefficients)]
+    if kind == "laurent":
+        terms = [{**term, "p": 0} for term in terms]
+    doc = write(tmp_path, "x.json", {"kind": kind, "n": 2, "terms": terms,
+                                     **({"q": {"re": 0.5}} if kind == "qpoly" else {})})
+    assert cli.main(["norm", "--in", doc, "--family", family, "--rho", rho]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: overflow: "), captured.err
+
+
 @pytest.mark.parametrize("value, message", [
     ("0.5,0.1", "error: fock-norm needs a real q, got '0.5,0.1'"),
     ("abc", "error: cannot parse q from 'abc' (use RE or RE,IM)"),

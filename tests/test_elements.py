@@ -182,6 +182,26 @@ def test_ball_lift_example_and_identity():
     assert dict(axis.terms) == {(1, 1, 1): pytest.approx(1.0)}
 
 
+@pytest.mark.parametrize("q", [1e-200, 1e-100, 1e100, 1e200])
+@pytest.mark.parametrize("lift", [polydisk_lift, ball_lift])
+def test_lifts_far_from_the_unit_circle_order_to_the_monomial_or_name_q(lift, q):
+    # both lifts of x1^2 x2^2 were the zero element at q = 1e-200 and 1e-100,
+    # their q**m below the float range, and ball_lift at 1e200 raised
+    # "complex exponentiation"; every power is now QParam.power's
+    answered = 0
+    for k in ((1, 1), (2, 2), (3, 0), (1, 2, 1)):
+        try:
+            lifted = lift(k, q)
+        except OverflowError as exc:
+            assert f"at q = {complex(q)!r}" in str(exc), exc
+            continue
+        answered += 1
+        assert lifted.terms, (k, q)
+        image = normal_order(lifted, q)
+        assert image.allclose(QPolynomial.monomial(len(k), q, k), tol=1e-15), (k, q)
+    assert answered >= 2
+
+
 def test_laurent_mul_examples():
     n = 2
     a = laurent_mul(LaurentElement.generator(n, 2), LaurentElement.generator(n, 1))
