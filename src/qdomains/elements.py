@@ -12,7 +12,10 @@ instead of emptying it.  The q-plane, Laurent and h-series
 products all follow one commutation rule,
 x^k x^l = phase(sigma(l,k)) x^{k+l}, and run through one routine,
 _twisted_mul, which has two routes that give the same bits:
-- below _ARRAY_PAIRS = 256 term pairs, a pair loop;
+- below _ARRAY_PAIRS = 256 term pairs, a pair loop, which reads each
+  pair's k + l, sigma(l,k), sigma(k,l) and |k + l| from one table held
+  under _held.held (_pair, up to 2**13 pairs; verify all meets about
+  2,500) and forms the entry only for a pair not held;
 - from 256 pairs on, the same sums over numpy arrays, numpy being
   imported on the first such product, not with the module.  Its products are
   formed with real ufuncs as CPython forms a complex product (numpy's
@@ -43,6 +46,7 @@ it still runs through each class's __init__ and drops exact zeros.
 from __future__ import annotations
 
 import math
+import sys
 from functools import reduce
 from numbers import Number
 from itertools import accumulate, repeat
@@ -51,6 +55,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from qdomains import _mutate
+from qdomains._held import held
 from qdomains import qcombinat as qc
 from qdomains.qcombinat import as_qparam
 
@@ -354,6 +359,15 @@ def _suffix_sums(k) -> list:
     return list(accumulate(reversed(k[1:]), initial=0))[::-1]
 
 
+@held(2 ** 13, size=lambda entry: 1)
+def _pair(k: tuple, l: tuple) -> tuple:
+    """(k + l, sigma(l,k), sigma(k,l), |k + l|) for two exponent vectors: the
+    entry of the pair table that the pair loop of _twisted_mul reads, its
+    budget counted in pairs."""
+    key = tuple(map(add, k, l))
+    return key, sum(map(mul, l, _suffix_sums(k))), sum(map(mul, k, _suffix_sums(l))), sum(key)
+
+
 def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
                  both_sigmas: bool = False) -> _Checked:
     """Bilinear product of (k, grade, c) term lists, grade being a z- or
@@ -368,25 +382,24 @@ def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
     grade is None, its slots in the order the pairs first reach them, each
     coeff 0j + c_a c_b factor + ... summed in pair order.
 
-    Below _ARRAY_PAIRS pairs this is a pair loop, in which each term's
-    suffix sums are formed once, so a sigma is one dot product.  From
+    Below _ARRAY_PAIRS pairs this is a pair loop, which reads each pair's
+    k + l, sigmas and degree from the held pair table (_pair) with one dict
+    lookup, building the entry only when the pair is not held.  From
     _ARRAY_PAIRS on, _twisted_mul_arrays forms the same map with numpy,
     bit for bit, unless a number it codes would not fit int64."""
     if len(a) * len(b) >= _ARRAY_PAIRS:
         out = _twisted_mul_arrays(a, b, rule, degree_cap, both_sigmas)
         if out is not None:
             return out
-    b = [(l, h, cl, _suffix_sums(l) if both_sigmas else None) for l, h, cl in b]
+    pairs = _pair.store
     cache: dict = {}
     out = _Checked()
     for k, g, ck in a:
-        suffix_k = _suffix_sums(k)
-        for l, h, cl, suffix_l in b:
-            key = tuple(map(add, k, l))
-            if degree_cap is not None and sum(key) > degree_cap:
+        for l, h, cl in b:
+            key, s_lk, s_kl, degree = pairs.get((k, l)) or _pair(k, l)
+            if degree_cap is not None and degree > degree_cap:
                 continue
-            args = (g, h, sum(map(mul, l, suffix_k)),
-                    sum(map(mul, k, suffix_l)) if both_sigmas else None)
+            args = (g, h, s_lk, s_kl if both_sigmas else None)
             spread = cache.get(args)
             if spread is None:
                 spread = cache[args] = rule(*args)
@@ -649,18 +662,26 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
     Coefficients c^0_alpha = |q|^{-2m(alpha)} / sum_beta |q|^{-2m(beta)};
     the element sum_alpha c^0_alpha q^{m(alpha)} zeta_alpha normal-orders
     to x^k and its circ norm at rho is exactly the ball monomial norm.
-    Each power q^m is QParam.power's, as in polydisk_lift.
+    Each power q^m is QParam.power's, as in polydisk_lift.  A word whose
+    raw weight |q|^{-2m} / max_beta |q|^{-2m(beta)} underflows below the
+    normal floats takes its coefficient's modulus in log space instead,
+    exp(-m log|q| - log sum_beta |q|^{-2m(beta)}), times the unit phase
+    (q/|q|)^m, so a coefficient in the float range is kept although its
+    weight is not.
     """
     qp = as_qparam(q)
     k = tuple(map(index, k))
-    n = len(k)
     words, ms = qc.fiber(k)
-    logs = [-2.0 * m * qp.log_modulus for m in ms]
+    log_modulus = qp.log_modulus
+    # every word of one m has the same coefficient, and every m from 0 to
+    # max(ms) occurs in a fiber
+    logs = [-2.0 * m * log_modulus for m in range(max(ms) + 1)]
     shift = max(logs)
     raw = [math.exp(v - shift) for v in logs]
-    total = math.fsum(raw)
-    powers = [qp.power(m) for m in range(max(ms) + 1)]   # every m occurs in a fiber
-    terms = _Checked()
-    for alpha, m, w in zip(words, ms, raw):
-        terms[alpha] = (w / total) * powers[m]
-    return FreeElement(n, terms)
+    total = math.fsum(map(raw.__getitem__, ms))
+    log_sum = shift + math.log(total)
+    unit = qp.value / qp.modulus
+    coefficients = [(w / total) * qp.power(m) if w >= sys.float_info.min
+                    else math.exp(-m * log_modulus - log_sum) * unit ** m
+                    for m, w in enumerate(raw)]
+    return FreeElement(len(k), _Checked(zip(words, map(coefficients.__getitem__, ms))))

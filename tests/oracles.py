@@ -383,6 +383,17 @@ def reference_ball_lift(k, q):
     return {alpha: (w / total) * q ** m for alpha, m, w in zip(words, ms, raw)}
 
 
+def exact_ball_lift(k, q):
+    """{alpha: c^0_alpha q**m(alpha)} for a real q, exactly: c^0_alpha =
+    |q|**(-2 m(alpha)) / sum_beta |q|**(-2 m(beta)) in Fractions, whatever
+    the size of q."""
+    q = Fraction(q)
+    words = brute_fiber(k)
+    ms = [brute_inversions(alpha) for alpha in words]
+    total = sum(abs(q) ** (-2 * m) for m in ms)
+    return {alpha: abs(q) ** (-2 * m) / total * q ** m for alpha, m in zip(words, ms)}
+
+
 def reference_formal_ball_lift(k, order):
     words = brute_fiber(k)
     weight = 1.0 / len(words)
@@ -479,22 +490,24 @@ def reference_held_store(sizes, budget):
     return [key for key, _ in held]
 
 
-def _unit_disk_draw(rng):
+def reference_unit_disk(rng):
+    """sqrt(u) e^{2 pi i v} as complex(r cos theta, r sin theta)."""
     r = math.sqrt(rng.random())
     theta = 2.0 * math.pi * rng.random()
     return complex(r * math.cos(theta), r * math.sin(theta))
 
 
 def reference_random_terms(rng, pool, terms, power=None):
-    """The draws of a randgen generator through randrange: each term takes a
-    key from pool, then for the Laurent and h-series kinds an exponent
-    power(rng), then a unit-disk coefficient; a repeated key adds up.
-    Returns a plain dict of (key, exponent or None) -> coefficient."""
+    """The draws of a randgen generator, one method call at a time: each
+    term takes a key by rng.choice(pool), then for the Laurent and
+    h-series kinds an exponent power(rng), then a unit-disk coefficient
+    from r cos theta and r sin theta; a repeated key adds up.  Returns a
+    plain dict of (key, exponent or None) -> coefficient."""
     out = {}
     for _ in range(terms):
-        key = pool[rng.randrange(len(pool))]
+        key = rng.choice(pool)
         p = None if power is None else power(rng)
-        out[(key, p)] = out.get((key, p), 0.0) + _unit_disk_draw(rng)
+        out[(key, p)] = out.get((key, p), 0.0) + reference_unit_disk(rng)
     return out
 
 

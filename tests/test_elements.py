@@ -8,7 +8,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from qdomains import _mutate, elements, randgen
+from qdomains import _mutate, deform, elements, randgen
 from qdomains import qcombinat as qc
 from qdomains._wordkit_py import fiber_stats
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
@@ -30,10 +30,11 @@ from qdomains.elements import (
 )
 from qdomains.norms import FREE_BALL_CIRC, NormSpec, norm
 
-from oracles import (array_route_outcomes, on_each_route, reference_ball_lift,
-                     reference_circ_norm, reference_laurent_mul, reference_normal_order,
-                     reference_polydisk_lift, reference_qpoly_mul, reference_random_terms,
-                     rewrite_normal_order, same_bits)
+from oracles import (array_route_outcomes, brute_sigma, exact_ball_lift, on_each_route,
+                     reference_ball_lift, reference_circ_norm, reference_laurent_mul,
+                     reference_normal_order, reference_polydisk_lift, reference_qpoly_mul,
+                     reference_random_terms, reference_unit_disk, rewrite_normal_order,
+                     same_bits)
 
 
 def x_mono(n, q, k, c=1.0):
@@ -200,6 +201,33 @@ def test_lifts_far_from_the_unit_circle_order_to_the_monomial_or_name_q(lift, q)
         image = normal_order(lifted, q)
         assert image.allclose(QPolynomial.monomial(len(k), q, k), tol=1e-15), (k, q)
     assert answered >= 2
+
+
+def test_ball_lift_keeps_every_coefficient_in_the_float_range_far_from_the_circle():
+    # a word whose raw weight |q|**-2m underflows takes its modulus in log
+    # space: at 1e200 the (2, 1) word of x1 x2 was dropped although its
+    # coefficient 1e-200 is a normal float.  Each coefficient must be the
+    # exact one to 1e-13, and a word is missing only where that rounds to 0.
+    for modulus in (1e150, 1e200, 1e300):
+        for q in (modulus, -modulus):
+            for k in ((1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1)):
+                got = dict(ball_lift(k, q).terms)
+                exact = {alpha: float(c) for alpha, c in exact_ball_lift(k, q).items()}
+                assert list(got) == [alpha for alpha, c in exact.items() if c], (k, q)
+                for alpha, c in got.items():
+                    assert c.imag == 0.0
+                    assert abs(c.real - exact[alpha]) <= 1e-13 * abs(exact[alpha]), (k, q)
+                assert any(abs(c) < 1e-100 for c in got.values()), (k, q)
+    assert dict(ball_lift((1, 1), 1e200).terms) == {(1, 2): 1.0,
+                                                     (2, 1): pytest.approx(1e-200, rel=1e-13)}
+    # a complex q: the same moduli, times the unit phase (q/|q|)**m
+    q = 1e200 * cmath.exp(0.7j)
+    got = ball_lift((2, 1), q)
+    for alpha, m in zip(*qc.fiber((2, 1))):
+        if m < 2:
+            expected = float(exact_ball_lift((2, 1), abs(q))[alpha]) * cmath.exp(0.7j * m)
+            assert abs(got.terms[alpha] - expected) <= 1e-13 * abs(expected)
+    assert normal_order(got, q).allclose(QPolynomial.monomial(2, q, (2, 1)), tol=1e-15)
 
 
 def test_laurent_mul_examples():
@@ -395,6 +423,49 @@ def test_array_route_hands_exponents_past_int64_room_to_the_loop(monkeypatch):
         assert got == expected and list(got.terms) == list(expected.terms)
         assert ((tuple(map(add, big_a, big_b)), 4 - qc.sigma(big_b, big_a))
                 in got.terms)
+
+
+def test_pair_table_gives_the_same_bits_cold_warm_and_evicting(monkeypatch):
+    # the pair loop reads k + l, both sigmas and |k + l| from the held pair
+    # table; every product must have the same bits from an empty store, a
+    # warm one, and one held to a single pair, which drops a pair per miss
+    rng = Random("pair-table")
+    products = []
+    for trial in range(24):
+        n = 1 + trial % 3
+        q = (0.5, 2.0, cmath.exp(0.7j))[trial % 3]
+        cap = (None, 3)[trial % 2]
+        a, b = (randgen.random_qpoly(rng, n, q, max_degree=4, terms=6) for _ in "ab")
+        u, v = (randgen.random_laurent(rng, n, terms=6) for _ in "uv")
+        f, g = (randgen.random_hseries(rng, n, 2, max_degree=3, terms=6) for _ in "fg")
+        c, d = (randgen.random_qpoly(rng, n, 1.0, max_degree=3, terms=5) for _ in "cd")
+        products += [lambda a=a, b=b, cap=cap: qpoly_mul(a, b, degree_cap=cap),
+                     lambda u=u, v=v, cap=cap: laurent_mul(u, v, degree_cap=cap),
+                     lambda f=f, g=g: deform.star_product(f, g),
+                     lambda c=c, d=d: deform.poisson_bracket(c, d)]
+    table = elements._pair
+
+    def fresh(budget):
+        monkeypatch.setattr(table, "budget", budget)
+        monkeypatch.setattr(table, "store", {})
+        monkeypatch.setattr(table, "total", 0)
+
+    cold = []
+    for product in products:
+        fresh(2 ** 13)
+        cold.append(product())
+    fresh(2 ** 13)
+    first = [product() for product in products]
+    warm = [product() for product in products]
+    assert table.total == len(table.store) <= table.budget
+    for (k, l), entry in table.store.items():
+        key = tuple(map(add, k, l))
+        assert entry == (key, brute_sigma(l, k), brute_sigma(k, l), sum(key))
+    fresh(1)
+    evicting = [product() for product in products]
+    assert table.total == len(table.store) == 1
+    for results in (first, warm, evicting):
+        assert all(map(same_bits, results, cold))
 
 
 def test_qpoly_phase_mutation_moves_both_routes(monkeypatch):
@@ -608,6 +679,25 @@ def test_element_validation_and_immutability():
         polydisk_lift((1.5, 1), 0.5)
 
 
+def test_element_methods_equal_their_function_forms():
+    rng = Random("methods")
+    for n in (1, 2, 3):
+        f, g = (randgen.random_free(rng, n, max_len=3, terms=5) for _ in "fg")
+        assert same_bits(f * g, free_mul(f, g))
+        assert f.length() == max(map(len, f.terms))
+        u, v = (randgen.random_laurent(rng, n, terms=6) for _ in "uv")
+        assert same_bits(u * v, laurent_mul(u, v))
+    assert FreeElement.zero(2).length() == 0 == FreeElement.one(2).length()
+    assert FreeElement(2, {(1, 2, 1): 1.0, (2,): 3.0}).length() == 3
+    zero = HSeriesElement.zero(2, 3)
+    assert (zero.n, zero.order, dict(zero.terms)) == (2, 3, {})
+    assert zero.coefficient(0) == {}
+    h = HSeriesElement(2, 2, {(0, (1, 0)): 1.0, (2, (0, 1)): 2.0j, (2, (1, 1)): -1.0})
+    assert h.coefficient(0) == {(1, 0): 1.0}
+    assert h.coefficient(1) == {}
+    assert h.coefficient(2) == {(0, 1): 2.0j, (1, 1): -1.0}
+
+
 def _key_parts(key):
     for part in key:
         if isinstance(part, tuple):
@@ -690,43 +780,57 @@ def test_checked_terms_are_adopted_only_when_clean():
     assert type(e.terms[(0,)]) is complex
 
 
+class _FloatDrawn(Random):
+    """Overrides random() alone, so Random's methods draw their ints from
+    random() instead of getrandbits(): a one-pass reading of the stream as
+    getrandbits would not replay them."""
+
+    def random(self):
+        return super().random()
+
+
 def test_random_elements_are_the_checked_draws():
-    # randgen hands its terms over unchecked, drawn with rng.choice; each
-    # element must be the one the same draws, taken with randrange, give
-    # through the validating constructor: keys, values, key order and types
-    def laurent_power(rng):
-        return rng.randint(-4, 4)
-
-    def hseries_power(rng):
-        return rng.randint(0, 2)
-
-    for seed in range(40):
-        n = 1 + seed % 3
-        q = (0.5, 1.0, 2.0)[seed % 3] * cmath.exp(0.3j * seed)
+    # randgen hands its terms over unchecked, drawn in one pass; each element
+    # must be the one the same draws, taken method by method (rng.choice,
+    # rng.randint, the cos/sin unit disk), give through the validating
+    # constructor: keys, value bits, key order and types, and the generator
+    # must be left in the same state.  Pools of one key, of powers of two
+    # keys (where a getrandbits draw is rejected most often) and of other
+    # sizes; grade ranges of one, two and four values, and of five, nine
+    # and eleven; and a Random subclass, which is drawn through its methods.
+    for seed in range(200):
+        n, degree = ((1, 0), (1, 1), (1, 3), (1, 7), (2, 2), (3, 4))[seed % 6]
+        order, power = (0, 1, 3)[seed % 3], (2, 4, 5)[seed % 3]
         terms = 1 + seed % 9
-        pool = qc.multi_indices(n, 4)
-        words = tuple(qc.words(n, 4))
+        q = (0.5, 1.0, 2.0)[seed % 3] * cmath.exp(0.3j * seed)
+        pool = qc.multi_indices(n, degree)
+        words = tuple(qc.words(n, degree))
         cases = [
-            (lambda rng: randgen.random_qpoly(rng, n, q, max_degree=4, terms=terms),
+            (lambda rng: randgen.random_qpoly(rng, n, q, max_degree=degree, terms=terms),
              lambda d: QPolynomial(n, q, {k: c for (k, _), c in d.items()}), pool, None),
-            (lambda rng: randgen.random_free(rng, n, max_len=4, terms=terms),
+            (lambda rng: randgen.random_free(rng, n, max_len=degree, terms=terms),
              lambda d: FreeElement(n, {a: c for (a, _), c in d.items()}), words, None),
-            (lambda rng: randgen.random_laurent(rng, n, max_degree=4, max_power=4, terms=terms),
+            (lambda rng: randgen.random_laurent(rng, n, max_degree=degree, max_power=power,
+                                                terms=terms),
              lambda d: LaurentElement(n, {(k, p): c for (k, p), c in d.items()}), pool,
-             laurent_power),
-            (lambda rng: randgen.random_hseries(rng, n, 2, max_degree=4, terms=terms),
-             lambda d: HSeriesElement(n, 2, {(p, k): c for (k, p), c in d.items()}), pool,
-             hseries_power),
+             lambda rng: rng.randint(-power, power)),
+            (lambda rng: randgen.random_hseries(rng, n, order, max_degree=degree, terms=terms),
+             lambda d: HSeriesElement(n, order, {(p, k): c for (k, p), c in d.items()}), pool,
+             lambda rng: rng.randint(0, order)),
         ]
-        for generate, build, keys, power in cases:
-            rng, reference_rng = Random(seed), Random(seed)
+        kind = (Random, Random, Random, _FloatDrawn)[seed % 4]
+        for generate, build, keys, grade in cases:
+            rng, reference_rng = kind(seed), kind(seed)
             got = generate(rng)
-            expected = build(reference_random_terms(reference_rng, keys, terms, power))
-            assert got == expected
-            assert list(got.terms) == list(expected.terms)
+            expected = build(reference_random_terms(reference_rng, keys, terms, grade))
+            assert same_bits(got, expected), (seed, kind)
             assert [type(c) for c in got.terms.values()] == [complex] * len(got.terms)
             assert repr(list(got.terms)) == repr(list(expected.terms))   # int entries
-            assert rng.getstate() == reference_rng.getstate()
+            assert rng.getstate() == reference_rng.getstate(), (seed, kind)
+    for seed in range(20):
+        rng, reference_rng = Random(seed), Random(seed)
+        assert repr(randgen.unit_disk(rng)) == repr(reference_unit_disk(reference_rng))
+        assert rng.getstate() == reference_rng.getstate()
 
 
 def test_polydisk_lift_picks_the_loop_minimiser():

@@ -204,7 +204,7 @@ def test_every_table_kept_between_calls_is_held_under_one_policy():
     names = {memo.__name__ for memo in memos.values()}
     assert {"_letter_tables", "_domain", "_monomial_column", "_shift_pairs", "_pair_plan",
             "q_pochhammer_inf", "_factorial_table", "multi_indices", "_fiber_record",
-            "_word_pool", "_held_pool", "_held_factors"} <= names
+            "_word_pool", "_held_pool", "_held_factors", "_pair"} <= names
     # no other container grows: a table kept in a plain dict, list or set
     # would.  The seed is one no other test runs in process, so such a table
     # would meet new parameter sets here even after the other tests.
