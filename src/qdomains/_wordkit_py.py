@@ -19,14 +19,16 @@ from one recursion on the first letter, built level by level over the
 sub-profiles of k: the words of k are i + w for each word w of k - e_i,
 and such a word has the inversions of w plus one per letter of k below i
 (_enumerate_fiber); no statistics pass runs over the words.  The records
-are held by profile under _held.held while they add up to at most 2**12
-words (_fiber_record).  Besides, the record of the profile asked for last
-is kept, held or not, until another profile is asked for; it is let go
-before the next one is enumerated, so the two are not alive at once
-unless the store holds the old one.  So the lifts
-of one x^k, its fiber lists and its Mahonian sum share a single
-enumeration, and a suite that comes back to a small profile finds its
-record.  fiber_words and fiber_inversions return fresh lists.
+are held by profile under _held.held while they add up to at most 2**16
+words (_fiber_record, about 8.4 MB when full): every fiber that one verify
+all (219 fibers, 10,361 words) or one fiber-lift pass (17,206 to 35,742
+words) asks for, so each is enumerated once a process.  Besides, the record
+of the profile asked for last is kept, held or not, until another profile
+is asked for; it is let go before the next one is enumerated, so the two
+are not alive at once unless the store holds the old one.  So the lifts of
+one x^k, its fiber lists and its Mahonian sum share a single enumeration,
+and a later call for a held profile finds its record.  fiber_words and
+fiber_inversions return fresh lists.
 
 The record of the profile asked for last also answers word_stats: a batch
 of words of that fiber (the words of a lift of x^k, in any order and any
@@ -223,12 +225,18 @@ def _enumerate_fiber(counts):
     return tuple(words), tuple(ms)
 
 
-# verify all asks for 219 fibers of 10,361 words in all: this budget keeps
-# the 3,543 words of the 120 profiles that three suites come back to, for
-# 772 enumerations in place of 2,256 with one slot.  Holding every fiber
-# made 219 enumerations but raised the run's peak RSS by about 2.4 MB,
-# against 1 MB with this budget.
-@held(2 ** 12, size=lambda record: len(record[0]))
+# The store holds every fiber one process asks for.  verify all asks for 219
+# fibers of 10,361 words in all (4,134 fiber calls), and a fiber-lift pass
+# (ten profiles in three letter orders each) 17,206 to 35,742 words over
+# seeds 1-400.  The traffic is cyclic, so an oldest-first store smaller than
+# a pass drops each record before it is asked for again and holds nothing:
+# at 2**12 words verify all enumerates 772 times and every fiber-lift pass
+# 20-25 times, and 2**15 words are less than the passes of 118 of those 400
+# seeds.  2**16 is the least power of two that holds both: verify all
+# enumerates each fiber once, and a fiber-lift pass after the first
+# enumerates nothing.  A 9-letter word costs about 130 B with its inversion
+# number (a 112 B tuple and two slots), so a full store is about 8.4 MB.
+@held(2 ** 16, size=lambda record: len(record[0]))
 def _fiber_record(counts):
     return _enumerate_fiber(counts)
 

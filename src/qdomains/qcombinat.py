@@ -136,18 +136,25 @@ def as_qparam(q) -> QParam:
 # ---------------------------------------------------------------------------
 # q-integers and q-factorials
 
-def q_int(k: int, q: complex) -> complex:
+def _raw(q):
+    """The value of a QParam; any other q as it is, so it keeps its bits."""
+    return q.value if isinstance(q, QParam) else q
+
+
+def q_int(k: int, q) -> complex:
     """[k]_q = 1 + q + ... + q**(k-1); [0]_q = 0."""
     if k < 0:
         raise ValueError("q-integer index must be nonnegative")
+    q = _raw(q)
     acc = 0.0 + 0.0j
     for _ in range(k):
         acc = acc * q + 1.0
     return acc
 
 
-def q_factorial(k, q: complex) -> complex:
+def q_factorial(k, q) -> complex:
     """[k]_q! for an integral scalar k, or prod_i [k_i]_q! for an exponent vector."""
+    q = _raw(q)
     try:
         entries: Sequence[int] = (index(k),)
     except TypeError:
@@ -391,10 +398,12 @@ def _check_fiber_cap(k: Sequence[int]) -> None:
 def fiber(k: Sequence[int]) -> tuple:
     """The fiber record (words, inversions) of p^{-1}(k), both tuples: every
     word alpha with p(alpha) = k once, in lexicographic order, and m(alpha)
-    of each.  Records are held under _held.held, up to 2**12 words in all,
-    and the record of the profile asked for last is kept whatever its size
-    (see _wordkit_py); a later call for either returns the same record.  word_stats reads
-    batches of words of the profile asked for last from its record.
+    of each.  Records are held under _held.held, up to 2**16 words in all
+    (every fiber that one verify all or one fiber-lift pass asks for), and
+    the record of the profile asked for last is kept whatever its size (see
+    _wordkit_py); a later call for either returns the same record.
+    word_stats reads batches of words of the profile asked for last from
+    its record.
     Every call, held or not, raises EnumerationCapExceeded for a fiber of
     more than ENUMERATION_CAP words, before any lookup or enumeration."""
     _check_fiber_cap(k)
@@ -418,13 +427,19 @@ class InvDistribution(NamedTuple):
     closed: complex
 
 
-def inv_distribution(k: Sequence[int], q: complex) -> InvDistribution:
+def inv_distribution(k: Sequence[int], q) -> InvDistribution:
     """Sum of q**m(alpha) over the fiber, both by enumeration and in the
     closed Mahonian form [|k|]_q!/[k]_q!; the two agree to ~1e-10 relative.
+    Raises OverflowError, naming q, where either leaves the float range
+    (the powers of q, or the q-factorials, overflow far from |q| = 1).
     """
     _check_fiber_cap(k)
+    q = _raw(q)
     brute = mahonian_sum(tuple(k), complex(q))
     closed = q_factorial(sum(k), q) / q_factorial(k, q)
+    if not (cmath.isfinite(brute) and cmath.isfinite(closed)):
+        raise OverflowError(
+            f"the Mahonian sum of {tuple(k)} at q = {complex(q)!r} leaves the float range")
     closed = _mutate.scale("mahonian-closed-form", closed)
     return InvDistribution(brute, closed)
 

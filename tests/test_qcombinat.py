@@ -3,10 +3,12 @@ import importlib
 import itertools
 import math
 import pkgutil
+import re
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -17,7 +19,7 @@ from qdomains import _mutate, _wordkit_py, deform, randgen, spectral, suites
 from qdomains import qcombinat as qc
 from qdomains._held import held
 from qdomains._wordkit_py import _SCALAR_BATCH
-from qdomains.elements import ball_lift, polydisk_lift
+from qdomains.elements import ball_lift, normal_order, polydisk_lift
 from qdomains.norms import POLYDISK_L1, NormSpec
 from qdomains.qcombinat import EnumerationCapExceeded, QParam
 
@@ -218,6 +220,18 @@ def test_every_table_kept_between_calls_is_held_under_one_policy():
     # every weight reads its log-factorial table at a base folded into [0, 1]
     assert qc._factorial_table.store
     assert all(0.0 <= t <= 1.0 for t, _ in qc._factorial_table.store)
+
+
+def test_readme_lists_every_held_store_with_its_budget():
+    # one row per _held.held memo of the package, its budget written 2^b
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+\.\w+)`.*\| 2\^(\d+) \|$", readme, re.MULTILINE)
+    memos = {f"{value.__module__.removeprefix('qdomains.')}.{value.__name__}": value
+             for _, value in _package_members()
+             if getattr(value, "store", None) is not None and hasattr(value, "__wrapped__")}
+    assert sorted(name for name, _ in rows) == sorted(memos)
+    for name, bits in rows:
+        assert memos[name].budget == 2 ** int(bits), name
 
 
 def test_log_q_factorial_deep_in_a_fresh_cache(monkeypatch):
@@ -527,6 +541,39 @@ def test_fiber_store_records_are_fresh_enumerations():
             assert qc.fiber(k) is held
 
 
+def test_fiber_store_serves_the_traffic_of_a_run(monkeypatch):
+    # an oldest-first store smaller than a cyclic pass holds nothing that is
+    # asked for again; at its own budget the store holds a whole run
+    store = _fresh_fiber_store(monkeypatch, _wordkit_py._fiber_record.budget)
+    enumerated = []
+    enumerate_fiber = _wordkit_py._enumerate_fiber
+    monkeypatch.setattr(_wordkit_py, "_enumerate_fiber",
+                        lambda counts: enumerated.append(counts) or enumerate_fiber(counts))
+    suites.run_suite("lift-attainment")
+    assert enumerated and len(enumerated) == len(set(enumerated)) == len(store)
+    # the fiber-lift benchmark's profiles in three letter orders each (its
+    # seed picks them): 23 fibers of 35,742 words, the most that a pass asks
+    # for over seeds 1-400
+    lift_profiles = ((5, 4), (2, 2, 2), (3, 2, 2), (3, 3, 2), (4, 3, 2), (3, 3, 3),
+                     (2, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (3, 2, 2, 2))
+    profiles = [order for k in lift_profiles
+                for order in sorted(set(itertools.permutations(k)))[:3]]
+    assert sum(map(qc.fiber_count, set(profiles))) == 35742
+    # the first pass enumerates each fiber the suite did not ask for once,
+    # the second nothing
+    unheld = set(profiles) - {k for (k,) in store}
+    q = 0.9 * cmath.exp(0.3j)
+    for lift_pass in range(2):
+        del enumerated[:]
+        for k in profiles:
+            deform.normal_order_formal(deform.formal_ball_lift(k, 3))
+            for lift in (ball_lift, polydisk_lift):
+                normal_order(lift(k, q), q)
+        assert sorted(enumerated) == ([] if lift_pass else sorted(unheld))
+    held_fibers = _wordkit_py._fiber_record
+    assert held_fibers.total == sum(len(r[0]) for r in store.values()) <= held_fibers.budget
+
+
 def test_fiber_stats_answers_only_for_the_profile_asked_last(monkeypatch):
     store = _fresh_fiber_store(monkeypatch, 10 ** 4)
     first, second = (2, 1, 2), (1, 2, 2)
@@ -595,6 +642,41 @@ def test_inv_distribution_agreement_grid():
             for k in qc.multi_indices(n, 6):
                 brute, closed = qc.inv_distribution(k, q)
                 assert abs(brute - closed) <= 1e-10 * max(abs(brute), abs(closed), 1.0)
+
+
+@pytest.mark.parametrize("exponent", (10, 40, 100, 150, 200, 300))
+def test_inv_distribution_far_from_the_unit_circle_is_finite_or_raises(exponent):
+    # where the powers of q or the q-factorials overflow (only above the
+    # unit circle) a call raises naming q; elsewhere it answers two finite
+    # values that agree
+    for modulus in (10.0 ** exponent, 10.0 ** -exponent):
+        for phase in (1.0, -1.0, cmath.exp(0.7j)):
+            q = modulus * phase
+            for k in ((1, 1), (2, 2), (3, 3), (2, 1, 1)):
+                try:
+                    brute, closed = qc.inv_distribution(k, q)
+                except OverflowError as exc:
+                    assert modulus > 1 and f"at q = {complex(q)!r}" in str(exc), (k, q)
+                    continue
+                assert cmath.isfinite(brute) and cmath.isfinite(closed), (k, q)
+                assert abs(brute - closed) <= 1e-10 * max(abs(brute), abs(closed)), (k, q)
+    # the cases seen to give nan+nanj
+    for k, q in (((2, 2), 1e200), ((3, 3), 1e60)):
+        with pytest.raises(OverflowError, match=re.escape(f"at q = {complex(q)!r}")):
+            qc.inv_distribution(k, q)
+
+
+def test_q_numbers_take_a_qparam_or_a_raw_q():
+    for q in (0.5, -0.3, 2.0, 1.7j, cmath.exp(0.4j), 0.3 + 0.2j):
+        qp = QParam(q)
+        for m in range(6):
+            assert qc.q_int(m, qp) == qc.q_int(m, q)
+            assert qc.q_factorial(m, qp) == qc.q_factorial(m, q)
+        for k in ((2, 3), (1, 1, 1), (3, 2, 2)):
+            assert qc.q_factorial(k, qp) == qc.q_factorial(k, q)
+            assert qc.inv_distribution(k, qp) == qc.inv_distribution(k, q)
+    with pytest.raises(OverflowError, match=re.escape(f"at q = {complex(1e60)!r}")):
+        qc.inv_distribution((3, 3), QParam(1e60))
 
 
 def test_word_with_inversions_examples():
