@@ -23,6 +23,7 @@ MUTATION_POINTS = (
     "normal-order-phase",
     "qpoly-phase",
     "formal-order-phase",
+    "formal-lift-coefficient",
 )
 
 

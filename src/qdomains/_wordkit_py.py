@@ -44,12 +44,18 @@ takes the scalar or numpy route, and must have every letter in 1..n.
 
 The record asked for last also keeps the layout of the formal lift of
 its fiber built last (keep_layout; a lift too small for the ordering's
-array pass keeps none): the lift's term keys (h-power, word) in order,
-with the h-power and the inversion number of each key as small-dtype
-arrays.  deform.normal_order_formal reads p and m from it for each chunk
-of an element whose keys equal that layout's (fiber_layout), and computes
-them otherwise.  The next formal lift of the fiber replaces the layout,
-and asking for another profile drops it with the record."""
+array pass keeps none): a weak reference to the lift element itself, the
+code m (order + 1) + p of each of its terms in term order as a small-dtype
+array, and its coefficient series, m -> the coefficients of h^0, h^1, ...
+Every coefficient of the lift is series[m][p], so deform.normal_order_formal,
+handed that very element (fiber_layout), forms each term's product from a
+table over (m, p, h) and reads none of its terms.  The reference is weak
+so that the record neither keeps a large lift alive nor mistakes another
+element for it: an id() could be reused by a later element once the lift
+is gone, while a dead reference answers None.  Any other element, an
+equal copy of the lift included, is ordered from its terms.  The next
+formal lift of the fiber replaces the layout, and asking for another
+profile drops it with the record."""
 
 from bisect import bisect_left
 from itertools import chain
@@ -257,22 +263,26 @@ def fiber(counts):
 
 def keep_layout(counts, layout):
     """Keep layout, the layout of a formal lift of the fiber of counts, on
-    its record if that is the record asked for last: (keys, ps, ms), the
-    lift's term keys in order and the h-power and inversion number of each
-    key as integer arrays.  It replaces the layout kept before; None drops
-    it."""
+    its record if that is the record asked for last: (lift, codes, series),
+    a weakref.ref to the lift element, the code m (order + 1) + p of each
+    term in term order as an integer array, and the dict m -> coefficients
+    of h^0, h^1, ... that every term's coefficient is read from.  The
+    reference is weak so that a kept layout holds no element alive and a
+    later element, even at the same address, never matches it.  It replaces
+    the layout kept before; None drops it."""
     record = _last_record
     if record is not None and record[0] == tuple(counts):
         record[2] = layout
 
 
-def fiber_layout(n):
-    """(counts, keys, ps, ms) of the layout kept on the record asked for
-    last (keep_layout), or None unless there is one over n letters."""
+def fiber_layout(element):
+    """(counts, codes, series) of the layout kept on the record asked for
+    last (keep_layout), or None unless element is the very lift that layout
+    was kept for, alive: an equal copy of it is not."""
     record = _last_record
-    if record is None or record[2] is None or len(record[0]) != n:
+    if record is None or record[2] is None or record[2][0]() is not element:
         return None
-    return (record[0],) + record[2]
+    return (record[0],) + record[2][1:]
 
 
 def fiber_words(counts):

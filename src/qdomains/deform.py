@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from itertools import chain, islice
 from operator import index, itemgetter
 from typing import NamedTuple, Sequence
@@ -20,8 +21,8 @@ import numpy as np
 from qdomains import _mutate, _wordkit_py
 from qdomains import qcombinat as qc
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
-from qdomains.elements import (LaurentElement, QPolynomial, _Checked, _plain_mul,
-                               _twisted_mul, qpoly_mul)
+from qdomains.elements import (LaurentElement, QPolynomial, _Checked, _CheckedComplex,
+                               _plain_mul, _twisted_mul, qpoly_mul)
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 from qdomains.qcombinat import sigma
 
@@ -76,7 +77,7 @@ def star_product(f: HSeriesElement, g: HSeriesElement,
     out = _twisted_mul([(k, p, c) for (p, k), c in f.terms.items() if p <= order],
                        [(k, p, c) for (p, k), c in g.terms.items()],
                        spread)
-    return HSeriesElement(f.n, order, _Checked({(p, k): c for (k, p), c in out.items()}))
+    return HSeriesElement(f.n, order, _CheckedComplex({(p, k): c for (k, p), c in out.items()}))
 
 
 def evaluate_h(f: HSeriesElement, h: float) -> QPolynomial:
@@ -149,12 +150,15 @@ def formal_ball_lift(k: Sequence[int], order: int) -> FormalFreeElement:
     Its truncated normal ordering returns x^k exactly through h^order, and
     the h^s coefficient has circ norm at most |k|^{2s} (k!/|k|!)^{1/2}.
     The terms run word by word in fiber order, h-powers ascending within a
-    word; that layout (the keys, and the h-power and inversion number of
-    each) is kept on the fiber record for normal_order_formal."""
+    word, and the h^p coefficient of a word of m inversions is series[m][p],
+    through the formal-lift-coefficient hook.  A lift large enough for
+    normal_order_formal's array pass keeps its layout on the fiber record
+    (_wordkit_py.keep_layout): a weak reference to the element, each term's
+    code m (order + 1) + p, and series, from which that ordering forms the
+    lift's products without reading its terms."""
     k = tuple(map(index, k))
     n = len(k)
     words, ms = qc.fiber(k)
-    _wordkit_py.keep_layout(k, None)   # an earlier lift's keys go before these are built
     weight = 1.0 / len(words)
     series: dict = {}   # m -> the nonzero coefficients of h^0, h^1, ...
     for m in set(ms):
@@ -163,24 +167,22 @@ def formal_ball_lift(k: Sequence[int], order: int) -> FormalFreeElement:
             coeffs.append(coeffs[-1] * (1j * m) / p)
         # m = 0 leaves h^1 .. h^order at exactly 0, and every coefficient
         # after a 0 is 0: leaving them out here spares construction a copy
-        series[m] = coeffs[:coeffs.index(0)] if 0 in coeffs else coeffs
+        series[m] = [_mutate.scale("formal-lift-coefficient", c)
+                     for c in (coeffs[:coeffs.index(0)] if 0 in coeffs else coeffs)]
     powers = {m: range(len(coeffs)) for m, coeffs in series.items()}
-    keys = [(p, alpha) for alpha, m in zip(words, ms) for p in powers[m]]
-    u = FormalFreeElement(n, order, _Checked(zip(keys, chain.from_iterable(
-        map(series.__getitem__, ms)))))
-    if len(keys) < _SCALAR_ORDERING:   # its ordering is the term loop, which reads no layout
+    u = FormalFreeElement(n, order, _CheckedComplex(zip(
+        [(p, alpha) for alpha, m in zip(words, ms) for p in powers[m]],
+        chain.from_iterable(map(series.__getitem__, ms)))))
+    if len(u.terms) < _SCALAR_ORDERING:   # its ordering is the term loop, which reads no layout
         return u
-    # the layout: p runs 0, 1, .. within each word, a cumulative sum of ones
-    # that drops back by the run length of the word before where each word
-    # starts (int16 holds every p, run length and its negative)
-    word_ms = np.fromiter(ms, dtype=np.min_scalar_type(max(ms)), count=len(ms))
-    sizes = np.array([len(powers.get(m, ())) for m in range(max(ms) + 1)],
-                     dtype=np.int16 if order < 2 ** 15 - 2 else np.intp)[word_ms]
-    steps = np.ones(len(keys), dtype=sizes.dtype)
-    steps[0] = 0
-    steps[np.cumsum(sizes[:-1])] = 1 - sizes[:-1]
-    _wordkit_py.keep_layout(k, (keys, np.cumsum(steps, dtype=sizes.dtype),
-                                np.repeat(word_ms, sizes)))
+    # term i of word w has code m_w (order + 1) + i - (index of w's first
+    # term); every m from 0 to max(ms) occurs in a fiber
+    word_ms = np.array(ms)
+    sizes = np.array([len(series[m]) for m in range(len(series))])[word_ms]
+    codes = (np.repeat(word_ms * (order + 1) - (np.cumsum(sizes) - sizes), sizes)
+             + np.arange(len(u.terms)))
+    codes = codes.astype(np.min_scalar_type(len(series) * (order + 1)))
+    _wordkit_py.keep_layout(k, (weakref.ref(u), codes, series))
     return u
 
 
@@ -200,47 +202,48 @@ def normal_order_formal(u: FormalFreeElement) -> HSeriesElement:
     term order, from 0.0, as a term-by-term loop would: the products are
     formed with split real arithmetic, as Python's complex * forms them,
     and added by a sequential cumulative sum, chunk by chunk, carrying the
-    running sum.  One array pass per chunk and profile covers every
-    h-power: a term whose h-power p is above h enters the sum for h as an
-    exact +0.0 (by np.where, since a product with an infinite coefficient
-    could be NaN), which leaves the running sum's bits as they are, as a
-    sum started at +0.0 is never -0.0.  The keys come in the order a
-    term-by-term loop first reaches them.
+    running sum.  A term whose h-power p is above h enters the sum for h
+    as an exact +0.0 (by np.where, since a product with an infinite
+    coefficient could be NaN), which leaves the running sum's bits as they
+    are, as a sum started at +0.0 is never -0.0.  The keys come in the
+    order a term-by-term loop first reaches them.
 
-    Each term's h-power p and inversion number m are read from the layout
-    that formal_ball_lift keeps on the fiber record, for each chunk whose
-    keys are that layout's; any other chunk reads p from its keys and m
-    from word_stats.  An element of fewer than _SCALAR_ORDERING terms is
-    ordered by the term loop itself, with the same bits."""
+    The lift formal_ball_lift built last, handed in as that very element
+    (its layout on the fiber record holds a weak reference to it), is
+    ordered from that layout: each coefficient is series[m][p], so every
+    product is an entry of one table over (m, p, h), formed once, and each
+    chunk gathers its terms' rows by their codes.  Its terms share one
+    profile, and its first term has p = 0, so its keys are (h, k) for h
+    ascending.  Any other element, a copy of the lift with the same keys
+    included, is ordered from its terms: p from its keys, m and the profile
+    from word_stats, one array pass per chunk and profile covering every
+    h-power.  An element of fewer than _SCALAR_ORDERING terms is ordered by
+    the term loop itself.  All three routes give the same bits."""
     order = u.order
     if len(u.terms) < _SCALAR_ORDERING:
         return _ordering_loop(u)
+    layout = _wordkit_py.fiber_layout(u)   # (counts, codes, series) or None
+    if layout is not None:
+        return _lift_ordering(u, *layout)
     hs = np.arange(order + 1)[:, None]
     taylor: list = []   # [m] -> Taylor coefficients of e^{-imh} through h^order
     sums: dict = {}     # (h, k) -> its running (real, imaginary) sum
     first: dict = {}    # (h, k) -> index of the first term added to it
-    layout = _wordkit_py.fiber_layout(u.n)   # (counts, keys, ps, ms) or None
     keys, values = iter(u.terms), iter(u.terms.values())
     for start in range(0, len(u.terms), _ORDERING_CHUNK):
         size = min(_ORDERING_CHUNK, len(u.terms) - start)
         chunk = list(islice(keys, size))
         coeffs = np.fromiter(islice(values, size), dtype=complex, count=size)
-        if layout is not None and chunk == layout[1][start:start + size]:
-            ps = layout[2][start:start + size].astype(np.intp)
-            rows = layout[3][start:start + size].astype(np.intp)
-            groups = ((layout[0], None),)
+        ps = np.fromiter(map(itemgetter(0), chunk), dtype=np.intp, count=size)
+        profiles, ms = qc.word_stats(list(map(itemgetter(1), chunk)), u.n)
+        rows = np.fromiter(ms, dtype=np.intp, count=size)
+        if profiles.count(profiles[0]) == size:   # one profile, as in a lift
+            groups = ((profiles[0], None),)
         else:
-            layout = None
-            ps = np.fromiter(map(itemgetter(0), chunk), dtype=np.intp, count=size)
-            profiles, ms = qc.word_stats(list(map(itemgetter(1), chunk)), u.n)
-            rows = np.fromiter(ms, dtype=np.intp, count=size)
-            if profiles.count(profiles[0]) == size:   # one profile, as in a lift
-                groups = ((profiles[0], None),)
-            else:
-                by_profile: dict = {}
-                for i, k in enumerate(profiles):
-                    by_profile.setdefault(k, []).append(i)
-                groups = [(k, np.array(cols)) for k, cols in by_profile.items()]
+            by_profile: dict = {}
+            for i, k in enumerate(profiles):
+                by_profile.setdefault(k, []).append(i)
+            groups = [(k, np.array(cols)) for k, cols in by_profile.items()]
         top = int(rows.max())
         if top >= len(taylor):
             taylor += [_taylor_exp(1j * -m, order) for m in range(len(taylor), top + 1)]
@@ -274,8 +277,42 @@ def normal_order_formal(u: FormalFreeElement) -> HSeriesElement:
                     first[(h, k)] = start + (lead[h] if cols is None else int(cols[lead[h]]))
                 sums[(h, k)] = totals[h]
     touched = sorted(first, key=lambda slot: (first[slot], slot[0]))
-    return HSeriesElement(u.n, order, _Checked(
+    return HSeriesElement(u.n, order, _CheckedComplex(
         {slot: complex(*sums[slot]) for slot in touched}))
+
+
+def _lift_ordering(u: FormalFreeElement, counts: tuple, codes, series: dict) -> HSeriesElement:
+    """normal_order_formal of the lift whose layout is (counts, codes,
+    series): one product table, gathered chunk by chunk."""
+    order = u.order
+    width = order + 1
+    # [m (order + 1) + p, part, h]: series[m][p] times m's Taylor coefficient
+    # of h^(h - p), split as Python's complex * forms it, or +0.0 where p > h
+    # (the coefficients past a series' end are 0, and no code reads them)
+    coeffs = np.zeros((len(series), width), dtype=complex)
+    for m, row in series.items():
+        coeffs[m, :len(row)] = row
+    taylor = _mutate.scale("formal-order-phase", np.array(
+        [_taylor_exp(1j * -m, order) for m in range(len(series))]))
+    ps, hs = np.arange(width)[:, None], np.arange(width)
+    t = taylor[:, np.maximum(hs - ps, 0)]   # [m, p, h]
+    a = coeffs[:, :, None]
+    table = np.empty((len(series), width, 2, width))
+    with np.errstate(all="ignore"):   # as Python's floats: inf and NaN, silently
+        table[:, :, 0] = np.where(ps > hs, 0.0, a.real * t.real - a.imag * t.imag)
+        table[:, :, 1] = np.where(ps > hs, 0.0, a.real * t.imag + a.imag * t.real)
+    table = table.reshape(-1, 2, width)
+    # [term, part, h] the running sums, carried from chunk to chunk
+    sums = np.zeros((2, width))
+    for start in range(0, len(codes), _ORDERING_CHUNK):
+        chunk = codes[start:start + _ORDERING_CHUNK]
+        acc = np.empty((len(chunk) + 1, 2, width))
+        acc[0] = sums
+        np.take(table, chunk, axis=0, out=acc[1:])
+        sums = np.cumsum(acc, axis=0, out=acc)[-1]
+    re, im = sums.tolist()
+    return HSeriesElement(u.n, order, _CheckedComplex(
+        {(h, counts): complex(x, y) for h, (x, y) in enumerate(zip(re, im))}))
 
 
 def _ordering_loop(u: FormalFreeElement) -> HSeriesElement:

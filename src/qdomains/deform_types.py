@@ -71,10 +71,11 @@ class FormalFreeElement(_SparseElement):
     """Free-algebra coefficients with a truncated formal parameter.
 
     Terms map (h-power p, word alpha) to complex coefficients.  Used for
-    the formal ball lift and its truncated normal ordering.
+    the formal ball lift and its truncated normal ordering.  It takes weak
+    references, which the fiber record keeps to the lift built last.
     """
 
-    __slots__ = ("order",)
+    __slots__ = ("order", "__weakref__")
     _fields = ("order",)
 
     def __init__(self, n: int, order: int, terms: Mapping):

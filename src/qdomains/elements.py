@@ -40,7 +40,12 @@ commutator_defect; serialize.document_to_element, which checked each key
 as it read it; and the randgen generators, which draw their keys from
 qcombinat.multi_indices and their own word pool.  They hand their terms
 over as a _Checked mapping, which construction takes over (see _Checked);
-it still runs through each class's __init__ and drops exact zeros.
+it still runs through each class's __init__ and drops exact zeros.  Those
+whose values are complex by construction (the products, + and -,
+normal_order, tau_flip, fiber_eval, homogeneous_component and the lifts
+here; in deform star_product, formal_ball_lift and normal_order_formal)
+hand them over as a _CheckedComplex, whose values construction does not
+scan for their type.
 """
 
 from __future__ import annotations
@@ -87,6 +92,14 @@ class _Checked(dict):
     __slots__ = ()
 
 
+class _CheckedComplex(_Checked):
+    """_Checked terms whose every value is a complex by construction (a sum
+    of complex products, complex(re, im), a product with QParam.power):
+    _setup takes the values' type as given and tests only for zeros."""
+
+    __slots__ = ()
+
+
 def _exponents(k, n: int) -> tuple:
     """An exponent vector as a tuple of n nonnegative ints."""
     key = tuple(map(index, k))
@@ -122,8 +135,10 @@ class _SparseElement:
         object.__setattr__(self, "n", n)
         for name, value in zip(self._fields, params):
             object.__setattr__(self, name, value)
-        if type(terms) is _Checked:
-            if all(terms.values()) and set(map(type, terms.values())) <= {complex}:
+        kind = type(terms)
+        if kind is _Checked or kind is _CheckedComplex:
+            if all(terms.values()) and (kind is _CheckedComplex
+                                        or set(map(type, terms.values())) <= {complex}):
                 # already clean: adopted as it is, not copied
                 object.__setattr__(self, "terms", MappingProxyType(terms))
                 return
@@ -154,7 +169,7 @@ class _SparseElement:
 
     def _merge(self, other, op):
         self._check_compatible(other)
-        terms = _Checked(self.terms)
+        terms = _CheckedComplex(self.terms)
         for key, c in other.terms.items():
             terms[key] = op(terms.get(key, 0.0), c)
         return self._like(terms)
@@ -369,7 +384,7 @@ def _pair(k: tuple, l: tuple) -> tuple:
 
 
 def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
-                 both_sigmas: bool = False) -> _Checked:
+                 both_sigmas: bool = False) -> _CheckedComplex:
     """Bilinear product of (k, grade, c) term lists, grade being a z- or
     h-power or None, under x^k x^l = phase x^{k+l}.
 
@@ -393,7 +408,7 @@ def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
             return out
     pairs = _pair.store
     cache: dict = {}
-    out = _Checked()
+    out = _CheckedComplex()
     for k, g, ck in a:
         for l, h, cl in b:
             key, s_lk, s_kl, degree = pairs.get((k, l)) or _pair(k, l)
@@ -418,7 +433,7 @@ def _ids(values) -> tuple:
 
 
 def _twisted_mul_arrays(a, b, rule: Callable, degree_cap: int | None,
-                        both_sigmas: bool) -> _Checked | None:
+                        both_sigmas: bool) -> _CheckedComplex | None:
     """The map of the _twisted_mul pair loop, formed with numpy; None when
     an exponent sum, a sigma, a grade or a slot code would not fit int64.
 
@@ -511,7 +526,7 @@ def _twisted_mul_arrays(a, b, rule: Callable, degree_cap: int | None,
     keys = zip(*(K[i[pair]] + L[j[pair]]).T.tolist())
     if graded:
         keys = zip(keys, map(grades.__getitem__, entry[first].tolist()))
-    return _Checked(zip(keys, map(complex, re, im)))
+    return _CheckedComplex(zip(keys, map(complex, re, im)))
 
 
 def _plain_mul(a: QPolynomial, b: QPolynomial, rule: Callable,
@@ -536,7 +551,7 @@ def qpoly_mul(a: QPolynomial, b: QPolynomial, degree_cap: int | None = None) -> 
 def free_mul(a: FreeElement, b: FreeElement, length_cap: int | None = None) -> FreeElement:
     """Concatenation product."""
     a._check_compatible(b)
-    out = _Checked()
+    out = _CheckedComplex()
     for alpha, ca in a.terms.items():
         for beta, cb in b.terms.items():
             word = alpha + beta
@@ -563,7 +578,7 @@ def normal_order(f: FreeElement, q) -> QPolynomial:
     """Push a free element onto the q-plane: zeta_alpha -> q^{-m(alpha)} x^{p(alpha)},
     each phase from QParam.power, as in qpoly_mul."""
     qp = as_qparam(q)
-    out = _Checked()
+    out = _CheckedComplex()
     profiles, ms = qc.word_stats(f.terms, f.n)
     phases: dict = {}   # m -> q^{-m}: a lift's thousands of words share few m
     if profiles and profiles.count(profiles[0]) == len(profiles):
@@ -588,7 +603,7 @@ def tau_flip(a: QPolynomial) -> QPolynomial:
     On monomials: x^k -> q^{cross_degree(k)} x^{reverse(k)}; applying it
     twice returns the original element.  Each power is QParam.power's.
     """
-    out = _Checked()
+    out = _CheckedComplex()
     for k, c in a.terms.items():
         out[tuple(reversed(k))] = c * a.q.power(qc.cross_degree(k))
     return QPolynomial(a.n, a.q.inverse(), out)
@@ -598,14 +613,15 @@ def homogeneous_component(a: QPolynomial, i: int) -> QPolynomial:
     """The degree-i part: sum of c_k x^k over |k| = i."""
     if i < 0:
         raise ValueError("component index must be nonnegative")
-    return QPolynomial(a.n, a.q, _Checked({k: c for k, c in a.terms.items() if sum(k) == i}))
+    return QPolynomial(a.n, a.q, _CheckedComplex({k: c for k, c in a.terms.items()
+                                                  if sum(k) == i}))
 
 
 def fiber_eval(a: LaurentElement, q) -> QPolynomial:
     """Evaluate z -> q, landing in the q-plane algebra at parameter q; each
     power of q is QParam.power's."""
     qp = as_qparam(q)
-    out = _Checked()
+    out = _CheckedComplex()
     for (k, p), c in a.terms.items():
         out[k] = out.get(k, 0.0) + c * qp.power(p)
     return QPolynomial(a.n, qp, out)
@@ -653,7 +669,7 @@ def polydisk_lift(k: Sequence[int], q) -> FreeElement:
         # distinct m lie more than 1e-15 apart: the first word of least
         # m log|q|, of least m for |q| > 1 and of greatest m for |q| < 1
         best = ms.index(min(ms) if log_modulus > 0.0 else max(ms))
-    return FreeElement(len(k), _Checked({words[best]: qp.power(ms[best])}))
+    return FreeElement(len(k), _CheckedComplex({words[best]: qp.power(ms[best])}))
 
 
 def ball_lift(k: Sequence[int], q) -> FreeElement:
@@ -667,7 +683,9 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
     normal floats takes its coefficient's modulus in log space instead,
     exp(-m log|q| - log sum_beta |q|^{-2m(beta)}), times the unit phase
     (q/|q|)^m, so a coefficient in the float range is kept although its
-    weight is not.
+    weight is not.  A coefficient below the smallest subnormal raises
+    OverflowError naming q, as QParam.power does: the lift is the whole
+    fiber or nothing, never a lift with words left out.
     """
     qp = as_qparam(q)
     k = tuple(map(index, k))
@@ -684,4 +702,8 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
     coefficients = [(w / total) * qp.power(m) if w >= sys.float_info.min
                     else math.exp(-m * log_modulus - log_sum) * unit ** m
                     for m, w in enumerate(raw)]
-    return FreeElement(len(k), _Checked(zip(words, map(coefficients.__getitem__, ms))))
+    lift = FreeElement(len(k), _CheckedComplex(zip(words, map(coefficients.__getitem__, ms))))
+    if len(lift.terms) < len(words):
+        raise OverflowError(f"a ball_lift coefficient of {k} at q = {qp.value!r} "
+                            "is below the float range")
+    return lift

@@ -430,18 +430,77 @@ class InvDistribution(NamedTuple):
 def inv_distribution(k: Sequence[int], q) -> InvDistribution:
     """Sum of q**m(alpha) over the fiber, both by enumeration and in the
     closed Mahonian form [|k|]_q!/[k]_q!; the two agree to ~1e-10 relative.
-    Raises OverflowError, naming q, where either leaves the float range
-    (the powers of q, or the q-factorials, overflow far from |q| = 1).
+    Where q is so near a root of unity that a q-integer [j]_q of the
+    denominator, j <= max(k), has cancelled (_cancelled: exactly 0 at -1,
+    say, where the quotient is 0/0), the closed form is the Gaussian
+    multinomial's integer polynomial (_gaussian_multinomial) evaluated at q
+    instead.  Raises OverflowError, naming q, where either leaves the float
+    range (the powers of q, or the q-factorials, overflow far from |q| = 1).
     """
     _check_fiber_cap(k)
     q = _raw(q)
     brute = mahonian_sum(tuple(k), complex(q))
-    closed = q_factorial(sum(k), q) / q_factorial(k, q)
+    if _cancelled(k, q):
+        closed = 0j
+        for c in reversed(_gaussian_multinomial(k)):
+            closed = closed * q + c
+    else:
+        closed = q_factorial(sum(k), q) / q_factorial(k, q)
     if not (cmath.isfinite(brute) and cmath.isfinite(closed)):
         raise OverflowError(
             f"the Mahonian sum of {tuple(k)} at q = {complex(q)!r} leaves the float range")
     closed = _mutate.scale("mahonian-closed-form", closed)
     return InvDistribution(brute, closed)
+
+
+# A q-integer [j]_q below this share of [j]_|q| = 1 + |q| + ... + |q|^(j-1)
+# has lost four or more of its digits to cancellation (q lies near a root of
+# unity whose order divides j): its rounding error, about j 2^-52 [j]_|q|,
+# is then up to j 2.2e-12 of it, and the quotient [|k|]_q!/[k]_q! carries it.
+# No [j]_q can fall below it unless ||q| - 1| < _CANCELLED (1 + |q|).
+_CANCELLED = 1e-4
+
+
+def _cancelled(k: Sequence[int], q) -> bool:
+    """Whether some [j]_q, 2 <= j <= max(k), is below _CANCELLED [j]_|q|,
+    an exact 0 among them."""
+    modulus = abs(q)
+    if abs(modulus - 1.0) >= _CANCELLED * (1.0 + modulus):
+        return False
+    acc, size = 1.0 + 0.0j, 1.0   # [1]_q and [1]_|q|
+    for _ in range(1, max(k, default=0)):
+        acc = acc * q + 1.0
+        size = size * modulus + 1.0
+        if abs(acc) < _CANCELLED * size:
+            return True
+    return False
+
+
+def _gaussian_multinomial(k: Sequence[int]) -> list:
+    """The integer coefficients, from q^0 up, of the Gaussian multinomial
+    [|k|; k]_q = [|k|]_q!/[k]_q!, the product over i of the Gaussian
+    binomials [k_1 + ... + k_i; k_i]_q, each built by the q-Pascal rule
+    [a; b] = [a - 1; b - 1] + q^b [a - 1; b]."""
+    poly = [1]
+    total = 0
+    for part in k:
+        total += part
+        row = [[1]] + [[]] * part   # [0; b] for b = 0 .. part, [] being 0
+        for _ in range(total):
+            row = [[1]] + [_poly_add(row[b - 1], [0] * b + row[b] if row[b] else [])
+                           for b in range(1, part + 1)]
+        out = [0] * (len(poly) + len(row[part]) - 1)
+        for i, c in enumerate(poly):
+            for j, d in enumerate(row[part]):
+                out[i + j] += c * d
+        poly = out
+    return poly
+
+
+def _poly_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
 def word_with_inversions(k: Sequence[int], m: int) -> tuple:

@@ -609,6 +609,29 @@ def exact_mahonian_sum(k, t):
     return Fraction(multinomial, b ** brute_sigma(k, k))
 
 
+def gaussian_multinomial_by_division(k):
+    """The int coefficients, from q^0 up, of [|k|]_q!/[k]_q!: the product of
+    the polynomials [j]_q = 1 + q + ... + q^(j-1) for j = 1..|k|, divided by
+    [j]_q for j = 1..k_i and each i, by exact long division (each divisor
+    is monic, and the remainder must be 0)."""
+    poly = [1]
+    for j in range(1, sum(k) + 1):
+        out = [0] * (len(poly) + j - 1)
+        for i, c in enumerate(poly):
+            for s in range(j):
+                out[i + s] += c
+        poly = out
+    for j in (j for part in k for j in range(2, part + 1)):
+        quotient = [0] * (len(poly) - j + 1)
+        for i in reversed(range(len(quotient))):
+            quotient[i] = c = poly[i + j - 1]
+            for s in range(j):
+                poly[i + s] -= c
+        assert not any(poly)
+        poly = quotient
+    return poly
+
+
 def exact_ball_weight_sq(k, modulus: Fraction):
     """The squared ball weight ([k]_t! / [|k|]_t!) |q|**(2 cross(k)),
     t = |q|**2, exactly, at a rational |q|: |q|**(2 cross(k)) over the

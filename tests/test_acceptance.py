@@ -212,6 +212,7 @@ MUTATION_TARGETS = [
     ("normal-order-phase", "quotient-contraction"),
     ("qpoly-phase", "remark-3-12-blowup"),
     ("formal-order-phase", "formal-lift-8-39"),
+    ("formal-lift-coefficient", "formal-lift-8-39"),
 ]
 
 

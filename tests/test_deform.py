@@ -2,9 +2,10 @@ import cmath
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
-from qdomains import _mutate, deform, elements, qcombinat as qc, randgen, suites
+from qdomains import _mutate, _wordkit_py, deform, elements, qcombinat as qc, randgen, suites
 from qdomains._wordkit_py import fiber_stats
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
@@ -261,9 +262,9 @@ def _ordered_bits(u):
 
 def test_formal_ordering_reads_p_and_m_from_the_lift_layout(monkeypatch):
     # the lift built last keeps its layout on the fiber record: its ordering
-    # reads each term's p and m from it, chunk by chunk, and asks word_stats
-    # for nothing; look-alikes of the lift take the keys' route.  Both
-    # equal the reference loop bit for bit.
+    # reads each term's code from it, chunk by chunk, and asks word_stats
+    # for nothing; look-alikes of the lift, an equal-keyed copy among them,
+    # take the computed route.  Both equal the reference loop bit for bit.
     calls = _counted_word_stats(monkeypatch)
     monkeypatch.setattr(deform, "_SCALAR_ORDERING", 0)   # every lift takes the array pass
     inf, nan = math.inf, math.nan
@@ -281,7 +282,8 @@ def test_formal_ordering_reads_p_and_m_from_the_lift_layout(monkeypatch):
             same_keys = FormalFreeElement(n, 3, {key: odd[i % len(odd)]
                                                  for i, key in enumerate(u.terms)})
             got, expected = _ordered_bits(same_keys)
-            assert got == expected and calls == []
+            assert got == expected and calls
+            calls.clear()
             # look-alikes: a reordered copy, one foreign word in place of the
             # last, and the lift before the record's last one, here at
             # another order
@@ -335,13 +337,91 @@ def test_formal_ordering_loop_and_array_pass_agree_bit_for_bit(monkeypatch):
             assert _bits(deform.normal_order_formal(u)) == expected, (len(u.terms), cutoff)
 
 
+def _counted_complex_reads(monkeypatch):
+    """A list that grows by one per np.fromiter call of complex dtype, the
+    computed route's read of a chunk's coefficients."""
+    calls = []
+    fromiter = np.fromiter
+    monkeypatch.setattr(np, "fromiter", lambda it, dtype, *args, **kw: (
+        calls.append(dtype) if dtype is complex else None) or fromiter(it, dtype, *args, **kw))
+    return calls
+
+
+def test_formal_lift_ordering_from_the_record_is_the_computed_route_bit_for_bit(monkeypatch):
+    # the lift built last is ordered from its record: no word_stats call and
+    # no coefficient read, and the same bits as the computed route (on an
+    # equal copy of it) and the reference loop.  So is every lift the record
+    # no longer answers for: its reference dead, a newer lift on the record,
+    # or the record gone to another fiber.
+    stats = _counted_word_stats(monkeypatch)
+    reads = _counted_complex_reads(monkeypatch)
+
+    def ordered(u, route):
+        got, expected = _ordered_bits(u)
+        assert got == expected
+        assert bool(stats) == bool(reads) == (route == "computed"), (route, u)
+        stats.clear()
+        reads.clear()
+        return got
+
+    for chunk in (deform._ORDERING_CHUNK, 7):
+        monkeypatch.setattr(deform, "_ORDERING_CHUNK", chunk)
+        for k in ((2, 2, 1), (3, 2, 2), (2, 2, 1, 1), (4, 4)):
+            n = len(k)
+            for order in range(5):
+                u = deform.formal_ball_lift(k, order)
+                if len(u.terms) < deform._SCALAR_ORDERING:
+                    continue
+                copy = FormalFreeElement(n, order, dict(u.terms))
+                assert ordered(u, "record") == ordered(copy, "computed")
+            # a newer lift takes the record; the older one is computed
+            older = deform.formal_ball_lift(k, 3)
+            newer = deform.formal_ball_lift(k, 2)
+            ordered(older, "computed")
+            ordered(newer, "record")
+            # its weak reference dead, the record answers for nothing
+            terms = dict(newer.terms)
+            del newer
+            assert _wordkit_py._last_record[2][0]() is None
+            ordered(FormalFreeElement(n, 2, terms), "computed")
+            # another fiber evicts the record and the layout with it
+            lift = deform.formal_ball_lift(k, 3)
+            qc.fiber((1,) * (n + 1))
+            ordered(lift, "computed")
+            qc.fiber(k)   # the record is back, without the layout
+            ordered(lift, "computed")
+
+
 def test_formal_ordering_phase_table_is_a_mutation_point(monkeypatch):
-    u = deform.formal_ball_lift((2, 1), 2)
-    good = deform.normal_order_formal(u)
-    monkeypatch.setattr(_mutate, "_active", "formal-order-phase")
-    bumped = deform.normal_order_formal(u)
-    assert bumped.terms[(0, (2, 1))] == pytest.approx(good.terms[(0, (2, 1))] * (1 + 1e-6),
-                                                       rel=1e-12)
+    # (2, 1) at order 2 is ordered by the term loop, (2, 2, 1) at order 2
+    # (89 terms) from the record; the hook bumps the phases of both
+    stats = _counted_word_stats(monkeypatch)
+    for k in ((2, 1), (2, 2, 1)):
+        monkeypatch.setattr(_mutate, "_active", "")
+        u = deform.formal_ball_lift(k, 2)
+        good = deform.normal_order_formal(u)
+        monkeypatch.setattr(_mutate, "_active", "formal-order-phase")
+        stats.clear()
+        bumped = deform.normal_order_formal(u)
+        assert (stats == []) == (len(u.terms) >= deform._SCALAR_ORDERING), k
+        assert bumped.terms[(0, k)] == pytest.approx(good.terms[(0, k)] * (1 + 1e-6),
+                                                     rel=1e-12)
+    assert suites.run_suite("formal-lift-8-39").status == "fail"
+
+
+def test_formal_lift_coefficients_are_a_mutation_point(monkeypatch):
+    # the hook bumps every coefficient of the lift, and the record route's
+    # table reads the same bumped series: it orders the lift as the
+    # computed route orders an equal copy
+    k, order = (2, 2, 1), 3
+    good = deform.formal_ball_lift(k, order)
+    monkeypatch.setattr(_mutate, "_active", "formal-lift-coefficient")
+    u = deform.formal_ball_lift(k, order)
+    assert list(u.terms) == list(good.terms)
+    for key, c in u.terms.items():
+        assert c == good.terms[key] * (1 + 1e-6)
+    got, expected = _ordered_bits(u)
+    assert got == expected == _ordered_bits(FormalFreeElement(3, order, dict(u.terms)))[0]
     assert suites.run_suite("formal-lift-8-39").status == "fail"
 
 

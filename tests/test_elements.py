@@ -188,46 +188,68 @@ def test_ball_lift_example_and_identity():
 def test_lifts_far_from_the_unit_circle_order_to_the_monomial_or_name_q(lift, q):
     # both lifts of x1^2 x2^2 were the zero element at q = 1e-200 and 1e-100,
     # their q**m below the float range, and ball_lift at 1e200 raised
-    # "complex exponentiation"; every power is now QParam.power's
+    # "complex exponentiation"; every power is now QParam.power's.  A ball
+    # lift with an exact coefficient below the float range raises: it used
+    # to drop that word, so (1, 1) at 1e-200 answered with one of its two
     answered = 0
     for k in ((1, 1), (2, 2), (3, 0), (1, 2, 1)):
+        lost = lift is ball_lift and not all(map(float, exact_ball_lift(k, q).values()))
         try:
             lifted = lift(k, q)
         except OverflowError as exc:
             assert f"at q = {complex(q)!r}" in str(exc), exc
             continue
+        assert not lost, (k, q)
         answered += 1
         assert lifted.terms, (k, q)
         image = normal_order(lifted, q)
         assert image.allclose(QPolynomial.monomial(len(k), q, k), tol=1e-15), (k, q)
-    assert answered >= 2
+    assert answered >= (2 if lift is polydisk_lift else 1)
 
 
 def test_ball_lift_keeps_every_coefficient_in_the_float_range_far_from_the_circle():
     # a word whose raw weight |q|**-2m underflows takes its modulus in log
     # space: at 1e200 the (2, 1) word of x1 x2 was dropped although its
-    # coefficient 1e-200 is a normal float.  Each coefficient must be the
-    # exact one to 1e-13, and a word is missing only where that rounds to 0.
-    for modulus in (1e150, 1e200, 1e300):
-        for q in (modulus, -modulus):
-            for k in ((1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1)):
-                got = dict(ball_lift(k, q).terms)
-                exact = {alpha: float(c) for alpha, c in exact_ball_lift(k, q).items()}
-                assert list(got) == [alpha for alpha, c in exact.items() if c], (k, q)
-                for alpha, c in got.items():
-                    assert c.imag == 0.0
-                    assert abs(c.real - exact[alpha]) <= 1e-13 * abs(exact[alpha]), (k, q)
-                assert any(abs(c) < 1e-100 for c in got.values()), (k, q)
+    # coefficient 1e-200 is a normal float.  Each call is the exact lift to
+    # 1e-13, every word of the fiber, or, where an exact coefficient is
+    # below the float range, raises OverflowError naming q: such a word was
+    # dropped, and ball_lift((2, 2), 1e200) kept 2 of 6 words
+    answered = raised = 0
+    for e in (100, 150, 200, 300):
+        for modulus in (10.0 ** e, 10.0 ** -e):
+            for q in (modulus, -modulus):
+                for k in ((1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1)):
+                    exact = {alpha: float(c) for alpha, c in exact_ball_lift(k, q).items()}
+                    if not all(exact.values()):
+                        with pytest.raises(OverflowError,
+                                           match=re.escape(f"at q = {complex(q)!r}")):
+                            ball_lift(k, q)
+                        raised += 1
+                        continue
+                    got = dict(ball_lift(k, q).terms)
+                    assert list(got) == list(exact), (k, q)
+                    for alpha, c in got.items():
+                        assert c.imag == 0.0
+                        assert abs(c.real - exact[alpha]) <= 1e-13 * abs(exact[alpha]), (k, q)
+                    assert any(abs(c) < 10.0 ** (1 - e) for c in got.values()), (k, q)
+                    answered += 1
+    assert answered >= 20 and raised >= 20
+    for k, q in (((2, 2), 1e200), ((2, 1), 1e200), ((3, 1), 1e120)):
+        with pytest.raises(OverflowError, match=re.escape(f"at q = {complex(q)!r}")):
+            ball_lift(k, q)
     assert dict(ball_lift((1, 1), 1e200).terms) == {(1, 2): 1.0,
                                                      (2, 1): pytest.approx(1e-200, rel=1e-13)}
     # a complex q: the same moduli, times the unit phase (q/|q|)**m
-    q = 1e200 * cmath.exp(0.7j)
-    got = ball_lift((2, 1), q)
-    for alpha, m in zip(*qc.fiber((2, 1))):
-        if m < 2:
-            expected = float(exact_ball_lift((2, 1), abs(q))[alpha]) * cmath.exp(0.7j * m)
+    for modulus, k in ((1e150, (2, 1)), (1e200, (1, 1))):
+        q = modulus * cmath.exp(0.7j)
+        got = ball_lift(k, q)
+        assert len(got.terms) == len(qc.fiber(k)[0])
+        for alpha, m in zip(*qc.fiber(k)):
+            expected = float(exact_ball_lift(k, abs(q))[alpha]) * cmath.exp(0.7j * m)
             assert abs(got.terms[alpha] - expected) <= 1e-13 * abs(expected)
-    assert normal_order(got, q).allclose(QPolynomial.monomial(2, q, (2, 1)), tol=1e-15)
+        assert normal_order(got, q).allclose(QPolynomial.monomial(2, q, k), tol=1e-15)
+    with pytest.raises(OverflowError, match="at q = "):
+        ball_lift((2, 1), 1e200 * cmath.exp(0.7j))
 
 
 def test_laurent_mul_examples():

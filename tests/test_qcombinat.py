@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -25,7 +26,8 @@ from qdomains.qcombinat import EnumerationCapExceeded, QParam
 
 from oracles import (brute_fiber, brute_inversions, brute_mahonian_sum, brute_profile,
                      brute_sigma, direct_log_q_int, exact_ball_weight_sq, exact_log,
-                     exact_mahonian_sum, reference_held_store, total_degree_indices)
+                     exact_mahonian_sum, gaussian_multinomial_by_division,
+                     reference_held_store, total_degree_indices)
 
 # mpmath-verified infinite products (30 digits), frozen
 POCH_HALF_HALF = 0.288788095086602421278899721929
@@ -664,6 +666,31 @@ def test_inv_distribution_far_from_the_unit_circle_is_finite_or_raises(exponent)
     for k, q in (((2, 2), 1e200), ((3, 3), 1e60)):
         with pytest.raises(OverflowError, match=re.escape(f"at q = {complex(q)!r}")):
             qc.inv_distribution(k, q)
+
+
+def test_inv_distribution_at_roots_of_unity_is_the_gaussian_multinomial():
+    # at a root of unity of an order j <= max(k) the closed form
+    # [|k|]_q!/[k]_q! is 0/0 ((2, 2) at -1 raised ZeroDivisionError) or lost
+    # to cancellation (at the float nearest e^(2 pi i / 3), (3, 3) read
+    # 2.33 for 2); there it is the Gaussian multinomial's integer
+    # polynomial at q, which both routes must match
+    for d, q in ((2, -1), (4, 1j), (3, cmath.exp(2j * math.pi / 3))):
+        for k in ((2, 2), (3, 1), (2, 2, 2), (3, 3)):
+            poly = gaussian_multinomial_by_division(k)
+            counts = Counter(brute_inversions(alpha) for alpha in brute_fiber(k))
+            assert poly == [counts[m] for m in range(len(poly))]
+            assert qc._gaussian_multinomial(k) == poly
+            # q^m depends on m mod d alone, so the ints are summed first
+            expected = sum(sum(poly[r::d]) * q ** r for r in range(d))
+            brute, closed = qc.inv_distribution(k, q)
+            for value in (brute, closed):
+                assert abs(value - expected) <= 1e-12 * sum(poly), (k, q, value)
+    assert qc.inv_distribution((2, 2), -1) == (2, 2)
+    # elsewhere the closed form is the quotient, bit for bit
+    for q in (0.3, 0.5, 1.7, cmath.exp(1j * math.pi / 5), -0.99, 1.01j, 1.7 - 0.2j):
+        for k in ((2, 2), (3, 1), (2, 2, 2), (3, 3), (5, 4)):
+            quotient = qc.q_factorial(sum(k), q) / qc.q_factorial(k, q)
+            assert repr(qc.inv_distribution(k, q).closed) == repr(quotient), (k, q)
 
 
 def test_q_numbers_take_a_qparam_or_a_raw_q():
