@@ -24,6 +24,8 @@ MUTATION_POINTS = (
     "qpoly-phase",
     "formal-order-phase",
     "formal-lift-coefficient",
+    "ball-lift-coefficient",
+    "polydisk-lift-coefficient",
 )
 
 

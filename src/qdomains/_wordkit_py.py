@@ -41,21 +41,8 @@ word, a reordered copy) finds each word by bisection, as the record is in
 lexicographic order.  A batch off the record (a foreign word anywhere in
 it, a word that is not a tuple, an empty batch, another n, or no record)
 takes the scalar or numpy route, and must have every letter in 1..n.
-
-The record asked for last also keeps the layout of the formal lift of
-its fiber built last (keep_layout; a lift too small for the ordering's
-array pass keeps none): a weak reference to the lift element itself, the
-code m (order + 1) + p of each of its terms in term order as a small-dtype
-array, and its coefficient series, m -> the coefficients of h^0, h^1, ...
-Every coefficient of the lift is series[m][p], so deform.normal_order_formal,
-handed that very element (fiber_layout), forms each term's product from a
-table over (m, p, h) and reads none of its terms.  The reference is weak
-so that the record neither keeps a large lift alive nor mistakes another
-element for it: an id() could be reused by a later element once the lift
-is gone, while a dead reference answers None.  Any other element, an
-equal copy of the lift included, is ordered from its terms.  The next
-formal lift of the fiber replaces the layout, and asking for another
-profile drops it with the record."""
+The record holds no element's data: a formal lift keeps its own layout
+(deform_types._LiftTerms)."""
 
 from bisect import bisect_left
 from itertools import chain
@@ -95,8 +82,7 @@ _SCALAR_BATCH = 20
 # 36-44 us)
 _SCALAR_PROFILES = 50
 
-# The record of the profile asked for last: [counts, (words, inversions),
-# the layout of a formal lift of it or None].
+# The record of the profile asked for last: (counts, (words, inversions)).
 _last_record = None
 
 
@@ -110,7 +96,7 @@ def fiber_stats(words, n):
     record = _last_record
     if record is None or len(record[0]) != n:
         return None
-    counts, (record_words, record_ms), _ = record
+    counts, (record_words, record_ms) = record
     size = len(words)
     try:
         if size == len(record_words) and tuple(words) == record_words:
@@ -255,34 +241,10 @@ def fiber(counts):
     global _last_record
     counts = tuple(map(index, counts))
     if _last_record is None or _last_record[0] != counts:
-        # let the last record and its layout go before enumerating
+        # let the last record go before enumerating
         _last_record = None
-        _last_record = [counts, _fiber_record(counts), None]
+        _last_record = (counts, _fiber_record(counts))
     return _last_record[1]
-
-
-def keep_layout(counts, layout):
-    """Keep layout, the layout of a formal lift of the fiber of counts, on
-    its record if that is the record asked for last: (lift, codes, series),
-    a weakref.ref to the lift element, the code m (order + 1) + p of each
-    term in term order as an integer array, and the dict m -> coefficients
-    of h^0, h^1, ... that every term's coefficient is read from.  The
-    reference is weak so that a kept layout holds no element alive and a
-    later element, even at the same address, never matches it.  It replaces
-    the layout kept before; None drops it."""
-    record = _last_record
-    if record is not None and record[0] == tuple(counts):
-        record[2] = layout
-
-
-def fiber_layout(element):
-    """(counts, codes, series) of the layout kept on the record asked for
-    last (keep_layout), or None unless element is the very lift that layout
-    was kept for, alive: an equal copy of it is not."""
-    record = _last_record
-    if record is None or record[2] is None or record[2][0]() is not element:
-        return None
-    return (record[0],) + record[2][1:]
 
 
 def fiber_words(counts):

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import cmath
 import math
-import weakref
-from itertools import chain, islice
-from operator import index, itemgetter
+from itertools import chain
+from operator import index
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from qdomains import _mutate, _wordkit_py
+from qdomains import _mutate
 from qdomains import qcombinat as qc
-from qdomains.deform_types import FormalFreeElement, HSeriesElement
+from qdomains.deform_types import FormalFreeElement, HSeriesElement, _LiftTerms
 from qdomains.elements import (LaurentElement, QPolynomial, _Checked, _CheckedComplex,
                                _plain_mul, _twisted_mul, qpoly_mul)
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
@@ -151,13 +150,11 @@ def formal_ball_lift(k: Sequence[int], order: int) -> FormalFreeElement:
     the h^s coefficient has circ norm at most |k|^{2s} (k!/|k|!)^{1/2}.
     The terms run word by word in fiber order, h-powers ascending within a
     word, and the h^p coefficient of a word of m inversions is series[m][p],
-    through the formal-lift-coefficient hook.  A lift large enough for
-    normal_order_formal's array pass keeps its layout on the fiber record
-    (_wordkit_py.keep_layout): a weak reference to the element, each term's
-    code m (order + 1) + p, and series, from which that ordering forms the
-    lift's products without reading its terms."""
+    through the formal-lift-coefficient hook.  They are a _LiftTerms over
+    the key and value lists, built here, which also holds the layout that
+    normal_order_formal reads: k, the fiber's inversion numbers and series.
+    No dict over the keys is built unless a lookup asks for one."""
     k = tuple(map(index, k))
-    n = len(k)
     words, ms = qc.fiber(k)
     weight = 1.0 / len(words)
     series: dict = {}   # m -> the nonzero coefficients of h^0, h^1, ...
@@ -166,31 +163,20 @@ def formal_ball_lift(k: Sequence[int], order: int) -> FormalFreeElement:
         for p in range(1, order + 1):
             coeffs.append(coeffs[-1] * (1j * m) / p)
         # m = 0 leaves h^1 .. h^order at exactly 0, and every coefficient
-        # after a 0 is 0: leaving them out here spares construction a copy
+        # after a 0 is 0: leaving them out keeps every value nonzero
         series[m] = [_mutate.scale("formal-lift-coefficient", c)
                      for c in (coeffs[:coeffs.index(0)] if 0 in coeffs else coeffs)]
     powers = {m: range(len(coeffs)) for m, coeffs in series.items()}
-    u = FormalFreeElement(n, order, _CheckedComplex(zip(
+    return FormalFreeElement(len(k), order, _LiftTerms(
         [(p, alpha) for alpha, m in zip(words, ms) for p in powers[m]],
-        chain.from_iterable(map(series.__getitem__, ms)))))
-    if len(u.terms) < _SCALAR_ORDERING:   # its ordering is the term loop, which reads no layout
-        return u
-    # term i of word w has code m_w (order + 1) + i - (index of w's first
-    # term); every m from 0 to max(ms) occurs in a fiber
-    word_ms = np.array(ms)
-    sizes = np.array([len(series[m]) for m in range(len(series))])[word_ms]
-    codes = (np.repeat(word_ms * (order + 1) - (np.cumsum(sizes) - sizes), sizes)
-             + np.arange(len(u.terms)))
-    codes = codes.astype(np.min_scalar_type(len(series) * (order + 1)))
-    _wordkit_py.keep_layout(k, (weakref.ref(u), codes, series))
-    return u
+        list(chain.from_iterable(map(series.__getitem__, ms))), k, ms, series, order))
 
 
-_ORDERING_CHUNK = 2048   # terms per array pass; bounds the temporaries of a large lift
-# Below this many terms normal_order_formal is a term loop: an array pass
-# has a fixed cost of about 40 us, and the loop costs about 1 us per term
-# and h-power (timeit, order 3: 1 term 5 against 41 us, 9 terms 16 against
-# 49, 37 terms 62 against 62, 117 terms 156 against 69)
+_ORDERING_CHUNK = 2048   # terms per gather of the table route; bounds its temporaries
+# Below this many terms a lift is ordered by the term loop: the table
+# route has a fixed cost of about 40-60 us, and the loop costs about 1 us
+# per term (timeit, lifts at order 3: 5 terms 20 against 39 us, 21 terms
+# 33 against 55, 37 terms 54 against 52, 117 terms 154 against 58)
 _SCALAR_ORDERING = 40
 
 
@@ -199,92 +185,29 @@ def normal_order_formal(u: FormalFreeElement) -> HSeriesElement:
     picks up the Taylor expansion of e^{-i m(alpha) h}.
 
     Each (h-power, profile) sum adds the products c * phase of its terms in
-    term order, from 0.0, as a term-by-term loop would: the products are
-    formed with split real arithmetic, as Python's complex * forms them,
-    and added by a sequential cumulative sum, chunk by chunk, carrying the
-    running sum.  A term whose h-power p is above h enters the sum for h
-    as an exact +0.0 (by np.where, since a product with an infinite
-    coefficient could be NaN), which leaves the running sum's bits as they
-    are, as a sum started at +0.0 is never -0.0.  The keys come in the
-    order a term-by-term loop first reaches them.
-
-    The lift formal_ball_lift built last, handed in as that very element
-    (its layout on the fiber record holds a weak reference to it), is
-    ordered from that layout: each coefficient is series[m][p], so every
-    product is an entry of one table over (m, p, h), formed once, and each
-    chunk gathers its terms' rows by their codes.  Its terms share one
-    profile, and its first term has p = 0, so its keys are (h, k) for h
-    ascending.  Any other element, a copy of the lift with the same keys
-    included, is ordered from its terms: p from its keys, m and the profile
-    from word_stats, one array pass per chunk and profile covering every
-    h-power.  An element of fewer than _SCALAR_ORDERING terms is ordered by
-    the term loop itself.  All three routes give the same bits."""
-    order = u.order
-    if len(u.terms) < _SCALAR_ORDERING:
+    term order to 0.0, and the keys come in the order the terms first
+    reach them.  A lift of formal_ball_lift with _SCALAR_ORDERING terms or
+    more is ordered from the layout its terms hold (_lift_ordering); any
+    other element, an equal copy of a lift included, by the term loop.
+    Both routes give the same bits."""
+    terms = u.terms
+    if len(terms) < _SCALAR_ORDERING or type(terms) is not _LiftTerms:
         return _ordering_loop(u)
-    layout = _wordkit_py.fiber_layout(u)   # (counts, codes, series) or None
-    if layout is not None:
-        return _lift_ordering(u, *layout)
-    hs = np.arange(order + 1)[:, None]
-    taylor: list = []   # [m] -> Taylor coefficients of e^{-imh} through h^order
-    sums: dict = {}     # (h, k) -> its running (real, imaginary) sum
-    first: dict = {}    # (h, k) -> index of the first term added to it
-    keys, values = iter(u.terms), iter(u.terms.values())
-    for start in range(0, len(u.terms), _ORDERING_CHUNK):
-        size = min(_ORDERING_CHUNK, len(u.terms) - start)
-        chunk = list(islice(keys, size))
-        coeffs = np.fromiter(islice(values, size), dtype=complex, count=size)
-        ps = np.fromiter(map(itemgetter(0), chunk), dtype=np.intp, count=size)
-        profiles, ms = qc.word_stats(list(map(itemgetter(1), chunk)), u.n)
-        rows = np.fromiter(ms, dtype=np.intp, count=size)
-        if profiles.count(profiles[0]) == size:   # one profile, as in a lift
-            groups = ((profiles[0], None),)
-        else:
-            by_profile: dict = {}
-            for i, k in enumerate(profiles):
-                by_profile.setdefault(k, []).append(i)
-            groups = [(k, np.array(cols)) for k, cols in by_profile.items()]
-        top = int(rows.max())
-        if top >= len(taylor):
-            taylor += [_taylor_exp(1j * -m, order) for m in range(len(taylor), top + 1)]
-            table = _mutate.scale("formal-order-phase", np.array(taylor)).ravel()
-            table_re, table_im = table.real.copy(), table.imag.copy()
-        # [h, i]: term i's product for the sum of h-power h, split as Python's
-        # complex * forms it, or +0.0 where p_i > h; such a term reads a
-        # clipped entry of the table, which the select discards (a product
-        # with 0 would turn an infinite coefficient into NaN)
-        above = ps > hs
-        taylor_at = rows * (order + 1) - ps + hs   # m_i's coefficient of h^(h - p_i)
-        t_re = np.take(table_re, taylor_at, mode="clip")
-        t_im = np.take(table_im, taylor_at, mode="clip")
-        a_re, a_im = coeffs.real, coeffs.imag
-        with np.errstate(all="ignore"):   # as Python's floats: inf and NaN, silently
-            re = np.where(above, 0.0, a_re * t_re - a_im * t_im)
-            im = np.where(above, 0.0, a_re * t_im + a_im * t_re)
-        for k, cols in groups:
-            reached = ~above if cols is None else ~above[:, cols]
-            # [part, h, 0] the running sums, then the products of the profile
-            acc = np.zeros((2, order + 1, reached.shape[1] + 1))
-            acc[0, :, 1:] = re if cols is None else re[:, cols]
-            acc[1, :, 1:] = im if cols is None else im[:, cols]
-            for h in range(order + 1):
-                if (h, k) in sums:
-                    acc[:, h, 0] = sums[(h, k)]
-            totals = np.cumsum(acc, axis=2, out=acc)[:, :, -1].T.tolist()
-            lead = reached.argmax(axis=1).tolist()
-            for h in np.flatnonzero(reached.any(axis=1)).tolist():
-                if (h, k) not in sums:
-                    first[(h, k)] = start + (lead[h] if cols is None else int(cols[lead[h]]))
-                sums[(h, k)] = totals[h]
-    touched = sorted(first, key=lambda slot: (first[slot], slot[0]))
-    return HSeriesElement(u.n, order, _CheckedComplex(
-        {slot: complex(*sums[slot]) for slot in touched}))
+    return _lift_ordering(u.n, u.order, terms)
 
 
-def _lift_ordering(u: FormalFreeElement, counts: tuple, codes, series: dict) -> HSeriesElement:
-    """normal_order_formal of the lift whose layout is (counts, codes,
-    series): one product table, gathered chunk by chunk."""
-    order = u.order
+def _lift_ordering(n: int, order: int, terms: _LiftTerms) -> HSeriesElement:
+    """normal_order_formal of a lift from its layout.  Each coefficient is
+    series[m][p], so every product is an entry of one table over (m, p, h),
+    formed once with split real arithmetic, as Python's complex * forms it,
+    and +0.0 where p > h (by np.where, since a product with an infinite
+    coefficient could be NaN).  Term i's row has code m (order + 1) + p;
+    the rows are gathered chunk by chunk into a sequential cumulative sum
+    from +0.0, carried from chunk to chunk.  A +0.0 leaves the running
+    sum's bits as they are, as a sum started at +0.0 is never -0.0.  The
+    terms share one profile and the first has p = 0, so the keys are
+    (h, counts) for h ascending."""
+    series = terms.series
     width = order + 1
     # [m (order + 1) + p, part, h]: series[m][p] times m's Taylor coefficient
     # of h^(h - p), split as Python's complex * forms it, or +0.0 where p > h
@@ -302,6 +225,12 @@ def _lift_ordering(u: FormalFreeElement, counts: tuple, codes, series: dict) -> 
         table[:, :, 0] = np.where(ps > hs, 0.0, a.real * t.real - a.imag * t.imag)
         table[:, :, 1] = np.where(ps > hs, 0.0, a.real * t.imag + a.imag * t.real)
     table = table.reshape(-1, 2, width)
+    # term i of word w has code m_w (order + 1) + i - (index of w's first
+    # term); every m from 0 to max(ms) occurs in a fiber
+    word_ms = np.fromiter(terms.ms, dtype=np.intp, count=len(terms.ms))
+    sizes = np.array([len(series[m]) for m in range(len(series))])[word_ms]
+    codes = (np.repeat(word_ms * width - (np.cumsum(sizes) - sizes), sizes)
+             + np.arange(len(terms)))
     # [term, part, h] the running sums, carried from chunk to chunk
     sums = np.zeros((2, width))
     for start in range(0, len(codes), _ORDERING_CHUNK):
@@ -311,8 +240,8 @@ def _lift_ordering(u: FormalFreeElement, counts: tuple, codes, series: dict) -> 
         np.take(table, chunk, axis=0, out=acc[1:])
         sums = np.cumsum(acc, axis=0, out=acc)[-1]
     re, im = sums.tolist()
-    return HSeriesElement(u.n, order, _CheckedComplex(
-        {(h, counts): complex(x, y) for h, (x, y) in enumerate(zip(re, im))}))
+    return HSeriesElement(n, order, _CheckedComplex(
+        {(h, terms.counts): complex(x, y) for h, (x, y) in enumerate(zip(re, im))}))
 
 
 def _ordering_loop(u: FormalFreeElement) -> HSeriesElement:

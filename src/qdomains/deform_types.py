@@ -7,8 +7,9 @@ elements, with keys that lead with the h-power p, 0 <= p <= order.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from operator import index
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from qdomains.elements import _exponents, _SparseElement, _word
 
@@ -67,16 +68,70 @@ class HSeriesElement(_SparseElement):
         return {k: c for (pp, k), c in self.terms.items() if pp == p}
 
 
+class _LiftTerms(Mapping):
+    """The terms of a formal ball lift: a read-only mapping over two lists
+    in term order, its (h-power, word) keys and their coefficients, with
+    the lift's layout beside them: counts, the profile k of its words; ms,
+    the inversion number of each word of the fiber, in fiber order; and
+    series, m -> the coefficients of h^0, h^1, ... of a word of m
+    inversions.  Iteration, len, values and items read the lists; a lookup
+    ([], and so get and in) builds a dict over them on first use.  Every
+    value is a nonzero complex, so a FormalFreeElement of the (n, order) in
+    params adopts the mapping as it is; one of another n or order checks
+    and copies its terms."""
+
+    __slots__ = ("_keys", "_values", "_lookup", "counts", "ms", "series", "params")
+
+    def __init__(self, keys: list, values: list, counts: tuple, ms: tuple, series: dict,
+                 order: int):
+        self._keys, self._values, self._lookup = keys, values, None
+        self.counts, self.ms, self.series = counts, ms, series
+        self.params = (len(counts), order)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __getitem__(self, key):
+        if self._lookup is None:
+            self._lookup = dict(zip(self._keys, self._values))
+        return self._lookup[key]
+
+    def values(self):
+        return _LiftValues(self)
+
+    def items(self):
+        return _LiftItems(self)
+
+
+class _LiftValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._values)
+
+
+class _LiftItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping._keys, self._mapping._values)
+
+
 class FormalFreeElement(_SparseElement):
     """Free-algebra coefficients with a truncated formal parameter.
 
     Terms map (h-power p, word alpha) to complex coefficients.  Used for
-    the formal ball lift and its truncated normal ordering.  It takes weak
-    references, which the fiber record keeps to the lift built last.
+    the formal ball lift and its truncated normal ordering.  The terms of
+    a lift are a _LiftTerms, which also holds the lift's layout; the
+    terms of any other element are a read-only dict, as for every element.
     """
 
-    __slots__ = ("order", "__weakref__")
+    __slots__ = ("order",)
     _fields = ("order",)
+    _adopted = _LiftTerms
 
     def __init__(self, n: int, order: int, terms: Mapping):
         if order < 0:

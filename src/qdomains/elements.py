@@ -33,19 +33,20 @@ from keys it already holds skip that per-key check: the products
 (qpoly_mul, laurent_mul, free_mul and both routes of _twisted_mul), +, -
 and scalar *, normal_order (letter profiles), tau_flip, fiber_eval,
 homogeneous_component, the generators of laurent_word, the fiber words
-of polydisk_lift and ball_lift; in deform the (h-power, fiber word) keys
-of formal_ball_lift, the (h-power, profile) keys of normal_order_formal
-and star_product, the profiles of evaluate_h and the fiber copies of
-commutator_defect; serialize.document_to_element, which checked each key
-as it read it; and the randgen generators, which draw their keys from
-qcombinat.multi_indices and their own word pool.  They hand their terms
+of polydisk_lift and ball_lift; in deform the (h-power, profile) keys of
+normal_order_formal and star_product, the profiles of evaluate_h and the
+fiber copies of commutator_defect; serialize.document_to_element, which
+checked each key as it read it; and the randgen generators, which draw
+their keys from qcombinat.multi_indices and their own word pool.  They hand their terms
 over as a _Checked mapping, which construction takes over (see _Checked);
 it still runs through each class's __init__ and drops exact zeros.  Those
 whose values are complex by construction (the products, + and -,
 normal_order, tau_flip, fiber_eval, homogeneous_component and the lifts
-here; in deform star_product, formal_ball_lift and normal_order_formal)
-hand them over as a _CheckedComplex, whose values construction does not
-scan for their type.
+here; in deform star_product and normal_order_formal) hand them over as a
+_CheckedComplex, whose values construction does not scan for their type.
+deform.formal_ball_lift hands over its (h-power, fiber word) keys and
+their values as two lists in a deform_types._LiftTerms, which
+FormalFreeElement takes as its terms as they are (_adopted).
 """
 
 from __future__ import annotations
@@ -123,11 +124,17 @@ class _SparseElement:
     validates one basis key in _key(key), orders keys with the static
     _sort_key(key), and keeps its own __init__, which hands its arguments
     to _setup.  Results of arithmetic are built through that __init__ too,
-    with their terms as a _Checked mapping.
+    with their terms as a _Checked mapping.  A subclass may name in
+    _adopted a read-only mapping type of its own, whose instances hold
+    nonzero complex values by construction and, in params, the n and
+    parameters they were built for: such terms built for this element's
+    become its terms as they are, and any others are checked and copied
+    as every other mapping is.
     """
 
     __slots__ = ("n", "terms")
     _fields: tuple = ()
+    _adopted: type | None = None
 
     def _setup(self, n: int, terms: Mapping, *params):
         if n < 1:
@@ -143,6 +150,9 @@ class _SparseElement:
                 object.__setattr__(self, "terms", MappingProxyType(terms))
                 return
             clean = terms
+        elif kind is self._adopted and terms.params == (n, *params):
+            object.__setattr__(self, "terms", terms)
+            return
         else:
             clean = {}
             for key, c in terms.items():
@@ -669,7 +679,8 @@ def polydisk_lift(k: Sequence[int], q) -> FreeElement:
         # distinct m lie more than 1e-15 apart: the first word of least
         # m log|q|, of least m for |q| > 1 and of greatest m for |q| < 1
         best = ms.index(min(ms) if log_modulus > 0.0 else max(ms))
-    return FreeElement(len(k), _CheckedComplex({words[best]: qp.power(ms[best])}))
+    return FreeElement(len(k), _CheckedComplex(
+        {words[best]: _mutate.scale("polydisk-lift-coefficient", qp.power(ms[best]))}))
 
 
 def ball_lift(k: Sequence[int], q) -> FreeElement:
@@ -699,8 +710,9 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
     total = math.fsum(map(raw.__getitem__, ms))
     log_sum = shift + math.log(total)
     unit = qp.value / qp.modulus
-    coefficients = [(w / total) * qp.power(m) if w >= sys.float_info.min
-                    else math.exp(-m * log_modulus - log_sum) * unit ** m
+    coefficients = [_mutate.scale("ball-lift-coefficient",
+                                  (w / total) * qp.power(m) if w >= sys.float_info.min
+                                  else math.exp(-m * log_modulus - log_sum) * unit ** m)
                     for m, w in enumerate(raw)]
     lift = FreeElement(len(k), _CheckedComplex(zip(words, map(coefficients.__getitem__, ms))))
     if len(lift.terms) < len(words):

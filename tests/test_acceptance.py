@@ -2,6 +2,7 @@
 pass/fail line per criterion (run with -s to see them)."""
 
 import cmath
+import hashlib
 import math
 import os
 import subprocess
@@ -213,6 +214,8 @@ MUTATION_TARGETS = [
     ("qpoly-phase", "remark-3-12-blowup"),
     ("formal-order-phase", "formal-lift-8-39"),
     ("formal-lift-coefficient", "formal-lift-8-39"),
+    ("ball-lift-coefficient", "lift-attainment"),
+    ("polydisk-lift-coefficient", "lift-attainment"),
 ]
 
 
@@ -223,10 +226,15 @@ def test_mutation_targets_cover_every_mutation_point():
     assert set(suite for _, suite in MUTATION_TARGETS) <= set(suites.SUITE_NAMES)
 
 
+# md5 of `verify all --seed 1234 --json` without its wall_time lines: the
+# report of every suite, worst values to the last digit, pinned
+VERIFY_ALL_MD5 = "100a042f4136a1af3ee4e1eed3b2c1cc"
+
+
 def test_criterion_12_verify_all_and_mutation_smoke():
     # every run is an independent process: start them all, then collect
     start = time.perf_counter()
-    verify_all = _start_cli(["verify", "all", "--seed", "1234"])
+    verify_all = _start_cli(["verify", "all", "--seed", "1234", "--json"])
     running = [(mutation, suite, _start_cli(["verify", suite], mutate=mutation))
                for mutation, suite in MUTATION_TARGETS]
     try:
@@ -234,6 +242,8 @@ def test_criterion_12_verify_all_and_mutation_smoke():
         elapsed = time.perf_counter() - start
         assert code == 0, out + err
         assert elapsed < 300.0
+        kept = "".join(line + "\n" for line in out.splitlines() if '"wall_time"' not in line)
+        assert hashlib.md5(kept.encode()).hexdigest() == VERIFY_ALL_MD5
         for mutation, suite, proc in running:
             code, out, _ = _finish_cli(proc)
             assert code == 1, f"mutation {mutation} did not fail suite {suite}:\n{out}"

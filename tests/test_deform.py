@@ -261,12 +261,13 @@ def _ordered_bits(u):
 
 
 def test_formal_ordering_reads_p_and_m_from_the_lift_layout(monkeypatch):
-    # the lift built last keeps its layout on the fiber record: its ordering
-    # reads each term's code from it, chunk by chunk, and asks word_stats
-    # for nothing; look-alikes of the lift, an equal-keyed copy among them,
-    # take the computed route.  Both equal the reference loop bit for bit.
+    # a lift keeps its layout with its terms: its ordering reads each term's
+    # code from it, chunk by chunk, and asks word_stats for nothing, also
+    # after a newer lift of the fiber and after another fiber evicts the
+    # record; look-alikes of the lift, an equal-keyed copy among them, take
+    # the term loop.  Both equal the reference loop bit for bit.
     calls = _counted_word_stats(monkeypatch)
-    monkeypatch.setattr(deform, "_SCALAR_ORDERING", 0)   # every lift takes the array pass
+    monkeypatch.setattr(deform, "_SCALAR_ORDERING", 0)   # every lift takes the table route
     inf, nan = math.inf, math.nan
     for chunk in (deform._ORDERING_CHUNK, 7):
         monkeypatch.setattr(deform, "_ORDERING_CHUNK", chunk)
@@ -284,9 +285,8 @@ def test_formal_ordering_reads_p_and_m_from_the_lift_layout(monkeypatch):
             got, expected = _ordered_bits(same_keys)
             assert got == expected and calls
             calls.clear()
-            # look-alikes: a reordered copy, one foreign word in place of the
-            # last, and the lift before the record's last one, here at
-            # another order
+            # look-alikes: a reordered copy and one foreign word in place of
+            # the last
             items = list(u.terms.items())
             (p, alpha), c = items[-1]
             foreign = (p, (alpha[0] % n + 1,) + alpha[1:])   # a word of another profile
@@ -297,23 +297,23 @@ def test_formal_ordering_reads_p_and_m_from_the_lift_layout(monkeypatch):
                 got, expected = _ordered_bits(copy)
                 assert got == expected and calls, k
                 calls.clear()
+            # the lift before a newer one of its fiber, here at another order
             other = deform.formal_ball_lift(k, 1)
             got, expected = _ordered_bits(u)
-            assert got == expected and calls
-            calls.clear()
+            assert got == expected and calls == []
             got, expected = _ordered_bits(other)
             assert got == expected and calls == []
-            # another fiber evicts the record and its layout
+            # another fiber evicts the record; the layout stays with the lift
             qc.fiber((1,) * (n + 1))
             got, expected = _ordered_bits(other)
-            assert got == expected and calls
-            calls.clear()
+            assert got == expected and calls == []
 
 
 def test_formal_ordering_loop_and_array_pass_agree_bit_for_bit(monkeypatch):
-    # below _SCALAR_ORDERING terms the ordering is the term loop, from it on
-    # the array pass: on either side of the cutoff, and with the cutoff moved
-    # past every element or to none, both give the reference loop's bits
+    # a lift below _SCALAR_ORDERING terms is ordered by the term loop, from
+    # it on by the table route, and every other element by the loop: on
+    # either side of the cutoff, and with the cutoff moved past every
+    # element or to none, each gives the reference loop's bits
     rng = Random("formal-routes")
     inf, nan = math.inf, math.nan
     odd = [complex(-0.0, 1.0), complex(inf, 0.0), complex(1.0, -0.0), complex(nan, -1.0),
@@ -337,31 +337,31 @@ def test_formal_ordering_loop_and_array_pass_agree_bit_for_bit(monkeypatch):
             assert _bits(deform.normal_order_formal(u)) == expected, (len(u.terms), cutoff)
 
 
-def _counted_complex_reads(monkeypatch):
-    """A list that grows by one per np.fromiter call of complex dtype, the
-    computed route's read of a chunk's coefficients."""
-    calls = []
-    fromiter = np.fromiter
-    monkeypatch.setattr(np, "fromiter", lambda it, dtype, *args, **kw: (
-        calls.append(dtype) if dtype is complex else None) or fromiter(it, dtype, *args, **kw))
-    return calls
+def _counted_routes(monkeypatch):
+    """A list that grows by "table" or "loop" per ordering each route makes."""
+    routes = []
+    for name, route in (("_lift_ordering", "table"), ("_ordering_loop", "loop")):
+        run = getattr(deform, name)
+        monkeypatch.setattr(deform, name, lambda *args, run=run, route=route:
+                            routes.append(route) or run(*args))
+    return routes
 
 
-def test_formal_lift_ordering_from_the_record_is_the_computed_route_bit_for_bit(monkeypatch):
-    # the lift built last is ordered from its record: no word_stats call and
-    # no coefficient read, and the same bits as the computed route (on an
-    # equal copy of it) and the reference loop.  So is every lift the record
-    # no longer answers for: its reference dead, a newer lift on the record,
-    # or the record gone to another fiber.
+def test_formal_lift_ordering_from_its_layout_is_the_term_loop_bit_for_bit(monkeypatch):
+    # a lift of _SCALAR_ORDERING terms or more is ordered from the layout its
+    # terms hold, with no word_stats call, and gives the bits of the term
+    # loop on an equal dict-backed copy, of u * 1.0 and of the reference
+    # loop.  So is a lift kept alive after a newer lift of its fiber, one
+    # whose record another fiber evicted, and one whose fiber came back.
     stats = _counted_word_stats(monkeypatch)
-    reads = _counted_complex_reads(monkeypatch)
+    routes = _counted_routes(monkeypatch)
 
     def ordered(u, route):
         got, expected = _ordered_bits(u)
         assert got == expected
-        assert bool(stats) == bool(reads) == (route == "computed"), (route, u)
+        assert routes == [route] and bool(stats) == (route == "loop"), (route, u)
         stats.clear()
-        reads.clear()
+        routes.clear()
         return got
 
     for chunk in (deform._ORDERING_CHUNK, 7):
@@ -370,31 +370,87 @@ def test_formal_lift_ordering_from_the_record_is_the_computed_route_bit_for_bit(
             n = len(k)
             for order in range(5):
                 u = deform.formal_ball_lift(k, order)
-                if len(u.terms) < deform._SCALAR_ORDERING:
-                    continue
+                route = "loop" if len(u.terms) < deform._SCALAR_ORDERING else "table"
                 copy = FormalFreeElement(n, order, dict(u.terms))
-                assert ordered(u, "record") == ordered(copy, "computed")
-            # a newer lift takes the record; the older one is computed
+                assert ordered(u, route) == ordered(copy, "loop") == ordered(u * 1.0, "loop")
+            # a newer lift of the fiber leaves the older one its layout
             older = deform.formal_ball_lift(k, 3)
             newer = deform.formal_ball_lift(k, 2)
-            ordered(older, "computed")
-            ordered(newer, "record")
-            # its weak reference dead, the record answers for nothing
+            assert ordered(older, "table") == ordered(FormalFreeElement(n, 3, dict(older.terms)),
+                                                      "loop")
+            ordered(newer, "table")
+            # the record holds no lift: it is the fiber's words and inversions
             terms = dict(newer.terms)
             del newer
-            assert _wordkit_py._last_record[2][0]() is None
-            ordered(FormalFreeElement(n, 2, terms), "computed")
-            # another fiber evicts the record and the layout with it
+            assert _wordkit_py._last_record == (k, qc.fiber(k))
+            ordered(FormalFreeElement(n, 2, terms), "loop")
+            # another fiber evicts the record; the lift keeps its layout
             lift = deform.formal_ball_lift(k, 3)
             qc.fiber((1,) * (n + 1))
-            ordered(lift, "computed")
-            qc.fiber(k)   # the record is back, without the layout
-            ordered(lift, "computed")
+            ordered(lift, "table")
+            qc.fiber(k)   # the record is back
+            ordered(lift, "table")
+
+
+def test_lift_terms_answer_as_a_dict_does():
+    # a lift's terms are its key and value lists with its layout beside
+    # them; every read answers as the dict over them does, for lifts below
+    # and above _SCALAR_ORDERING terms, and the mapping is read-only
+    sizes = set()
+    for k in ((2, 1), (2, 2, 1), (3, 2, 2)):
+        n = len(k)
+        first = min(qc.fiber_words(k))   # no inversion: only its h^0 term is nonzero
+        for order in range(5):
+            u = deform.formal_ball_lift(k, order)
+            terms = u.terms
+            sizes.add(len(terms) < deform._SCALAR_ORDERING)
+            d = dict(terms)
+            copy = FormalFreeElement(n, order, d)
+            assert type(copy.terms) is not type(terms)
+            # the keys are built before the lift returns: the same objects each time
+            assert all(a is b for a, b in zip(terms, terms)) and len(list(terms)) == len(d)
+            assert list(terms) == list(d) and list(terms.keys()) == list(d.keys())
+            assert list(terms.values()) == list(d.values()) and len(terms.values()) == len(d)
+            assert list(terms.items()) == list(d.items()) and len(terms.items()) == len(d)
+            assert len(terms) == len(d) and terms == d and d == terms and terms != {}
+            for key, c in d.items():
+                assert terms[key] == c and terms.get(key) == c and terms.get(key, 7) == c
+                assert key in terms and key in terms.keys() and (key, c) in terms.items()
+            for miss in ((0, ()), (order + 1, first), (1, first), "x"):
+                assert (miss in terms) == (miss in d) and terms.get(miss, 7) == d.get(miss, 7)
+                if miss not in d:
+                    assert terms.get(miss) is None
+                    with pytest.raises(KeyError):
+                        terms[miss]
+            for p in range(order + 2):
+                assert list(u.coefficient(p).items()) == list(copy.coefficient(p).items())
+            assert u == copy and copy == u and hash(u) == hash(copy)
+            assert u.allclose(copy, tol=0.0) and copy.allclose(u, tol=0.0)
+            for a, b in ((u + u, copy + copy), (u + copy, copy + u), (u - copy, copy - copy),
+                         (u * 2.0, copy * 2.0), (0.5j * u, 0.5j * copy)):
+                assert _bits(a) == _bits(b)
+            with pytest.raises(TypeError):
+                terms[next(iter(d))] = 1.0
+            with pytest.raises(TypeError):
+                del terms[next(iter(d))]
+            assert dict(terms) == d
+            # an element of the lift's n and order adopts its terms; one of
+            # another n or order checks and copies them, and is ordered as a copy
+            assert FormalFreeElement(n, order, terms).terms is terms
+            for other in (FormalFreeElement(n + 1, order, terms),
+                          FormalFreeElement(n, order + 1, terms)):
+                assert type(other.terms) is type(copy.terms) and dict(other.terms) == d
+                got, expected = _ordered_bits(other)
+                assert got == expected
+            if order:
+                with pytest.raises(ValueError, match="h-power"):
+                    FormalFreeElement(n, order - 1, terms)
+    assert sizes == {True, False}
 
 
 def test_formal_ordering_phase_table_is_a_mutation_point(monkeypatch):
     # (2, 1) at order 2 is ordered by the term loop, (2, 2, 1) at order 2
-    # (89 terms) from the record; the hook bumps the phases of both
+    # (89 terms) from its layout; the hook bumps the phases of both
     stats = _counted_word_stats(monkeypatch)
     for k in ((2, 1), (2, 2, 1)):
         monkeypatch.setattr(_mutate, "_active", "")
@@ -410,9 +466,9 @@ def test_formal_ordering_phase_table_is_a_mutation_point(monkeypatch):
 
 
 def test_formal_lift_coefficients_are_a_mutation_point(monkeypatch):
-    # the hook bumps every coefficient of the lift, and the record route's
-    # table reads the same bumped series: it orders the lift as the
-    # computed route orders an equal copy
+    # the hook bumps every coefficient of the lift, and the table route
+    # reads the same bumped series: it orders the lift as the term loop
+    # orders an equal copy
     k, order = (2, 2, 1), 3
     good = deform.formal_ball_lift(k, order)
     monkeypatch.setattr(_mutate, "_active", "formal-lift-coefficient")

@@ -215,8 +215,8 @@ def test_every_table_kept_between_calls_is_held_under_one_policy():
     sizes = {name: len(value) for name, value in _containers()}
     suites.run_all(seed=4321)
     grown = {name for name, value in _containers() if len(value) > sizes.get(name, 0)}
-    # the one record of the fiber asked for last: three slots, replaced whole
-    assert grown <= {"_wordkit_py._last_record"} and len(_wordkit_py._last_record) == 3
+    # the one record of the fiber asked for last: two slots, replaced whole
+    assert grown <= {"_wordkit_py._last_record"} and len(_wordkit_py._last_record) == 2
     for memo in memos.values():
         assert memo.total == sum(map(memo.size, memo.store.values())) <= memo.budget, memo
     # every weight reads its log-factorial table at a base folded into [0, 1]
