@@ -48,8 +48,8 @@ from qdomains.spectral import TupleSpec, contractive_check, poincare_gap, radius
 
 __version__ = "0.1.0"
 
-# the word kernels are the pure-Python _wordkit_py; the flag stays for
-# readers of qdomains.USING_COMPILED, such as perfbench/run.py
+# no compiled kernel is left; the flag stays only for perfbench/run.py,
+# which reports it
 USING_COMPILED = False
 
 __all__ = [

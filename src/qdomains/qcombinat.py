@@ -4,13 +4,15 @@ Scalar layer shared by every other module.  Conventions fixed here:
 [0]_q = 0 and [0]_q! = 1; exponents such as sum_{i<j} k_i*k_j and the
 inversion number m(alpha) are exact integers, and |q|**N is evaluated in
 the log domain so weights stay finite for N up to ~1e5.  _held.held holds
-the log q-factorial, q-Pochhammer and multi-index tables between calls.
+the log q-factorial, q-Pochhammer and multi-index tables and the fiber
+records between calls.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, product
 from operator import index, mul
@@ -18,17 +20,6 @@ from typing import NamedTuple, Sequence
 
 from qdomains import _mutate
 from qdomains._held import held
-from qdomains._wordkit_py import (
-    fiber as _fiber,
-    fiber_inversions,
-    fiber_words as _fiber_words_raw,
-    inversions as _inversions,
-    mahonian_sum,
-    switch_count as _switch_count,
-    word_profile as _word_profile,
-    word_profiles as _word_profiles,
-    word_stats as _word_stats,
-)
 
 __all__ = [
     "QParam",
@@ -279,12 +270,12 @@ def weight_polydisk_logs(keys: Sequence[Sequence[int]], q) -> list:
 
 def weight_polydisk(k: Sequence[int], q) -> float:
     """w_q(k): 1 for |q| >= 1, else |q|**cross_degree(k)."""
-    return math.exp(weight_polydisk_logs((k,), q)[0])
+    return math.exp(weight_polydisk_logs((tuple(map(index, k)),), q)[0])
 
 
 def weight_u(k: Sequence[int], q) -> float:
     """u_q(k) = |q|**cross_degree(k), with no piecewise branch."""
-    return math.exp(cross_degree(k) * as_qparam(q).log_modulus)
+    return math.exp(cross_degree(tuple(map(index, k))) * as_qparam(q).log_modulus)
 
 
 def _folded_base(modulus: float, power: float) -> float:
@@ -318,37 +309,189 @@ def weight_ball_logs(keys: Sequence[Sequence[int]], q) -> list:
 
 def weight_ball(k: Sequence[int], q) -> float:
     """([k]_{|q|^2}! / [|k|]_{|q|^2}!)**(1/2) * u_q(k); equals (k!/|k|!)**(1/2) at |q| = 1."""
-    return math.exp(weight_ball_logs((k,), q)[0])
+    return math.exp(weight_ball_logs((tuple(map(index, k)),), q)[0])
 
 
 # ---------------------------------------------------------------------------
 # word statistics
+#
+# A fiber p^{-1}(k) is enumerated into one record, fiber(k): its words in
+# lexicographic order and their inversion numbers, as tuples, both from one
+# recursion on the first letter (_enumerate_fiber); no statistics pass runs
+# over the words.  The records are held by profile under _held.held while
+# they add up to at most 2**16 words (_fiber_record).  Besides, the record of
+# the profile asked for last is kept, held or not, until another profile is
+# asked for (_last_record); it is let go before the next one is enumerated,
+# so the two are not alive at once unless the store holds the old one.  So
+# the lifts of one x^k, its fiber lists and its Mahonian sum share a single
+# enumeration, and a later call for a held profile finds its record.  The
+# record holds no element's data: a formal lift keeps its own layout
+# (deform_types._LiftTerms).
+#
+# The record of the profile asked for last also answers word_stats and
+# word_profiles: a batch of words of that fiber (the words of a lift of x^k,
+# in any order and any number) has profile k and the recorded inversion
+# numbers (_fiber_stats); membership in the fiber already fixes every
+# letter.  A batch off the record (a foreign word anywhere in it, a word that
+# is not a tuple, an empty batch, another n, or no record) is computed
+# (_scan_stats): by the scalar loops, word by word, below _SCALAR_BATCH words,
+# else in one numpy pass over the words left-padded with 0 into one integer
+# array.  A numpy pass has a fixed cost of about 30-60 us, while the scalar
+# loops take 3-6 us per word of 4-12 letters, so they are faster up to about
+# 16-20 words (timeit, 2-letter to 6-letter alphabets); the normal orderings
+# and norms of the 4-6 term elements that the suites check make tens of
+# thousands of such calls.  The profiles alone (word_profiles, for the circ
+# norm) have their own cutoff, _SCALAR_PROFILES.  numpy is imported on the
+# first numpy pass, not with the module.  Every computed route raises
+# ValueError unless each letter equals an int in 1..n, so 1.5, '1' and 2**70
+# are refused on each.
 
 def word_profile(alpha: Sequence[int], n: int) -> tuple:
     """Letter-count profile p(alpha); p_i = number of occurrences of i."""
+    alpha = tuple(map(index, alpha))
     if any(a < 1 or a > n for a in alpha):
         raise ValueError("letters must lie in 1..n")
-    return _word_profile(tuple(alpha), n)
+    return tuple(map(alpha.count, range(1, n + 1)))
+
+
+def inversions(alpha: Sequence[int]) -> int:
+    """m(alpha) = #{(i, j) : i < j, alpha_i > alpha_j}."""
+    word = tuple(alpha)
+    d = len(word)
+    total = 0
+    for i in range(d - 1):
+        wi = word[i]
+        for j in range(i + 1, d):
+            if wi > word[j]:
+                total += 1
+    return total
+
+
+def switch_count(alpha: Sequence[int]) -> int:
+    """s(alpha) = #{i : alpha_i != alpha_{i+1}}; |alpha| - 1 when |alpha| <= 1."""
+    word = tuple(alpha)
+    d = len(word)
+    if d <= 1:
+        return d - 1
+    return sum(1 for i in range(d - 1) if word[i] != word[i + 1])
+
+
+_SCALAR_BATCH = 20
+# word_profiles' own cutoff: without the inversion counts the scalar loop
+# costs about 0.6-1 us per word against 17-35 us for a bincount pass of
+# 10-50 words, so it wins up to about 50 words (timeit, n = 2-4, words of
+# 4-9 letters: 40 words 25-32 us against 29 us, 60 words 36-49 against
+# 36-44 us)
+_SCALAR_PROFILES = 50
+
+# The record of the profile asked for last: (counts, (words, inversions)).
+_last_record = None
+
+
+def _fiber_stats(words, n):
+    """(profiles, inversions) of words over letters 1..n read from the
+    record of the fiber asked for last, or None unless there is one, every
+    word is a word of that fiber and the fiber has n letters.  words
+    may be any sized iterable of words, a mapping keyed by words among
+    them.  A batch that is the record's own word sequence (as the terms of
+    a ball lift are) takes its inversion numbers as they are, after one
+    C-level comparison; any other batch finds each word by bisection, as the
+    record is in lexicographic order."""
+    record = _last_record
+    if record is None or len(record[0]) != n:
+        return None
+    counts, (record_words, record_ms) = record
+    size = len(words)
+    try:
+        if size == len(record_words) and tuple(words) == record_words:
+            return [counts] * size, list(record_ms)
+        ms = []
+        for word in words:
+            i = bisect_left(record_words, word)
+            if i == len(record_words) or record_words[i] != word:
+                return None
+            ms.append(record_ms[i])
+    # a word that does not compare with a tuple (a list, an array)
+    except (TypeError, ValueError):
+        return None
+    if not ms:
+        return None
+    return [counts] * len(ms), ms
 
 
 def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
-    """(profiles, inversions) of a batch of words over letters 1..n.
+    """(profiles, inversions) of a batch of words over letters 1..n: a list
+    of n-tuples and a list of ints, in the order of words.
 
     profiles[i] is word_profile(words[i], n) and inversions[i] is
     inversions(words[i]); words may also be a mapping keyed by words, such
-    as an element's terms.  A batch made of words of the fiber asked for
-    last (the words of a lift) is read from its record; membership in the fiber already fixes every profile, so those
-    letters are not checked again.  Otherwise a batch of a few words runs
-    the scalar loops, a larger one is one numpy pass over all the words,
-    whatever their lengths (see _wordkit_py); it raises ValueError unless
-    every letter lies in 1..n."""
-    return _word_stats(words, n)
+    as an element's terms.  A batch of words of the fiber asked for last is
+    read from its record, any other is computed and raises ValueError unless
+    every letter equals an int in 1..n (see the notes above word_profile)."""
+    stats = _fiber_stats(words, n)
+    if stats is not None:
+        return stats
+    return _scan_stats(words, n)
 
 
 def word_profiles(words: Sequence[Sequence[int]], n: int) -> list:
     """The profiles of word_stats(words, n), read from the fiber record as
     there; a batch off the record is not counted for inversions."""
-    return _word_profiles(words, n)
+    stats = _fiber_stats(words, n)
+    if stats is not None:
+        return stats[0]
+    if len(words) < _SCALAR_PROFILES:
+        return _scalar_profiles(words, n)
+    return _padded_profiles(_padded(words, n), n)
+
+
+def _scan_stats(words, n):
+    """word_stats computed from the letters: the scalar loops below
+    _SCALAR_BATCH words, else one numpy pass."""
+    if len(words) < _SCALAR_BATCH:
+        return _scalar_profiles(words, n), [inversions(word) for word in words]
+    import numpy as np
+    padded = _padded(words, n)
+    ms = np.zeros(len(words), dtype=np.int64)
+    for j in range(1, padded.shape[1]):
+        ms += (padded[:, :j] > padded[:, j:j + 1]).sum(axis=1)
+    return _padded_profiles(padded, n), ms.tolist()
+
+
+def _scalar_profiles(words, n):
+    """The profiles of words, word by word.  A letter that equals no int in
+    1..n is counted nowhere, so its word's profile falls short of its
+    length."""
+    profiles = [tuple(map(word.count, range(1, n + 1))) for word in words]
+    if list(map(sum, profiles)) != list(map(len, words)):
+        raise ValueError("letters must lie in 1..n")
+    return profiles
+
+
+def _padded(words, n):
+    """The words left-padded with 0 into one integer array; 0 is below every
+    letter, so padding adds no inversion, and no profile counts it.  Every
+    letter must equal an int in 1..n, as on the scalar route: the array
+    would truncate 1.5, parse '1' and overflow at 2**63."""
+    import numpy as np
+    letters = list(chain.from_iterable(words))
+    if not set(letters) <= set(range(1, n + 1)):
+        raise ValueError("letters must lie in 1..n")
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    d = int(lengths.max(initial=0))
+    padded = np.zeros((len(words), d), dtype=np.int64)
+    padded[np.arange(d) >= d - lengths[:, None]] = letters
+    return padded
+
+
+def _padded_profiles(padded, n):
+    # one bincount over (row, letter) bins; bin 0 takes the padding
+    import numpy as np
+    rows = len(padded)
+    bins = n + 1
+    counts = np.bincount((padded + bins * np.arange(rows)[:, None]).ravel(),
+                         minlength=bins * rows)
+    return list(map(tuple, counts.reshape(rows, bins)[:, 1:].tolist()))
 
 
 _MAX_FIBER_DEGREE = 1000   # bounds the factorials fiber_count computes
@@ -356,6 +499,7 @@ _MAX_FIBER_DEGREE = 1000   # bounds the factorials fiber_count computes
 
 def fiber_count(k: Sequence[int]) -> int:
     """|p^{-1}(k)| = |k|!/k! as an exact integer, for |k| <= 1000."""
+    k = tuple(map(index, k))
     if any(m < 0 for m in k):
         raise ValueError("exponents must be nonnegative")
     total = sum(k)
@@ -366,16 +510,6 @@ def fiber_count(k: Sequence[int]) -> int:
     for m in k:
         count //= math.factorial(m)
     return count
-
-
-def inversions(alpha: Sequence[int]) -> int:
-    """m(alpha) = #{(i, j) : i < j, alpha_i > alpha_j}."""
-    return _inversions(tuple(alpha))
-
-
-def switch_count(alpha: Sequence[int]) -> int:
-    """s(alpha) = #{i : alpha_i != alpha_{i+1}}; |alpha| - 1 when |alpha| <= 1."""
-    return _switch_count(tuple(alpha))
 
 
 def delta_word(k: Sequence[int]) -> tuple:
@@ -395,31 +529,96 @@ def _check_fiber_cap(k: Sequence[int]) -> None:
             f"fiber of size {count} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
+def _enumerate_fiber(counts):
+    """(words, inversions) of the fiber, as tuples, by the first-letter
+    recursion: the words of b are (i,) + w for each word w of b - e_i, with
+    the letters i of b ascending, which keeps them in lexicographic order,
+    and the leading i adds one inversion per letter below i.  The records
+    of every b <= counts with |b| = size are built level by level over
+    size, and only two levels are held at once."""
+    n = len(counts)
+    level = {(0,) * n: ([()], [0])}
+    for _ in range(sum(counts)):
+        below_level = level
+        level = {}
+        for b in below_level:
+            for i in range(n):
+                if b[i] < counts[i]:
+                    level.setdefault(b[:i] + (b[i] + 1,) + b[i + 1:], None)
+        for b in level:
+            words = []
+            ms = []
+            below = 0   # letters of b below i + 1
+            for i, bi in enumerate(b):
+                if bi:
+                    sub_words, sub_ms = below_level[b[:i] + (bi - 1,) + b[i + 1:]]
+                    head = (i + 1,)
+                    words += [head + w for w in sub_words]
+                    ms += [m + below for m in sub_ms]
+                    below += bi
+            level[b] = (words, ms)
+    words, ms = level[counts]
+    return tuple(words), tuple(ms)
+
+
+# The store holds every fiber one process asks for.  verify all asks for 219
+# fibers of 10,361 words in all (4,134 fiber calls), and a fiber-lift pass
+# (ten profiles in three letter orders each) 17,206 to 35,742 words over
+# seeds 1-400.  The traffic is cyclic, so an oldest-first store smaller than
+# a pass drops each record before it is asked for again and holds nothing:
+# at 2**12 words verify all enumerates 772 times and every fiber-lift pass
+# 20-25 times, and 2**15 words are less than the passes of 118 of those 400
+# seeds.  2**16 is the least power of two that holds both: verify all
+# enumerates each fiber once, and a fiber-lift pass after the first
+# enumerates nothing.  A 9-letter word costs about 130 B with its inversion
+# number (a 112 B tuple and two slots), so a full store is about 8.4 MB.
+@held(2 ** 16, size=lambda record: len(record[0]))
+def _fiber_record(counts):
+    return _enumerate_fiber(counts)
+
+
 def fiber(k: Sequence[int]) -> tuple:
     """The fiber record (words, inversions) of p^{-1}(k), both tuples: every
     word alpha with p(alpha) = k once, in lexicographic order, and m(alpha)
-    of each.  Records are held under _held.held, up to 2**16 words in all
-    (every fiber that one verify all or one fiber-lift pass asks for), and
-    the record of the profile asked for last is kept whatever its size (see
-    _wordkit_py); a later call for either returns the same record.
-    word_stats reads batches of words of the profile asked for last from
-    its record.
+    of each.  A later call for a held profile, or for the profile asked for
+    last, returns the same record (see the notes above word_profile).
     Every call, held or not, raises EnumerationCapExceeded for a fiber of
     more than ENUMERATION_CAP words, before any lookup or enumeration."""
-    _check_fiber_cap(k)
-    return _fiber(tuple(k))
+    global _last_record
+    counts = tuple(map(index, k))
+    _check_fiber_cap(counts)
+    if _last_record is None or _last_record[0] != counts:
+        # let the last record go before enumerating
+        _last_record = None
+        _last_record = (counts, _fiber_record(counts))
+    return _last_record[1]
 
 
 def fiber_words(k: Sequence[int]) -> list:
     """All words alpha with p(alpha) = k, exactly once, in lexicographic order."""
-    _check_fiber_cap(k)
-    return _fiber_words_raw(tuple(k))
+    return list(fiber(k)[0])
 
 
 def fiber_inversion_list(k: Sequence[int]) -> list:
     """Inversion numbers m(alpha) over the fiber, in the fiber_words order."""
-    _check_fiber_cap(k)
-    return fiber_inversions(tuple(k))
+    return list(fiber(k)[1])
+
+
+def _mahonian_sum(k, q):
+    """Sum of q**inversions(alpha) over all words with the given letter counts."""
+    ms = fiber(k)[1]
+    max_m = 0
+    total_seen = 0
+    for c in k:
+        max_m += total_seen * c
+        total_seen += c
+    powers = [1.0 + 0.0j] * (max_m + 1)
+    for m in range(1, max_m + 1):
+        powers[m] = powers[m - 1] * q
+    acc = powers[ms[0]]
+    for m in ms[1:]:
+        acc += powers[m]
+    return acc
 
 
 class InvDistribution(NamedTuple):
@@ -437,9 +636,9 @@ def inv_distribution(k: Sequence[int], q) -> InvDistribution:
     instead.  Raises OverflowError, naming q, where either leaves the float
     range (the powers of q, or the q-factorials, overflow far from |q| = 1).
     """
-    _check_fiber_cap(k)
+    k = tuple(map(index, k))
     q = _raw(q)
-    brute = mahonian_sum(tuple(k), complex(q))
+    brute = _mahonian_sum(k, complex(q))
     if _cancelled(k, q):
         closed = 0j
         for c in reversed(_gaussian_multinomial(k)):
@@ -448,7 +647,7 @@ def inv_distribution(k: Sequence[int], q) -> InvDistribution:
         closed = q_factorial(sum(k), q) / q_factorial(k, q)
     if not (cmath.isfinite(brute) and cmath.isfinite(closed)):
         raise OverflowError(
-            f"the Mahonian sum of {tuple(k)} at q = {complex(q)!r} leaves the float range")
+            f"the Mahonian sum of {k} at q = {complex(q)!r} leaves the float range")
     closed = _mutate.scale("mahonian-closed-form", closed)
     return InvDistribution(brute, closed)
 
@@ -510,6 +709,7 @@ def word_with_inversions(k: Sequence[int], m: int) -> tuple:
     leading letter is transposed rightward one step at a time; each step
     raises the inversion count by 0 or 1, so the target m is hit exactly.
     """
+    k = tuple(map(index, k))
     if any(c < 0 for c in k):
         raise ValueError("exponents must be nonnegative")
     if not 0 <= m <= cross_degree(k):

@@ -16,7 +16,7 @@ import pytest
 from oracles import (brute_sigma, exact_ball_weight_sq, exact_log, exact_mahonian_sum,
                      reference_coordinate_sum, reference_element_text)
 
-from qdomains import _wordkit_py, cli, deform, elements, randgen
+from qdomains import cli, deform, elements, randgen
 from qdomains import qcombinat as qc
 from qdomains.elements import (LaurentElement, QPolynomial, fiber_eval, free_mul, laurent_mul,
                                normal_order, qpoly_mul)
@@ -806,6 +806,111 @@ def _fresh_cli(requests):
     return json.loads(result.stdout)
 
 
+# One interpreter on numpy-free requests: put sys.argv[1] first on the path,
+# run each argv of sys.argv[2] through cli.main in process, then word_stats
+# of a batch read from the fiber record and of one computed off it; print
+# the exit codes, outputs and statistics, and whether numpy got loaded, as
+# one JSON document.
+_NUMPY_FREE_CLI = r"""
+import io, json, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+from qdomains import cli, qcombinat as qc
+outputs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    outputs.append([code, out.getvalue()])
+words = qc.fiber((2, 1, 2))[0]
+outputs.append(qc.word_stats(words[::-3], 3))
+outputs.append(qc.word_stats([(3, 1, 2), (1,), (), (2, 2, 1, 3), [3, 3, 1, 2, 1]], 3))
+outputs.append("numpy" in sys.modules)
+print(json.dumps(outputs))
+"""
+
+
+def _interpreters():
+    """The first python3.X on PATH for each X >= 10, by minor version.  A
+    pyenv shims directory stands for the interpreters of the versions it
+    serves, since a shim runs only the version pyenv selects."""
+    found = {}
+    for entry in os.environ.get("PATH", "").split(os.pathsep):
+        directory = Path(entry)
+        versions = directory.parent / "versions"
+        if directory.name == "shims" and versions.is_dir():
+            candidates = sorted(versions.glob("*/bin/python3.*"))
+        else:
+            candidates = sorted(directory.glob("python3.*"))
+        for path in candidates:
+            match = re.fullmatch(r"python3\.(\d+)", path.name)
+            if match and int(match[1]) >= 10 and os.access(path, os.X_OK):
+                found.setdefault(int(match[1]), path)
+    return found
+
+
+def test_numpy_free_commands_give_the_same_bytes_on_every_interpreter(tmp_path):
+    # pyproject claims Python >= 3.10; below the word-batch cutoffs and 256
+    # product pairs no route needs numpy, so each python3.X found runs the
+    # same requests as this interpreter and must print the same bytes
+    rng = Random("numpy-free-interpreters")
+    q = {"re": 0.8, "im": 0.1}
+
+    def doc(name, element, **extra):
+        return write(tmp_path, name, dict(element_to_document(element), **extra))
+
+    def twelve_terms(draw):
+        # a draw may repeat a key and give fewer terms
+        element = draw()
+        while len(element.terms) != 12:
+            element = draw()
+        return element
+
+    free = [twelve_terms(lambda: randgen.random_free(rng, 3, max_len=5, terms=12))
+            for _ in "ab"]
+    qpoly = [twelve_terms(lambda: randgen.random_qpoly(rng, 3, complex(0.7, 0.2), terms=12))
+             for _ in "ab"]
+    laurent = [twelve_terms(lambda: randgen.random_laurent(rng, 2, terms=12)) for _ in "ab"]
+    assert 12 < min(qc._SCALAR_BATCH, qc._SCALAR_PROFILES)
+    fa, fb = doc("fa.json", free[0], q=q), doc("fb.json", free[1], q=q)
+    qa, qb = doc("qa.json", qpoly[0]), doc("qb.json", qpoly[1])
+    requests = [["norm", "--in", fa, "--family", family, "--rho", "0.7"]
+                for family in ("free-taylor", "free-polydisk", "free-ball-bullet",
+                               "free-ball-circ")]
+    requests += [["norm", "--in", qa, "--family", family, "--rho", "0.9"]
+                 for family in ("ball", "polydisk-l1")]
+    requests += [
+        ["normal-order", "--in", fa],
+        ["mul", "--in", qa, "--in", qb],
+        ["mul", "--in", fa, "--in", fb],
+        ["mul", "--in", doc("la.json", laurent[0]), "--in", doc("lb.json", laurent[1])],
+        ["radius", "--family", "ball", "--rho", "1", "--depth", "4", "--p", "2", "--n", "2",
+         "--q", "0.6,0.8"],
+        ["radius", "--family", "polydisk-l1", "--rho", "0.8", "--depth", "3", "--p", "inf",
+         "--n", "3", "--q", "0.5"],
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    found = _interpreters()
+    others = {minor: path for minor, path in found.items()
+              if not os.path.samefile(path, sys.executable)}
+    print("interpreters:", ", ".join(map(str, others.values())))
+    assert others, f"no python3.X (X >= 10) on PATH besides {sys.executable}"
+    runs = {path: subprocess.Popen([str(path), "-I", "-c", _NUMPY_FREE_CLI, src,
+                                    json.dumps(requests)],
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for path in [sys.executable, *others.values()]}
+    outputs = {path: run.communicate(timeout=60) + (run.returncode,)
+               for path, run in runs.items()}
+    expected, errors, code = outputs[sys.executable]
+    assert code == 0, errors.decode()
+    assert [c for c, _ in json.loads(expected)[:len(requests)]] == [0] * len(requests)
+    assert json.loads(expected)[-1] is False   # no request loaded numpy
+    for path in others.values():
+        out, errors, code = outputs[path]
+        assert code == 0, (str(path), errors.decode())
+        assert out == expected, str(path)
+
+
 def _module_level_imports(tree):
     """The names a module imports when it is imported: every import
     statement outside a function body (the package imports absolutely)."""
@@ -833,7 +938,7 @@ def test_small_commands_start_without_numpy(tmp_path):
     five = [write(tmp_path, f"five-{i}.json", element_to_document(
         randgen.random_qpoly(rng, 3, 0.7, max_degree=3, terms=5))) for i in range(2)]
     words = randgen.random_free(rng, 3, max_len=4, terms=19)
-    assert len(words.terms) < _wordkit_py._SCALAR_BATCH
+    assert len(words.terms) < qc._SCALAR_BATCH
     free = write(tmp_path, "free.json", dict(element_to_document(words), q={"re": 0.8, "im": 0.1}))
     requests = [
         ["norm", "--in", one_term, "--family", "polydisk", "--rho", "1"],
@@ -871,7 +976,7 @@ def test_array_routes_give_the_same_bytes_when_they_load_numpy(tmp_path):
     for a, b in (qpoly, laurent):
         assert len(a.terms) * len(b.terms) >= elements._ARRAY_PAIRS
     batch = randgen.random_free(rng, 3, max_len=5, terms=60)
-    assert len(batch.terms) >= max(_wordkit_py._SCALAR_BATCH, _wordkit_py._SCALAR_PROFILES)
+    assert len(batch.terms) >= max(qc._SCALAR_BATCH, qc._SCALAR_PROFILES)
     hseries = [doc(f"h-{i}.json", randgen.random_hseries(rng, 2, 2, terms=6)) for i in range(2)]
     requests = [
         ["mul", "--in", doc("qa.json", qpoly[0]), "--in", doc("qb.json", qpoly[1])],

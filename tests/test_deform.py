@@ -5,8 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from qdomains import _mutate, _wordkit_py, deform, elements, qcombinat as qc, randgen, suites
-from qdomains._wordkit_py import fiber_stats
+from qdomains import _mutate, deform, elements, qcombinat as qc, randgen, suites
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
@@ -240,7 +239,7 @@ def test_formal_ordering_reads_the_fiber_record():
             expected = HSeriesElement(n, order, reference_normal_order_formal(u))
             for evict in (False, True):
                 qc.fiber((1,) * n if evict else k)
-                assert (fiber_stats(words, n) is None) == evict
+                assert (qc._fiber_stats(words, n) is None) == evict
                 got = deform.normal_order_formal(u)
                 assert got == expected and list(got.terms) == list(expected.terms)
 
@@ -382,7 +381,7 @@ def test_formal_lift_ordering_from_its_layout_is_the_term_loop_bit_for_bit(monke
             # the record holds no lift: it is the fiber's words and inversions
             terms = dict(newer.terms)
             del newer
-            assert _wordkit_py._last_record == (k, qc.fiber(k))
+            assert qc._last_record == (k, qc.fiber(k))
             ordered(FormalFreeElement(n, 2, terms), "loop")
             # another fiber evicts the record; the lift keeps its layout
             lift = deform.formal_ball_lift(k, 3)

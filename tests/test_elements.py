@@ -10,7 +10,6 @@ import pytest
 
 from qdomains import _mutate, deform, elements, randgen
 from qdomains import qcombinat as qc
-from qdomains._wordkit_py import fiber_stats
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import (
     FreeElement,
@@ -544,7 +543,7 @@ def test_lift_orderings_and_circ_norm_read_the_fiber_record():
                 circ = reference_circ_norm(f, 0.8)
                 for evict in (False, True):
                     qc.fiber((1,) * n if evict else k)
-                    assert (fiber_stats(f.terms, n) is None) == evict
+                    assert (qc._fiber_stats(f.terms, n) is None) == evict
                     got = normal_order(f, q)
                     assert same_bits(got, expected)
                     assert norm(f, NormSpec(FREE_BALL_CIRC, 0.8)) == circ

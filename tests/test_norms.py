@@ -27,8 +27,7 @@ from qdomains.norms import (
     omega,
 )
 
-from qdomains import _wordkit_py
-from qdomains._wordkit_py import _SCALAR_BATCH, _SCALAR_PROFILES
+from qdomains.qcombinat import _SCALAR_BATCH, _SCALAR_PROFILES
 
 from oracles import (reference_circ_norm, reference_laurent_norm, reference_qpoly_norm,
                      simplex_monomial_max)
@@ -251,19 +250,19 @@ def test_circ_norm_off_the_record_counts_profiles_only(monkeypatch):
     def no_inversions(*args):
         raise AssertionError("inversions counted for a norm")
 
-    monkeypatch.setattr(_wordkit_py, "_scan_stats", no_inversions)
-    monkeypatch.setattr(_wordkit_py, "inversions", no_inversions)
+    monkeypatch.setattr(qc, "_scan_stats", no_inversions)
+    monkeypatch.setattr(qc, "inversions", no_inversions)
     rng = Random("circ-off-record")
     padded = []   # the batch size of each numpy profile pass
-    padded_profiles = _wordkit_py._padded_profiles
-    monkeypatch.setattr(_wordkit_py, "_padded_profiles",
+    padded_profiles = qc._padded_profiles
+    monkeypatch.setattr(qc, "_padded_profiles",
                         lambda rows, n: padded.append(len(rows)) or padded_profiles(rows, n))
     for size in (1, _SCALAR_BATCH - 1, _SCALAR_BATCH, 3 * _SCALAR_BATCH,
                  _SCALAR_PROFILES - 1, _SCALAR_PROFILES):
         for n in (1, 2, 3):
             f = randgen.random_free(rng, n, max_len=6, terms=size)
             qc.fiber((1,) * (n + 1))   # a record of another alphabet size
-            assert _wordkit_py.fiber_stats(f.terms, n) is None
+            assert qc._fiber_stats(f.terms, n) is None
             for rho in (0.4, 1.3):
                 padded.clear()
                 assert norm(f, NormSpec(FREE_BALL_CIRC, rho)) == reference_circ_norm(f, rho)

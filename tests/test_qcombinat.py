@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 import qdomains
-from qdomains import _mutate, _wordkit_py, deform, randgen, spectral, suites
+from qdomains import _mutate, deform, randgen, spectral, suites
 from qdomains import qcombinat as qc
 from qdomains._held import held
-from qdomains._wordkit_py import _SCALAR_BATCH
 from qdomains.elements import ball_lift, normal_order, polydisk_lift
 from qdomains.norms import POLYDISK_L1, NormSpec
-from qdomains.qcombinat import EnumerationCapExceeded, QParam
+from qdomains.qcombinat import _SCALAR_BATCH, _SCALAR_PROFILES, EnumerationCapExceeded, QParam
 
 from oracles import (brute_fiber, brute_inversions, brute_mahonian_sum, brute_profile,
                      brute_sigma, direct_log_q_int, exact_ball_weight_sq, exact_log,
@@ -216,7 +215,7 @@ def test_every_table_kept_between_calls_is_held_under_one_policy():
     suites.run_all(seed=4321)
     grown = {name for name, value in _containers() if len(value) > sizes.get(name, 0)}
     # the one record of the fiber asked for last: two slots, replaced whole
-    assert grown <= {"_wordkit_py._last_record"} and len(_wordkit_py._last_record) == 2
+    assert grown <= {"qcombinat._last_record"} and len(qc._last_record) == 2
     for memo in memos.values():
         assert memo.total == sum(map(memo.size, memo.store.values())) <= memo.budget, memo
     # every weight reads its log-factorial table at a base folded into [0, 1]
@@ -470,7 +469,23 @@ def test_fiber_record_matches_brute_force(monkeypatch):
         assert list(ms) == [brute_inversions(w) for w in fiber]
         assert qc.fiber_words(k) == fiber
         assert qc.fiber_inversion_list(k) == list(ms)
-        assert _wordkit_py.fiber_inversions(k) == list(ms)
+
+
+def test_exponent_vectors_and_words_are_read_once():
+    # each function reads its argument once, so a one-pass iterator answers
+    # as the tuple and the list of the same values do
+    cases = [(qc.fiber_count, (2, 1), (), 3),
+             (qc.inv_distribution, (1, 1), (0.5,), (1.5, 1.5)),
+             (qc.weight_ball, (2, 1), (0.5,), pytest.approx(math.sqrt(1 / 21))),
+             (qc.weight_polydisk, (2, 1), (0.5,), 0.25),
+             (qc.weight_u, (2, 1), (0.5,), 0.25),
+             (qc.word_profile, (1, 2, 2), (2,), (1, 2)),
+             (qc.word_with_inversions, (1, 1), (0,), (1, 2)),
+             (qc.fiber_words, (1, 1), (), [(1, 2), (2, 1)])]
+    assert {f.__name__ for f, *_ in cases} <= set(qdomains.__all__)
+    for f, values, rest, expected in cases:
+        for arg in (values, list(values), iter(values)):
+            assert f(arg, *rest) == expected, (f.__name__, arg)
 
 
 def test_fiber_cap_holds_for_a_cached_record():
@@ -495,8 +510,8 @@ def test_fiber_cap_holds_for_a_cached_record():
 def _fresh_fiber_store(monkeypatch, bound):
     """An empty fiber store with the given bound and no record asked for
     last, restored after the test."""
-    monkeypatch.setattr(_wordkit_py, "_last_record", None)
-    return _fresh_store(monkeypatch, _wordkit_py._fiber_record, bound)
+    monkeypatch.setattr(qc, "_last_record", None)
+    return _fresh_store(monkeypatch, qc._fiber_record, bound)
 
 
 def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
@@ -511,7 +526,7 @@ def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
         words, ms = qc.fiber(k)
         sizes.append(((k,), len(words)))
         assert list(store) == reference_held_store(sizes, 400), k
-        assert _wordkit_py._fiber_record.total == sum(len(r[0]) for r in store.values()) <= 400
+        assert qc._fiber_record.total == sum(len(r[0]) for r in store.values()) <= 400
         # the record returned is the fiber, held or not
         assert list(words) == brute_fiber(k)
         assert list(ms) == [brute_inversions(w) for w in words]
@@ -521,13 +536,13 @@ def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
     record = qc.fiber((3, 3, 2))
     assert ((3, 3, 2),) not in store
     enumerated = []
-    enumerate_fiber = _wordkit_py._enumerate_fiber
-    monkeypatch.setattr(_wordkit_py, "_enumerate_fiber",
+    enumerate_fiber = qc._enumerate_fiber
+    monkeypatch.setattr(qc, "_enumerate_fiber",
                         lambda counts: enumerated.append(counts) or enumerate_fiber(counts))
     assert qc.fiber((3, 3, 2)) is record and enumerated == []
-    assert _wordkit_py.fiber_stats(record[0], 3) == ([(3, 3, 2)] * 560, list(record[1]))
+    assert qc._fiber_stats(record[0], 3) == ([(3, 3, 2)] * 560, list(record[1]))
     qc.fiber((2, 2, 2))
-    assert _wordkit_py.fiber_stats(record[0], 3) is None
+    assert qc._fiber_stats(record[0], 3) is None
     assert qc.fiber((3, 3, 2)) == record and enumerated == [(3, 3, 2)]
     assert ((3, 3, 2),) not in store
 
@@ -537,19 +552,19 @@ def test_fiber_store_records_are_fresh_enumerations():
     for k in profiles:
         qc.fiber(k)
     for k in profiles:
-        held = _wordkit_py._fiber_record.store.get((k,))
+        held = qc._fiber_record.store.get((k,))
         if held is not None:
-            assert held == _wordkit_py._enumerate_fiber(k)
+            assert held == qc._enumerate_fiber(k)
             assert qc.fiber(k) is held
 
 
 def test_fiber_store_serves_the_traffic_of_a_run(monkeypatch):
     # an oldest-first store smaller than a cyclic pass holds nothing that is
     # asked for again; at its own budget the store holds a whole run
-    store = _fresh_fiber_store(monkeypatch, _wordkit_py._fiber_record.budget)
+    store = _fresh_fiber_store(monkeypatch, qc._fiber_record.budget)
     enumerated = []
-    enumerate_fiber = _wordkit_py._enumerate_fiber
-    monkeypatch.setattr(_wordkit_py, "_enumerate_fiber",
+    enumerate_fiber = qc._enumerate_fiber
+    monkeypatch.setattr(qc, "_enumerate_fiber",
                         lambda counts: enumerated.append(counts) or enumerate_fiber(counts))
     suites.run_suite("lift-attainment")
     assert enumerated and len(enumerated) == len(set(enumerated)) == len(store)
@@ -572,7 +587,7 @@ def test_fiber_store_serves_the_traffic_of_a_run(monkeypatch):
             for lift in (ball_lift, polydisk_lift):
                 normal_order(lift(k, q), q)
         assert sorted(enumerated) == ([] if lift_pass else sorted(unheld))
-    held_fibers = _wordkit_py._fiber_record
+    held_fibers = qc._fiber_record
     assert held_fibers.total == sum(len(r[0]) for r in store.values()) <= held_fibers.budget
 
 
@@ -580,11 +595,11 @@ def test_fiber_stats_answers_only_for_the_profile_asked_last(monkeypatch):
     store = _fresh_fiber_store(monkeypatch, 10 ** 4)
     first, second = (2, 1, 2), (1, 2, 2)
     words = qc.fiber(first)[0]
-    assert _wordkit_py.fiber_stats(words, 3) == ([first] * len(words), list(qc.fiber(first)[1]))
+    assert qc._fiber_stats(words, 3) == ([first] * len(words), list(qc.fiber(first)[1]))
     qc.fiber(second)
-    assert (first,) in store and _wordkit_py.fiber_stats(words, 3) is None
+    assert (first,) in store and qc._fiber_stats(words, 3) is None
     qc.fiber(first)   # found in the store, not enumerated again
-    assert _wordkit_py.fiber_stats(words, 3) is not None
+    assert qc._fiber_stats(words, 3) is not None
 
 
 def test_fiber_cap_is_checked_before_the_store(monkeypatch):
@@ -593,11 +608,11 @@ def test_fiber_cap_is_checked_before_the_store(monkeypatch):
     record = qc.fiber(k)
     qc.fiber((1, 1))
     enumerated = []
-    enumerate_fiber = _wordkit_py._enumerate_fiber
-    monkeypatch.setattr(_wordkit_py, "_enumerate_fiber",
+    enumerate_fiber = qc._enumerate_fiber
+    monkeypatch.setattr(qc, "_enumerate_fiber",
                         lambda counts: enumerated.append(counts) or enumerate_fiber(counts))
     monkeypatch.setattr(qc, "ENUMERATION_CAP", 100)   # below the 126 words held
-    last = _wordkit_py._last_record
+    last = qc._last_record
     routes = (qc.fiber, qc.fiber_words, qc.fiber_inversion_list,
               lambda k: qc.inv_distribution(k, 0.5),
               lambda k: polydisk_lift(k, 0.5), lambda k: ball_lift(k, 0.5),
@@ -607,7 +622,7 @@ def test_fiber_cap_is_checked_before_the_store(monkeypatch):
             with pytest.raises(EnumerationCapExceeded):
                 route(k)
     # refused before any lookup: the record asked for last is still (1, 1)'s
-    assert _wordkit_py._last_record is last and last[0] == (1, 1) and enumerated == []
+    assert qc._last_record is last and last[0] == (1, 1) and enumerated == []
     monkeypatch.setattr(qc, "ENUMERATION_CAP", 10 ** 6)
     assert qc.fiber(k) is record and enumerated == []
 
@@ -616,14 +631,12 @@ def test_fiber_lists_are_fresh_copies():
     k = (2, 2, 1)
     words, ms = qc.fiber_words(k), qc.fiber_inversion_list(k)
     expected_words, expected_ms = list(words), list(ms)
-    for got in (words, ms, _wordkit_py.fiber_words(k), _wordkit_py.fiber_inversions(k)):
+    for got in (words, ms, qc.fiber_words(k), qc.fiber_inversion_list(k)):
         got.reverse()
         got[0] = None
         got.append(None)
     assert qc.fiber_words(k) == expected_words
     assert qc.fiber_inversion_list(k) == expected_ms
-    assert _wordkit_py.fiber_words(k) == expected_words
-    assert _wordkit_py.fiber_inversions(k) == expected_ms
     assert qc.fiber(k) == (tuple(expected_words), tuple(expected_ms))
 
 
@@ -838,17 +851,17 @@ def test_words_enumeration():
 def test_word_kernels_match_brute_force():
     for counts in ((2, 1), (1, 1, 1), (3, 2), (0, 2, 1), (0, 0), (3,), (3, 3, 3)):
         fiber = brute_fiber(counts)
-        assert _wordkit_py.fiber_words(counts) == fiber
-        assert _wordkit_py.fiber_inversions(counts) == [brute_inversions(w) for w in fiber]
+        assert qc.fiber_words(counts) == fiber
+        assert qc.fiber_inversion_list(counts) == [brute_inversions(w) for w in fiber]
         for q in (0.5, 1.3, cmath.exp(0.7j)):
-            assert _wordkit_py.mahonian_sum(counts, q) == pytest.approx(
+            assert qc._mahonian_sum(counts, q) == pytest.approx(
                 brute_mahonian_sum(counts, q), rel=1e-13)
-    assert _wordkit_py.mahonian_sum((0, 0), 0.5) == 1
+    assert qc._mahonian_sum((0, 0), 0.5) == 1
     for alpha in qc.words(3, 5):
-        assert _wordkit_py.inversions(alpha) == brute_inversions(alpha)
+        assert qc.inversions(alpha) == brute_inversions(alpha)
         switches = sum(1 for a, b in zip(alpha, alpha[1:]) if a != b)
-        assert _wordkit_py.switch_count(alpha) == (switches if len(alpha) > 1 else len(alpha) - 1)
-        assert _wordkit_py.word_profile(alpha, 3) == tuple(alpha.count(i) for i in (1, 2, 3))
+        assert qc.switch_count(alpha) == (switches if len(alpha) > 1 else len(alpha) - 1)
+        assert qc.word_profile(alpha, 3) == tuple(alpha.count(i) for i in (1, 2, 3))
 
 
 def _word_stats_both_routes(batch, n):
@@ -876,8 +889,6 @@ def test_word_stats_matches_brute_force():
             assert profiles == [tuple(w.count(i) for i in range(1, n + 1)) for w in batch]
             assert all(isinstance(m, int) for m in ms)
             assert all(isinstance(c, int) for p in profiles for c in p)
-        for chunk in (batch, batch[:_SCALAR_BATCH - 1], batch * _SCALAR_BATCH):
-            assert _wordkit_py.word_stats(chunk, n) == qc.word_stats(chunk, n)
     assert qc.word_stats([], 3) == ([], [])
     for batch, n, expected in (([()], 2, ([(0, 0)], [0])),
                                ([(2, 2, 2)], 2, ([(0, 3)], [0]))):
@@ -887,30 +898,34 @@ def test_word_stats_matches_brute_force():
     for k in ((4,), (2, 3), (1, 2, 2), (2, 0, 1, 2)):
         n = len(k)
         batch = list(qc.fiber(k)[0])[::-1]
-        assert _wordkit_py.fiber_stats(batch, n) is not None
+        assert qc._fiber_stats(batch, n) is not None
         assert qc.word_stats(batch, n) == ([brute_profile(w, n) for w in batch],
                                            [brute_inversions(w) for w in batch])
     # letters far above int8; lists as well as tuples
     for got in _word_stats_both_routes([[300, 2], (1,)], 300):
         assert got[1] == [1, 0]
-    # letters 0, n + 1 and -1 are rejected on both routes
-    for bad in ([(0, 1)], [(3,)], [(1,), (-1, 2)], [(1, 2), (2, 2, 3)]):
-        for batch in (bad, bad * _SCALAR_BATCH):
-            with pytest.raises(ValueError):
-                qc.word_stats(batch, 2)
+    # letters 0, n + 1 and -1, and letters that are no int in 1..n (1.5, '1',
+    # 2**70, which an int64 array would truncate, parse or overflow on), are
+    # rejected on every route with one message
+    for bad in ([(0, 1)], [(3,)], [(1,), (-1, 2)], [(1, 2), (2, 2, 3)],
+                [(1.5,)], [("1",)], [(2 ** 70,)]):
+        for batch in (bad, bad * _SCALAR_BATCH, bad * _SCALAR_PROFILES):
+            for route in (qc.word_stats, qc.word_profiles):
+                with pytest.raises(ValueError, match="letters must lie in 1..n"):
+                    route(batch, 2)
 
 
 def _counted_scans(monkeypatch):
     """Record the size of every batch whose statistics are computed, not
     read from the fiber record."""
     sizes = []
-    scan = _wordkit_py._scan_stats
+    scan = qc._scan_stats
 
     def counted(words, n):
         sizes.append(len(words))
         return scan(words, n)
 
-    monkeypatch.setattr(_wordkit_py, "_scan_stats", counted)
+    monkeypatch.setattr(qc, "_scan_stats", counted)
     return sizes
 
 
@@ -929,7 +944,7 @@ def test_word_stats_reads_the_cached_fiber_record(monkeypatch):
         profiles, got = qc.word_stats(batch, 3)
         assert (profiles, got) == _brute_stats(batch, 3)
         assert all(type(c) is int for c in profiles[0]) and all(type(m) is int for m in got)
-    assert _wordkit_py.word_stats(words, 3) == ([k] * len(words), list(ms))
+    assert qc.word_stats(words, 3) == ([k] * len(words), list(ms))
     assert scans == []
     # another fiber evicts the record: the same batch is computed again
     qc.fiber((1, 1, 1))
@@ -953,7 +968,7 @@ def test_word_stats_falls_back_off_the_record(monkeypatch):
     ]
     scans = _counted_scans(monkeypatch)
     for batch, n in cases:
-        assert _wordkit_py.fiber_stats(batch, n) is None
+        assert qc._fiber_stats(batch, n) is None
         assert qc.word_stats(batch, n) == _brute_stats(batch, n)
     assert scans == [len(batch) for batch, _ in cases]
     # a foreign word with letters outside 1..n is still rejected
@@ -972,7 +987,7 @@ def test_fiber_stats_reads_the_record_by_layout_or_bisection(monkeypatch):
         batches = (words, list(words), dict.fromkeys(words, 1.0), [words[-1]], [words[0]],
                    list(words[::7]), words[::-1], words[1:] + words[:1])
         for batch in batches:
-            got = _wordkit_py.fiber_stats(batch, n)
+            got = qc._fiber_stats(batch, n)
             assert got == ([k] * len(batch), [brute_inversions(w) for w in batch])
             assert type(got[1]) is list and all(type(m) is int for m in got[1])
 
@@ -997,16 +1012,16 @@ def test_fiber_stats_refuses_look_alikes_of_the_record(monkeypatch):
         [],
     ]
     for batch in look_alikes:
-        assert _wordkit_py.fiber_stats(batch, 3) is None
+        assert qc._fiber_stats(batch, 3) is None
         if all(isinstance(w, tuple) for w in batch):
             assert qc.word_stats(batch, 3) == ([brute_profile(w, 3) for w in batch],
                                                [brute_inversions(w) for w in batch])
     # the same words, once another fiber is asked for, or at another n
     qc.fiber((1, 1, 1))
     for batch in (words, words[:1]):
-        assert _wordkit_py.fiber_stats(batch, 3) is None
+        assert qc._fiber_stats(batch, 3) is None
     qc.fiber(k)
-    assert _wordkit_py.fiber_stats(words, 4) is None
+    assert qc._fiber_stats(words, 4) is None
 
 
 def test_fiber_record_of_numpy_counts_gives_int_profiles(monkeypatch):
