@@ -20,8 +20,8 @@ import numpy as np
 from qdomains import _mutate
 from qdomains import qcombinat as qc
 from qdomains.deform_types import FormalFreeElement, HSeriesElement, _LiftTerms
-from qdomains.elements import (LaurentElement, QPolynomial, _Checked, _CheckedComplex,
-                               _plain_mul, _twisted_mul, qpoly_mul)
+from qdomains.elements import (LaurentElement, QPolynomial, _Checked, _plain_mul,
+                               _twisted_mul, qpoly_mul)
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 from qdomains.qcombinat import sigma
 
@@ -76,14 +76,14 @@ def star_product(f: HSeriesElement, g: HSeriesElement,
     out = _twisted_mul([(k, p, c) for (p, k), c in f.terms.items() if p <= order],
                        [(k, p, c) for (p, k), c in g.terms.items()],
                        spread)
-    return HSeriesElement(f.n, order, _CheckedComplex({(p, k): c for (k, p), c in out.items()}))
+    return HSeriesElement(f.n, order, _Checked({(p, k): c for (k, p), c in out.items()}))
 
 
 def evaluate_h(f: HSeriesElement, h: float) -> QPolynomial:
     """Substitute the numeric h, landing in the fiber algebra at q = exp(ih)."""
     out = _Checked()
     for (p, k), c in f.terms.items():
-        out[k] = out.get(k, 0.0) + c * h ** p
+        out[k] = out.get(k, 0.0) + c * complex(h ** p)
     return QPolynomial(f.n, cmath.exp(1j * h), out)
 
 
@@ -113,7 +113,7 @@ def quantization_defect(f: QPolynomial, g: QPolynomial, h: float,
     """|| (f_h g_h - g_h f_h)/h - i {f,g}_h || in the fiber at q = exp(ih).
 
     f and g are commutative polynomials (q = 1); the caller's spec selects
-    the family and rho, and its q (if any) is replaced by exp(ih).
+    the family and rho, and the norm reads q = exp(ih) off the defect.
     """
     if h == 0:
         raise ValueError("the defect is a difference quotient; h must be nonzero")
@@ -121,8 +121,7 @@ def quantization_defect(f: QPolynomial, g: QPolynomial, h: float,
     out = _plain_mul(f, g, lambda g1, g2, s_lk, s_kl: ((None, _phi_defect(s_kl, s_lk, h)),),
                      both_sigmas=True)
     defect = QPolynomial(f.n, cmath.exp(1j * h), out)
-    fiber_spec = NormSpec(spec.family, spec.rho, spec.tau, spec.order, None)
-    return norm(defect, fiber_spec)
+    return norm(defect, spec)
 
 
 def commutator_defect(f: QPolynomial, g: QPolynomial, h: float,
@@ -136,8 +135,7 @@ def commutator_defect(f: QPolynomial, g: QPolynomial, h: float,
     bracket = poisson_bracket(f, g)
     bracket_h = QPolynomial(f.n, q_h, _Checked(bracket.terms))
     diff = (1.0 / h) * (qpoly_mul(f_h, g_h) - qpoly_mul(g_h, f_h)) - 1j * bracket_h
-    fiber_spec = NormSpec(spec.family, spec.rho, spec.tau, spec.order, None)
-    return norm(diff, fiber_spec)
+    return norm(diff, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +238,7 @@ def _lift_ordering(n: int, order: int, terms: _LiftTerms) -> HSeriesElement:
         np.take(table, chunk, axis=0, out=acc[1:])
         sums = np.cumsum(acc, axis=0, out=acc)[-1]
     re, im = sums.tolist()
-    return HSeriesElement(n, order, _CheckedComplex(
+    return HSeriesElement(n, order, _Checked(
         {(h, terms.counts): complex(x, y) for h, (x, y) in enumerate(zip(re, im))}))
 
 

@@ -37,13 +37,11 @@ of polydisk_lift and ball_lift; in deform the (h-power, profile) keys of
 normal_order_formal and star_product, the profiles of evaluate_h and the
 fiber copies of commutator_defect; serialize.document_to_element, which
 checked each key as it read it; and the randgen generators, which draw
-their keys from qcombinat.multi_indices and their own word pool.  They hand their terms
-over as a _Checked mapping, which construction takes over (see _Checked);
-it still runs through each class's __init__ and drops exact zeros.  Those
-whose values are complex by construction (the products, + and -,
-normal_order, tau_flip, fiber_eval, homogeneous_component and the lifts
-here; in deform star_product and normal_order_formal) hand them over as a
-_CheckedComplex, whose values construction does not scan for their type.
+their keys from qcombinat.multi_indices and their own word pool.  They
+hand their terms over as a _Checked mapping, whose values each builder
+makes complex where it forms them (scalar * converts its scalar once,
+evaluate_h each power of h); construction takes the map over (see
+_Checked), still through each class's __init__, and drops exact zeros.
 deform.formal_ball_lift hands over its (h-power, fiber word) keys and
 their values as two lists in a deform_types._LiftTerms, which
 FormalFreeElement takes as its terms as they are (_adopted).
@@ -82,21 +80,15 @@ __all__ = [
 
 class _Checked(dict):
     """Terms whose keys were built from keys already checked, as tuples of
-    ints of the right shape and range; _setup takes the keys as they are.
+    ints of the right shape and range, and whose values are complex by
+    construction (a sum of complex products, complex(re, im), a product
+    with QParam.power): _setup takes both as they are and tests only for
+    zeros.
 
-    Construction takes ownership of the map: when every value is a nonzero
-    complex, the element's terms are a read-only view of this very dict,
-    so its builder makes a fresh one and never touches it afterwards.  Any
-    other map is copied, with its numbers made complex and exact zeros
-    dropped."""
-
-    __slots__ = ()
-
-
-class _CheckedComplex(_Checked):
-    """_Checked terms whose every value is a complex by construction (a sum
-    of complex products, complex(re, im), a product with QParam.power):
-    _setup takes the values' type as given and tests only for zeros."""
+    Construction takes ownership of the map: when every value is nonzero,
+    the element's terms are a read-only view of this very dict, so its
+    builder makes a fresh one and never touches it afterwards.  A map with
+    an exact zero is copied without it."""
 
     __slots__ = ()
 
@@ -143,9 +135,8 @@ class _SparseElement:
         for name, value in zip(self._fields, params):
             object.__setattr__(self, name, value)
         kind = type(terms)
-        if kind is _Checked or kind is _CheckedComplex:
-            if all(terms.values()) and (kind is _CheckedComplex
-                                        or set(map(type, terms.values())) <= {complex}):
+        if kind is _Checked:
+            if all(terms.values()):
                 # already clean: adopted as it is, not copied
                 object.__setattr__(self, "terms", MappingProxyType(terms))
                 return
@@ -179,7 +170,7 @@ class _SparseElement:
 
     def _merge(self, other, op):
         self._check_compatible(other)
-        terms = _CheckedComplex(self.terms)
+        terms = _Checked(self.terms)
         for key, c in other.terms.items():
             terms[key] = op(terms.get(key, 0.0), c)
         return self._like(terms)
@@ -193,6 +184,7 @@ class _SparseElement:
     def __mul__(self, scalar):
         if not isinstance(scalar, Number):
             return NotImplemented
+        scalar = complex(scalar)
         return self._like(_Checked({key: c * scalar for key, c in self.terms.items()}))
 
     __rmul__ = __mul__
@@ -394,7 +386,7 @@ def _pair(k: tuple, l: tuple) -> tuple:
 
 
 def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
-                 both_sigmas: bool = False) -> _CheckedComplex:
+                 both_sigmas: bool = False) -> _Checked:
     """Bilinear product of (k, grade, c) term lists, grade being a z- or
     h-power or None, under x^k x^l = phase x^{k+l}.
 
@@ -418,7 +410,7 @@ def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
             return out
     pairs = _pair.store
     cache: dict = {}
-    out = _CheckedComplex()
+    out = _Checked()
     for k, g, ck in a:
         for l, h, cl in b:
             key, s_lk, s_kl, degree = pairs.get((k, l)) or _pair(k, l)
@@ -443,7 +435,7 @@ def _ids(values) -> tuple:
 
 
 def _twisted_mul_arrays(a, b, rule: Callable, degree_cap: int | None,
-                        both_sigmas: bool) -> _CheckedComplex | None:
+                        both_sigmas: bool) -> _Checked | None:
     """The map of the _twisted_mul pair loop, formed with numpy; None when
     an exponent sum, a sigma, a grade or a slot code would not fit int64.
 
@@ -536,7 +528,7 @@ def _twisted_mul_arrays(a, b, rule: Callable, degree_cap: int | None,
     keys = zip(*(K[i[pair]] + L[j[pair]]).T.tolist())
     if graded:
         keys = zip(keys, map(grades.__getitem__, entry[first].tolist()))
-    return _CheckedComplex(zip(keys, map(complex, re, im)))
+    return _Checked(zip(keys, map(complex, re, im)))
 
 
 def _plain_mul(a: QPolynomial, b: QPolynomial, rule: Callable,
@@ -561,7 +553,7 @@ def qpoly_mul(a: QPolynomial, b: QPolynomial, degree_cap: int | None = None) -> 
 def free_mul(a: FreeElement, b: FreeElement, length_cap: int | None = None) -> FreeElement:
     """Concatenation product."""
     a._check_compatible(b)
-    out = _CheckedComplex()
+    out = _Checked()
     for alpha, ca in a.terms.items():
         for beta, cb in b.terms.items():
             word = alpha + beta
@@ -588,7 +580,7 @@ def normal_order(f: FreeElement, q) -> QPolynomial:
     """Push a free element onto the q-plane: zeta_alpha -> q^{-m(alpha)} x^{p(alpha)},
     each phase from QParam.power, as in qpoly_mul."""
     qp = as_qparam(q)
-    out = _CheckedComplex()
+    out = _Checked()
     profiles, ms = qc.word_stats(f.terms, f.n)
     phases: dict = {}   # m -> q^{-m}: a lift's thousands of words share few m
     if profiles and profiles.count(profiles[0]) == len(profiles):
@@ -613,7 +605,7 @@ def tau_flip(a: QPolynomial) -> QPolynomial:
     On monomials: x^k -> q^{cross_degree(k)} x^{reverse(k)}; applying it
     twice returns the original element.  Each power is QParam.power's.
     """
-    out = _CheckedComplex()
+    out = _Checked()
     for k, c in a.terms.items():
         out[tuple(reversed(k))] = c * a.q.power(qc.cross_degree(k))
     return QPolynomial(a.n, a.q.inverse(), out)
@@ -623,7 +615,7 @@ def homogeneous_component(a: QPolynomial, i: int) -> QPolynomial:
     """The degree-i part: sum of c_k x^k over |k| = i."""
     if i < 0:
         raise ValueError("component index must be nonnegative")
-    return QPolynomial(a.n, a.q, _CheckedComplex({k: c for k, c in a.terms.items()
+    return QPolynomial(a.n, a.q, _Checked({k: c for k, c in a.terms.items()
                                                   if sum(k) == i}))
 
 
@@ -631,7 +623,7 @@ def fiber_eval(a: LaurentElement, q) -> QPolynomial:
     """Evaluate z -> q, landing in the q-plane algebra at parameter q; each
     power of q is QParam.power's."""
     qp = as_qparam(q)
-    out = _CheckedComplex()
+    out = _Checked()
     for (k, p), c in a.terms.items():
         out[k] = out.get(k, 0.0) + c * qp.power(p)
     return QPolynomial(a.n, qp, out)
@@ -640,7 +632,7 @@ def fiber_eval(a: LaurentElement, q) -> QPolynomial:
 def laurent_word(n: int, alpha: Sequence[int]) -> LaurentElement:
     """x_alpha built by multiplying Laurent generators; equals x^{p(alpha)} z^{-m(alpha)}."""
     alpha = _word(alpha, n)
-    generators = [LaurentElement(n, _Checked({(tuple(int(i == a) for i in range(n)), 0): 1.0}))
+    generators = [LaurentElement(n, _Checked({(tuple(int(i == a) for i in range(n)), 0): 1 + 0j}))
                   for a in range(n)]
     acc = LaurentElement.one(n)
     for a in alpha:
@@ -679,7 +671,7 @@ def polydisk_lift(k: Sequence[int], q) -> FreeElement:
         # distinct m lie more than 1e-15 apart: the first word of least
         # m log|q|, of least m for |q| > 1 and of greatest m for |q| < 1
         best = ms.index(min(ms) if log_modulus > 0.0 else max(ms))
-    return FreeElement(len(k), _CheckedComplex(
+    return FreeElement(len(k), _Checked(
         {words[best]: _mutate.scale("polydisk-lift-coefficient", qp.power(ms[best]))}))
 
 
@@ -714,7 +706,7 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
                                   (w / total) * qp.power(m) if w >= sys.float_info.min
                                   else math.exp(-m * log_modulus - log_sum) * unit ** m)
                     for m, w in enumerate(raw)]
-    lift = FreeElement(len(k), _CheckedComplex(zip(words, map(coefficients.__getitem__, ms))))
+    lift = FreeElement(len(k), _Checked(zip(words, map(coefficients.__getitem__, ms))))
     if len(lift.terms) < len(words):
         raise OverflowError(f"a ball_lift coefficient of {k} at q = {qp.value!r} "
                             "is below the float range")

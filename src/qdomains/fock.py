@@ -19,7 +19,9 @@ in one array pass, from tables of the one-letter factors sqrt(1-q^{2s})
 and of the powers of q, multiplied in the step route's order.  It forms
 the normal matrix M^H M of the truncated operator M from M's shift
 structure, with no dense matrix product.  The tests hold it to the
-letter-by-letter matrix of tests/oracles.py.
+letter-by-letter matrix of tests/oracles.py.  Every route that takes an
+element raises ValueError, naming both, where the element's q is not the
+representation's.
 
 The closed form's letter tables, domains, columns c_m, shift pairs and
 pair plans are read-only arrays held under _held.held, up to 2**16 entries
@@ -96,6 +98,13 @@ def fock_apply_generator(j: int, k: Sequence[int], trunc: FockTruncation):
     return _generator_coefficient(j, k, trunc.q), target
 
 
+def _require_q(a: QPolynomial, q: float) -> None:
+    # the representation acts on the algebra at its own q only
+    if a.q.value != q:
+        raise ValueError(f"the element's q = {a.q.value!r} is not the "
+                         f"representation's q = {q!r}")
+
+
 def _apply_monomial(m: Sequence[int], k: Sequence[int], q: float):
     # x^m e_k: generator letters applied with the x_n block first
     coeff = 1.0
@@ -111,6 +120,7 @@ def fock_apply(a: QPolynomial, v: Mapping, trunc: FockTruncation) -> dict:
     """Linear action of a polynomial on a vector (an index -> amplitude map)."""
     if a.n != trunc.n:
         raise ValueError("dimension mismatch")
+    _require_q(a, trunc.q)
     limit = trunc.degree + trunc.reach
     out: dict = {}
     for m, c in a.terms.items():
@@ -134,6 +144,7 @@ def vacuum_image(k: Sequence[int], q: float) -> float:
 
 def vacuum_vector_image(a: QPolynomial, q: float, rho: float = 1.0) -> dict:
     """pi(gamma_rho(a)) e_0 computed by composing generator steps."""
+    _require_q(a, q)
     out: dict = {}
     for m, c in a.terms.items():
         coeff, target = _apply_monomial(m, (0,) * a.n, q)
@@ -266,6 +277,7 @@ def _lower_bounds(a: QPolynomial, q: float, rho: float, degrees: Sequence[int]) 
     normal matrix at the largest d.  The columns |k| <= d map into the rows
     |k| <= d + deg a, so the truncation at d has as its normal matrix the
     principal sub-block of N on those columns."""
+    _require_q(a, q)
     top = max(degrees)
     lower = _normal_lower(a, q, rho, top)
     totals = _domain(a.n, top)[0].sum(axis=1)
@@ -285,10 +297,12 @@ def op_norm_bounds(a: QPolynomial, q: float, rho: float, degree: int) -> OpNormB
     ||pi(gamma_rho(a)) e_0||, a second lower bound.  A negative degree
     raises ValueError, and a truncated operator of more than
     qcombinat.ENUMERATION_CAP entries raises EnumerationCapExceeded before
-    anything is allocated.
+    anything is allocated.  An element at another q than q raises
+    ValueError naming both.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("the representation needs 0 < q < 1")
+    _require_q(a, q)
     if degree < 0:
         raise ValueError("truncation degree must be nonnegative")
     spec = NormSpec(POLYDISK_L1, rho)   # rejects a rho that is not finite and positive

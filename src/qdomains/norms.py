@@ -32,7 +32,6 @@ from qdomains import qcombinat as qc
 from qdomains._held import held
 from qdomains.deform_types import HSeriesElement
 from qdomains.elements import FreeElement, LaurentElement, QPolynomial
-from qdomains.qcombinat import QParam, as_qparam
 
 __all__ = [
     "FAMILIES",
@@ -81,15 +80,14 @@ class NormSpec:
     """Selects one norm family with its parameters.
 
     rho applies to every family; tau to free-polydisk and laurent; order
-    (the truncation N) to formal.  q, when given, is cross-checked against
-    the q carried by the measured element.
+    (the truncation N) to formal.  A q-plane norm reads the q of the
+    element it measures.
     """
 
     family: str
     rho: float
     tau: float = 1.0
     order: int = 0
-    q: QParam | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -100,16 +98,9 @@ class NormSpec:
             raise ValueError(f"tau must be finite and at least 1, got {self.tau!r}")
         if self.order < 0:
             raise ValueError("truncation order must be nonnegative")
-        if self.q is not None and not isinstance(self.q, QParam):
-            object.__setattr__(self, "q", as_qparam(self.q))
 
     def with_rho(self, rho: float) -> "NormSpec":
-        return NormSpec(self.family, rho, self.tau, self.order, self.q)
-
-
-def _check_q(spec: NormSpec, q: QParam):
-    if spec.q is not None and not spec.q.isclose(q):
-        raise ValueError("norm spec q does not match the element's q")
+        return NormSpec(self.family, rho, self.tau, self.order)
 
 
 def _monomial_log_norms(keys: Sequence[Sequence[int]], family: str, rho: float, q) -> list:
@@ -200,7 +191,6 @@ def _held_factors(family: str, rho: float, modulus: float, mutation: str,
 
 
 def _qpoly_norm(a: QPolynomial, spec: NormSpec) -> float:
-    _check_q(spec, a.q)
     family, rho, modulus = spec.family, spec.rho, a.q.modulus
     pool, top = _pool(a.n, a.terms)
     if top is None:

@@ -245,6 +245,8 @@ def sigma(k: Sequence[int], ell: Sequence[int]) -> int:
 
 def cross_degree(k: Sequence[int]) -> int:
     """sum_{i<j} k_i * k_j, as ((sum k)^2 - sum k^2) / 2."""
+    if type(k) is not tuple:
+        k = tuple(k)
     total = sum(k)
     return (total * total - sum(map(mul, k, k))) // 2
 
@@ -255,11 +257,17 @@ def cross_degree(k: Sequence[int]) -> int:
 # Every polydisk and ball weight is read through the batch routes
 # weight_polydisk_logs and weight_ball_logs, which the q-plane norms call
 # once per element; the scalar forms are their one-key case.  Each batch
-# makes one call to its mutation hook.
+# makes one call to its mutation hook, and reads its keys once (_key_list).
+
+def _key_list(keys) -> list:
+    """keys as a list of tuples, each read once; a tuple is taken as it is."""
+    return [k if type(k) is tuple else tuple(k) for k in keys]
+
 
 def weight_polydisk_logs(keys: Sequence[Sequence[int]], q) -> list:
     """log w_q(k) for each exponent vector k in keys: 0 for |q| >= 1,
     else cross_degree(k) log|q|."""
+    keys = _key_list(keys)
     qp = as_qparam(q)
     if qp.modulus >= 1.0:
         logs = [0.0] * len(keys)
@@ -293,6 +301,7 @@ def weight_ball_logs(keys: Sequence[Sequence[int]], q) -> list:
     table of s = min(t, 1/t).  At |q| > 1 the fold [j]_t = t**(j-1) [j]_s
     gives the paper's second form ([k]_s! / [|k|]_s!)**(1/2): its factor
     t**(-cross(k)/2) cancels u_q(k), so only |q| < 1 adds cross(k) log|q|."""
+    keys = _key_list(keys)
     qp = as_qparam(q)
     log_modulus = min(qp.log_modulus, 0.0)
     # a negative entry would read the table from its end
@@ -319,26 +328,24 @@ def weight_ball(k: Sequence[int], q) -> float:
 # lexicographic order and their inversion numbers, as tuples, both from one
 # recursion on the first letter (_enumerate_fiber); no statistics pass runs
 # over the words.  The records are held by profile under _held.held while
-# they add up to at most 2**16 words (_fiber_record).  Besides, the record of
-# the profile asked for last is kept, held or not, until another profile is
-# asked for (_last_record); it is let go before the next one is enumerated,
-# so the two are not alive at once unless the store holds the old one.  So
-# the lifts of one x^k, its fiber lists and its Mahonian sum share a single
-# enumeration, and a later call for a held profile finds its record.  The
-# record holds no element's data: a formal lift keeps its own layout
+# they add up to at most 2**16 words (_fiber_record), and the store is their
+# only home: a record over the budget is returned unheld and let go with its
+# last reference.  So the lifts of one x^k, its fiber lists and its Mahonian
+# sum share a single enumeration while its record is held.  The record holds
+# no element's data: a formal lift keeps its own layout
 # (deform_types._LiftTerms).
 #
-# The record of the profile asked for last also answers word_stats and
-# word_profiles: a batch of words of that fiber (the words of a lift of x^k,
-# in any order and any number) has profile k and the recorded inversion
-# numbers (_fiber_stats); membership in the fiber already fixes every
-# letter.  A batch off the record (a foreign word anywhere in it, a word that
-# is not a tuple, an empty batch, another n, or no record) is computed
-# (_scan_stats): by the scalar loops, word by word, below _SCALAR_BATCH words,
-# else in one numpy pass over the words left-padded with 0 into one integer
-# array.  A numpy pass has a fixed cost of about 30-60 us, while the scalar
-# loops take 3-6 us per word of 4-12 letters, so they are faster up to about
-# 16-20 words (timeit, 2-letter to 6-letter alphabets); the normal orderings
+# A held record also answers word_stats and word_profiles: a batch of words
+# of one held fiber (the words of a lift of x^k, in any order and any
+# number) has profile k and the recorded inversion numbers (_fiber_stats,
+# which looks the record up under the profile of the batch's first word);
+# membership in the fiber already fixes every letter.  A batch off the
+# store (a foreign word anywhere in it, a word that is not a tuple, an
+# empty batch, or a fiber not held) is computed (_scan_stats): by the
+# scalar loops, word by word, below _SCALAR_BATCH words, else in one numpy
+# pass over the words left-padded with 0 into one integer array.  A numpy
+# pass has a fixed cost of about 30-60 us, while the scalar loops take 3-6
+# us per word of 4-12 letters, so they are faster up to about 16-20 words (timeit, 2-letter to 6-letter alphabets); the normal orderings
 # and norms of the 4-6 term elements that the suites check make tens of
 # thousands of such calls.  The profiles alone (word_profiles, for the circ
 # norm) have their own cutoff, _SCALAR_PROFILES.  numpy is imported on the
@@ -384,23 +391,23 @@ _SCALAR_BATCH = 20
 # 36-44 us)
 _SCALAR_PROFILES = 50
 
-# The record of the profile asked for last: (counts, (words, inversions)).
-_last_record = None
-
-
 def _fiber_stats(words, n):
-    """(profiles, inversions) of words over letters 1..n read from the
-    record of the fiber asked for last, or None unless there is one, every
-    word is a word of that fiber and the fiber has n letters.  words
-    may be any sized iterable of words, a mapping keyed by words among
-    them.  A batch that is the record's own word sequence (as the terms of
-    a ball lift are) takes its inversion numbers as they are, after one
-    C-level comparison; any other batch finds each word by bisection, as the
-    record is in lexicographic order."""
-    record = _last_record
-    if record is None or len(record[0]) != n:
+    """(profiles, inversions) of words over letters 1..n read from the held
+    record of the fiber of the first word, or None unless that record is
+    held and every word is a word of it.  words may be any sized iterable
+    of words, a mapping keyed by words among them.  A batch that is the
+    record's own word sequence (as the terms of a ball lift are) takes its
+    inversion numbers as they are, after one C-level comparison; any other
+    batch finds each word by bisection, as the record is in lexicographic
+    order."""
+    first = next(iter(words), None)
+    if type(first) is not tuple:
         return None
-    counts, (record_words, record_ms) = record
+    counts = tuple(map(first.count, range(1, n + 1)))
+    record = _fiber_record.store.get((counts,))
+    if record is None:
+        return None
+    record_words, record_ms = record
     size = len(words)
     try:
         if size == len(record_words) and tuple(words) == record_words:
@@ -414,9 +421,7 @@ def _fiber_stats(words, n):
     # a word that does not compare with a tuple (a list, an array)
     except (TypeError, ValueError):
         return None
-    if not ms:
-        return None
-    return [counts] * len(ms), ms
+    return [counts] * size, ms
 
 
 def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
@@ -425,8 +430,8 @@ def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
 
     profiles[i] is word_profile(words[i], n) and inversions[i] is
     inversions(words[i]); words may also be a mapping keyed by words, such
-    as an element's terms.  A batch of words of the fiber asked for last is
-    read from its record, any other is computed and raises ValueError unless
+    as an element's terms.  A batch of words of one held fiber is read from
+    its record, any other is computed and raises ValueError unless
     every letter equals an int in 1..n (see the notes above word_profile)."""
     stats = _fiber_stats(words, n)
     if stats is not None:
@@ -580,18 +585,13 @@ def _fiber_record(counts):
 def fiber(k: Sequence[int]) -> tuple:
     """The fiber record (words, inversions) of p^{-1}(k), both tuples: every
     word alpha with p(alpha) = k once, in lexicographic order, and m(alpha)
-    of each.  A later call for a held profile, or for the profile asked for
-    last, returns the same record (see the notes above word_profile).
-    Every call, held or not, raises EnumerationCapExceeded for a fiber of
-    more than ENUMERATION_CAP words, before any lookup or enumeration."""
-    global _last_record
+    of each.  A later call for a held profile returns the same record (see
+    the notes above word_profile).  Every call, held or not, raises
+    EnumerationCapExceeded for a fiber of more than ENUMERATION_CAP words,
+    before any lookup or enumeration."""
     counts = tuple(map(index, k))
     _check_fiber_cap(counts)
-    if _last_record is None or _last_record[0] != counts:
-        # let the last record go before enumerating
-        _last_record = None
-        _last_record = (counts, _fiber_record(counts))
-    return _last_record[1]
+    return _fiber_record(counts)
 
 
 def fiber_words(k: Sequence[int]) -> list:

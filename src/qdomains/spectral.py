@@ -85,11 +85,10 @@ def coordinate_tuple(n: int, spec: NormSpec, p, max_depth: int = 8, q=None) -> T
     if FAMILY_TYPES[spec.family] is FreeElement:
         gens = FreeElement.generators(n)
     else:
-        qq = q if q is not None else (spec.q.value if spec.q is not None else None)
-        if qq is None:
+        if q is None:
             raise ValueError("coordinate tuple in a q-polynomial family needs q")
         _check_coordinate_cap(n, max_depth)
-        gens = QPolynomial.coordinates(n, qq)
+        gens = QPolynomial.coordinates(n, q)
     return TupleSpec(tuple(gens), spec, p, max_depth)
 
 
@@ -318,6 +317,6 @@ def poincare_gap(n: int, q, rho: float, depth: int) -> PoincareGap:
         raise ValueError("the polydisk/ball gap needs |q| = 1")
     if depth < 4:
         raise ValueError("depth must be at least 4")
-    poly = coordinate_tuple(n, NormSpec(POLYDISK_L1, rho), 2, depth, q=qp.value)
-    ball = coordinate_tuple(n, NormSpec(BALL, rho), 2, depth, q=qp.value)
+    poly = coordinate_tuple(n, NormSpec(POLYDISK_L1, rho), 2, depth, q=qp)
+    ball = coordinate_tuple(n, NormSpec(BALL, rho), 2, depth, q=qp)
     return PoincareGap(radius_estimate(poly, depth), radius_estimate(ball, depth))

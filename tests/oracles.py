@@ -697,6 +697,19 @@ def same_bits(got, expected) -> bool:
             and list(map(repr, got.terms.values())) == list(map(repr, expected.terms.values())))
 
 
+def empty_fiber_store(monkeypatch, budget=None):
+    """Give qcombinat's held fiber records an empty store, with the given
+    budget or the one in force, so that no record is held until one is
+    asked for again; the store is restored after the test.  Returns the
+    new store."""
+    memo = qc._fiber_record
+    monkeypatch.setattr(memo, "store", {})
+    monkeypatch.setattr(memo, "total", 0)
+    if budget is not None:
+        monkeypatch.setattr(memo, "budget", budget)
+    return memo.store
+
+
 # ---------------------------------------------------------------------------
 # Python 3.12's builtin sum, as a stand-in under any interpreter
 

@@ -428,6 +428,22 @@ def test_fock_norm_q_is_parsed_like_the_other_commands(qpoly_doc, capsys, value,
     assert capsys.readouterr().out == real_part_only
 
 
+def test_fock_norm_refuses_a_q_other_than_the_documents(tmp_path, capsys):
+    # upper was the norm at the document's q, and lower and vacuum were
+    # computed at --q: lower 0.4632 came out above upper 0.2001
+    doc = write(tmp_path, "a.json", {"kind": "qpoly", "n": 2, "q": {"re": 0.2},
+                                     "terms": [{"k": [1, 1], "c": {"re": 1}},
+                                               {"k": [2, 3], "c": {"re": 1}}]})
+    argv = ["fock-norm", "--in", doc, "--rho", "1", "--depth", "8"]
+    assert cli.main(argv + ["--q", "0.9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.strip() == (
+        "error: the element's q = (0.2+0j) is not the representation's q = 0.9")
+    assert cli.main(argv + ["--q", "0.2"]) == 0
+    bounds = json.loads(capsys.readouterr().out)
+    assert bounds["vacuum"] <= bounds["lower"] + 1e-12 <= bounds["upper"] + 2e-12
+
+
 def test_fock_generator_mutation_reaches_the_lower_bound(tmp_path):
     # lower comes from the closed-form columns alone, so it moves only if the
     # mutation hook sits on their one-letter factor
@@ -808,14 +824,19 @@ def _fresh_cli(requests):
 
 # One interpreter on numpy-free requests: put sys.argv[1] first on the path,
 # run each argv of sys.argv[2] through cli.main in process, then word_stats
-# of a batch read from the fiber record and of one computed off it; print
-# the exit codes, outputs and statistics, and whether numpy got loaded, as
-# one JSON document.
+# of a batch read from the fiber record and of one computed off it, then
+# seeded draws of the four randgen generators and a scalar multiple, once
+# through randgen._draw's one pass over a random.Random and once through
+# rng.choice, rng.randint and unit_disk (a subclass takes that route); print
+# the exit codes, outputs, statistics and draws (each term's key and value
+# by repr, and the generator's next random()), and whether numpy got
+# loaded, as one JSON document.
 _NUMPY_FREE_CLI = r"""
 import io, json, sys
 from contextlib import redirect_stdout
+from random import Random
 sys.path.insert(0, sys.argv[1])
-from qdomains import cli, qcombinat as qc
+from qdomains import cli, qcombinat as qc, randgen
 outputs = []
 for argv in json.loads(sys.argv[2]):
     out = io.StringIO()
@@ -825,6 +846,15 @@ for argv in json.loads(sys.argv[2]):
 words = qc.fiber((2, 1, 2))[0]
 outputs.append(qc.word_stats(words[::-3], 3))
 outputs.append(qc.word_stats([(3, 1, 2), (1,), (), (2, 2, 1, 3), [3, 3, 1, 2, 1]], 3))
+for kind in (Random, type("ByMethods", (Random,), {})):
+    rng = kind(20241)
+    drawn = [randgen.random_qpoly(rng, 3, 0.5 + 0.25j, terms=8),
+             randgen.random_free(rng, 3, max_len=5, terms=8),
+             randgen.random_laurent(rng, 2, terms=8),
+             randgen.random_hseries(rng, 2, 3, terms=8)]
+    drawn.append(drawn[0] * 0.3)
+    outputs.append([[[repr(key), repr(c)] for key, c in e.terms.items()] for e in drawn]
+                   + [repr(rng.random())])
 outputs.append("numpy" in sys.modules)
 print(json.dumps(outputs))
 """
@@ -904,6 +934,8 @@ def test_numpy_free_commands_give_the_same_bytes_on_every_interpreter(tmp_path):
     expected, errors, code = outputs[sys.executable]
     assert code == 0, errors.decode()
     assert [c for c, _ in json.loads(expected)[:len(requests)]] == [0] * len(requests)
+    by_draw, by_methods = json.loads(expected)[-3:-1]
+    assert by_draw == by_methods and len(by_draw) == 6
     assert json.loads(expected)[-1] is False   # no request loaded numpy
     for path in others.values():
         out, errors, code = outputs[path]
@@ -983,8 +1015,8 @@ def test_array_routes_give_the_same_bytes_when_they_load_numpy(tmp_path):
         ["mul", "--in", doc("la.json", laurent[0]), "--in", doc("lb.json", laurent[1])],
         ["normal-order", "--in", doc("free.json", batch, q={"re": q.real, "im": q.imag})],
         ["norm", "--in", doc("circ.json", batch), "--family", "free-ball-circ", "--rho", "0.7"],
-        ["fock-norm", "--in", doc("fock.json", qpoly[0]), "--q", "0.6", "--rho", "0.8",
-         "--depth", "3"],
+        ["fock-norm", "--in", doc("fock.json", qpoly[0], q={"re": 0.6}), "--q", "0.6",
+         "--rho", "0.8", "--depth", "3"],
         ["star", "--in", hseries[0], "--in", hseries[1], "--order", "2"],
         ["scan", "--in", doc("scan.json", laurent[0]), "--path", "circle:0.8", "--samples", "32",
          "--family", "ball", "--rho", "0.7"],

@@ -10,8 +10,8 @@ from qdomains.deform_types import FormalFreeElement, HSeriesElement
 from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 
-from oracles import (array_route_outcomes, derivative_poisson_bracket, on_each_route,
-                     reference_defect_terms, reference_formal_ball_lift,
+from oracles import (array_route_outcomes, derivative_poisson_bracket, empty_fiber_store,
+                     on_each_route, reference_defect_terms, reference_formal_ball_lift,
                      reference_normal_order_formal, reference_poisson_bracket,
                      reference_star_product, same_bits)
 
@@ -226,11 +226,11 @@ def test_formal_ordering_array_pass_equals_reference_loop_bit_for_bit():
     assert math.copysign(1.0, got.terms[(1, (2, 0))].real) == 1.0
 
 
-def test_formal_ordering_reads_the_fiber_record():
-    # the formal lift's words are the cached fiber record's; its ordering
-    # reads their statistics from the record, or computes them once another
-    # fiber evicts it, and equals the per-word loop bit for bit, in the
-    # same key order
+def test_formal_ordering_reads_the_fiber_record(monkeypatch):
+    # the formal lift's words are the held fiber record's; its ordering
+    # reads their statistics from the record, or computes them once the
+    # record is no longer held, and equals the per-word loop bit for bit,
+    # in the same key order
     for k in ((2, 1), (0, 3, 2), (3, 2, 2), (2, 2, 1, 1), (3, 3, 3)):
         n = len(k)
         for order in (0, 3):
@@ -238,6 +238,8 @@ def test_formal_ordering_reads_the_fiber_record():
             words = [alpha for p, alpha in u.terms if p == 0]
             expected = HSeriesElement(n, order, reference_normal_order_formal(u))
             for evict in (False, True):
+                if evict:
+                    empty_fiber_store(monkeypatch)
                 qc.fiber((1,) * n if evict else k)
                 assert (qc._fiber_stats(words, n) is None) == evict
                 got = deform.normal_order_formal(u)
@@ -262,8 +264,8 @@ def _ordered_bits(u):
 def test_formal_ordering_reads_p_and_m_from_the_lift_layout(monkeypatch):
     # a lift keeps its layout with its terms: its ordering reads each term's
     # code from it, chunk by chunk, and asks word_stats for nothing, also
-    # after a newer lift of the fiber and after another fiber evicts the
-    # record; look-alikes of the lift, an equal-keyed copy among them, take
+    # after a newer lift of the fiber and once the record is no longer
+    # held; look-alikes of the lift, an equal-keyed copy among them, take
     # the term loop.  Both equal the reference loop bit for bit.
     calls = _counted_word_stats(monkeypatch)
     monkeypatch.setattr(deform, "_SCALAR_ORDERING", 0)   # every lift takes the table route
@@ -302,8 +304,8 @@ def test_formal_ordering_reads_p_and_m_from_the_lift_layout(monkeypatch):
             assert got == expected and calls == []
             got, expected = _ordered_bits(other)
             assert got == expected and calls == []
-            # another fiber evicts the record; the layout stays with the lift
-            qc.fiber((1,) * (n + 1))
+            # the record is no longer held; the layout stays with the lift
+            empty_fiber_store(monkeypatch)
             got, expected = _ordered_bits(other)
             assert got == expected and calls == []
 
@@ -351,7 +353,7 @@ def test_formal_lift_ordering_from_its_layout_is_the_term_loop_bit_for_bit(monke
     # terms hold, with no word_stats call, and gives the bits of the term
     # loop on an equal dict-backed copy, of u * 1.0 and of the reference
     # loop.  So is a lift kept alive after a newer lift of its fiber, one
-    # whose record another fiber evicted, and one whose fiber came back.
+    # whose record is no longer held, and one whose fiber came back.
     stats = _counted_word_stats(monkeypatch)
     routes = _counted_routes(monkeypatch)
 
@@ -378,14 +380,16 @@ def test_formal_lift_ordering_from_its_layout_is_the_term_loop_bit_for_bit(monke
             assert ordered(older, "table") == ordered(FormalFreeElement(n, 3, dict(older.terms)),
                                                       "loop")
             ordered(newer, "table")
-            # the record holds no lift: it is the fiber's words and inversions
+            # the held record holds no lift: it is the fiber's words and
+            # inversions
             terms = dict(newer.terms)
             del newer
-            assert qc._last_record == (k, qc.fiber(k))
+            record = qc._fiber_record.store[(k,)]
+            assert record is qc.fiber(k) and tuple(map(type, record)) == (tuple, tuple)
             ordered(FormalFreeElement(n, 2, terms), "loop")
-            # another fiber evicts the record; the lift keeps its layout
+            # the record is no longer held; the lift keeps its layout
             lift = deform.formal_ball_lift(k, 3)
-            qc.fiber((1,) * (n + 1))
+            empty_fiber_store(monkeypatch)
             ordered(lift, "table")
             qc.fiber(k)   # the record is back
             ordered(lift, "table")

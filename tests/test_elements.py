@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from fractions import Fraction
 from itertools import count
 from operator import add
 from random import Random
@@ -28,8 +29,10 @@ from qdomains.elements import (
     tau_flip,
 )
 from qdomains.norms import FREE_BALL_CIRC, NormSpec, norm
+from qdomains.serialize import document_to_element, element_to_document
 
-from oracles import (array_route_outcomes, brute_sigma, exact_ball_lift, on_each_route,
+from oracles import (array_route_outcomes, brute_sigma, empty_fiber_store, exact_ball_lift,
+                     on_each_route,
                      reference_ball_lift, reference_circ_norm, reference_laurent_mul,
                      reference_normal_order, reference_polydisk_lift, reference_qpoly_mul,
                      reference_random_terms, reference_unit_disk, rewrite_normal_order,
@@ -528,11 +531,11 @@ def test_batched_word_statistics_equal_reference_loops():
                 assert ordered == reference and list(ordered.terms) == list(reference.terms)
 
 
-def test_lift_orderings_and_circ_norm_read_the_fiber_record():
-    # a lift's words are the cached fiber record's words, so normal_order and
+def test_lift_orderings_and_circ_norm_read_the_fiber_record(monkeypatch):
+    # a lift's words are the held fiber record's words, so normal_order and
     # the circ norm read their statistics from the record: a ball lift's
     # terms are the record's own word sequence and a polydisk lift's one
-    # word is found by bisection.  Once another fiber evicts the record they
+    # word is found by bisection.  Once the record is no longer held they
     # compute them.  Both routes give the per-word loops' results, bit for
     # bit and in the same key order.
     for k in ((2, 1), (0, 3, 2), (3, 2, 2), (2, 2, 1, 1), (3, 3, 3)):
@@ -542,6 +545,8 @@ def test_lift_orderings_and_circ_norm_read_the_fiber_record():
                 expected = QPolynomial(n, q, reference_normal_order(f, q))
                 circ = reference_circ_norm(f, 0.8)
                 for evict in (False, True):
+                    if evict:
+                        empty_fiber_store(monkeypatch)
                     qc.fiber((1,) * n if evict else k)
                     assert (qc._fiber_stats(f.terms, n) is None) == evict
                     got = normal_order(f, q)
@@ -553,7 +558,7 @@ def _circ_bits(value):
     return repr(value)   # tells 0.0 from -0.0 and shows NaN and inf
 
 
-def test_single_profile_sums_equal_the_reference_loops_bit_for_bit():
+def test_single_profile_sums_equal_the_reference_loops_bit_for_bit(monkeypatch):
     # normal_order and the circ norm sum a batch of one profile in one
     # reduction from 0.0, in term order: the bits of the per-word loops,
     # for coefficients with -0.0 parts, infinite and NaN ones, whether the
@@ -573,6 +578,8 @@ def test_single_profile_sums_equal_the_reference_loops_bit_for_bit():
                              FreeElement(n, dict(list(lift.terms.items())[:3])))
                 for f in elements_:
                     for evict in (False, True):
+                        if evict:
+                            empty_fiber_store(monkeypatch)
                         qc.fiber((1,) * n if evict else k)
                         got = normal_order(f, q)
                         assert same_bits(got, QPolynomial(n, q, reference_normal_order(f, q)))
@@ -778,14 +785,14 @@ def test_public_construction_rejects_non_number_coefficients():
 
 
 def test_checked_terms_are_adopted_only_when_clean():
-    # a _Checked map of mixed numbers is copied as the public route copies
-    # it: numbers become complex, exact zeros go and a NaN stays
-    mixed = {(0,): 2, (1,): 2.5, (2,): 0, (3,): -0.0, (4,): 0j, (5,): math.nan}
+    # a _Checked map with exact zeros is copied as the public route copies
+    # it: the zeros go and a NaN stays
+    mixed = {(0,): 2 + 0j, (1,): 2.5j, (2,): 0j, (3,): complex(-0.0, 0.0),
+             (4,): complex(0.0, -0.0), (5,): complex(math.nan, 0.0)}
     e = QPolynomial(1, 0.5, _Checked(mixed))
     public = QPolynomial(1, 0.5, dict(mixed))
     assert repr(list(e.terms.items())) == repr(list(public.terms.items()))
     assert list(e.terms) == [(0,), (1,), (5,)]
-    assert all(type(c) is complex for c in e.terms.values())
     assert cmath.isnan(e.terms[(5,)])
     # a map of nonzero complex numbers is adopted as it is: construction
     # takes ownership, which is why no builder touches its map afterwards
@@ -796,9 +803,37 @@ def test_checked_terms_are_adopted_only_when_clean():
     for terms in (e.terms, public.terms):
         with pytest.raises(TypeError):
             terms[(0,)] = 1j
-    # a complex subclass is made a plain complex, as on the public route
-    e = QPolynomial(1, 0.5, _Checked({(0,): np.complex128(1j)}))
-    assert type(e.terms[(0,)]) is complex
+
+
+def test_every_checked_builder_forms_complex_values(monkeypatch):
+    # _Checked values are complex by contract: construction adopts a map of
+    # nonzero values without testing their type, so each builder forms
+    # complex values itself, whatever numbers it is given
+    rng = Random("checked-builders")
+    q = 0.8 * cmath.exp(0.4j)
+    a, b = (randgen.random_qpoly(rng, 3, q, max_degree=3, terms=6) for _ in "ab")
+    u, v = (randgen.random_laurent(rng, 2, terms=6) for _ in "uv")
+    f, g = (randgen.random_free(rng, 2, terms=6) for _ in "fg")
+    s, t = (randgen.random_hseries(rng, 2, 3, terms=6) for _ in "st")
+    built = [a, u, f, s, free_mul(f, g), a + b, a - b, u - v, f + g, s - t]
+    for product in (lambda: qpoly_mul(a, b), lambda: laurent_mul(u, v),
+                    lambda: deform.star_product(s, t)):
+        loop, arrays, outcomes = on_each_route(monkeypatch, product)
+        assert outcomes and all(outcomes)
+        built += [loop, arrays]
+    for scalar in (3, True, 0.5, Fraction(1, 3), np.float64(0.5), np.complex128(0.5 - 2j)):
+        built += [e * scalar for e in (a, u, f, s)]
+    built += [normal_order(f, q), tau_flip(a), fiber_eval(u, q), homogeneous_component(a, 2),
+              laurent_word(3, (3, 1, 2, 1))]
+    k = (2, 1, 2)
+    lift = deform.formal_ball_lift(k, 3)
+    assert len(lift.terms) >= deform._SCALAR_ORDERING   # the table route, and the loop
+    built += [polydisk_lift(k, q), ball_lift(k, q), lift, deform.normal_order_formal(lift),
+              deform.normal_order_formal(FormalFreeElement(3, 3, dict(lift.terms)))]
+    built += [deform.evaluate_h(s, h) for h in (0.3, np.float32(0.3))]
+    built += [document_to_element(element_to_document(e)) for e in (a, u, f, s)]
+    for e in built:
+        assert e.terms and all(type(c) is complex for c in e.terms.values()), e
 
 
 class _FloatDrawn(Random):

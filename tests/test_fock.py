@@ -1,4 +1,5 @@
 import math
+import re
 from random import Random
 
 import numpy as np
@@ -128,8 +129,26 @@ def test_vaksman_sandwich_random():
 
 def test_q_outside_range_rejected():
     a = QPolynomial.monomial(1, 0.5, (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("the representation needs 0 < q < 1")):
         fock.op_norm_bounds(a, 1.5, 1.0, 4)
+
+
+def test_element_at_another_q_is_refused():
+    # the representation at q acts on the algebra at q only: each route
+    # that takes an element refuses one at another q, naming both
+    a = QPolynomial(2, 0.2, {(1, 1): 1.0, (2, 3): 1.0})
+    trunc = fock.FockTruncation(2, 0.9, 4, reach=5)
+    routes = (lambda q: fock.op_norm_bounds(a, q, 1.0, 4),
+              lambda q: fock._lower_bounds(a, q, 1.0, (2, 4)),
+              lambda q: fock.vacuum_vector_image(a, q),
+              lambda q: fock.fock_apply(a, {(0, 0): 1.0}, trunc),
+              lambda q: fock.vaksman_sandwich_check(a, q, 1.0, 4))
+    for route in routes:
+        with pytest.raises(ValueError, match=re.escape(
+                "the element's q = (0.2+0j) is not the representation's q = 0.9")):
+            route(0.9)
+    for route in routes[:3] + routes[4:]:
+        route(0.2)
 
 
 def _fock_cases():

@@ -24,8 +24,8 @@ from qdomains.norms import POLYDISK_L1, NormSpec
 from qdomains.qcombinat import _SCALAR_BATCH, _SCALAR_PROFILES, EnumerationCapExceeded, QParam
 
 from oracles import (brute_fiber, brute_inversions, brute_mahonian_sum, brute_profile,
-                     brute_sigma, direct_log_q_int, exact_ball_weight_sq, exact_log,
-                     exact_mahonian_sum, gaussian_multinomial_by_division,
+                     brute_sigma, direct_log_q_int, empty_fiber_store, exact_ball_weight_sq,
+                     exact_log, exact_mahonian_sum, gaussian_multinomial_by_division,
                      reference_held_store, total_degree_indices)
 
 # mpmath-verified infinite products (30 digits), frozen
@@ -214,8 +214,7 @@ def test_every_table_kept_between_calls_is_held_under_one_policy():
     sizes = {name: len(value) for name, value in _containers()}
     suites.run_all(seed=4321)
     grown = {name for name, value in _containers() if len(value) > sizes.get(name, 0)}
-    # the one record of the fiber asked for last: two slots, replaced whole
-    assert grown <= {"qcombinat._last_record"} and len(qc._last_record) == 2
+    assert not grown, grown
     for memo in memos.values():
         assert memo.total == sum(map(memo.size, memo.store.values())) <= memo.budget, memo
     # every weight reads its log-factorial table at a base folded into [0, 1]
@@ -459,7 +458,7 @@ def test_delta_and_fiber_words():
 
 def test_fiber_record_matches_brute_force(monkeypatch):
     assert qc.fiber((0, 0, 0)) == (((),), (0,))
-    _fresh_fiber_store(monkeypatch, 10 ** 4)   # so that each record below is built, not found
+    empty_fiber_store(monkeypatch, 10 ** 4)   # so that each record below is built, not found
     for k in ((0,), (0, 0), (0, 0, 0), (3,), (4,), (2, 1), (1, 1, 1), (0, 2, 1), (2, 0, 1),
               (0, 3, 2), (3, 3, 2), (2, 3, 3), (2, 2, 1, 1), (3, 2, 2, 2)):
         fiber = brute_fiber(k)
@@ -486,6 +485,16 @@ def test_exponent_vectors_and_words_are_read_once():
     for f, values, rest, expected in cases:
         for arg in (values, list(values), iter(values)):
             assert f(arg, *rest) == expected, (f.__name__, arg)
+    # the batch weights of qcombinat read their keys once, and each key once,
+    # on each side of |q| = 1
+    assert qc.cross_degree(iter([2, 1])) == qc.cross_degree((2, 1)) == 2
+    keys = [(2, 1), (0, 3), (1, 1)]
+    for f in (qc.weight_ball_logs, qc.weight_polydisk_logs):
+        for q in (0.5, 1.0, 2.0):
+            expected = f(keys, q)
+            assert len(expected) == len(keys)
+            for arg in (iter(keys), [iter(k) for k in keys], iter(map(list, keys))):
+                assert f(arg, q) == expected, (f.__name__, q)
 
 
 def test_fiber_cap_holds_for_a_cached_record():
@@ -507,15 +516,8 @@ def test_fiber_cap_holds_for_a_cached_record():
     assert qc.fiber(k) is record
 
 
-def _fresh_fiber_store(monkeypatch, bound):
-    """An empty fiber store with the given bound and no record asked for
-    last, restored after the test."""
-    monkeypatch.setattr(qc, "_last_record", None)
-    return _fresh_store(monkeypatch, qc._fiber_record, bound)
-
-
 def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
-    store = _fresh_fiber_store(monkeypatch, 400)
+    store = empty_fiber_store(monkeypatch, 400)
     # fibers of 90 to 560 words against a bound of 400: the 560 one passes
     # the bound, and (2, 2, 2) comes back once after it was dropped and
     # once while it is held
@@ -530,21 +532,25 @@ def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
         # the record returned is the fiber, held or not
         assert list(words) == brute_fiber(k)
         assert list(ms) == [brute_inversions(w) for w in words]
-    # the 560-word fiber is not held; as the profile asked for last it is
-    # kept, found again without enumerating and read by word_stats, until
-    # another profile is asked for
-    record = qc.fiber((3, 3, 2))
-    assert ((3, 3, 2),) not in store
+
+
+def test_fiber_record_over_the_budget_is_not_kept(monkeypatch):
+    # the store is a record's only home: one over the budget is returned
+    # unheld, so each call enumerates it again and no batch of its words is
+    # read from it, whichever profile was asked for last
+    store = empty_fiber_store(monkeypatch, 400)
     enumerated = []
     enumerate_fiber = qc._enumerate_fiber
     monkeypatch.setattr(qc, "_enumerate_fiber",
                         lambda counts: enumerated.append(counts) or enumerate_fiber(counts))
-    assert qc.fiber((3, 3, 2)) is record and enumerated == []
-    assert qc._fiber_stats(record[0], 3) == ([(3, 3, 2)] * 560, list(record[1]))
-    qc.fiber((2, 2, 2))
+    k = (3, 3, 2)   # 560 words
+    record = qc.fiber(k)
+    assert qc.fiber(k) == record and enumerated == [k, k]
+    assert store == {} and qc._fiber_record.total == 0
+    scans = _counted_scans(monkeypatch)
     assert qc._fiber_stats(record[0], 3) is None
-    assert qc.fiber((3, 3, 2)) == record and enumerated == [(3, 3, 2)]
-    assert ((3, 3, 2),) not in store
+    assert qc.word_stats(record[0], 3) == ([k] * 560, list(record[1]))
+    assert scans == [560]
 
 
 def test_fiber_store_records_are_fresh_enumerations():
@@ -561,7 +567,7 @@ def test_fiber_store_records_are_fresh_enumerations():
 def test_fiber_store_serves_the_traffic_of_a_run(monkeypatch):
     # an oldest-first store smaller than a cyclic pass holds nothing that is
     # asked for again; at its own budget the store holds a whole run
-    store = _fresh_fiber_store(monkeypatch, qc._fiber_record.budget)
+    store = empty_fiber_store(monkeypatch, qc._fiber_record.budget)
     enumerated = []
     enumerate_fiber = qc._enumerate_fiber
     monkeypatch.setattr(qc, "_enumerate_fiber",
@@ -591,19 +597,25 @@ def test_fiber_store_serves_the_traffic_of_a_run(monkeypatch):
     assert held_fibers.total == sum(len(r[0]) for r in store.values()) <= held_fibers.budget
 
 
-def test_fiber_stats_answers_only_for_the_profile_asked_last(monkeypatch):
-    store = _fresh_fiber_store(monkeypatch, 10 ** 4)
+def test_fiber_stats_answers_for_every_held_profile(monkeypatch):
+    # a batch is read from the held record of its first word's profile,
+    # whichever profile was asked for last, and from none once that record
+    # is no longer held
+    store = empty_fiber_store(monkeypatch, 10 ** 4)
     first, second = (2, 1, 2), (1, 2, 2)
-    words = qc.fiber(first)[0]
-    assert qc._fiber_stats(words, 3) == ([first] * len(words), list(qc.fiber(first)[1]))
-    qc.fiber(second)
-    assert (first,) in store and qc._fiber_stats(words, 3) is None
-    qc.fiber(first)   # found in the store, not enumerated again
-    assert qc._fiber_stats(words, 3) is not None
+    fibers = {k: qc.fiber(k)[0] for k in (first, second)}   # second asked last
+    assert (first,) in store and (second,) in store
+    for k, words in fibers.items():
+        for batch in (words, words[::-2], words[:1]):
+            assert qc._fiber_stats(batch, 3) == ([k] * len(batch),
+                                                 [brute_inversions(w) for w in batch])
+    empty_fiber_store(monkeypatch)
+    for words in fibers.values():
+        assert qc._fiber_stats(words, 3) is None and qc._fiber_stats(words[:1], 3) is None
 
 
 def test_fiber_cap_is_checked_before_the_store(monkeypatch):
-    _fresh_fiber_store(monkeypatch, 10 ** 4)
+    empty_fiber_store(monkeypatch, 10 ** 4)
     k = (5, 4)
     record = qc.fiber(k)
     qc.fiber((1, 1))
@@ -612,7 +624,15 @@ def test_fiber_cap_is_checked_before_the_store(monkeypatch):
     monkeypatch.setattr(qc, "_enumerate_fiber",
                         lambda counts: enumerated.append(counts) or enumerate_fiber(counts))
     monkeypatch.setattr(qc, "ENUMERATION_CAP", 100)   # below the 126 words held
-    last = qc._last_record
+    store = qc._fiber_record.store
+    looked = []   # every key a store lookup asks for
+
+    class Spied(dict):
+        def get(self, key, default=None):
+            looked.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(qc._fiber_record, "store", Spied(store))
     routes = (qc.fiber, qc.fiber_words, qc.fiber_inversion_list,
               lambda k: qc.inv_distribution(k, 0.5),
               lambda k: polydisk_lift(k, 0.5), lambda k: ball_lift(k, 0.5),
@@ -621,8 +641,9 @@ def test_fiber_cap_is_checked_before_the_store(monkeypatch):
         for _ in range(2):
             with pytest.raises(EnumerationCapExceeded):
                 route(k)
-    # refused before any lookup: the record asked for last is still (1, 1)'s
-    assert qc._last_record is last and last[0] == (1, 1) and enumerated == []
+    # refused before any lookup, and the held records are as they were
+    assert looked == [] and enumerated == []
+    assert qc._fiber_record.store == store and qc._fiber_record.store[(k,)] is record
     monkeypatch.setattr(qc, "ENUMERATION_CAP", 10 ** 6)
     assert qc.fiber(k) is record and enumerated == []
 
@@ -946,14 +967,17 @@ def test_word_stats_reads_the_cached_fiber_record(monkeypatch):
         assert all(type(c) is int for c in profiles[0]) and all(type(m) is int for m in got)
     assert qc.word_stats(words, 3) == ([k] * len(words), list(ms))
     assert scans == []
-    # another fiber evicts the record: the same batch is computed again
     qc.fiber((1, 1, 1))
     assert scans == []   # the record is enumerated with its statistics
+    assert qc.word_stats(words, 3) == ([k] * len(words), list(ms))
+    # once the record is no longer held, the same batch is computed
+    empty_fiber_store(monkeypatch)
     assert qc.word_stats(words, 3) == ([k] * len(words), list(ms))
     assert scans == [len(words)]
 
 
 def test_word_stats_falls_back_off_the_record(monkeypatch):
+    empty_fiber_store(monkeypatch)   # so that the one record held is k's
     k = (2, 1, 2)
     words = list(qc.fiber(k)[0])
     foreign = (3, 3, 1)
@@ -980,7 +1004,7 @@ def test_fiber_stats_reads_the_record_by_layout_or_bisection(monkeypatch):
     # the record's own word sequence takes its inversion numbers as they
     # are, and any other batch finds them word by word by bisection; both
     # equal the brute counts
-    _fresh_fiber_store(monkeypatch, 10 ** 4)
+    empty_fiber_store(monkeypatch, 10 ** 4)
     for k in ((4,), (2, 3), (1, 2, 2), (2, 0, 1, 2), (3, 2, 2)):
         n = len(k)
         words, ms = qc.fiber(k)
@@ -993,7 +1017,7 @@ def test_fiber_stats_reads_the_record_by_layout_or_bisection(monkeypatch):
 
 
 def test_fiber_stats_refuses_look_alikes_of_the_record(monkeypatch):
-    _fresh_fiber_store(monkeypatch, 10 ** 4)
+    empty_fiber_store(monkeypatch, 10 ** 4)
     k = (2, 1, 2)
     words = list(qc.fiber(k)[0])
     foreign = (3, 3, 1)
@@ -1016,7 +1040,8 @@ def test_fiber_stats_refuses_look_alikes_of_the_record(monkeypatch):
         if all(isinstance(w, tuple) for w in batch):
             assert qc.word_stats(batch, 3) == ([brute_profile(w, 3) for w in batch],
                                                [brute_inversions(w) for w in batch])
-    # the same words, once another fiber is asked for, or at another n
+    # the same words, once the record is no longer held, or at another n
+    empty_fiber_store(monkeypatch)
     qc.fiber((1, 1, 1))
     for batch in (words, words[:1]):
         assert qc._fiber_stats(batch, 3) is None
@@ -1025,7 +1050,7 @@ def test_fiber_stats_refuses_look_alikes_of_the_record(monkeypatch):
 
 
 def test_fiber_record_of_numpy_counts_gives_int_profiles(monkeypatch):
-    _fresh_fiber_store(monkeypatch, 10 ** 4)   # so that the record below is built, not found
+    empty_fiber_store(monkeypatch, 10 ** 4)   # so that the record below is built, not found
     k = np.array([2, 0, 1], dtype=np.int64)
     words, ms = qc.fiber(k)
     profiles, got = qc.word_stats(words, 3)
