@@ -19,8 +19,8 @@ import numpy as np
 
 from qdomains import _mutate
 from qdomains import qcombinat as qc
-from qdomains.deform_types import FormalFreeElement, HSeriesElement, _LiftTerms
-from qdomains.elements import (LaurentElement, QPolynomial, _Checked, _plain_mul,
+from qdomains.deform_types import FormalFreeElement, HSeriesElement
+from qdomains.elements import (LaurentElement, QPolynomial, _Checked, _LiftTerms, _plain_mul,
                                _twisted_mul, qpoly_mul)
 from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
 from qdomains.qcombinat import sigma
@@ -167,7 +167,7 @@ def formal_ball_lift(k: Sequence[int], order: int) -> FormalFreeElement:
     powers = {m: range(len(coeffs)) for m, coeffs in series.items()}
     return FormalFreeElement(len(k), order, _LiftTerms(
         [(p, alpha) for alpha, m in zip(words, ms) for p in powers[m]],
-        list(chain.from_iterable(map(series.__getitem__, ms))), k, ms, series, order))
+        list(chain.from_iterable(map(series.__getitem__, ms))), k, ms, series, (len(k), order)))
 
 
 _ORDERING_CHUNK = 2048   # terms per gather of the table route; bounds its temporaries

@@ -2,16 +2,18 @@
 
 They live apart from deform because deform imports norms, and norms
 dispatches on HSeriesElement.  Both build on the sparse-element base of
-elements, with keys that lead with the h-power p, 0 <= p <= order.
+elements, with keys that lead with the h-power p, 0 <= p <= order.  The
+terms of a formal lift are an elements._LiftTerms, the one lift-terms
+type, which also carries the terms of a ball lift.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from operator import index
 from typing import Sequence
 
-from qdomains.elements import _exponents, _SparseElement, _word
+from qdomains.elements import _exponents, _LiftTerms, _SparseElement, _word
 
 
 def _h_power(p, order: int) -> int:
@@ -66,58 +68,6 @@ class HSeriesElement(_SparseElement):
     def coefficient(self, p: int) -> dict:
         """The h^p coefficient as a plain exponent-vector map."""
         return {k: c for (pp, k), c in self.terms.items() if pp == p}
-
-
-class _LiftTerms(Mapping):
-    """The terms of a formal ball lift: a read-only mapping over two lists
-    in term order, its (h-power, word) keys and their coefficients, with
-    the lift's layout beside them: counts, the profile k of its words; ms,
-    the inversion number of each word of the fiber, in fiber order; and
-    series, m -> the coefficients of h^0, h^1, ... of a word of m
-    inversions.  Iteration, len, values and items read the lists; a lookup
-    ([], and so get and in) builds a dict over them on first use.  Every
-    value is a nonzero complex, so a FormalFreeElement of the (n, order) in
-    params adopts the mapping as it is; one of another n or order checks
-    and copies its terms."""
-
-    __slots__ = ("_keys", "_values", "_lookup", "counts", "ms", "series", "params")
-
-    def __init__(self, keys: list, values: list, counts: tuple, ms: tuple, series: dict,
-                 order: int):
-        self._keys, self._values, self._lookup = keys, values, None
-        self.counts, self.ms, self.series = counts, ms, series
-        self.params = (len(counts), order)
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self):
-        return len(self._keys)
-
-    def __getitem__(self, key):
-        if self._lookup is None:
-            self._lookup = dict(zip(self._keys, self._values))
-        return self._lookup[key]
-
-    def values(self):
-        return _LiftValues(self)
-
-    def items(self):
-        return _LiftItems(self)
-
-
-class _LiftValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return iter(self._mapping._values)
-
-
-class _LiftItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return zip(self._mapping._keys, self._mapping._values)
 
 
 class FormalFreeElement(_SparseElement):

@@ -32,8 +32,8 @@ Public constructors validate every key.  Results that the kit builds
 from keys it already holds skip that per-key check: the products
 (qpoly_mul, laurent_mul, free_mul and both routes of _twisted_mul), +, -
 and scalar *, normal_order (letter profiles), tau_flip, fiber_eval,
-homogeneous_component, the generators of laurent_word, the fiber words
-of polydisk_lift and ball_lift; in deform the (h-power, profile) keys of
+homogeneous_component, the generators of laurent_word, the fiber word
+of polydisk_lift; in deform the (h-power, profile) keys of
 normal_order_formal and star_product, the profiles of evaluate_h and the
 fiber copies of commutator_defect; serialize.document_to_element, which
 checked each key as it read it; and the randgen generators, which draw
@@ -42,21 +42,23 @@ hand their terms over as a _Checked mapping, whose values each builder
 makes complex where it forms them (scalar * converts its scalar once,
 evaluate_h each power of h); construction takes the map over (see
 _Checked), still through each class's __init__, and drops exact zeros.
-deform.formal_ball_lift hands over its (h-power, fiber word) keys and
-their values as two lists in a deform_types._LiftTerms, which
-FormalFreeElement takes as its terms as they are (_adopted).
+ball_lift and deform.formal_ball_lift hand over their keys and values
+with the lift's layout in a _LiftTerms, which FreeElement and
+FormalFreeElement take as their terms as it is (_adopted); the lift's
+orderings and the circ norm read that layout in place of its words.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
 from functools import reduce
 from numbers import Number
 from itertools import accumulate, repeat
 from operator import add, index, mul, sub
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from qdomains import _mutate
 from qdomains._held import held
@@ -91,6 +93,71 @@ class _Checked(dict):
     an exact zero is copied without it."""
 
     __slots__ = ()
+
+
+class _LiftTerms(Mapping):
+    """The terms of a lift of x^k across its fiber, ball_lift's or
+    deform.formal_ball_lift's: a read-only mapping over two sequences in
+    term order, its keys (the fiber's words, or (h-power, word) pairs) and
+    their coefficients, with the lift's layout beside them: counts, the
+    profile k of its words; ms, the inversion number of each word of the
+    fiber, in fiber order; and series over m.  params, (n,) for a ball lift
+    and (n, order) for a formal lift, fixes the shape of series: a list, m
+    -> the coefficient of a word of m inversions, which per_word reads, or
+    a dict, m -> the list of its coefficients of h^0, h^1, ..., which
+    deform reads.  Iteration, reversal and len read the keys; every other
+    read goes to a dict built over the two sequences on first use, so the
+    views, copy and | are a MappingProxyType's.  Every value is a nonzero
+    complex, so an element built for params (a FreeElement for (n,), a
+    FormalFreeElement for (n, order)) adopts the mapping as it is; any
+    other checks and copies its terms."""
+
+    __slots__ = ("_keys", "_values", "_lookup", "counts", "ms", "series", "params")
+
+    def __init__(self, keys: Sequence, values: list, counts: tuple, ms: tuple, series,
+                 params: tuple):
+        self._keys, self._values, self._lookup = keys, values, None
+        self.counts, self.ms, self.series, self.params = counts, ms, series, params
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __reversed__(self):
+        return reversed(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def _dict(self) -> dict:
+        if self._lookup is None:
+            self._lookup = dict(zip(self._keys, self._values))
+        return self._lookup
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def keys(self):
+        return self._dict().keys()
+
+    def values(self):
+        return self._dict().values()
+
+    def items(self):
+        return self._dict().items()
+
+    def copy(self) -> dict:
+        return self._dict().copy()
+
+    def __or__(self, other):
+        return self._dict() | other
+
+    def __ror__(self, other):
+        return other | self._dict()
+
+    def per_word(self, f):
+        """A ball lift's f(m, series[m]) for each word in term order, each formed once per m."""
+        values = [f(m, c) for m, c in enumerate(self.series)]
+        return map(values.__getitem__, self.ms)
 
 
 def _exponents(k, n: int) -> tuple:
@@ -276,6 +343,7 @@ class FreeElement(_SparseElement):
     """Finitely supported element of the free algebra on n generators."""
 
     __slots__ = ()
+    _adopted = _LiftTerms
 
     def __init__(self, n: int, terms: Mapping):
         self._setup(n, terms)
@@ -578,20 +646,19 @@ def laurent_mul(a: LaurentElement, b: LaurentElement,
 
 def normal_order(f: FreeElement, q) -> QPolynomial:
     """Push a free element onto the q-plane: zeta_alpha -> q^{-m(alpha)} x^{p(alpha)},
-    each phase from QParam.power, as in qpoly_mul."""
+    each phase from QParam.power, as in qpoly_mul.  A ball lift forms each
+    product c * q^{-m} once per m (_LiftTerms.per_word) and adds them
+    in term order from 0.0, with the bits of its copy's loop."""
     qp = as_qparam(q)
     out = _Checked()
-    profiles, ms = qc.word_stats(f.terms, f.n)
-    phases: dict = {}   # m -> q^{-m}: a lift's thousands of words share few m
-    if profiles and profiles.count(profiles[0]) == len(profiles):
-        # one profile, as in a lift: the loop's complex sum in one C-level
-        # fold, 0.0 + c * phase + ..., in term order
-        for m in set(ms):
-            phases[m] = _mutate.scale("normal-order-phase", qp.power(-m))
-        out[profiles[0]] = reduce(add, map(mul, f.terms.values(), map(phases.__getitem__, ms)),
-                                  0.0)
+    terms = f.terms
+    if type(terms) is _LiftTerms:
+        out[terms.counts] = reduce(add, terms.per_word(
+            lambda m, c: c * _mutate.scale("normal-order-phase", qp.power(-m))), 0.0)
         return QPolynomial(f.n, qp, out)
-    for c, k, m in zip(f.terms.values(), profiles, ms):
+    profiles, ms = qc.word_stats(terms, f.n)
+    phases: dict = {}   # m -> q^{-m}: a fiber's thousands of words share few m
+    for c, k, m in zip(terms.values(), profiles, ms):
         phase = phases.get(m)
         if phase is None:
             phase = phases[m] = _mutate.scale("normal-order-phase", qp.power(-m))
@@ -688,7 +755,9 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
     (q/|q|)^m, so a coefficient in the float range is kept although its
     weight is not.  A coefficient below the smallest subnormal raises
     OverflowError naming q, as QParam.power does: the lift is the whole
-    fiber or nothing, never a lift with words left out.
+    fiber or nothing, never a lift with words left out.  The terms are a
+    _LiftTerms over the fiber record's own word tuple, with the per-m
+    coefficients as series, which normal_order and the circ norm read.
     """
     qp = as_qparam(q)
     k = tuple(map(index, k))
@@ -706,8 +775,8 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
                                   (w / total) * qp.power(m) if w >= sys.float_info.min
                                   else math.exp(-m * log_modulus - log_sum) * unit ** m)
                     for m, w in enumerate(raw)]
-    lift = FreeElement(len(k), _Checked(zip(words, map(coefficients.__getitem__, ms))))
-    if len(lift.terms) < len(words):
+    if not all(coefficients):
         raise OverflowError(f"a ball_lift coefficient of {k} at q = {qp.value!r} "
                             "is below the float range")
-    return lift
+    return FreeElement(len(k), _LiftTerms(words, list(map(coefficients.__getitem__, ms)),
+                                          k, ms, coefficients, (len(k),)))

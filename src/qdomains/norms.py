@@ -31,7 +31,7 @@ from qdomains import _mutate
 from qdomains import qcombinat as qc
 from qdomains._held import held
 from qdomains.deform_types import HSeriesElement
-from qdomains.elements import FreeElement, LaurentElement, QPolynomial
+from qdomains.elements import FreeElement, LaurentElement, QPolynomial, _LiftTerms
 
 __all__ = [
     "FAMILIES",
@@ -224,12 +224,16 @@ def _free_norm(a: FreeElement, spec: NormSpec) -> float:
         groups = _groups(map(len, a.terms), a.terms.values())
         return math.fsum(math.sqrt(math.fsum(squares)) * rho ** d for d, squares in groups)
     # the one free family left, FREE_BALL_CIRC
-    profiles = qc.word_profiles(a.terms, a.n)
+    terms = a.terms
+    if type(terms) is _LiftTerms:   # a ball lift: |c|**2 once per m, then its copy's fsum
+        squares = terms.per_word(lambda m, c: abs(c) ** 2)
+        return math.sqrt(math.fsum(squares)) * rho ** sum(terms.counts)
+    profiles = qc.word_profiles(terms, a.n)
     if profiles and profiles.count(profiles[0]) == len(profiles):
-        # one profile, as in a lift: one C-level pass over the coefficients
-        groups = [(profiles[0], map(pow, map(abs, a.terms.values()), repeat(2)))]
+        # one profile, as in a copy of a lift: one C-level pass over the coefficients
+        groups = [(profiles[0], map(pow, map(abs, terms.values()), repeat(2)))]
     else:
-        groups = _groups(profiles, a.terms.values())
+        groups = _groups(profiles, terms.values())
     return math.fsum(math.sqrt(math.fsum(squares)) * rho ** sum(k) for k, squares in groups)
 
 

@@ -332,12 +332,13 @@ def weight_ball(k: Sequence[int], q) -> float:
 # only home: a record over the budget is returned unheld and let go with its
 # last reference.  So the lifts of one x^k, its fiber lists and its Mahonian
 # sum share a single enumeration while its record is held.  The record holds
-# no element's data: a formal lift keeps its own layout
-# (deform_types._LiftTerms).
+# no element's data: a ball lift and a formal lift keep their own layout
+# (elements._LiftTerms), so their orderings and the circ norm of a ball
+# lift ask no statistics of their words.
 #
 # A held record also answers word_stats and word_profiles: a batch of words
-# of one held fiber (the words of a lift of x^k, in any order and any
-# number) has profile k and the recorded inversion numbers (_fiber_stats,
+# of one held fiber (the words of a copy of a lift of x^k, in any order and
+# any number) has profile k and the recorded inversion numbers (_fiber_stats,
 # which looks the record up under the profile of the batch's first word);
 # membership in the fiber already fixes every letter.  A batch off the
 # store (a foreign word anywhere in it, a word that is not a tuple, an
@@ -396,7 +397,8 @@ def _fiber_stats(words, n):
     record of the fiber of the first word, or None unless that record is
     held and every word is a word of it.  words may be any sized iterable
     of words, a mapping keyed by words among them.  A batch that is the
-    record's own word sequence (as the terms of a ball lift are) takes its
+    record's own word sequence (as the terms of a copy of a ball lift are;
+    the lift itself reads its layout and never comes here) takes its
     inversion numbers as they are, after one C-level comparison; any other
     batch finds each word by bisection, as the record is in lexicographic
     order."""

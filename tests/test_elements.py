@@ -2,9 +2,11 @@ import cmath
 import math
 import re
 from fractions import Fraction
+from collections import Counter
 from itertools import count
 from operator import add
 from random import Random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -28,8 +30,8 @@ from qdomains.elements import (
     qpoly_mul,
     tau_flip,
 )
-from qdomains.norms import FREE_BALL_CIRC, NormSpec, norm
-from qdomains.serialize import document_to_element, element_to_document
+from qdomains.norms import FREE_BALL_CIRC, FREE_TAYLOR, NormSpec, norm
+from qdomains.serialize import document_to_element, element_text, element_to_document
 
 from oracles import (array_route_outcomes, brute_sigma, empty_fiber_store, exact_ball_lift,
                      on_each_route,
@@ -532,12 +534,12 @@ def test_batched_word_statistics_equal_reference_loops():
 
 
 def test_lift_orderings_and_circ_norm_read_the_fiber_record(monkeypatch):
-    # a lift's words are the held fiber record's words, so normal_order and
-    # the circ norm read their statistics from the record: a ball lift's
-    # terms are the record's own word sequence and a polydisk lift's one
-    # word is found by bisection.  Once the record is no longer held they
-    # compute them.  Both routes give the per-word loops' results, bit for
-    # bit and in the same key order.
+    # a lift's words are the held fiber record's words: a ball lift's terms
+    # are the record's own word sequence, which _fiber_stats reads as it is
+    # (the lift's ordering and circ norm read its layout instead), and a
+    # polydisk lift's one word is found by bisection.  Once the record is
+    # no longer held the statistics are computed.  Every route gives the
+    # per-word loops' results, bit for bit and in the same key order.
     for k in ((2, 1), (0, 3, 2), (3, 2, 2), (2, 2, 1, 1), (3, 3, 3)):
         n = len(k)
         for q in (0.85, cmath.exp(0.7j), 1.3 - 0.4j):
@@ -559,11 +561,11 @@ def _circ_bits(value):
 
 
 def test_single_profile_sums_equal_the_reference_loops_bit_for_bit(monkeypatch):
-    # normal_order and the circ norm sum a batch of one profile in one
-    # reduction from 0.0, in term order: the bits of the per-word loops,
-    # for coefficients with -0.0 parts, infinite and NaN ones, whether the
-    # batch is a lift read off the record, a reordered copy of it, a few of
-    # its words, or off the record altogether
+    # normal_order sums each profile from 0.0 in term order, and the circ
+    # norm sums a batch of one profile in one reduction: the bits of the
+    # per-word loops, for coefficients with -0.0 parts, infinite and NaN
+    # ones, whether the batch is a lift's words read off the record, a
+    # reordered copy of them, a few of its words, or off the record
     inf, nan = math.inf, math.nan
     odd = [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -1e-300), complex(inf, 0.0),
            complex(0.0, -inf), complex(nan, 1.0), complex(inf, -inf), -1.5 + 0.25j]
@@ -592,6 +594,170 @@ def test_single_profile_sums_equal_the_reference_loops_bit_for_bit(monkeypatch):
     got = normal_order(f, 1.0)
     assert same_bits(got, QPolynomial(2, 1.0, reference_normal_order(f, 1.0)))
     assert math.copysign(1.0, got.terms[(1, 1)].imag) == 1.0
+
+
+_LAYOUT_QS = (0.05, 0.5, 0.9 * cmath.exp(0.3j), cmath.exp(0.4j), -1.0, 2.0,
+              1.3 * cmath.exp(-1j), 1e-150, 1e150)
+
+
+def _read_bits(reads):
+    """The repr of what each read returns (a QPolynomial's term list, a
+    float, a list, a string, an int), or OverflowError where it raises."""
+    out = []
+    for read in reads:
+        try:
+            got = read()
+        except OverflowError:
+            out.append(OverflowError)
+            continue
+        out.append(repr(list(got.terms.items()) if isinstance(got, QPolynomial) else got))
+    return out
+
+
+def test_ball_lift_layout_reads_give_the_bits_of_a_dict_copy():
+    # a ball lift's normal ordering and circ norm read its layout, one value
+    # per m; an equal dict-backed copy goes through the word statistics and
+    # its per-word fold.  Each read gives the same bits on both, or raises
+    # OverflowError on both, for every profile of |k| <= 7 and n <= 4 and
+    # three larger ones, at every q of _LAYOUT_QS.  The copies of that grid
+    # skip key validation (_Checked); for each profile at one q, taking the
+    # values of _LAYOUT_QS in turn, the public copy FreeElement(n,
+    # dict(lift.terms)) is made too, and the reads through the mapping
+    # (the Taylor norm, sorted_terms, element_text, hash, ==) are compared
+    profiles = [k for n in range(1, 5) for k in qc.multi_indices(n, 7)]
+    profiles += [(3, 2, 2, 2), (2, 2, 2, 2), (3, 3, 3)]
+    circ, taylor = NormSpec(FREE_BALL_CIRC, 0.8), NormSpec(FREE_TAYLOR, 0.8)
+    seen = Counter()
+    for j, k in enumerate(profiles):
+        n = len(k)
+        for t, q in enumerate(_LAYOUT_QS):
+            try:
+                lift = ball_lift(k, q)
+            except OverflowError:
+                seen["no lift"] += 1
+                continue
+            copies = [FreeElement(n, _Checked(lift.terms.items()))]
+            if t == j % len(_LAYOUT_QS):
+                copies.append(FreeElement(n, dict(lift.terms)))
+                seen["public copy"] += 1
+            for copy in copies:
+                assert type(copy.terms) is not type(lift.terms)
+                reads = [(lambda f=f: normal_order(f, q), lambda f=f: norm(f, circ))
+                         for f in (lift, copy)]
+                if len(copies) == 2:
+                    for f, more in zip((lift, copy), reads):
+                        more += (lambda f=f: norm(f, taylor), f.sorted_terms,
+                                 lambda f=f: element_text(f), lambda f=f: hash(f))
+                    assert lift == copy and copy == lift
+                got, expected = map(_read_bits, reads)
+                assert got == expected, (k, q)
+            seen["lift"] += 1
+    assert seen["lift"] >= 3000 and seen["no lift"] >= 500 and seen["public copy"] >= 400, seen
+
+
+def test_ball_lift_ordering_and_circ_norm_take_the_layout_route(monkeypatch):
+    # with the word statistics out of reach a ball lift still answers, so a
+    # silent fall-back to its words would fail here; its copy needs them
+    k, q, circ = (2, 2, 1), 0.7 * cmath.exp(0.2j), NormSpec(FREE_BALL_CIRC, 0.8)
+    expected = [(normal_order(f, q), norm(f, circ))
+                for f in (ball_lift(k, q), ball_lift((3, 2, 2, 2), q))]
+
+    def refuse(*args):
+        raise AssertionError("a ball lift asked for its word statistics")
+
+    monkeypatch.setattr(qc, "word_stats", refuse)
+    monkeypatch.setattr(qc, "word_profiles", refuse)
+    for (ordered, circ_norm), k_ in zip(expected, (k, (3, 2, 2, 2))):
+        lift = ball_lift(k_, q)
+        assert same_bits(normal_order(lift, q), ordered)
+        assert repr(norm(lift, circ)) == repr(circ_norm)
+        copy = FreeElement(len(k_), dict(lift.terms))
+        for read in (lambda: normal_order(copy, q), lambda: norm(copy, circ)):
+            with pytest.raises(AssertionError, match="word statistics"):
+                read()
+
+
+@pytest.mark.parametrize("point", ["normal-order-phase", "ball-lift-coefficient"])
+def test_ball_lift_layout_route_keeps_its_mutation_points(monkeypatch, point):
+    # each hook moves the lift's ordering by about 1e-6 relative, and the
+    # copy's ordering by the same bits
+    k, q = (3, 2, 2), 0.8 * cmath.exp(0.5j)
+    clean = normal_order(ball_lift(k, q), q).terms[k]
+    monkeypatch.setattr(_mutate, "_active", point)
+    lift = ball_lift(k, q)
+    copy = FreeElement(3, dict(lift.terms))
+    got = normal_order(lift, q)
+    assert same_bits(got, normal_order(copy, q))
+    assert abs(got.terms[k] / clean - 1.0) == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_ball_lift_terms_are_the_fiber_record_with_its_layout():
+    # the keys are the held record's own word tuple, in record order, and
+    # every Mapping read answers as the dict over the terms does
+    k = (2, 2, 1)
+    n = len(k)
+    lift = ball_lift(k, 0.5)
+    terms = lift.terms
+    words, ms = qc.fiber(k)
+    assert terms._keys is words and terms.ms is ms and terms.counts == k
+    assert terms.params == (n,) and list(terms) == list(words) and len(terms) == len(words)
+    d = dict(zip(words, (terms.series[m] for m in ms)))
+    assert list(terms.values()) == list(d.values()) and list(terms.items()) == list(d.items())
+    assert len(terms.values()) == len(terms.items()) == len(d)
+    for word, c in d.items():
+        assert terms[word] == c and terms.get(word) == c and word in terms
+        assert (word, c) in terms.items() and c in terms.values()
+    for miss in ((1, 1, 2), (), (1, 2, 3, 1, 2, 4), "x"):
+        assert miss not in terms and terms.get(miss, 7) == 7
+        with pytest.raises(KeyError):
+            terms[miss]
+    with pytest.raises(TypeError):
+        terms[words[0]] = 1.0
+    # a FreeElement of the lift's n adopts the terms; one of another n
+    # checks and copies them, and a formal lift's terms and these are
+    # refused by each other's element type
+    assert FreeElement(n, terms).terms is terms
+    wider = FreeElement(n + 1, terms)
+    assert type(wider.terms) is not type(terms) and dict(wider.terms) == d
+    with pytest.raises((TypeError, ValueError)):
+        FormalFreeElement(n, 3, terms)
+    formal = deform.formal_ball_lift(k, 3)
+    assert type(formal.terms) is type(terms)
+    with pytest.raises((TypeError, ValueError)):
+        FreeElement(n, formal.terms)
+
+
+def test_lift_terms_answer_every_read_as_a_mapping_proxy_does():
+    # every other element's terms are a MappingProxyType over a dict; a
+    # lift's terms give each of its reads the same answer: reversal of the
+    # mapping and of its views, set operations on the views, copy and |
+    # either way round, and the same refusals
+    for lift in (ball_lift((2, 2, 1), 0.5), deform.formal_ball_lift((2, 1), 2)):
+        terms = lift.terms
+        proxy = MappingProxyType(dict(terms))
+        first = next(iter(terms))
+        other = {first: 2.0, "x": 1.0}
+        reads = [
+            list, lambda t: list(reversed(t)), lambda t: list(reversed(t.keys())),
+            lambda t: list(reversed(t.values())), lambda t: list(reversed(t.items())),
+            lambda t: list(t.items()), lambda t: t.keys() & {first, "x"},
+            lambda t: t.items() - {(first, t[first])}, lambda t: len(t.values()),
+            lambda t: t.copy(), lambda t: type(t.copy()), lambda t: list((t | other).items()),
+            lambda t: list((other | t).items()), lambda t: list((t | proxy).items()),
+            lambda t: list((proxy | t).items()), lambda t: list((t | terms).items()),
+            lambda t: t == proxy, lambda t: t == terms, lambda t: t.get("x", 7),
+        ]
+        for read in reads:
+            assert read(terms) == read(proxy)
+        for bad in (lambda t: t | 5, lambda t: 5 | t, lambda t: t | [(first, 1.0)]):
+            for t in (terms, proxy):
+                with pytest.raises(TypeError):
+                    bad(t)
+        # a copy and a union are new dicts: writing to them leaves the terms
+        copy = terms.copy()
+        copy[first] = 0.0
+        (terms | {})[first] = 0.0
+        assert terms[first] == proxy[first] != 0.0
 
 
 def test_overflowing_terms_are_kept():
