@@ -62,11 +62,16 @@ def _phase_taylor(exponent: int, order: int) -> list:
 def star_product(f: HSeriesElement, g: HSeriesElement,
                  order: int | None = None) -> HSeriesElement:
     """Monomial rule x^k * x^l = Taylor_N(e^{-ih sigma(l,k)}) x^{k+l},
-    extended bilinearly over the h-truncated coefficients."""
+    extended bilinearly over the h-truncated coefficients, through h^order,
+    min(f.order, g.order) by default; a higher order raises ValueError, as
+    the inputs do not determine its coefficients."""
     if f.n != g.n:
         raise ValueError("dimension mismatch")
     if order is None:
         order = min(f.order, g.order)
+    elif order > min(f.order, g.order):
+        raise ValueError(f"star product order {order} exceeds the factors' orders "
+                         f"{f.order} and {g.order}")
 
     def spread(p1, p2, s, _):
         # h^{p1 + p2 + j} picks up the j-th Taylor coefficient of the phase
@@ -155,16 +160,18 @@ def formal_ball_lift(k: Sequence[int], order: int) -> FormalFreeElement:
     k = tuple(map(index, k))
     words, ms = qc.fiber(k)
     weight = 1.0 / len(words)
-    series: dict = {}   # m -> the nonzero coefficients of h^0, h^1, ...
-    for m in set(ms):
+    # m -> the nonzero coefficients of h^0, h^1, ...; every m from 0 to
+    # max(ms) occurs in a fiber
+    series = []
+    for m in range(max(ms) + 1):
         coeffs = [complex(weight)]
         for p in range(1, order + 1):
             coeffs.append(coeffs[-1] * (1j * m) / p)
         # m = 0 leaves h^1 .. h^order at exactly 0, and every coefficient
         # after a 0 is 0: leaving them out keeps every value nonzero
-        series[m] = [_mutate.scale("formal-lift-coefficient", c)
-                     for c in (coeffs[:coeffs.index(0)] if 0 in coeffs else coeffs)]
-    powers = {m: range(len(coeffs)) for m, coeffs in series.items()}
+        series.append([_mutate.scale("formal-lift-coefficient", c)
+                       for c in (coeffs[:coeffs.index(0)] if 0 in coeffs else coeffs)])
+    powers = [range(len(coeffs)) for coeffs in series]
     return FormalFreeElement(len(k), order, _LiftTerms(
         [(p, alpha) for alpha, m in zip(words, ms) for p in powers[m]],
         list(chain.from_iterable(map(series.__getitem__, ms))), k, ms, series, (len(k), order)))
@@ -211,7 +218,7 @@ def _lift_ordering(n: int, order: int, terms: _LiftTerms) -> HSeriesElement:
     # of h^(h - p), split as Python's complex * forms it, or +0.0 where p > h
     # (the coefficients past a series' end are 0, and no code reads them)
     coeffs = np.zeros((len(series), width), dtype=complex)
-    for m, row in series.items():
+    for m, row in enumerate(series):
         coeffs[m, :len(row)] = row
     taylor = _mutate.scale("formal-order-phase", np.array(
         [_taylor_exp(1j * -m, order) for m in range(len(series))]))
@@ -226,7 +233,7 @@ def _lift_ordering(n: int, order: int, terms: _LiftTerms) -> HSeriesElement:
     # term i of word w has code m_w (order + 1) + i - (index of w's first
     # term); every m from 0 to max(ms) occurs in a fiber
     word_ms = np.fromiter(terms.ms, dtype=np.intp, count=len(terms.ms))
-    sizes = np.array([len(series[m]) for m in range(len(series))])[word_ms]
+    sizes = np.array([len(row) for row in series])[word_ms]
     codes = (np.repeat(word_ms * width - (np.cumsum(sizes) - sizes), sizes)
              + np.arange(len(terms)))
     # [term, part, h] the running sums, carried from chunk to chunk

@@ -101,16 +101,15 @@ class _LiftTerms(Mapping):
     term order, its keys (the fiber's words, or (h-power, word) pairs) and
     their coefficients, with the lift's layout beside them: counts, the
     profile k of its words; ms, the inversion number of each word of the
-    fiber, in fiber order; and series over m.  params, (n,) for a ball lift
-    and (n, order) for a formal lift, fixes the shape of series: a list, m
-    -> the coefficient of a word of m inversions, which per_word reads, or
-    a dict, m -> the list of its coefficients of h^0, h^1, ..., which
-    deform reads.  Iteration, reversal and len read the keys; every other
-    read goes to a dict built over the two sequences on first use, so the
-    views, copy and | are a MappingProxyType's.  Every value is a nonzero
-    complex, so an element built for params (a FreeElement for (n,), a
-    FormalFreeElement for (n, order)) adopts the mapping as it is; any
-    other checks and copies its terms."""
+    fiber, in fiber order; and series, a list over m = 0 .. max(ms) of the
+    coefficient of a word of m inversions (a ball lift's, which per_word
+    reads) or of the list of its coefficients of h^0, h^1, ... (a formal
+    lift's, which deform reads).  Iteration, reversal and len read the
+    keys; every other read goes to a dict built over the two sequences on
+    first use, so the views, copy and | are a MappingProxyType's.  Every
+    value is a nonzero complex, so an element built for params, (n,) for a
+    ball lift and (n, order) for a formal lift, adopts the mapping as it
+    is; any other checks and copies its terms."""
 
     __slots__ = ("_keys", "_values", "_lookup", "counts", "ms", "series", "params")
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from qdomains import _mutate
@@ -228,12 +227,7 @@ def _free_norm(a: FreeElement, spec: NormSpec) -> float:
     if type(terms) is _LiftTerms:   # a ball lift: |c|**2 once per m, then its copy's fsum
         squares = terms.per_word(lambda m, c: abs(c) ** 2)
         return math.sqrt(math.fsum(squares)) * rho ** sum(terms.counts)
-    profiles = qc.word_profiles(terms, a.n)
-    if profiles and profiles.count(profiles[0]) == len(profiles):
-        # one profile, as in a copy of a lift: one C-level pass over the coefficients
-        groups = [(profiles[0], map(pow, map(abs, terms.values()), repeat(2)))]
-    else:
-        groups = _groups(profiles, terms.values())
+    groups = _groups(qc.word_profiles(terms, a.n), terms.values())
     return math.fsum(math.sqrt(math.fsum(squares)) * rho ** sum(k) for k, squares in groups)
 
 

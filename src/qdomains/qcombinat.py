@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, product
 from operator import index, mul
@@ -328,31 +327,26 @@ def weight_ball(k: Sequence[int], q) -> float:
 # lexicographic order and their inversion numbers, as tuples, both from one
 # recursion on the first letter (_enumerate_fiber); no statistics pass runs
 # over the words.  The records are held by profile under _held.held while
-# they add up to at most 2**16 words (_fiber_record), and the store is their
-# only home: a record over the budget is returned unheld and let go with its
-# last reference.  So the lifts of one x^k, its fiber lists and its Mahonian
-# sum share a single enumeration while its record is held.  The record holds
-# no element's data: a ball lift and a formal lift keep their own layout
-# (elements._LiftTerms), so their orderings and the circ norm of a ball
-# lift ask no statistics of their words.
+# they add up to at most 2**16 words, and the store is their only home,
+# read by fiber() alone: a record over the budget is returned unheld and
+# let go with its last reference.  So the lifts of one x^k, its fiber lists
+# and its Mahonian sum share a single enumeration while its record is held.
+# The record holds no element's data: a ball lift and a formal lift keep
+# their own layout (elements._LiftTerms), so their orderings and the circ
+# norm of a ball lift ask no statistics of their words.
 #
-# A held record also answers word_stats and word_profiles: a batch of words
-# of one held fiber (the words of a copy of a lift of x^k, in any order and
-# any number) has profile k and the recorded inversion numbers (_fiber_stats,
-# which looks the record up under the profile of the batch's first word);
-# membership in the fiber already fixes every letter.  A batch off the
-# store (a foreign word anywhere in it, a word that is not a tuple, an
-# empty batch, or a fiber not held) is computed (_scan_stats): by the
-# scalar loops, word by word, below _SCALAR_BATCH words, else in one numpy
-# pass over the words left-padded with 0 into one integer array.  A numpy
-# pass has a fixed cost of about 30-60 us, while the scalar loops take 3-6
-# us per word of 4-12 letters, so they are faster up to about 16-20 words (timeit, 2-letter to 6-letter alphabets); the normal orderings
-# and norms of the 4-6 term elements that the suites check make tens of
-# thousands of such calls.  The profiles alone (word_profiles, for the circ
-# norm) have their own cutoff, _SCALAR_PROFILES.  numpy is imported on the
-# first numpy pass, not with the module.  Every computed route raises
-# ValueError unless each letter equals an int in 1..n, so 1.5, '1' and 2**70
-# are refused on each.
+# word_stats and word_profiles compute a batch's statistics from its
+# letters alone: by the scalar loops, word by word, below _SCALAR_BATCH
+# words, else in one numpy pass over the words left-padded with 0 into one
+# integer array.  A numpy pass has a fixed cost of about 30-60 us, while
+# the scalar loops take 3-6 us per word of 4-12 letters, so they are faster
+# up to about 16-20 words (timeit, 2-letter to 6-letter alphabets); the
+# normal orderings and norms of the 4-6 term elements that the suites check
+# make tens of thousands of such calls.  The profiles alone (word_profiles,
+# for the circ norm) have their own cutoff, _SCALAR_PROFILES.  numpy is
+# imported on the first numpy pass, not with the module.  Both routes raise
+# ValueError unless each letter equals an int in 1..n, so 1.5, '1' and
+# 2**70 are refused on each.
 
 def word_profile(alpha: Sequence[int], n: int) -> tuple:
     """Letter-count profile p(alpha); p_i = number of occurrences of i."""
@@ -392,39 +386,6 @@ _SCALAR_BATCH = 20
 # 36-44 us)
 _SCALAR_PROFILES = 50
 
-def _fiber_stats(words, n):
-    """(profiles, inversions) of words over letters 1..n read from the held
-    record of the fiber of the first word, or None unless that record is
-    held and every word is a word of it.  words may be any sized iterable
-    of words, a mapping keyed by words among them.  A batch that is the
-    record's own word sequence (as the terms of a copy of a ball lift are;
-    the lift itself reads its layout and never comes here) takes its
-    inversion numbers as they are, after one C-level comparison; any other
-    batch finds each word by bisection, as the record is in lexicographic
-    order."""
-    first = next(iter(words), None)
-    if type(first) is not tuple:
-        return None
-    counts = tuple(map(first.count, range(1, n + 1)))
-    record = _fiber_record.store.get((counts,))
-    if record is None:
-        return None
-    record_words, record_ms = record
-    size = len(words)
-    try:
-        if size == len(record_words) and tuple(words) == record_words:
-            return [counts] * size, list(record_ms)
-        ms = []
-        for word in words:
-            i = bisect_left(record_words, word)
-            if i == len(record_words) or record_words[i] != word:
-                return None
-            ms.append(record_ms[i])
-    # a word that does not compare with a tuple (a list, an array)
-    except (TypeError, ValueError):
-        return None
-    return [counts] * size, ms
-
 
 def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
     """(profiles, inversions) of a batch of words over letters 1..n: a list
@@ -432,29 +393,8 @@ def word_stats(words: Sequence[Sequence[int]], n: int) -> tuple:
 
     profiles[i] is word_profile(words[i], n) and inversions[i] is
     inversions(words[i]); words may also be a mapping keyed by words, such
-    as an element's terms.  A batch of words of one held fiber is read from
-    its record, any other is computed and raises ValueError unless
-    every letter equals an int in 1..n (see the notes above word_profile)."""
-    stats = _fiber_stats(words, n)
-    if stats is not None:
-        return stats
-    return _scan_stats(words, n)
-
-
-def word_profiles(words: Sequence[Sequence[int]], n: int) -> list:
-    """The profiles of word_stats(words, n), read from the fiber record as
-    there; a batch off the record is not counted for inversions."""
-    stats = _fiber_stats(words, n)
-    if stats is not None:
-        return stats[0]
-    if len(words) < _SCALAR_PROFILES:
-        return _scalar_profiles(words, n)
-    return _padded_profiles(_padded(words, n), n)
-
-
-def _scan_stats(words, n):
-    """word_stats computed from the letters: the scalar loops below
-    _SCALAR_BATCH words, else one numpy pass."""
+    as an element's terms.  Raises ValueError unless every letter equals an
+    int in 1..n (see the notes above word_profile)."""
     if len(words) < _SCALAR_BATCH:
         return _scalar_profiles(words, n), [inversions(word) for word in words]
     import numpy as np
@@ -463,6 +403,13 @@ def _scan_stats(words, n):
     for j in range(1, padded.shape[1]):
         ms += (padded[:, :j] > padded[:, j:j + 1]).sum(axis=1)
     return _padded_profiles(padded, n), ms.tolist()
+
+
+def word_profiles(words: Sequence[Sequence[int]], n: int) -> list:
+    """The profiles of word_stats(words, n), without the inversion counts."""
+    if len(words) < _SCALAR_PROFILES:
+        return _scalar_profiles(words, n)
+    return _padded_profiles(_padded(words, n), n)
 
 
 def _scalar_profiles(words, n):
@@ -587,10 +534,11 @@ def _fiber_record(counts):
 def fiber(k: Sequence[int]) -> tuple:
     """The fiber record (words, inversions) of p^{-1}(k), both tuples: every
     word alpha with p(alpha) = k once, in lexicographic order, and m(alpha)
-    of each.  A later call for a held profile returns the same record (see
-    the notes above word_profile).  Every call, held or not, raises
-    EnumerationCapExceeded for a fiber of more than ENUMERATION_CAP words,
-    before any lookup or enumeration."""
+    of each.  A later call for a held profile returns the same record, and
+    no other function reads the held records (see the notes above
+    word_profile).  Every call, held or not, raises EnumerationCapExceeded
+    for a fiber of more than ENUMERATION_CAP words, before any lookup or
+    enumeration."""
     counts = tuple(map(index, k))
     _check_fiber_cap(counts)
     return _fiber_record(counts)

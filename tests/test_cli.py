@@ -334,6 +334,35 @@ def test_non_finite_option_numbers_exit_two(tmp_path, qpoly_doc, capsys, command
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+def test_negative_degree_cap_exits_two(tmp_path, qpoly_doc, capsys):
+    # a negative cap once exited 0 with an element of no terms
+    free = write(tmp_path, "free.json", {"kind": "free", "n": 2,
+                                         "terms": [{"alpha": [1, 2], "c": {"re": 1}}]})
+    for doc, cap in ((qpoly_doc, "-3"), (free, "-1")):
+        assert cli.main(["mul", "--in", doc, "--in", doc, "--degree-cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --degree-cap must be nonnegative, got {cap}\n"
+    assert cli.main(["mul", "--in", qpoly_doc, "--in", qpoly_doc, "--degree-cap", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["terms"] == []
+
+
+def test_star_order_above_the_inputs_exits_two(tmp_path, capsys):
+    # an order above the documents' once exited 0 with h^3..h^5 coefficients
+    # the inputs do not determine
+    rng = Random("cli-star-order")
+    docs = [write(tmp_path, f"h-{i}.json",
+                  element_to_document(randgen.random_hseries(rng, 2, 2, terms=4)))
+            for i in range(2)]
+    argv = ["star", "--in", docs[0], "--in", docs[1], "--order"]
+    assert cli.main(argv + ["5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: star product order 5 exceeds the factors' orders 2 and 2\n"
+    assert cli.main(argv + ["2"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 2
+
+
 def test_fock_norm_depth_is_validated(tmp_path, qpoly_doc, capsys):
     # a negative depth once exited 1 with an IndexError traceback, and a
     # depth whose matrix could not be allocated with a numpy memory error
@@ -824,7 +853,7 @@ def _fresh_cli(requests):
 
 # One interpreter on numpy-free requests: put sys.argv[1] first on the path,
 # run each argv of sys.argv[2] through cli.main in process, then word_stats
-# of a batch read from the fiber record and of one computed off it, then
+# of a batch of fiber words and of a batch of mixed words, then
 # seeded draws of the four randgen generators and a scalar multiple, once
 # through randgen._draw's one pass over a random.Random and once through
 # rng.choice, rng.randint and unit_disk (a subclass takes that route); print

@@ -108,6 +108,20 @@ def test_routed_deformation_products_equal_reference_loops():
         assert got == expected and list(got.terms) == list(expected.terms)
 
 
+def test_star_product_refuses_an_order_above_its_factors():
+    rng = Random("star-order")
+    f = randgen.random_hseries(rng, 2, 3, terms=5)
+    g = randgen.random_hseries(rng, 2, 2, terms=5)
+    for a, b in ((f, g), (g, f)):
+        for order in (0, 2):
+            got = deform.star_product(a, b, order=order)
+            assert got == HSeriesElement(2, order, reference_star_product(a, b, order))
+        for order in (3, 5):
+            with pytest.raises(ValueError, match=f"order {order} exceeds the factors' "
+                                                 f"orders {a.order} and {b.order}"):
+                deform.star_product(a, b, order=order)
+
+
 def _sampled_terms(rng, n, order, size, nan=False):
     """size distinct (h-power, exponent vector) keys of h-power at most
     order and the least degree that has that many, with coefficients in
@@ -226,24 +240,16 @@ def test_formal_ordering_array_pass_equals_reference_loop_bit_for_bit():
     assert math.copysign(1.0, got.terms[(1, (2, 0))].real) == 1.0
 
 
-def test_formal_ordering_reads_the_fiber_record(monkeypatch):
+def test_formal_ordering_reads_the_fiber_record():
     # the formal lift's words are the held fiber record's; its ordering
-    # reads their statistics from the record, or computes them once the
-    # record is no longer held, and equals the per-word loop bit for bit,
-    # in the same key order
+    # equals the per-word loop bit for bit, in the same key order
     for k in ((2, 1), (0, 3, 2), (3, 2, 2), (2, 2, 1, 1), (3, 3, 3)):
         n = len(k)
         for order in (0, 3):
             u = deform.formal_ball_lift(k, order)
-            words = [alpha for p, alpha in u.terms if p == 0]
             expected = HSeriesElement(n, order, reference_normal_order_formal(u))
-            for evict in (False, True):
-                if evict:
-                    empty_fiber_store(monkeypatch)
-                qc.fiber((1,) * n if evict else k)
-                assert (qc._fiber_stats(words, n) is None) == evict
-                got = deform.normal_order_formal(u)
-                assert got == expected and list(got.terms) == list(expected.terms)
+            got = deform.normal_order_formal(u)
+            assert got == expected and list(got.terms) == list(expected.terms)
 
 
 def _counted_word_stats(monkeypatch):

@@ -533,27 +533,18 @@ def test_batched_word_statistics_equal_reference_loops():
                 assert ordered == reference and list(ordered.terms) == list(reference.terms)
 
 
-def test_lift_orderings_and_circ_norm_read_the_fiber_record(monkeypatch):
-    # a lift's words are the held fiber record's words: a ball lift's terms
-    # are the record's own word sequence, which _fiber_stats reads as it is
-    # (the lift's ordering and circ norm read its layout instead), and a
-    # polydisk lift's one word is found by bisection.  Once the record is
-    # no longer held the statistics are computed.  Every route gives the
-    # per-word loops' results, bit for bit and in the same key order.
+def test_lift_orderings_and_circ_norm_read_the_fiber_record():
+    # a lift's words are the held fiber record's words: a ball lift's
+    # ordering and circ norm read its layout, and a polydisk lift's one word
+    # is counted from its letters.  Each gives the per-word loops' results,
+    # bit for bit and in the same key order.
     for k in ((2, 1), (0, 3, 2), (3, 2, 2), (2, 2, 1, 1), (3, 3, 3)):
         n = len(k)
         for q in (0.85, cmath.exp(0.7j), 1.3 - 0.4j):
             for f in (ball_lift(k, q), polydisk_lift(k, q)):
                 expected = QPolynomial(n, q, reference_normal_order(f, q))
-                circ = reference_circ_norm(f, 0.8)
-                for evict in (False, True):
-                    if evict:
-                        empty_fiber_store(monkeypatch)
-                    qc.fiber((1,) * n if evict else k)
-                    assert (qc._fiber_stats(f.terms, n) is None) == evict
-                    got = normal_order(f, q)
-                    assert same_bits(got, expected)
-                    assert norm(f, NormSpec(FREE_BALL_CIRC, 0.8)) == circ
+                assert same_bits(normal_order(f, q), expected)
+                assert norm(f, NormSpec(FREE_BALL_CIRC, 0.8)) == reference_circ_norm(f, 0.8)
 
 
 def _circ_bits(value):
@@ -562,10 +553,10 @@ def _circ_bits(value):
 
 def test_single_profile_sums_equal_the_reference_loops_bit_for_bit(monkeypatch):
     # normal_order sums each profile from 0.0 in term order, and the circ
-    # norm sums a batch of one profile in one reduction: the bits of the
-    # per-word loops, for coefficients with -0.0 parts, infinite and NaN
-    # ones, whether the batch is a lift's words read off the record, a
-    # reordered copy of them, a few of its words, or off the record
+    # norm sums each profile's squares with fsum: the bits of the per-word
+    # loops, for coefficients with -0.0 parts, infinite and NaN ones,
+    # whether the batch is a lift's words, a reordered copy of them or a few
+    # of its words, with the fiber record held or not
     inf, nan = math.inf, math.nan
     odd = [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -1e-300), complex(inf, 0.0),
            complex(0.0, -inf), complex(nan, 1.0), complex(inf, -inf), -1.5 + 0.25j]

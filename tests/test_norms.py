@@ -29,8 +29,8 @@ from qdomains.norms import (
 
 from qdomains.qcombinat import _SCALAR_BATCH, _SCALAR_PROFILES
 
-from oracles import (empty_fiber_store, reference_circ_norm, reference_laurent_norm,
-                     reference_qpoly_norm, simplex_monomial_max)
+from oracles import (reference_circ_norm, reference_laurent_norm, reference_qpoly_norm,
+                     simplex_monomial_max)
 
 
 def test_norm_spec_validation():
@@ -237,12 +237,13 @@ def test_qpoly_norms_are_the_term_by_term_sums():
 
 
 def test_circ_norm_off_the_record_counts_profiles_only(monkeypatch):
-    # off the fiber record the circ norm needs the letter profiles alone:
-    # no inversion count runs, on the scalar route or the numpy one
+    # the circ norm of an element that is not a ball lift needs the letter
+    # profiles alone: no inversion count runs, on the scalar route or the
+    # numpy one
     def no_inversions(*args):
         raise AssertionError("inversions counted for a norm")
 
-    monkeypatch.setattr(qc, "_scan_stats", no_inversions)
+    monkeypatch.setattr(qc, "word_stats", no_inversions)
     monkeypatch.setattr(qc, "inversions", no_inversions)
     rng = Random("circ-off-record")
     padded = []   # the batch size of each numpy profile pass
@@ -253,9 +254,6 @@ def test_circ_norm_off_the_record_counts_profiles_only(monkeypatch):
                  _SCALAR_PROFILES - 1, _SCALAR_PROFILES):
         for n in (1, 2, 3):
             f = randgen.random_free(rng, n, max_len=6, terms=size)
-            empty_fiber_store(monkeypatch)
-            qc.fiber((1,) * (n + 1))   # the one record held is of another alphabet size
-            assert qc._fiber_stats(f.terms, n) is None
             for rho in (0.4, 1.3):
                 padded.clear()
                 assert norm(f, NormSpec(FREE_BALL_CIRC, rho)) == reference_circ_norm(f, rho)

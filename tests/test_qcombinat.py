@@ -536,8 +536,7 @@ def test_fiber_store_holds_at_most_its_bound_oldest_out_first(monkeypatch):
 
 def test_fiber_record_over_the_budget_is_not_kept(monkeypatch):
     # the store is a record's only home: one over the budget is returned
-    # unheld, so each call enumerates it again and no batch of its words is
-    # read from it, whichever profile was asked for last
+    # unheld, so each call enumerates it again
     store = empty_fiber_store(monkeypatch, 400)
     enumerated = []
     enumerate_fiber = qc._enumerate_fiber
@@ -547,10 +546,7 @@ def test_fiber_record_over_the_budget_is_not_kept(monkeypatch):
     record = qc.fiber(k)
     assert qc.fiber(k) == record and enumerated == [k, k]
     assert store == {} and qc._fiber_record.total == 0
-    scans = _counted_scans(monkeypatch)
-    assert qc._fiber_stats(record[0], 3) is None
     assert qc.word_stats(record[0], 3) == ([k] * 560, list(record[1]))
-    assert scans == [560]
 
 
 def test_fiber_store_records_are_fresh_enumerations():
@@ -595,23 +591,6 @@ def test_fiber_store_serves_the_traffic_of_a_run(monkeypatch):
         assert sorted(enumerated) == ([] if lift_pass else sorted(unheld))
     held_fibers = qc._fiber_record
     assert held_fibers.total == sum(len(r[0]) for r in store.values()) <= held_fibers.budget
-
-
-def test_fiber_stats_answers_for_every_held_profile(monkeypatch):
-    # a batch is read from the held record of its first word's profile,
-    # whichever profile was asked for last, and from none once that record
-    # is no longer held
-    store = empty_fiber_store(monkeypatch, 10 ** 4)
-    first, second = (2, 1, 2), (1, 2, 2)
-    fibers = {k: qc.fiber(k)[0] for k in (first, second)}   # second asked last
-    assert (first,) in store and (second,) in store
-    for k, words in fibers.items():
-        for batch in (words, words[::-2], words[:1]):
-            assert qc._fiber_stats(batch, 3) == ([k] * len(batch),
-                                                 [brute_inversions(w) for w in batch])
-    empty_fiber_store(monkeypatch)
-    for words in fibers.values():
-        assert qc._fiber_stats(words, 3) is None and qc._fiber_stats(words[:1], 3) is None
 
 
 def test_fiber_cap_is_checked_before_the_store(monkeypatch):
@@ -915,13 +894,19 @@ def test_word_stats_matches_brute_force():
                                ([(2, 2, 2)], 2, ([(0, 3)], [0]))):
         for got in _word_stats_both_routes(batch, n):
             assert got == expected
-    # a batch of fiber words, in reverse, read from the cached record
-    for k in ((4,), (2, 3), (1, 2, 2), (2, 0, 1, 2)):
+    # fiber words: a whole fiber in record order, a reversed slice, one
+    # word, and a mapping keyed by fiber words, as an element's terms are;
+    # a fiber of numpy-int counts gives int profiles
+    for k in ((4,), (2, 3), (1, 2, 2), (2, 0, 1, 2), (3, 2, 2),
+              np.array([2, 0, 1], dtype=np.int64)):
         n = len(k)
-        batch = list(qc.fiber(k)[0])[::-1]
-        assert qc._fiber_stats(batch, n) is not None
-        assert qc.word_stats(batch, n) == ([brute_profile(w, n) for w in batch],
-                                           [brute_inversions(w) for w in batch])
+        words = qc.fiber(k)[0]
+        for batch in (words, list(words[::-3]), [words[-1]], dict.fromkeys(words[1:40], 1.0)):
+            profiles, ms = qc.word_stats(batch, n)
+            assert (profiles, ms) == _brute_stats(batch, n)
+            assert qc.word_profiles(batch, n) == profiles
+            assert all(type(c) is int for p in profiles for c in p)
+            assert all(type(m) is int for m in ms)
     # letters far above int8; lists as well as tuples
     for got in _word_stats_both_routes([[300, 2], (1,)], 300):
         assert got[1] == [1, 0]
@@ -936,48 +921,14 @@ def test_word_stats_matches_brute_force():
                     route(batch, 2)
 
 
-def _counted_scans(monkeypatch):
-    """Record the size of every batch whose statistics are computed, not
-    read from the fiber record."""
-    sizes = []
-    scan = qc._scan_stats
-
-    def counted(words, n):
-        sizes.append(len(words))
-        return scan(words, n)
-
-    monkeypatch.setattr(qc, "_scan_stats", counted)
-    return sizes
-
-
 def _brute_stats(batch, n):
     return ([brute_profile(tuple(w), n) for w in batch],
             [brute_inversions(tuple(w)) for w in batch])
 
 
-def test_word_stats_reads_the_cached_fiber_record(monkeypatch):
-    k = (2, 1, 2)
-    words, ms = qc.fiber(k)
-    scans = _counted_scans(monkeypatch)
-    # the whole fiber, a reversed stride of it, one word, and a mapping
-    # keyed by fiber words, as an element's terms are
-    for batch in (words, list(words[::-3]), [words[7]], dict.fromkeys(words[5:40], 1.0)):
-        profiles, got = qc.word_stats(batch, 3)
-        assert (profiles, got) == _brute_stats(batch, 3)
-        assert all(type(c) is int for c in profiles[0]) and all(type(m) is int for m in got)
-    assert qc.word_stats(words, 3) == ([k] * len(words), list(ms))
-    assert scans == []
-    qc.fiber((1, 1, 1))
-    assert scans == []   # the record is enumerated with its statistics
-    assert qc.word_stats(words, 3) == ([k] * len(words), list(ms))
-    # once the record is no longer held, the same batch is computed
-    empty_fiber_store(monkeypatch)
-    assert qc.word_stats(words, 3) == ([k] * len(words), list(ms))
-    assert scans == [len(words)]
-
-
-def test_word_stats_falls_back_off_the_record(monkeypatch):
-    empty_fiber_store(monkeypatch)   # so that the one record held is k's
+def test_word_stats_falls_back_off_the_record():
+    # batches that look like a fiber's but are not: each is counted from
+    # its letters
     k = (2, 1, 2)
     words = list(qc.fiber(k)[0])
     foreign = (3, 3, 1)
@@ -987,66 +938,37 @@ def test_word_stats_falls_back_off_the_record(monkeypatch):
         ([foreign] + words, 3),                     # ... first
         ([list(w) for w in words], 3),              # unhashable words
         (words[:5] + [list(words[5])], 3),          # one unhashable word partway
+        (words[:-1] + [foreign], 3),                # the fiber's length, one foreign word
+        (words[:-1] + [words[-1] + (1,)], 3),       # ... one longer word
+        ([words[3], foreign], 3),                   # a few words
+        ([words[0][:-1]], 3),                       # one shorter word
         (words, 4),                                 # another alphabet size
         ([], 3),
     ]
-    scans = _counted_scans(monkeypatch)
     for batch, n in cases:
-        assert qc._fiber_stats(batch, n) is None
         assert qc.word_stats(batch, n) == _brute_stats(batch, n)
-    assert scans == [len(batch) for batch, _ in cases]
     # a foreign word with letters outside 1..n is still rejected
     with pytest.raises(ValueError):
         qc.word_stats(words + [(4, 1)], 3)
 
 
-def test_fiber_stats_reads_the_record_by_layout_or_bisection(monkeypatch):
-    # the record's own word sequence takes its inversion numbers as they
-    # are, and any other batch finds them word by word by bisection; both
-    # equal the brute counts
-    empty_fiber_store(monkeypatch, 10 ** 4)
-    for k in ((4,), (2, 3), (1, 2, 2), (2, 0, 1, 2), (3, 2, 2)):
+def test_word_stats_do_not_depend_on_the_fiber_store(monkeypatch):
+    # the statistics come from the words alone: the same answers with the
+    # store empty and with it holding the batch's fiber
+    for k in ((4,), (2, 3), (1, 2, 2), (3, 2, 2)):
         n = len(k)
-        words, ms = qc.fiber(k)
-        batches = (words, list(words), dict.fromkeys(words, 1.0), [words[-1]], [words[0]],
-                   list(words[::7]), words[::-1], words[1:] + words[:1])
-        for batch in batches:
-            got = qc._fiber_stats(batch, n)
-            assert got == ([k] * len(batch), [brute_inversions(w) for w in batch])
-            assert type(got[1]) is list and all(type(m) is int for m in got[1])
-
-
-def test_fiber_stats_refuses_look_alikes_of_the_record(monkeypatch):
-    empty_fiber_store(monkeypatch, 10 ** 4)
-    k = (2, 1, 2)
-    words = list(qc.fiber(k)[0])
-    foreign = (3, 3, 1)
-    look_alikes = [
-        words[:-1] + [foreign],                  # same length, one foreign word
-        words[:7] + [foreign] + words[8:],
-        [foreign] + words[1:],
-        words[:-1] + [words[-1] + (1,)],         # same length, one longer word
-        [words[3], foreign],                     # a few words: bisection
-        [foreign],
-        [words[2] + (1,)],
-        [words[0][:-1]],
-        [list(words[4])],                        # a list does not compare with a tuple
-        [np.array(words[4])],                    # nor does an array
-        words[:-1] + [list(words[-1])],
-        [],
-    ]
-    for batch in look_alikes:
-        assert qc._fiber_stats(batch, 3) is None
-        if all(isinstance(w, tuple) for w in batch):
-            assert qc.word_stats(batch, 3) == ([brute_profile(w, 3) for w in batch],
-                                               [brute_inversions(w) for w in batch])
-    # the same words, once the record is no longer held, or at another n
-    empty_fiber_store(monkeypatch)
-    qc.fiber((1, 1, 1))
-    for batch in (words, words[:1]):
-        assert qc._fiber_stats(batch, 3) is None
-    qc.fiber(k)
-    assert qc._fiber_stats(words, 4) is None
+        words = qc.fiber(k)[0]
+        batches = (words, words[::-1], [words[-1]], list(words[::7]),
+                   dict.fromkeys(words, 1.0), list(words) + [(n,) * 3])
+        answers = []
+        for kept in (False, True):
+            empty_fiber_store(monkeypatch)
+            if kept:
+                qc.fiber(k)
+            assert ((k,) in qc._fiber_record.store) == kept
+            answers.append([(qc.word_stats(b, n), qc.word_profiles(b, n)) for b in batches])
+        assert answers[0] == answers[1]
+        assert [stats for stats, _ in answers[0]] == [_brute_stats(b, n) for b in batches]
 
 
 def test_fiber_record_of_numpy_counts_gives_int_profiles(monkeypatch):
