@@ -100,8 +100,6 @@ def _family(name: str) -> str:
 def _cmd_mul(args) -> int:
     if len(args.inputs) != 2:
         raise UsageError("mul needs exactly two --in documents")
-    if args.degree_cap is not None and args.degree_cap < 0:
-        raise UsageError(f"--degree-cap must be nonnegative, got {args.degree_cap}")
     a, _ = _load_element(args.inputs[0])
     b, _ = _load_element(args.inputs[1])
     if type(a) is not type(b):

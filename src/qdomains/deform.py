@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain
 from operator import index
 from typing import NamedTuple, Sequence
 
@@ -154,9 +153,9 @@ def formal_ball_lift(k: Sequence[int], order: int) -> FormalFreeElement:
     The terms run word by word in fiber order, h-powers ascending within a
     word, and the h^p coefficient of a word of m inversions is series[m][p],
     through the formal-lift-coefficient hook.  They are a _LiftTerms over
-    the key and value lists, built here, which also holds the layout that
-    normal_order_formal reads: k, the fiber's inversion numbers and series.
-    No dict over the keys is built unless a lookup asks for one."""
+    the layout alone, which normal_order_formal reads: the fiber's words, k,
+    their inversion numbers and series.  The (h-power, word) keys and the
+    dict over them are formed only when a read of the terms asks for them."""
     k = tuple(map(index, k))
     words, ms = qc.fiber(k)
     weight = 1.0 / len(words)
@@ -171,10 +170,7 @@ def formal_ball_lift(k: Sequence[int], order: int) -> FormalFreeElement:
         # after a 0 is 0: leaving them out keeps every value nonzero
         series.append([_mutate.scale("formal-lift-coefficient", c)
                        for c in (coeffs[:coeffs.index(0)] if 0 in coeffs else coeffs)])
-    powers = [range(len(coeffs)) for coeffs in series]
-    return FormalFreeElement(len(k), order, _LiftTerms(
-        [(p, alpha) for alpha, m in zip(words, ms) for p in powers[m]],
-        list(chain.from_iterable(map(series.__getitem__, ms))), k, ms, series, (len(k), order)))
+    return FormalFreeElement(len(k), order, _LiftTerms(words, k, ms, series, (len(k), order)))
 
 
 _ORDERING_CHUNK = 2048   # terms per gather of the table route; bounds its temporaries
@@ -196,9 +192,12 @@ def normal_order_formal(u: FormalFreeElement) -> HSeriesElement:
     other element, an equal copy of a lift included, by the term loop.
     Both routes give the same bits."""
     terms = u.terms
-    if len(terms) < _SCALAR_ORDERING or type(terms) is not _LiftTerms:
-        return _ordering_loop(u)
-    return _lift_ordering(u.n, u.order, terms)
+    # a lift has at least one term per word, so one of _SCALAR_ORDERING
+    # words takes the table route without len, which walks ms
+    if type(terms) is _LiftTerms and (len(terms.ms) >= _SCALAR_ORDERING
+                                      or len(terms) >= _SCALAR_ORDERING):
+        return _lift_ordering(u.n, u.order, terms)
+    return _ordering_loop(u)
 
 
 def _lift_ordering(n: int, order: int, terms: _LiftTerms) -> HSeriesElement:
@@ -206,12 +205,12 @@ def _lift_ordering(n: int, order: int, terms: _LiftTerms) -> HSeriesElement:
     series[m][p], so every product is an entry of one table over (m, p, h),
     formed once with split real arithmetic, as Python's complex * forms it,
     and +0.0 where p > h (by np.where, since a product with an infinite
-    coefficient could be NaN).  Term i's row has code m (order + 1) + p;
-    the rows are gathered chunk by chunk into a sequential cumulative sum
-    from +0.0, carried from chunk to chunk.  A +0.0 leaves the running
-    sum's bits as they are, as a sum started at +0.0 is never -0.0.  The
-    terms share one profile and the first has p = 0, so the keys are
-    (h, counts) for h ascending."""
+    coefficient could be NaN).  Term i's column has code m (order + 1) + p;
+    the columns are gathered chunk by chunk, and each row is summed
+    sequentially along its contiguous axis from +0.0, carried from chunk to
+    chunk.  A +0.0 leaves the running sum's bits as they are, as a sum
+    started at +0.0 is never -0.0.  The terms share one profile and the
+    first has p = 0, so the keys are (h, counts) for h ascending."""
     series = terms.series
     width = order + 1
     # [m (order + 1) + p, part, h]: series[m][p] times m's Taylor coefficient
@@ -229,22 +228,22 @@ def _lift_ordering(n: int, order: int, terms: _LiftTerms) -> HSeriesElement:
     with np.errstate(all="ignore"):   # as Python's floats: inf and NaN, silently
         table[:, :, 0] = np.where(ps > hs, 0.0, a.real * t.real - a.imag * t.imag)
         table[:, :, 1] = np.where(ps > hs, 0.0, a.real * t.imag + a.imag * t.real)
-    table = table.reshape(-1, 2, width)
+    # [part and h, code]: each code's products down one column
+    table = np.ascontiguousarray(table.reshape(-1, 2 * width).T)
     # term i of word w has code m_w (order + 1) + i - (index of w's first
     # term); every m from 0 to max(ms) occurs in a fiber
     word_ms = np.fromiter(terms.ms, dtype=np.intp, count=len(terms.ms))
     sizes = np.array([len(row) for row in series])[word_ms]
-    codes = (np.repeat(word_ms * width - (np.cumsum(sizes) - sizes), sizes)
-             + np.arange(len(terms)))
-    # [term, part, h] the running sums, carried from chunk to chunk
-    sums = np.zeros((2, width))
+    codes = np.repeat(word_ms * width - (np.cumsum(sizes) - sizes), sizes)
+    codes += np.arange(len(codes))
+    # [part and h, term] the running sums along each row, carried from
+    # chunk to chunk as the left operand of the chunk's first addition
+    sums = np.zeros(2 * width)
     for start in range(0, len(codes), _ORDERING_CHUNK):
-        chunk = codes[start:start + _ORDERING_CHUNK]
-        acc = np.empty((len(chunk) + 1, 2, width))
-        acc[0] = sums
-        np.take(table, chunk, axis=0, out=acc[1:])
-        sums = np.cumsum(acc, axis=0, out=acc)[-1]
-    re, im = sums.tolist()
+        acc = np.take(table, codes[start:start + _ORDERING_CHUNK], axis=1)
+        np.add(sums, acc[:, 0], out=acc[:, 0])
+        sums = np.cumsum(acc, axis=1, out=acc)[:, -1]
+    re, im = sums.reshape(2, width).tolist()
     return HSeriesElement(n, order, _Checked(
         {(h, terms.counts): complex(x, y) for h, (x, y) in enumerate(zip(re, im))}))
 

@@ -42,10 +42,11 @@ hand their terms over as a _Checked mapping, whose values each builder
 makes complex where it forms them (scalar * converts its scalar once,
 evaluate_h each power of h); construction takes the map over (see
 _Checked), still through each class's __init__, and drops exact zeros.
-ball_lift and deform.formal_ball_lift hand over their keys and values
-with the lift's layout in a _LiftTerms, which FreeElement and
-FormalFreeElement take as their terms as it is (_adopted); the lift's
-orderings and the circ norm read that layout in place of its words.
+ball_lift and deform.formal_ball_lift hand over the lift's layout alone
+in a _LiftTerms, which FreeElement and FormalFreeElement take as their
+terms as it is (_adopted); the lift's orderings and the circ norm read
+that layout, and the per-term keys and values are formed only for a read
+that asks for them.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import sys
 from collections.abc import Mapping
 from functools import reduce
 from numbers import Number
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, index, mul, sub
 from types import MappingProxyType
 from typing import Callable, Sequence
@@ -97,39 +98,53 @@ class _Checked(dict):
 
 class _LiftTerms(Mapping):
     """The terms of a lift of x^k across its fiber, ball_lift's or
-    deform.formal_ball_lift's: a read-only mapping over two sequences in
-    term order, its keys (the fiber's words, or (h-power, word) pairs) and
-    their coefficients, with the lift's layout beside them: counts, the
-    profile k of its words; ms, the inversion number of each word of the
-    fiber, in fiber order; and series, a list over m = 0 .. max(ms) of the
-    coefficient of a word of m inversions (a ball lift's, which per_word
-    reads) or of the list of its coefficients of h^0, h^1, ... (a formal
-    lift's, which deform reads).  Iteration, reversal and len read the
-    keys; every other read goes to a dict built over the two sequences on
-    first use, so the views, copy and | are a MappingProxyType's.  Every
+    deform.formal_ball_lift's: a read-only mapping over the lift's layout
+    alone.  The layout is the fiber's words; counts, the profile k of its
+    words; ms, the inversion number of each word, in fiber order; and
+    series, a list over m = 0 .. max(ms) of the coefficient of a word of m
+    inversions (a ball lift's, which per_word reads) or of the list of its
+    nonzero coefficients of h^0, h^1, ... (a formal lift's, which deform
+    reads).  The keys run word by word in fiber order: a ball lift's are
+    its words, a formal lift's the (h-power, word) pairs of each word,
+    h-powers ascending, formed on the first read that asks for them and
+    then kept.  len sums the series lengths over ms until the keys exist.
+    Every other read goes to a dict over the keys and their values, built
+    on first use, so the views, copy and | are a MappingProxyType's.  Every
     value is a nonzero complex, so an element built for params, (n,) for a
     ball lift and (n, order) for a formal lift, adopts the mapping as it
     is; any other checks and copies its terms."""
 
-    __slots__ = ("_keys", "_values", "_lookup", "counts", "ms", "series", "params")
+    __slots__ = ("_words", "_keys", "_lookup", "counts", "ms", "series", "params")
 
-    def __init__(self, keys: Sequence, values: list, counts: tuple, ms: tuple, series,
-                 params: tuple):
-        self._keys, self._values, self._lookup = keys, values, None
+    def __init__(self, words: Sequence, counts: tuple, ms: tuple, series: list, params: tuple):
+        # a ball lift's keys are its words; a formal lift's are formed from them
+        self._words, self._keys, self._lookup = words, words if len(params) == 1 else None, None
         self.counts, self.ms, self.series, self.params = counts, ms, series, params
 
+    def _key_list(self) -> Sequence:
+        if self._keys is None:
+            powers = [range(len(row)) for row in self.series]
+            self._keys = [(p, alpha) for alpha, m in zip(self._words, self.ms)
+                          for p in powers[m]]
+        return self._keys
+
     def __iter__(self):
-        return iter(self._keys)
+        return iter(self._key_list())
 
     def __reversed__(self):
-        return reversed(self._keys)
+        return reversed(self._key_list())
 
     def __len__(self):
+        if self._keys is None:
+            return sum(map([len(row) for row in self.series].__getitem__, self.ms))
         return len(self._keys)
 
     def _dict(self) -> dict:
         if self._lookup is None:
-            self._lookup = dict(zip(self._keys, self._values))
+            values = map(self.series.__getitem__, self.ms)
+            if len(self.params) == 2:   # a formal lift: one value per h-power
+                values = chain.from_iterable(values)
+            self._lookup = dict(zip(self._key_list(), values))
         return self._lookup
 
     def __getitem__(self, key):
@@ -470,7 +485,10 @@ def _twisted_mul(a, b, rule: Callable, degree_cap: int | None = None,
     k + l, sigmas and degree from the held pair table (_pair) with one dict
     lookup, building the entry only when the pair is not held.  From
     _ARRAY_PAIRS on, _twisted_mul_arrays forms the same map with numpy,
-    bit for bit, unless a number it codes would not fit int64."""
+    bit for bit, unless a number it codes would not fit int64.  A negative
+    degree_cap raises ValueError."""
+    if degree_cap is not None and degree_cap < 0:
+        raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
     if len(a) * len(b) >= _ARRAY_PAIRS:
         out = _twisted_mul_arrays(a, b, rule, degree_cap, both_sigmas)
         if out is not None:
@@ -618,8 +636,10 @@ def qpoly_mul(a: QPolynomial, b: QPolynomial, degree_cap: int | None = None) -> 
 
 
 def free_mul(a: FreeElement, b: FreeElement, length_cap: int | None = None) -> FreeElement:
-    """Concatenation product."""
+    """Concatenation product; a negative length_cap raises ValueError."""
     a._check_compatible(b)
+    if length_cap is not None and length_cap < 0:
+        raise ValueError(f"length_cap must be nonnegative, got {length_cap}")
     out = _Checked()
     for alpha, ca in a.terms.items():
         for beta, cb in b.terms.items():
@@ -756,7 +776,8 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
     OverflowError naming q, as QParam.power does: the lift is the whole
     fiber or nothing, never a lift with words left out.  The terms are a
     _LiftTerms over the fiber record's own word tuple, with the per-m
-    coefficients as series, which normal_order and the circ norm read.
+    coefficients as series, which normal_order and the circ norm read; the
+    per-word values are formed only when a read of the terms asks for them.
     """
     qp = as_qparam(q)
     k = tuple(map(index, k))
@@ -777,5 +798,4 @@ def ball_lift(k: Sequence[int], q) -> FreeElement:
     if not all(coefficients):
         raise OverflowError(f"a ball_lift coefficient of {k} at q = {qp.value!r} "
                             "is below the float range")
-    return FreeElement(len(k), _LiftTerms(words, list(map(coefficients.__getitem__, ms)),
-                                          k, ms, coefficients, (len(k),)))
+    return FreeElement(len(k), _LiftTerms(words, k, ms, coefficients, (len(k),)))

@@ -413,10 +413,10 @@ def word_profiles(words: Sequence[Sequence[int]], n: int) -> list:
 
 
 def _scalar_profiles(words, n):
-    """The profiles of words, word by word.  A letter that equals no int in
-    1..n is counted nowhere, so its word's profile falls short of its
-    length."""
-    profiles = [tuple(map(word.count, range(1, n + 1))) for word in words]
+    """The profiles of words, word by word, each read as a tuple of its
+    letters.  A letter that equals no int in 1..n is counted nowhere, so its
+    word's profile falls short of its length."""
+    profiles = [tuple(map(word.count, range(1, n + 1))) for word in map(tuple, words)]
     if list(map(sum, profiles)) != list(map(len, words)):
         raise ValueError("letters must lie in 1..n")
     return profiles

@@ -335,14 +335,15 @@ def test_non_finite_option_numbers_exit_two(tmp_path, qpoly_doc, capsys, command
 
 
 def test_negative_degree_cap_exits_two(tmp_path, qpoly_doc, capsys):
-    # a negative cap once exited 0 with an element of no terms
+    # a negative cap once exited 0 with an element of no terms; the product
+    # refuses it, naming its own cap
     free = write(tmp_path, "free.json", {"kind": "free", "n": 2,
                                          "terms": [{"alpha": [1, 2], "c": {"re": 1}}]})
-    for doc, cap in ((qpoly_doc, "-3"), (free, "-1")):
+    for doc, cap, name in ((qpoly_doc, "-3", "degree_cap"), (free, "-1", "length_cap")):
         assert cli.main(["mul", "--in", doc, "--in", doc, "--degree-cap", cap]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --degree-cap must be nonnegative, got {cap}\n"
+        assert captured.err == f"error: {name} must be nonnegative, got {cap}\n"
     assert cli.main(["mul", "--in", qpoly_doc, "--in", qpoly_doc, "--degree-cap", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["terms"] == []
 

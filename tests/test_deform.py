@@ -1,17 +1,19 @@
 import cmath
 import math
 from random import Random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from qdomains import _mutate, deform, elements, qcombinat as qc, randgen, suites
 from qdomains.deform_types import FormalFreeElement, HSeriesElement
-from qdomains.elements import LaurentElement, QPolynomial, fiber_eval, qpoly_mul
-from qdomains.norms import BALL, POLYDISK_L1, NormSpec, norm
+from qdomains.elements import FreeElement, LaurentElement, QPolynomial, fiber_eval, qpoly_mul
+from qdomains.norms import BALL, FREE_BALL_CIRC, POLYDISK_L1, NormSpec, norm
 
 from oracles import (array_route_outcomes, derivative_poisson_bracket, empty_fiber_store,
-                     on_each_route, reference_defect_terms, reference_formal_ball_lift,
+                     on_each_route, reference_ball_lift, reference_defect_terms,
+                     reference_formal_ball_lift,
                      reference_normal_order_formal, reference_poisson_bracket,
                      reference_star_product, same_bits)
 
@@ -412,11 +414,15 @@ def test_lift_terms_answer_as_a_dict_does():
         for order in range(5):
             u = deform.formal_ball_lift(k, order)
             terms = u.terms
-            sizes.add(len(terms) < deform._SCALAR_ORDERING)
+            size = len(terms)   # read off the layout, before any key is formed
+            assert _unbuilt(terms)
+            sizes.add(size < deform._SCALAR_ORDERING)
             d = dict(terms)
+            assert size == len(d) and not _unbuilt(terms)
             copy = FormalFreeElement(n, order, d)
             assert type(copy.terms) is not type(terms)
-            # the keys are built before the lift returns: the same objects each time
+            # the keys are formed on the first read that asks for them and
+            # then kept: the same objects each time
             assert all(a is b for a, b in zip(terms, terms)) and len(list(terms)) == len(d)
             assert list(terms) == list(d) and list(terms.keys()) == list(d.keys())
             assert list(terms.values()) == list(d.values()) and len(terms.values()) == len(d)
@@ -455,6 +461,89 @@ def test_lift_terms_answer_as_a_dict_does():
                 with pytest.raises(ValueError, match="h-power"):
                     FormalFreeElement(n, order - 1, terms)
     assert sizes == {True, False}
+
+
+def _unbuilt(terms):
+    """Whether a lift's terms have formed neither their key list (a ball
+    lift's keys are its fiber's own word tuple) nor their dict."""
+    return terms._lookup is None and (terms._keys is None or terms._keys is terms._words)
+
+
+def test_lift_orderings_and_circ_norm_form_no_per_term_keys_or_values():
+    # the orderings, len and the circ norm read a lift's layout alone: a
+    # formal lift on the table route and a ball lift of any size form
+    # neither their key list nor their dict, and give the bits of a dict
+    # copy.  A formal lift below _SCALAR_ORDERING terms is ordered by the
+    # term loop, which reads its items.
+    routes = set()
+    for k in ((2, 1), (2, 2, 1), (3, 2, 2), (2, 2, 1, 1)):
+        n = len(k)
+        for order in range(5):
+            u = deform.formal_ball_lift(k, order)
+            table = len(u.terms) >= deform._SCALAR_ORDERING
+            routes.add(table)
+            ordered = deform.normal_order_formal(u)
+            assert _unbuilt(u.terms) == table, (k, order)
+            copy = FormalFreeElement(n, order, dict(u.terms))
+            assert _bits(ordered) == _bits(deform.normal_order_formal(copy))
+        for q in (0.5, 1.7, 0.8 * cmath.exp(0.3j)):
+            ball = elements.ball_lift(k, q)
+            assert ball.terms._keys is qc.fiber(k)[0]
+            ordered = elements.normal_order(ball, q)
+            circ = norm(ball, NormSpec(FREE_BALL_CIRC, 0.9))
+            size = len(ball.terms)
+            assert _unbuilt(ball.terms)
+            copy = FreeElement(n, dict(ball.terms))
+            assert size == len(copy.terms)
+            assert _bits(ordered) == _bits(elements.normal_order(copy, q))
+            assert circ == norm(copy, NormSpec(FREE_BALL_CIRC, 0.9))
+    assert routes == {True, False}
+
+
+def test_each_first_read_of_a_fresh_lift_answers_as_its_dict_does():
+    # whichever read comes first on a fresh lift, the one that forms its
+    # keys or its dict among them, answers as a read-only view of the
+    # reference terms does: formal lifts below and above _SCALAR_ORDERING
+    # terms at orders 0-4, and ball lifts
+    cases = []
+    for k in ((2, 1), (2, 2, 1), (3, 2, 2)):
+        for order in range(5):
+            cases.append((lambda k=k, order=order: deform.formal_ball_lift(k, order),
+                          {key: c for key, c in reference_formal_ball_lift(k, order).items()
+                           if c}))
+        for q in (0.5, 1.7):
+            cases.append((lambda k=k, q=q: elements.ball_lift(k, q), reference_ball_lift(k, q)))
+    sizes = set()
+    for make, d in cases:
+        proxy = MappingProxyType(d)
+        first, last = next(iter(d)), next(reversed(d))
+        reads = [
+            list, lambda t: list(reversed(t)), len, lambda t: t[last], lambda t: t.get(first),
+            lambda t: t.get("x", 7), lambda t: (last in t, "x" in t), lambda t: list(t.keys()),
+            lambda t: list(t.values()), lambda t: list(t.items()), lambda t: t.copy(),
+            lambda t: list((t | {"x": 1.0}).items()), lambda t: list(({first: 2.0} | t).items()),
+            lambda t: t == proxy, lambda t: proxy == t, lambda t: t != {}, dict,
+        ]
+        for read in reads:
+            terms = make().terms
+            assert _unbuilt(terms)
+            assert read(terms) == read(proxy)
+            assert list(terms.items()) == list(d.items())
+        # element reads: ==, hash, the h^p coefficients and a copy into an
+        # element of another n, which checks the terms instead of adopting them
+        lift = make()
+        kind, params = type(lift), lift._params()
+        sizes.add((kind, len(d) < deform._SCALAR_ORDERING))
+        n = lift.n
+        copy = kind(n, *params, d)
+        assert make() == copy and copy == make() and hash(make()) == hash(copy)
+        if kind is FormalFreeElement:
+            for p in range(lift.order + 2):
+                assert list(make().coefficient(p).items()) == list(copy.coefficient(p).items())
+        wider = kind(n + 1, *params, make().terms)
+        assert type(wider.terms) is MappingProxyType and list(wider.terms.items()) == list(d.items())
+    assert sizes == {(FormalFreeElement, True), (FormalFreeElement, False),
+                     (FreeElement, True), (FreeElement, False)}
 
 
 def test_formal_ordering_phase_table_is_a_mutation_point(monkeypatch):

@@ -90,6 +90,27 @@ def test_qpoly_mul_degree_cap_and_mismatch():
         qpoly_mul(x1, QPolynomial.monomial(3, q, (1, 0, 0)))
 
 
+def test_every_product_refuses_a_negative_cap():
+    # a negative cap once gave the zero element, as if every term lay past
+    # it; each product refuses it on every route, and a cap of 0 still keeps
+    # only the degree-0 terms
+    rng = Random("negative-caps")
+    q = 0.5
+    small = QPolynomial(2, q, {(1, 1): 1.0})
+    large = randgen.random_qpoly(rng, 2, q, max_degree=6, terms=20)   # the array route
+    cases = [(qpoly_mul, small, "degree_cap"), (qpoly_mul, large, "degree_cap"),
+             (laurent_mul, LaurentElement(2, {((1, 1), 0): 1.0, ((0, 0), 2): 0.5}),
+              "degree_cap"),
+             (free_mul, FreeElement(2, {(1, 2): 1.0, (): 0.5}), "length_cap")]
+    for product, x, name in cases:
+        for cap in (-1, -3):
+            with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got {cap}$"):
+                product(x, x, cap)
+        assert dict(product(x, x, 12).terms) == dict(product(x, x).terms) != {}
+        assert all(sum(key[0] if product is laurent_mul else key) == 0
+                   for key in product(x, x, 0).terms)
+
+
 def test_free_mul_examples():
     z1, z2 = FreeElement.generators(2)
     assert dict(free_mul(z1, z2).terms) == {(1, 2): pytest.approx(1.0)}
@@ -385,13 +406,14 @@ def _sampled_terms(rng, n, size, max_degree=None, powers=None, style="unit-disk"
 
 
 # (n, terms of a, terms of b, degree_cap): around the cutoff, n = 1, under
-# a degree cap, under a cap that no pair meets, and the cli-mix 500 x 50
+# a degree cap, under the least cap, 0, which every pair of positive degree
+# exceeds (a negative cap is refused), and the cli-mix 500 x 50
 ROUTE_CASES = {
     "below-cutoff": (3, 17, 15, None),
     "at-cutoff": (3, 16, 16, None),
     "one-variable": (1, 40, 12, None),
     "degree-cap": (2, 30, 20, 7),
-    "cap-below-every-pair": (4, 20, 20, -1),
+    "cap-below-every-pair": (4, 20, 20, 0),
     "cli-mix-500x50": (3, 500, 50, None),
 }
 

@@ -926,6 +926,29 @@ def _brute_stats(batch, n):
             [brute_inversions(tuple(w)) for w in batch])
 
 
+def test_word_stats_read_tuple_list_and_array_words_alike():
+    # numpy-array words once raised AttributeError below the cutoffs (the
+    # scalar route called word.count) and were answered from them on: at
+    # batch sizes on either side of both cutoffs, tuple, list and np.array
+    # words give the same answer, of ints, and a bad letter raises on every
+    # route whatever its word's type
+    n = 3
+    pool = [(2, 1), (3, 1, 2, 2), (1,), (3, 3, 1, 2, 1), ()]
+    for size in (1, _SCALAR_BATCH - 1, _SCALAR_BATCH, _SCALAR_PROFILES - 1, _SCALAR_PROFILES):
+        words = [pool[i % len(pool)] for i in range(size)]
+        expected = _brute_stats(words, n)
+        for make in (tuple, list, np.array):
+            batch = [make(w) for w in words]
+            profiles, ms = qc.word_stats(batch, n)
+            assert (profiles, ms) == expected and qc.word_profiles(batch, n) == profiles
+            assert all(type(c) is int for p in profiles for c in p)
+            assert all(type(m) is int for m in ms)
+            for bad in ((1.5, 1), ("1", 2), (2 ** 70, 1)):
+                for route in (qc.word_stats, qc.word_profiles):
+                    with pytest.raises(ValueError, match="letters must lie in 1..n"):
+                        route(batch[:-1] + [make(bad)], n)
+
+
 def test_word_stats_falls_back_off_the_record():
     # batches that look like a fiber's but are not: each is counted from
     # its letters
