@@ -246,7 +246,8 @@ def _cmd_verify(args) -> int:
             if args.verbose:
                 for check in report.checks:
                     print(f"         {check.status:4s} {check.key} "
-                          f"worst={check.worst:.3e} thr={check.threshold:.1e}")
+                          f"worst={check.worst:.3e} thr={check.threshold:.1e} "
+                          f"n={check.count} at={check.at}")
     if any(r.status == "error" for r in reports):
         return 2
     return 0 if all(r.status == "pass" for r in reports) else 1

@@ -1,8 +1,14 @@
 """Named verification suites: each binds one identity, inequality, or
 example family to an executable check grid.
 
-Every suite reports per-check worst violations against a fixed threshold;
-a fixed seed replays the exact grid, so report values are reproducible.
+A suite creates its checks where their samples start and adds each sample
+as it is taken.  A check's worst is its greatest sample, by the comparison
+``max`` makes: a tie or a signed zero keeps the earlier value, so a fixed
+seed replays every report value bit for bit.  A NaN sample makes the worst
+NaN for good, and a check that took no sample has worst NaN; either reads
+"fail" against any threshold.  Each check also counts its samples and keeps
+the index of its worst one, so a failing check names the sample that failed
+at its seed.
 """
 
 from __future__ import annotations
@@ -51,11 +57,31 @@ from qdomains.qcombinat import EnumerationCapExceeded
 __all__ = ["CheckResult", "SuiteReport", "SUITE_NAMES", "run_suite", "run_all"]
 
 
-@dataclass
 class CheckResult:
-    key: str
-    worst: float
-    threshold: float
+    """One check: the worst of its samples against a threshold.
+
+    ``count`` is the number of samples taken and ``at`` the index of the
+    worst one (None before the first sample)."""
+
+    __slots__ = ("key", "threshold", "worst", "count", "at")
+
+    def __init__(self, key: str, threshold: float, *samples):
+        self.key = key
+        self.threshold = threshold
+        self.worst = math.nan
+        self.count = 0
+        self.at = None
+        self.add(*samples)
+
+    def add(self, *values) -> None:
+        """Fold samples in order: a sample replaces the worst only when it
+        is greater, and a NaN sample replaces a number and is kept."""
+        worst, count = self.worst, self.count
+        for value in values:
+            if not count or (value > worst or value != value) and worst == worst:
+                worst, self.at = value, count
+            count += 1
+        self.worst, self.count = worst, count
 
     @property
     def status(self) -> str:
@@ -64,6 +90,12 @@ class CheckResult:
     def to_dict(self) -> dict:
         return {"key": self.key, "status": self.status,
                 "worst": self.worst, "threshold": self.threshold}
+
+
+def _worst(values) -> float:
+    """The worst of values by CheckResult's fold; 0.0 when there are none."""
+    fold = CheckResult("", 0.0, *values)
+    return fold.worst if fold.count else 0.0
 
 
 @dataclass
@@ -82,7 +114,7 @@ class SuiteReport:
 
     @property
     def worst_violation(self) -> float:
-        return max((c.worst for c in self.checks), default=0.0)
+        return _worst(c.worst for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -102,9 +134,8 @@ def _rel(a: complex, b: complex) -> float:
 
 def _max_diff(a: Mapping, b: Mapping) -> float:
     """max |a_key - b_key| over the union of the keys, a missing key
-    reading 0; 0.0 when both are empty."""
-    return max((abs(a.get(key, 0.0) - b.get(key, 0.0)) for key in set(a) | set(b)),
-               default=0.0)
+    reading 0, by CheckResult's fold; 0.0 when both are empty."""
+    return _worst(abs(a.get(key, 0.0) - b.get(key, 0.0)) for key in set(a) | set(b))
 
 
 def _phase(rng: Random) -> complex:
@@ -117,7 +148,7 @@ def _phase(rng: Random) -> complex:
 def _suite_chu_vandermonde(rng: Random, p: dict) -> list:
     # one numpy pass over all pairs (k, l) per (q, n); every product and
     # quotient is formed in the order of the scalar pair loop
-    worst = -math.inf
+    check = CheckResult("mahonian-ratio-supermultiplicative", p["tol"])
     for q in p["qs"]:
         cap = 2 * p["max_total"]
         fact = [1.0]
@@ -140,15 +171,16 @@ def _suite_chu_vandermonde(rng: Random, p: dict) -> list:
             # [|k+l|]!/[k+l]! >= ([|k|]!/[k]!)([|l|]!/[l]!) q^{sigma(k,l)}
             lhs = fact[total[:, None] + total[None, :]] / pair
             rhs = ratio[:, None] * ratio[None, :] * powers[sig]
-            worst = max(worst, float(((rhs - lhs) / lhs).max()))
-    return [CheckResult("mahonian-ratio-supermultiplicative", worst, p["tol"])]
+            # one sample per (q, n); numpy's max keeps a NaN pair
+            check.add(float(((rhs - lhs) / lhs).max()))
+    return [check]
 
 
 def _suite_lemma_3_13(rng: Random, p: dict) -> list:
     # the shipped weight, read at s = min(t, 1/t), against the first form
     # ([k]_t! / [|k|]_t!)**(1/2) u_q(k) at t = |q|**2 itself, its log [j]_t!
     # summed here apart from the shared tables
-    worst = 0.0
+    check = CheckResult("ball-weight-two-forms", p["tol"])
     for modulus in p["moduli"]:
         q = qc.as_qparam(modulus)
         t = modulus * modulus
@@ -162,29 +194,28 @@ def _suite_lemma_3_13(rng: Random, p: dict) -> list:
             for k, log_w in zip(keys, qc.weight_ball_logs(keys, q)):
                 log_direct = (0.5 * (math.fsum(map(log_fact.__getitem__, k)) - log_fact[sum(k)])
                               + qc.cross_degree(k) * q.log_modulus)
-                worst = max(worst, _rel(math.exp(log_w), math.exp(log_direct)))
-    return [CheckResult("ball-weight-two-forms", worst, p["tol"])]
+                check.add(_rel(math.exp(log_w), math.exp(log_direct)))
+    return [check]
 
 
 def _suite_lemma_4_1(rng: Random, p: dict) -> list:
-    worst_hi = -math.inf
-    worst_lo = -math.inf
+    hi = CheckResult("ratio-at-most-one", p["tol"])
+    lo = CheckResult("ratio-above-pochhammer-power", p["tol"])
     for q in p["qs"]:
         lower = qc.q_pochhammer_inf(q, q).value
         for n in range(1, p["max_n"] + 1):
             bound = lower ** n
             table = qc.log_q_factorial_table(p["max_total"], q)
-            for k in qc.multi_indices(n, p["max_total"]):
-                ratio = math.exp(math.fsum(map(table.__getitem__, k)) - table[sum(k)])
-                worst_hi = max(worst_hi, ratio - 1.0)
-                worst_lo = max(worst_lo, (bound - ratio) / bound)
-    return [CheckResult("ratio-at-most-one", worst_hi, p["tol"]),
-            CheckResult("ratio-above-pochhammer-power", worst_lo, p["tol"])]
+            ratios = [math.exp(math.fsum(map(table.__getitem__, k)) - table[sum(k)])
+                      for k in qc.multi_indices(n, p["max_total"])]
+            hi.add(*(ratio - 1.0 for ratio in ratios))
+            lo.add(*((bound - ratio) / bound for ratio in ratios))
+    return [hi, lo]
 
 
 def _suite_theorem_4_2(rng: Random, p: dict) -> list:
-    worst_low = -math.inf
-    worst_high = -math.inf
+    low = CheckResult("lower-sandwich", p["tol"])
+    high = CheckResult("upper-sandwich", p["tol"])
     specs = [(NormSpec(POLYDISK_L1, rho), NormSpec(BALL, rho)) for rho in (0.3, 1.0)]
     for modulus in (0.5, 2.0):
         base = modulus ** -2 if modulus > 1 else modulus ** 2
@@ -196,14 +227,14 @@ def _suite_theorem_4_2(rng: Random, p: dict) -> list:
                 for polydisk, ball in specs:
                     nd = norm(a, polydisk)
                     nb = norm(a, ball)
-                    worst_low = max(worst_low, (const * nd - nb) / max(nb, 1e-300))
-                    worst_high = max(worst_high, (nb - nd) / max(nd, 1e-300))
-    return [CheckResult("lower-sandwich", worst_low, p["tol"]),
-            CheckResult("upper-sandwich", worst_high, p["tol"])]
+                    low.add((const * nd - nb) / max(nb, 1e-300))
+                    high.add((nb - nd) / max(nd, 1e-300))
+    return [low, high]
 
 
 def _suite_prop_3_15_isometry(rng: Random, p: dict) -> list:
-    worst = 0.0
+    isometry = CheckResult("flip-isometry", p["tol"])
+    involution = CheckResult("flip-involution", 1e-10)
     for i in range(p["samples"]):
         n = 2 + i % 2
         modulus = (0.5, 2.0, 1.0)[i % 3]
@@ -212,16 +243,14 @@ def _suite_prop_3_15_isometry(rng: Random, p: dict) -> list:
         flipped = tau_flip(a)
         for rho in (0.3, 0.9):
             for family in (POLYDISK_L1, BALL):
-                worst = max(worst, _rel(norm(flipped, NormSpec(family, rho)),
-                                        norm(a, NormSpec(family, rho))))
-    worst_inv = 0.0
+                isometry.add(_rel(norm(flipped, NormSpec(family, rho)),
+                                  norm(a, NormSpec(family, rho))))
     for i in range(50):
         n = 2 + i % 2
         q = (0.5, 2.0, 1.0)[i % 3] * _phase(rng)
         a = randgen.random_qpoly(rng, n, q, max_degree=4, terms=5)
-        worst_inv = max(worst_inv, _max_diff(a.terms, tau_flip(tau_flip(a)).terms))
-    return [CheckResult("flip-isometry", worst, p["tol"]),
-            CheckResult("flip-involution", worst_inv, 1e-10)]
+        involution.add(_max_diff(a.terms, tau_flip(tau_flip(a)).terms))
+    return [isometry, involution]
 
 
 def _stirling_value(m: int) -> float:
@@ -232,18 +261,18 @@ def _stirling_value(m: int) -> float:
 
 def _suite_stirling_3_4(rng: Random, p: dict) -> list:
     v25, v100 = _stirling_value(25), _stirling_value(100)
-    return [CheckResult("proximity-at-100", abs(v100 - 1.0), 0.1),
-            CheckResult("closer-than-at-25", abs(v100 - 1.0) - abs(v25 - 1.0), 0.0)]
+    return [CheckResult("proximity-at-100", 0.1, abs(v100 - 1.0)),
+            CheckResult("closer-than-at-25", 0.0, abs(v100 - 1.0) - abs(v25 - 1.0))]
 
 
 def _suite_eq_6_10(rng: Random, p: dict) -> list:
-    worst = 0.0
+    check = CheckResult("polydisk-weight-is-fiber-min", p["tol"])
     for modulus in p["moduli"]:
         for n in range(1, 4):
             for k in qc.multi_indices(n, 7):
                 best = min(modulus ** m for m in qc.fiber_inversion_list(k))
-                worst = max(worst, _rel(best, qc.weight_polydisk(k, modulus)))
-    return [CheckResult("polydisk-weight-is-fiber-min", worst, p["tol"])]
+                check.add(_rel(best, qc.weight_polydisk(k, modulus)))
+    return [check]
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +308,20 @@ def _suite_submult_all(rng: Random, p: dict) -> list:
                 FREE_BALL_BULLET, FREE_BALL_CIRC, LAURENT)
     checks = []
     for family in families:
-        worst = -math.inf
+        check = CheckResult(family, p["tol"])
         for a, b, mul, spec in _submult_pairs(rng, family, p["pairs"]):
             na, nb = norm(a, spec), norm(b, spec)
             if na * nb == 0.0:
                 continue
-            worst = max(worst, norm(mul(a, b), spec) / (na * nb) - 1.0)
-        checks.append(CheckResult(family, worst, p["tol"]))
+            check.add(norm(mul(a, b), spec) / (na * nb) - 1.0)
+        checks.append(check)
     return checks
 
 
 def _suite_quotient_contraction(rng: Random, p: dict) -> list:
-    worst_taylor = -math.inf
-    worst_poly = -math.inf
-    worst_ball = -math.inf
+    taylor_check = CheckResult("taylor-quotient", p["tol"])
+    poly_check = CheckResult("free-polydisk-quotient", p["tol"])
+    ball_check = CheckResult("ball-circ-quotient", p["tol"])
     rho = 0.7
     polydisk, ball, taylor, circ = (NormSpec(family, rho) for family in
                                     (POLYDISK_L1, BALL, FREE_TAYLOR, FREE_BALL_CIRC))
@@ -304,20 +333,20 @@ def _suite_quotient_contraction(rng: Random, p: dict) -> list:
         image = normal_order(f, q)
         nd = norm(image, polydisk)
         nb = norm(image, ball)
-        worst_taylor = max(worst_taylor, nd / max(norm(f, taylor), 1e-300) - 1.0)
+        taylor_check.add(nd / max(norm(f, taylor), 1e-300) - 1.0)
         for spec in free_polydisks:
-            worst_poly = max(worst_poly, nd / max(norm(f, spec), 1e-300) - 1.0)
-        worst_ball = max(worst_ball, nb / max(norm(f, circ), 1e-300) - 1.0)
-    return [CheckResult("taylor-quotient", worst_taylor, p["tol"]),
-            CheckResult("free-polydisk-quotient", worst_poly, p["tol"]),
-            CheckResult("ball-circ-quotient", worst_ball, p["tol"])]
+            poly_check.add(nd / max(norm(f, spec), 1e-300) - 1.0)
+        ball_check.add(nb / max(norm(f, circ), 1e-300) - 1.0)
+    return [taylor_check, poly_check, ball_check]
+
 
 
 def _suite_lift_attainment(rng: Random, p: dict) -> list:
     rho = 0.7
-    worst_poly = 0.0
-    worst_ball = 0.0
-    worst_order = 0.0
+    poly_check = CheckResult("polydisk-lift-norm", p["tol"])
+    ball_check = CheckResult("ball-lift-norm", p["tol"])
+    order_check = CheckResult("lift-normal-orders-to-monomial", p["tol"])
+    pert_check = CheckResult("ball-lift-optimality", 1e-12)
     profiles = []
     for n in range(1, 4):
         for k in qc.multi_indices(n, 7):
@@ -327,15 +356,13 @@ def _suite_lift_attainment(rng: Random, p: dict) -> list:
         for n, k in profiles:
             lift = polydisk_lift(k, q)
             target = qc.weight_polydisk(k, q) * rho ** sum(k)
-            worst_poly = max(worst_poly, _rel(norm(lift, NormSpec(FREE_TAYLOR, rho)), target))
+            poly_check.add(_rel(norm(lift, NormSpec(FREE_TAYLOR, rho)), target))
             blift = ball_lift(k, q)
             btarget = qc.weight_ball(k, q) * rho ** sum(k)
-            worst_ball = max(worst_ball, _rel(norm(blift, NormSpec(FREE_BALL_CIRC, rho)), btarget))
+            ball_check.add(_rel(norm(blift, NormSpec(FREE_BALL_CIRC, rho)), btarget))
             for lifted in (lift, blift):
-                worst_order = max(worst_order,
-                                  _max_diff(normal_order(lifted, q).terms, {tuple(k): 1.0}))
+                order_check.add(_max_diff(normal_order(lifted, q).terms, {tuple(k): 1.0}))
     # random feasible perturbations of the minimizing coefficients
-    worst_pert = -math.inf
     candidates = [(n, k) for n, k in profiles if qc.fiber_count(k) >= 2]
     for i in range(p["perturbations"]):
         n, k = candidates[rng.randrange(len(candidates))]
@@ -354,29 +381,25 @@ def _suite_lift_attainment(rng: Random, p: dict) -> list:
         eps = (1e-3, 0.1, 1.0)[i % 3]
         coeffs = [c + eps * (d - mean) for c, d in zip(c0, delta)]
         perturbed = FreeElement(n, {a: c * q ** m for a, c, m in zip(words, coeffs, ms)})
-        worst_pert = max(worst_pert, base_norm - norm(perturbed, NormSpec(FREE_BALL_CIRC, 1.0)))
-    return [CheckResult("polydisk-lift-norm", worst_poly, p["tol"]),
-            CheckResult("ball-lift-norm", worst_ball, p["tol"]),
-            CheckResult("lift-normal-orders-to-monomial", worst_order, p["tol"]),
-            CheckResult("ball-lift-optimality", worst_pert, 1e-12)]
+        pert_check.add(base_norm - norm(perturbed, NormSpec(FREE_BALL_CIRC, 1.0)))
+    return [poly_check, ball_check, order_check, pert_check]
 
 
 def _suite_lemma_7_9(rng: Random, p: dict) -> list:
-    worst_dist = 0.0
+    dist = CheckResult("mahonian-distribution", p["tol"])
+    fiber_norm = CheckResult("ball-monomial-norm-vs-fiber", p["tol"])
     qs = (0.3, 0.5, 1.7, cmath.exp(1j * math.pi / 5))
     for n in range(1, 4):
         for k in qc.multi_indices(n, p["max_total"]):
             for q in qs:
                 brute, closed = qc.inv_distribution(k, q)
-                worst_dist = max(worst_dist, _rel(brute, closed))
-    worst_norm = 0.0
+                dist.add(_rel(brute, closed))
     for modulus in (0.5, 2.0):
         for n in range(1, 4):
             for k in qc.multi_indices(n, p["max_total"]):
                 acc = math.fsum(modulus ** (-2 * m) for m in qc.fiber_inversion_list(k))
-                worst_norm = max(worst_norm, _rel(acc ** -0.5, qc.weight_ball(k, modulus)))
-    return [CheckResult("mahonian-distribution", worst_dist, p["tol"]),
-            CheckResult("ball-monomial-norm-vs-fiber", worst_norm, p["tol"])]
+                fiber_norm.add(_rel(acc ** -0.5, qc.weight_ball(k, modulus)))
+    return [dist, fiber_norm]
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +414,25 @@ def _suite_lemma_8_5(rng: Random, p: dict) -> list:
                 if (qc.word_profile(alpha, n) != k or qc.inversions(alpha) != m
                         or qc.switch_count(alpha) > n + 2):
                     failures += 1.0
-    return [CheckResult("moving-letter-postconditions", failures, 0.0)]
+    return [CheckResult("moving-letter-postconditions", 0.0, failures)]
 
 
 def _suite_lemma_8_6(rng: Random, p: dict) -> list:
     """Every word of length <= max_len over 4 letters has at most
-    cross_degree(p(alpha)) inversions.
+    cross_degree(p(alpha)) inversions: each word's m - cross is one sample.
 
     The cross degree of each of the profiles those words reach is formed
-    once, before the walk; each batch's worst m - cross is an exact integer,
-    so its max over the batch is the max the per-word loop took."""
+    once, before the walk."""
     n = 4
     cross = {k: qc.cross_degree(k) for k in qc.multi_indices(n, p["max_len"])}
-    worst = -math.inf
+    check = CheckResult("inversions-at-most-cross-degree", 0.0)
     words = qc.words(n, p["max_len"])
     # batches of mixed lengths; all 4^8 words of length 8 at once would
     # raise the peak memory of `verify all` by about 40 MB
     while batch := list(islice(words, 4096)):
         profiles, ms = qc.word_stats(batch, n)
-        worst = max(worst, float(max(map(sub, ms, map(cross.__getitem__, profiles)))))
-    return [CheckResult("inversions-at-most-cross-degree", worst, 0.0)]
+        check.add(*map(float, map(sub, ms, map(cross.__getitem__, profiles))))
+    return [check]
 
 
 def _abs_omega_grid(s: int, parr: np.ndarray) -> np.ndarray:
@@ -428,8 +450,8 @@ def _suite_lemma_8_10(rng: Random, p: dict) -> list:
     built once, one at a time, against each distinct right grid of its
     pairs: the max over them is the max over all pairs."""
     span = np.arange(-30, 31)
-    worst_identity = 0.0
-    worst_subadd = -math.inf
+    identity = CheckResult("clipped-exponent-interval-identity", 0.0)
+    subadd = CheckResult("clipped-exponent-subadditive", 0.0)
     rights: dict = {}   # (cross(k+l), sigma(l, k)) -> {(cross(k), cross(l))}
     vecs: dict = {}     # cross(k) -> |omega(k, span)|
     for n in range(1, 4):
@@ -441,7 +463,7 @@ def _suite_lemma_8_10(rng: Random, p: dict) -> list:
             for pp in span:
                 s = cross[k]
                 oracle = 0 if (pp <= 0 <= pp + s) else min(abs(pp), abs(pp + s))
-                worst_identity = max(worst_identity, abs(abs(omega(k, int(pp))) - oracle))
+                identity.add(float(abs(abs(omega(k, int(pp))) - oracle)))
         for k in idxs:
             for l in idxs:
                 key = (qc.cross_degree(tuple(map(add, k, l))), qc.sigma(l, k))
@@ -450,9 +472,8 @@ def _suite_lemma_8_10(rng: Random, p: dict) -> list:
         lhs = _abs_omega_grid(s, span[:, None] + span[None, :] - shift)
         for sk, sl in pairs:
             rhs = vecs[sk][:, None] + vecs[sl][None, :]
-            worst_subadd = max(worst_subadd, float((lhs - rhs).max()))
-    return [CheckResult("clipped-exponent-interval-identity", worst_identity, 0.0),
-            CheckResult("clipped-exponent-subadditive", worst_subadd, 0.0)]
+            subadd.add(float((lhs - rhs).max()))
+    return [identity, subadd]
 
 
 def _generator_words(n: int, max_len: int):
@@ -477,20 +498,20 @@ def _suite_laurent_word_identity(rng: Random, p: dict) -> list:
     """Each generator word x_alpha of length <= max_len is the flat
     monomial x^{p(alpha)} z^{-m(alpha)}; the words come from
     _generator_words, which builds every x_alpha laurent_word builds."""
-    worst = 0.0
+    check = CheckResult("generator-word-is-flat-monomial", 1e-12)
     for n in range(1, 4):
         for alpha, built in _generator_words(n, p["max_len"]):
             expected = LaurentElement.monomial(
                 n, qc.word_profile(alpha, n), -qc.inversions(alpha))
-            worst = max(worst, _max_diff(built.terms, expected.terms))
-    return [CheckResult("generator-word-is-flat-monomial", worst, 1e-12)]
+            check.add(_max_diff(built.terms, expected.terms))
+    return [check]
 
 
 # ---------------------------------------------------------------------------
 # Fock suites
 
 def _suite_fock_lemma_5_2(rng: Random, p: dict) -> list:
-    worst = 0.0
+    check = CheckResult("vacuum-image-closed-form", p["tol"])
     for q in (0.3, 0.5, 0.8):
         for n in range(1, 4):
             for k in qc.multi_indices(n, p["max_total"]):
@@ -498,54 +519,48 @@ def _suite_fock_lemma_5_2(rng: Random, p: dict) -> list:
                 mono = QPolynomial.monomial(n, q, k)
                 image = fock.fock_apply(mono, {(0,) * n: 1.0}, trunc)
                 composed = image.get(tuple(k), 0.0)
-                worst = max(worst, _rel(composed, fock.vacuum_image(k, q)))
-    return [CheckResult("vacuum-image-closed-form", worst, p["tol"])]
+                check.add(_rel(composed, fock.vacuum_image(k, q)))
+    return [check]
 
 
 def _suite_fock_sandwich_5_4(rng: Random, p: dict) -> list:
-    worst_identity = 0.0
-    worst_upper = -math.inf
-    worst_vacuum = -math.inf
-    worst_chain = -math.inf
+    identity = CheckResult("vacuum-identity", 1e-12)
+    upper = CheckResult("operator-below-l1", p["tol"])
+    vacuum = CheckResult("vacuum-above-l2-constant", p["tol"])
+    chain = CheckResult("two-scale-chain", p["tol"])
     for i in range(p["samples"]):
         q = (0.3, 0.5, 0.8)[i % 3]
         rho = (0.5, 1.0)[i % 2]
         tau = 2.0 * rho
         a = randgen.random_qpoly(rng, 2, q, max_degree=3, terms=5)
         report = fock.vaksman_sandwich_check(a, q, rho, p["degree"])
-        worst_identity = max(worst_identity, report["identity_error"])
+        identity.add(report["identity_error"])
         bounds = report["bounds"]
-        worst_upper = max(worst_upper,
-                          (bounds.lower - bounds.upper) / max(bounds.upper, 1e-300))
-        worst_vacuum = max(worst_vacuum,
-                           -report["vacuum_slack"] / max(bounds.vacuum, 1e-300))
+        upper.add((bounds.lower - bounds.upper) / max(bounds.upper, 1e-300))
+        vacuum.add(-report["vacuum_slack"] / max(bounds.vacuum, 1e-300))
         # two-sided chain between scales rho < tau
         tau_bounds = fock.op_norm_bounds(a, q, tau, p["degree"])
         const = (((tau ** 2 - rho ** 2) / tau ** 2)
                  * qc.q_pochhammer_inf(q * q, q * q).value) ** (a.n / 2.0)
         lhs = const * bounds.upper           # bounds.upper is the l^1 norm at rho
-        worst_chain = max(worst_chain, (lhs - tau_bounds.vacuum) / max(lhs, 1e-300))
-        worst_upper = max(worst_upper,
-                          (tau_bounds.lower - tau_bounds.upper) / max(tau_bounds.lower, 1e-300))
-    return [CheckResult("vacuum-identity", worst_identity, 1e-12),
-            CheckResult("operator-below-l1", worst_upper, p["tol"]),
-            CheckResult("vacuum-above-l2-constant", worst_vacuum, p["tol"]),
-            CheckResult("two-scale-chain", worst_chain, p["tol"])]
+        chain.add((lhs - tau_bounds.vacuum) / max(lhs, 1e-300))
+        upper.add((tau_bounds.lower - tau_bounds.upper) / max(tau_bounds.lower, 1e-300))
+    return [identity, upper, vacuum, chain]
 
 
 def _suite_fock_xnorm_limit(rng: Random, p: dict) -> list:
     x = QPolynomial.monomial(1, 0.5, (1,))
     bounds = fock.op_norm_bounds(x, 0.5, 1.0, 20)
-    gap = (1.0 - 1e-10) - bounds.lower
-    worst_mono = -math.inf
+    gap = CheckResult("generator-norm-reaches-one", 0.0, (1.0 - 1e-10) - bounds.lower)
+    mono = CheckResult("lower-bounds-monotone-in-degree", 1e-12)
     for i in range(p["samples"]):
         n = 1 + i % 2
         q = (0.3, 0.7)[i % 2]
         a = randgen.random_qpoly(rng, n, q, max_degree=2, terms=4)
         lowers = fock._lower_bounds(a, q, 1.0, range(2, 11))
-        worst_mono = max(worst_mono, max(lo - hi for lo, hi in zip(lowers, lowers[1:])))
-    return [CheckResult("generator-norm-reaches-one", gap, 0.0),
-            CheckResult("lower-bounds-monotone-in-degree", worst_mono, 1e-12)]
+        mono.add(*map(sub, lowers, lowers[1:]))
+    return [gap, mono]
+
 
 
 # ---------------------------------------------------------------------------
@@ -553,34 +568,33 @@ def _suite_fock_xnorm_limit(rng: Random, p: dict) -> list:
 
 def _suite_spectral_examples(rng: Random, p: dict) -> list:
     q_uni = cmath.exp(1j * math.pi / 4)
-    worst_poly = 0.0
-    worst_ball = 0.0
+    poly_check = CheckResult("polydisk-coordinate-value", 1e-12)
+    ball_check = CheckResult("ball-coordinate-value", 1e-12)
     for n in (2, 3):
         for rho in (0.5, 1.0):
             ts = spectral.coordinate_tuple(n, NormSpec(POLYDISK_L1, rho), 2, 10, q=q_uni)
             for d in range(1, 11):
-                worst_poly = max(worst_poly,
-                                 _rel(spectral.radius_estimate(ts, d), rho * math.sqrt(n)))
+                poly_check.add(_rel(spectral.radius_estimate(ts, d), rho * math.sqrt(n)))
     for n in range(1, 5):
         ts = spectral.coordinate_tuple(n, NormSpec(BALL, 1.0), 2, 10, q=q_uni)
         for d in range(1, 11):
             expected = math.comb(d + n - 1, n - 1) ** (1.0 / (2 * d))
-            worst_ball = max(worst_ball, _rel(spectral.radius_estimate(ts, d), expected))
+            ball_check.add(_rel(spectral.radius_estimate(ts, d), expected))
 
     # free coordinate behavior: Taylor passes below r, alternating-switch fails
     ts_ft = spectral.TupleSpec(tuple(FreeElement.generators(2)),
                                NormSpec(FREE_TAYLOR, 0.5), math.inf, 8)
-    taylor_flat = max(_rel(spectral.radius_estimate(ts_ft, d), 0.5) for d in range(1, 9))
-    verdict_ok = 0.0
-    if spectral.contractive_check(ts_ft, 1.0).verdict != "pass":
-        verdict_ok = 1.0
+    taylor_flat = CheckResult("taylor-coordinate-flat", 1e-12,
+                              *(_rel(spectral.radius_estimate(ts_ft, d), 0.5)
+                                for d in range(1, 9)))
     ts_fp = spectral.TupleSpec(tuple(FreeElement.generators(2)),
                                NormSpec(FREE_POLYDISK, 0.5, tau=2.0), math.inf, 8)
-    if spectral.contractive_check(ts_fp, 0.9).verdict != "fail":
-        verdict_ok = 1.0
+    verdicts = CheckResult("contractivity-verdicts", 0.0,
+                           float(spectral.contractive_check(ts_ft, 1.0).verdict != "pass"),
+                           float(spectral.contractive_check(ts_fp, 0.9).verdict != "fail"))
 
     # l^p ordering on random tuples
-    worst_order = -math.inf
+    order = CheckResult("lp-ordering", 1e-12)
     for _ in range(p["tuples"]):
         gens = tuple(randgen.random_qpoly(rng, 2, 0.5, max_degree=2, terms=3)
                      for _ in range(2))
@@ -589,18 +603,18 @@ def _suite_spectral_examples(rng: Random, p: dict) -> list:
         for exponent in (1, 2, math.inf):
             ts = spectral.TupleSpec(gens, spec, exponent, 3)
             vals[exponent] = spectral.radius_estimate(ts, 3)
-        worst_order = max(worst_order, vals[math.inf] - vals[2], vals[2] - vals[1])
+        order.add(vals[math.inf] - vals[2], vals[2] - vals[1])
 
     # norm monotonicity across the ball/polydisk comparison at |q| = 0.5
-    worst_mono = -math.inf
+    mono = CheckResult("norm-monotonicity", 0.0)
     for d in range(1, 9):
         ball = spectral.coordinate_tuple(2, NormSpec(BALL, 0.8), 2, 8, q=0.5)
         poly = spectral.coordinate_tuple(2, NormSpec(POLYDISK_L1, 0.8), 2, 8, q=0.5)
-        worst_mono = max(worst_mono, spectral.radius_estimate(ball, d)
-                         - spectral.radius_estimate(poly, d) * (1 + 1e-12))
+        mono.add(spectral.radius_estimate(ball, d)
+                 - spectral.radius_estimate(poly, d) * (1 + 1e-12))
 
     # closed-form grouping agrees with word enumeration
-    worst_group = 0.0
+    group = CheckResult("grouping-vs-enumeration", 1e-12)
     for modulus in (0.5, 2.0):
         for family in (POLYDISK_L1, BALL):
             for exponent in (1, 2, math.inf):
@@ -609,35 +623,23 @@ def _suite_spectral_examples(rng: Random, p: dict) -> list:
                 for d in range(1, 5):
                     fast = spectral.radius_estimate(ts, d)
                     slow = spectral.radius_estimate(ts, d, force_enumeration=True)
-                    worst_group = max(worst_group, _rel(fast, slow))
+                    group.add(_rel(fast, slow))
 
-    return [CheckResult("polydisk-coordinate-value", worst_poly, 1e-12),
-            CheckResult("ball-coordinate-value", worst_ball, 1e-12),
-            CheckResult("taylor-coordinate-flat", taylor_flat, 1e-12),
-            CheckResult("contractivity-verdicts", verdict_ok, 0.0),
-            CheckResult("lp-ordering", worst_order, 1e-12),
-            CheckResult("norm-monotonicity", worst_mono, 0.0),
-            CheckResult("grouping-vs-enumeration", worst_group, 1e-12)]
+    return [poly_check, ball_check, taylor_flat, verdicts, order, mono, group]
 
 
 def _suite_poincare_gap(rng: Random, p: dict) -> list:
     q = cmath.exp(1j * math.pi / 4)
     gap10 = spectral.poincare_gap(2, q, 1.0, 10)
-    worst_poly = _rel(gap10.polydisk, math.sqrt(2.0))
-    ball_window = 0.0
-    if not 1.0 < gap10.ball <= 11 ** 0.05 * (1 + 1e-12):
-        ball_window = 1.0
     gap1 = spectral.poincare_gap(1, q, 0.7, 10)
-    worst_n1 = max(_rel(gap1.polydisk, 0.7), _rel(gap1.ball, 0.7))
     gap50 = spectral.poincare_gap(2, q, 1.0, 50)
-    ratio = gap50.polydisk / gap50.ball
-    worst_ratio = 1.35 - ratio
-    worst_closed = _rel(gap50.ball, math.comb(51, 1) ** 0.01)
-    return [CheckResult("polydisk-estimate-sqrt-n", worst_poly, 1e-12),
-            CheckResult("ball-estimate-window", ball_window, 0.0),
-            CheckResult("dimension-one-no-gap", worst_n1, 1e-12),
-            CheckResult("gap-ratio-at-depth-50", worst_ratio, 0.0),
-            CheckResult("ball-closed-form", worst_closed, 1e-12)]
+    return [CheckResult("polydisk-estimate-sqrt-n", 1e-12, _rel(gap10.polydisk, math.sqrt(2.0))),
+            CheckResult("ball-estimate-window", 0.0,
+                        float(not 1.0 < gap10.ball <= 11 ** 0.05 * (1 + 1e-12))),
+            CheckResult("dimension-one-no-gap", 1e-12,
+                        _rel(gap1.polydisk, 0.7), _rel(gap1.ball, 0.7)),
+            CheckResult("gap-ratio-at-depth-50", 0.0, 1.35 - gap50.polydisk / gap50.ball),
+            CheckResult("ball-closed-form", 1e-12, _rel(gap50.ball, math.comb(51, 1) ** 0.01))]
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +653,11 @@ def _taylor_reference(exponent: int, order: int) -> list:
 
 
 def _suite_star_associativity(rng: Random, p: dict) -> list:
-    worst_gen = 0.0
+    gen = CheckResult("generator-rule", 1e-14)
+    mono = CheckResult("monomial-phase", 1e-13)
+    assoc = CheckResult("associativity", p["tol"])
+    fiber = CheckResult("fiber-compatibility", 0.0)
+    unit = CheckResult("unit", 0.0)
     n = 3
     for order in (2, 4):
         for j in range(1, n + 1):
@@ -664,9 +670,8 @@ def _suite_star_associativity(rng: Random, p: dict) -> list:
                 target = tuple(a + b for a, b in zip(ej, ek))
                 for power, ref in enumerate(expected):
                     got = prod.terms.get((power, target), 0.0)
-                    worst_gen = max(worst_gen, abs(got - ref))
+                    gen.add(abs(got - ref))
 
-    worst_mono = 0.0
     for _ in range(100):
         n2 = 2 + rng.randrange(2)
         order = 3
@@ -677,13 +682,10 @@ def _suite_star_associativity(rng: Random, p: dict) -> list:
                                    HSeriesElement.monomial(n2, order, l))
         expected = _taylor_reference(qc.sigma(l, k), order)
         target = tuple(a + b for a, b in zip(k, l))
-        support = {key for key in prod.terms}
-        if any(key[1] != target for key in support):
-            worst_mono = max(worst_mono, 1.0)
+        mono.add(float(any(key[1] != target for key in prod.terms)))
         for power, ref in enumerate(expected):
-            worst_mono = max(worst_mono, _rel(prod.terms.get((power, target), 0.0), ref))
+            mono.add(_rel(prod.terms.get((power, target), 0.0), ref))
 
-    worst_assoc = 0.0
     for i in range(p["triples"]):
         order = 2 + i % 3
         f = randgen.random_hseries(rng, 2, order, max_degree=4, terms=4)
@@ -691,9 +693,8 @@ def _suite_star_associativity(rng: Random, p: dict) -> list:
         u = randgen.random_hseries(rng, 2, order, max_degree=4, terms=4)
         left = deform.star_product(deform.star_product(f, g), u)
         right = deform.star_product(f, deform.star_product(g, u))
-        worst_assoc = max(worst_assoc, _max_diff(left.terms, right.terms))
+        assoc.add(_max_diff(left.terms, right.terms))
 
-    worst_fiber = -math.inf
     for i in range(50):
         h0 = (0.1, 0.05, 0.01)[i % 3]
         order = 8
@@ -709,19 +710,14 @@ def _suite_star_associativity(rng: Random, p: dict) -> list:
         sig_max = max((qc.sigma(l, k) for k in fq.terms for l in gq.terms), default=0)
         mass = math.fsum(map(abs, fq.terms.values())) * math.fsum(map(abs, gq.terms.values()))
         bound = 2.0 * mass * (sig_max * h0) ** (order + 1) / math.factorial(order + 1) + 1e-12
-        worst_fiber = max(worst_fiber, diff - bound)
+        fiber.add(diff - bound)
 
-    worst_unit = 0.0
     for _ in range(50):
         f = randgen.random_hseries(rng, 2, 3, max_degree=3, terms=4)
         prod = deform.star_product(f, HSeriesElement.one(2, 3))
-        worst_unit = max(worst_unit, _max_diff(prod.terms, f.terms))
+        unit.add(_max_diff(prod.terms, f.terms))
 
-    return [CheckResult("generator-rule", worst_gen, 1e-14),
-            CheckResult("monomial-phase", worst_mono, 1e-13),
-            CheckResult("associativity", worst_assoc, p["tol"]),
-            CheckResult("fiber-compatibility", worst_fiber, 0.0),
-            CheckResult("unit", worst_unit, 0.0)]
+    return [gen, mono, assoc, fiber, unit]
 
 
 def _fit_slope(hs, values) -> float:
@@ -741,15 +737,17 @@ def _suite_star_defect(rng: Random, p: dict) -> list:
     h = 0.01
     defect = deform.quantization_defect(x1, x2, h, spec)
     reference = abs((1.0 - cmath.exp(-1j * h)) / h - 1j)
-    worst_example = max(_rel(defect, reference), abs(defect / 0.005 - 1.0) - 0.05)
-    worst_two_routes = _rel(defect, deform.commutator_defect(x1, x2, h, spec))
+    example = CheckResult("coordinate-defect-value", 1e-12,
+                          _rel(defect, reference), abs(defect / 0.005 - 1.0) - 0.05)
+    two_routes = CheckResult("phi-vs-commutator-route", 1e-10,
+                             _rel(defect, deform.commutator_defect(x1, x2, h, spec)))
 
-    worst_self = 0.0
+    self_defect = CheckResult("self-defect-vanishes", 1e-15)
     for _ in range(20):
         f = randgen.random_qpoly(rng, 2, 1.0, max_degree=3, terms=4)
-        worst_self = max(worst_self, deform.quantization_defect(f, f, 0.01, spec))
+        self_defect.add(deform.quantization_defect(f, f, 0.01, spec))
 
-    worst_slope = -math.inf
+    slope = CheckResult("defect-order-one", 0.0)
     hs = (1e-1, 1e-2, 1e-3, 1e-4)
     for _ in range(p["pairs"]):
         f = randgen.random_qpoly(rng, 2, 1.0, max_degree=3, terms=4)
@@ -757,10 +755,10 @@ def _suite_star_defect(rng: Random, p: dict) -> list:
         values = [deform.quantization_defect(f, g, h, spec) for h in hs]
         if min(values) <= 1e-14:
             continue
-        worst_slope = max(worst_slope, abs(_fit_slope(hs, values) - 1.0) - 0.1)
+        slope.add(abs(_fit_slope(hs, values) - 1.0) - 0.1)
 
-    worst_jacobi = 0.0
-    worst_leibniz = 0.0
+    jacobi = CheckResult("jacobi", p["tol"])
+    leibniz = CheckResult("leibniz", p["tol"])
     for _ in range(p["triples"]):
         f = randgen.random_qpoly(rng, 2, 1.0, max_degree=3, terms=3)
         g = randgen.random_qpoly(rng, 2, 1.0, max_degree=3, terms=3)
@@ -768,73 +766,61 @@ def _suite_star_defect(rng: Random, p: dict) -> list:
         jac = (deform.poisson_bracket(f, deform.poisson_bracket(g, u))
                + deform.poisson_bracket(g, deform.poisson_bracket(u, f))
                + deform.poisson_bracket(u, deform.poisson_bracket(f, g)))
-        worst_jacobi = max(worst_jacobi,
-                           max((abs(c) for c in jac.terms.values()), default=0.0))
+        jacobi.add(_max_diff(jac.terms, {}))   # its largest |coefficient|, 0.0 if none
         lhs = deform.poisson_bracket(f, qpoly_mul(g, u))
         rhs = qpoly_mul(deform.poisson_bracket(f, g), u) + qpoly_mul(g, deform.poisson_bracket(f, u))
-        worst_leibniz = max(worst_leibniz, _max_diff(lhs.terms, rhs.terms))
+        leibniz.add(_max_diff(lhs.terms, rhs.terms))
 
-    return [CheckResult("coordinate-defect-value", worst_example, 1e-12),
-            CheckResult("phi-vs-commutator-route", worst_two_routes, 1e-10),
-            CheckResult("self-defect-vanishes", worst_self, 1e-15),
-            CheckResult("defect-order-one", worst_slope, 0.0),
-            CheckResult("jacobi", worst_jacobi, p["tol"]),
-            CheckResult("leibniz", worst_leibniz, p["tol"])]
+    return [example, two_routes, self_defect, slope, jacobi, leibniz]
 
 
 def _suite_formal_lift(rng: Random, p: dict) -> list:
     order = 3
-    worst_identity = 0.0
-    worst_axis = 0.0
-    worst_bound = -math.inf
+    identity = CheckResult("truncated-ordering-identity", p["tol"])
+    axis = CheckResult("axis-profile-exact", 0.0)
+    bound_check = CheckResult("coefficient-norm-bound", 0.0)
     for n in range(1, 4):
         for k in qc.multi_indices(n, 5):
             u = deform.formal_ball_lift(k, order)
             pushed = deform.normal_order_formal(u)
             expected = HSeriesElement.monomial(n, order, k)
-            worst_identity = max(worst_identity, _max_diff(pushed.terms, expected.terms))
+            identity.add(_max_diff(pushed.terms, expected.terms))
             log_half = 0.5 * (math.fsum(math.lgamma(m + 1) for m in k) - math.lgamma(sum(k) + 1))
             for s in range(order + 1):
                 coeff = FreeElement(n, u.coefficient(s))
                 bound = sum(k) ** (2 * s) * math.exp(log_half) if sum(k) else (1.0 if s == 0 else 0.0)
-                worst_bound = max(worst_bound,
-                                  norm(coeff, NormSpec(FREE_BALL_CIRC, 1.0)) - bound - 1e-12)
+                bound_check.add(norm(coeff, NormSpec(FREE_BALL_CIRC, 1.0)) - bound - 1e-12)
     for m in range(1, 6):
         u = deform.formal_ball_lift((m, 0), order)
-        worst_axis = max(worst_axis, _max_diff(u.terms, {(0, (1,) * m): 1.0}))
-    return [CheckResult("truncated-ordering-identity", worst_identity, p["tol"]),
-            CheckResult("axis-profile-exact", worst_axis, 0.0),
-            CheckResult("coefficient-norm-bound", worst_bound, 0.0)]
+        axis.add(_max_diff(u.terms, {(0, (1,) * m): 1.0}))
+    return [identity, axis, bound_check]
 
 
 def _suite_remark_3_12_blowup(rng: Random, p: dict) -> list:
     q = 0.5
-    worst_value = 0.0
-    blown = 0.0
+    growth = CheckResult("product-norm-grows-like-qpow", 1e-12)
     for m in range(1, 6):
         k2 = (0, m)
         k1 = (m, 0)
         prod = qpoly_mul(QPolynomial.monomial(2, q, k2), QPolynomial.monomial(2, q, k1))
         classical = QPolynomial(2, 1.0, dict(prod.terms))
         value = norm(classical, NormSpec(POLYDISK_L1, 1.0))
-        worst_value = max(worst_value, _rel(value, 2.0 ** (m * m)))
-        if m == 5:
-            blown = value
-    return [CheckResult("product-norm-grows-like-qpow", worst_value, 1e-12),
-            CheckResult("exceeds-1e6-by-m-5", 1e6 - blown, 0.0)]
+        growth.add(_rel(value, 2.0 ** (m * m)))
+    # value is the norm at m = 5
+    return [growth, CheckResult("exceeds-1e6-by-m-5", 0.0, 1e6 - value)]
 
 
 def _suite_lambda_2_1(rng: Random, p: dict) -> list:
     holds, constant = lambda_p_compare({(0,): 1.0, (1,): 0.5, (3,): 2.0},
                                        1, math.inf, 0.5, 1.0)
-    worst_example = abs(constant - 2.0) + (0.0 if holds else 1.0)
-    singleton_ok = 0.0
+    example = CheckResult("textbook-constant", 1e-12,
+                          abs(constant - 2.0) + (0.0 if holds else 1.0))
+    singleton = CheckResult("singleton-family", 0.0)
     single = {(0, 0): 1.0}
     for pq in ((1, 2), (1, math.inf), (2, math.inf)):
         for rho, tau in ((0.5, 1.0), (0.3, 0.9)):
             ok, _ = lambda_p_compare(single, pq[0], pq[1], rho, tau)
-            if not ok:
-                singleton_ok = 1.0
+            singleton.add(float(not ok))
     failures = 0.0
     for i in range(p["families"]):
         n = 1 + i % 3
@@ -847,9 +833,8 @@ def _suite_lambda_2_1(rng: Random, p: dict) -> list:
             ok, _ = lambda_p_compare(weights, pq[0], pq[1], rho, tau)
             if not ok:
                 failures += 1.0
-    return [CheckResult("textbook-constant", worst_example, 1e-12),
-            CheckResult("singleton-family", singleton_ok, 0.0),
-            CheckResult("random-families", failures, 0.0)]
+    return [example, singleton, CheckResult("random-families", 0.0, failures)]
+
 
 
 # ---------------------------------------------------------------------------

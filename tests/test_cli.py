@@ -752,6 +752,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
         ["scan", "--in", laurent, "--path", "ray:0.5:0.6:1.2", "--samples", "8",
          "--family", "ball", "--rho", "0.7", "--out", str(out)],
         ["verify", "stirling-3-4", "--seed", "7", "--json", "--verbose"],
+        ["verify", "eq-6-10", "--seed", "7", "--verbose"],
     ]
     defaults = [
         ["mul", "--in", qpoly, "--in", qpoly],
@@ -786,6 +787,11 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     fresh = [outcome(argv) for argv in calls]
     assert [code for code, *_ in reused] == [0] * (len(calls) - 2) + [2, 0]
     assert "invalid choice: 'nope'" in reused[-2][2]
+    # the text route's verbose line carries each check's sample count and
+    # the index of its worst sample
+    verbose = reused[calls.index(["verify", "eq-6-10", "--seed", "7", "--verbose"])][1]
+    assert re.search(r"^ +pass polydisk-weight-is-fiber-min worst=\S+ thr=1\.0e-10 "
+                     r"n=492 at=33$", verbose, re.M), verbose
     for argv, a, b in zip(calls, reused, fresh):
         assert a == b, argv
 
